@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify bench bench-smoke bench-dist bench-serve serve-smoke chaos churn multisoak conform fuzz-smoke
+.PHONY: build test vet race verify bench bench-smoke bench-check bench-e2e bench-dist bench-serve serve-smoke chaos churn multisoak conform fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,18 @@ bench:
 bench-smoke:
 	$(GO) test -run=NONE -bench=SchedulerScaling -benchtime=1x -short .
 	$(GO) test -run=NONE -bench='RunnerWall|RunnerTCP' -benchtime=1x -benchmem .
+
+# The request-path harness's own tests, including its smoke suite (all
+# four workloads in short windows on ring:16, every reply
+# oracle-checked). bench/ is a module of its own, so the root
+# `go test ./...` cannot see them.
+bench-check:
+	cd bench && $(GO) test ./...
+
+# The request-path benchmark end to end: four workloads, untraced then
+# traced, every metric printed, result in bench/out/result.json.
+bench-e2e:
+	bash bench/run.sh -seed 1
 
 # The committed scheduler baselines (BENCH_PR7.json) were measured with
 # this: every heuristic over the scaling sweep, plus the 32k- and

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -366,13 +367,32 @@ func BenchmarkGanttRender(b *testing.B) {
 // layer into one external output. Unlike the scheduler-scaling random
 // graphs, every task carries an executable routine, so the parallel
 // runner can actually interpret it.
-func runnerDesign(b *testing.B, layers, width int) (*graph.Flat, pits.Env) {
-	b.Helper()
+func runnerDesign(tb testing.TB, layers, width int) (*graph.Flat, pits.Env) {
+	tb.Helper()
 	flat, err := layeredCalcGraph(layers, width).Flatten()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return flat, pits.Env{"x": pits.Num(3)}
+}
+
+// specSchedule schedules flat with ETF onto the machine a topology spec
+// ("hypercube:3", "ring:128") names.
+func specSchedule(tb testing.TB, flat *graph.Flat, spec string) *sched.Schedule {
+	tb.Helper()
+	topo, err := machine.ParseTopology(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m, err := machine.New(topo.Name, topo, machine.DefaultParams())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sc, err := (sched.ETF{}).Schedule(flat.Graph, m)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sc
 }
 
 // layeredCalcGraph is the design behind runnerDesign, unflattened —
@@ -412,22 +432,56 @@ func layeredCalcGraph(layers, width int) *graph.Graph {
 
 // BenchmarkRunnerVirtual measures the goroutine runner in deterministic
 // virtual time on a ~500-task layered calculator design scheduled by
-// ETF onto an 8-processor hypercube — the fault-tolerant runtime's
-// fault-free fast path (watchdogs armed, no retries, no checksums).
-// Baseline: BENCH_PR3.json.
+// ETF — the fault-tolerant runtime's fault-free fast path (watchdogs
+// armed, no retries, no checksums) — on an 8-processor hypercube
+// (baseline: BENCH_PR3.json) and on the 128-processor ring whose run
+// mode BENCH_PR9 could not sustain.
 func BenchmarkRunnerVirtual(b *testing.B) {
 	flat, inputs := runnerDesign(b, 20, 25) // 501 tasks
-	m := hypercubeMachine(b, 3)
-	sc, err := (sched.ETF{}).Schedule(flat.Graph, m)
-	if err != nil {
-		b.Fatal(err)
+	for _, spec := range []string{"hypercube:3", "ring:128"} {
+		sc := specSchedule(b, flat, spec)
+		b.Run(spec, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r := &exec.Runner{Inputs: inputs, VirtualTime: true}
+				if _, err := r.Run(sc, flat); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := &exec.Runner{Inputs: inputs, VirtualTime: true}
-		if _, err := r.Run(sc, flat); err != nil {
-			b.Fatal(err)
+}
+
+// TestSessionAllocScalesWithTraffic guards the runner's memory against
+// growing with the machine instead of with the work: the same 501 tasks
+// in virtual time must allocate about as much on a 128-processor ring
+// as on a 16-processor one. Per-processor inboxes pre-sized for the
+// whole run's traffic cost 2.9 GB here, ~50x the 16-processor run.
+func TestSessionAllocScalesWithTraffic(t *testing.T) {
+	flat, inputs := runnerDesign(t, 20, 25) // 501 tasks
+	allocPerRun := func(spec string) uint64 {
+		sc := specSchedule(t, flat, spec)
+		var samples []uint64
+		for i := 0; i < 4; i++ { // the first run warms caches and is dropped
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			r := &exec.Runner{Inputs: inputs, VirtualTime: true}
+			if _, err := r.Run(sc, flat); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			samples = append(samples, after.TotalAlloc-before.TotalAlloc)
 		}
+		samples = samples[1:]
+		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+		return samples[1]
+	}
+	small, large := allocPerRun("ring:16"), allocPerRun("ring:128")
+	t.Logf("bytes allocated per run: ring:16 %d, ring:128 %d (%.1fx)", small, large, float64(large)/float64(small))
+	if large >= 64<<20 {
+		t.Errorf("a ring:128 run allocates %d MB, want < 64 MB", large>>20)
+	}
+	if large >= 3*small {
+		t.Errorf("a ring:128 run allocates %.1fx a ring:16 run (%d vs %d bytes), want < 3x", float64(large)/float64(small), large, small)
 	}
 }
 

@@ -83,9 +83,8 @@ type controller struct {
 	// other processes still work, so the stall detector must hold fire.
 	quiescent atomic.Bool
 
-	inboxes []chan xmsg
-	done    chan struct{} // closed to abort the run (some worker failed)
-	finish  chan struct{} // closed on clean completion (all workers idle)
+	done   chan struct{} // closed to abort the run (some worker failed)
+	finish chan struct{} // closed on clean completion (all workers idle)
 
 	doneOnce   sync.Once
 	finishOnce sync.Once
@@ -95,10 +94,9 @@ type controller struct {
 	era      atomic.Pointer[era]
 	progress atomic.Uint64 // bumped per task completion and accepted message
 
-	mu      sync.Mutex
-	extra   []trace.Event  // events emitted outside worker goroutines
-	waiting map[int]string // pe -> edge currently waited on (stall diagnosis)
-	runErr  error          // coordinator-detected failure (stall, unrecoverable crash)
+	mu     sync.Mutex
+	extra  []trace.Event // events emitted outside worker goroutines
+	runErr error         // coordinator-detected failure (stall, unrecoverable crash)
 
 	bg sync.WaitGroup // retry, delay and stall goroutines
 
@@ -150,44 +148,26 @@ func (c *controller) addEvent(e trace.Event) {
 	c.mu.Unlock()
 }
 
-// setWaiting records what processor pe is blocked on ("" clears it).
-func (c *controller) setWaiting(pe int, edge string) {
-	c.mu.Lock()
-	if edge == "" {
-		delete(c.waiting, pe)
-	} else {
-		c.waiting[pe] = edge
-	}
-	c.mu.Unlock()
-}
-
 // waitingSummary renders the blocked processors for stall diagnostics.
 func (c *controller) waitingSummary() string {
-	return c.waitingExcept(-1)
+	if s := c.waitingExcept(-1); s != "" {
+		return s
+	}
+	return "no worker waiting on a message"
 }
 
-// waitingExcept renders the blocked processors other than skip — a
-// watchdog that fires downstream of the real loss uses it to point at
-// the edge that is actually missing.
+// waitingExcept renders the blocked hosted processors other than skip,
+// in processor order — a watchdog that fires downstream of the real
+// loss uses it to point at the edge that is actually missing.
 func (c *controller) waitingExcept(skip int) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	pes := make([]int, 0, len(c.waiting))
-	for pe := range c.waiting {
-		if pe != skip {
-			pes = append(pes, pe)
+	var parts []string
+	for pe, w := range c.workers {
+		if w == nil || pe == skip {
+			continue
 		}
-	}
-	if len(pes) == 0 {
-		if skip < 0 {
-			return "no worker waiting on a message"
+		if k := w.awaiting.Load(); k != nil {
+			parts = append(parts, fmt.Sprintf("PE %d waits for %s", pe, k))
 		}
-		return ""
-	}
-	sort.Ints(pes)
-	parts := make([]string, len(pes))
-	for i, pe := range pes {
-		parts[i] = fmt.Sprintf("PE %d waits for %s", pe, c.waiting[pe])
 	}
 	return strings.Join(parts, "; ")
 }

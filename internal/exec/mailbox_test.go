@@ -1,0 +1,284 @@
+package exec
+
+import (
+	"errors"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/pits"
+	"repro/internal/sched"
+	"repro/internal/trace"
+)
+
+// TestMailboxPutNeverBlocks: with nobody consuming, any number of puts
+// return — there is no capacity to run out of — and come back in order.
+func TestMailboxPutNeverBlocks(t *testing.T) {
+	const n = 100_000
+	b := newMailbox()
+	filled := make(chan struct{})
+	go func() {
+		for i := 0; i < n; i++ {
+			b.put(xmsg{seq: uint64(i)})
+		}
+		close(filled)
+	}()
+	select {
+	case <-filled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("put blocked with no consumer")
+	}
+	for i := 0; i < n; i++ {
+		m, ok := b.take()
+		if !ok || m.seq != uint64(i) {
+			t.Fatalf("take %d: got seq %d, ok %v", i, m.seq, ok)
+		}
+	}
+	if _, ok := b.take(); ok {
+		t.Fatal("take from a drained mailbox returned a message")
+	}
+}
+
+// TestMailboxFIFOPerProducer: eight producers racing one consumer; each
+// producer's messages must come out in the order it put them.
+func TestMailboxFIFOPerProducer(t *testing.T) {
+	const producers, each = 8, 5000
+	b := newMailbox()
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 1; i <= each; i++ {
+				b.put(xmsg{fromPE: p, seq: uint64(i)})
+			}
+		}(p)
+	}
+	last := make([]uint64, producers)
+	deadline := time.After(20 * time.Second)
+	for got := 0; got < producers*each; {
+		m, ok := b.take()
+		if !ok {
+			select {
+			case <-b.ready:
+			case <-deadline:
+				t.Fatalf("consumer starved after %d of %d messages", got, producers*each)
+			}
+			continue
+		}
+		if m.seq != last[m.fromPE]+1 {
+			t.Fatalf("producer %d: seq %d after %d", m.fromPE, m.seq, last[m.fromPE])
+		}
+		last[m.fromPE] = m.seq
+		got++
+	}
+	wg.Wait()
+}
+
+// TestMailboxTakeReleasesPayload: a popped slot keeps no reference to
+// the value it held, and a drained queue starts over at the front of
+// its backing array.
+func TestMailboxTakeReleasesPayload(t *testing.T) {
+	b := newMailbox()
+	for i := 0; i < 3; i++ {
+		b.put(xmsg{key: msgKey{"a", "b", "v"}, val: pits.Num(i), seq: uint64(i + 1), ack: make(chan struct{}, 1)})
+	}
+	if _, ok := b.take(); !ok {
+		t.Fatal("take failed")
+	}
+	if !reflect.DeepEqual(b.q[0], xmsg{}) {
+		t.Errorf("popped slot still holds %+v", b.q[0])
+	}
+	if b.head != 1 || len(b.q) != 3 {
+		t.Errorf("after one take: head %d, len %d; want 1, 3", b.head, len(b.q))
+	}
+	b.take()
+	b.take()
+	if b.head != 0 || len(b.q) != 0 {
+		t.Errorf("drained mailbox not rewound: head %d, len %d", b.head, len(b.q))
+	}
+	for i, m := range b.q[:cap(b.q)] {
+		if !reflect.DeepEqual(m, xmsg{}) {
+			t.Errorf("backing slot %d still holds %+v", i, m)
+		}
+	}
+}
+
+// TestMailboxNoLostWakeup: the consumer's empty take races the
+// producer's next put on every round; a put whose token the consumer
+// missed would park it forever.
+func TestMailboxNoLostWakeup(t *testing.T) {
+	const rounds = 10_000
+	b := newMailbox()
+	got := make(chan uint64)
+	go func() {
+		for n := 0; n < rounds; {
+			m, ok := b.take()
+			if !ok {
+				<-b.ready
+				continue
+			}
+			n++
+			got <- m.seq
+		}
+	}()
+	for i := uint64(0); i < rounds; i++ {
+		b.put(xmsg{seq: i})
+		select {
+		case seq := <-got:
+			if seq != i {
+				t.Fatalf("round %d delivered seq %d", i, seq)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("lost wake-up in round %d", i)
+		}
+	}
+}
+
+// testPlane is a RemotePlane that swallows remote deliveries and turns
+// the session's idle/crash reports into channel events a test can wait on.
+type testPlane struct {
+	idle  chan struct{}
+	crash chan int
+}
+
+func newTestPlane() *testPlane {
+	return &testPlane{idle: make(chan struct{}, 16), crash: make(chan int, 16)}
+}
+
+func (p *testPlane) DeliverRemote(RemoteMsg) error { return nil }
+func (p *testPlane) LocalIdle()                    { p.idle <- struct{}{} }
+func (p *testPlane) LocalCrash(pe int)             { p.crash <- pe }
+
+func waitEvent[T any](t *testing.T, ch <-chan T, what string) T {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(10 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+		panic("unreachable")
+	}
+}
+
+// TestDeliverAfterRunEnds pins the end-of-run contract of Deliver now
+// that no select decides it: a delivery after a clean finish is dropped
+// silently, one after an abort reports the abort — every time.
+func TestDeliverAfterRunEnds(t *testing.T) {
+	s, flat := chainSchedule(t)
+	r := &Runner{Inputs: pits.Env{"x0": pits.Num(5)}}
+	u := RemoteMsg{From: "a", To: "b", Var: "u", FromPE: 0, ToPE: 1, Seq: 1<<32 | 1, Val: pits.Num(10)}
+
+	t.Run("finish", func(t *testing.T) {
+		pl := newTestPlane()
+		ses, err := r.StartSession(s, flat, []bool{false, true}, pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ses.Deliver(u); err != nil {
+			t.Fatalf("delivery during the run: %v", err)
+		}
+		waitEvent(t, pl.idle, "PE 1 to run b and go idle")
+		ses.FinishRun()
+		if err := ses.Deliver(u); err != nil {
+			t.Errorf("delivery after FinishRun: %v, want nil", err)
+		}
+		if n := len(ses.workers[1].inbox.q); n != 0 {
+			t.Errorf("late delivery was queued (%d in mailbox), want dropped", n)
+		}
+		if _, err := ses.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("abort", func(t *testing.T) {
+		for i := 0; i < 50; i++ {
+			ses, err := r.StartSession(s, flat, []bool{false, true}, newTestPlane())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ses.Abort(errors.New("boom"))
+			if err := ses.Deliver(u); err == nil || !strings.Contains(err.Error(), "aborted") {
+				t.Fatalf("round %d: delivery after Abort: %v, want the abort", i, err)
+			}
+			if _, err := ses.Wait(); err == nil || !strings.Contains(err.Error(), "boom") {
+				t.Fatalf("round %d: Wait: %v, want the abort's root cause", i, err)
+			}
+		}
+	})
+}
+
+// TestDeadMailboxAbsorbsRetransmissions: PE 1 crashes before reading
+// anything, so a->b:u and its retransmissions pile up in a mailbox
+// nobody will ever drain. The sender must not block on it, the backlog
+// must end with the era, and recovery must still produce the fault-free
+// outputs.
+func TestDeadMailboxAbsorbsRetransmissions(t *testing.T) {
+	s, flat := chainSchedule(t)
+	inputs := pits.Env{"x0": pits.Num(5)}
+	want, err := (&Runner{Inputs: inputs}).Run(s, flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := ParseFaults("crash:1@0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &Runner{
+		Inputs: inputs, Faults: plan,
+		Retry: true, RetryBase: time.Millisecond, RetryCap: 4 * time.Millisecond,
+	}
+	pl := newTestPlane()
+	ses, err := r.StartSession(s, flat, []bool{true, true}, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pe := waitEvent(t, pl.crash, "the injected crash"); pe != 1 {
+		t.Fatalf("PE %d crashed, want PE 1", pe)
+	}
+	// The crashed worker's goroutine is gone, so this test is the only
+	// reader of its wake-up token: two tokens are at least two copies,
+	// the original and a retransmission.
+	dead := ses.workers[1].inbox
+	waitEvent(t, dead.ready, "a->b:u in the dead PE's mailbox")
+	waitEvent(t, dead.ready, "a retransmission of a->b:u")
+
+	st, err := ses.Pause()
+	if err != nil {
+		t.Fatal(err)
+	}
+	re, err := sched.Recover(s, sched.RecoverState{Live: []bool{true, false}, Done: st.Done})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = ses.Resume(&ResumePlan{Epoch: 1, Slots: re.Slots, Msgs: re.Msgs, Done: st.Done, Dead: []bool{false, true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitEvent(t, pl.idle, "the survivor to finish the replanned work")
+	ses.FinishRun()
+	p, err := ses.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	outputs, _, err := MergePartials(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(outputs, want.Outputs) {
+		t.Errorf("outputs diverged:\n got %v\nwant %v", outputs, want.Outputs)
+	}
+	retries := 0
+	for _, ev := range p.Events {
+		if ev.Kind == trace.MsgRetry {
+			retries++
+		}
+	}
+	// Wait has joined the retry goroutines, so the backlog is final:
+	// the original and every recorded retransmission, none consumed.
+	if got := len(dead.q) - dead.head; got < 2 || got > retries+1 {
+		t.Errorf("dead mailbox holds %d copies after %d recorded retries, want 2..retries+1", got, retries)
+	}
+}

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"hash/fnv"
+	"sync"
 	"time"
 
 	"repro/internal/machine"
@@ -53,16 +54,59 @@ func ackMsg(m xmsg) {
 	}
 }
 
-// deliver enqueues one copy for toPE, giving up if the run ends.
+// mailbox is one hosted processor's inbox: an unbounded FIFO, so a put
+// never blocks whatever retries, duplicates and recoveries pile into it.
+// ready holds at most one wake-up token; a put leaves one for a consumer
+// that found the queue empty, and a stale token costs one empty take.
+type mailbox struct {
+	mu    sync.Mutex
+	q     []xmsg
+	head  int // q[:head] is consumed and zeroed
+	ready chan struct{}
+}
+
+func newMailbox() *mailbox { return &mailbox{ready: make(chan struct{}, 1)} }
+
+func (b *mailbox) put(m xmsg) {
+	b.mu.Lock()
+	b.q = append(b.q, m)
+	b.mu.Unlock()
+	select {
+	case b.ready <- struct{}{}:
+	default:
+	}
+}
+
+// take pops the oldest message. The popped slot is zeroed, so the
+// mailbox pins no payload it has handed over, and a drained queue
+// rewinds to the start of its backing array instead of growing.
+func (b *mailbox) take() (xmsg, bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.head == len(b.q) {
+		return xmsg{}, false
+	}
+	m := b.q[b.head]
+	b.q[b.head] = xmsg{}
+	if b.head++; b.head == len(b.q) {
+		b.q, b.head = b.q[:0], 0
+	}
+	return m, true
+}
+
+// deliver enqueues one copy for hosted processor toPE and never blocks.
+// It reports false once the run has aborted; a copy arriving after a
+// clean finish is dropped.
 func (c *controller) deliver(m xmsg, toPE int) bool {
 	select {
-	case c.inboxes[toPE] <- m:
-		return true
 	case <-c.done:
 		return false
 	case <-c.finish:
-		return false
+		return true
+	default:
 	}
+	c.workers[toPE].inbox.put(m)
+	return true
 }
 
 // sendReliable ships m to toPE with retransmission: deliver copies

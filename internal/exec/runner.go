@@ -16,7 +16,7 @@ import (
 )
 
 // Runner executes a scheduled Banger program for real: one goroutine
-// per processor of the target machine, buffered channels as links, and
+// and one unbounded mailbox per processor of the target machine, and
 // each task's PITS routine interpreted on actual data. Timing comes
 // from the wall clock, so the trace shows genuine parallel execution;
 // correctness of results is independent of interleaving because PITS
@@ -133,6 +133,9 @@ type msgKey struct {
 	to   graph.NodeID
 	v    string
 }
+
+// String renders the key as the edge diagnostics name: "from->to:var".
+func (k msgKey) String() string { return fmt.Sprintf("%s->%s:%s", k.from, k.to, k.v) }
 
 // sendPlan is one cross-processor delivery a producer copy must make.
 type sendPlan struct {

@@ -179,8 +179,7 @@ func (r *Runner) buildSession(s *sched.Schedule, flat *graph.Flat, hosted []bool
 		}
 		k := msgKey{msg.From, msg.To, msg.Var}
 		if _, dup := expect[msg.ToPE][k]; dup {
-			return nil, fmt.Errorf("exec: schedule records duplicate delivery of %s->%s:%s to PE %d",
-				msg.From, msg.To, msg.Var, msg.ToPE)
+			return nil, fmt.Errorf("exec: schedule records duplicate delivery of %s to PE %d", k, msg.ToPE)
 		}
 		expect[msg.ToPE][k] = msg.Recv
 		sends[msg.FromPE][msg.From] = append(sends[msg.FromPE][msg.From],
@@ -202,29 +201,13 @@ func (r *Runner) buildSession(s *sched.Schedule, flat *graph.Flat, hosted []bool
 	ctrl := &controller{
 		runner: r, s: s, flat: flat, numPE: numPE,
 		hosted: hosted, plane: plane,
-		cmds:    make(chan sessCmd),
-		inboxes: make([]chan xmsg, numPE),
-		done:    make(chan struct{}),
-		finish:  make(chan struct{}),
-		events:  make(chan wevent, numPE*4+16),
-		waiting: map[int]string{},
-		faults:  faults, retry: r.Retry, checksums: faults.checksums,
+		cmds:   make(chan sessCmd),
+		done:   make(chan struct{}),
+		finish: make(chan struct{}),
+		events: make(chan wevent, numPE*4+16),
+		faults: faults, retry: r.Retry, checksums: faults.checksums,
 		grace: grace, now: now,
 		stats: stats,
-	}
-	// Inboxes are sized so no delivery ever blocks past the run's end:
-	// every scheduled and recovery-planned message fits, with room for
-	// injected duplicates. Only hosted processors receive — deliveries
-	// for remote PEs go through the plane and are rejected by Deliver —
-	// so a distributed session pays the never-blocks capacity only for
-	// its own share, not numPE times per process.
-	inboxCap := (numPE + 1) * (len(s.Msgs) + len(g.Arcs()) + 2)
-	for pe := range ctrl.inboxes {
-		if !ctrl.isLocal(pe) {
-			ctrl.inboxes[pe] = make(chan xmsg)
-			continue
-		}
-		ctrl.inboxes[pe] = make(chan xmsg, inboxCap)
 	}
 	ctrl.era.Store(&era{pause: make(chan struct{}), resume: make(chan struct{})})
 
@@ -235,6 +218,7 @@ func (r *Runner) buildSession(s *sched.Schedule, flat *graph.Flat, hosted []bool
 		}
 		workers[pe] = &worker{
 			pe: pe, runner: r, sched: s, flat: flat, progs: progs, ctrl: ctrl, now: now,
+			inbox: newMailbox(),
 			slots: s.PESlots(pe), expected: expect[pe], sends: sends[pe],
 			outputs: pits.Env{}, exports: map[string]graph.NodeID{},
 			local: map[graph.NodeID]pits.Env{},
@@ -278,7 +262,7 @@ func (ses *Session) launch() {
 }
 
 // Deliver injects a message that arrived from another process into the
-// hosting processor's inbox. Late deliveries after completion are
+// hosting processor's mailbox. Late deliveries after completion are
 // dropped; deliveries after an abort report it.
 func (ses *Session) Deliver(m RemoteMsg) error {
 	c := ses.ctrl
@@ -287,14 +271,10 @@ func (ses *Session) Deliver(m RemoteMsg) error {
 	}
 	x := xmsg{key: msgKey{m.From, m.To, m.Var}, val: m.Val, fromPE: m.FromPE,
 		at: m.At, seq: m.Seq, epoch: m.Epoch, sum: m.Sum}
-	select {
-	case c.inboxes[m.ToPE] <- x:
-		return nil
-	case <-c.done:
+	if !c.deliver(x, m.ToPE) {
 		return fmt.Errorf("exec: session aborted")
-	case <-c.finish:
-		return nil
 	}
+	return nil
 }
 
 // Progress returns the session's progress counter (completed tasks and

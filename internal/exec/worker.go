@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
@@ -23,6 +24,10 @@ type worker struct {
 	progs  map[graph.NodeID]*pits.Program
 	ctrl   *controller
 	now    func() machine.Time
+	inbox  *mailbox
+	// awaiting is the message a blocked receive is waiting for (nil
+	// otherwise): the raw material of stall and watchdog diagnoses.
+	awaiting atomic.Pointer[msgKey]
 
 	// Per-era assignment.
 	slots    []sched.Slot
@@ -63,10 +68,10 @@ const (
 )
 
 // run is the worker goroutine: execute the current assignment, then
-// idle until the run completes or a recovery hands out a new one.
-// run is the worker goroutine. The local/recvd/seen maps are built at
-// session construction (not here) so a session started mid-run can
-// install imported state before the goroutine launches.
+// idle until the run completes or a recovery hands out a new one. The
+// local/recvd/seen maps are built at session construction (not here) so
+// a session started mid-run can install imported state before the
+// goroutine launches.
 func (w *worker) run() error {
 	for {
 		w.er = w.ctrl.era.Load()
@@ -341,9 +346,7 @@ func (w *worker) send(sp sendPlan, val pits.Value, sendAt, arriveAt machine.Time
 		return nil
 	}
 	for i := 0; i < copies; i++ {
-		select {
-		case w.ctrl.inboxes[sp.toPE] <- m:
-		case <-w.ctrl.done:
+		if !w.ctrl.deliver(m, sp.toPE) {
 			return fmt.Errorf("%w while sending to PE %d", errAborted, sp.toPE)
 		}
 	}
@@ -364,16 +367,15 @@ func (w *worker) admit(m xmsg) (bool, error) {
 		if w.ctrl.retry {
 			return false, nil // no ack: the sender retransmits the original
 		}
-		return false, fmt.Errorf("message %s->%s:%s from PE %d corrupted in transit",
-			m.key.from, m.key.to, m.key.v, m.fromPE)
+		return false, fmt.Errorf("message %s from PE %d corrupted in transit", m.key, m.fromPE)
 	}
 	if prev, consumed := w.seen[m.key]; consumed {
 		if prev == m.seq {
 			ackMsg(m) // retransmission or injected duplicate of the same send
 			return false, nil
 		}
-		return false, fmt.Errorf("duplicate delivery of %s->%s:%s (sequence %d after %d): schedule sends it twice",
-			m.key.from, m.key.to, m.key.v, m.seq, prev)
+		return false, fmt.Errorf("duplicate delivery of %s (sequence %d after %d): schedule sends it twice",
+			m.key, m.seq, prev)
 	}
 	w.seen[m.key] = m.seq
 	ackMsg(m)
@@ -406,23 +408,25 @@ func (w *worker) receive(k msgKey) (xmsg, error) {
 		defer timer.Stop()
 		timeout = timer.C
 	}
-	edge := fmt.Sprintf("%s->%s:%s", k.from, k.to, k.v)
-	w.ctrl.setWaiting(w.pe, edge)
-	defer w.ctrl.setWaiting(w.pe, "")
+	awaited := k // a copy: only a blocking receive pays the escape
+	w.awaiting.Store(&awaited)
+	defer w.awaiting.Store(nil)
 	for {
-		select {
-		case m := <-w.ctrl.inboxes[w.pe]:
-			ok, err := w.admit(m)
+		for m, ok := w.inbox.take(); ok; m, ok = w.inbox.take() {
+			fresh, err := w.admit(m)
 			if err != nil {
 				return xmsg{}, err
 			}
-			if !ok {
+			if !fresh {
 				continue
 			}
 			if m.key == k {
 				return emit(m), nil
 			}
 			w.recvd[m.key] = m
+		}
+		select {
+		case <-w.inbox.ready:
 		case <-w.er.pause:
 			return xmsg{}, errPaused
 		case <-w.ctrl.done:
@@ -439,7 +443,7 @@ func (w *worker) receive(k msgKey) (xmsg, error) {
 				upstream = "; upstream: " + others
 			}
 			return xmsg{}, fmt.Errorf("watchdog: message %s not received within %v (predicted arrival %v, grace %.1fx)%s",
-				edge, w.watchdogDeadline(predicted), predicted, w.ctrl.grace, upstream)
+				k, w.watchdogDeadline(predicted), predicted, w.ctrl.grace, upstream)
 		}
 	}
 }
