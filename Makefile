@@ -16,9 +16,11 @@ test:
 # candidate scans over the worker pool — the equivalence tests drive
 # Workers=2 and 4 explicitly), the wire transport (coordinator, worker
 # daemons, reconnect relay), the conformance harness and the
-# multi-process CLI integration tests.
+# multi-process CLI integration tests. internal/pits is here for its
+# one piece of cross-goroutine state, the shared builtin table.
 race:
 	$(GO) test -race ./internal/exec/...
+	$(GO) test -race ./internal/pits/...
 	$(GO) test -race ./internal/sched/...
 	$(GO) test -race ./internal/wire/
 	$(GO) test -race ./internal/conform/
@@ -30,13 +32,14 @@ verify: build vet test race bench-smoke
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
-# One-iteration pass over the scheduler scaling benchmarks plus the
+# One-iteration pass over the scheduler scaling benchmarks, MH on a
+# machine it has not seen (ring:32, ring:128, hypercube:7) and the
 # single-process/distributed runner pair: catches crashes or
 # pathological slowdowns in the hot paths without the cost of a
 # statistically meaningful benchmark run. -short keeps the 32k/100k
 # graphs out of the smoke pass.
 bench-smoke:
-	$(GO) test -run=NONE -bench=SchedulerScaling -benchtime=1x -short .
+	$(GO) test -run=NONE -bench='SchedulerScaling|MHCold' -benchtime=1x -short .
 	$(GO) test -run=NONE -bench='RunnerWall|RunnerTCP' -benchtime=1x -benchmem .
 
 # The request-path harness's own tests, including its smoke suite (all
@@ -55,7 +58,10 @@ bench-e2e:
 # this: every heuristic over the scaling sweep, plus the 32k- and
 # ~100k-task graphs for the near-linear schedulers, allocation counts
 # on. The first schedule of each sub-benchmark runs before the timer,
-# so numbers are steady-state (compiled view cached, arenas pooled).
+# so numbers are steady-state (compiled view cached, arenas pooled),
+# and every sub-benchmark shares one 8-PE machine: these numbers never
+# included building a topology's routing tables or communication
+# table. BenchmarkMHCold measures a schedule that pays for those.
 # Each big size runs in its own process: a 100k-task graph plus its
 # compiled view is gigabytes of string-bearing live heap, and carrying
 # one size's graph through another size's measurement taxes every GC

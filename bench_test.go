@@ -320,6 +320,74 @@ func BenchmarkSchedulerScaling(b *testing.B) {
 	}
 }
 
+// specMachine builds a new machine (and with it a topology whose
+// routing tables nothing has used yet) from a topology spec.
+func specMachine(tb testing.TB, spec string) *machine.Machine {
+	tb.Helper()
+	topo, err := machine.ParseTopology(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m, err := machine.New(topo.Name, topo, machine.DefaultParams())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
+// BenchmarkMHCold measures MH the way a schedule-cache miss pays for
+// it: the 501-task layered design on a machine value no schedule has
+// seen, so the compiled view, the communication table and MH's link
+// and route tables are all built inside the timed call (building the
+// machine itself is not timed). BenchmarkSchedulerScaling reuses one
+// machine and so never included any of that. The three machines span
+// mean route lengths of 8, 32 and 3.5 hops.
+func BenchmarkMHCold(b *testing.B) {
+	flat, _ := runnerDesign(b, 20, 25) // 501 tasks
+	for _, spec := range []string{"ring:32", "ring:128", "hypercube:7"} {
+		b.Run(spec, func(b *testing.B) {
+			b.ReportAllocs()
+			if _, err := (sched.MH{}).Schedule(flat.Graph, specMachine(b, spec)); err != nil { // warm the arena
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				m := specMachine(b, spec)
+				b.StartTimer()
+				if _, err := (sched.MH{}).Schedule(flat.Graph, m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestOpenAllocCeiling guards the hit path's biggest allocator: opening
+// (validating and flattening) the 501-task design. Validation checks
+// every routine, and each check used to build its own copy of the PITS
+// function table — 6.1 MB per open, a third of it table entries.
+func TestOpenAllocCeiling(t *testing.T) {
+	p := &project.Project{
+		Name: "layered-calc", Design: layeredCalcGraph(20, 25), Machine: specMachine(t, "ring:32"),
+		Inputs: pits.Env{"x": pits.Num(3)},
+	}
+	if _, err := core.Open(p); err != nil { // builds the shared table
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := core.Open(p); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb > 4.5 {
+		t.Errorf("core.Open of the 501-task design allocated %.2f MB, want at most 4.5 MB", mb)
+	} else {
+		t.Logf("core.Open of the 501-task design allocated %.2f MB", mb)
+	}
+}
+
 // BenchmarkValidate measures re-checking an ETF schedule of a large
 // random graph against the graph and machine model — the hot path of
 // every load-from-JSON and every property test.
@@ -380,15 +448,7 @@ func runnerDesign(tb testing.TB, layers, width int) (*graph.Flat, pits.Env) {
 // ("hypercube:3", "ring:128") names.
 func specSchedule(tb testing.TB, flat *graph.Flat, spec string) *sched.Schedule {
 	tb.Helper()
-	topo, err := machine.ParseTopology(spec)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	m, err := machine.New(topo.Name, topo, machine.DefaultParams())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	sc, err := (sched.ETF{}).Schedule(flat.Graph, m)
+	sc, err := (sched.ETF{}).Schedule(flat.Graph, specMachine(tb, spec))
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package machine
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 )
 
@@ -25,85 +27,110 @@ type jsonMachine struct {
 //	hypercube:D   mesh:RxC   torus:RxC   tree:BxL
 //	star:N        ring:N     chain:N     full:N
 func ParseTopology(spec string) (*Topology, error) {
+	ts, err := parseSpec(spec)
+	if err != nil {
+		return nil, err
+	}
+	return ts.build()
+}
+
+// topoSpec is a parsed spec string: the kind and its one or two
+// numeric arguments (b is zero for the one-argument kinds).
+type topoSpec struct {
+	kind string
+	a, b int
+}
+
+// parseSpec splits and converts a spec string without building
+// anything. Each numeric field must be a whole decimal integer.
+func parseSpec(spec string) (topoSpec, error) {
 	kind, arg, ok := strings.Cut(spec, ":")
 	if !ok {
-		return nil, fmt.Errorf("topology spec %q: want kind:args", spec)
+		return topoSpec{}, fmt.Errorf("topology spec %q: want kind:args", spec)
 	}
 	atoi := func(s string) (int, error) {
-		var v int
-		if _, err := fmt.Sscanf(s, "%d", &v); err != nil {
+		v, err := strconv.Atoi(s)
+		if err != nil {
 			return 0, fmt.Errorf("topology spec %q: bad number %q", spec, s)
 		}
 		return v, nil
 	}
-	pair := func() (int, int, error) {
-		a, b, ok := strings.Cut(arg, "x")
-		if !ok {
-			return 0, 0, fmt.Errorf("topology spec %q: want AxB", spec)
-		}
-		x, err := atoi(a)
-		if err != nil {
-			return 0, 0, err
-		}
-		y, err := atoi(b)
-		if err != nil {
-			return 0, 0, err
-		}
-		return x, y, nil
-	}
+	ts := topoSpec{kind: kind}
+	var err error
 	switch kind {
-	case "hypercube":
-		d, err := atoi(arg)
-		if err != nil {
-			return nil, err
+	case "mesh", "torus", "tree":
+		x, y, ok := strings.Cut(arg, "x")
+		if !ok {
+			return topoSpec{}, fmt.Errorf("topology spec %q: want AxB", spec)
 		}
-		return Hypercube(d)
-	case "mesh":
-		r, c, err := pair()
-		if err != nil {
-			return nil, err
+		if ts.a, err = atoi(x); err == nil {
+			ts.b, err = atoi(y)
 		}
-		return Mesh(r, c)
-	case "torus":
-		r, c, err := pair()
-		if err != nil {
-			return nil, err
-		}
-		return Torus(r, c)
-	case "tree":
-		b, l, err := pair()
-		if err != nil {
-			return nil, err
-		}
-		return Tree(b, l)
-	case "star":
-		n, err := atoi(arg)
-		if err != nil {
-			return nil, err
-		}
-		return Star(n)
-	case "ring":
-		n, err := atoi(arg)
-		if err != nil {
-			return nil, err
-		}
-		return Ring(n)
-	case "chain":
-		n, err := atoi(arg)
-		if err != nil {
-			return nil, err
-		}
-		return Chain(n)
-	case "full":
-		n, err := atoi(arg)
-		if err != nil {
-			return nil, err
-		}
-		return Full(n)
+	case "hypercube", "star", "ring", "chain", "full":
+		ts.a, err = atoi(arg)
 	default:
-		return nil, fmt.Errorf("topology spec %q: unknown kind %q", spec, kind)
+		err = fmt.Errorf("topology spec %q: unknown kind %q", spec, kind)
+	}
+	return ts, err
+}
+
+// build constructs the topology the spec names.
+func (ts topoSpec) build() (*Topology, error) {
+	switch ts.kind {
+	case "hypercube":
+		return Hypercube(ts.a)
+	case "mesh":
+		return Mesh(ts.a, ts.b)
+	case "torus":
+		return Torus(ts.a, ts.b)
+	case "tree":
+		return Tree(ts.a, ts.b)
+	case "star":
+		return Star(ts.a)
+	case "ring":
+		return Ring(ts.a)
+	case "chain":
+		return Chain(ts.a)
+	default:
+		return Full(ts.a)
 	}
 }
+
+// numPE returns how many processors the spec describes, computed from
+// its arguments alone and saturating at math.MaxInt32. Arguments the
+// constructors reject (zero, negative) count as nothing, so the
+// constructor's own error is the one reported.
+func (ts topoSpec) numPE() int {
+	sat := func(x int64) int64 { return max(0, min(x, math.MaxInt32)) }
+	a, b := sat(int64(ts.a)), sat(int64(ts.b))
+	switch ts.kind {
+	case "hypercube":
+		return int(sat(1 << min(a, 31)))
+	case "mesh", "torus":
+		return int(sat(a * b))
+	case "tree":
+		if a <= 1 {
+			return int(a * b) // a path of b levels, or rejected
+		}
+		var n, pow int64 = 0, 1
+		for l := int64(0); l < b && n < math.MaxInt32; l++ {
+			n, pow = sat(n+pow), sat(pow*a)
+		}
+		return int(n)
+	default:
+		return int(a)
+	}
+}
+
+// maxDecodedPEs bounds the machine a JSON document may describe.
+// Decoding builds the topology and validates it, which runs the
+// all-pairs BFS: two N×N int tables, so an unchecked "ring:200000" in a
+// request body is 640 GB allocated before any handler sees the
+// document. 1024 is the size of the largest machines of the paper's
+// period (a 10-cube) and eight times the largest used anywhere in this
+// repository; its tables are 16 MB. Machines built in code or from the
+// command line's -topology are not limited.
+const maxDecodedPEs = 1024
 
 // Spec returns the compact spec string for a built-in topology name, or
 // "" if the topology was custom-built.
@@ -153,8 +180,18 @@ func (m *Machine) UnmarshalJSON(data []byte) error {
 	var topo *Topology
 	var err error
 	if jm.Topology != "" {
-		topo, err = ParseTopology(jm.Topology)
+		var ts topoSpec
+		if ts, err = parseSpec(jm.Topology); err != nil {
+			return err
+		}
+		if n := ts.numPE(); n > maxDecodedPEs {
+			return fmt.Errorf("machine %q: topology %q has %d processors or more; a machine read from a document may have at most %d", jm.Name, jm.Topology, n, maxDecodedPEs)
+		}
+		topo, err = ts.build()
 	} else {
+		if jm.N > maxDecodedPEs {
+			return fmt.Errorf("machine %q: custom topology has %d processors; a machine read from a document may have at most %d", jm.Name, jm.N, maxDecodedPEs)
+		}
 		topo, err = Custom(jm.Name+"-net", jm.N, jm.Edges)
 	}
 	if err != nil {

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -192,10 +193,75 @@ func TestParseTopology(t *testing.T) {
 			t.Errorf("Spec() = %q, want %q", got, spec)
 		}
 	}
-	for _, bad := range []string{"", "hypercube", "mesh:2", "blah:3", "star:x", "mesh:axb"} {
+	for _, bad := range []string{"", "hypercube", "mesh:2", "blah:3", "star:x", "mesh:axb",
+		// A number must be the whole field, not a prefix of it.
+		"ring:128abc", "ring:12 7", "mesh:2x3x4", "hypercube:3.9", "torus:2x2\n"} {
 		if _, err := ParseTopology(bad); err == nil {
 			t.Errorf("bad spec %q accepted", bad)
 		}
+	}
+}
+
+// numPE must agree with what build makes, without building it, and
+// must not overflow or loop on absurd arguments.
+func TestSpecNumPE(t *testing.T) {
+	for _, spec := range []string{"hypercube:0", "hypercube:5", "mesh:3x7", "torus:4x4", "tree:1x6",
+		"tree:2x5", "tree:3x4", "star:9", "ring:12", "chain:7", "full:6"} {
+		ts, err := parseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topo, err := ts.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ts.numPE(); got != topo.N {
+			t.Errorf("%s: numPE = %d, built N = %d", spec, got, topo.N)
+		}
+	}
+	for _, spec := range []string{"ring:9000000000000000000", "hypercube:64", "hypercube:9000000000000000000",
+		"mesh:4000000000x4000000000", "tree:1x9000000000000000000", "tree:2x9000000000000000000",
+		"tree:9000000000000000000x3"} {
+		ts, err := parseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ts.numPE(); got != math.MaxInt32 {
+			t.Errorf("%s: numPE = %d, want saturation at %d", spec, got, math.MaxInt32)
+		}
+	}
+	for _, spec := range []string{"ring:-4", "mesh:-2x8", "tree:0x5", "hypercube:-1"} {
+		ts, err := parseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ts.numPE(); got > 1 {
+			t.Errorf("%s: numPE = %d, want at most 1 (the constructor reports the bad argument)", spec, got)
+		}
+	}
+}
+
+// A document may not make the decoder build an arbitrarily large
+// machine: the size check reads the spec, before any table exists.
+func TestMachineJSONSizeLimit(t *testing.T) {
+	doc := func(topo string) string {
+		return `{"name":"big",` + topo + `,"params":{"ProcSpeed":1}}`
+	}
+	for _, topo := range []string{`"topology":"ring:200000"`, `"topology":"full:200000"`, `"topology":"hypercube:11"`,
+		`"topology":"mesh:33x32"`, `"topology":"tree:2x11"`, `"n":1025,"edges":[[0,1]]`} {
+		var m Machine
+		err := json.Unmarshal([]byte(doc(topo)), &m)
+		if err == nil || !strings.Contains(err.Error(), "at most 1024") {
+			t.Errorf("%s: err = %v, want the 1024-processor limit", topo, err)
+		}
+	}
+	var m Machine
+	if err := json.Unmarshal([]byte(doc(`"topology":"hypercube:10"`)), &m); err != nil || m.NumPE() != maxDecodedPEs {
+		t.Errorf("hypercube:10 at the limit: %v, %d PEs", err, m.NumPE())
+	}
+	// The command line's path is not limited.
+	if topo, err := ParseTopology("ring:1500"); err != nil || topo.N != 1500 {
+		t.Errorf("ParseTopology(ring:1500) = %v, %v", topo, err)
 	}
 }
 

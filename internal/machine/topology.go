@@ -3,12 +3,11 @@ package machine
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Topology is an undirected interconnection network over N processors
-// numbered 0..N-1. Distances and routes are computed lazily by BFS and
-// cached; a Topology must not be mutated after first use.
+// numbered 0..N-1. Distances and next hops are computed lazily by BFS
+// and cached; a Topology must not be mutated after first use.
 type Topology struct {
 	Name string
 	N    int
@@ -16,14 +15,6 @@ type Topology struct {
 
 	dist  [][]int // all-pairs hop counts, built on demand
 	nextH [][]int // nextH[p][q]: first hop from p toward q (-1 when p==q or unreachable)
-
-	// routes memoizes the full shortest path of every (p,q) pair as a
-	// shared immutable slice (flat index p*N+q), so the schedulers'
-	// hop-by-hop routing stops rebuilding path slices per evaluation.
-	// Built once, protected by routesOnce so concurrent schedulers may
-	// trigger it safely.
-	routesOnce sync.Once
-	routes     [][]int
 }
 
 // newTopology allocates a topology with empty adjacency.
@@ -231,15 +222,12 @@ func (t *Topology) NumLinks() int {
 	return total / 2
 }
 
-// Precompute forces the lazy BFS routing tables (and the memoized
-// full-path table) to be built now. The dist/nextH build is not
-// synchronized, so any code that shares a Topology across goroutines
-// (the scheduler registry's comparison sweeps, the runner's workers)
-// must call Precompute on one goroutine first.
-func (t *Topology) Precompute() {
-	t.buildRoutes()
-	t.routesOnce.Do(t.buildPaths)
-}
+// Precompute forces the lazy BFS routing tables (hop counts and next
+// hops; there is no per-pair path table) to be built now. The build is
+// not synchronized, so any code that shares a Topology across
+// goroutines (the scheduler registry's comparison sweeps, the runner's
+// workers) must call Precompute on one goroutine first.
+func (t *Topology) Precompute() { t.buildRoutes() }
 
 // buildRoutes runs BFS from every source, filling dist and nextH.
 func (t *Topology) buildRoutes() {
@@ -293,33 +281,21 @@ func (t *Topology) NextHop(p, q int) int {
 }
 
 // Route returns the full shortest path from p to q including both
-// endpoints, or nil if unreachable. The path is memoized and shared:
-// callers must treat it as read-only.
+// endpoints, or nil if unreachable. It walks the next-hop table afresh
+// on every call and nothing is memoized: it serves tests and the API,
+// not the schedulers (MH flattens its own link-id routes from NextHop).
 func (t *Topology) Route(p, q int) []int {
 	t.buildRoutes()
-	t.routesOnce.Do(t.buildPaths)
-	return t.routes[p*t.N+q]
-}
-
-// buildPaths materialises every shortest path once. dist and nextH must
-// already be built.
-func (t *Topology) buildPaths() {
-	routes := make([][]int, t.N*t.N)
-	for p := 0; p < t.N; p++ {
-		for q := 0; q < t.N; q++ {
-			if t.dist[p][q] < 0 {
-				continue // unreachable: stays nil
-			}
-			path := make([]int, 0, t.dist[p][q]+1)
-			path = append(path, p)
-			for cur := p; cur != q; {
-				cur = t.nextH[cur][q]
-				path = append(path, cur)
-			}
-			routes[p*t.N+q] = path
-		}
+	if t.dist[p][q] < 0 {
+		return nil
 	}
-	t.routes = routes
+	path := make([]int, 0, t.dist[p][q]+1)
+	path = append(path, p)
+	for cur := p; cur != q; {
+		cur = t.nextH[cur][q]
+		path = append(path, cur)
+	}
+	return path
 }
 
 // Diameter returns the largest pairwise hop count, or -1 if the network

@@ -3,6 +3,7 @@ package pits
 import (
 	"math"
 	"sort"
+	"sync"
 )
 
 // Builtin is one entry of the calculator's scientific function panel.
@@ -15,7 +16,9 @@ type Builtin struct {
 	Cost int64
 	// Help is the one-line description shown on the calculator panel.
 	Help string
-	fn   func(line int, args []Value) (Value, error)
+	// fn is nil for rand alone: its stream belongs to the calling
+	// interpreter, which draws the number itself.
+	fn func(line int, args []Value) (Value, error)
 }
 
 // num extracts a scalar argument.
@@ -52,10 +55,14 @@ func unary(name string, cost int64, help string, f func(float64) float64) Builti
 		}}
 }
 
-// builtins returns the calculator's function table. It is a function,
-// not a package variable, so each Interp can own an isolated copy
-// (rand is stateful per interpreter).
-func builtins() map[string]Builtin {
+// builtins is the calculator's function table, built once per process
+// and shared read-only by the checker, the estimator and every Interp:
+// nothing may write to the returned map. Every entry is stateless
+// except rand, which is listed (so the checker knows its arity and a
+// formula cannot shadow it) but carries no fn.
+var builtins = sync.OnceValue(buildBuiltins)
+
+func buildBuiltins() map[string]Builtin {
 	tbl := map[string]Builtin{}
 	add := func(b Builtin) { tbl[b.Name] = b }
 
@@ -253,22 +260,22 @@ func builtins() map[string]Builtin {
 			sort.Float64s(out)
 			return out, nil
 		}})
+	add(Builtin{Name: "rand", Arity: 0, Cost: 4, Help: "uniform random in [0,1)"})
 	return tbl
 }
 
-// Builtins lists the calculator's function panel entries sorted by
-// name, for documentation and the panel renderer.
+// Builtins lists the calculator's stateless function panel entries
+// (all but rand) sorted by name, for documentation and the panel
+// renderer.
 func Builtins() []Builtin {
 	tbl := builtins()
-	names := make([]string, 0, len(tbl))
-	for n := range tbl {
-		names = append(names, n)
+	out := make([]Builtin, 0, len(tbl))
+	for _, b := range tbl {
+		if b.fn != nil {
+			out = append(out, b)
+		}
 	}
-	sort.Strings(names)
-	out := make([]Builtin, 0, len(names))
-	for _, n := range names {
-		out = append(out, tbl[n])
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 

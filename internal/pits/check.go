@@ -18,12 +18,7 @@ import (
 // in any branch counts as possibly-defined afterwards, so it only
 // reports definite errors — the right trade-off for instant feedback.
 func Check(p *Program, defined []string) error {
-	c := &checker{
-		fns:     builtins(),
-		defined: map[string]bool{},
-	}
-	// rand is added per-interpreter; it is a legal call target.
-	c.fns["rand"] = Builtin{Name: "rand", Arity: 0}
+	c := &checker{fns: builtins(), defined: map[string]bool{}}
 	for _, d := range defined {
 		c.defined[d] = true
 	}
@@ -36,7 +31,6 @@ func Check(p *Program, defined []string) error {
 // are excluded.
 func Reads(p *Program) []string {
 	c := &checker{fns: builtins(), defined: map[string]bool{}, collect: true}
-	c.fns["rand"] = Builtin{Name: "rand", Arity: 0}
 	c.block(p.Stmts)
 	out := make([]string, 0, len(c.reads))
 	for v := range c.reads {

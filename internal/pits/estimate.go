@@ -144,7 +144,10 @@ func (e *estimator) expr(x Expr) int64 {
 		var c int64 = 1
 		if f, isFormula := e.formulas[v.Fn]; isFormula {
 			c = 2 + e.expr(f.Body)
-		} else if fn, ok := e.fns[v.Fn]; ok {
+		} else if fn, ok := e.fns[v.Fn]; ok && fn.fn != nil {
+			// rand (no fn) is priced as an unknown call, as it was when
+			// only interpreters knew it: task work estimates, and with
+			// them every schedule, depend on this.
 			c = fn.Cost
 		}
 		for _, a := range v.Args {

@@ -54,16 +54,7 @@ func (in *Interp) Run(p *Program, env Env) error {
 	in.formulas = map[string]*Formula{}
 	in.depth = 0
 	in.rng = rand.New(rand.NewSource(in.Seed))
-	if in.fns == nil {
-		in.fns = builtins()
-		// rand is stateful, so it is bound per-interpreter here rather
-		// than in the shared table.
-		in.fns["rand"] = Builtin{Name: "rand", Arity: 0, Cost: 4,
-			Help: "uniform random in [0,1)",
-			fn: func(line int, args []Value) (Value, error) {
-				return Num(in.rng.Float64()), nil
-			}}
-	}
+	in.fns = builtins()
 	if env == nil {
 		env = Env{}
 	}
@@ -392,6 +383,9 @@ func (in *Interp) eval(e Expr, env Env) (Value, error) {
 			args[i] = v
 		}
 		in.ops += fn.Cost
+		if fn.fn == nil { // rand: the one builtin with per-interpreter state
+			return Num(in.rng.Float64()), nil
+		}
 		return fn.fn(x.Line, args)
 	case *Unary:
 		v, err := in.eval(x.X, env)

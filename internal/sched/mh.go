@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/graph"
@@ -24,7 +25,9 @@ func (MH) Name() string { return "mh" }
 // mhNet tracks per-link availability for the contention model. Every
 // route and link id is built eagerly up front — the estimation loops
 // (which may run sharded across workers) then only read flat arrays
-// and never touch a map or mutate shared route state.
+// and never touch a map or mutate shared route state. All of its
+// tables are carved from the schedule's arena, so steady-state set-up
+// allocates nothing.
 //
 // It also maintains the state behind MH's incremental routed-arrival
 // cache. Because routing is destination-based (the next hop out of u
@@ -36,10 +39,10 @@ func (MH) Name() string { return "mh" }
 // the cached arrivals that could observe the change.
 type mhNet struct {
 	pes      int
-	topo     *machine.Topology
 	startup  machine.Time
 	wordTime machine.Time
 
+	linkTo     []int32        // per link id: the PE the link leads to
 	routeOff   []int32        // flat p*pes+q -> range into routeLinks
 	routeLinks []int32        // concatenated link-id sequences
 	linkFree   []machine.Time // per link id
@@ -59,54 +62,109 @@ const (
 	mhFirstEpoch   = 2
 )
 
-func newMHNet(m *machine.Machine, ar *arena) *mhNet {
+// newMHNet numbers the directed links and flattens every route straight
+// from the topology's next-hop table. The link u->v has id linkOff[u] +
+// (index of v in Neighbors(u)); numbering doesn't influence schedules
+// (ids only group contention state). The routes are stored flat rather
+// than walked hop by hop in the scan because the scan reads them
+// millions of times: a sequential slice there beats two dependent
+// loads per hop severalfold.
+func newMHNet(m *machine.Machine, ar *arena) (*mhNet, error) {
 	P := m.NumPE()
+	topo := m.Topo
 	n := &mhNet{
 		pes:       P,
-		topo:      m.Topo,
 		startup:   m.Params.MsgStartup,
 		wordTime:  m.Params.WordTime,
 		epoch:     mhFirstEpoch,
 		destEpoch: ar.uint64s(P, true),
 	}
-	// Discover links in deterministic (p, q, hop) order and flatten
-	// every route. Link-id numbering doesn't influence schedules (ids
-	// only group contention state), but determinism keeps debugging
-	// sane.
-	linkIdx := map[[2]int]int32{}
-	var linkEnds [][2]int
-	n.routeOff = make([]int32, P*P+1)
-	n.routeLinks = make([]int32, 0, P*P)
-	for p := 0; p < P; p++ {
+	linkOff := ar.int32s(P+1, false)
+	linkOff[0] = 0
+	for u := 0; u < P; u++ {
+		linkOff[u+1] = linkOff[u] + int32(topo.Degree(u))
+	}
+	L := int(linkOff[P])
+	n.linkTo = ar.int32s(L, false)
+	n.linkFree = ar.times(L, true)
+	n.destOff = ar.int32s(L+1, true)
+	n.routeOff = ar.int32s(P*P+1, false)
+	n.routeOff[0] = 0
+
+	// Pass 1: outLink[u*P+q] is the link a message at u bound for q
+	// leaves on. Count each link's destinations (into destOff[l+1]) and
+	// sum the hop counts for the exact length of routeLinks.
+	outLink := ar.int32s(P*P, false)
+	linkOf := ar.int32s(P, false) // per neighbour v of the current u: id of u->v
+	hops := 0
+	for u := 0; u < P; u++ {
+		for i, v := range topo.Neighbors(u) {
+			l := linkOff[u] + int32(i)
+			linkOf[v] = l
+			n.linkTo[l] = int32(v)
+		}
 		for q := 0; q < P; q++ {
-			if p != q {
-				path := n.topo.Route(p, q)
-				for i := 1; i < len(path); i++ {
-					uv := [2]int{path[i-1], path[i]}
-					l, ok := linkIdx[uv]
-					if !ok {
-						l = int32(len(linkEnds))
-						linkIdx[uv] = l
-						linkEnds = append(linkEnds, uv)
-					}
-					n.routeLinks = append(n.routeLinks, l)
+			if q != u {
+				v := topo.NextHop(u, q)
+				if v < 0 {
+					return nil, fmt.Errorf("sched: mh: processor %d cannot reach processor %d on %s", u, q, topo.Name)
 				}
+				l := linkOf[v]
+				outLink[u*P+q] = l
+				n.destOff[l+1]++
+				hops += topo.Hops(u, q)
 			}
-			n.routeOff[p*P+q+1] = int32(len(n.routeLinks))
+			if hops > math.MaxInt32 {
+				return nil, fmt.Errorf("sched: mh: %s is too large: its routes total more than %d hops", topo.Name, math.MaxInt32)
+			}
+			n.routeOff[u*P+q+1] = int32(hops)
 		}
 	}
-	n.linkFree = ar.times(len(linkEnds), true)
-	n.destOff = make([]int32, len(linkEnds)+1)
-	n.destFlat = make([]int32, 0, len(linkEnds)*2)
-	for l, uv := range linkEnds {
-		for d := 0; d < P; d++ {
-			if n.topo.NextHop(uv[0], d) == uv[1] {
-				n.destFlat = append(n.destFlat, int32(d))
+	for l := 0; l < L; l++ {
+		n.destOff[l+1] += n.destOff[l]
+	}
+
+	// Pass 2, destination by destination: fill the destination lists
+	// (each link's comes out ascending) and write every route. A route
+	// is its first link followed by the route from that link's far end,
+	// so each is one copy once that neighbour's is written: done[u] ==
+	// q+1 says u's route to q is, and a source that finds otherwise
+	// walks toward q stacking PEs until it meets one that is done, then
+	// unwinds. Following outLink hop by hop for every pair instead is a
+	// dependent load per hop, five times slower on ring:128.
+	n.destFlat = ar.int32s(P*(P-1), false)
+	n.routeLinks = ar.int32s(hops, false)
+	fill := ar.int32s(L, false)
+	copy(fill, n.destOff)
+	done := ar.int32s(P, true)
+	stack := ar.int32s(P, false)
+	for q := 0; q < P; q++ {
+		mark := int32(q) + 1
+		done[q] = mark // the empty route
+		for p := 0; p < P; p++ {
+			if p == q {
+				continue
+			}
+			first := outLink[p*P+q]
+			n.destFlat[fill[first]] = int32(q)
+			fill[first]++
+			sp := 0
+			for u := p; done[u] != mark; u = int(n.linkTo[outLink[u*P+q]]) {
+				stack[sp] = int32(u)
+				sp++
+			}
+			for sp > 0 {
+				sp--
+				u := int(stack[sp])
+				l := outLink[u*P+q]
+				r := n.route(u, q)
+				r[0] = l
+				copy(r[1:], n.route(int(n.linkTo[l]), q))
+				done[u] = mark
 			}
 		}
-		n.destOff[l+1] = int32(len(n.destFlat))
 	}
-	return n
+	return n, nil
 }
 
 // route returns the link-id sequence of the shortest path from p to q
@@ -198,7 +256,10 @@ func (s MH) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
 	}
 	defer b.release()
 	c := b.c
-	net := newMHNet(m, b.ar)
+	net, err := newMHNet(m, b.ar)
+	if err != nil {
+		return nil, err
+	}
 	rt := newReadyTracker(c, b.ar)
 	w := b.scanWorkers()
 	cands := make([]cand, w)

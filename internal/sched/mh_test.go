@@ -1,0 +1,126 @@
+package sched
+
+import (
+	"reflect"
+	"runtime"
+	"testing"
+
+	"repro/internal/machine"
+)
+
+// TestMHNetRoutesMatchNextHop checks the flat tables newMHNet builds
+// against the topology they are derived from, by brute force: every
+// route decodes (through linkTo) to the NextHop walk and is Hops long,
+// and each link's destination list is exactly the destinations routed
+// over it. Covers every topology the conformance generator draws, the
+// benchmark's ring:128 and an irregular custom graph.
+func TestMHNetRoutesMatchNextHop(t *testing.T) {
+	machines := []*machine.Machine{}
+	for _, spec := range []string{
+		"full:2", "full:3", "full:4", "hypercube:1", "hypercube:2", "hypercube:3",
+		"star:3", "star:4", "ring:4", "chain:3", "mesh:2x2", "torus:2x2", "tree:2x3",
+		"ring:128", "full:1",
+	} {
+		machines = append(machines, mk(t, spec, costlyComm()))
+	}
+	// Two cycles sharing a chorded hub, plus a leaf: degrees 1 to 5 and
+	// ties between equal-length routes for NextHop to break.
+	irregular, err := machine.Custom("irregular", 8, [][2]int{
+		{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}, {2, 4}, {4, 5}, {5, 6}, {2, 7}, {6, 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	machines = append(machines, machine.MustNew("irregular", irregular, costlyComm()))
+
+	for _, m := range machines {
+		topo, P := m.Topo, m.NumPE()
+		ar := getArena()
+		net, err := newMHNet(m, ar)
+		if err != nil {
+			t.Fatalf("%s: %v", topo.Name, err)
+		}
+		links := 0
+		for u := 0; u < P; u++ {
+			links += topo.Degree(u)
+		}
+		if len(net.linkTo) != links || len(net.linkFree) != links || len(net.destOff) != links+1 {
+			t.Fatalf("%s: %d directed links, tables sized %d/%d/%d", topo.Name, links,
+				len(net.linkTo), len(net.linkFree), len(net.destOff)-1)
+		}
+		// linkFrom[l]: tail of link l, recovered from the routes below.
+		linkFrom := make([]int, links)
+		for l := range linkFrom {
+			linkFrom[l] = -1
+		}
+		for p := 0; p < P; p++ {
+			for q := 0; q < P; q++ {
+				r := net.route(p, q)
+				want := max(topo.Hops(p, q), 0)
+				if len(r) != want {
+					t.Fatalf("%s: route(%d,%d) has %d links, Hops = %d", topo.Name, p, q, len(r), want)
+				}
+				at := p
+				for _, l := range r {
+					if linkFrom[l] >= 0 && linkFrom[l] != at {
+						t.Fatalf("%s: link %d leaves both %d and %d", topo.Name, l, linkFrom[l], at)
+					}
+					linkFrom[l] = at
+					next := topo.NextHop(at, q)
+					if int(net.linkTo[l]) != next {
+						t.Fatalf("%s: route(%d,%d) goes %d->%d, NextHop says ->%d", topo.Name, p, q, at, net.linkTo[l], next)
+					}
+					at = next
+				}
+				if at != q {
+					t.Fatalf("%s: route(%d,%d) ends at %d", topo.Name, p, q, at)
+				}
+			}
+		}
+		for l := 0; l < links; l++ {
+			got := net.destFlat[net.destOff[l]:net.destOff[l+1]]
+			u := linkFrom[l]
+			if u < 0 { // impossible: u->v is itself the route from u to v
+				t.Fatalf("%s: no route uses link %d (->%d)", topo.Name, l, net.linkTo[l])
+			}
+			var want []int32
+			for d := 0; d < P; d++ {
+				if topo.NextHop(u, d) == int(net.linkTo[l]) {
+					want = append(want, int32(d))
+				}
+			}
+			if !reflect.DeepEqual(append([]int32(nil), got...), want) {
+				t.Errorf("%s: link %d (%d->%d) lists destinations %v, want %v", topo.Name, l, u, net.linkTo[l], got, want)
+			}
+		}
+		ar.release()
+	}
+}
+
+// TestMHColdAllocsFlatInDiameter pins MH's set-up cost on a machine it
+// has never seen: with the arena warm, a schedule on a fresh ring:128
+// allocates its compiled view and its result, not route tables (the
+// memoized path table and its map-driven re-encoding were 16.65 MB
+// here). The schedule itself is pinned to the one those tables
+// produced.
+func TestMHColdAllocsFlatInDiameter(t *testing.T) {
+	const golden = "482e81ab6d5a80ec60956073fb3cdd5bd233fe9ecc60e562adfce7ede3169d28"
+	g := layeredDesign(t, 20, 25) // 501 tasks
+	if _, err := (MH{}).Schedule(g, mk(t, "ring:128", costlyComm())); err != nil {
+		t.Fatal(err) // warm-up: sizes the pooled arena
+	}
+	fresh := mk(t, "ring:128", costlyComm())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sc, err := (MH{}).Schedule(g, fresh)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= 2 {
+		t.Errorf("cold MH schedule on ring:128 allocated %.2f MB, want under 2 MB", mb)
+	}
+	if got := canonicalFingerprint(sc); got != golden {
+		t.Errorf("schedule fingerprint %s, want %s", got, golden)
+	}
+}

@@ -213,7 +213,10 @@ func TestMHLinkContentionSerialisesMessages(t *testing.T) {
 	m := mk(t, "chain:3", machine.Params{ProcSpeed: 1, TaskStartup: 0, MsgStartup: 2, WordTime: 1})
 	ar := getArena()
 	defer ar.release()
-	net := newMHNet(m, ar)
+	net, err := newMHNet(m, ar)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Two 10-word messages from PE0 to PE2, both ready at t=0. The
 	// estimate must match what the commit then books.
 	if at := net.deliver(10, 0, 0, 2); at != 22 {

@@ -26,8 +26,9 @@ type cacheEntry struct {
 
 // scheduleCache is an LRU map from sched.Fingerprint keys to compiled
 // submissions. Hits and misses are counted for /stats; the capacity
-// bounds live entries (a 501-task schedule plus its graph is a few MB,
-// so the default cap keeps the cache to a manageable footprint).
+// bounds live entries. An entry keeps its request's machine alive too
+// (hop and next-hop tables, CommCoeffs): about 1.2 MB in all for a
+// 501-task design on ring:128, so the default cap of 128 is ~160 MB.
 type scheduleCache struct {
 	mu    sync.Mutex
 	cap   int

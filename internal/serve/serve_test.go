@@ -418,6 +418,49 @@ func TestServeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestServeRejectsOversizedMachine: a posted machine is built while the
+// body decodes, so its size must be refused from the spec alone —
+// ring:200000 would otherwise allocate two 200000² int tables before
+// any handler code ran, and full:200000 as many adjacency entries.
+func TestServeRejectsOversizedMachine(t *testing.T) {
+	s := New(Options{DefaultAlg: "etf"})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	good, err := json.Marshal(testProject(t, 10, 1, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, topo := range []string{`"topology":"ring:200000"`, `"topology":"full:200000"`, `"n":200000,"edges":[[0,1]]`} {
+		body := bytes.Replace(good, []byte(`"topology":"hypercube:2"`), []byte(topo), 1)
+		if bytes.Equal(body, good) {
+			t.Fatalf("project document has no topology field to replace: %s", good)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		resp, err := http.Post(ts.URL+"/run", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var msg bytes.Buffer
+		_, _ = msg.ReadFrom(resp.Body) // a short read only weakens the message check below
+		resp.Body.Close()
+		took := time.Since(start)
+		runtime.ReadMemStats(&after)
+
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg.String(), "at most 1024") {
+			t.Errorf("%s: status %d, body %q; want 400 naming the 1024-processor limit", topo, resp.StatusCode, msg.String())
+		}
+		if took > time.Second {
+			t.Errorf("%s: refused after %v, want under 1s", topo, took)
+		}
+		if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb > 64 {
+			t.Errorf("%s: refusing allocated %.1f MB, want under 64 MB", topo, mb)
+		}
+	}
+}
+
 // TestServeDrainAndShutdownLeakFree: draining refuses new work, waits
 // out in-flight runs, and leaves no goroutines behind — the shutdown
 // contract the CI smoke job asserts via /stats.
