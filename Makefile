@@ -5,8 +5,13 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# The second line keeps the data plane at one mode: Coordinator.Mesh
+# and Fleet.Mesh are declared no-ops (kept until the frozen benchmark
+# harness stops naming them) and nothing may read them back into a
+# meaning.
 vet:
 	$(GO) vet ./...
+	! grep -rnE '\.Mesh([^(A-Za-z0-9_]|$$)' --include='*.go' internal cmd | grep -v _test.go | grep -vE 'Mesh +bool'
 
 test:
 	$(GO) test ./...
@@ -15,7 +20,7 @@ test:
 # goroutine per processor), the full scheduler package (parallel
 # candidate scans over the worker pool — the equivalence tests drive
 # Workers=2 and 4 explicitly), the wire transport (coordinator, worker
-# daemons, reconnect relay), the conformance harness and the
+# daemons, mesh links, reconnect replay), the conformance harness and the
 # multi-process CLI integration tests. internal/pits is here for its
 # one piece of cross-goroutine state, the shared builtin table.
 race:
@@ -74,9 +79,9 @@ bench-sched:
 
 # The committed distributed-runtime baselines (BENCH_PR6.json, and
 # BENCH_PR8.json for the fleet-change barrier replans) were measured
-# with this: the wall-clock runner against the TCP mesh and relay
-# planes on loopback plus the elastic expand/drain replans, 15
-# iterations, medians of 3 runs.
+# with this: the wall-clock runner against the TCP mesh on loopback
+# plus the elastic expand/drain replans, 15 iterations, medians of 3
+# runs.
 bench-dist:
 	$(GO) test -run=NONE -bench='RunnerVirtual|RunnerWall|RunnerTCP|ElasticReplan' -benchtime=15x -benchmem -count=3 .
 

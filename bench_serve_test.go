@@ -192,7 +192,7 @@ func benchServeFleet(b *testing.B, workers, conc, maxRuns int) {
 
 	fleet := &wire.Fleet{
 		Transport: tr, Control: "bench-fleet-ctl", Seed: seed,
-		MaxRuns: maxRuns, Mesh: true,
+		MaxRuns:        maxRuns,
 		HeartbeatEvery: 100 * time.Millisecond,
 		PeerTimeout:    time.Minute,
 	}

@@ -545,10 +545,13 @@ func TestSessionAllocScalesWithTraffic(t *testing.T) {
 	}
 }
 
-// benchDistTCP distributes the 501-task design over two worker daemons
-// on loopback TCP (connection handshakes included — each iteration is
-// a full run), with the data plane selected by mesh.
-func benchDistTCP(b *testing.B, mesh bool) {
+// BenchmarkRunnerTCP distributes the 501-task design over two worker
+// daemons on loopback TCP (connection handshakes included — each
+// iteration is a full run): workers dial each other, data frames
+// coalesce per peer, and acks batch into the flushes. The delta
+// against BenchmarkRunnerWall is the wire transport's overhead.
+// Baseline: BENCH_PR6.json (PR4 measured the relay plane here).
+func BenchmarkRunnerTCP(b *testing.B) {
 	flat, inputs := runnerDesign(b, 20, 25) // 501 tasks
 	m := hypercubeMachine(b, 3)
 	sc, err := (sched.ETF{}).Schedule(flat.Graph, m)
@@ -577,7 +580,6 @@ func benchDistTCP(b *testing.B, mesh bool) {
 	co := &wire.Coordinator{
 		Transport: wire.TCP(), Addrs: addrs,
 		Runner: &exec.Runner{Inputs: inputs},
-		Mesh:   mesh,
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -662,20 +664,6 @@ func BenchmarkElasticReplan(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkRunnerTCP measures the same 501-task design distributed
-// over two worker daemons on loopback TCP with the peer-to-peer mesh
-// data plane (the CLI default): workers dial each other, data frames
-// coalesce per peer, and acks batch into the flushes. The delta
-// against BenchmarkRunnerWall is the wire transport's overhead.
-// Baseline: BENCH_PR6.json (PR4 measured the relay plane here).
-func BenchmarkRunnerTCP(b *testing.B) { benchDistTCP(b, true) }
-
-// BenchmarkRunnerTCPRelay is the same distributed run with the mesh
-// off: every cross-worker message relays through the coordinator, one
-// frame per message. The TCP/TCPRelay ratio is what batching and
-// peer-to-peer routing buy.
-func BenchmarkRunnerTCPRelay(b *testing.B) { benchDistTCP(b, false) }
 
 // BenchmarkRunnerWall is the single-process wall-clock twin of
 // BenchmarkRunnerTCP: identical design, schedule and machine, all

@@ -135,7 +135,6 @@ func TestDistProcessLU(t *testing.T) {
 		Runner:         &exec.Runner{Inputs: env.Project.Inputs},
 		HeartbeatEvery: 50 * time.Millisecond,
 		PeerTimeout:    3 * time.Second,
-		Mesh:           true, // the CLI default: worker processes dial each other
 		Logf:           t.Logf,
 	}
 	dist, err := co.Run(context.Background(), sc, env.Flat)
@@ -221,7 +220,6 @@ func TestDistProcessKillWorker(t *testing.T) {
 			WatchdogMin: 10 * time.Second},
 		HeartbeatEvery: 50 * time.Millisecond,
 		PeerTimeout:    600 * time.Millisecond,
-		Mesh:           true, // the killed process is also a mesh peer
 		Logf:           t.Logf,
 	}
 	dist, err := co.Run(context.Background(), sc, env.Flat)
@@ -425,7 +423,6 @@ func TestDistProcessChurn(t *testing.T) {
 			WatchdogMin: 10 * time.Second},
 		HeartbeatEvery: 50 * time.Millisecond,
 		PeerTimeout:    600 * time.Millisecond,
-		Mesh:           true,
 		Control:        "127.0.0.1:0",
 		ControlReady:   func(addr string) { ctrlCh <- addr },
 		Logf:           t.Logf,

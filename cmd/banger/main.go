@@ -129,7 +129,7 @@ commands:
   run      -project P [-alg A] [-virtual] [-chart] [-retry] [-grace G]
            [-faults SPEC|rand] [-fault-seed N]
            [-dist HOST:PORT,HOST:PORT,...] [-calibrate]
-           [-peer-timeout D] [-heartbeat D] [-mesh=BOOL] [-flush-interval D]
+           [-peer-timeout D] [-heartbeat D] [-flush-interval D]
            [-control HOST:PORT] [-min-workers N]
   worker   [-listen HOST:PORT] [-join CTRL]
                                 host processors for a remote "run -dist";
@@ -139,7 +139,7 @@ commands:
   serve    [-listen HOST:PORT] [-alg A] [-max-runs N] [-queue N]
            [-tenant-cap N] [-cache N] [-workers N] [-virtual]
            [-fleet HOST:PORT,...] [-control HOST:PORT] [-min-workers N]
-           [-mesh=BOOL] [-heartbeat D] [-peer-timeout D] [-drain-timeout D]
+           [-heartbeat D] [-peer-timeout D] [-drain-timeout D]
                                 scheduling-as-a-service control plane:
                                 POST /run, GET /healthz, GET /stats
   batch    -addr URL [-alg A] [-j N] [-tenant T] [-predict] [-timeout D]
@@ -460,7 +460,6 @@ func cmdRun(args []string) error {
 	calibrate := fs.Bool("calibrate", false, "with -dist: measure wire latency and recalibrate the machine model before scheduling")
 	peerTimeout := fs.Duration("peer-timeout", 3*time.Second, "with -dist: silence budget before a worker is declared dead")
 	heartbeat := fs.Duration("heartbeat", 250*time.Millisecond, "with -dist: keepalive cadence")
-	mesh := fs.Bool("mesh", true, "with -dist: workers exchange data frames peer-to-peer instead of relaying through the coordinator")
 	flushEvery := fs.Duration("flush-interval", 0, "with -dist: frame-coalescing window for batched data frames (0 = default 200µs)")
 	control := fs.String("control", "", "with -dist: listen address for fleet control (worker -join announces, banger drain)")
 	minWorkers := fs.Int("min-workers", 0, "with -dist: refuse drains that would leave fewer live workers (0 = only forbid draining the last one)")
@@ -531,8 +530,7 @@ func cmdRun(args []string) error {
 		co := &wire.Coordinator{
 			Transport: wire.TCP(), Addrs: addrs, Runner: runner,
 			HeartbeatEvery: *heartbeat, PeerTimeout: *peerTimeout,
-			Mesh: *mesh, FlushEvery: *flushEvery,
-			Control: *control, MinWorkers: *minWorkers,
+			FlushEvery: *flushEvery, Control: *control, MinWorkers: *minWorkers,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "dist: "+format+"\n", args...)
 			},

@@ -2,7 +2,9 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
+	goexec "os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -212,5 +214,42 @@ func TestCmdScheduleJSONExport(t *testing.T) {
 	}
 	if sc.Algorithm != "mh" || len(sc.Slots) != 16 {
 		t.Errorf("loaded %s with %d slots", sc.Algorithm, len(sc.Slots))
+	}
+}
+
+// TestHelperMain is not a test: re-executed with BANGER_MAIN_ARGS set
+// it becomes the banger CLI itself, so exits out of flag parsing can be
+// observed from the parent.
+func TestHelperMain(t *testing.T) {
+	args, ok := os.LookupEnv("BANGER_MAIN_ARGS")
+	if !ok {
+		t.Skip("helper process for the CLI exit tests")
+	}
+	os.Args = append([]string{"banger"}, strings.Fields(args)...)
+	main()
+	os.Exit(0)
+}
+
+// TestMeshFlagRemoved: the mesh is the only data plane, so `-mesh` is
+// not a flag any more — passing it fails flag parsing with the usage
+// text instead of being silently ignored.
+func TestMeshFlagRemoved(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sub := range []string{"run", "serve"} {
+		cmd := goexec.Command(exe, "-test.run", "^TestHelperMain$")
+		cmd.Env = append(os.Environ(), "BANGER_MAIN_ARGS="+sub+" -mesh=false")
+		out, err := cmd.CombinedOutput()
+		var ee *goexec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Fatalf("%s -mesh=false: err %v, want exit status 2\n%s", sub, err, out)
+		}
+		for _, want := range []string{"flag provided but not defined: -mesh", "Usage of " + sub} {
+			if !strings.Contains(string(out), want) {
+				t.Errorf("%s -mesh=false: output lacks %q:\n%s", sub, want, out)
+			}
+		}
 	}
 }

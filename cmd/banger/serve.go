@@ -34,7 +34,6 @@ func cmdServe(args []string) error {
 	fleet := fs.String("fleet", "", "execute on worker daemons: comma-separated host:port seed list")
 	control := fs.String("control", "", "fleet control listen address for worker -join announces (enables fleet mode; default with -fleet: 127.0.0.1:0)")
 	minWorkers := fs.Int("min-workers", 0, "refuse drains leaving fewer live workers (0 = only the last)")
-	mesh := fs.Bool("mesh", true, "fleet workers exchange data peer-to-peer")
 	heartbeat := fs.Duration("heartbeat", 250*time.Millisecond, "fleet keepalive cadence")
 	peerTimeout := fs.Duration("peer-timeout", 3*time.Second, "fleet silence budget before a worker is declared dead")
 	flushEvery := fs.Duration("flush-interval", 0, "fleet frame-coalescing window (0 = default)")
@@ -65,7 +64,7 @@ func cmdServe(args []string) error {
 		}
 		fl = &wire.Fleet{
 			Transport: wire.TCP(), Control: ctl, Seed: seed,
-			MinWorkers: *minWorkers, MaxRuns: *maxRuns, Mesh: *mesh,
+			MinWorkers: *minWorkers, MaxRuns: *maxRuns,
 			HeartbeatEvery: *heartbeat, PeerTimeout: *peerTimeout,
 			FlushEvery: *flushEvery, Logf: logf,
 		}

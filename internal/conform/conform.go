@@ -2,10 +2,9 @@
 // generates random (design, machine, heuristic, fault-plan) tuples,
 // runs each through every execution engine the repo has — the analytic
 // simulator, the virtual-time in-process runner, the distributed
-// coordinator over the in-process transport (data relayed through the
-// coordinator), the same coordinator with the peer-to-peer mesh data
-// plane, and the mesh again over real TCP workers — and checks that
-// they agree wherever the machine model says they must:
+// coordinator with its worker mesh over the in-process transport, and
+// the same over real TCP workers — and checks that they agree wherever
+// the machine model says they must:
 //
 //   - external outputs are byte-identical across all executing engines;
 //   - printed lines are identical across all executing engines;
@@ -231,14 +230,13 @@ func (c *Case) skewed(sc *sched.Schedule) (*sched.Schedule, error) {
 	}, nil
 }
 
-// RunCase executes the case on all five engines and checks every
+// RunCase executes the case on all four engines and checks every
 // oracle. A non-nil error means the harness itself could not set the
 // case up (unschedulable design, unknown heuristic); engine failures
 // are not errors — they are "error"-class divergences in the report.
-// The distributed engines cover both data planes: "inproc" relays
-// every cross-worker message through the coordinator, "mesh" runs the
-// peer-to-peer data plane on the in-process transport, and "tcp" runs
-// the mesh over real sockets.
+// The two distributed engines differ only in transport: "inproc" runs
+// the coordinator and its worker mesh over the in-process transport,
+// "tcp" over real sockets.
 func RunCase(ctx context.Context, c *Case) (*Report, error) {
 	flat, sc, err := c.prepare()
 	if err != nil {
@@ -254,9 +252,8 @@ func RunCase(ctx context.Context, c *Case) (*Report, error) {
 	rep.Engines = append(rep.Engines,
 		runSimulate(sc),
 		runRunner(c, sc, flat),
-		runDist(ctx, c, sc, flat, "inproc", false),
-		runDist(ctx, c, sc, flat, "mesh", true),
-		runDist(ctx, c, sc, flat, "tcp", true),
+		runDist(ctx, c, sc, flat, "inproc"),
+		runDist(ctx, c, sc, flat, "tcp"),
 	)
 	check(rep, flat)
 	return rep, nil
@@ -295,8 +292,8 @@ func runRunner(c *Case, sc *sched.Schedule, flat *graph.Flat) *EngineRun {
 
 // runDist executes the case across worker daemons over the transport
 // the engine name implies ("tcp" dials real sockets, anything else the
-// in-process transport), with the mesh data plane on or off.
-func runDist(ctx context.Context, c *Case, sc *sched.Schedule, flat *graph.Flat, name string, mesh bool) *EngineRun {
+// in-process transport).
+func runDist(ctx context.Context, c *Case, sc *sched.Schedule, flat *graph.Flat, name string) *EngineRun {
 	er := &EngineRun{Name: name}
 	workers := sc.Machine.NumPE()
 	if workers > 2 {
@@ -325,7 +322,6 @@ func runDist(ctx context.Context, c *Case, sc *sched.Schedule, flat *graph.Flat,
 		Runner:         c.runner(false),
 		HeartbeatEvery: 50 * time.Millisecond,
 		PeerTimeout:    5 * time.Second,
-		Mesh:           mesh,
 	}
 	rctx, cancel := context.WithTimeout(ctx, 2*time.Minute)
 	defer cancel()

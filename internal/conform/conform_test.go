@@ -276,7 +276,7 @@ func TestChurnCasesStayConformant(t *testing.T) {
 	}
 }
 
-// TestSweepSmoke: a small deterministic sweep across all five engines
+// TestSweepSmoke: a small deterministic sweep across all four engines
 // finds zero divergences. The full 25-seed acceptance sweep runs via
 // `make conform`; this keeps the unit suite fast.
 func TestSweepSmoke(t *testing.T) {
@@ -435,7 +435,7 @@ func TestReproRoundTrip(t *testing.T) {
 }
 
 // FuzzConform: the differential harness as a native fuzz target. Any
-// seed the fuzzer invents must run through all five engines with every
+// seed the fuzzer invents must run through all four engines with every
 // oracle holding.
 func FuzzConform(f *testing.F) {
 	for seed := int64(0); seed < 4; seed++ {

@@ -161,7 +161,6 @@ func RunMulti(ctx context.Context, mc *MultiCase) (*MultiReport, error) {
 		Seed:           addrs,
 		HeartbeatEvery: 50 * time.Millisecond,
 		PeerTimeout:    5 * time.Second,
-		Mesh:           true,
 	}
 	if err := f.Start(); err != nil {
 		return nil, fmt.Errorf("multi seed %d: fleet: %w", mc.Seed, err)

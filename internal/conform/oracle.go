@@ -28,7 +28,7 @@ func check(rep *Report, flat *graph.Flat) {
 	// baseline; the distributed engines must match it byte for byte
 	// (outputs compare via their canonical wire encoding).
 	if run.Err == nil {
-		for _, name := range []string{"inproc", "mesh", "tcp"} {
+		for _, name := range []string{"inproc", "tcp"} {
 			e := rep.Engine(name)
 			if e == nil || e.Err != nil {
 				continue

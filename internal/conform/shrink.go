@@ -22,7 +22,7 @@ import (
 //     variable with a constant so its routine still runs.
 //
 // budget bounds the number of candidate re-executions (each one runs
-// all five engines). Shrink never returns a passing case: if a
+// all four engines). Shrink never returns a passing case: if a
 // reduction stops reproducing the divergence it is discarded.
 func Shrink(ctx context.Context, rep *Report, budget int) (*Case, *Report) {
 	classes := rep.Classes()

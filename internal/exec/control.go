@@ -49,7 +49,7 @@ type sessCmd struct {
 	kind cmdKind
 	plan *ResumePlan
 	// checkpoint asks a pause to hand over the full worker-local state
-	// (a graceful drain's departure gift); see PauseCheckpoint.
+	// (a graceful drain's departure gift); see Session.Pause.
 	checkpoint bool
 	reply      chan sessReply
 }
@@ -193,7 +193,6 @@ func (c *controller) coordinate() {
 	}
 	live := c.numPE
 	idle := 0
-	dead := make([]bool, c.numPE)
 	for {
 		select {
 		case <-c.done:
@@ -207,13 +206,8 @@ func (c *controller) coordinate() {
 					return
 				}
 			case evCrash:
-				dead[ev.pe] = true
 				live--
-				if live == 0 {
-					c.fail(fmt.Errorf("exec: all processors crashed"))
-					return
-				}
-				if !c.recoverRun(dead, &live) {
+				if !c.recoverRun(&live) {
 					return
 				}
 				idle = 0
@@ -222,66 +216,36 @@ func (c *controller) coordinate() {
 	}
 }
 
-// recoverRun drives one recovery: order every live worker to the
-// barrier, replan the lost work with sched.Recover, install the new
-// assignments and release the workers into the next era. Returns false
-// if the run must end instead.
-func (c *controller) recoverRun(dead []bool, live *int) bool {
-	er := c.era.Load()
-	close(er.pause)
-	parked := 0
-	for parked < *live {
-		select {
-		case <-c.done:
-			return false
-		case ev := <-c.events:
-			switch ev.kind {
-			case evParked:
-				parked++
-			case evCrash:
-				// A second processor died racing the pause.
-				dead[ev.pe] = true
-				*live--
-				if *live == 0 {
-					c.fail(fmt.Errorf("exec: all processors crashed"))
-					return false
-				}
-			case evIdle:
-				// Stale: the worker will park too.
-			}
-		}
-	}
-
-	// Every live worker is parked: their state is safe to read (the
-	// evParked receive orders their writes before ours) and to rewrite
-	// (closing resume orders our writes before their reads).
-	// Each surviving task result is attributed to its lowest live
-	// holder (the ascending pe loop makes the choice deterministic).
-	liveMask := make([]bool, c.numPE)
-	doneTasks := map[graph.NodeID]int{}
-	for pe := 0; pe < c.numPE; pe++ {
-		if dead[pe] {
-			continue
-		}
-		liveMask[pe] = true
-		for t := range c.workers[pe].local {
-			if _, ok := doneTasks[t]; !ok {
-				doneTasks[t] = pe
-			}
-		}
-	}
-
-	plan, err := sched.Recover(c.s, sched.RecoverState{Live: liveMask, Done: doneTasks})
-	if err != nil {
-		c.fail(fmt.Errorf("exec: crash recovery failed: %w", err))
+// recoverRun drives one recovery, in the same three steps a fleet
+// runs: park every live worker, plan the next era with PlanResume
+// (this session being the only survivor), install the plan and release
+// the workers into it. Returns false if the run must end instead.
+func (c *controller) recoverRun(live *int) bool {
+	st, ok := c.pauseLocal(live, false)
+	if !ok {
 		return false
 	}
-	c.install(plan, doneTasks, dead, er)
+	if *live == 0 {
+		c.fail(fmt.Errorf("exec: all processors crashed"))
+		return false
+	}
+	dead := make([]bool, c.numPE)
+	for _, pe := range st.Dead {
+		dead[pe] = true
+	}
+	plan, events, err := PlanResume(c.s, c.flat, Barrier{
+		Epoch: c.era.Load().epoch + 1, Dead: dead, Parked: []*PauseState{st},
+		Cause: "recovery", Now: c.now(), VirtualTime: c.runner.VirtualTime})
+	if err != nil {
+		c.fail(err)
+		return false
+	}
+	for _, e := range events {
+		c.addEvent(e)
+	}
+	c.resumeLocal(plan)
 	c.stats.Recoveries.Add(1)
-
-	next := &era{epoch: er.epoch + 1, pause: make(chan struct{}), resume: make(chan struct{})}
-	c.era.Store(next)
-	close(er.resume)
+	c.quiescent.Store(false)
 	return true
 }
 
@@ -344,39 +308,6 @@ func (c *controller) applyAssignment(a *assignment, epoch int64, dead []bool) {
 	}
 }
 
-// computeAdoptions finds orphaned external outputs: a task whose result
-// survives (so it will not re-run) but whose exporting copy died must be
-// exported by its holder instead. Only meaningful when every worker is
-// in this process; distributed runs compute adoptions globally from the
-// sessions' PauseStates.
-func (c *controller) computeAdoptions(doneTasks map[graph.NodeID]int, dead []bool) []Adoption {
-	tasks := make([]graph.NodeID, 0, len(doneTasks))
-	for t := range doneTasks {
-		tasks = append(tasks, t)
-	}
-	sort.Slice(tasks, func(i, j int) bool { return tasks[i] < tasks[j] })
-	var ads []Adoption
-	for _, t := range tasks {
-		for _, v := range c.flat.ExternalOut[t] {
-			q := string(t) + "." + v
-			present := false
-			for pe, w := range c.workers {
-				if w == nil || dead[pe] {
-					continue
-				}
-				if _, ok := w.outputs[q]; ok {
-					present = true
-					break
-				}
-			}
-			if !present {
-				ads = append(ads, Adoption{Task: t, Var: v, PE: doneTasks[t]})
-			}
-		}
-	}
-	return ads
-}
-
 // applyAdoptions re-exports orphaned external outputs from their
 // surviving holders. Adoptions naming remote holders are skipped: their
 // hosting process applies them.
@@ -394,34 +325,6 @@ func (c *controller) applyAdoptions(ads []Adoption) {
 			hw.exports[a.Var] = a.Task
 		}
 	}
-}
-
-// install rewrites the parked workers' assignments from the recovery
-// plan and records the rescheduling in the trace.
-func (c *controller) install(plan *sched.Reassignment, doneTasks map[graph.NodeID]int, dead []bool, er *era) {
-	// Timestamp for the rescheduling events: the wall clock, or the
-	// latest live virtual clock in virtual-time mode.
-	at := c.now()
-	if c.runner.VirtualTime {
-		at = 0
-		for pe, w := range c.workers {
-			if !dead[pe] && w.clock > at {
-				at = w.clock
-			}
-		}
-	}
-	for _, sl := range plan.Slots {
-		orig := sl.PE
-		if ps, ok := c.s.PrimarySlot(sl.Task); ok {
-			orig = ps.PE
-		}
-		c.addEvent(trace.Event{Kind: trace.TaskRescheduled, At: at, Task: sl.Task,
-			PE: sl.PE, Peer: orig, Note: "recovery"})
-	}
-
-	a := deriveAssignment(c.numPE, plan.Slots, plan.Msgs, doneTasks)
-	c.applyAssignment(a, er.epoch+1, dead)
-	c.applyAdoptions(c.computeAdoptions(doneTasks, dead))
 }
 
 // coordinateRemote is the coordinator loop of a session hosting a
@@ -505,9 +408,12 @@ func (c *controller) pauseLocal(live *int, checkpoint bool) (*PauseState, bool) 
 				parked++
 			case evCrash:
 				// A processor died racing the pause; report it so the
-				// global replan sees it too.
+				// global replan sees it too (a single-process run reads it
+				// off the returned state's Dead list).
 				*live--
-				c.plane.LocalCrash(ev.pe)
+				if c.plane != nil {
+					c.plane.LocalCrash(ev.pe)
+				}
 			case evIdle:
 				// Stale: the worker will park too.
 			}
@@ -579,12 +485,11 @@ func (c *controller) extraSnapshot() []trace.Event {
 	return append([]trace.Event(nil), c.extra...)
 }
 
-// resumeLocal installs this process's share of the global recovery plan
-// and releases the parked workers into the new era. Imports (a drained
-// worker's env checkpoint re-homed here) land in the new holders'
-// local stores first, so the plan's re-sends and adoptions can read
-// them exactly as if the tasks had run here.
-func (c *controller) resumeLocal(p *ResumePlan) {
+// installPlan rewrites the hosted workers' era state from a global
+// plan. Imports (a drained worker's env checkpoint re-homed here) land
+// in the new holders' local stores first, so the plan's re-sends and
+// adoptions can read them exactly as if the tasks had run here.
+func (c *controller) installPlan(p *ResumePlan) {
 	for _, imp := range p.Imports {
 		if imp.PE < 0 || imp.PE >= c.numPE || !c.isLocal(imp.PE) {
 			continue
@@ -598,6 +503,12 @@ func (c *controller) resumeLocal(p *ResumePlan) {
 	a := deriveAssignment(c.numPE, p.Slots, p.Msgs, p.Done)
 	c.applyAssignment(a, p.Epoch, p.Dead)
 	c.applyAdoptions(p.Adopt)
+}
+
+// resumeLocal installs this process's share of the global recovery plan
+// and releases the parked workers into the new era.
+func (c *controller) resumeLocal(p *ResumePlan) {
+	c.installPlan(p)
 	er := c.era.Load()
 	next := &era{epoch: p.Epoch, pause: make(chan struct{}), resume: make(chan struct{})}
 	c.era.Store(next)

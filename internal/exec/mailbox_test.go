@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/pits"
-	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -245,16 +244,16 @@ func TestDeadMailboxAbsorbsRetransmissions(t *testing.T) {
 	waitEvent(t, dead.ready, "a->b:u in the dead PE's mailbox")
 	waitEvent(t, dead.ready, "a retransmission of a->b:u")
 
-	st, err := ses.Pause()
+	st, err := ses.Pause(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := sched.Recover(s, sched.RecoverState{Live: []bool{true, false}, Done: st.Done})
+	rp, _, err := PlanResume(s, flat, Barrier{Epoch: 1, Dead: []bool{false, true},
+		Parked: []*PauseState{st}, Cause: "recovery"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = ses.Resume(&ResumePlan{Epoch: 1, Slots: re.Slots, Msgs: re.Msgs, Done: st.Done, Dead: []bool{false, true}})
-	if err != nil {
+	if err := ses.Resume(rp); err != nil {
 		t.Fatal(err)
 	}
 	waitEvent(t, pl.idle, "the survivor to finish the replanned work")

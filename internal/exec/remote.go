@@ -81,8 +81,7 @@ type Partial struct {
 	// PrintedPE tags each Printed line with the processor that printed
 	// it (len(PrintedPE) == len(Printed)); MergePartials uses the tags
 	// to restore ascending-processor print order when processors are
-	// placed non-contiguously across workers. Untagged partials (older
-	// senders) fall back to concatenation order.
+	// placed non-contiguously across workers.
 	PrintedPE []int
 	Events    []trace.Event
 }
@@ -103,8 +102,8 @@ type PauseState struct {
 	// the global maximum).
 	Clock machine.Time
 
-	// The fields below are populated only by PauseCheckpoint (a
-	// graceful drain): the departing process hands its entire
+	// The fields below are populated only by Pause(true) (a graceful
+	// drain's checkpoint): the departing process hands its entire
 	// contribution to the run over to the coordinator, so nothing is
 	// lost when it leaves.
 
@@ -135,7 +134,7 @@ type Adoption struct {
 type ResumePlan struct {
 	// Epoch is the new era; messages from older eras are discarded.
 	Epoch int64
-	// Slots and Msgs are the full recovery plan (sched.Recover's
+	// Slots and Msgs are the full recovery plan (sched.Replan's
 	// Reassignment); sessions derive their hosted processors' share.
 	Slots []sched.Slot
 	Msgs  []sched.Msg
@@ -150,6 +149,10 @@ type ResumePlan struct {
 	// worker into a new holder's local store, before re-sends and
 	// adoptions run. Imports naming remote holders are skipped.
 	Imports []Import
+	// Clock is the latest virtual clock parked at the barrier: a session
+	// joining mid-run starts its processors there, so its trace stamps
+	// continue the run's timeline instead of restarting at zero.
+	Clock machine.Time
 }
 
 // Import is one surviving task result re-homed by a graceful drain:
@@ -167,35 +170,30 @@ type Import struct {
 // exporting task — two tasks exporting the same name is an error, with
 // the qualified keys to read instead.
 //
-// Print lines merge in ascending-processor order when every partial
-// tags its lines with PrintedPE — the order a single-process run
-// prints in, regardless of which worker hosted which processor. With
-// any untagged partial the merge degrades to concatenation order.
+// Print lines merge in ascending-processor order by their PrintedPE
+// tags — the order a single-process run prints in, regardless of which
+// worker hosted which processor. A partial whose tags do not match its
+// lines one to one is malformed and an error.
 func MergePartials(parts ...*Partial) (pits.Env, []string, error) {
 	outputs := pits.Env{}
 	owner := map[string]graph.NodeID{}
 	var printed []string
-	tagged := true
-	for _, p := range parts {
-		if p != nil && len(p.PrintedPE) != len(p.Printed) {
-			tagged = false
-			break
-		}
-	}
 	var printedPEs []int
 	for _, p := range parts {
 		if p == nil {
 			continue
 		}
+		if len(p.PrintedPE) != len(p.Printed) {
+			return nil, nil, fmt.Errorf("exec: partial result tags %d of its %d print lines with a processor",
+				len(p.PrintedPE), len(p.Printed))
+		}
 		for k, v := range p.Outputs {
 			outputs[k] = v
 		}
 		printed = append(printed, p.Printed...)
-		if tagged {
-			printedPEs = append(printedPEs, p.PrintedPE...)
-		}
+		printedPEs = append(printedPEs, p.PrintedPE...)
 	}
-	if tagged && len(printed) > 0 {
+	if len(printed) > 0 {
 		// Stable sort by processor only: each processor's lines keep
 		// their chronological order (a processor lives in one partial
 		// per era, and partials arrive in era order).

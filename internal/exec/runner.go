@@ -26,7 +26,7 @@ import (
 // and message faults at reproducible points, per-receive watchdogs turn
 // lost messages into diagnosable timeouts, Retry enables acknowledged
 // delivery with retransmission, and a crashed processor triggers
-// recovery — surviving workers pause at a barrier while sched.Recover
+// recovery — surviving workers pause at a barrier while sched.Replan
 // replans the lost work onto live processors, then the run resumes and
 // produces the same outputs a fault-free run would.
 type Runner struct {

@@ -81,9 +81,8 @@ func (r *Runner) StartSession(s *sched.Schedule, flat *graph.Flat, hosted []bool
 // the same global replan the surviving sessions install with Resume:
 // the new session derives its hosted share from it, installs any
 // imports and adoptions, and starts directly in plan.Epoch with its
-// virtual clocks at clock (the global maximum, so its trace stamps
-// continue the run's timeline instead of restarting at zero).
-func (r *Runner) StartSessionFrom(s *sched.Schedule, flat *graph.Flat, hosted []bool, plane RemotePlane, plan *ResumePlan, clock machine.Time) (*Session, error) {
+// virtual clocks at plan.Clock.
+func (r *Runner) StartSessionFrom(s *sched.Schedule, flat *graph.Flat, hosted []bool, plane RemotePlane, plan *ResumePlan) (*Session, error) {
 	if plan == nil {
 		return nil, fmt.Errorf("exec: nil resume plan for mid-run session")
 	}
@@ -95,20 +94,10 @@ func (r *Runner) StartSessionFrom(s *sched.Schedule, flat *graph.Flat, hosted []
 	if len(plan.Dead) != c.numPE {
 		return nil, fmt.Errorf("exec: resume plan flags %d processors, machine has %d", len(plan.Dead), c.numPE)
 	}
-	for _, imp := range plan.Imports {
-		if imp.PE < 0 || imp.PE >= c.numPE || !c.isLocal(imp.PE) {
-			continue
-		}
-		if hw := c.workers[imp.PE]; hw != nil {
-			hw.local[imp.Task] = imp.Env
-		}
-	}
-	a := deriveAssignment(c.numPE, plan.Slots, plan.Msgs, plan.Done)
-	c.applyAssignment(a, plan.Epoch, plan.Dead)
-	c.applyAdoptions(plan.Adopt)
+	c.installPlan(plan)
 	for _, w := range c.workers {
 		if w != nil {
-			w.clock = clock
+			w.clock = plan.Clock
 		}
 	}
 	c.era.Store(&era{epoch: plan.Epoch, pause: make(chan struct{}), resume: make(chan struct{})})
@@ -308,25 +297,13 @@ func (ses *Session) command(cmd sessCmd) (sessReply, error) {
 
 // Pause drives every live hosted worker to the recovery barrier and
 // reports the state the coordinator needs to replan: surviving task
-// results, exported outputs, local deaths and the virtual clock.
-func (ses *Session) Pause() (*PauseState, error) {
-	rep, err := ses.command(sessCmd{kind: cmdPause, reply: make(chan sessReply, 1)})
-	if err != nil {
-		return nil, err
-	}
-	if rep.state == nil {
-		return nil, fmt.Errorf("exec: session aborted during pause")
-	}
-	return rep.state, nil
-}
-
-// PauseCheckpoint is Pause for a graceful drain: it drives the hosted
-// workers to the barrier and additionally packs the full worker-local
-// env checkpoint, print lines and trace events into the PauseState, so
-// the coordinator can re-home this process's entire contribution to
-// the run before the process departs.
-func (ses *Session) PauseCheckpoint() (*PauseState, error) {
-	rep, err := ses.command(sessCmd{kind: cmdPause, checkpoint: true, reply: make(chan sessReply, 1)})
+// results, exported outputs, local deaths and the virtual clock. With
+// checkpoint set (a graceful drain) it additionally packs the full
+// worker-local env checkpoint, print lines and trace events into the
+// PauseState, so the coordinator can re-home this process's entire
+// contribution to the run before the process departs.
+func (ses *Session) Pause(checkpoint bool) (*PauseState, error) {
+	rep, err := ses.command(sessCmd{kind: cmdPause, checkpoint: checkpoint, reply: make(chan sessReply, 1)})
 	if err != nil {
 		return nil, err
 	}

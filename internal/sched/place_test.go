@@ -77,30 +77,41 @@ func TestPlaceReducesCrossWorkerWords(t *testing.T) {
 	}
 }
 
-// TestPlaceQuotasMatchPartition verifies Place never unbalances the
-// fleet: per-worker processor counts equal the contiguous partition's.
-func TestPlaceQuotasMatchPartition(t *testing.T) {
+// TestPlaceQuotas verifies Place never unbalances the fleet: the
+// per-worker processor counts sum to the machine, differ by at most
+// one, and the extras go to the lowest workers.
+func TestPlaceQuotas(t *testing.T) {
 	g := layeredDesign(t, 6, 7)
 	m := mk(t, "hypercube:3", cheapComm())
 	s, err := ETF{}.Schedule(g, m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	numPE := m.NumPE()
 	for _, workers := range []int{1, 2, 3, 5, 8, 11} {
 		peerOf := Place(s, workers)
-		if len(peerOf) != m.NumPE() {
-			t.Fatalf("workers=%d: peerOf has %d entries for %d PEs", workers, len(peerOf), m.NumPE())
+		if len(peerOf) != numPE {
+			t.Fatalf("workers=%d: peerOf has %d entries for %d PEs", workers, len(peerOf), numPE)
 		}
-		got := map[int]int{}
-		for _, w := range peerOf {
+		used := workers
+		if used > numPE {
+			used = numPE
+		}
+		got := make([]int, used)
+		for pe, w := range peerOf {
+			if w < 0 || w >= used {
+				t.Fatalf("workers=%d: PE %d placed on worker %d of %d", workers, pe, w, used)
+			}
 			got[w]++
 		}
-		want := map[int]int{}
-		for _, w := range contiguousPeerOf(m.NumPE(), workers) {
-			want[w]++
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: per-worker counts %v, want the partition quotas %v", workers, got, want)
+		for w, n := range got {
+			want := numPE / used
+			if w < numPE%used {
+				want++
+			}
+			if n != want {
+				t.Errorf("workers=%d: worker %d hosts %d PEs, want %d (counts %v)", workers, w, n, want, got)
+			}
 		}
 	}
 }

@@ -32,10 +32,6 @@ type ReplanState struct {
 	Done map[graph.NodeID]int
 }
 
-// RecoverState is the crash-recovery name of ReplanState, kept for the
-// original recovery call sites.
-type RecoverState = ReplanState
-
 // Reassignment is a replan: fresh slots for every task not in
 // Done, placed on live processors only, plus the message records
 // feeding them — from surviving holders (Send = 0: the data already
@@ -49,13 +45,6 @@ type Reassignment struct {
 	// Moved lists the re-planned tasks in placement order (for
 	// TaskRescheduled trace events).
 	Moved []graph.NodeID
-}
-
-// Recover plans the continuation of schedule s after the processors
-// with Live[pe] == false crashed: the shrink direction of Replan,
-// kept under its original name for the recovery call sites.
-func Recover(s *Schedule, st RecoverState) (*Reassignment, error) {
-	return Replan(s, st)
 }
 
 // Replan plans the continuation of schedule s on the processor set

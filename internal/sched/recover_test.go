@@ -15,7 +15,7 @@ import (
 // non-overlapping, precedence respected (a needed predecessor finishes
 // before its consumer starts, plus communication when they sit on
 // different PEs), and message records consistent with the slots.
-func checkPlan(t *testing.T, s *Schedule, st RecoverState, plan *Reassignment) {
+func checkPlan(t *testing.T, s *Schedule, st ReplanState, plan *Reassignment) {
 	t.Helper()
 	placed := map[graph.NodeID]Slot{}
 	for _, sl := range plan.Slots {
@@ -100,11 +100,11 @@ func checkPlan(t *testing.T, s *Schedule, st RecoverState, plan *Reassignment) {
 }
 
 // recoverFixture schedules the GE graph with ETF on a 4-PE machine and
-// derives a RecoverState in which PE 1 died after the slots finishing
+// derives a ReplanState in which PE 1 died after the slots finishing
 // by cutoff completed. Results of tasks on the dead PE are re-homed
 // onto PE 0 per the recovery convention (the test stands in for the
 // runner, which knows who actually holds each env).
-func recoverFixture(t *testing.T, cutoff machine.Time) (*Schedule, RecoverState) {
+func recoverFixture(t *testing.T, cutoff machine.Time) (*Schedule, ReplanState) {
 	t.Helper()
 	g := graph.GE(4, 5, 10, 3)
 	m := mk(t, "full:4", cheapComm())
@@ -124,12 +124,12 @@ func recoverFixture(t *testing.T, cutoff machine.Time) (*Schedule, RecoverState)
 		}
 		done[sl.Task] = pe
 	}
-	return s, RecoverState{Live: live, Done: done}
+	return s, ReplanState{Live: live, Done: done}
 }
 
 func TestRecoverEmptyWhenAllDone(t *testing.T) {
 	s, st := recoverFixture(t, s1Makespan(t))
-	plan, err := Recover(s, st)
+	plan, err := Replan(s, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,21 +153,21 @@ func TestRecoverErrors(t *testing.T) {
 	s, _ := recoverFixture(t, 0)
 	cases := []struct {
 		name string
-		st   RecoverState
+		st   ReplanState
 		want string
 	}{
-		{"no live PEs", RecoverState{Live: []bool{false, false, false, false}}, "no live processors"},
-		{"liveness length mismatch", RecoverState{Live: []bool{true}}, "liveness flags"},
-		{"holder dead", RecoverState{Live: []bool{true, false, true, true},
+		{"no live PEs", ReplanState{Live: []bool{false, false, false, false}}, "no live processors"},
+		{"liveness length mismatch", ReplanState{Live: []bool{true}}, "liveness flags"},
+		{"holder dead", ReplanState{Live: []bool{true, false, true, true},
 			Done: map[graph.NodeID]int{"p0": 1}}, "dead or invalid"},
-		{"holder out of range", RecoverState{Live: []bool{true, false, true, true},
+		{"holder out of range", ReplanState{Live: []bool{true, false, true, true},
 			Done: map[graph.NodeID]int{"p0": 9}}, "dead or invalid"},
-		{"unknown task", RecoverState{Live: []bool{true, false, true, true},
+		{"unknown task", ReplanState{Live: []bool{true, false, true, true},
 			Done: map[graph.NodeID]int{"nosuch": 0}}, "unknown done task"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Recover(s, tc.st)
+			_, err := Replan(s, tc.st)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error = %v, want mention of %q", err, tc.want)
 			}
@@ -178,7 +178,7 @@ func TestRecoverErrors(t *testing.T) {
 func TestRecoverPlansNeededOntoLivePEs(t *testing.T) {
 	for _, cutoff := range []machine.Time{0, 15, 30} {
 		s, st := recoverFixture(t, cutoff)
-		plan, err := Recover(s, st)
+		plan, err := Replan(s, st)
 		if err != nil {
 			t.Fatalf("cutoff %v: %v", cutoff, err)
 		}
@@ -196,7 +196,7 @@ func TestRecoverSinglePESurvivor(t *testing.T) {
 	for task := range st.Done {
 		st.Done[task] = 0
 	}
-	plan, err := Recover(s, st)
+	plan, err := Replan(s, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +238,8 @@ func TestRecoverCrashedPEHadNoRemainingSlots(t *testing.T) {
 			done[sl.Task] = sl.PE
 		}
 	}
-	st := RecoverState{Live: live, Done: done}
-	plan, err := Recover(s, st)
+	st := ReplanState{Live: live, Done: done}
+	plan, err := Replan(s, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,8 +273,8 @@ func TestRecoverTwoPEMachineLosesOne(t *testing.T) {
 		}
 		done[sl.Task] = 0 // survivor holds everything finished
 	}
-	st := RecoverState{Live: live, Done: done}
-	plan, err := Recover(s, st)
+	st := ReplanState{Live: live, Done: done}
+	plan, err := Replan(s, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestRecoverTwoPEMachineLosesOne(t *testing.T) {
 // remaining live set.
 func TestRecoverBackToBackCrashes(t *testing.T) {
 	s, st1 := recoverFixture(t, 20) // epoch 1: PE 1 dies
-	plan1, err := Recover(s, st1)
+	plan1, err := Replan(s, st1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,8 +332,8 @@ func TestRecoverBackToBackCrashes(t *testing.T) {
 		}
 		done2[sl.Task] = pe
 	}
-	st2 := RecoverState{Live: live2, Done: done2}
-	plan2, err := Recover(s, st2)
+	st2 := ReplanState{Live: live2, Done: done2}
+	plan2, err := Replan(s, st2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,11 +352,11 @@ func TestRecoverBackToBackCrashes(t *testing.T) {
 
 func TestRecoverDeterministic(t *testing.T) {
 	s, st := recoverFixture(t, 20)
-	a, err := Recover(s, st)
+	a, err := Replan(s, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Recover(s, st)
+	b, err := Replan(s, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,11 +366,11 @@ func TestRecoverDeterministic(t *testing.T) {
 }
 
 func TestRecoverConcurrentUse(t *testing.T) {
-	// Recover must be callable from several goroutines once the
+	// Replan must be callable from several goroutines once the
 	// schedule is finalized (tier-1 runs this under -race).
 	s, st := recoverFixture(t, 20)
 	s.Finalize()
-	want, err := Recover(s, st)
+	want, err := Replan(s, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestRecoverConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := Recover(s, st)
+			got, err := Replan(s, st)
 			if err != nil {
 				t.Error(err)
 				return

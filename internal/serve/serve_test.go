@@ -523,7 +523,7 @@ func TestServeFleetMode(t *testing.T) {
 	defer cancel()
 
 	fleet := &wire.Fleet{Transport: tr, Control: "fleet-control",
-		Seed: []string{"worker-0", "worker-1"}, Mesh: true, Logf: t.Logf}
+		Seed: []string{"worker-0", "worker-1"}, Logf: t.Logf}
 	if err := fleet.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -282,14 +282,17 @@ func DecodeMsg(b []byte) (exec.RemoteMsg, error) {
 // document with bulk binary blobs (encoded schedule, environments,
 // trace events). Embedding those blobs in the JSON costs a base64
 // round trip plus a byte-by-byte validity scan of the largest part of
-// the payload; the envelope carries them out of band instead. A JSON
-// document can never begin with 0x00, so the magic byte keeps plain
-// JSON payloads from older senders decodable by the same entry point.
+// the payload; the envelope carries them out of band instead. A note
+// with no blobs travels as plain JSON: a JSON document can never begin
+// with 0x00, so the magic byte tells the two apart at one entry point.
 
 const blobEnvelopeMagic = 0x00
 
 // encBlobEnvelope frames a JSON document and its out-of-band blobs.
 func encBlobEnvelope(js []byte, blobs ...[]byte) []byte {
+	if len(blobs) == 0 {
+		return js
+	}
 	n := 1 + 4 + len(js) + 4
 	for _, b := range blobs {
 		n += 4 + len(b)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,18 +11,17 @@ import (
 	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/machine"
-	"repro/internal/pits"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
-// Coordinator drives a distributed run: it partitions the machine's
-// processors over worker daemons in contiguous blocks, ships each its
-// share of the schedule, relays cross-worker messages (star topology:
-// every inter-process message passes through the coordinator, which
-// routes Data frames by their destination processor without decoding
-// them), and arbitrates recovery when a processor crashes or a whole
-// worker process dies.
+// Coordinator drives a distributed run: it places the machine's
+// processors on worker daemons (sched.Place), ships each its share of
+// the schedule and the worker address map, and arbitrates membership,
+// heartbeats and the recovery barrier when a processor crashes or a
+// whole worker process dies. Workers exchange data frames over direct
+// mesh links; a frame whose link is not up comes here instead and is
+// forwarded by its destination processor without being decoded.
 type Coordinator struct {
 	Transport Transport
 	Addrs     []string
@@ -39,11 +37,8 @@ type Coordinator struct {
 	PeerTimeout    time.Duration
 	ConnectTimeout time.Duration
 
-	// Mesh ships the worker address map in the start bundle so workers
-	// dial each other and exchange data frames point-to-point instead
-	// of relaying them through the coordinator. The coordinator still
-	// arbitrates membership, heartbeats and recovery barriers, and
-	// remains the routing fallback while a mesh link is down.
+	// Mesh is ignored: the mesh is always on. The field is kept only
+	// until the benchmark harness's struct literals drop it.
 	Mesh bool
 	// Control is an optional listen address for fleet-elasticity
 	// commands: workers announce themselves with Join to enter a run in
@@ -136,31 +131,6 @@ func (co *Coordinator) flushEvery() time.Duration {
 	return defaultFlushEvery
 }
 
-// Partition splits numPE processors over workers contiguous blocks
-// (worker 0 gets the lowest processors). The coordinator places with
-// sched.Place — traffic-aware, never worse than contiguous — but the
-// contiguous split remains the quota shape and the comparison
-// baseline.
-func Partition(numPE, workers int) [][]int {
-	if workers > numPE {
-		workers = numPE
-	}
-	blocks := make([][]int, workers)
-	base, rem := numPE/workers, numPE%workers
-	pe := 0
-	for i := range blocks {
-		n := base
-		if i < rem {
-			n++
-		}
-		for j := 0; j < n; j++ {
-			blocks[i] = append(blocks[i], pe)
-			pe++
-		}
-	}
-	return blocks
-}
-
 // peer is the coordinator's view of one worker process.
 type peer struct {
 	i    int
@@ -172,15 +142,11 @@ type peer struct {
 	lost      bool
 	pending   bool // joined mid-run, not yet integrated at a barrier
 	drained   bool // departed gracefully; state handed over
-	parked    *ParkedNote
+	parked    *exec.PauseState
 	result    *ResultNote
 	lastHeard time.Time
 	redial    context.CancelFunc // non-nil while a reconnect is in flight
 	ackDue    bool               // a batched cumulative ack is owed (run loop only)
-
-	// Drain checkpoint, decoded off the target's Parked envelope.
-	ckptLocal  map[graph.NodeID]pits.Env
-	ckptEvents []trace.Event
 }
 
 // active reports whether the peer takes part in the run protocol:
@@ -263,6 +229,9 @@ type coRun struct {
 	extra  []trace.Event // coordinator-side trace events
 	ctx    context.Context
 	cancel context.CancelFunc
+	// schedBin and inputs are the encoded schedule and run inputs every
+	// start bundle (the initial ones and any joiner's) carries.
+	schedBin, inputs []byte
 
 	// Fleet elasticity: at most one join or drain is in flight at a
 	// time; crashes fold into whatever barrier is already forming.
@@ -307,9 +276,9 @@ func (co *Coordinator) Run(ctx context.Context, s *sched.Schedule, flat *graph.F
 		workers = numPE
 		co.logf("machine has %d processors; using %d of %d workers", numPE, workers, len(co.Addrs))
 	}
-	// Traffic-aware placement: same per-worker quotas as the contiguous
-	// Partition, but grouped to minimize cross-worker bytes (and never
-	// worse than contiguous; see sched.Place).
+	// Traffic-aware placement: near-equal per-worker quotas, grouped to
+	// minimize cross-worker bytes (never worse than contiguous blocks;
+	// see sched.Place).
 	peerOf := sched.Place(s, workers)
 	blocks := make([][]int, workers)
 	for pe, w := range peerOf {
@@ -498,8 +467,7 @@ func (r *coRun) connectAll(ctx context.Context) error {
 		go func(p *peer) {
 			c, err := dialBackoff(dctx, r.co.Transport, p.addr, 0, 0)
 			if err == nil {
-				err = handshake(c, Hello{Proto: ProtoVersion, Run: r.id})
-				if err != nil {
+				if _, err = handshake(c, Hello{Proto: ProtoVersion, Run: r.id}); err != nil {
 					c.Close()
 					c = nil
 				}
@@ -536,51 +504,34 @@ func (r *coRun) connectAll(ctx context.Context) error {
 	return nil
 }
 
-// handshake sends Hello and expects a Welcome on a fresh connection.
-func handshake(c Conn, h Hello) error {
+// handshake sends Hello on a fresh connection and expects a Welcome
+// speaking this protocol version; it returns the accepting side's
+// receive watermark (what a reconnect replays its outbox from). A
+// rejection surfaces the other side's reason.
+func handshake(c Conn, h Hello) (uint64, error) {
 	if err := c.WriteFrame(Frame{Type: THello, Payload: encJSON(h)}); err != nil {
-		return err
+		return 0, err
 	}
 	f, err := c.ReadFrame()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	switch f.Type {
 	case TWelcome:
 		w, err := decJSON[Welcome](f.Payload, "welcome")
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if w.Proto != ProtoVersion {
-			return fmt.Errorf("wire: worker speaks protocol %d, need %d", w.Proto, ProtoVersion)
+			return 0, fmt.Errorf("wire: worker speaks protocol %d, need %d", w.Proto, ProtoVersion)
 		}
-		return nil
+		return w.Rcvd, nil
 	case TError:
 		n, _ := decJSON[ErrorNote](f.Payload, "error")
-		return fmt.Errorf("wire: worker rejected handshake: %s", n.Msg)
+		return 0, fmt.Errorf("wire: worker rejected handshake: %s", n.Msg)
 	default:
-		return fmt.Errorf("wire: expected welcome, got %s", f.Type)
-	}
-}
-
-// reHandshake performs the reconnect handshake and returns the worker's
-// receive watermark for outbox replay.
-func reHandshake(c Conn, h Hello) (uint64, error) {
-	if err := c.WriteFrame(Frame{Type: THello, Payload: encJSON(h)}); err != nil {
-		return 0, err
-	}
-	f, err := c.ReadFrame()
-	if err != nil {
-		return 0, err
-	}
-	if f.Type != TWelcome {
 		return 0, fmt.Errorf("wire: expected welcome, got %s", f.Type)
 	}
-	w, err := decJSON[Welcome](f.Payload, "welcome")
-	if err != nil {
-		return 0, err
-	}
-	return w.Rcvd, nil
 }
 
 // startReader pumps frames from the peer's current connection into the
@@ -624,7 +575,7 @@ func (r *coRun) redialPeer(ctx context.Context, p *peer) {
 			if err != nil {
 				return
 			}
-			rcvd, err := reHandshake(c, hello)
+			rcvd, err := handshake(c, hello)
 			if err != nil {
 				c.Close()
 				// Pace the retry: a listener that accepts but rejects
@@ -648,39 +599,43 @@ func (r *coRun) redialPeer(ctx context.Context, p *peer) {
 
 // startAll ships every worker its start bundle.
 func (r *coRun) startAll() error {
-	schedBin, err := r.co.encodedSchedule(r.s)
-	if err != nil {
+	var err error
+	if r.schedBin, err = r.co.encodedSchedule(r.s); err != nil {
 		return fmt.Errorf("wire: encode schedule: %w", err)
 	}
-	inputs, err := EncodeEnv(r.co.Runner.Inputs)
-	if err != nil {
+	if r.inputs, err = EncodeEnv(r.co.Runner.Inputs); err != nil {
 		return fmt.Errorf("wire: encode inputs: %w", err)
 	}
-	numPE := r.s.Machine.NumPE()
 	for _, p := range r.peers {
-		hosted := make([]bool, numPE)
-		for _, pe := range p.pes {
-			hosted[pe] = true
-		}
-		// The schedule and inputs ride out of band: they dominate the
-		// bundle and would otherwise be base64 inside the JSON.
-		bundle := StartBundle{
-			Run: r.id, Worker: p.i, Workers: len(r.peers),
-			Hosted:     hosted,
-			ExternalIn: r.flat.ExternalIn, ExternalOut: r.flat.ExternalOut,
-			Opts:           OptsFor(r.co.Runner),
-			HeartbeatEvery: int64(r.co.heartbeatEvery()), PeerTimeout: int64(r.co.peerTimeout()),
-			FlushEvery: int64(r.co.flushEvery()),
-		}
-		if r.co.Mesh {
-			bundle.Peers = append([]string(nil), r.addrs...)
-			bundle.PeerOf = append([]int(nil), r.peerOf...)
-		}
-		if err := p.link.Send(TStart, encBlobEnvelope(encJSON(bundle), schedBin, inputs)); err != nil {
+		if err := r.sendStart(p, nil); err != nil {
 			return fmt.Errorf("wire: starting worker %d: %w", p.i, err)
 		}
 	}
 	return nil
+}
+
+// sendStart ships worker p its start bundle: its hosted mask, the
+// design's external bindings, the run options and the worker address
+// map it dials its mesh links from — plus, for a worker joining a run
+// in flight, the resume plan of the era it enters.
+func (r *coRun) sendStart(p *peer, plan *ResumeNote) error {
+	hosted := make([]bool, r.s.Machine.NumPE())
+	for _, pe := range p.pes {
+		hosted[pe] = true
+	}
+	bundle := StartBundle{
+		Run: r.id, Worker: p.i, Workers: len(r.peers),
+		Hosted:     hosted,
+		ExternalIn: r.flat.ExternalIn, ExternalOut: r.flat.ExternalOut,
+		Opts:           OptsFor(r.co.Runner),
+		HeartbeatEvery: int64(r.co.heartbeatEvery()), PeerTimeout: int64(r.co.peerTimeout()),
+		FlushEvery: int64(r.co.flushEvery()),
+		Peers:      r.addrs, PeerOf: r.peerOf,
+		Plan: plan,
+	}
+	// The schedule and inputs ride out of band: they dominate the
+	// bundle and would otherwise be base64 inside the JSON.
+	return p.link.Send(TStart, encBlobEnvelope(encJSON(bundle), r.schedBin, r.inputs))
 }
 
 // broadcast sends a sequenced frame to every active worker. A write
@@ -828,18 +783,9 @@ func (r *coRun) handleFrame(p *peer, f Frame) (bool, *exec.Result, error) {
 		if err != nil {
 			return false, nil, err
 		}
-		if len(blobs) >= 2 {
-			// A drain target's checkpoint reply: env checkpoint and
-			// trace events ride out of band.
-			local, err := DecodeCheckpoint(blobs[0])
-			if err != nil {
-				return false, nil, fmt.Errorf("wire: worker %d checkpoint: %w", p.i, err)
-			}
-			events, err := DecodeEvents(blobs[1])
-			if err != nil {
-				return false, nil, fmt.Errorf("wire: worker %d checkpoint events: %w", p.i, err)
-			}
-			p.ckptLocal, p.ckptEvents = local, events
+		st, err := note.state(blobs)
+		if err != nil {
+			return false, nil, fmt.Errorf("wire: worker %d checkpoint: %w", p.i, err)
 		}
 		if r.state == stFinishing {
 			// A stale barrier reply racing the finish decision (e.g. a
@@ -851,8 +797,8 @@ func (r *coRun) handleFrame(p *peer, f Frame) (bool, *exec.Result, error) {
 		if r.state != stPausing {
 			return false, nil, fmt.Errorf("wire: worker %d parked outside a pause", p.i)
 		}
-		p.parked = &note
-		for _, pe := range note.Dead {
+		p.parked = st
+		for _, pe := range st.Dead {
 			if pe >= 0 && pe < len(r.dead) {
 				r.dead[pe] = true
 			}
@@ -951,137 +897,51 @@ func (r *coRun) checkParked() error {
 	return r.finishRecovery()
 }
 
-// finishRecovery merges the parked states, replans with sched.Replan,
-// and releases the workers into the next era. It finalizes whatever
-// fleet change rode the barrier: a crash recovery (shrink), a graceful
-// drain (planned shrink with the target's state re-homed through
-// imports), a mid-run join (expand: every dead processor revives on
-// the joiner), or a crash folded into either.
+// finishRecovery plans the next era with exec.PlanResume and releases
+// the workers into it. It finalizes whatever fleet change rode the
+// barrier: a crash recovery (shrink), a graceful drain (planned shrink
+// with the target's state re-homed through imports), a mid-run join
+// (expand: every dead processor revives on the joiner), or a crash
+// folded into either. What the era looks like is PlanResume's decision;
+// this function only works out who is in it, commits the membership
+// and does the I/O.
 func (r *coRun) finishRecovery() error {
 	dr, jn := r.draining, r.joining
 	r.draining, r.joining = nil, nil
 
 	// The dead mask of the new era: a drain retires the target's
 	// processors; a join revives every dead one onto the joiner.
-	deadAfter := append([]bool(nil), r.dead...)
-	if dr != nil {
-		for _, pe := range dr.pes {
-			deadAfter[pe] = true
-		}
-	}
+	b := exec.Barrier{Epoch: r.epoch + 1, Dead: append([]bool(nil), r.dead...),
+		Cause: "recovery", Now: r.now(), VirtualTime: r.co.Runner.VirtualTime}
 	var revived []int
 	if jn != nil {
+		b.Cause = "join"
 		for pe, d := range r.dead {
 			if d {
-				deadAfter[pe] = false
+				b.Dead[pe] = false
 				revived = append(revived, pe)
 			}
 		}
 	}
-
-	// Surviving task results: ascending worker order; each worker
-	// already picked its lowest local holder, and first-wins attributes
-	// every task to its lowest live holder globally — the same
-	// deterministic choice the single-process runner makes. The drain
-	// target is not a survivor: its results re-home through imports.
-	doneTasks := map[graph.NodeID]int{}
-	held := map[string]bool{}
-	var clock machine.Time
+	if dr != nil {
+		b.Cause, b.Drained = "drain", dr.parked
+		for _, pe := range dr.pes {
+			b.Dead[pe] = true
+		}
+	}
 	for _, p := range r.peers {
-		if !p.active() || p == dr || p.parked == nil {
-			continue
-		}
-		for t, pe := range p.parked.Done {
-			if _, ok := doneTasks[t]; !ok && !deadAfter[pe] {
-				doneTasks[t] = pe
-			}
-		}
-		for _, q := range p.parked.Held {
-			held[q] = true
-		}
-		if p.parked.Clock > clock {
-			clock = p.parked.Clock
+		if p.active() && p != dr {
+			b.Parked = append(b.Parked, p.parked)
 		}
 	}
-
-	// Drain: results only the target holds re-home onto live
-	// processors round-robin (deterministic: sorted tasks, ascending
-	// processors), each with the env checkpoint the target handed over.
-	// Its held exports are deliberately NOT merged: the adoption pass
-	// below re-exports them from the importing holder, so the departed
-	// process contributes nothing the survivors cannot reproduce.
-	var imports []exec.Import
-	if dr != nil && dr.parked != nil {
-		if dr.parked.Clock > clock {
-			clock = dr.parked.Clock
-		}
-		var liveList []int
-		for pe, d := range deadAfter {
-			if !d {
-				liveList = append(liveList, pe)
-			}
-		}
-		orphans := make([]graph.NodeID, 0, len(dr.parked.Done))
-		for t := range dr.parked.Done {
-			if _, ok := doneTasks[t]; !ok {
-				orphans = append(orphans, t)
-			}
-		}
-		sort.Slice(orphans, func(i, j int) bool { return orphans[i] < orphans[j] })
-		for k, t := range orphans {
-			pe := liveList[k%len(liveList)]
-			doneTasks[t] = pe
-			imports = append(imports, exec.Import{Task: t, PE: pe, Env: dr.ckptLocal[t]})
-		}
-	}
-
-	liveMask := make([]bool, len(deadAfter))
-	for pe, d := range deadAfter {
-		liveMask[pe] = !d
-	}
-	plan, err := sched.Replan(r.s, sched.ReplanState{Live: liveMask, Done: doneTasks})
+	plan, events, err := exec.PlanResume(r.s, r.flat, b)
 	if err != nil {
-		return fmt.Errorf("exec: crash recovery failed: %w", err)
+		return err
 	}
-
-	// Orphaned external outputs: a surviving task result whose
-	// exporting copy died (or departed) re-exports from its holder.
-	tasks := make([]graph.NodeID, 0, len(doneTasks))
-	for t := range doneTasks {
-		tasks = append(tasks, t)
-	}
-	sort.Slice(tasks, func(i, j int) bool { return tasks[i] < tasks[j] })
-	var adopt []exec.Adoption
-	for _, t := range tasks {
-		for _, v := range r.flat.ExternalOut[t] {
-			if !held[string(t)+"."+v] {
-				adopt = append(adopt, exec.Adoption{Task: t, Var: v, PE: doneTasks[t]})
-			}
-		}
-	}
-
-	at := r.now()
-	if r.co.Runner.VirtualTime {
-		at = clock
-	}
-	cause := "recovery"
-	switch {
-	case dr != nil:
-		cause = "drain"
-	case jn != nil:
-		cause = "join"
-	}
-	for _, sl := range plan.Slots {
-		orig := sl.PE
-		if ps, ok := r.s.PrimarySlot(sl.Task); ok {
-			orig = ps.PE
-		}
-		r.extra = append(r.extra, trace.Event{Kind: trace.TaskRescheduled, At: at,
-			Task: sl.Task, PE: sl.PE, Peer: orig, Note: cause})
-	}
+	r.extra = append(r.extra, events...)
 
 	// Commit the membership change.
-	r.dead = deadAfter
+	r.dead, r.epoch = b.Dead, b.Epoch
 	if jn != nil {
 		jn.pending = false
 		jn.pes = revived
@@ -1090,29 +950,15 @@ func (r *coRun) finishRecovery() error {
 		}
 	}
 
-	r.epoch++
-	refs := make([]ImportRef, 0, len(imports))
-	blobs := make([][]byte, 0, len(imports))
-	for _, im := range imports {
-		eb, err := EncodeEnv(im.Env)
-		if err != nil {
-			return fmt.Errorf("wire: encode drain import for task %s: %w", im.Task, err)
-		}
-		refs = append(refs, ImportRef{Task: im.Task, PE: im.PE})
-		blobs = append(blobs, eb)
+	note, blobs, err := resumeNote(plan)
+	if err != nil {
+		return err
 	}
-	note := ResumeNote{Epoch: r.epoch, Slots: plan.Slots, Msgs: plan.Msgs,
-		Done: doneTasks, Dead: append([]bool(nil), r.dead...), Adopt: adopt,
-		Imports: refs}
-	if jn != nil && r.co.Mesh {
-		note.Peers = append([]string(nil), r.addrs...)
-		note.PeerOf = append([]int(nil), r.peerOf...)
+	if jn != nil {
+		note.Peers, note.PeerOf = r.addrs, r.peerOf
 	}
-	r.co.logf("%s: %d tasks replanned (epoch %d)", cause, len(plan.Moved), r.epoch)
-	payload := encJSON(note)
-	if len(blobs) > 0 {
-		payload = encBlobEnvelope(encJSON(note), blobs...)
-	}
+	r.co.logf("%s: %d slots replanned (epoch %d)", b.Cause, len(plan.Slots), r.epoch)
+	payload := encBlobEnvelope(encJSON(note), blobs...)
 	for _, p := range r.peers {
 		if p.active() && p != dr && p != jn {
 			p.idle = false
@@ -1126,20 +972,27 @@ func (r *coRun) finishRecovery() error {
 		// lets it (and, through its mesh goodbyes, its peers) tear down
 		// immediately — no timeout anywhere.
 		r.saved = append(r.saved, &exec.Partial{Printed: dr.parked.Printed,
-			PrintedPE: dr.parked.PrintedPE, Events: dr.ckptEvents})
+			PrintedPE: dr.parked.PrintedPE, Events: dr.parked.Events})
 		dr.drained = true
 		dr.idle = false
 		dr.link.Send(TBye, nil)
+		at := b.Now
+		if b.VirtualTime {
+			at = plan.Clock
+		}
 		r.extra = append(r.extra, trace.Event{Kind: trace.WorkerDrained, At: at,
 			Peer: dr.i, Note: dr.addr})
-		r.co.logf("worker %d (%s) drained: %d results re-homed (epoch %d)", dr.i, dr.addr, len(imports), r.epoch)
+		r.co.logf("worker %d (%s) drained: %d results re-homed (epoch %d)", dr.i, dr.addr, len(plan.Imports), r.epoch)
 		if r.drainReply != nil {
 			r.drainReply.welcome()
 			r.drainReply = nil
 		}
 	}
 	if jn != nil {
-		if err := r.startJoiner(jn, &note, clock); err != nil {
+		// Imports target survivor processors, never the joiner's fresh
+		// ones; membership already rides the bundle's own Peers/PeerOf.
+		note.Imports, note.Peers, note.PeerOf = nil, nil, nil
+		if err := r.sendStart(jn, &note); err != nil {
 			return fmt.Errorf("wire: starting joined worker %d: %w", jn.i, err)
 		}
 		r.co.logf("worker %d (%s) joined: hosting %d revived processors (epoch %d)", jn.i, jn.addr, len(revived), r.epoch)
@@ -1150,42 +1003,6 @@ func (r *coRun) finishRecovery() error {
 	}
 	r.state = stRunning
 	return nil
-}
-
-// startJoiner ships a joining worker its start bundle: the regular
-// bundle plus the resume plan of the era it enters.
-func (r *coRun) startJoiner(p *peer, note *ResumeNote, clock machine.Time) error {
-	schedBin, err := r.co.encodedSchedule(r.s)
-	if err != nil {
-		return fmt.Errorf("encode schedule: %w", err)
-	}
-	inputs, err := EncodeEnv(r.co.Runner.Inputs)
-	if err != nil {
-		return fmt.Errorf("encode inputs: %w", err)
-	}
-	numPE := r.s.Machine.NumPE()
-	hosted := make([]bool, numPE)
-	for _, pe := range p.pes {
-		hosted[pe] = true
-	}
-	plan := *note
-	// Imports target survivor processors, never the joiner's fresh
-	// ones; membership already rides the bundle's own Peers/PeerOf.
-	plan.Imports, plan.Peers, plan.PeerOf = nil, nil, nil
-	bundle := StartBundle{
-		Run: r.id, Worker: p.i, Workers: len(r.peers),
-		Hosted:     hosted,
-		ExternalIn: r.flat.ExternalIn, ExternalOut: r.flat.ExternalOut,
-		Opts:           OptsFor(r.co.Runner),
-		HeartbeatEvery: int64(r.co.heartbeatEvery()), PeerTimeout: int64(r.co.peerTimeout()),
-		FlushEvery: int64(r.co.flushEvery()),
-		Plan:       &plan, Clock: clock,
-	}
-	if r.co.Mesh {
-		bundle.Peers = append([]string(nil), r.addrs...)
-		bundle.PeerOf = append([]int(nil), r.peerOf...)
-	}
-	return p.link.Send(TStart, encBlobEnvelope(encJSON(bundle), schedBin, inputs))
 }
 
 // handleControl processes one fleet-elasticity request on the central
@@ -1244,7 +1061,7 @@ func (r *coRun) handleJoinAnnounce(ctx context.Context, req *ctlReq) error {
 		defer cancel()
 		c, err := dialBackoff(dctx, r.co.Transport, addr, 0, 0)
 		if err == nil {
-			if herr := handshake(c, Hello{Proto: ProtoVersion, Run: r.id}); herr != nil {
+			if _, herr := handshake(c, Hello{Proto: ProtoVersion, Run: r.id}); herr != nil {
 				c.Close()
 				c, err = nil, herr
 			}
@@ -1484,7 +1301,7 @@ func (r *coRun) checkAllResults() (bool, *exec.Result, error) {
 		if err != nil {
 			return false, nil, fmt.Errorf("wire: worker %d result: %w", p.i, err)
 		}
-		events, err := p.result.TraceEvents()
+		events, err := DecodeEvents(p.result.EventsBin)
 		if err != nil {
 			return false, nil, fmt.Errorf("wire: worker %d result: %w", p.i, err)
 		}
@@ -1535,7 +1352,7 @@ func (co *Coordinator) Calibrate(ctx context.Context, probes int) (machine.Calib
 		return cal, err
 	}
 	defer c.Close()
-	if err := handshake(c, Hello{Proto: ProtoVersion}); err != nil {
+	if _, err := handshake(c, Hello{Proto: ProtoVersion}); err != nil {
 		return cal, err
 	}
 

@@ -163,7 +163,7 @@ func TestCoordParkedWhileFinishing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := encJSON(ResultNote{Outputs: empty})
+	res := encJSON(ResultNote{Outputs: empty, EventsBin: EncodeEvents(nil)})
 	if err := w0.l.Send(TResult, res); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -107,20 +108,12 @@ func TestDistEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		mspec   string
 		workers int
-		mesh    bool
 	}{
-		{"hypercube:2", 2, false},
-		{"hypercube:3", 3, false},
-		{"star:4", 2, false},
-		{"hypercube:2", 2, true},
-		{"hypercube:3", 3, true},
-		{"star:4", 2, true},
+		{"hypercube:2", 2},
+		{"hypercube:3", 3},
+		{"star:4", 2},
 	} {
-		name := fmt.Sprintf("%s-%dw", tc.mspec, tc.workers)
-		if tc.mesh {
-			name += "-mesh"
-		}
-		t.Run(name, func(t *testing.T) {
+		t.Run(fmt.Sprintf("%s-%dw", tc.mspec, tc.workers), func(t *testing.T) {
 			m := distMachine(t, tc.mspec)
 			sc, err := sched.ETF{}.Schedule(flat.Graph, m)
 			if err != nil {
@@ -139,7 +132,6 @@ func TestDistEquivalence(t *testing.T) {
 				Runner:         &exec.Runner{Inputs: inputs},
 				HeartbeatEvery: 50 * time.Millisecond,
 				PeerTimeout:    2 * time.Second,
-				Mesh:           tc.mesh,
 			}
 			dist, err := co.Run(context.Background(), sc, flat)
 			if err != nil {
@@ -170,97 +162,78 @@ func TestDistEquivalence(t *testing.T) {
 // drives the global pause/replan/resume path and the run still produces
 // the fault-free outputs.
 func TestDistCrashRecovery(t *testing.T) {
-	for _, mesh := range []bool{false, true} {
-		name := "relay"
-		if mesh {
-			name = "mesh"
+	flat, inputs := distDesign(t, 4, 3)
+	m := distMachine(t, "hypercube:2")
+	sc, err := sched.ETF{}.Schedule(flat.Graph, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := (&exec.Runner{Inputs: inputs}).Run(sc, flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Crash a processor that actually has work, partway into its slot
+	// list, so surviving results and replanned work both exist.
+	crashPE, slots := -1, 0
+	for pe := 0; pe < m.NumPE(); pe++ {
+		n := 0
+		for _, sl := range sc.Slots {
+			if sl.PE == pe {
+				n++
+			}
 		}
-		t.Run(name, func(t *testing.T) {
-			flat, inputs := distDesign(t, 4, 3)
-			m := distMachine(t, "hypercube:2")
-			sc, err := sched.ETF{}.Schedule(flat.Graph, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			single, err := (&exec.Runner{Inputs: inputs}).Run(sc, flat)
-			if err != nil {
-				t.Fatal(err)
-			}
+		if n > slots {
+			crashPE, slots = pe, n
+		}
+	}
+	if crashPE < 0 || slots < 2 {
+		t.Fatal("schedule has no busy processor to crash")
+	}
+	plan, err := exec.ParseFaults(fmt.Sprintf("crash:%d@1", crashPE))
+	if err != nil {
+		t.Fatal(err)
+	}
 
-			// Crash a processor that actually has work, partway into its slot
-			// list, so surviving results and replanned work both exist.
-			crashPE, slots := -1, 0
-			for pe := 0; pe < m.NumPE(); pe++ {
-				n := 0
-				for _, sl := range sc.Slots {
-					if sl.PE == pe {
-						n++
-					}
-				}
-				if n > slots {
-					crashPE, slots = pe, n
-				}
-			}
-			if crashPE < 0 || slots < 2 {
-				t.Fatal("schedule has no busy processor to crash")
-			}
-			plan, err := exec.ParseFaults(fmt.Sprintf("crash:%d@1", crashPE))
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			tr := Inproc()
-			addrs, stop := startWorkers(t, tr, 2)
-			defer stop()
-			co := &Coordinator{
-				Transport: tr, Addrs: addrs,
-				Runner: &exec.Runner{Inputs: inputs, Faults: plan,
-					Retry: true, RetryBase: 2 * time.Millisecond, RetryCap: 20 * time.Millisecond},
-				HeartbeatEvery: 50 * time.Millisecond,
-				PeerTimeout:    2 * time.Second,
-				Mesh:           mesh,
-			}
-			dist, err := co.Run(context.Background(), sc, flat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(dist.Outputs, single.Outputs) {
-				t.Errorf("outputs diverged after crash recovery:\n dist   %v\n single %v", dist.Outputs, single.Outputs)
-			}
-			if !reflect.DeepEqual(dist.Printed, single.Printed) {
-				t.Errorf("printed lines diverged after crash recovery:\n dist   %q\n single %q", dist.Printed, single.Printed)
-			}
-			st, err := dist.Trace.Summarize(m.NumPE())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Faults == 0 {
-				t.Error("trace records no injected fault")
-			}
-			if st.Rescheduled == 0 {
-				t.Error("crash recovery recorded no rescheduled tasks")
-			}
-		})
+	tr := Inproc()
+	addrs, stop := startWorkers(t, tr, 2)
+	defer stop()
+	co := &Coordinator{
+		Transport: tr, Addrs: addrs,
+		Runner: &exec.Runner{Inputs: inputs, Faults: plan,
+			Retry: true, RetryBase: 2 * time.Millisecond, RetryCap: 20 * time.Millisecond},
+		HeartbeatEvery: 50 * time.Millisecond,
+		PeerTimeout:    2 * time.Second,
+	}
+	dist, err := co.Run(context.Background(), sc, flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dist.Outputs, single.Outputs) {
+		t.Errorf("outputs diverged after crash recovery:\n dist   %v\n single %v", dist.Outputs, single.Outputs)
+	}
+	if !reflect.DeepEqual(dist.Printed, single.Printed) {
+		t.Errorf("printed lines diverged after crash recovery:\n dist   %q\n single %q", dist.Printed, single.Printed)
+	}
+	st, err := dist.Trace.Summarize(m.NumPE())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Faults == 0 {
+		t.Error("trace records no injected fault")
+	}
+	if st.Rescheduled == 0 {
+		t.Error("crash recovery recorded no rescheduled tasks")
 	}
 }
 
 // TestDistWorkerLost: a worker daemon that dies mid-run is declared
 // dead by heartbeat loss and the run completes on the survivors with
 // the fault-free outputs.
+//
+// The dying worker also takes its mesh links down, so the survivors
+// must fall back to the coordinator for replayed sends.
 func TestDistWorkerLost(t *testing.T) {
-	for _, mesh := range []bool{false, true} {
-		name := "relay"
-		if mesh {
-			name = "mesh"
-		}
-		t.Run(name, func(t *testing.T) { distWorkerLost(t, mesh) })
-	}
-}
-
-// distWorkerLost runs the worker-death scenario on either data plane.
-// With mesh on, the dying worker also takes its peer links down, so the
-// survivors must fall back to coordinator relay for replayed sends.
-func distWorkerLost(t *testing.T, mesh bool) {
 	flat, inputs := distDesign(t, 6, 3)
 	m := distMachine(t, "hypercube:2")
 	sc, err := sched.ETF{}.Schedule(flat.Graph, m)
@@ -331,7 +304,6 @@ func distWorkerLost(t *testing.T, mesh bool) {
 		Runner:         &exec.Runner{Inputs: inputs, Faults: plan},
 		HeartbeatEvery: 50 * time.Millisecond,
 		PeerTimeout:    400 * time.Millisecond,
-		Mesh:           mesh,
 	}
 	dist, err := co.Run(context.Background(), sc, flat)
 	<-victimDone
@@ -376,5 +348,102 @@ func TestCoordinatorCalibrate(t *testing.T) {
 	}
 	if cm.NumPE() != m.NumPE() {
 		t.Errorf("calibrated machine changed size: %d != %d", cm.NumPE(), m.NumPE())
+	}
+}
+
+// noPeerDials is a transport on which worker-to-worker dials never
+// succeed — workers behind NAT, say: each can listen and be reached by
+// the coordinator, but none can reach another.
+type noPeerDials struct{ Transport }
+
+func (noPeerDials) Dial(context.Context, string) (Conn, error) {
+	return nil, fmt.Errorf("no route between workers")
+}
+
+// dataCounting counts the data frames written on the connections it
+// dials: given to the coordinator, that is exactly the frames the
+// coordinator forwards on behalf of workers whose mesh link is down.
+type dataCounting struct {
+	Transport
+	n *atomic.Int64
+}
+
+func (t dataCounting) Dial(ctx context.Context, addr string) (Conn, error) {
+	c, err := t.Transport.Dial(ctx, addr)
+	if err != nil {
+		return nil, err
+	}
+	return dataCountingConn{c, t.n}, nil
+}
+
+type dataCountingConn struct {
+	Conn
+	n *atomic.Int64
+}
+
+func (c dataCountingConn) WriteFrame(f Frame) error {
+	if f.Type == TData {
+		c.n.Add(1)
+	}
+	return c.Conn.WriteFrame(f)
+}
+
+func (c dataCountingConn) WriteFrameBuffered(f Frame) error {
+	if f.Type == TData {
+		c.n.Add(1)
+	}
+	return c.Conn.WriteFrameBuffered(f)
+}
+
+// TestDistRelayFallback: when no mesh link can come up, every
+// cross-worker message reaches its consumer through the coordinator
+// instead, and the run is none the wiser — outputs and print lines are
+// those of the single-process run. This is the per-link fallback the
+// mesh always had, exercised for a whole run: the forwarding path in
+// coRun.handleFrame stays covered without a relay mode to select it.
+func TestDistRelayFallback(t *testing.T) {
+	flat, inputs := distDesign(t, 4, 3)
+	m := distMachine(t, "hypercube:2")
+	sc, err := sched.ETF{}.Schedule(flat.Graph, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := (&exec.Runner{Inputs: inputs}).Run(sc, flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	workerOf := sched.Place(sc, 2)
+	crossing := 0
+	for _, msg := range sc.Msgs {
+		if workerOf[msg.FromPE] != workerOf[msg.ToPE] {
+			crossing++
+		}
+	}
+	if crossing == 0 {
+		t.Fatal("schedule has no cross-worker message to forward")
+	}
+
+	tr := Inproc()
+	addrs, stop := startWorkers(t, noPeerDials{tr}, 2)
+	defer stop()
+	var forwarded atomic.Int64
+	co := &Coordinator{
+		Transport: dataCounting{tr, &forwarded}, Addrs: addrs,
+		Runner:         &exec.Runner{Inputs: inputs},
+		HeartbeatEvery: 50 * time.Millisecond,
+		PeerTimeout:    2 * time.Second,
+	}
+	dist, err := co.Run(context.Background(), sc, flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dist.Outputs, single.Outputs) {
+		t.Errorf("outputs diverged:\n dist   %v\n single %v", dist.Outputs, single.Outputs)
+	}
+	if !reflect.DeepEqual(dist.Printed, single.Printed) {
+		t.Errorf("printed lines diverged:\n dist   %q\n single %q", dist.Printed, single.Printed)
+	}
+	if got := forwarded.Load(); got != int64(crossing) {
+		t.Errorf("coordinator forwarded %d data frames, want all %d cross-worker messages", got, crossing)
 	}
 }

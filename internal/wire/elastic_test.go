@@ -196,76 +196,67 @@ func holdChain(t *testing.T, sc *sched.Schedule, workers, n int, usec int64, avo
 // planned WorkerDrained (not a crash recovery), and nothing waits out
 // the peer timeout (set to 60s to prove it).
 func TestDistDrain(t *testing.T) {
-	for _, mesh := range []bool{false, true} {
-		name := "relay"
-		if mesh {
-			name = "mesh"
-		}
-		t.Run(name, func(t *testing.T) {
-			flat, inputs := distDesign(t, 6, 3)
-			m := distMachine(t, "hypercube:2")
-			sc, err := sched.ETF{}.Schedule(flat.Graph, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			single, err := (&exec.Runner{Inputs: inputs}).Run(sc, flat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plan, target := holdOpen(t, sc, 2, 1200000, -1)
+	flat, inputs := distDesign(t, 6, 3)
+	m := distMachine(t, "hypercube:2")
+	sc, err := sched.ETF{}.Schedule(flat.Graph, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := (&exec.Runner{Inputs: inputs}).Run(sc, flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, target := holdOpen(t, sc, 2, 1200000, -1)
 
-			tr := Inproc()
-			addrs, stop := startWorkers(t, tr, 2)
-			defer stop()
-			co := &Coordinator{
-				Transport: tr, Addrs: addrs, Control: "ctl",
-				Runner:         &exec.Runner{Inputs: inputs, Faults: plan, WatchdogMin: 10 * time.Second},
-				HeartbeatEvery: 50 * time.Millisecond,
-				// A long silence budget proves the drain never leans on
-				// heartbeat-loss detection or peer-timeout expiry.
-				PeerTimeout: 60 * time.Second,
-				Mesh:        mesh,
-				Logf:        t.Logf,
-			}
-			drained := make(chan error, 1)
-			go func() {
-				time.Sleep(300 * time.Millisecond)
-				drained <- ctlRetry(t, tr, "ctl", TDrain, encJSON(DrainNote{Worker: target}), 5*time.Second)
-			}()
-			dist, err := co.Run(context.Background(), sc, flat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := <-drained; err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(dist.Outputs, single.Outputs) {
-				t.Errorf("outputs diverged after drain:\n dist   %v\n single %v", dist.Outputs, single.Outputs)
-			}
-			if !reflect.DeepEqual(dist.Printed, single.Printed) {
-				t.Errorf("printed lines diverged after drain:\n dist   %q\n single %q", dist.Printed, single.Printed)
-			}
-			var drainedEv, crashResched, lost int
-			for _, e := range dist.Trace.Events {
-				switch {
-				case e.Kind == trace.WorkerDrained:
-					drainedEv++
-				case e.Kind == trace.TaskRescheduled && e.Note == "recovery":
-					crashResched++
-				case e.Kind == trace.PeerLost:
-					lost++
-				}
-			}
-			if drainedEv == 0 {
-				t.Error("trace records no WorkerDrained event")
-			}
-			if crashResched != 0 {
-				t.Errorf("drain produced %d crash-recovery reschedules; want 0 (all should be planned)", crashResched)
-			}
-			if lost != 0 {
-				t.Errorf("drain lost %d peers; a graceful departure must not look like a crash", lost)
-			}
-		})
+	tr := Inproc()
+	addrs, stop := startWorkers(t, tr, 2)
+	defer stop()
+	co := &Coordinator{
+		Transport: tr, Addrs: addrs, Control: "ctl",
+		Runner:         &exec.Runner{Inputs: inputs, Faults: plan, WatchdogMin: 10 * time.Second},
+		HeartbeatEvery: 50 * time.Millisecond,
+		// A long silence budget proves the drain never leans on
+		// heartbeat-loss detection or peer-timeout expiry.
+		PeerTimeout: 60 * time.Second,
+		Logf:        t.Logf,
+	}
+	drained := make(chan error, 1)
+	go func() {
+		time.Sleep(300 * time.Millisecond)
+		drained <- ctlRetry(t, tr, "ctl", TDrain, encJSON(DrainNote{Worker: target}), 5*time.Second)
+	}()
+	dist, err := co.Run(context.Background(), sc, flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-drained; err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dist.Outputs, single.Outputs) {
+		t.Errorf("outputs diverged after drain:\n dist   %v\n single %v", dist.Outputs, single.Outputs)
+	}
+	if !reflect.DeepEqual(dist.Printed, single.Printed) {
+		t.Errorf("printed lines diverged after drain:\n dist   %q\n single %q", dist.Printed, single.Printed)
+	}
+	var drainedEv, crashResched, lost int
+	for _, e := range dist.Trace.Events {
+		switch {
+		case e.Kind == trace.WorkerDrained:
+			drainedEv++
+		case e.Kind == trace.TaskRescheduled && e.Note == "recovery":
+			crashResched++
+		case e.Kind == trace.PeerLost:
+			lost++
+		}
+	}
+	if drainedEv == 0 {
+		t.Error("trace records no WorkerDrained event")
+	}
+	if crashResched != 0 {
+		t.Errorf("drain produced %d crash-recovery reschedules; want 0 (all should be planned)", crashResched)
+	}
+	if lost != 0 {
+		t.Errorf("drain lost %d peers; a graceful departure must not look like a crash", lost)
 	}
 }
 
@@ -273,79 +264,70 @@ func TestDistDrain(t *testing.T) {
 // through an expand replan and the run completes with fault-free
 // outputs on the expanded fleet.
 func TestDistJoinExpand(t *testing.T) {
-	for _, mesh := range []bool{false, true} {
-		name := "relay"
-		if mesh {
-			name = "mesh"
-		}
-		t.Run(name, func(t *testing.T) {
-			flat, inputs := distDesign(t, 6, 3)
-			m := distMachine(t, "hypercube:3")
-			sc, err := sched.ETF{}.Schedule(flat.Graph, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			single, err := (&exec.Runner{Inputs: inputs}).Run(sc, flat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Three workers; the delayed edges run between the two
-			// survivors so the victim's death cannot release the holds.
-			plan := holdChain(t, sc, 3, 2, 1000000, 2)
+	flat, inputs := distDesign(t, 6, 3)
+	m := distMachine(t, "hypercube:3")
+	sc, err := sched.ETF{}.Schedule(flat.Graph, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := (&exec.Runner{Inputs: inputs}).Run(sc, flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three workers; the delayed edges run between the two
+	// survivors so the victim's death cannot release the holds.
+	plan := holdChain(t, sc, 3, 2, 1000000, 2)
 
-			tr := Inproc()
-			addrs, stop := startWorkers(t, tr, 2)
-			defer stop()
-			// The third worker dies early; its processors revive on the
-			// joiner announced after the recovery settles.
-			victimCtx, killVictim := context.WithCancel(context.Background())
-			defer killVictim()
-			ready := make(chan struct{})
-			go ServeWorker(victimCtx, tr, "victim", WorkerOptions{Logf: t.Logf}, func(string) { close(ready) })
-			<-ready
-			co := &Coordinator{
-				Transport: tr, Addrs: []string{addrs[0], addrs[1], "victim"}, Control: "ctl",
-				Runner:         &exec.Runner{Inputs: inputs, Faults: plan, WatchdogMin: 10 * time.Second},
-				HeartbeatEvery: 50 * time.Millisecond,
-				PeerTimeout:    400 * time.Millisecond,
-				Mesh:           mesh,
-				Logf:           t.Logf,
-			}
-			joined := make(chan error, 1)
-			go func() {
-				time.Sleep(200 * time.Millisecond)
-				killVictim()
-				// Announce right away: the retry loop rides out "no free
-				// capacity" until heartbeat loss frees the victim's
-				// processors, then lands during the next hold.
-				time.Sleep(50 * time.Millisecond)
-				jstop := startNamedWorker(t, tr, "joiner")
-				t.Cleanup(jstop)
-				joined <- ctlRetry(t, tr, "ctl", TJoin, encJSON(JoinNote{Addr: "joiner"}), 5*time.Second)
-			}()
-			dist, err := co.Run(context.Background(), sc, flat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := <-joined; err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(dist.Outputs, single.Outputs) {
-				t.Errorf("outputs diverged after join:\n dist   %v\n single %v", dist.Outputs, single.Outputs)
-			}
-			if !reflect.DeepEqual(dist.Printed, single.Printed) {
-				t.Errorf("printed lines diverged after join:\n dist   %q\n single %q", dist.Printed, single.Printed)
-			}
-			joins := 0
-			for _, e := range dist.Trace.Events {
-				if e.Kind == trace.PeerConnected && e.Note == "join" {
-					joins++
-				}
-			}
-			if joins == 0 {
-				t.Error("trace records no joined peer")
-			}
-		})
+	tr := Inproc()
+	addrs, stop := startWorkers(t, tr, 2)
+	defer stop()
+	// The third worker dies early; its processors revive on the
+	// joiner announced after the recovery settles.
+	victimCtx, killVictim := context.WithCancel(context.Background())
+	defer killVictim()
+	ready := make(chan struct{})
+	go ServeWorker(victimCtx, tr, "victim", WorkerOptions{Logf: t.Logf}, func(string) { close(ready) })
+	<-ready
+	co := &Coordinator{
+		Transport: tr, Addrs: []string{addrs[0], addrs[1], "victim"}, Control: "ctl",
+		Runner:         &exec.Runner{Inputs: inputs, Faults: plan, WatchdogMin: 10 * time.Second},
+		HeartbeatEvery: 50 * time.Millisecond,
+		PeerTimeout:    400 * time.Millisecond,
+		Logf:           t.Logf,
+	}
+	joined := make(chan error, 1)
+	go func() {
+		time.Sleep(200 * time.Millisecond)
+		killVictim()
+		// Announce right away: the retry loop rides out "no free
+		// capacity" until heartbeat loss frees the victim's
+		// processors, then lands during the next hold.
+		time.Sleep(50 * time.Millisecond)
+		jstop := startNamedWorker(t, tr, "joiner")
+		t.Cleanup(jstop)
+		joined <- ctlRetry(t, tr, "ctl", TJoin, encJSON(JoinNote{Addr: "joiner"}), 5*time.Second)
+	}()
+	dist, err := co.Run(context.Background(), sc, flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-joined; err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dist.Outputs, single.Outputs) {
+		t.Errorf("outputs diverged after join:\n dist   %v\n single %v", dist.Outputs, single.Outputs)
+	}
+	if !reflect.DeepEqual(dist.Printed, single.Printed) {
+		t.Errorf("printed lines diverged after join:\n dist   %q\n single %q", dist.Printed, single.Printed)
+	}
+	joins := 0
+	for _, e := range dist.Trace.Events {
+		if e.Kind == trace.PeerConnected && e.Note == "join" {
+			joins++
+		}
+	}
+	if joins == 0 {
+		t.Error("trace records no joined peer")
 	}
 }
 
@@ -380,7 +362,6 @@ func TestDistElasticChurn(t *testing.T) {
 		Runner:         &exec.Runner{Inputs: inputs, Faults: plan, WatchdogMin: 10 * time.Second},
 		HeartbeatEvery: 50 * time.Millisecond,
 		PeerTimeout:    400 * time.Millisecond,
-		Mesh:           true,
 		Logf:           t.Logf,
 	}
 	churn := make(chan error, 1)
@@ -471,7 +452,6 @@ func TestChurnSoak(t *testing.T) {
 		firstAt := time.Duration(150+rng.Intn(200)) * time.Millisecond
 		op := rng.Intn(3)          // 0: drain, 1: kill, 2: kill then join
 		drainTarget := rng.Intn(2) // drains pick one of the two survivors
-		mesh := rng.Intn(2) == 0
 		t.Run(fmt.Sprintf("round%d-op%d", round, op), func(t *testing.T) {
 			plan := holdChain(t, sc, 3, 3, holdUsec, 2)
 			tr := Inproc()
@@ -491,7 +471,6 @@ func TestChurnSoak(t *testing.T) {
 				Runner:         &exec.Runner{Inputs: inputs, Faults: plan, WatchdogMin: 10 * time.Second},
 				HeartbeatEvery: 50 * time.Millisecond,
 				PeerTimeout:    400 * time.Millisecond,
-				Mesh:           mesh,
 				Logf:           t.Logf,
 			}
 			churn := make(chan error, 1)
@@ -555,7 +534,7 @@ func TestCoordJoinWhileFinishing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := encJSON(ResultNote{Outputs: empty})
+	res := encJSON(ResultNote{Outputs: empty, EventsBin: EncodeEvents(nil)})
 	if err := w0.l.Send(TResult, res); err != nil {
 		t.Fatal(err)
 	}

@@ -58,8 +58,10 @@ type Fleet struct {
 	HeartbeatEvery time.Duration
 	PeerTimeout    time.Duration
 	FlushEvery     time.Duration
-	Mesh           bool
-	Logf           func(string, ...any)
+	// Mesh is ignored: the mesh is always on. The field is kept only
+	// until the benchmark harness's struct literals drop it.
+	Mesh bool
+	Logf func(string, ...any)
 
 	mu      sync.Mutex // guards members, load, active, lis, closed
 	members map[string]bool
@@ -408,9 +410,8 @@ func (f *Fleet) runOnce(ctx context.Context, runner *exec.Runner, sc *sched.Sche
 	co := &Coordinator{
 		Transport: f.Transport, Addrs: placed, Runner: runner,
 		HeartbeatEvery: f.HeartbeatEvery, PeerTimeout: f.PeerTimeout,
-		FlushEvery: f.FlushEvery, Mesh: f.Mesh,
-		MinWorkers: f.MinWorkers,
-		Logf:       f.Logf,
+		FlushEvery: f.FlushEvery, MinWorkers: f.MinWorkers,
+		Logf: f.Logf,
 	}
 	f.active[co] = true
 	for _, a := range placed {

@@ -19,7 +19,7 @@ import (
 func startFleet(t *testing.T, tr Transport, seed []string) *Fleet {
 	t.Helper()
 	f := &Fleet{Transport: tr, Control: "fleet-control", Seed: seed, Logf: t.Logf,
-		HeartbeatEvery: 50 * time.Millisecond, PeerTimeout: 2 * time.Second, Mesh: true}
+		HeartbeatEvery: 50 * time.Millisecond, PeerTimeout: 2 * time.Second}
 	if err := f.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestFleetMaxRunsCaps(t *testing.T) {
 	addrs, stop := startWorkers(t, tr, 2)
 	defer stop()
 	f := &Fleet{Transport: tr, Control: "fleet-control-capped", Seed: addrs, Logf: t.Logf,
-		HeartbeatEvery: 50 * time.Millisecond, PeerTimeout: 2 * time.Second, Mesh: true,
+		HeartbeatEvery: 50 * time.Millisecond, PeerTimeout: 2 * time.Second,
 		MaxRuns: 1}
 	if err := f.Start(); err != nil {
 		t.Fatal(err)

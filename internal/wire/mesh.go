@@ -10,7 +10,7 @@ import (
 	"repro/internal/exec"
 )
 
-// The mesh data plane. With the star topology every cross-worker
+// The mesh data plane. Through the coordinator every cross-worker
 // message pays two hops (sender -> coordinator -> consumer); the mesh
 // lets workers dial each other directly and send destination-prefixed
 // Data frames point-to-point, while the coordinator keeps arbitrating
@@ -194,6 +194,7 @@ func (m *mesh) dialLoop(j int, addr string) {
 		rcvd, err := m.helloPeer(c, p.link.Rcvd())
 		if err != nil {
 			c.Close()
+			m.cfg.logf("mesh hello to worker %d (%s) failed: %v", j, addr, err)
 			select {
 			case <-time.After(backoff):
 			case <-m.ctx.Done():
@@ -224,7 +225,7 @@ func (m *mesh) helloPeer(c Conn, rcvd uint64) (uint64, error) {
 	}
 	ch := make(chan res, 1)
 	go func() {
-		r, err := reHandshake(c, h)
+		r, err := handshake(c, h)
 		ch <- res{r, err}
 	}()
 	select {

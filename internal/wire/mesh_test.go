@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -164,5 +166,35 @@ func TestMeshLostPeerFallsBack(t *testing.T) {
 	}
 	if m.peer(2) != nil {
 		t.Error("peer must not resurrect a dead worker")
+	}
+}
+
+// TestMeshHelloRejectionLogsReason: a mesh dial to a daemon that does
+// not host the run is refused with the daemon's reason, and the dialer
+// logs that reason (not just "expected welcome") before it retries.
+func TestMeshHelloRejectionLogsReason(t *testing.T) {
+	tr := Inproc()
+	addrs, stop := startWorkers(t, tr, 1)
+	defer stop()
+	logged := make(chan string, 64)
+	m := newMesh(meshConfig{transport: tr, runID: "no-such-run", self: 1,
+		addrs: []string{addrs[0], "self"}, peerOf: []int{0, 1},
+		logf: func(format string, args ...any) {
+			select {
+			case logged <- fmt.Sprintf(format, args...):
+			default:
+			}
+		}}, func(exec.RemoteMsg) error { return nil })
+	defer m.close()
+	deadline := time.After(5 * time.Second)
+	for {
+		select {
+		case line := <-logged:
+			if strings.Contains(line, "unknown run") {
+				return
+			}
+		case <-deadline:
+			t.Fatal("the daemon's rejection reason never reached the dialer's log")
+		}
 	}
 }

@@ -420,7 +420,6 @@ func TestMultiSoak(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		holdUsec := int64(900000 + rng.Intn(600000))
 		killAt := time.Duration(150+rng.Intn(200)) * time.Millisecond
-		mesh := rng.Intn(2) == 0
 		t.Run(fmt.Sprintf("round%d", round), func(t *testing.T) {
 			tr := Inproc()
 			addrs, stop := startWorkers(t, tr, 2)
@@ -440,8 +439,7 @@ func TestMultiSoak(t *testing.T) {
 
 			f := &Fleet{Transport: tr, Control: "fleet-control", Logf: t.Logf,
 				Seed:           append(append([]string{}, addrs...), "worker-9-victim"),
-				HeartbeatEvery: 50 * time.Millisecond, PeerTimeout: 500 * time.Millisecond,
-				Mesh: mesh}
+				HeartbeatEvery: 50 * time.Millisecond, PeerTimeout: 500 * time.Millisecond}
 			if err := f.Start(); err != nil {
 				t.Fatal(err)
 			}

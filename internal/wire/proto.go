@@ -11,7 +11,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/machine"
 	"repro/internal/sched"
-	"repro/internal/trace"
 )
 
 // Control payloads are JSON (small, evolvable, debuggable); data and
@@ -91,13 +90,11 @@ func OptsFor(r *exec.Runner) RunOpts {
 // flattening's external bindings, the input data, its hosted processor
 // mask and the runner options.
 type StartBundle struct {
-	Run      string          `json:"run"`
-	Worker   int             `json:"worker"`  // this worker's index
-	Workers  int             `json:"workers"` // total worker count
-	Hosted   []bool          `json:"hosted"`
-	Schedule json.RawMessage `json:"schedule,omitempty"`
-	// ScheduleBin is the EncodeSchedule form; when present it replaces
-	// Schedule (the JSON form remains decodable for older senders).
+	Run     string `json:"run"`
+	Worker  int    `json:"worker"`  // this worker's index
+	Workers int    `json:"workers"` // total worker count
+	Hosted  []bool `json:"hosted"`
+	// ScheduleBin is the EncodeSchedule form of the schedule.
 	ScheduleBin []byte                    `json:"scheduleBin,omitempty"`
 	ExternalIn  map[graph.NodeID][]string `json:"externalIn,omitempty"`
 	ExternalOut map[graph.NodeID][]string `json:"externalOut,omitempty"`
@@ -108,19 +105,18 @@ type StartBundle struct {
 	HeartbeatEvery int64 `json:"heartbeatEvery"`
 	PeerTimeout    int64 `json:"peerTimeout"`
 	// Mesh data plane. Peers lists every worker's listen address by
-	// worker index (empty: relay all data through the coordinator) and
-	// PeerOf maps each processor to the worker hosting it, so a sender
-	// can route a data frame point-to-point. FlushEvery is the frame
-	// coalescing window in nanoseconds (0 picks the default).
+	// worker index and PeerOf maps each processor to the worker hosting
+	// it, so a sender can route a data frame point-to-point. FlushEvery
+	// is the frame coalescing window in nanoseconds (0 picks the
+	// default).
 	Peers      []string `json:"peers,omitempty"`
 	PeerOf     []int    `json:"peerOf,omitempty"`
 	FlushEvery int64    `json:"flushEvery,omitempty"`
 	// Plan is set for a worker joining a run already in flight: the
 	// same global replan the surviving sessions install with Resume.
 	// The new session starts directly in Plan.Epoch with its virtual
-	// clocks at Clock (the run's global maximum at the barrier).
-	Plan  *ResumeNote  `json:"plan,omitempty"`
-	Clock machine.Time `json:"clock,omitempty"`
+	// clocks at Plan.Clock (the run's global maximum at the barrier).
+	Plan *ResumeNote `json:"plan,omitempty"`
 }
 
 // Workers see the same schedule bytes on every run of a given design
@@ -135,34 +131,26 @@ var (
 
 const schedCacheMax = 64
 
-// DecodeScheduleBundle returns the bundle's schedule, preferring the
-// binary form.
+// DecodeScheduleBundle returns the bundle's schedule.
 func (b *StartBundle) DecodeScheduleBundle() (*sched.Schedule, error) {
-	if len(b.ScheduleBin) > 0 {
-		schedCacheMu.Lock()
-		// The in-place string conversion makes the lookup allocation-free;
-		// the key is only materialized on a miss.
-		if s, ok := schedCache[string(b.ScheduleBin)]; ok {
-			schedCacheMu.Unlock()
-			return s, nil
-		}
-		schedCacheMu.Unlock()
-		s, err := DecodeSchedule(b.ScheduleBin)
-		if err != nil {
-			return nil, err
-		}
-		schedCacheMu.Lock()
-		if len(schedCache) >= schedCacheMax {
-			schedCache = map[string]*sched.Schedule{}
-		}
-		schedCache[string(b.ScheduleBin)] = s
+	schedCacheMu.Lock()
+	// The in-place string conversion makes the lookup allocation-free;
+	// the key is only materialized on a miss.
+	if s, ok := schedCache[string(b.ScheduleBin)]; ok {
 		schedCacheMu.Unlock()
 		return s, nil
 	}
-	s := &sched.Schedule{}
-	if err := json.Unmarshal(b.Schedule, s); err != nil {
-		return nil, fmt.Errorf("wire: bad schedule in start bundle: %w", err)
+	schedCacheMu.Unlock()
+	s, err := DecodeSchedule(b.ScheduleBin)
+	if err != nil {
+		return nil, err
 	}
+	schedCacheMu.Lock()
+	if len(schedCache) >= schedCacheMax {
+		schedCache = map[string]*sched.Schedule{}
+	}
+	schedCache[string(b.ScheduleBin)] = s
+	schedCacheMu.Unlock()
 	return s, nil
 }
 
@@ -213,6 +201,39 @@ type ParkedNote struct {
 	PrintedPE []int    `json:"printedPE,omitempty"`
 }
 
+// parkedNote is the wire form of a pause state; a checkpoint's env
+// store and trace events come back as the envelope's two blobs.
+func parkedNote(st *exec.PauseState) (ParkedNote, [][]byte, error) {
+	n := ParkedNote{Done: st.Done, Held: st.Held, Dead: st.Dead, Clock: st.Clock,
+		Printed: st.Printed, PrintedPE: st.PrintedPE}
+	if st.Local == nil {
+		return n, nil, nil
+	}
+	ckpt, err := EncodeCheckpoint(st.Local)
+	if err != nil {
+		return n, nil, err
+	}
+	return n, [][]byte{ckpt, EncodeEvents(st.Events)}, nil
+}
+
+// state is parkedNote's inverse: the pause state the note and its
+// envelope blobs (none, or a checkpoint's two) describe.
+func (n ParkedNote) state(blobs [][]byte) (*exec.PauseState, error) {
+	st := &exec.PauseState{Done: n.Done, Held: n.Held, Dead: n.Dead, Clock: n.Clock,
+		Printed: n.Printed, PrintedPE: n.PrintedPE}
+	if len(blobs) < 2 {
+		return st, nil
+	}
+	var err error
+	if st.Local, err = DecodeCheckpoint(blobs[0]); err != nil {
+		return nil, err
+	}
+	if st.Events, err = DecodeEvents(blobs[1]); err != nil {
+		return nil, fmt.Errorf("events: %w", err)
+	}
+	return st, nil
+}
+
 // ImportRef names one surviving task result re-homed by a drain: the
 // env bytes ride out of band, one blob per import, in Imports order.
 type ImportRef struct {
@@ -239,28 +260,55 @@ type ResumeNote struct {
 	// to it. Empty means no membership change.
 	Peers  []string `json:"peers,omitempty"`
 	PeerOf []int    `json:"peerOf,omitempty"`
+	// Clock is the run's latest virtual clock at the barrier; a joiner
+	// starts its processors there.
+	Clock machine.Time `json:"clock,omitempty"`
+}
+
+// resumeNote is the wire form of a resume plan: the note, and one
+// EncodeEnv blob per import in Imports order.
+func resumeNote(p *exec.ResumePlan) (ResumeNote, [][]byte, error) {
+	n := ResumeNote{Epoch: p.Epoch, Slots: p.Slots, Msgs: p.Msgs, Done: p.Done,
+		Dead: p.Dead, Adopt: p.Adopt, Clock: p.Clock}
+	var blobs [][]byte
+	for _, im := range p.Imports {
+		eb, err := EncodeEnv(im.Env)
+		if err != nil {
+			return n, nil, fmt.Errorf("wire: encode drain import for task %s: %w", im.Task, err)
+		}
+		n.Imports = append(n.Imports, ImportRef{Task: im.Task, PE: im.PE})
+		blobs = append(blobs, eb)
+	}
+	return n, blobs, nil
+}
+
+// plan is resumeNote's inverse: the plan a session installs, with the
+// envelope's blobs decoded into the imports' envs.
+func (n *ResumeNote) plan(blobs [][]byte) (*exec.ResumePlan, error) {
+	p := &exec.ResumePlan{Epoch: n.Epoch, Slots: n.Slots, Msgs: n.Msgs, Done: n.Done,
+		Dead: n.Dead, Adopt: n.Adopt, Clock: n.Clock}
+	if len(blobs) < len(n.Imports) {
+		return nil, fmt.Errorf("resume names %d imports but carries %d env blobs", len(n.Imports), len(blobs))
+	}
+	for i, ref := range n.Imports {
+		env, err := DecodeEnv(blobs[i])
+		if err != nil {
+			return nil, fmt.Errorf("bad import env for task %s: %w", ref.Task, err)
+		}
+		p.Imports = append(p.Imports, exec.Import{Task: ref.Task, PE: ref.PE, Env: env})
+	}
+	return p, nil
 }
 
 // ResultNote is a worker's partial result at the end of a run.
-// Events travel binary (EncodeEvents) in EventsBin; the JSON Events
-// field remains decodable for older senders.
 type ResultNote struct {
 	Outputs []byte                  `json:"outputs"` // EncodeEnv bytes
 	Exports map[string]graph.NodeID `json:"exports,omitempty"`
 	Printed []string                `json:"printed,omitempty"`
 	// PrintedPE tags each print line with its processor, so the merge
 	// restores ascending-processor order under non-contiguous placement.
-	PrintedPE []int         `json:"printedPE,omitempty"`
-	Events    []trace.Event `json:"events,omitempty"`
-	EventsBin []byte        `json:"eventsBin,omitempty"` // EncodeEvents bytes
-}
-
-// TraceEvents returns the note's events, preferring the binary form.
-func (n *ResultNote) TraceEvents() ([]trace.Event, error) {
-	if len(n.EventsBin) > 0 {
-		return DecodeEvents(n.EventsBin)
-	}
-	return n.Events, nil
+	PrintedPE []int  `json:"printedPE,omitempty"`
+	EventsBin []byte `json:"eventsBin,omitempty"` // EncodeEvents bytes
 }
 
 // ErrorNote aborts the run with a root cause.

@@ -596,32 +596,21 @@ func handleFrame(run *workerRun, f Frame, opt WorkerOptions) (bool, error) {
 				return false, err
 			}
 		}
-		if pn.Checkpoint {
-			// Graceful drain: pack the full local state into the reply —
-			// env checkpoint and trace events out of band, print lines
-			// in the JSON — so this process can depart losing nothing.
-			st, err := run.ses.PauseCheckpoint()
-			if err != nil {
-				return false, err
-			}
-			run.flushData()
-			ckpt, err := EncodeCheckpoint(st.Local)
-			if err != nil {
-				return false, err
-			}
-			note := ParkedNote{Done: st.Done, Held: st.Held, Dead: st.Dead, Clock: st.Clock,
-				Printed: st.Printed, PrintedPE: st.PrintedPE}
-			return false, run.link.Send(TParked, encBlobEnvelope(encJSON(note), ckpt, EncodeEvents(st.Events)))
-		}
-		st, err := run.ses.Pause()
+		// A graceful drain's checkpoint packs the full local state into
+		// the reply — env checkpoint and trace events out of band, print
+		// lines in the JSON — so this process can depart losing nothing.
+		st, err := run.ses.Pause(pn.Checkpoint)
 		if err != nil {
 			return false, err
 		}
 		// The barrier: everything coalescing must be on the wire before
 		// the coordinator sees Parked.
 		run.flushData()
-		note := ParkedNote{Done: st.Done, Held: st.Held, Dead: st.Dead, Clock: st.Clock}
-		return false, run.link.Send(TParked, encJSON(note))
+		note, blobs, err := parkedNote(st)
+		if err != nil {
+			return false, err
+		}
+		return false, run.link.Send(TParked, encBlobEnvelope(encJSON(note), blobs...))
 	case TResume:
 		if run.ses == nil {
 			return false, fmt.Errorf("resume frame before start")
@@ -634,19 +623,9 @@ func handleFrame(run *workerRun, f Frame, opt WorkerOptions) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		plan := &exec.ResumePlan{Epoch: note.Epoch, Slots: note.Slots, Msgs: note.Msgs,
-			Done: note.Done, Dead: note.Dead, Adopt: note.Adopt}
-		if len(note.Imports) > 0 {
-			if len(blobs) < len(note.Imports) {
-				return false, fmt.Errorf("resume names %d imports but carries %d env blobs", len(note.Imports), len(blobs))
-			}
-			for i, ref := range note.Imports {
-				env, err := DecodeEnv(blobs[i])
-				if err != nil {
-					return false, fmt.Errorf("bad import env for task %s: %w", ref.Task, err)
-				}
-				plan.Imports = append(plan.Imports, exec.Import{Task: ref.Task, PE: ref.PE, Env: env})
-			}
+		plan, err := note.plan(blobs)
+		if err != nil {
+			return false, err
 		}
 		if err := run.ses.Resume(plan); err != nil {
 			return false, err
@@ -717,10 +696,11 @@ func startRun(run *workerRun, bundle *StartBundle, opt WorkerOptions) error {
 		// Mid-run join: the bundle carries the resume plan every
 		// surviving session installed at the barrier; this session
 		// starts directly in that epoch with its clocks advanced.
-		plan := &exec.ResumePlan{Epoch: bundle.Plan.Epoch, Slots: bundle.Plan.Slots,
-			Msgs: bundle.Plan.Msgs, Done: bundle.Plan.Done, Dead: bundle.Plan.Dead,
-			Adopt: bundle.Plan.Adopt}
-		ses, err = runner.StartSessionFrom(s, flat, bundle.Hosted, workerPlane{run: run}, plan, bundle.Clock)
+		var plan *exec.ResumePlan
+		if plan, err = bundle.Plan.plan(nil); err != nil {
+			return err
+		}
+		ses, err = runner.StartSessionFrom(s, flat, bundle.Hosted, workerPlane{run: run}, plan)
 	} else {
 		ses, err = runner.StartSession(s, flat, bundle.Hosted, workerPlane{run: run})
 	}
@@ -794,7 +774,7 @@ func resultNote(p *exec.Partial) ([]byte, error) {
 
 // workerPlane adapts the run's links to the session's RemotePlane:
 // data frames go point-to-point over the mesh when the destination's
-// link is up, and fall back to the coordinator relay otherwise;
+// link is up, and to the coordinator — which forwards them — otherwise;
 // control notifications always go to the coordinator.
 type workerPlane struct{ run *workerRun }
 
