@@ -8,10 +8,15 @@ build:
 # The second line keeps the data plane at one mode: Coordinator.Mesh
 # and Fleet.Mesh are declared no-ops (kept until the frozen benchmark
 # harness stops naming them) and nothing may read them back into a
-# meaning.
+# meaning. The next two keep the run lifecycle in one place: planning a
+# barrier and merging partials are exec.Lifecycle's alone, so
+# internal/wire may not name either, and the single-process recovery
+# loop must not grow back beside it.
 vet:
 	$(GO) vet ./...
 	! grep -rnE '\.Mesh([^(A-Za-z0-9_]|$$)' --include='*.go' internal cmd | grep -v _test.go | grep -vE 'Mesh +bool'
+	! grep -rnE 'PlanResume|MergePartials' --include='*.go' internal/wire
+	! grep -rn 'recoverRun' --include='*.go' internal/exec | grep -v _test.go
 
 test:
 	$(GO) test ./...

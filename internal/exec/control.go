@@ -15,9 +15,10 @@ import (
 	"repro/internal/trace"
 )
 
-// This file is the run coordinator: the goroutine that watches worker
-// life-cycle events, detects global stalls, and — when a processor
-// crashes — drives the pause/replan/resume recovery protocol.
+// This file is one session's coordinator: the goroutine that watches
+// its workers' life-cycle events, reports them to the remote plane,
+// carries out the Pause/Resume commands that come back, and detects
+// global stalls.
 
 // wevent is a worker life-cycle notification to the coordinator.
 type wevent struct {
@@ -43,26 +44,15 @@ type era struct {
 	resume chan struct{}
 }
 
-// sessCmd is one request from the session API (Pause/Resume) to the
-// distributed coordinator loop.
+// sessCmd is one request from the session API to the coordinator loop:
+// a Resume when it carries a plan, else a Pause. The reply is the
+// paused state (nil for a Resume, or when the session aborted instead).
 type sessCmd struct {
-	kind cmdKind
 	plan *ResumePlan
 	// checkpoint asks a pause to hand over the full worker-local state
 	// (a graceful drain's departure gift); see Session.Pause.
 	checkpoint bool
-	reply      chan sessReply
-}
-
-type cmdKind int
-
-const (
-	cmdPause cmdKind = iota
-	cmdResume
-)
-
-type sessReply struct {
-	state *PauseState
+	reply      chan *PauseState
 }
 
 // controller owns the shared state of one execution session.
@@ -72,15 +62,15 @@ type controller struct {
 	flat   *graph.Flat
 	numPE  int
 
-	// hosted flags the processors this process runs (nil = all); plane
-	// carries remote traffic when hosting a subset. cmds feeds
-	// Pause/Resume requests to the distributed coordinator loop.
+	// hosted flags the processors this session runs; plane carries
+	// traffic for the rest and hears the life-cycle reports. cmds feeds
+	// Pause/Resume requests to the coordinator loop.
 	hosted []bool
 	plane  RemotePlane
 	cmds   chan sessCmd
-	// quiescent is set while every live hosted worker is idle or parked
-	// (distributed mode only): local progress legitimately stops while
-	// other processes still work, so the stall detector must hold fire.
+	// quiescent is set while every live hosted worker is idle or parked:
+	// local progress legitimately stops while other sessions still work
+	// (or the barrier forms), so the stall detector must hold fire.
 	quiescent atomic.Bool
 
 	done   chan struct{} // closed to abort the run (some worker failed)
@@ -112,16 +102,13 @@ type controller struct {
 func (c *controller) abort()    { c.doneOnce.Do(func() { close(c.done) }) }
 func (c *controller) complete() { c.finishOnce.Do(func() { close(c.finish) }) }
 
-// isLocal reports whether processor pe is hosted by this process.
+// isLocal reports whether processor pe is hosted by this session.
 func (c *controller) isLocal(pe int) bool {
-	return c.hosted == nil || (pe >= 0 && pe < len(c.hosted) && c.hosted[pe])
+	return pe >= 0 && pe < len(c.hosted) && c.hosted[pe]
 }
 
-// numLocal counts the processors hosted by this process.
+// numLocal counts the processors hosted by this session.
 func (c *controller) numLocal() int {
-	if c.hosted == nil {
-		return c.numPE
-	}
 	n := 0
 	for _, h := range c.hosted {
 		if h {
@@ -179,74 +166,6 @@ func (c *controller) post(ev wevent) {
 	case c.events <- ev:
 	case <-c.done:
 	}
-}
-
-// coordinate is the coordinator loop. Hosting the whole machine it ends
-// the run cleanly when all live workers are idle and runs the recovery
-// protocol on each crash; hosting a subset it reports idleness and
-// crashes to the remote plane and obeys the global coordinator's
-// Pause/Resume/FinishRun commands instead.
-func (c *controller) coordinate() {
-	if c.plane != nil {
-		c.coordinateRemote()
-		return
-	}
-	live := c.numPE
-	idle := 0
-	for {
-		select {
-		case <-c.done:
-			return
-		case ev := <-c.events:
-			switch ev.kind {
-			case evIdle:
-				idle++
-				if idle >= live {
-					c.complete()
-					return
-				}
-			case evCrash:
-				live--
-				if !c.recoverRun(&live) {
-					return
-				}
-				idle = 0
-			}
-		}
-	}
-}
-
-// recoverRun drives one recovery, in the same three steps a fleet
-// runs: park every live worker, plan the next era with PlanResume
-// (this session being the only survivor), install the plan and release
-// the workers into it. Returns false if the run must end instead.
-func (c *controller) recoverRun(live *int) bool {
-	st, ok := c.pauseLocal(live, false)
-	if !ok {
-		return false
-	}
-	if *live == 0 {
-		c.fail(fmt.Errorf("exec: all processors crashed"))
-		return false
-	}
-	dead := make([]bool, c.numPE)
-	for _, pe := range st.Dead {
-		dead[pe] = true
-	}
-	plan, events, err := PlanResume(c.s, c.flat, Barrier{
-		Epoch: c.era.Load().epoch + 1, Dead: dead, Parked: []*PauseState{st},
-		Cause: "recovery", Now: c.now(), VirtualTime: c.runner.VirtualTime})
-	if err != nil {
-		c.fail(err)
-		return false
-	}
-	for _, e := range events {
-		c.addEvent(e)
-	}
-	c.resumeLocal(plan)
-	c.stats.Recoveries.Add(1)
-	c.quiescent.Store(false)
-	return true
 }
 
 // assignment is the per-processor derivation of a recovery plan: slot
@@ -327,11 +246,11 @@ func (c *controller) applyAdoptions(ads []Adoption) {
 	}
 }
 
-// coordinateRemote is the coordinator loop of a session hosting a
-// subset of the machine: crashes and idleness are reported to the
-// remote plane (the global coordinator decides what to do), and
-// Pause/Resume arrive as commands instead of being self-initiated.
-func (c *controller) coordinateRemote() {
+// coordinate is the session's coordinator loop. It decides nothing:
+// idleness and crashes of the hosted processors are reported to the
+// plane (the run's Lifecycle, behind it, decides what to do), and
+// Pause/Resume arrive as commands from there.
+func (c *controller) coordinate() {
 	live := c.numLocal()
 	idle := 0
 	if live == 0 {
@@ -361,34 +280,31 @@ func (c *controller) coordinateRemote() {
 				c.plane.LocalCrash(ev.pe)
 			}
 		case cmd := <-c.cmds:
-			switch cmd.kind {
-			case cmdPause:
+			idle = 0
+			if cmd.plan == nil {
 				st, ok := c.pauseLocal(&live, cmd.checkpoint)
-				cmd.reply <- sessReply{state: st}
+				cmd.reply <- st
 				if !ok {
 					return
 				}
-				idle = 0
-			case cmdResume:
-				c.resumeLocal(cmd.plan)
-				idle = 0
-				if live > 0 {
-					c.quiescent.Store(false)
-				} else {
-					// Every hosted processor has crashed: no worker will
-					// ever emit evIdle again, so report idleness now or
-					// the global coordinator waits for this session
-					// forever.
-					c.plane.LocalIdle()
-				}
-				cmd.reply <- sessReply{}
+				continue
 			}
+			c.resumeLocal(cmd.plan)
+			if live > 0 {
+				c.quiescent.Store(false)
+			} else {
+				// Every hosted processor has crashed: no worker will
+				// ever emit evIdle again, so report idleness now or
+				// the lifecycle waits for this session forever.
+				c.plane.LocalIdle()
+			}
+			cmd.reply <- nil
 		}
 	}
 }
 
 // pauseLocal drives every live hosted worker to the recovery barrier
-// and snapshots the state the global coordinator needs to replan.
+// and snapshots the state the lifecycle needs to replan.
 // With checkpoint set it additionally packs the full worker-local env
 // checkpoint, print lines and trace events — everything a drained
 // process must hand over before departing. Returns false if the
@@ -408,12 +324,9 @@ func (c *controller) pauseLocal(live *int, checkpoint bool) (*PauseState, bool) 
 				parked++
 			case evCrash:
 				// A processor died racing the pause; report it so the
-				// global replan sees it too (a single-process run reads it
-				// off the returned state's Dead list).
+				// global replan sees it too.
 				*live--
-				if c.plane != nil {
-					c.plane.LocalCrash(ev.pe)
-				}
+				c.plane.LocalCrash(ev.pe)
 			case evIdle:
 				// Stale: the worker will park too.
 			}
@@ -422,7 +335,7 @@ func (c *controller) pauseLocal(live *int, checkpoint bool) (*PauseState, bool) 
 	// Every live hosted worker is parked: state is safe to read (the
 	// evParked receive orders their writes before ours). Each surviving
 	// task result is attributed to its lowest live local holder; the
-	// global coordinator breaks cross-process ties the same way, by
+	// planner breaks cross-session ties the same way, by
 	// ascending processor.
 	st := &PauseState{Done: map[graph.NodeID]int{}}
 	held := map[string]bool{}
@@ -643,9 +556,8 @@ func (c *controller) stallWatch(timeout time.Duration) {
 			return
 		case <-tick.C:
 			cur := c.progress.Load()
-			// A quiescent distributed session (all hosted workers idle
-			// or parked) legitimately makes no progress while other
-			// processes still work.
+			// A quiescent session (all hosted workers idle or parked)
+			// legitimately makes no progress while others still work.
 			if cur != last || c.quiescent.Load() {
 				last = cur
 				lastChange = time.Now()

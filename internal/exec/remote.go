@@ -11,13 +11,13 @@ import (
 	"repro/internal/trace"
 )
 
-// This file is the transport seam of the runner: the types a remote
-// message plane (internal/wire) exchanges with a hosted execution
-// session. A single-process run never touches any of this — its
-// deliveries stay on the in-process channel path — but a distributed
-// run hosts only a subset of the machine's processors per OS process
-// and hands every cross-process delivery, idle notification and crash
-// report to a RemotePlane.
+// This file is the seam between a hosted execution session and whatever
+// drives it: the types a session exchanges with its RemotePlane. Every
+// session has one. A single-process run hosts the whole machine in one
+// session, so its plane never carries a delivery and only hears idle
+// and crash reports (runner.go); a distributed run hosts a subset of
+// the processors per OS process and hands every cross-process delivery,
+// idle notification and crash report to internal/wire.
 
 // RemoteMsg is one scheduled delivery crossing a process boundary: the
 // wire-facing form of the runner's internal message, minus the ack
@@ -42,8 +42,8 @@ type RemoteMsg struct {
 	Val pits.Value
 }
 
-// RemotePlane connects a session hosting a subset of processors to the
-// rest of a distributed run. Implementations must be safe for
+// RemotePlane connects a session to the rest of its run: the processors
+// it does not host, and the lifecycle that decides what happens next. Implementations must be safe for
 // concurrent use: worker goroutines deliver concurrently.
 type RemotePlane interface {
 	// DeliverRemote ships one message toward the process hosting
@@ -53,7 +53,7 @@ type RemotePlane interface {
 	// finished its current era's slot list.
 	LocalIdle()
 	// LocalCrash reports an injected crash killing locally-hosted
-	// processor pe. The coordinator must drive a global recovery.
+	// processor pe. The run's lifecycle must drive a recovery.
 	LocalCrash(pe int)
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/machine"
 	"repro/internal/pits"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -152,36 +153,103 @@ func (r *Runner) Run(s *sched.Schedule, flat *graph.Flat) (*Result, error) {
 
 // RunContext is Run with cancellation: when ctx is cancelled, the run
 // aborts and the cancellation is reported as its root cause.
+//
+// It is the in-process driver of the run Lifecycle: one member, one
+// Session hosting every processor. Idleness, crashes, barrier states
+// and the final partial arrive on one channel and go through Step; the
+// effects that come back are direct calls on the session. Every failure
+// — a worker's, the lifecycle's, a cancellation — aborts the session
+// and surfaces through its Wait, which words the root cause.
 func (r *Runner) RunContext(ctx context.Context, s *sched.Schedule, flat *graph.Flat) (*Result, error) {
-	ses, err := r.StartSession(s, flat, nil, nil)
+	if s == nil || s.Machine == nil {
+		return nil, fmt.Errorf("exec: nil schedule or design")
+	}
+	hosted := make([]bool, s.Machine.NumPE())
+	for pe := range hosted {
+		hosted[pe] = true
+	}
+	quit := make(chan struct{})
+	defer close(quit)
+	plane := localPlane{events: make(chan Event), quit: quit}
+	ses, err := r.StartSession(s, flat, hosted, plane)
 	if err != nil {
 		return nil, err
 	}
-	if ctx != nil && ctx.Done() != nil {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-ctx.Done():
-				ses.Abort(fmt.Errorf("exec: run cancelled: %w", ctx.Err()))
-			case <-stop:
+	go func() {
+		if p, err := ses.Wait(); err != nil {
+			plane.post(err)
+		} else {
+			plane.post(Returned{Partial: p})
+		}
+	}()
+	lc := NewLifecycle(s, flat, r, []string{""}, make([]int, len(hosted)), 0)
+	var cancelled <-chan struct{}
+	if ctx != nil {
+		cancelled = ctx.Done()
+	}
+	for {
+		var ev Event
+		select {
+		case <-cancelled:
+			ses.Abort(fmt.Errorf("exec: run cancelled: %w", ctx.Err()))
+			cancelled = nil
+			continue
+		case ev = <-plane.events:
+		}
+		if err, failed := ev.(error); failed {
+			return nil, err
+		}
+		effects, err := lc.Step(ev, machine.Time(ses.Elapsed().Microseconds()))
+		if err != nil {
+			if _, over := ev.(Returned); over {
+				return nil, err // the session is gone: nothing left to abort or wait for
 			}
-		}()
+			ses.Abort(err)
+		}
+		for _, ef := range effects {
+			switch e := ef.(type) {
+			case Pause:
+				// Off the loop: a processor dying on its way to the barrier
+				// is reported while Pause is still gathering the rest.
+				go func() {
+					if st, err := ses.Pause(e.Checkpoint); err == nil {
+						plane.post(Parked{State: st})
+					}
+				}()
+			case Resume:
+				if err := ses.Resume(e.Plan); err != nil {
+					ses.Abort(err)
+				}
+			case Finish:
+				ses.FinishRun()
+			case Done:
+				e.Result.Elapsed = ses.Elapsed()
+				e.Result.Trace.Sort()
+				return e.Result, nil
+			}
+		}
 	}
-	p, err := ses.Wait()
-	if err != nil {
-		return nil, err
-	}
-	outputs, printed, err := MergePartials(p)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Outputs: outputs, Printed: printed,
-		Trace:   &trace.Trace{Label: "run:" + s.Algorithm, Events: p.Events},
-		Elapsed: ses.Elapsed()}
-	res.Trace.Sort()
-	return res, nil
 }
+
+// localPlane is the RemotePlane of the session that hosts the whole
+// machine: nothing is remote, and its reports feed RunContext's loop.
+type localPlane struct {
+	events chan Event
+	quit   chan struct{} // closed when the run returns
+}
+
+func (p localPlane) post(ev Event) {
+	select {
+	case p.events <- ev:
+	case <-p.quit:
+	}
+}
+
+func (p localPlane) DeliverRemote(m RemoteMsg) error {
+	return fmt.Errorf("exec: PE %d is not on this machine", m.ToPE)
+}
+func (p localPlane) LocalIdle()        { p.post(Idle{}) }
+func (p localPlane) LocalCrash(pe int) { p.post(Crash{PE: pe}) }
 
 // checkInputs validates the runner's Inputs against the design's
 // external input variables, reporting every missing one at once.

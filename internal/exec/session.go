@@ -46,12 +46,13 @@ func parseCached(src string) (*pits.Program, error) {
 	return p, nil
 }
 
-// Session is one process's share of a running schedule: the worker
+// Session is one member's share of a running schedule: the worker
 // goroutines of its hosted processors plus the coordinator loop that
-// watches them. A single-process Run hosts every processor and drives
-// the session itself; a distributed run hosts a subset per process and
-// drives each session remotely through Deliver/Pause/Resume/FinishRun,
-// with cross-process deliveries flowing through the RemotePlane.
+// watches them. It is driven from outside through Deliver/Pause/
+// Resume/FinishRun and reports through its RemotePlane; a
+// single-process Run is one session hosting every processor, a
+// distributed run one session per worker daemon, and the same
+// Lifecycle sits behind either.
 type Session struct {
 	runner    *Runner
 	s         *sched.Schedule
@@ -64,9 +65,9 @@ type Session struct {
 }
 
 // StartSession validates the schedule and launches the hosted workers.
-// hosted flags which processors run in this process (nil = all, the
-// single-process mode); a non-nil hosted requires a plane to carry
-// deliveries to and notifications about the rest of the machine.
+// hosted flags which processors run in this session; plane carries
+// deliveries to the rest of the machine and hears this session's
+// idleness and crashes.
 func (r *Runner) StartSession(s *sched.Schedule, flat *graph.Flat, hosted []bool, plane RemotePlane) (*Session, error) {
 	ses, err := r.buildSession(s, flat, hosted, plane)
 	if err != nil {
@@ -114,15 +115,11 @@ func (r *Runner) buildSession(s *sched.Schedule, flat *graph.Flat, hosted []bool
 	}
 	g := s.Graph
 	numPE := s.Machine.NumPE()
-	if hosted != nil {
-		if len(hosted) != numPE {
-			return nil, fmt.Errorf("exec: %d hosted flags for %d processors", len(hosted), numPE)
-		}
-		if plane == nil {
-			return nil, fmt.Errorf("exec: hosting a subset of processors requires a remote plane")
-		}
-	} else if plane != nil {
-		return nil, fmt.Errorf("exec: remote plane without hosted set")
+	if len(hosted) != numPE {
+		return nil, fmt.Errorf("exec: %d hosted flags for %d processors", len(hosted), numPE)
+	}
+	if plane == nil {
+		return nil, fmt.Errorf("exec: a session needs a remote plane")
 	}
 	// Build the schedule's index and the topology's routing tables now:
 	// both caches fill lazily and unsynchronized, and every worker
@@ -278,20 +275,21 @@ func (ses *Session) Stats() StatsSnapshot { return ses.ctrl.stats.Snapshot() }
 func (ses *Session) Elapsed() time.Duration { return time.Since(ses.start) }
 
 // command round-trips one request through the coordinator loop.
-func (ses *Session) command(cmd sessCmd) (sessReply, error) {
+func (ses *Session) command(cmd sessCmd) (*PauseState, error) {
 	c := ses.ctrl
+	cmd.reply = make(chan *PauseState, 1)
 	select {
 	case c.cmds <- cmd:
 	case <-c.done:
-		return sessReply{}, fmt.Errorf("exec: session aborted")
+		return nil, fmt.Errorf("exec: session aborted")
 	case <-c.finish:
-		return sessReply{}, fmt.Errorf("exec: session already finished")
+		return nil, fmt.Errorf("exec: session already finished")
 	}
 	select {
-	case rep := <-cmd.reply:
-		return rep, nil
+	case st := <-cmd.reply:
+		return st, nil
 	case <-c.done:
-		return sessReply{}, fmt.Errorf("exec: session aborted")
+		return nil, fmt.Errorf("exec: session aborted")
 	}
 }
 
@@ -303,14 +301,11 @@ func (ses *Session) command(cmd sessCmd) (sessReply, error) {
 // PauseState, so the coordinator can re-home this process's entire
 // contribution to the run before the process departs.
 func (ses *Session) Pause(checkpoint bool) (*PauseState, error) {
-	rep, err := ses.command(sessCmd{kind: cmdPause, checkpoint: checkpoint, reply: make(chan sessReply, 1)})
-	if err != nil {
-		return nil, err
+	st, err := ses.command(sessCmd{checkpoint: checkpoint})
+	if err == nil && st == nil {
+		err = fmt.Errorf("exec: session aborted during pause")
 	}
-	if rep.state == nil {
-		return nil, fmt.Errorf("exec: session aborted during pause")
-	}
-	return rep.state, nil
+	return st, err
 }
 
 // Resume installs the recovery plan's hosted share and releases the
@@ -319,7 +314,7 @@ func (ses *Session) Resume(p *ResumePlan) error {
 	if p == nil || len(p.Dead) != ses.ctrl.numPE {
 		return fmt.Errorf("exec: malformed resume plan")
 	}
-	_, err := ses.command(sessCmd{kind: cmdResume, plan: p, reply: make(chan sessReply, 1)})
+	_, err := ses.command(sessCmd{plan: p})
 	return err
 }
 

@@ -46,11 +46,13 @@ func TestStatsConcurrentIncrements(t *testing.T) {
 	}
 }
 
-// TestSessionStatsMatchTrace runs a real schedule and checks the
-// session counters agree with what the trace records: counters and
-// events are incremented at the same sites, so a drift means one of
-// them lies.
-func TestSessionStatsMatchTrace(t *testing.T) {
+// TestRunStatsMatchTrace runs a real schedule and checks the runner's
+// counters agree with what the trace records: counters and events are
+// incremented at the same sites, so a drift means one of them lies.
+// The crashed variant adds the one counter no session can keep — a
+// recovery is the lifecycle's doing, counted once per completed
+// crash barrier.
+func TestRunStatsMatchTrace(t *testing.T) {
 	flat := diamondDesign(t)
 	inputs := pits.Env{"x0": pits.Num(3)}
 	m := testMachine(t, "hypercube:2", params())
@@ -58,34 +60,40 @@ func TestSessionStatsMatchTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &Runner{Inputs: inputs, VirtualTime: true}
-	ses, err := r.StartSession(sc, flat, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := ses.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := ses.Stats()
-	tr := &trace.Trace{Events: p.Events}
-	counts := map[trace.Kind]int64{}
-	for _, e := range tr.Events {
-		counts[e.Kind]++
-	}
-	if snap.TasksRun != counts[trace.TaskStart] {
-		t.Errorf("TasksRun = %d, trace has %d task starts", snap.TasksRun, counts[trace.TaskStart])
-	}
-	if snap.MsgsSent != counts[trace.MsgSend] {
-		t.Errorf("MsgsSent = %d, trace has %d sends", snap.MsgsSent, counts[trace.MsgSend])
-	}
-	if snap.MsgsRecv != counts[trace.MsgRecv] {
-		t.Errorf("MsgsRecv = %d, trace has %d receives", snap.MsgsRecv, counts[trace.MsgRecv])
-	}
-	if snap.FaultsInjected != 0 || snap.Recoveries != 0 {
-		t.Errorf("fault-free run recorded faults=%d recoveries=%d", snap.FaultsInjected, snap.Recoveries)
-	}
-	if snap.TasksRun == 0 || snap.MsgsSent == 0 {
-		t.Error("counters never moved on a real run")
+	for _, tc := range []struct {
+		faults           string
+		faulted, recover int64
+	}{{"", 0, 0}, {"crash:1@0", 1, 1}} {
+		r := &Runner{Inputs: inputs, VirtualTime: true, Stats: &Stats{}}
+		if tc.faults != "" {
+			if r.Faults, err = ParseFaults(tc.faults); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := r.Run(sc, flat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := r.Stats.Snapshot()
+		counts := map[trace.Kind]int64{}
+		for _, e := range res.Trace.Events {
+			counts[e.Kind]++
+		}
+		if snap.TasksRun != counts[trace.TaskStart] {
+			t.Errorf("%q: TasksRun = %d, trace has %d task starts", tc.faults, snap.TasksRun, counts[trace.TaskStart])
+		}
+		if snap.MsgsSent != counts[trace.MsgSend] {
+			t.Errorf("%q: MsgsSent = %d, trace has %d sends", tc.faults, snap.MsgsSent, counts[trace.MsgSend])
+		}
+		if snap.MsgsRecv != counts[trace.MsgRecv] {
+			t.Errorf("%q: MsgsRecv = %d, trace has %d receives", tc.faults, snap.MsgsRecv, counts[trace.MsgRecv])
+		}
+		if snap.FaultsInjected != tc.faulted || snap.Recoveries != tc.recover {
+			t.Errorf("%q: faults=%d recoveries=%d, want %d and %d", tc.faults,
+				snap.FaultsInjected, snap.Recoveries, tc.faulted, tc.recover)
+		}
+		if snap.TasksRun == 0 || snap.MsgsSent == 0 {
+			t.Errorf("%q: counters never moved on a real run", tc.faults)
+		}
 	}
 }

@@ -2,9 +2,58 @@ package wire
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 )
+
+// Why a forwarded fleet change found no run to apply to. Together with
+// exec's drain sentinels these mean "this run does not involve the
+// worker", which a fleet-wide drain skips over; match with errors.Is.
+var (
+	errNoRun    = errors.New("wire: no run in flight")
+	errRunEnded = errors.New("run ended before the fleet change completed")
+)
+
+// readControl reads the one request a fresh control connection carries,
+// a join announce or a drain order, and returns its note. The first
+// frame must arrive promptly: a stuck dialer must not hold the
+// connection past the run, or wedge an accept path. A connection that
+// sends nothing readable, or something malformed, is answered and
+// closed here, and both results are nil.
+func readControl(c Conn) (*JoinNote, *DrainNote) {
+	guard := time.AfterFunc(10*time.Second, func() { c.Close() })
+	f, err := c.ReadFrame()
+	guard.Stop()
+	switch {
+	case err != nil:
+		c.Close()
+	case f.Type == TJoin:
+		if n, err := decJSON[JoinNote](f.Payload, "join"); err == nil && n.Addr != "" {
+			return &n, nil
+		}
+		rejectConn(c, "bad join request: missing worker address")
+	case f.Type == TDrain:
+		if n, err := decJSON[DrainNote](f.Payload, "drain"); err == nil {
+			return nil, &n
+		}
+		rejectConn(c, "bad drain request")
+	default:
+		rejectConn(c, fmt.Sprintf("unexpected %s frame on a control connection", f.Type))
+	}
+	return nil, nil
+}
+
+// answerControl closes a control connection with the request's verdict:
+// Welcome when err is nil, else an Error naming the reason.
+func answerControl(c Conn, err error) {
+	if err != nil {
+		rejectConn(c, err.Error())
+		return
+	}
+	c.WriteFrame(Frame{Type: TWelcome, Payload: encJSON(Welcome{Proto: ProtoVersion})})
+	c.Close()
+}
 
 // controlRequest opens a fresh connection to a coordinator's control
 // listener, sends one request frame, and waits for the verdict: a

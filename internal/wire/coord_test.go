@@ -58,9 +58,8 @@ func (w *scripted) readUntil(ty Type) Frame {
 				fail <- err
 				return
 			}
-			if f.Wid != 0 && w.l.Accept(f) {
-				w.c.WriteFrame(Frame{Type: TAck, Payload: encU64(w.l.Rcvd())})
-			}
+			w.l.Receive(f)
+			w.l.Flush() // acks what Receive just took in
 			if f.Type == ty {
 				got <- f
 				return

@@ -200,7 +200,7 @@ func TestDistCrashRecovery(t *testing.T) {
 	defer stop()
 	co := &Coordinator{
 		Transport: tr, Addrs: addrs,
-		Runner: &exec.Runner{Inputs: inputs, Faults: plan,
+		Runner: &exec.Runner{Inputs: inputs, Faults: plan, Stats: &exec.Stats{},
 			Retry: true, RetryBase: 2 * time.Millisecond, RetryCap: 20 * time.Millisecond},
 		HeartbeatEvery: 50 * time.Millisecond,
 		PeerTimeout:    2 * time.Second,
@@ -208,6 +208,11 @@ func TestDistCrashRecovery(t *testing.T) {
 	dist, err := co.Run(context.Background(), sc, flat)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The workers' counters live in their own processes; the recovery is
+	// the coordinator's doing and counts here.
+	if got := co.Runner.Stats.Recoveries.Load(); got != 1 {
+		t.Errorf("Runner.Stats.Recoveries = %d after one crash recovery, want 1", got)
 	}
 	if !reflect.DeepEqual(dist.Outputs, single.Outputs) {
 		t.Errorf("outputs diverged after crash recovery:\n dist   %v\n single %v", dist.Outputs, single.Outputs)

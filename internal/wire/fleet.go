@@ -2,9 +2,9 @@ package wire
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -176,105 +176,82 @@ func (f *Fleet) coordinators() []*Coordinator {
 // control answers one control connection: a join adds the member and is
 // offered to every run in flight, a drain evacuates the worker from
 // every run it hosts and then removes it (respecting the MinWorkers
-// floor). The first frame must arrive promptly — a stuck dialer must
-// not wedge the accept path.
+// floor).
 func (f *Fleet) control(c Conn) {
-	defer c.Close()
-	guard := time.AfterFunc(10*time.Second, func() { c.Close() })
-	defer guard.Stop()
-	fr, err := c.ReadFrame()
-	if err != nil {
-		return
-	}
-	switch fr.Type {
-	case TJoin:
-		note, err := decJSON[JoinNote](fr.Payload, "join")
-		if err != nil || note.Addr == "" {
-			rejectConn(c, "malformed join announce")
-			return
-		}
+	switch join, drain := readControl(c); {
+	case join != nil:
 		f.mu.Lock()
-		known := f.members[note.Addr]
-		if !known && !f.closed {
-			f.members[note.Addr] = true
+		known, closed := f.members[join.Addr], f.closed
+		if !known && !closed {
+			f.members[join.Addr] = true
 		}
-		closed := f.closed
 		f.mu.Unlock()
 		if closed {
 			rejectConn(c, "fleet is shutting down")
 			return
 		}
 		if !known {
-			f.Logf("fleet: worker %s joined (%d members)", note.Addr, f.Size())
+			f.Logf("fleet: worker %s joined (%d members)", join.Addr, f.Size())
 		}
-		c.WriteFrame(Frame{Type: TWelcome})
-		c.Close()
+		answerControl(c, nil)
 		// Offer the worker to every run in flight. Most reject it
 		// (no dead processors, a barrier already forming) — that is
 		// steady-state noise, and announce loops re-offer every cycle —
 		// but a run that lost a worker picks the joiner up here.
 		for _, co := range f.coordinators() {
 			jctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			if err := co.SubmitJoin(jctx, note.Addr); err == nil {
-				f.Logf("fleet: worker %s joined a run in flight", note.Addr)
+			if err := co.SubmitJoin(jctx, join.Addr); err == nil {
+				f.Logf("fleet: worker %s joined a run in flight", join.Addr)
 			}
 			cancel()
 		}
-	case TDrain:
-		note, err := decJSON[DrainNote](fr.Payload, "drain")
-		if err != nil || note.Addr == "" {
-			rejectConn(c, "fleet drain needs a worker address (-addr)")
-			return
-		}
-		floor := f.MinWorkers
-		if floor < 1 {
-			floor = 1
-		}
-		f.mu.Lock()
-		member, n := f.members[note.Addr], len(f.members)
-		f.mu.Unlock()
-		switch {
-		case !member:
-			rejectConn(c, fmt.Sprintf("no member %s", note.Addr))
-			return
-		case n <= floor:
-			rejectConn(c, fmt.Sprintf("drain would leave %d live workers (floor %d)", n-1, floor))
-			return
-		}
-		// Evacuate the worker from every run it hosts: each run pauses,
-		// takes the checkpoint handover, replans onto its survivors and
-		// says goodbye. Only then may the member leave the pool.
-		for _, co := range f.coordinators() {
-			dctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-			err := co.SubmitDrain(dctx, -1, note.Addr)
-			cancel()
-			if err == nil || drainIrrelevant(err) {
-				continue
-			}
-			rejectConn(c, fmt.Sprintf("drain deferred: %v; retry", err))
-			return
-		}
-		f.mu.Lock()
-		delete(f.members, note.Addr)
-		n = len(f.members)
-		f.mu.Unlock()
-		f.Logf("fleet: worker %s drained (%d members)", note.Addr, n)
-		c.WriteFrame(Frame{Type: TWelcome})
-	default:
-		rejectConn(c, fmt.Sprintf("unexpected %s on the fleet control connection", fr.Type))
+	case drain != nil:
+		answerControl(c, f.drain(drain.Addr))
 	}
+}
+
+// drain evacuates the member at addr from every run it hosts — each run
+// pauses, takes the checkpoint handover, replans onto its survivors and
+// says goodbye — and only then removes it from the pool.
+func (f *Fleet) drain(addr string) error {
+	if addr == "" {
+		return errors.New("fleet drain needs a worker address (-addr)")
+	}
+	f.mu.Lock()
+	member, n := f.members[addr], len(f.members)
+	f.mu.Unlock()
+	switch floor := max(f.MinWorkers, 1); {
+	case !member:
+		return fmt.Errorf("no member %s", addr)
+	case n <= floor:
+		return fmt.Errorf("drain would leave %d live workers (floor %d)", n-1, floor)
+	}
+	for _, co := range f.coordinators() {
+		dctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+		err := co.SubmitDrain(dctx, -1, addr)
+		cancel()
+		if err != nil && !drainIrrelevant(err) {
+			return fmt.Errorf("drain deferred: %v; retry", err)
+		}
+	}
+	f.mu.Lock()
+	delete(f.members, addr)
+	n = len(f.members)
+	f.mu.Unlock()
+	f.Logf("fleet: worker %s drained (%d members)", addr, n)
+	return nil
 }
 
 // drainIrrelevant reports whether a per-run drain rejection means the
 // run simply does not (or no longer) involves the worker — which is
 // fine — as opposed to a real obstacle worth surfacing.
 func drainIrrelevant(err error) bool {
-	s := err.Error()
-	return strings.Contains(s, "no such worker") ||
-		strings.Contains(s, "already drained") ||
-		strings.Contains(s, "already lost") ||
-		strings.Contains(s, "no run in flight") ||
-		strings.Contains(s, "run ended before the fleet change")
+	for _, fine := range []error{exec.ErrNoSuchWorker, exec.ErrAlreadyDrained, exec.ErrAlreadyLost, errNoRun, errRunEnded} {
+		if errors.Is(err, fine) {
+			return true
+		}
+	}
+	return false
 }
 
 // probe dials every member and drops the ones whose daemons are gone.
@@ -296,6 +273,7 @@ func (f *Fleet) probe(ctx context.Context) []string {
 			if err != nil {
 				f.mu.Lock()
 				delete(f.members, a)
+				delete(f.load, a)
 				f.mu.Unlock()
 				f.Logf("fleet: dropping dead worker %s: %v", a, err)
 				return
@@ -424,8 +402,10 @@ func (f *Fleet) runOnce(ctx context.Context, runner *exec.Runner, sc *sched.Sche
 	f.mu.Lock()
 	delete(f.active, co)
 	for _, a := range placed {
-		if f.load[a] > 0 {
-			f.load[a]--
+		// Entries live only while a run is placed there: members come
+		// and go (restarted daemons, fresh ports), the map must not grow.
+		if f.load[a]--; f.load[a] <= 0 {
+			delete(f.load, a)
 		}
 	}
 	f.mu.Unlock()

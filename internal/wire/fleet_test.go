@@ -155,6 +155,16 @@ func TestFleetDropsDeadWorker(t *testing.T) {
 	if n := f.Size(); n != 1 {
 		t.Fatalf("size after probe = %d, want 1", n)
 	}
+	// Load is kept only for members with a run placed on them: with the
+	// runs over and the victim dropped, nothing may be left behind (a
+	// long-lived fleet whose workers restart on fresh ports would
+	// otherwise grow the map forever).
+	f.mu.Lock()
+	left := len(f.load)
+	f.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("load map holds %d entries with no run in flight, want 0", left)
+	}
 
 	// A restarted daemon announces its way back in.
 	rctx, rcancel := context.WithCancel(context.Background())

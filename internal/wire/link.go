@@ -26,6 +26,7 @@ type Link struct {
 	max    int        // outbox cap; 0 means DefaultMaxOutbox
 	failed error      // sticky: set when the outbox cap is exceeded
 	dirty  bool       // buffered frames await a Flush
+	ackDue bool       // sequenced frames arrived since the last ack went out
 
 	// Accumulated byte counters of connections that came and went.
 	pastIn, pastOut int64
@@ -110,15 +111,24 @@ func (l *Link) sendSeq(t Type, payload []byte, pooled, buffered bool) error {
 	return l.conn.WriteFrame(f)
 }
 
-// Flush drives buffered frames onto the wire. A no-op while detached
-// or when nothing is buffered.
+// Flush drives buffered frames onto the wire, led by one cumulative
+// ack when sequenced frames arrived since the last one. A no-op when
+// nothing is owed or buffered; while detached the ack is dropped (the
+// reconnect handshake re-exchanges watermarks, so nothing is lost).
 func (l *Link) Flush() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.dirty || l.conn == nil {
+	ack := l.ackDue
+	l.ackDue = false
+	if l.conn == nil || !ack && !l.dirty {
 		return nil
 	}
 	l.dirty = false
+	if ack {
+		if err := l.conn.WriteFrameBuffered(Frame{Type: TAck, Payload: encU64(l.rcvd)}); err != nil {
+			return err
+		}
+	}
 	return l.conn.Flush()
 }
 
@@ -134,28 +144,25 @@ func (l *Link) SendRaw(f Frame) error {
 	return l.conn.WriteFrame(f)
 }
 
-// SendRawBuffered queues an unsequenced frame behind any coalescing
-// data frames; the next Flush carries all of them.
-func (l *Link) SendRawBuffered(f Frame) error {
+// Receive runs the receive side of the link for one inbound frame and
+// reports whether the caller should handle it. An ack prunes the outbox
+// and is consumed; an unsequenced frame always passes; a sequenced frame
+// already seen (a replay overlap after a reconnect) is absorbed; and
+// every sequenced frame, fresh or replayed, puts an ack on the next
+// Flush.
+func (l *Link) Receive(f Frame) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.conn == nil {
-		return ErrLinkDetached
-	}
-	l.dirty = true
-	return l.conn.WriteFrameBuffered(f)
-}
-
-// Accept runs the receive-side bookkeeping for a frame: an unsequenced
-// frame always passes; a sequenced frame already seen (a replay
-// overlap) is absorbed. The caller should ack l.Rcvd() after handling
-// sequenced frames.
-func (l *Link) Accept(f Frame) bool {
-	if f.Wid == 0 {
+	switch {
+	case f.Type == TAck:
+		if wid, err := decU64(f.Payload); err == nil {
+			l.pruneLocked(wid)
+		}
+		return false
+	case f.Wid == 0:
 		return true
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.ackDue = true
 	if f.Wid <= l.rcvd {
 		return false
 	}
@@ -170,13 +177,7 @@ func (l *Link) Rcvd() uint64 {
 	return l.rcvd
 }
 
-// Acked prunes the outbox up to the peer's cumulative watermark.
-func (l *Link) Acked(wid uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.pruneLocked(wid)
-}
-
+// pruneLocked drops the outbox up to the peer's cumulative watermark.
 func (l *Link) pruneLocked(wid uint64) {
 	i := 0
 	for i < len(l.outbox) && l.outbox[i].f.Wid <= wid {

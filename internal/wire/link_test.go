@@ -25,7 +25,7 @@ func TestLinkReplayAfterReattach(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	l.Acked(2)
+	l.Receive(ack(2))
 
 	// The connection dies; a frame sent while detached queues silently.
 	l.Detach()
@@ -57,22 +57,88 @@ func TestLinkReplayAfterReattach(t *testing.T) {
 	}
 }
 
-func TestLinkAcceptDeduplicates(t *testing.T) {
-	l := NewLink(nil)
-	if !l.Accept(Frame{Type: THeartbeat}) {
-		t.Error("unsequenced frame rejected")
+// ack is the frame a peer sends to confirm everything through wid.
+func ack(wid uint64) Frame { return Frame{Type: TAck, Payload: encU64(wid)} }
+
+// TestLinkReceive pins the receive side the coordinator, the worker
+// daemon and the mesh all share: unsequenced frames pass, a replay
+// overlap is absorbed but still re-acked, acks are consumed, and
+// however many sequenced frames arrive between two flushes, the flush
+// carries exactly one cumulative ack — and none when nothing arrived.
+func TestLinkReceive(t *testing.T) {
+	a, b := inprocPair()
+	l := NewLink(a)
+	acks := func() (n int, last uint64) {
+		t.Helper()
+		// A heartbeat marks the end of what the flush put on the wire.
+		if err := l.SendRaw(Frame{Type: THeartbeat}); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			f, err := b.ReadFrame()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.Type == THeartbeat {
+				return n, last
+			}
+			if f.Type != TAck {
+				t.Fatalf("unexpected %s frame", f.Type)
+			}
+			n++
+			if last, err = decU64(f.Payload); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if !l.Accept(Frame{Type: TData, Wid: 1}) {
-		t.Error("fresh wid 1 rejected")
+
+	if !l.Receive(Frame{Type: THeartbeat}) {
+		t.Error("unsequenced frame not delivered")
 	}
-	if l.Accept(Frame{Type: TData, Wid: 1}) {
-		t.Error("replayed wid 1 accepted twice")
+	l.Flush()
+	if n, _ := acks(); n != 0 {
+		t.Errorf("%d acks after an unsequenced frame, want none", n)
 	}
-	if !l.Accept(Frame{Type: TData, Wid: 2}) {
-		t.Error("fresh wid 2 rejected")
+	for wid := uint64(1); wid <= 3; wid++ {
+		if !l.Receive(Frame{Type: TData, Wid: wid}) {
+			t.Errorf("fresh wid %d not delivered", wid)
+		}
 	}
-	if l.Rcvd() != 2 {
-		t.Errorf("watermark %d, want 2", l.Rcvd())
+	l.Flush()
+	if n, last := acks(); n != 1 || last != 3 {
+		t.Errorf("%d acks (last %d) after three frames and one flush, want one ack of 3", n, last)
+	}
+	l.Flush()
+	if n, _ := acks(); n != 0 {
+		t.Errorf("%d acks from a flush with nothing new, want none", n)
+	}
+
+	// Replay overlap: a reconnecting peer resends 2 and 3, then 4.
+	if l.Receive(Frame{Type: TData, Wid: 2}) || l.Receive(Frame{Type: TData, Wid: 3}) {
+		t.Error("replayed wid delivered twice")
+	}
+	l.Flush()
+	if n, last := acks(); n != 1 || last != 3 {
+		t.Errorf("%d acks (last %d) after a pure replay, want one re-ack of 3", n, last)
+	}
+	if l.Receive(Frame{Type: TData, Wid: 3}) || !l.Receive(Frame{Type: TData, Wid: 4}) {
+		t.Error("replay tail: wid 3 must be absorbed and wid 4 delivered")
+	}
+	if l.Rcvd() != 4 {
+		t.Errorf("watermark %d, want 4", l.Rcvd())
+	}
+
+	// Acks are the link's own business: consumed, and they prune.
+	for i := 0; i < 3; i++ {
+		if err := l.Send(TData, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if l.Receive(ack(2)) || l.Receive(Frame{Type: TAck, Payload: []byte{1}}) {
+		t.Error("ack frame handed to the caller")
+	}
+	if len(l.outbox) != 1 || l.outbox[0].f.Wid != 3 {
+		t.Errorf("outbox after ack of 2: %d frames, want only wid 3", len(l.outbox))
 	}
 }
 
@@ -107,7 +173,7 @@ func TestLinkOutboxCap(t *testing.T) {
 		if err := l2.Send(TData, []byte{byte(i)}); err != nil {
 			t.Fatalf("acked send %d: %v", i, err)
 		}
-		l2.Acked(uint64(i + 1))
+		l2.Receive(ack(uint64(i + 1)))
 	}
 }
 
@@ -153,7 +219,7 @@ func TestLinkConcurrentSendReattach(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for !stop.Load() {
-			l.Acked(seen.Load())
+			l.Receive(ack(seen.Load()))
 			time.Sleep(50 * time.Microsecond)
 		}
 	}()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/exec"
@@ -65,17 +64,9 @@ type mesh struct {
 	// highest index, dials us — existing dial loops never change).
 	addrs  []string
 	peerOf []int
-	peers  map[int]*meshPeer // established links by worker index
-	lost   map[int]bool      // workers declared dead or departed
+	peers  map[int]*Link // established (possibly detached) links by worker index
+	lost   map[int]bool  // workers declared dead or departed
 	closed bool
-}
-
-// meshPeer is one established (possibly detached) direct link.
-type meshPeer struct {
-	link *Link
-	// ackDue batches acks: readers set it after accepting sequenced
-	// frames, the flusher folds one cumulative ack into the next flush.
-	ackDue atomic.Bool
 }
 
 // newMesh starts the dial loops toward lower-indexed peers and returns
@@ -89,7 +80,7 @@ func newMesh(cfg meshConfig, deliver func(exec.RemoteMsg) error) *mesh {
 	m := &mesh{cfg: cfg, deliver: deliver, ctx: ctx, cancel: cancel,
 		addrs:  append([]string(nil), cfg.addrs...),
 		peerOf: append([]int(nil), cfg.peerOf...),
-		peers:  map[int]*meshPeer{}, lost: map[int]bool{}}
+		peers:  map[int]*Link{}, lost: map[int]bool{}}
 	for j, addr := range cfg.addrs {
 		if j < cfg.self && addr != "" {
 			m.spawn(func() { m.dialLoop(j, addr) })
@@ -151,16 +142,12 @@ func (m *mesh) linkFor(pe int) *Link {
 	if m.lost[j] || m.closed {
 		return nil
 	}
-	p := m.peers[j]
-	if p == nil {
-		return nil
-	}
-	return p.link
+	return m.peers[j]
 }
 
-// peer returns (creating if needed) the state for worker j, or nil if
-// j is dead or the mesh is closed.
-func (m *mesh) peer(j int) *meshPeer {
+// peer returns (creating if needed) the link to worker j, or nil if j
+// is dead or the mesh is closed.
+func (m *mesh) peer(j int) *Link {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed || m.lost[j] {
@@ -168,7 +155,7 @@ func (m *mesh) peer(j int) *meshPeer {
 	}
 	p := m.peers[j]
 	if p == nil {
-		p = &meshPeer{link: NewLink(nil)}
+		p = NewLink(nil)
 		m.peers[j] = p
 	}
 	return p
@@ -191,7 +178,7 @@ func (m *mesh) dialLoop(j int, addr string) {
 			c.Close()
 			return
 		}
-		rcvd, err := m.helloPeer(c, p.link.Rcvd())
+		rcvd, err := m.helloPeer(c, p.Rcvd())
 		if err != nil {
 			c.Close()
 			m.cfg.logf("mesh hello to worker %d (%s) failed: %v", j, addr, err)
@@ -206,8 +193,8 @@ func (m *mesh) dialLoop(j int, addr string) {
 			continue
 		}
 		backoff = 5 * time.Millisecond
-		if err := p.link.Reattach(c, rcvd); err != nil {
-			p.link.Detach()
+		if err := p.Reattach(c, rcvd); err != nil {
+			p.Detach()
 			continue
 		}
 		m.cfg.logf("mesh link to worker %d (%s) up", j, addr)
@@ -231,7 +218,7 @@ func (m *mesh) helloPeer(c Conn, rcvd uint64) (uint64, error) {
 	select {
 	case r := <-ch:
 		return r.rcvd, r.err
-	case <-time.After(5 * time.Second):
+	case <-time.After(handshakeTimeout):
 		c.Close()
 		return 0, fmt.Errorf("wire: mesh handshake timed out")
 	case <-m.ctx.Done():
@@ -254,11 +241,11 @@ func (m *mesh) acceptPeer(j int, c Conn, peerRcvd uint64, frames <-chan Frame, r
 	if p == nil {
 		return fmt.Errorf("wire: mesh hello from dead worker %d", j)
 	}
-	if err := c.WriteFrame(Frame{Type: TWelcome, Payload: encJSON(Welcome{Proto: ProtoVersion, Rcvd: p.link.Rcvd()})}); err != nil {
+	if err := c.WriteFrame(Frame{Type: TWelcome, Payload: encJSON(Welcome{Proto: ProtoVersion, Rcvd: p.Rcvd()})}); err != nil {
 		return err
 	}
-	if err := p.link.Reattach(c, peerRcvd); err != nil {
-		p.link.Detach()
+	if err := p.Reattach(c, peerRcvd); err != nil {
+		p.Detach()
 		return err
 	}
 	m.cfg.logf("mesh link from worker %d up", j)
@@ -269,11 +256,11 @@ func (m *mesh) acceptPeer(j int, c Conn, peerRcvd uint64, frames <-chan Frame, r
 }
 
 // readConn pumps a dialed connection until it breaks.
-func (m *mesh) readConn(j int, p *meshPeer, c Conn) {
+func (m *mesh) readConn(j int, p *Link, c Conn) {
 	for {
 		f, err := c.ReadFrame()
 		if err != nil {
-			p.link.DetachIf(c)
+			p.DetachIf(c)
 			return
 		}
 		m.handleFrame(j, p, f)
@@ -282,13 +269,13 @@ func (m *mesh) readConn(j int, p *meshPeer, c Conn) {
 
 // readChan pumps an accepted connection (frames arrive through the
 // daemon's hello reader) until it breaks.
-func (m *mesh) readChan(j int, p *meshPeer, c Conn, frames <-chan Frame, rerr <-chan error) {
+func (m *mesh) readChan(j int, p *Link, c Conn, frames <-chan Frame, rerr <-chan error) {
 	for {
 		select {
 		case f := <-frames:
 			m.handleFrame(j, p, f)
 		case <-rerr:
-			p.link.DetachIf(c)
+			p.DetachIf(c)
 			return
 		case <-m.ctx.Done():
 			return
@@ -296,19 +283,18 @@ func (m *mesh) readChan(j int, p *meshPeer, c Conn, frames <-chan Frame, rerr <-
 	}
 }
 
-// handleFrame processes one frame from mesh peer j: data is delivered
-// straight into the session, acks prune the outbox, a goodbye tears
-// the link down immediately (the peer departed gracefully, so nothing
-// waits out the heartbeat budget), anything else is connection noise.
-func (m *mesh) handleFrame(j int, p *meshPeer, f Frame) {
+// handleFrame processes one frame from mesh peer j: the link absorbs
+// acks and replays, data is delivered straight into the session, a
+// goodbye tears the link down immediately (the peer departed
+// gracefully, so nothing waits out the heartbeat budget), anything else
+// is connection noise.
+func (m *mesh) handleFrame(j int, p *Link, f Frame) {
+	if !p.Receive(f) {
+		return
+	}
 	switch f.Type {
 	case TData:
-		if !p.link.Accept(f) {
-			p.ackDue.Store(true) // replay overlap: re-ack
-			return
-		}
 		msg, err := DecodeMsg(f.Payload)
-		p.ackDue.Store(true)
 		if err != nil {
 			m.cfg.logf("mesh: bad data frame: %v", err)
 			return
@@ -316,10 +302,6 @@ func (m *mesh) handleFrame(j int, p *meshPeer, f Frame) {
 		putBuf(f.Payload) // DecodeMsg copies everything out
 		if err := m.deliver(msg); err != nil {
 			m.cfg.logf("mesh: deliver: %v", err)
-		}
-	case TAck:
-		if wid, err := decU64(f.Payload); err == nil {
-			p.link.Acked(wid)
 		}
 	case TBye:
 		m.cfg.logf("mesh: worker %d departed; closing link", j)
@@ -331,24 +313,19 @@ func (m *mesh) handleFrame(j int, p *meshPeer, f Frame) {
 	}
 }
 
-// flushAll drives every peer's coalescing buffer onto the wire, each
-// flush carrying at most one batched cumulative ack. Called at slot
-// boundaries, on idle/pause barriers, and by the run's flush ticker.
+// flushAll drives every peer's coalescing buffer and owed ack onto the
+// wire. Called at slot boundaries, on idle/pause barriers, and by the
+// run's flush ticker.
 func (m *mesh) flushAll() {
 	m.mu.Lock()
-	peers := make([]*meshPeer, 0, len(m.peers))
+	peers := make([]*Link, 0, len(m.peers))
 	for _, p := range m.peers {
 		peers = append(peers, p)
 	}
 	m.mu.Unlock()
 	for _, p := range peers {
-		if p.ackDue.Swap(false) {
-			// A detached link drops the ack; the reconnect handshake
-			// re-exchanges watermarks, so nothing is lost.
-			p.link.SendRawBuffered(Frame{Type: TAck, Payload: encU64(p.link.Rcvd())})
-		}
-		if err := p.link.Flush(); err != nil {
-			p.link.Detach()
+		if err := p.Flush(); err != nil {
+			p.Detach()
 		}
 	}
 }
@@ -390,7 +367,7 @@ func (m *mesh) markLost(j int) {
 	}
 	m.lost[j] = true
 	if p := m.peers[j]; p != nil {
-		p.link.Close()
+		p.Close()
 		delete(m.peers, j)
 	}
 }
@@ -409,8 +386,8 @@ func (m *mesh) close() {
 	}
 	m.closed = true
 	for j, p := range m.peers {
-		p.link.SendRaw(Frame{Type: TBye}) // best effort; detached links just skip it
-		p.link.Close()
+		p.SendRaw(Frame{Type: TBye}) // best effort; detached links just skip it
+		p.Close()
 		delete(m.peers, j)
 	}
 	m.mu.Unlock()

@@ -15,9 +15,6 @@ import (
 type WorkerOptions struct {
 	// Logf receives operational log lines (nil = silent).
 	Logf func(format string, args ...any)
-	// HandshakeTimeout bounds how long an accepted connection may take
-	// to say Hello (0 = 5s).
-	HandshakeTimeout time.Duration
 
 	// transport is the transport the daemon listens on; the mesh dials
 	// peers over the same one. Installed by ServeWorker.
@@ -30,12 +27,9 @@ func (o WorkerOptions) logf(format string, args ...any) {
 	}
 }
 
-func (o WorkerOptions) handshakeTimeout() time.Duration {
-	if o.HandshakeTimeout > 0 {
-		return o.HandshakeTimeout
-	}
-	return 5 * time.Second
-}
+// handshakeTimeout bounds how long an accepted connection may take to
+// say Hello, and a mesh dial to be welcomed.
+const handshakeTimeout = 5 * time.Second
 
 // activeWorkerRuns counts sessions hosted across every worker daemon in
 // this process. Leak tests assert it returns to zero after teardown.
@@ -90,7 +84,7 @@ func helloIn(ctx context.Context, c Conn, opt WorkerOptions, route func(inboundC
 		}
 	}()
 
-	hs := time.NewTimer(opt.handshakeTimeout())
+	hs := time.NewTimer(handshakeTimeout)
 	defer hs.Stop()
 	select {
 	case f := <-first:
@@ -139,7 +133,6 @@ type workerRun struct {
 	resultCh    chan sessOutcome
 	outcome     *sessOutcome // set once the session ended
 	sentResult  bool
-	ackDue      atomic.Bool        // coordinator-link ack batching
 	stopFlush   context.CancelFunc // the run's flush ticker
 
 	// adopt receives coordinator connections for this run (reconnects,
@@ -174,14 +167,11 @@ func (r *workerRun) abort(reason string) {
 	}
 }
 
-// flushData drives coalescing data frames (mesh and coordinator link)
-// onto the wire, folding in batched acks. Safe from any goroutine.
+// flushData drives coalescing data frames and owed acks (mesh and
+// coordinator link) onto the wire. Safe from any goroutine.
 func (r *workerRun) flushData() {
 	if ms := r.mesh.Load(); ms != nil {
 		ms.flushAll()
-	}
-	if r.ackDue.Swap(false) {
-		r.link.SendRawBuffered(Frame{Type: TAck, Payload: encU64(r.link.Rcvd())})
 	}
 	r.link.Flush()
 }
@@ -520,15 +510,10 @@ func (d *workerDaemon) frameLoop(run *workerRun) (keep bool, next *inboundConn) 
 			return true, &ic
 		case f := <-rd.frames:
 			lastHeard = time.Now()
-			if !run.link.Accept(f) {
-				// Replay overlap: already processed; re-ack.
-				run.link.SendRaw(Frame{Type: TAck, Payload: encU64(run.link.Rcvd())})
-				continue
+			if !run.link.Receive(f) {
+				continue // an ack, or a replay overlap already processed
 			}
 			done, err := handleFrame(run, f, opt)
-			if f.Wid != 0 {
-				run.ackDue.Store(true)
-			}
 			if err != nil {
 				opt.logf("protocol error on %s frame: %v", f.Type, err)
 				run.link.Send(TError, encJSON(ErrorNote{Msg: err.Error()}))
@@ -540,7 +525,7 @@ func (d *workerDaemon) frameLoop(run *workerRun) (keep bool, next *inboundConn) 
 				return false, nil
 			}
 			if len(rd.frames) == 0 {
-				// Inbound drained: flush coalesced data and batched acks.
+				// Inbound drained: flush coalesced data and the owed ack.
 				run.flushData()
 			}
 		}
@@ -642,13 +627,6 @@ func handleFrame(run *workerRun, f Frame, opt WorkerOptions) (bool, error) {
 			return false, fmt.Errorf("finish frame before start")
 		}
 		run.ses.FinishRun()
-		return false, nil
-	case TAck:
-		wid, err := decU64(f.Payload)
-		if err != nil {
-			return false, err
-		}
-		run.link.Acked(wid)
 		return false, nil
 	case THeartbeat:
 		return false, nil
