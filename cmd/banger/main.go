@@ -129,7 +129,7 @@ commands:
   run      -project P [-alg A] [-virtual] [-chart] [-retry] [-grace G]
            [-faults SPEC|rand] [-fault-seed N]
            [-dist HOST:PORT,HOST:PORT,...] [-calibrate]
-           [-peer-timeout D] [-heartbeat D] [-flush-interval D]
+           [-peer-timeout D] [-heartbeat D]
            [-control HOST:PORT] [-min-workers N]
   worker   [-listen HOST:PORT] [-join CTRL]
                                 host processors for a remote "run -dist";
@@ -137,7 +137,7 @@ commands:
   drain    -control CTRL (-worker N | -addr HOST:PORT) [-timeout D]
                                 gracefully evacuate one worker mid-run
   serve    [-listen HOST:PORT] [-alg A] [-max-runs N] [-queue N]
-           [-tenant-cap N] [-cache N] [-workers N] [-virtual]
+           [-tenant-cap N] [-cache N] [-virtual]
            [-fleet HOST:PORT,...] [-control HOST:PORT] [-min-workers N]
            [-heartbeat D] [-peer-timeout D] [-drain-timeout D]
                                 scheduling-as-a-service control plane:
@@ -256,7 +256,6 @@ func cmdSchedule(args []string) error {
 	jsonOut := fs.String("json", "", "write the full schedule document to this file")
 	report := fs.Bool("report", false, "print a per-processor utilisation table")
 	width := fs.Int("width", 72, "chart width in characters")
-	workers := fs.Int("workers", 0, "schedule-construction workers (0 = auto, 1 = serial); the schedule is identical either way")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of schedule construction to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile taken after scheduling to this file")
 	if err := fs.Parse(args); err != nil {
@@ -287,7 +286,7 @@ func cmdSchedule(args []string) error {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	sc, err := env.ScheduleOnWorkers(*alg, m, *workers)
+	sc, err := env.ScheduleOn(*alg, m)
 	if err != nil {
 		return err
 	}
@@ -460,7 +459,6 @@ func cmdRun(args []string) error {
 	calibrate := fs.Bool("calibrate", false, "with -dist: measure wire latency and recalibrate the machine model before scheduling")
 	peerTimeout := fs.Duration("peer-timeout", 3*time.Second, "with -dist: silence budget before a worker is declared dead")
 	heartbeat := fs.Duration("heartbeat", 250*time.Millisecond, "with -dist: keepalive cadence")
-	flushEvery := fs.Duration("flush-interval", 0, "with -dist: frame-coalescing window for batched data frames (0 = default 200µs)")
 	control := fs.String("control", "", "with -dist: listen address for fleet control (worker -join announces, banger drain)")
 	minWorkers := fs.Int("min-workers", 0, "with -dist: refuse drains that would leave fewer live workers (0 = only forbid draining the last one)")
 	if err := fs.Parse(args); err != nil {
@@ -530,7 +528,7 @@ func cmdRun(args []string) error {
 		co := &wire.Coordinator{
 			Transport: wire.TCP(), Addrs: addrs, Runner: runner,
 			HeartbeatEvery: *heartbeat, PeerTimeout: *peerTimeout,
-			FlushEvery: *flushEvery, Control: *control, MinWorkers: *minWorkers,
+			Control: *control, MinWorkers: *minWorkers,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "dist: "+format+"\n", args...)
 			},

@@ -230,26 +230,62 @@ func TestHelperMain(t *testing.T) {
 	os.Exit(0)
 }
 
-// TestMeshFlagRemoved: the mesh is the only data plane, so `-mesh` is
-// not a flag any more — passing it fails flag parsing with the usage
-// text instead of being silently ignored.
-func TestMeshFlagRemoved(t *testing.T) {
+// bangerMain runs the CLI with the given argument line in a helper
+// process and returns its combined output and exit error.
+func bangerMain(t *testing.T, args string) ([]byte, error) {
+	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sub := range []string{"run", "serve"} {
-		cmd := goexec.Command(exe, "-test.run", "^TestHelperMain$")
-		cmd.Env = append(os.Environ(), "BANGER_MAIN_ARGS="+sub+" -mesh=false")
-		out, err := cmd.CombinedOutput()
-		var ee *goexec.ExitError
-		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
-			t.Fatalf("%s -mesh=false: err %v, want exit status 2\n%s", sub, err, out)
+	cmd := goexec.Command(exe, "-test.run", "^TestHelperMain$")
+	cmd.Env = append(os.Environ(), "BANGER_MAIN_ARGS="+args)
+	return cmd.CombinedOutput()
+}
+
+// wantUnknownFlag requires flag parsing to refuse `banger sub args`:
+// exit status 2, the "not defined" message for name and sub's usage
+// text.
+func wantUnknownFlag(t *testing.T, sub, name, args string) {
+	t.Helper()
+	out, err := bangerMain(t, sub+" "+args)
+	var ee *goexec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+		t.Fatalf("%s %s: err %v, want exit status 2\n%s", sub, args, err, out)
+	}
+	for _, want := range []string{"flag provided but not defined: " + name, "Usage of " + sub} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("%s %s: output lacks %q:\n%s", sub, args, want, out)
 		}
-		for _, want := range []string{"flag provided but not defined: -mesh", "Usage of " + sub} {
-			if !strings.Contains(string(out), want) {
-				t.Errorf("%s -mesh=false: output lacks %q:\n%s", sub, want, out)
-			}
+	}
+}
+
+// TestMeshFlagRemoved: the mesh is the only data plane, so `-mesh` is
+// not a flag any more — passing it fails flag parsing with the usage
+// text instead of being silently ignored.
+func TestMeshFlagRemoved(t *testing.T) {
+	for _, sub := range []string{"run", "serve"} {
+		wantUnknownFlag(t, sub, "-mesh", "-mesh=false")
+	}
+}
+
+// TestTuningFlagsRemoved: schedule construction is serial and the
+// frame-coalescing window is a constant, so `-workers` and
+// `-flush-interval` are refused rather than ignored, and the help text
+// no longer offers them.
+func TestTuningFlagsRemoved(t *testing.T) {
+	wantUnknownFlag(t, "schedule", "-workers", "-project lu3x3 -workers 2")
+	wantUnknownFlag(t, "serve", "-workers", "-workers 2")
+	wantUnknownFlag(t, "run", "-flush-interval", "-project lu3x3 -flush-interval 1ms")
+	wantUnknownFlag(t, "serve", "-flush-interval", "-flush-interval 1ms")
+
+	out, err := bangerMain(t, "help")
+	if err != nil || !strings.Contains(string(out), "usage: banger") {
+		t.Fatalf("help: err %v, output:\n%s", err, out)
+	}
+	for _, gone := range []string{"[-workers N]", "-flush-interval"} {
+		if strings.Contains(string(out), gone) {
+			t.Errorf("help still offers %q", gone)
 		}
 	}
 }

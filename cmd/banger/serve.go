@@ -25,7 +25,6 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	listen := fs.String("listen", "127.0.0.1:9080", "HTTP listen address (port 0 picks a free one)")
 	alg := fs.String("alg", "mh", "default scheduler for submissions naming none")
-	workers := fs.Int("workers", 0, "schedule-construction workers on cache misses (0 = auto)")
 	maxRuns := fs.Int("max-runs", 0, "concurrently executing runs (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 64, "runs waiting for a slot before 429s (negative = no waiting room)")
 	tenantCap := fs.Int("tenant-cap", 8, "per-tenant in-flight cap, X-Tenant header (negative = unlimited)")
@@ -36,7 +35,6 @@ func cmdServe(args []string) error {
 	minWorkers := fs.Int("min-workers", 0, "refuse drains leaving fewer live workers (0 = only the last)")
 	heartbeat := fs.Duration("heartbeat", 250*time.Millisecond, "fleet keepalive cadence")
 	peerTimeout := fs.Duration("peer-timeout", 3*time.Second, "fleet silence budget before a worker is declared dead")
-	flushEvery := fs.Duration("flush-interval", 0, "fleet frame-coalescing window (0 = default)")
 	watchdogMin := fs.Duration("watchdog-min", 0, "per-receive watchdog floor; raise when -max-runs oversubscribes the cores (0 = 1s)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "in-flight budget at shutdown")
 	if err := fs.Parse(args); err != nil {
@@ -66,7 +64,7 @@ func cmdServe(args []string) error {
 			Transport: wire.TCP(), Control: ctl, Seed: seed,
 			MinWorkers: *minWorkers, MaxRuns: *maxRuns,
 			HeartbeatEvery: *heartbeat, PeerTimeout: *peerTimeout,
-			FlushEvery: *flushEvery, Logf: logf,
+			Logf: logf,
 		}
 		if err := fl.Start(); err != nil {
 			return err
@@ -78,8 +76,7 @@ func cmdServe(args []string) error {
 	}
 
 	s := serve.New(serve.Options{
-		DefaultAlg: *alg, Workers: *workers,
-		MaxConcurrent: *maxRuns, QueueDepth: *queue,
+		DefaultAlg: *alg, MaxConcurrent: *maxRuns, QueueDepth: *queue,
 		TenantCap: *tenantCap, CacheCap: *cacheCap,
 		Fleet: fl, Virtual: *virtual,
 		WatchdogMin: *watchdogMin, Logf: logf,

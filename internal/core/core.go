@@ -55,19 +55,10 @@ func (e *Environment) Schedule(algorithm string) (*sched.Schedule, error) {
 // ScheduleOn is Schedule against an explicit machine (used by speedup
 // sweeps across machine sizes).
 func (e *Environment) ScheduleOn(algorithm string, m *machine.Machine) (*sched.Schedule, error) {
-	return e.ScheduleOnWorkers(algorithm, m, 0)
-}
-
-// ScheduleOnWorkers is ScheduleOn with an explicit schedule-construction
-// worker count (0 = automatic, 1 = serial; see sched.WithWorkers). The
-// resulting schedule is identical for every worker count — the knob only
-// changes construction latency.
-func (e *Environment) ScheduleOnWorkers(algorithm string, m *machine.Machine, workers int) (*sched.Schedule, error) {
 	s, err := sched.ByName(algorithm)
 	if err != nil {
 		return nil, err
 	}
-	s = sched.WithWorkers(s, workers)
 	sc, err := s.Schedule(e.Flat.Graph, m)
 	if err != nil {
 		return nil, err

@@ -9,81 +9,7 @@ import (
 	"repro/internal/machine"
 )
 
-// The parallel-construction suite: sharded candidate scoring must be
-// byte-identical to the serial path for every heuristic, worker count
-// and topology family, and the arena must keep steady-state scheduling
-// allocation-flat.
-
-func equivGraph(t testing.TB, seed int64) *graph.Graph {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	g, err := graph.LayeredRandom(rng, graph.LayeredConfig{
-		Layers: 8, Width: 6,
-		MinWork: 5, MaxWork: 90, MinWords: 0, MaxWords: 40, Density: 0.35,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
-
-func equivMachines(t testing.TB) []*machine.Machine {
-	t.Helper()
-	var ms []*machine.Machine
-	mk := func(topo *machine.Topology, err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := machine.New(topo.Name, topo, machine.DefaultParams())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ms = append(ms, m)
-	}
-	mk(machine.Hypercube(3))
-	mk(machine.Star(6))
-	mk(machine.Full(8))
-	return ms
-}
-
-// TestParallelEquivalence pins the tentpole's determinism contract:
-// for every heuristic × topology family × 10 seeds, the schedule built
-// with a sharded worker pool is byte-identical to the serial path
-// (SchedOptions{Workers: 1}, the debugging escape hatch).
-func TestParallelEquivalence(t *testing.T) {
-	machines := equivMachines(t)
-	for seed := int64(1); seed <= 10; seed++ {
-		g := equivGraph(t, seed)
-		for _, m := range machines {
-			for _, s := range All() {
-				serial, err := WithWorkers(s, 1).Schedule(g, m)
-				if err != nil {
-					t.Fatalf("seed %d %s/%s workers=1: %v", seed, s.Name(), m.Name, err)
-				}
-				want := canonicalFingerprint(serial)
-				for _, w := range []int{2, 4} {
-					par, err := WithWorkers(s, w).Schedule(g, m)
-					if err != nil {
-						t.Fatalf("seed %d %s/%s workers=%d: %v", seed, s.Name(), m.Name, w, err)
-					}
-					if got := canonicalFingerprint(par); got != want {
-						t.Errorf("seed %d %s/%s: workers=%d schedule diverged from serial", seed, s.Name(), m.Name, w)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestWithWorkersNeverChangesNames guards the registry helper: options
-// plumbing must not swap scheduler identities.
-func TestWithWorkersNeverChangesNames(t *testing.T) {
-	for _, s := range All() {
-		if got := WithWorkers(s, 4).Name(); got != s.Name() {
-			t.Errorf("WithWorkers(%s).Name() = %s", s.Name(), got)
-		}
-	}
-}
+// The arena must keep steady-state scheduling allocation-flat.
 
 // bytesPerRun measures the exact heap bytes one Schedule call allocates
 // in steady state (compiled view cached, arena pooled), averaged over
@@ -191,45 +117,5 @@ func TestSchedulerAllocsFlat(t *testing.T) {
 		if allocs > 500 {
 			t.Errorf("%s: %.0f allocs per schedule of a 2000-task graph — per-step garbage is back", s.Name(), allocs)
 		}
-	}
-}
-
-// TestCompiledCacheInvalidation guards the compiled-view cache: a
-// structural mutation must be visible to the next Schedule call.
-func TestCompiledCacheInvalidation(t *testing.T) {
-	topo, err := machine.Full(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := machine.New(topo.Name, topo, machine.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := graph.New("mutate")
-	g.MustAddTask("a", "", 10)
-	g.MustAddTask("b", "", 10)
-	sc, err := (HLFET{}).Schedule(g, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sc.Msgs) != 0 {
-		t.Fatalf("independent tasks produced %d msgs", len(sc.Msgs))
-	}
-	v := g.Version()
-	g.MustConnect("a", "b", "x", 5)
-	if g.Version() == v {
-		t.Fatal("Connect did not bump the graph version")
-	}
-	sc2, err := (HLFET{}).Schedule(g, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sc2.Validate(); err != nil {
-		t.Fatalf("schedule after mutation invalid (stale compiled view?): %v", err)
-	}
-	bSlot, _ := sc2.PrimarySlot("b")
-	aSlot, _ := sc2.PrimarySlot("a")
-	if bSlot.Start < aSlot.Finish {
-		t.Errorf("b starts at %v before a finishes at %v: new arc ignored", bSlot.Start, aSlot.Finish)
 	}
 }

@@ -29,8 +29,8 @@ import (
 //   - Carves default to zeroed memory. Arrays that are fully
 //     initialized by the caller (copied into, or guarded by a version
 //     stamp) use the dirty variant and skip the clear.
-//   - Arenas are single-goroutine: carve everything — including per-
-//     worker scratch — before handing ranges to the worker pool.
+//   - Arenas are single-goroutine, like the Schedule call that owns
+//     one.
 
 // slab is one typed bump allocator.
 type slab[T any] struct {

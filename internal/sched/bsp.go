@@ -21,22 +21,14 @@ import (
 // machine model (ExecTime / CommTime) and the barrier is the max
 // finish of the superstep, so the produced schedule stays valid under
 // Schedule.Validate's lower-bound checks.
-//
-// The level batches are what makes parallel construction scale: every
-// task in a superstep has all producers placed before the superstep
-// starts, so their data-ready times are evaluated concurrently (the
-// warm phase below) with no cross-task ordering, and only the cheap
-// greedy assignment runs serially.
-type BSP struct {
-	Opts SchedOptions
-}
+type BSP struct{}
 
 // Name implements Scheduler.
 func (BSP) Name() string { return "bsp" }
 
 // Schedule implements Scheduler.
-func (s BSP) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
-	b, err := newBuilder(g, m, s.Opts)
+func (BSP) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
+	b, err := newBuilder(g, m)
 	if err != nil {
 		return nil, err
 	}
@@ -85,39 +77,13 @@ func (s BSP) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
 		})
 	}
 
-	w := b.scanWorkers()
-	errs := make([]error, w)
 	var barrier machine.Time
 	for l := int32(0); l <= maxLevel; l++ {
-		tasks := byLevel[off[l]:off[l+1]]
-
-		// Warm phase: every producer of this superstep was placed in an
-		// earlier one, so all (task, pe) data-ready times are fixed and
-		// evaluate concurrently. Placements within the superstep cannot
-		// invalidate them (an arc between two tasks would put them in
-		// different levels), so the serial assignment below hits the
-		// cache. Semantically a no-op — the warm phase only fills the
-		// cache the assignment would fill on demand — which is why the
-		// parallel and serial paths are trivially byte-identical.
-		b.parScan(len(tasks), func(wk, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if _, err := b.dataReadyRow(tasks[i]); err != nil {
-					errs[wk] = err
-					return
-				}
-			}
-		})
-		for wk := 0; wk < w; wk++ {
-			if errs[wk] != nil {
-				return nil, errs[wk]
-			}
-		}
-
 		// Greedy assignment in priority order: earliest finish under
 		// the barrier, ties to the lowest processor.
 		levelEnd := barrier
-		for _, t := range tasks {
-			row, err := b.dataReadyRow(t) // warm: filled by the scan above
+		for _, t := range byLevel[off[l]:off[l+1]] {
+			row, err := b.dataReadyRow(t)
 			if err != nil {
 				return nil, err
 			}

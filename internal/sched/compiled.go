@@ -122,28 +122,48 @@ const compiledCacheCap = 8
 // on a miss or when g has been mutated since it was compiled. The
 // returned view is shared and must be treated as read-only; concurrent
 // schedulers (Compare, SpeedupCurve) deliberately share one view.
+//
+// The build runs outside the lock: concurrent misses on different
+// graphs — every cold request of a server — compile in parallel. Two
+// goroutines missing on the same key may both compile; views are
+// immutable and equal, so the loser's copy is simply dropped.
 func compiledFor(g *graph.Graph, m *machine.Machine) (*compiled, error) {
 	ver := g.Version()
 	compiledCache.Lock()
-	defer compiledCache.Unlock()
-	for i, c := range compiledCache.entries {
-		if c.g == g && c.m == m && c.gver == ver {
-			if i != len(compiledCache.entries)-1 {
-				copy(compiledCache.entries[i:], compiledCache.entries[i+1:])
-				compiledCache.entries[len(compiledCache.entries)-1] = c
-			}
-			return c, nil
-		}
+	c := compiledHit(g, m, ver)
+	compiledCache.Unlock()
+	if c != nil {
+		return c, nil
 	}
 	c, err := compile(g, m)
 	if err != nil {
 		return nil, err
+	}
+	compiledCache.Lock()
+	defer compiledCache.Unlock()
+	if won := compiledHit(g, m, ver); won != nil {
+		return won, nil
 	}
 	compiledCache.entries = append(compiledCache.entries, c)
 	if len(compiledCache.entries) > compiledCacheCap {
 		compiledCache.entries = compiledCache.entries[1:]
 	}
 	return c, nil
+}
+
+// compiledHit returns the cached view of (g, m) at graph version ver,
+// moved to the most-recently-used end, or nil. The caller holds the
+// cache lock.
+func compiledHit(g *graph.Graph, m *machine.Machine, ver uint64) *compiled {
+	last := len(compiledCache.entries) - 1
+	for i, c := range compiledCache.entries {
+		if c.g == g && c.m == m && c.gver == ver {
+			copy(compiledCache.entries[i:], compiledCache.entries[i+1:])
+			compiledCache.entries[last] = c
+			return c
+		}
+	}
+	return nil
 }
 
 // compile builds the view. The graph must already be flat-validated.

@@ -24,8 +24,6 @@ type DSH struct {
 	// MaxDupsPerTask bounds how many ancestor copies may be inserted
 	// while placing one task; 0 means the number of predecessors.
 	MaxDupsPerTask int
-
-	Opts SchedOptions
 }
 
 // Name implements Scheduler.
@@ -37,13 +35,11 @@ type dupPlan struct {
 	start machine.Time
 }
 
-// dshState holds the scratch buffers of one worker's hypothetical
-// duplication evaluation, so estWithDups runs without allocating: the
-// virtual overlay is a flat finish array validated by an epoch stamp
-// instead of a fresh map per (task, pe) evaluation. The evaluation
-// reads the builder but never writes it, so each worker of the
-// per-processor shard carries its own dshState and the shards are
-// independent.
+// dshState holds the scratch buffers of the hypothetical duplication
+// evaluation, so estWithDups runs without allocating: the virtual
+// overlay is a flat finish array validated by an epoch stamp instead of
+// a fresh map per (task, pe) evaluation. The evaluation reads the
+// builder but never writes it.
 type dshState struct {
 	virtFinish []machine.Time // finish of the virtual copy on the candidate pe
 	virtStamp  []uint32       // overlay entry valid iff stamp == epoch
@@ -61,69 +57,39 @@ func newDSHState(n int, ar *arena) *dshState {
 
 // Schedule implements Scheduler.
 func (d DSH) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
-	b, err := newBuilder(g, m, d.Opts)
+	b, err := newBuilder(g, m)
 	if err != nil {
 		return nil, err
 	}
 	defer b.release()
 	c := b.c
-	w := b.scanWorkers()
-	sts := make([]*dshState, w)
-	for i := range sts {
-		sts[i] = newDSHState(c.n, b.ar)
-	}
-	type peCand struct {
-		ok     bool
-		pe     int
-		start  machine.Time
-		finish machine.Time
-	}
-	cands := make([]peCand, w)
-	errs := make([]error, w)
+	st := newDSHState(c.n, b.ar)
 	h := newReadyHeap(c, b.ar)
 	for h.len() > 0 {
 		t := h.pop() // highest static level first (as HLFET)
 
 		// Evaluate every processor with hypothetical duplication and
-		// keep the one with the earliest finish (ties: lowest PE). The
-		// shard is over processors; each worker evaluates its range
-		// against its private overlay and keeps its best plan.
-		b.parScan(c.pes, func(wk, lo, hi int) {
-			st := sts[wk]
-			best := peCand{}
-			st.bestPlan = st.bestPlan[:0]
-			for pe := lo; pe < hi; pe++ {
-				start, plan, err := d.estWithDups(b, st, t, pe)
-				if err != nil {
-					errs[wk] = err
-					return
-				}
-				finish := start + c.exec(t, pe)
-				if betterPE(best.ok, best.finish, best.pe, finish, pe) {
-					best = peCand{ok: true, pe: pe, start: start, finish: finish}
-					st.bestPlan = append(st.bestPlan[:0], plan...)
-				}
+		// keep the one with the earliest finish (ties: lowest PE) and a
+		// copy of its plan.
+		best := cand{}
+		st.bestPlan = st.bestPlan[:0]
+		for pe := 0; pe < c.pes; pe++ {
+			start, plan, err := d.estWithDups(b, st, t, pe)
+			if err != nil {
+				return nil, err
 			}
-			cands[wk] = best
-		})
-		best := peCand{}
-		var bestPlan []dupPlan
-		for wk := 0; wk < w; wk++ {
-			if errs[wk] != nil {
-				return nil, errs[wk]
+			fin := start + c.exec(t, pe)
+			if betterPE(best.ok, best.fin, best.pe, fin, pe) {
+				best = cand{ok: true, t: t, pe: pe, st: start, fin: fin}
+				st.bestPlan = append(st.bestPlan[:0], plan...)
 			}
-			if c := cands[wk]; c.ok && betterPE(best.ok, best.finish, best.pe, c.finish, c.pe) {
-				best = c
-				bestPlan = sts[wk].bestPlan
-			}
-			cands[wk] = peCand{}
 		}
-		for _, dp := range bestPlan {
+		for _, dp := range st.bestPlan {
 			if _, err := b.place(dp.task, best.pe, dp.start, true); err != nil {
 				return nil, err
 			}
 		}
-		if _, err := b.place(t, best.pe, best.start, false); err != nil {
+		if _, err := b.place(t, best.pe, best.st, false); err != nil {
 			return nil, err
 		}
 		h.complete(t)

@@ -48,9 +48,7 @@ func (e *estCache) invalidate(t int32) { e.taskVer[t]++ }
 // fills all P entries, so each arc and producer copy is loaded once
 // instead of once per processor. The schedulers that always evaluate a
 // task on every PE (HLFET, ETF, BSP) use this; the per-entry dataReady
-// below stays for selective callers. Parallel scans may call it for
-// distinct tasks concurrently — rows are disjoint — but never for the
-// same task from two workers.
+// below stays for selective callers.
 func (b *builder) dataReadyRow(t int32) ([]machine.Time, error) {
 	e := &b.cache
 	base := int(t) * e.pes

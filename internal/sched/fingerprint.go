@@ -24,8 +24,6 @@ import (
 //
 //   - input values: same shape, different data must hit the cache —
 //     that is the whole point;
-//   - the schedule-construction worker count (SchedOptions.Workers):
-//     it changes construction latency, never the schedule produced;
 //   - display-only fields (node labels, graph and machine names):
 //     they cannot influence placement, timing or outputs.
 //

@@ -13,9 +13,7 @@ import (
 // idle hole left earlier on the processor while it was waiting for
 // messages. Holes are exactly the "schedule gaps" Kruatrachue's thesis
 // identifies as wasted by non-insertion list schedulers.
-type ISH struct {
-	Opts SchedOptions
-}
+type ISH struct{}
 
 // Name implements Scheduler.
 func (ISH) Name() string { return "ish" }
@@ -37,8 +35,8 @@ func insertionPoint(slots []Slot, ready machine.Time, dur machine.Time) machine.
 }
 
 // Schedule implements Scheduler.
-func (s ISH) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
-	b, err := newBuilder(g, m, s.Opts)
+func (ISH) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
+	b, err := newBuilder(g, m)
 	if err != nil {
 		return nil, err
 	}
@@ -46,42 +44,22 @@ func (s ISH) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
 	c := b.c
 	peSlots := make([][]Slot, c.pes)
 	h := newReadyHeap(c, b.ar)
-	w := b.scanWorkers()
-	cands := make([]cand, w)
-	errs := make([]error, w)
 	for h.len() > 0 {
 		t := h.pop() // highest static level first, as HLFET
-
-		// Shard over processors: the gap scan reads peSlots and the
-		// data-ready cache entries of (t, pe) pairs each worker owns.
-		b.parScan(c.pes, func(wk, lo, hi int) {
-			best := cand{}
-			for pe := lo; pe < hi; pe++ {
-				// Data-ready time on this processor (cached incrementally;
-				// insertion ignores procFree by design).
-				ready, err := b.dataReady(t, pe)
-				if err != nil {
-					errs[wk] = err
-					return
-				}
-				dur := c.exec(t, pe)
-				start := insertionPoint(peSlots[pe], ready, dur)
-				fin := start + dur
-				if betterPE(best.ok, best.fin, best.pe, fin, pe) {
-					best = cand{ok: true, t: t, pe: pe, st: start, fin: fin}
-				}
-			}
-			cands[wk] = best
-		})
 		best := cand{}
-		for wk := 0; wk < w; wk++ {
-			if errs[wk] != nil {
-				return nil, errs[wk]
+		for pe := 0; pe < c.pes; pe++ {
+			// Data-ready time on this processor (cached incrementally;
+			// insertion ignores procFree by design).
+			ready, err := b.dataReady(t, pe)
+			if err != nil {
+				return nil, err
 			}
-			if cd := cands[wk]; cd.ok && betterPE(best.ok, best.fin, best.pe, cd.fin, cd.pe) {
-				best = cd
+			dur := c.exec(t, pe)
+			start := insertionPoint(peSlots[pe], ready, dur)
+			fin := start + dur
+			if betterPE(best.ok, best.fin, best.pe, fin, pe) {
+				best = cand{ok: true, t: t, pe: pe, st: start, fin: fin}
 			}
-			cands[wk] = cand{}
 		}
 		sl, err := b.place(t, best.pe, best.st, false)
 		if err != nil {

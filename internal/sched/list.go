@@ -21,7 +21,6 @@ type Scheduler interface {
 type builder struct {
 	c        *compiled
 	ar       *arena
-	pool     *workerPool // nil when candidate scoring runs serially
 	procFree []machine.Time
 	slots    []Slot
 	msgs     []Msg
@@ -45,7 +44,7 @@ type builder struct {
 	stubRecv   []machine.Time
 }
 
-func newBuilder(g *graph.Graph, m *machine.Machine, opts SchedOptions) (*builder, error) {
+func newBuilder(g *graph.Graph, m *machine.Machine) (*builder, error) {
 	if g == nil || m == nil {
 		return nil, fmt.Errorf("sched: nil graph or machine")
 	}
@@ -71,9 +70,6 @@ func newBuilder(g *graph.Graph, m *machine.Machine, opts SchedOptions) (*builder
 	for i := range b.copies {
 		b.copies[i] = b.copyBuf[i : i : i+1]
 	}
-	if w := opts.workers(); w > 1 {
-		b.pool = newWorkerPool(w)
-	}
 	return b, nil
 }
 
@@ -81,10 +77,6 @@ func newBuilder(g *graph.Graph, m *machine.Machine, opts SchedOptions) (*builder
 // implementation defers it; it is idempotent, and the Slots/Msgs slices
 // handed out via finish stay valid.
 func (b *builder) release() {
-	if b.pool != nil {
-		b.pool.close()
-		b.pool = nil
-	}
 	if b.ar != nil {
 		b.ar.release()
 		b.ar = nil
@@ -209,6 +201,50 @@ func (b *builder) finish(alg string) *Schedule {
 	return &Schedule{Graph: b.c.g, Machine: b.c.m, Algorithm: alg, Slots: b.slots, Msgs: b.msgs}
 }
 
+// cand is one scored candidate placement.
+type cand struct {
+	ok  bool
+	t   int32
+	idx int // index in the scanned slice (ready-pool position)
+	pe  int
+	st  machine.Time
+	fin machine.Time
+}
+
+// betterCand reports whether next beats cur under the dynamic greedy
+// total order shared by ETF and MH: earlier finish, then higher static
+// level, then NodeID order, then lower PE. The key is strict (rank is
+// unique per task, PE unique within a task), so the minimum is unique.
+func (c *compiled) betterCand(cur, next cand) bool {
+	switch {
+	case !next.ok:
+		return false
+	case !cur.ok:
+		return true
+	case next.fin != cur.fin:
+		return next.fin < cur.fin
+	case c.slevel[next.t] != c.slevel[cur.t]:
+		return c.slevel[next.t] > c.slevel[cur.t]
+	case next.t != cur.t:
+		return c.rank[next.t] < c.rank[cur.t]
+	default:
+		return next.pe < cur.pe
+	}
+}
+
+// betterPE reports whether (fin,pe) beats cur under the static-priority
+// order shared by HLFET, DSH, ISH and BSP when placing a single task:
+// earlier finish, then lower PE.
+func betterPE(curOK bool, curFin machine.Time, curPE int, fin machine.Time, pe int) bool {
+	if !curOK {
+		return true
+	}
+	if fin != curFin {
+		return fin < curFin
+	}
+	return pe < curPE
+}
+
 // Serial schedules every task on processor 0 in topological order. It
 // is the one-processor baseline the paper's speedup chart divides by.
 type Serial struct{}
@@ -218,7 +254,7 @@ func (Serial) Name() string { return "serial" }
 
 // Schedule implements Scheduler.
 func (Serial) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
-	b, err := newBuilder(g, m, SchedOptions{Workers: 1})
+	b, err := newBuilder(g, m)
 	if err != nil {
 		return nil, err
 	}
@@ -238,34 +274,29 @@ func (Serial) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
 // HLFET is Highest Level First with Estimated Times: static-priority
 // list scheduling by static b-level, placing each task on the processor
 // where it can start earliest.
-type HLFET struct {
-	Opts SchedOptions
-}
+type HLFET struct{}
 
 // Name implements Scheduler.
 func (HLFET) Name() string { return "hlfet" }
 
 // Schedule implements Scheduler.
-func (s HLFET) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
-	b, err := newBuilder(g, m, s.Opts)
+func (HLFET) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
+	b, err := newBuilder(g, m)
 	if err != nil {
 		return nil, err
 	}
 	defer b.release()
 	h := newReadyHeap(b.c, b.ar)
-	w := b.scanWorkers()
-	cands := make([]cand, w)
-	// One task per step, so the parallel shard is over processors. The
-	// data-ready row is computed arc-major on the main goroutine first
-	// (one pass over the predecessors fills every PE's entry); the shard
-	// bodies then only read. The closure is built once — a per-step
-	// literal would allocate on every iteration.
-	var t int32
-	var row []machine.Time
-	body := func(wk, lo, hi int) {
+	for h.len() > 0 {
+		t := h.pop() // highest static level first; ties by id
+		// The data-ready row is computed arc-major (one pass over the
+		// predecessors fills every PE's entry); the scan only reads it.
+		row, err := b.dataReadyRow(t)
+		if err != nil {
+			return nil, err
+		}
 		best := cand{}
-		for pe := lo; pe < hi; pe++ {
-			st := row[pe]
+		for pe, st := range row {
 			if pf := b.procFree[pe]; pf > st {
 				st = pf
 			}
@@ -273,22 +304,6 @@ func (s HLFET) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
 			if betterPE(best.ok, best.fin, best.pe, fin, pe) {
 				best = cand{ok: true, t: t, pe: pe, st: st, fin: fin}
 			}
-		}
-		cands[wk] = best
-	}
-	for h.len() > 0 {
-		t = h.pop() // highest static level first; ties by id
-		var err error
-		if row, err = b.dataReadyRow(t); err != nil {
-			return nil, err
-		}
-		b.parScan(b.c.pes, body)
-		best := cand{}
-		for wk := 0; wk < w; wk++ {
-			if c := cands[wk]; c.ok && betterPE(best.ok, best.fin, best.pe, c.fin, c.pe) {
-				best = c
-			}
-			cands[wk] = cand{}
 		}
 		if _, err := b.place(t, best.pe, best.st, false); err != nil {
 			return nil, err
@@ -301,25 +316,20 @@ func (s HLFET) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
 // ETF is Earliest Task First: at each step the (ready task, processor)
 // pair with the smallest earliest start time is chosen; ties are broken
 // by higher static level, then task id, then processor index.
-type ETF struct {
-	Opts SchedOptions
-}
+type ETF struct{}
 
 // Name implements Scheduler.
 func (ETF) Name() string { return "etf" }
 
 // Schedule implements Scheduler.
-func (s ETF) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
-	b, err := newBuilder(g, m, s.Opts)
+func (ETF) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
+	b, err := newBuilder(g, m)
 	if err != nil {
 		return nil, err
 	}
 	defer b.release()
 	c := b.c
 	rt := newReadyTracker(c, b.ar)
-	w := b.scanWorkers()
-	cands := make([]cand, w)
-	errs := make([]error, w)
 
 	// lbFin[t] is a monotone lower bound on task t's best finish time
 	// over all processors. ETF never duplicates, so a ready task's
@@ -334,8 +344,7 @@ func (s ETF) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
 	// evalTask fully evaluates ready[i] on every processor from its
 	// arc-major data-ready row. For a fixed task the candidate order
 	// reduces to (finish, pe), so a strict < keeps the lowest PE on
-	// ties. Each worker's shard owns disjoint tasks, so the row fills
-	// and lbFin writes never race.
+	// ties.
 	evalTask := func(i int) (cand, error) {
 		t := rt.ready[i]
 		row, err := b.dataReadyRow(t)
@@ -358,42 +367,26 @@ func (s ETF) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
 		return tbest, nil
 	}
 
-	// Built once, not per step: a per-iteration closure literal would
-	// allocate on every scheduling step. The running best doubles as
-	// the pruning bound; a task is only skipped when its recorded bound
-	// is strictly worse, and every full evaluation refreshes the bound.
-	// (A stronger initial bound — e.g. pre-evaluating the argmin-bound
-	// task — measures *slower* at scale: it suppresses the evaluations
-	// that keep the other tasks' bounds tight, and the stale bounds
-	// force far more re-evaluations on later steps.)
-	body := func(wk, lo, hi int) {
+	for len(rt.ready) > 0 {
+		// The running best doubles as the pruning bound; a task is only
+		// skipped when its recorded bound is strictly worse, and every
+		// full evaluation refreshes the bound. (A stronger initial bound
+		// — e.g. pre-evaluating the argmin-bound task — measures *slower*
+		// at scale: it suppresses the evaluations that keep the other
+		// tasks' bounds tight, and the stale bounds force far more
+		// re-evaluations on later steps.)
 		best := cand{}
-		for i := lo; i < hi; i++ {
-			if best.ok && lbFin[rt.ready[i]] > best.fin {
+		for i, t := range rt.ready {
+			if best.ok && lbFin[t] > best.fin {
 				continue
 			}
 			tbest, err := evalTask(i)
 			if err != nil {
-				errs[wk] = err
-				return
+				return nil, err
 			}
 			if c.betterCand(best, tbest) {
 				best = tbest
 			}
-		}
-		cands[wk] = best
-	}
-	for len(rt.ready) > 0 {
-		b.parScan(len(rt.ready), body)
-		best := cand{}
-		for wk := 0; wk < w; wk++ {
-			if errs[wk] != nil {
-				return nil, errs[wk]
-			}
-			if c.betterCand(best, cands[wk]) {
-				best = cands[wk]
-			}
-			cands[wk] = cand{}
 		}
 		t := rt.take(best.idx)
 		if _, err := b.place(t, best.pe, best.st, false); err != nil {

@@ -15,17 +15,14 @@ import (
 // its communication model routes every message hop by hop over the
 // interconnection network and serialises messages that contend for the
 // same link, so topology (Figure 2) genuinely shapes the schedule.
-type MH struct {
-	Opts SchedOptions
-}
+type MH struct{}
 
 // Name implements Scheduler.
 func (MH) Name() string { return "mh" }
 
 // mhNet tracks per-link availability for the contention model. Every
 // route and link id is built eagerly up front — the estimation loops
-// (which may run sharded across workers) then only read flat arrays
-// and never touch a map or mutate shared route state. All of its
+// then only read flat arrays and never touch a map. All of its
 // tables are carved from the schedule's arena, so steady-state set-up
 // allocates nothing.
 //
@@ -249,8 +246,8 @@ func sortFeeds(feeds []feed, rank []int32) {
 }
 
 // Schedule implements Scheduler.
-func (s MH) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
-	b, err := newBuilder(g, m, s.Opts)
+func (MH) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
+	b, err := newBuilder(g, m)
 	if err != nil {
 		return nil, err
 	}
@@ -261,9 +258,6 @@ func (s MH) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
 		return nil, err
 	}
 	rt := newReadyTracker(c, b.ar)
-	w := b.scanWorkers()
-	cands := make([]cand, w)
-	errs := make([]error, w)
 
 	// Routed data-arrival cache: arr[t*P+pe] is the max over t's
 	// predecessor arcs of the best copy's routed arrival, stamped with
@@ -300,7 +294,7 @@ func (s MH) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
 	// cache and lbFin) under the pruning bound and returns the task's
 	// best candidate. Candidate orders are strict, so pruning with any
 	// valid bound never changes which candidate wins a scan.
-	evalTask := func(wk, i int, bound cand) cand {
+	evalTask := func(i int, bound cand) (cand, error) {
 		t := rt.ready[i]
 		taskLB := machine.Time(math.MaxInt64)
 		tbest := cand{}
@@ -334,8 +328,7 @@ func (s MH) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
 				for _, pa := range preds {
 					sp := srcPE[pa.from]
 					if sp < 0 {
-						errs[wk] = errProducerNotPlaced(c.arcs[pa.aidx])
-						return cand{}
+						return cand{}, errProducerNotPlaced(c.arcs[pa.aidx])
 					}
 					// deliver, hand-rolled on the flat single-copy
 					// arrays: this loop is the profile's hottest path.
@@ -401,35 +394,7 @@ func (s MH) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
 			}
 		}
 		lbFin[t] = taskLB
-		return tbest
-	}
-
-	// Each step's scan starts from a seed candidate: the task with the
-	// smallest finish lower bound, evaluated exactly on the main
-	// goroutine before the shards launch. Every worker then opens with
-	// a near-optimal bound instead of discovering one mid-chunk, which
-	// is what makes the lbFin skip and the stale-entry skip bite.
-	var seed cand
-	var seedIdx int
-	body := func(wk, lo, hi int) {
-		best := seed
-		for i := lo; i < hi; i++ {
-			if i == seedIdx {
-				continue
-			}
-			t := rt.ready[i]
-			if best.ok && lbFin[t] > best.fin {
-				continue
-			}
-			tbest := evalTask(wk, i, best)
-			if errs[wk] != nil {
-				return
-			}
-			if c.betterCand(best, tbest) {
-				best = tbest
-			}
-		}
-		cands[wk] = best
+		return tbest, nil
 	}
 
 	// Message stubs: committed cross-PE messages are recorded as
@@ -444,26 +409,32 @@ func (s MH) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
 
 	var feeds []feed
 	for len(rt.ready) > 0 {
-		seedIdx = 0
+		// Each step's scan starts from a seed candidate: the task with
+		// the smallest finish lower bound, evaluated exactly first. The
+		// scan then opens with a near-optimal bound instead of
+		// discovering one midway, which is what makes the lbFin skip and
+		// the stale-entry skip bite.
+		seedIdx := 0
 		for i, t := range rt.ready {
 			if lbFin[t] < lbFin[rt.ready[seedIdx]] {
 				seedIdx = i
 			}
 		}
-		seed = evalTask(0, seedIdx, cand{})
-		if errs[0] != nil {
-			return nil, errs[0]
+		best, err := evalTask(seedIdx, cand{})
+		if err != nil {
+			return nil, err
 		}
-		b.parScan(len(rt.ready), body)
-		best := cand{}
-		for wk := 0; wk < w; wk++ {
-			if errs[wk] != nil {
-				return nil, errs[wk]
+		for i, t := range rt.ready {
+			if i == seedIdx || (best.ok && lbFin[t] > best.fin) {
+				continue
 			}
-			if c.betterCand(best, cands[wk]) {
-				best = cands[wk]
+			tbest, err := evalTask(i, best)
+			if err != nil {
+				return nil, err
 			}
-			cands[wk] = cand{}
+			if c.betterCand(best, tbest) {
+				best = tbest
+			}
 		}
 		t := rt.take(best.idx)
 		bestPE := best.pe

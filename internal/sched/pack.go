@@ -25,7 +25,7 @@ func (Pack) Name() string { return "pack" }
 
 // Schedule implements Scheduler.
 func (Pack) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
-	b, err := newBuilder(g, m, SchedOptions{Workers: 1})
+	b, err := newBuilder(g, m)
 	if err != nil {
 		return nil, err
 	}

@@ -18,32 +18,11 @@ func All() []Scheduler {
 	return []Scheduler{Serial{}, HLFET{}, ETF{}, ISH{}, MH{}, DSH{}, Pack{}, BSP{}}
 }
 
-// WithWorkers returns a copy of s configured to score candidates with
-// w goroutines (0 = automatic, 1 = fully serial). Schedulers without a
-// parallel scoring path are returned unchanged; the option never
-// changes the schedule produced, only how fast it is constructed.
-func WithWorkers(s Scheduler, w int) Scheduler {
-	o := SchedOptions{Workers: w}
-	switch v := s.(type) {
-	case HLFET:
-		v.Opts = o
-		return v
-	case ETF:
-		v.Opts = o
-		return v
-	case ISH:
-		v.Opts = o
-		return v
-	case MH:
-		v.Opts = o
-		return v
-	case DSH:
-		v.Opts = o
-		return v
-	case BSP:
-		v.Opts = o
-		return v
-	}
+// WithWorkers returns s unchanged. Schedule construction is serial
+// (docs/SCHEDULING.md, "Why the scan is serial"); the function is kept,
+// as a declared no-op, only because the frozen benchmark harness calls
+// it (bench/layers.go) and goes when the harness stops (ROADMAP 1b).
+func WithWorkers(s Scheduler, _ int) Scheduler {
 	return s
 }
 

@@ -20,14 +20,12 @@
 //     across processors, then times are assigned ETF-style.
 //   - BSP: bulk-synchronous superstep scheduling (after Papp, Anegg &
 //     Yzelman) — precedence levels become supersteps separated by
-//     barriers, trading schedule length for batch-parallel
-//     construction.
+//     barriers.
 //
-// Schedule construction is itself parallel: the candidate scans of the
-// list schedulers shard across a worker pool (SchedOptions.Workers,
-// see WithWorkers) with per-worker scratch carved from a pooled arena,
-// and the reduction is deterministic — the parallel path is
-// byte-identical to the serial one.
+// Each Schedule call runs on its caller's goroutine with scratch carved
+// from a pooled arena; a greedy step is too little work to shard (see
+// docs/SCHEDULING.md, "Why the scan is serial"). Concurrency lives one
+// level up: Compare, SpeedupCurve and a server's concurrent requests.
 package sched
 
 import (

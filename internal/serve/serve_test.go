@@ -400,15 +400,15 @@ func TestServeRejectsGarbage(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbage body: status = %d, want 400", resp.StatusCode)
 	}
-	// Unknown scheduler: a well-formed project that cannot compile.
+	// Unknown scheduler: refused by name, before the project is opened.
 	body, _ := json.Marshal(testProject(t, 10, 1, 3))
 	resp, err = http.Post(ts.URL+"/run?alg=nope", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("unknown alg: status = %d, want 422", resp.StatusCode)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown alg: status = %d, want 400", resp.StatusCode)
 	}
 	if resp, err := http.Get(ts.URL + "/run"); err != nil || resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /run: %v %d", err, resp.StatusCode)
@@ -457,6 +457,36 @@ func TestServeRejectsOversizedMachine(t *testing.T) {
 		}
 		if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb > 64 {
 			t.Errorf("%s: refusing allocated %.1f MB, want under 64 MB", topo, mb)
+		}
+	}
+}
+
+// TestServeRejectsExponentialScheduler: sched.ByName resolves
+// "optimal", an exponential search with no context to cancel it (the
+// built-in stats project on hypercube:3 does not finish in a minute).
+// A request must not be able to name it, in the query or through the
+// server's default.
+func TestServeRejectsExponentialScheduler(t *testing.T) {
+	body, err := json.Marshal(testProject(t, 10, 1, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ def, query string }{{"etf", "?alg=optimal"}, {"optimal", ""}} {
+		ts := httptest.NewServer(New(Options{DefaultAlg: c.def}).Handler())
+		start := time.Now()
+		resp, err := http.Post(ts.URL+"/run"+c.query, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var msg bytes.Buffer
+		_, _ = msg.ReadFrom(resp.Body) // a short read only weakens the message check below
+		resp.Body.Close()
+		ts.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg.String(), "unknown scheduler") || !strings.Contains(msg.String(), "(have [serial hlfet") {
+			t.Errorf("default %q, query %q: status %d, body %q; want 400 listing the schedulers", c.def, c.query, resp.StatusCode, msg.String())
+		}
+		if took := time.Since(start); took > time.Second {
+			t.Errorf("default %q, query %q: refused after %v, want under 1s", c.def, c.query, took)
 		}
 	}
 }

@@ -24,9 +24,6 @@ type Options struct {
 	// DefaultAlg schedules submissions that name no algorithm
 	// ("" = mh, the paper's flagship heuristic).
 	DefaultAlg string
-	// Workers is the schedule-construction worker count passed to the
-	// scheduler on cache misses (0 = automatic).
-	Workers int
 	// MaxConcurrent bounds simultaneously executing runs
 	// (0 = GOMAXPROCS). Fleet runs execute concurrently too: worker
 	// daemons multiplex sessions keyed by run ID, and the fleet places
@@ -268,6 +265,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if alg == "" {
 		alg = s.alg
 	}
+	if err := checkAlg(alg); err != nil {
+		s.failRun(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	mode := r.URL.Query().Get("mode")
 	if mode != "" && mode != "run" && mode != "schedule" {
 		s.failRun(w, http.StatusBadRequest, "unknown mode %q (want run or schedule)", mode)
@@ -362,7 +363,7 @@ func (s *Server) compile(p *project.Project, alg string) (cacheEntry, string, er
 	if entry, ok := s.cache.get(key); ok {
 		return entry, "hit", nil
 	}
-	sc, err := env.ScheduleOnWorkers(alg, p.Machine, s.opts.Workers)
+	sc, err := env.ScheduleOn(alg, p.Machine)
 	if err != nil {
 		return cacheEntry{}, "", fmt.Errorf("scheduling: %w", err)
 	}
@@ -374,6 +375,21 @@ func (s *Server) compile(p *project.Project, alg string) (cacheEntry, string, er
 	entry := cacheEntry{flat: env.Flat, sc: sc}
 	s.cache.put(key, entry)
 	return entry, "miss", nil
+}
+
+// checkAlg refuses an alg that is not one of sched.All(). sched.ByName
+// also resolves "optimal", whose search is exponential and takes no
+// context, so one request naming it would hold a core and an admission
+// slot past any timeout.
+func checkAlg(alg string) error {
+	all := sched.All()
+	names := make([]string, len(all))
+	for i, sc := range all {
+		if names[i] = sc.Name(); names[i] == alg {
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown scheduler %q (have %v)", alg, names)
 }
 
 // renderOutputs renders the run's external outputs exactly as `banger

@@ -49,10 +49,6 @@ type Coordinator struct {
 	// ControlReady, when set, is called once with the control listener's
 	// bound address, so a Control of "host:0" remains reachable.
 	ControlReady func(addr string)
-	// FlushEvery is the frame-coalescing window shipped to workers
-	// (default 200µs): small data frames batch per peer until a slot
-	// boundary, an idle/pause barrier, or this much time passes.
-	FlushEvery time.Duration
 
 	Logf func(format string, args ...any)
 
@@ -110,7 +106,6 @@ func (co *Coordinator) heartbeatEvery() time.Duration {
 	return orDefault(co.HeartbeatEvery, 250*time.Millisecond)
 }
 func (co *Coordinator) peerTimeout() time.Duration { return orDefault(co.PeerTimeout, 3*time.Second) }
-func (co *Coordinator) flushEvery() time.Duration  { return orDefault(co.FlushEvery, defaultFlushEvery) }
 
 // connectTimeout bounds the initial dials, a joiner's dial and a
 // calibration's.
@@ -524,8 +519,7 @@ func (r *coRun) sendStart(p *peer, plan *ResumeNote) error {
 		ExternalIn: r.flat.ExternalIn, ExternalOut: r.flat.ExternalOut,
 		Opts:           OptsFor(r.co.Runner),
 		HeartbeatEvery: int64(r.co.heartbeatEvery()), PeerTimeout: int64(r.co.peerTimeout()),
-		FlushEvery: int64(r.co.flushEvery()),
-		Peers:      r.addrs, PeerOf: peerOf,
+		Peers: r.addrs, PeerOf: peerOf,
 		Plan: plan,
 	}
 	// The schedule and inputs ride out of band: they dominate the

@@ -57,7 +57,6 @@ type Fleet struct {
 	// Per-run coordinator knobs, passed through to every run.
 	HeartbeatEvery time.Duration
 	PeerTimeout    time.Duration
-	FlushEvery     time.Duration
 	// Mesh is ignored: the mesh is always on. The field is kept only
 	// until the benchmark harness's struct literals drop it.
 	Mesh bool
@@ -388,8 +387,7 @@ func (f *Fleet) runOnce(ctx context.Context, runner *exec.Runner, sc *sched.Sche
 	co := &Coordinator{
 		Transport: f.Transport, Addrs: placed, Runner: runner,
 		HeartbeatEvery: f.HeartbeatEvery, PeerTimeout: f.PeerTimeout,
-		FlushEvery: f.FlushEvery, MinWorkers: f.MinWorkers,
-		Logf: f.Logf,
+		MinWorkers: f.MinWorkers, Logf: f.Logf,
 	}
 	f.active[co] = true
 	for _, a := range placed {

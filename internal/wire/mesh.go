@@ -29,10 +29,10 @@ import (
 // the mesh: each message travels on exactly one link, is sequenced
 // there, and replays there after a reconnect.
 
-// defaultFlushEvery is the frame-coalescing window: small data frames
-// buffer per peer until the sender's slot ends, the link goes idle, or
-// this much time passes, whichever is first.
-const defaultFlushEvery = 200 * time.Microsecond
+// flushEvery is the frame-coalescing window: small data frames buffer
+// per peer until the sender's slot ends, the link goes idle, or this
+// much time passes, whichever is first.
+const flushEvery = 200 * time.Microsecond
 
 // meshConfig is the initial wiring of a worker's mesh.
 type meshConfig struct {
@@ -41,7 +41,6 @@ type meshConfig struct {
 	self      int      // this worker's index
 	addrs     []string // worker listen addresses by index
 	peerOf    []int    // pe -> worker index
-	flushery  time.Duration
 	logf      func(format string, args ...any)
 }
 
@@ -73,9 +72,6 @@ type mesh struct {
 // the mesh. Higher-indexed peers dial us; their connections arrive
 // through the worker daemon's accept path (acceptPeer).
 func newMesh(cfg meshConfig, deliver func(exec.RemoteMsg) error) *mesh {
-	if cfg.flushery <= 0 {
-		cfg.flushery = defaultFlushEvery
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &mesh{cfg: cfg, deliver: deliver, ctx: ctx, cancel: cancel,
 		addrs:  append([]string(nil), cfg.addrs...),

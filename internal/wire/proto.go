@@ -106,12 +106,9 @@ type StartBundle struct {
 	PeerTimeout    int64 `json:"peerTimeout"`
 	// Mesh data plane. Peers lists every worker's listen address by
 	// worker index and PeerOf maps each processor to the worker hosting
-	// it, so a sender can route a data frame point-to-point. FlushEvery
-	// is the frame coalescing window in nanoseconds (0 picks the
-	// default).
-	Peers      []string `json:"peers,omitempty"`
-	PeerOf     []int    `json:"peerOf,omitempty"`
-	FlushEvery int64    `json:"flushEvery,omitempty"`
+	// it, so a sender can route a data frame point-to-point.
+	Peers  []string `json:"peers,omitempty"`
+	PeerOf []int    `json:"peerOf,omitempty"`
 	// Plan is set for a worker joining a run already in flight: the
 	// same global replan the surviving sessions install with Resume.
 	// The new session starts directly in Plan.Epoch with its virtual

@@ -129,7 +129,6 @@ type workerRun struct {
 	mesh        atomic.Pointer[mesh]
 	hbEvery     time.Duration
 	peerTimeout time.Duration
-	flushEvery  time.Duration
 	resultCh    chan sessOutcome
 	outcome     *sessOutcome // set once the session ended
 	sentResult  bool
@@ -288,7 +287,7 @@ func (d *workerDaemon) route(ic inboundConn) {
 		run := d.runs[h.Run]
 		if run == nil {
 			run = &workerRun{id: h.Run,
-				hbEvery: 250 * time.Millisecond, peerTimeout: 3 * time.Second, flushEvery: defaultFlushEvery,
+				hbEvery: 250 * time.Millisecond, peerTimeout: 3 * time.Second,
 				adopt: make(chan inboundConn), gone: make(chan struct{})}
 			d.runs[h.Run] = run
 			activeWorkerRuns.Add(1)
@@ -692,14 +691,10 @@ func startRun(run *workerRun, bundle *StartBundle, opt WorkerOptions) error {
 	if bundle.PeerTimeout > 0 {
 		run.peerTimeout = time.Duration(bundle.PeerTimeout)
 	}
-	if bundle.FlushEvery > 0 {
-		run.flushEvery = time.Duration(bundle.FlushEvery)
-	}
 	if len(bundle.Peers) > 0 && bundle.Worker < len(bundle.Peers) && opt.transport != nil {
 		run.mesh.Store(newMesh(meshConfig{
 			transport: opt.transport, runID: bundle.Run, self: bundle.Worker,
-			addrs: bundle.Peers, peerOf: bundle.PeerOf,
-			flushery: run.flushEvery, logf: opt.logf,
+			addrs: bundle.Peers, peerOf: bundle.PeerOf, logf: opt.logf,
 		}, ses.Deliver))
 	}
 	// The flush ticker is the coalescing backstop: data waiting in a
@@ -708,7 +703,7 @@ func startRun(run *workerRun, bundle *StartBundle, opt WorkerOptions) error {
 	fctx, cancel := context.WithCancel(context.Background())
 	run.stopFlush = cancel
 	go func() {
-		t := time.NewTicker(run.flushEvery)
+		t := time.NewTicker(flushEvery)
 		defer t.Stop()
 		for {
 			select {
