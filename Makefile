@@ -15,6 +15,8 @@ build:
 # construction serial: sched.WithWorkers is a declared identity function
 # (kept until the frozen benchmark harness stops calling it) that no
 # code here may call, and the candidate-scan pool must not come back.
+# The last keeps the program table single: parsed routines are
+# memoized in internal/pits, and exec must not grow its own memo back.
 vet:
 	$(GO) vet ./...
 	! grep -rnE '\.Mesh([^(A-Za-z0-9_]|$$)' --include='*.go' internal cmd | grep -v _test.go | grep -vE 'Mesh +bool'
@@ -22,6 +24,7 @@ vet:
 	! grep -rn 'recoverRun' --include='*.go' internal/exec | grep -v _test.go
 	! grep -rn 'WithWorkers(' --include='*.go' internal cmd | grep -v _test.go | grep -v 'func WithWorkers('
 	! grep -rnE 'SchedOptions|parScan|workerPool|ScheduleOnWorkers' --include='*.go' internal cmd | grep -v _test.go
+	! grep -rnE 'progCache|parseCached' --include='*.go' internal/exec | grep -v _test.go
 
 test:
 	$(GO) test ./...
@@ -32,10 +35,12 @@ test:
 # meet in the compiled-view cache), the wire transport (coordinator, worker
 # daemons, mesh links, reconnect replay), the conformance harness and the
 # multi-process CLI integration tests. internal/pits is here for its
-# one piece of cross-goroutine state, the shared builtin table.
+# two pieces of cross-goroutine state, the shared builtin table and the
+# program table, and internal/machine with it for a topology's
+# build-once routing tables.
 race:
 	$(GO) test -race ./internal/exec/...
-	$(GO) test -race ./internal/pits/...
+	$(GO) test -race ./internal/pits/... ./internal/machine/...
 	$(GO) test -race ./internal/sched/...
 	$(GO) test -race ./internal/wire/
 	$(GO) test -race ./internal/conform/
@@ -48,13 +53,14 @@ bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
 # One-iteration pass over the scheduler scaling benchmarks, MH on a
-# machine it has not seen (ring:32, ring:128, hypercube:7) and the
+# machine it has not seen (ring:32, ring:128, hypercube:7), the request
+# floor (decode + open + fingerprint of the harness body) and the
 # single-process/distributed runner pair: catches crashes or
 # pathological slowdowns in the hot paths without the cost of a
 # statistically meaningful benchmark run. -short keeps the 32k/100k
 # graphs out of the smoke pass.
 bench-smoke:
-	$(GO) test -run=NONE -bench='SchedulerScaling|MHCold' -benchtime=1x -short .
+	$(GO) test -run=NONE -bench='RequestFloor|SchedulerScaling|MHCold' -benchtime=1x -benchmem -short .
 	$(GO) test -run=NONE -bench='RunnerWall|RunnerTCP' -benchtime=1x -benchmem .
 
 # The request-path harness's own tests, including its smoke suite (all

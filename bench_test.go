@@ -8,6 +8,7 @@ package banger_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -337,9 +338,9 @@ func specMachine(tb testing.TB, spec string) *machine.Machine {
 
 // BenchmarkMHCold measures MH the way a schedule-cache miss pays for
 // it: the 501-task layered design on a machine value no schedule has
-// seen, so the compiled view, the communication table and MH's link
-// and route tables are all built inside the timed call (building the
-// machine itself is not timed). BenchmarkSchedulerScaling reuses one
+// seen, so the compiled view, the topology's hop tables, the
+// communication table and MH's link and route tables are all built
+// inside the timed call (building the machine itself is not timed). BenchmarkSchedulerScaling reuses one
 // machine and so never included any of that. The three machines span
 // mean route lengths of 8, 32 and 3.5 hops.
 func BenchmarkMHCold(b *testing.B) {
@@ -363,28 +364,111 @@ func BenchmarkMHCold(b *testing.B) {
 	}
 }
 
-// TestOpenAllocCeiling guards the hit path's biggest allocator: opening
-// (validating and flattening) the 501-task design. Validation checks
-// every routine, and each check used to build its own copy of the PITS
-// function table — 6.1 MB per open, a third of it table entries.
-func TestOpenAllocCeiling(t *testing.T) {
-	p := &project.Project{
-		Name: "layered-calc", Design: layeredCalcGraph(20, 25), Machine: specMachine(t, "ring:32"),
+// layeredProject is the 501-task layered design as a project on the
+// machine a topology spec names.
+func layeredProject(tb testing.TB, spec string) *project.Project {
+	tb.Helper()
+	return &project.Project{
+		Name: "layered-calc", Design: layeredCalcGraph(20, 25), Machine: specMachine(tb, spec),
 		Inputs: pits.Env{"x": pits.Num(3)},
 	}
-	if _, err := core.Open(p); err != nil { // builds the shared table
-		t.Fatal(err)
+}
+
+// floorBody is the request body the harness posts: layeredProject on
+// ring:128 as a project document, 99 KB.
+func floorBody(tb testing.TB) []byte {
+	tb.Helper()
+	body, err := json.Marshal(layeredProject(tb, "ring:128"))
+	if err != nil {
+		tb.Fatal(err)
 	}
+	return body
+}
+
+// requestFloor is what every request pays before the schedule cache
+// can answer: decode the document, open (validate and flatten) the
+// project, fingerprint it.
+func requestFloor(tb testing.TB, body []byte) string {
+	var p project.Project
+	if err := json.Unmarshal(body, &p); err != nil {
+		tb.Fatal(err)
+	}
+	env, err := core.Open(&p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sched.Fingerprint(env.Flat, p.Machine, "mh")
+}
+
+var floorKey string
+
+// BenchmarkRequestFloor measures requestFloor on the harness body —
+// the whole of a schedule-cache hit but the HTTP round trip.
+func BenchmarkRequestFloor(b *testing.B) {
+	body := floorBody(b)
+	floorKey = requestFloor(b, body) // fills the shared PITS tables
+	b.ReportAllocs()
+	b.SetBytes(int64(len(body)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		floorKey = requestFloor(b, body)
+	}
+}
+
+// allocMB reports the megabytes f allocates, after one untimed call
+// that fills whatever f builds once per process.
+func allocMB(f func()) float64 {
+	f()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := core.Open(p); err != nil {
-		t.Fatal(err)
-	}
+	f()
 	runtime.ReadMemStats(&after)
-	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb > 4.5 {
-		t.Errorf("core.Open of the 501-task design allocated %.2f MB, want at most 4.5 MB", mb)
-	} else {
-		t.Logf("core.Open of the 501-task design allocated %.2f MB", mb)
+	return float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+}
+
+// TestOpenAllocCeiling guards the hit path's biggest allocator: opening
+// (validating and flattening) the 501-task design. It reads 0.6 MB:
+// one flattening, of the design as it stands, with routines taken
+// parsed from the shared program table. A second flattening, a
+// defensive clone or a parse per routine each show up as megabytes.
+func TestOpenAllocCeiling(t *testing.T) {
+	p := layeredProject(t, "ring:32")
+	mb := allocMB(func() {
+		if _, err := core.Open(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if mb > 1.0 {
+		t.Errorf("core.Open of the 501-task design allocated %.2f MB, want at most 1.0 MB", mb)
+	}
+	t.Logf("core.Open of the 501-task design allocated %.2f MB", mb)
+}
+
+// TestDecodeAllocCeiling guards decoding the harness body: one pass
+// over the design's bytes and a machine whose routing tables are not
+// built until something routes (1.39 MB when the design was a nested
+// Unmarshaler and decode built ring:128's tables to validate it).
+func TestDecodeAllocCeiling(t *testing.T) {
+	body := floorBody(t)
+	mb := allocMB(func() {
+		var p project.Project
+		if err := json.Unmarshal(body, &p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if mb > 0.9 {
+		t.Errorf("decoding the %d KB project allocated %.2f MB, want at most 0.9 MB", len(body)>>10, mb)
+	}
+	t.Logf("decoding the %d KB project allocated %.2f MB", len(body)>>10, mb)
+}
+
+// TestFingerprintAllocs guards the fingerprint's buffered writer: one
+// hash Write per field was one allocation per field, 12 285 of them.
+func TestFingerprintAllocs(t *testing.T) {
+	flat, _ := runnerDesign(t, 20, 25)
+	m := specMachine(t, "ring:128")
+	if n := testing.AllocsPerRun(10, func() { floorKey = sched.Fingerprint(flat, m, "mh") }); n > 16 {
+		t.Errorf("Fingerprint of the 501-task design made %.0f allocations, want at most 16", n)
 	}
 }
 

@@ -12,40 +12,6 @@ import (
 	"repro/internal/sched"
 )
 
-// progCache memoizes parsed routines by source text. Programs are
-// read-only after Parse (a session already shares one *Program across
-// all its worker goroutines), so sharing them across sessions is safe.
-// Distributed workers parse a design once per process instead of once
-// per run, and repeated runs of one project re-parse nothing. The cache
-// is dropped wholesale past a size bound: parses are cheap to redo, and
-// wholesale eviction keeps the bookkeeping at one counter.
-var (
-	progCacheMu sync.Mutex
-	progCache   = map[string]*pits.Program{}
-)
-
-const progCacheMax = 4096
-
-func parseCached(src string) (*pits.Program, error) {
-	progCacheMu.Lock()
-	p, ok := progCache[src]
-	progCacheMu.Unlock()
-	if ok {
-		return p, nil
-	}
-	p, err := pits.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	progCacheMu.Lock()
-	if len(progCache) >= progCacheMax {
-		progCache = map[string]*pits.Program{}
-	}
-	progCache[src] = p
-	progCacheMu.Unlock()
-	return p, nil
-}
-
 // Session is one member's share of a running schedule: the worker
 // goroutines of its hosted processors plus the coordinator loop that
 // watches them. It is driven from outside through Deliver/Pause/
@@ -121,11 +87,9 @@ func (r *Runner) buildSession(s *sched.Schedule, flat *graph.Flat, hosted []bool
 	if plane == nil {
 		return nil, fmt.Errorf("exec: a session needs a remote plane")
 	}
-	// Build the schedule's index and the topology's routing tables now:
-	// both caches fill lazily and unsynchronized, and every worker
-	// goroutine reads them.
+	// Build the schedule's index now: it fills lazily and
+	// unsynchronized, and every worker goroutine reads it.
 	s.Finalize()
-	s.Machine.Topo.Precompute()
 
 	// Fail fast on missing external inputs: one clear error before any
 	// worker spawns, instead of a root-cause-plus-cascade report.
@@ -143,7 +107,7 @@ func (r *Runner) buildSession(s *sched.Schedule, flat *graph.Flat, hosted []bool
 			progs[n.ID] = &pits.Program{}
 			continue
 		}
-		prog, err := parseCached(n.Routine)
+		prog, err := pits.Parse(n.Routine)
 		if err != nil {
 			return nil, fmt.Errorf("exec: task %s: %w", n.ID, err)
 		}

@@ -36,7 +36,7 @@ func (g *Graph) Flatten() (*Flat, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	work := g.Clone()
+	work := g
 	for {
 		var sub *Node
 		for _, n := range work.nodes {
@@ -76,7 +76,7 @@ func pickWords(inner, outer int64) int64 {
 // its (already recursively spliced) subgraph. Inner node ids are
 // prefixed with "<s.ID>/".
 func (g *Graph) splice(s *Node) (*Graph, error) {
-	inner := s.Sub.Clone()
+	inner := s.Sub
 	// Recursively splice nested sub nodes first.
 	for {
 		var nested *Node
@@ -96,7 +96,7 @@ func (g *Graph) splice(s *Node) (*Graph, error) {
 		}
 	}
 
-	out := New(g.Name)
+	out := newSized(g.Name, len(g.nodes)+len(inner.nodes), len(g.arcs)+len(inner.arcs))
 	prefix := string(s.ID) + "/"
 
 	// Copy all outer nodes except the sub node itself.
@@ -232,7 +232,7 @@ func (g *Graph) elideStorage() (*Flat, error) {
 		return s, nil
 	}
 
-	out := New(g.Name)
+	out := newSized(g.Name, len(g.nodes), len(g.arcs))
 	flat := &Flat{Graph: out, ExternalIn: map[NodeID][]string{}, ExternalOut: map[NodeID][]string{}}
 	for _, n := range g.nodes {
 		if n.Kind == KindTask {

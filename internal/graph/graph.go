@@ -105,12 +105,17 @@ type Graph struct {
 func (g *Graph) Version() uint64 { return g.version }
 
 // New returns an empty graph with the given name.
-func New(name string) *Graph {
+func New(name string) *Graph { return newSized(name, 0, 0) }
+
+// newSized is New with room reserved for the given node and arc counts.
+func newSized(name string, nodes, arcs int) *Graph {
 	return &Graph{
 		Name:  name,
-		index: make(map[NodeID]*Node),
-		succ:  make(map[NodeID][]Arc),
-		pred:  make(map[NodeID][]Arc),
+		nodes: make([]*Node, 0, nodes),
+		index: make(map[NodeID]*Node, nodes),
+		arcs:  make([]Arc, 0, arcs),
+		succ:  make(map[NodeID][]Arc, nodes),
+		pred:  make(map[NodeID][]Arc, nodes),
 	}
 }
 

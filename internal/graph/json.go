@@ -5,23 +5,28 @@ import (
 	"fmt"
 )
 
-// jsonGraph is the wire form of a Graph.
-type jsonGraph struct {
-	Name  string     `json:"name"`
-	Nodes []jsonNode `json:"nodes"`
-	Arcs  []jsonArc  `json:"arcs"`
+// Doc is the wire form of a Graph: what MarshalJSON writes and
+// UnmarshalJSON reads. It is exported so a document that contains a
+// design (a project) can embed it and be encoded or decoded in one
+// pass, without a nested Marshaler re-scanning the design's bytes.
+type Doc struct {
+	Name  string    `json:"name"`
+	Nodes []DocNode `json:"nodes"`
+	Arcs  []DocArc  `json:"arcs"`
 }
 
-type jsonNode struct {
-	ID      string     `json:"id"`
-	Label   string     `json:"label,omitempty"`
-	Kind    string     `json:"kind"`
-	Work    int64      `json:"work,omitempty"`
-	Routine string     `json:"routine,omitempty"`
-	Sub     *jsonGraph `json:"sub,omitempty"`
+// DocNode is the wire form of a Node.
+type DocNode struct {
+	ID      string `json:"id"`
+	Label   string `json:"label,omitempty"`
+	Kind    string `json:"kind"`
+	Work    int64  `json:"work,omitempty"`
+	Routine string `json:"routine,omitempty"`
+	Sub     *Doc   `json:"sub,omitempty"`
 }
 
-type jsonArc struct {
+// DocArc is the wire form of an Arc.
+type DocArc struct {
 	From  string `json:"from"`
 	To    string `json:"to"`
 	Var   string `json:"var,omitempty"`
@@ -44,44 +49,54 @@ var kindValues = map[string]Kind{
 	"output":  KindOutput,
 }
 
-func (g *Graph) toJSON() *jsonGraph {
-	jg := &jsonGraph{Name: g.Name}
-	for _, n := range g.nodes {
-		jn := jsonNode{ID: string(n.ID), Label: n.Label, Kind: kindNames[n.Kind], Work: n.Work, Routine: n.Routine}
+// Doc returns the graph's wire form.
+func (g *Graph) Doc() *Doc {
+	d := &Doc{Name: g.Name}
+	if len(g.nodes) > 0 {
+		d.Nodes = make([]DocNode, len(g.nodes))
+	}
+	for i, n := range g.nodes {
+		d.Nodes[i] = DocNode{ID: string(n.ID), Label: n.Label, Kind: kindNames[n.Kind], Work: n.Work, Routine: n.Routine}
 		if n.Sub != nil {
-			jn.Sub = n.Sub.toJSON()
+			d.Nodes[i].Sub = n.Sub.Doc()
 		}
-		jg.Nodes = append(jg.Nodes, jn)
 	}
-	for _, a := range g.arcs {
-		jg.Arcs = append(jg.Arcs, jsonArc{From: string(a.From), To: string(a.To), Var: a.Var, Words: a.Words})
+	if len(g.arcs) > 0 {
+		d.Arcs = make([]DocArc, len(g.arcs))
 	}
-	return jg
+	for i, a := range g.arcs {
+		d.Arcs[i] = DocArc{From: string(a.From), To: string(a.To), Var: a.Var, Words: a.Words}
+	}
+	return d
 }
 
-func fromJSON(jg *jsonGraph) (*Graph, error) {
-	g := New(jg.Name)
-	for _, jn := range jg.Nodes {
-		kind, ok := kindValues[jn.Kind]
+// FromDoc builds the graph a wire form describes, checking what the
+// constructors check: known kinds, unique non-empty ids, sub nodes
+// with subgraphs, arcs between existing nodes.
+func FromDoc(d *Doc) (*Graph, error) {
+	g := newSized(d.Name, len(d.Nodes), len(d.Arcs))
+	for i := range d.Nodes {
+		dn := &d.Nodes[i]
+		kind, ok := kindValues[dn.Kind]
 		if !ok {
-			return nil, fmt.Errorf("graph %q: unknown node kind %q", jg.Name, jn.Kind)
+			return nil, fmt.Errorf("graph %q: unknown node kind %q", d.Name, dn.Kind)
 		}
-		n := &Node{ID: NodeID(jn.ID), Label: jn.Label, Kind: kind, Work: jn.Work, Routine: jn.Routine}
-		if jn.Sub != nil {
-			sub, err := fromJSON(jn.Sub)
+		n := &Node{ID: NodeID(dn.ID), Label: dn.Label, Kind: kind, Work: dn.Work, Routine: dn.Routine}
+		if dn.Sub != nil {
+			sub, err := FromDoc(dn.Sub)
 			if err != nil {
 				return nil, err
 			}
 			n.Sub = sub
 		} else if kind == KindSub {
-			return nil, fmt.Errorf("graph %q: sub node %q missing subgraph", jg.Name, jn.ID)
+			return nil, fmt.Errorf("graph %q: sub node %q missing subgraph", d.Name, dn.ID)
 		}
 		if _, err := g.add(n); err != nil {
 			return nil, err
 		}
 	}
-	for _, ja := range jg.Arcs {
-		if err := g.Connect(NodeID(ja.From), NodeID(ja.To), ja.Var, ja.Words); err != nil {
+	for _, da := range d.Arcs {
+		if err := g.Connect(NodeID(da.From), NodeID(da.To), da.Var, da.Words); err != nil {
 			return nil, err
 		}
 	}
@@ -90,17 +105,17 @@ func fromJSON(jg *jsonGraph) (*Graph, error) {
 
 // MarshalJSON implements json.Marshaler.
 func (g *Graph) MarshalJSON() ([]byte, error) {
-	return json.Marshal(g.toJSON())
+	return json.Marshal(g.Doc())
 }
 
 // UnmarshalJSON implements json.Unmarshaler. The receiver is replaced
 // wholesale by the decoded graph.
 func (g *Graph) UnmarshalJSON(data []byte) error {
-	var jg jsonGraph
-	if err := json.Unmarshal(data, &jg); err != nil {
+	var d Doc
+	if err := json.Unmarshal(data, &d); err != nil {
 		return err
 	}
-	ng, err := fromJSON(&jg)
+	ng, err := FromDoc(&d)
 	if err != nil {
 		return err
 	}

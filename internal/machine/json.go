@@ -123,13 +123,14 @@ func (ts topoSpec) numPE() int {
 }
 
 // maxDecodedPEs bounds the machine a JSON document may describe.
-// Decoding builds the topology and validates it, which runs the
-// all-pairs BFS: two N×N int tables, so an unchecked "ring:200000" in a
-// request body is 640 GB allocated before any handler sees the
-// document. 1024 is the size of the largest machines of the paper's
-// period (a 10-cube) and eight times the largest used anywhere in this
-// repository; its tables are 16 MB. Machines built in code or from the
-// command line's -topology are not limited.
+// Decoding builds the adjacency lists and checks connectivity, both
+// linear in the machine, but the first schedule on it builds the
+// all-pairs tables: two N×N ints, so an unchecked "ring:200000" in a
+// request body would be 640 GB asked for by its first NextHop. 1024 is
+// the size of the largest machines of the paper's period (a 10-cube)
+// and eight times the largest used anywhere in this repository; its
+// tables are 16 MB. Machines built in code or from the command line's
+// -topology are not limited.
 const maxDecodedPEs = 1024
 
 // Spec returns the compact spec string for a built-in topology name, or

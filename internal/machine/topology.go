@@ -3,18 +3,22 @@ package machine
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Topology is an undirected interconnection network over N processors
-// numbered 0..N-1. Distances and next hops are computed lazily by BFS
-// and cached; a Topology must not be mutated after first use.
+// numbered 0..N-1. Distances and next hops are computed by BFS the
+// first time one is asked for and kept; that build is synchronized, so
+// a Topology may be shared across goroutines freely. It must not be
+// mutated after first use, and (holding a sync.Once) not copied.
 type Topology struct {
 	Name string
 	N    int
 	adj  [][]int // sorted neighbor lists
 
-	dist  [][]int // all-pairs hop counts, built on demand
-	nextH [][]int // nextH[p][q]: first hop from p toward q (-1 when p==q or unreachable)
+	routes sync.Once
+	dist   [][]int // all-pairs hop counts, built on demand
+	nextH  [][]int // nextH[p][q]: first hop from p toward q (-1 when p==q or unreachable)
 }
 
 // newTopology allocates a topology with empty adjacency.
@@ -222,46 +226,53 @@ func (t *Topology) NumLinks() int {
 	return total / 2
 }
 
-// Precompute forces the lazy BFS routing tables (hop counts and next
-// hops; there is no per-pair path table) to be built now. The build is
-// not synchronized, so any code that shares a Topology across
-// goroutines (the scheduler registry's comparison sweeps, the runner's
-// workers) must call Precompute on one goroutine first.
+// Precompute builds the BFS routing tables (hop counts and next hops;
+// there is no per-pair path table) now rather than at the first Hops
+// or NextHop, for callers that want that cost outside a timed region.
 func (t *Topology) Precompute() { t.buildRoutes() }
 
-// buildRoutes runs BFS from every source, filling dist and nextH.
+// buildRoutes runs BFS from every source, once, filling dist and nextH.
 func (t *Topology) buildRoutes() {
-	if t.dist != nil {
-		return
-	}
-	t.dist = make([][]int, t.N)
-	t.nextH = make([][]int, t.N)
-	for s := 0; s < t.N; s++ {
-		dist := make([]int, t.N)
-		next := make([]int, t.N)
-		for i := range dist {
-			dist[i] = -1
-			next[i] = -1
+	t.routes.Do(func() {
+		t.dist = make([][]int, t.N)
+		t.nextH = make([][]int, t.N)
+		queue := make([]int, 0, t.N)
+		for s := 0; s < t.N; s++ {
+			t.dist[s] = make([]int, t.N)
+			t.nextH[s] = make([]int, t.N)
+			t.bfs(s, t.dist[s], t.nextH[s], queue)
 		}
-		dist[s] = 0
-		queue := []int{s}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, v := range t.adj[u] {
-				if dist[v] == -1 {
-					dist[v] = dist[u] + 1
-					if u == s {
-						next[v] = v
-					} else {
-						next[v] = next[u]
-					}
-					queue = append(queue, v)
+	})
+}
+
+// bfs fills dist (hop counts from s, -1 where unreachable) and, when
+// non-nil, next (first hop from s toward each processor, else -1),
+// visiting neighbors in sorted order. queue is scratch of capacity N.
+func (t *Topology) bfs(s int, dist, next, queue []int) {
+	for i := range dist {
+		dist[i] = -1
+	}
+	for i := range next {
+		next[i] = -1
+	}
+	dist[s] = 0
+	queue = append(queue[:0], s)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, v := range t.adj[u] {
+			if dist[v] != -1 {
+				continue
+			}
+			dist[v] = dist[u] + 1
+			if next != nil {
+				if u == s {
+					next[v] = v
+				} else {
+					next[v] = next[u]
 				}
 			}
+			queue = append(queue, v)
 		}
-		t.dist[s] = dist
-		t.nextH[s] = next
 	}
 }
 
@@ -338,10 +349,12 @@ func (t *Topology) AvgDist() float64 {
 	return float64(sum) / float64(cnt)
 }
 
-// IsConnected reports whether every processor can reach every other.
+// IsConnected reports whether every processor can reach every other:
+// one BFS from processor 0, which builds no routing table.
 func (t *Topology) IsConnected() bool {
-	t.buildRoutes()
-	for _, d := range t.dist[0] {
+	dist := make([]int, t.N)
+	t.bfs(0, dist, nil, make([]int, 0, t.N))
+	for _, d := range dist {
 		if d < 0 {
 			return false
 		}

@@ -1,5 +1,7 @@
 package pits
 
+import "sync"
+
 // parser is a recursive-descent parser with Pratt-style expression
 // precedence climbing.
 type parser struct {
@@ -7,8 +9,45 @@ type parser struct {
 	pos  int
 }
 
-// Parse lexes and parses a PITS routine.
+// programs memoizes parsed routines by source text: the one program
+// table behind project validation, rehearsal, code generation and
+// every run session, in this process and in worker daemons alike. A
+// Program is never written after parse returns it, so one *Program may
+// be read from any number of goroutines. A serving process sees the
+// same few hundred routine texts request after request; parsing them
+// once is what makes re-opening an unchanged design cheap. Past the
+// bound the table is dropped wholesale: parses are cheap to redo, and
+// that keeps the bookkeeping at one length check. Errors are not
+// cached.
+var programsMu sync.Mutex
+var programs = map[string]*Program{}
+
+const maxPrograms = 4096
+
+// Parse lexes and parses a PITS routine. The Program it returns is
+// shared with every other caller that parses the same text and must be
+// treated as read-only.
 func Parse(src string) (*Program, error) {
+	programsMu.Lock()
+	prog, ok := programs[src]
+	programsMu.Unlock()
+	if ok {
+		return prog, nil
+	}
+	prog, err := parse(src)
+	if err != nil {
+		return nil, err
+	}
+	programsMu.Lock()
+	if len(programs) >= maxPrograms {
+		clear(programs)
+	}
+	programs[src] = prog
+	programsMu.Unlock()
+	return prog, nil
+}
+
+func parse(src string) (*Program, error) {
 	toks, err := Lex(src)
 	if err != nil {
 		return nil, err

@@ -29,84 +29,82 @@ type Project struct {
 // validates and flattens, every external input variable has a value,
 // and every task routine parses and type-checks against its inputs.
 func (p *Project) Validate() error {
+	_, err := p.Flatten()
+	return err
+}
+
+// Flatten flattens the design and runs Validate's checks on the
+// result.
+func (p *Project) Flatten() (*graph.Flat, error) {
 	if p.Design == nil {
-		return fmt.Errorf("project %q: no design", p.Name)
+		return nil, fmt.Errorf("project %q: no design", p.Name)
 	}
 	if p.Machine == nil {
-		return fmt.Errorf("project %q: no machine", p.Name)
+		return nil, fmt.Errorf("project %q: no machine", p.Name)
 	}
 	flat, err := p.Design.Flatten()
 	if err != nil {
-		return fmt.Errorf("project %q: %w", p.Name, err)
+		return nil, fmt.Errorf("project %q: %w", p.Name, err)
 	}
 	for task, vars := range flat.ExternalIn {
 		for _, v := range vars {
 			if _, ok := p.Inputs[v]; !ok {
-				return fmt.Errorf("project %q: task %s needs external input %q which has no value", p.Name, task, v)
+				return nil, fmt.Errorf("project %q: task %s needs external input %q which has no value", p.Name, task, v)
 			}
 		}
 	}
-	for _, n := range flat.Graph.Tasks() {
+	var defined []string
+	for _, n := range flat.Graph.Nodes() { // all tasks, once flattened
 		if n.Routine == "" {
 			continue
 		}
 		prog, err := pits.Parse(n.Routine)
 		if err != nil {
-			return fmt.Errorf("project %q: task %s: %w", p.Name, n.ID, err)
+			return nil, fmt.Errorf("project %q: task %s: %w", p.Name, n.ID, err)
 		}
-		var defined []string
-		for _, a := range flat.Graph.Pred(n.ID) {
+		defined = defined[:0]
+		for _, a := range flat.Graph.PredArcs(n.ID) {
 			defined = append(defined, a.Var)
 		}
 		defined = append(defined, flat.ExternalIn[n.ID]...)
 		if err := pits.Check(prog, defined); err != nil {
-			return fmt.Errorf("project %q: task %s: %w", p.Name, n.ID, err)
+			return nil, fmt.Errorf("project %q: task %s: %w", p.Name, n.ID, err)
 		}
 	}
-	return nil
+	return flat, nil
 }
 
-// Flatten validates and flattens the design.
-func (p *Project) Flatten() (*graph.Flat, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p.Design.Flatten()
-}
-
-// jsonProject is the wire form; inputs become plain JSON numbers and
-// arrays.
+// jsonProject is the wire form. The design is its graph.Doc inline, so
+// the whole document is encoded and decoded in one pass; inputs are
+// plain JSON numbers, arrays of numbers, booleans and strings.
 type jsonProject struct {
-	Name    string                     `json:"name"`
-	Design  *graph.Graph               `json:"design"`
-	Machine *machine.Machine           `json:"machine"`
-	Inputs  map[string]json.RawMessage `json:"inputs,omitempty"`
+	Name    string           `json:"name"`
+	Design  *graph.Doc       `json:"design"`
+	Machine *machine.Machine `json:"machine"`
+	Inputs  map[string]any   `json:"inputs,omitempty"`
 }
 
 // MarshalJSON implements json.Marshaler.
 func (p *Project) MarshalJSON() ([]byte, error) {
-	jp := jsonProject{Name: p.Name, Design: p.Design, Machine: p.Machine}
+	jp := jsonProject{Name: p.Name, Machine: p.Machine}
+	if p.Design != nil {
+		jp.Design = p.Design.Doc()
+	}
 	if len(p.Inputs) > 0 {
-		jp.Inputs = map[string]json.RawMessage{}
+		jp.Inputs = make(map[string]any, len(p.Inputs))
 		for k, v := range p.Inputs {
-			var raw []byte
-			var err error
 			switch t := v.(type) {
 			case pits.Num:
-				raw, err = json.Marshal(float64(t))
+				jp.Inputs[k] = float64(t)
 			case pits.Vec:
-				raw, err = json.Marshal([]float64(t))
+				jp.Inputs[k] = []float64(t)
 			case pits.BoolV:
-				raw, err = json.Marshal(bool(t))
+				jp.Inputs[k] = bool(t)
 			case pits.StrV:
-				raw, err = json.Marshal(string(t))
+				jp.Inputs[k] = string(t)
 			default:
-				err = fmt.Errorf("project %q: input %q has unserialisable type %s", p.Name, k, v.TypeName())
+				return nil, fmt.Errorf("project %q: input %q has unserialisable type %s", p.Name, k, v.TypeName())
 			}
-			if err != nil {
-				return nil, err
-			}
-			jp.Inputs[k] = raw
 		}
 	}
 	return json.Marshal(jp)
@@ -118,35 +116,51 @@ func (p *Project) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &jp); err != nil {
 		return err
 	}
-	np := Project{Name: jp.Name, Design: jp.Design, Machine: jp.Machine}
+	np := Project{Name: jp.Name, Machine: jp.Machine}
+	if jp.Design != nil {
+		var err error
+		if np.Design, err = graph.FromDoc(jp.Design); err != nil {
+			return err
+		}
+	}
 	if jp.Inputs != nil {
-		np.Inputs = pits.Env{}
-		for k, raw := range jp.Inputs {
-			var f float64
-			if err := json.Unmarshal(raw, &f); err == nil {
-				np.Inputs[k] = pits.Num(f)
-				continue
+		np.Inputs = make(pits.Env, len(jp.Inputs))
+		for k, v := range jp.Inputs {
+			val, ok := inputValue(v)
+			if !ok {
+				return fmt.Errorf("project %q: input %q: unsupported JSON value", jp.Name, k)
 			}
-			var vec []float64
-			if err := json.Unmarshal(raw, &vec); err == nil {
-				np.Inputs[k] = pits.Vec(vec)
-				continue
-			}
-			var b bool
-			if err := json.Unmarshal(raw, &b); err == nil {
-				np.Inputs[k] = pits.BoolV(b)
-				continue
-			}
-			var s string
-			if err := json.Unmarshal(raw, &s); err == nil {
-				np.Inputs[k] = pits.StrV(s)
-				continue
-			}
-			return fmt.Errorf("project %q: input %q: unsupported JSON value", jp.Name, k)
+			np.Inputs[k] = val
 		}
 	}
 	*p = np
 	return nil
+}
+
+// inputValue converts one decoded JSON input to its PITS value: a
+// number, an array of numbers, a boolean or a string. Anything else —
+// null (which decoding into a float64 would quietly read as 0), an
+// object, an array holding a non-number — is not an input.
+func inputValue(v any) (pits.Value, bool) {
+	switch t := v.(type) {
+	case float64:
+		return pits.Num(t), true
+	case bool:
+		return pits.BoolV(t), true
+	case string:
+		return pits.StrV(t), true
+	case []any:
+		vec := make(pits.Vec, len(t))
+		for i, e := range t {
+			f, ok := e.(float64)
+			if !ok {
+				return nil, false
+			}
+			vec[i] = f
+		}
+		return vec, true
+	}
+	return nil, false
 }
 
 // builtinTable maps names to constructors.

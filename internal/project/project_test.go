@@ -215,6 +215,58 @@ func TestProjectJSONInputTypes(t *testing.T) {
 	}
 }
 
+// TestProjectJSONInputDecoding: an input is a number, an array of
+// numbers, a boolean or a string. null in particular is refused: read
+// as a float64 it would quietly become 0 and the run a wrong answer.
+func TestProjectJSONInputDecoding(t *testing.T) {
+	p, err := NewtonSqrt()
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(good, &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		raw  string
+		want pits.Value // nil: refused
+	}{
+		{`2`, pits.Num(2)},
+		{`-0.5e1`, pits.Num(-5)},
+		{` 7 `, pits.Num(7)},
+		{`[1, 2.5]`, pits.Vec{1, 2.5}},
+		{`[]`, pits.Vec{}},
+		{`true`, pits.BoolV(true)},
+		{`false`, pits.BoolV(false)},
+		{`"hi"`, pits.StrV("hi")},
+		{`"3"`, pits.StrV("3")},
+		{`null`, nil},
+		{`{}`, nil},
+		{`{"v": 1}`, nil},
+		{`[1, null]`, nil},
+		{`[1, "2"]`, nil},
+		{`[[1]]`, nil},
+	} {
+		doc["inputs"] = json.RawMessage(`{"a": ` + c.raw + `}`)
+		body, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Project
+		err = json.Unmarshal(body, &back)
+		switch {
+		case c.want == nil && (err == nil || !strings.Contains(err.Error(), `input "a": unsupported JSON value`)):
+			t.Errorf("input %s: err = %v, inputs = %#v; want the unsupported-value error", c.raw, err, back.Inputs)
+		case c.want != nil && (err != nil || !reflect.DeepEqual(back.Inputs["a"], c.want)):
+			t.Errorf("input %s decoded to %#v (err %v), want %#v", c.raw, back.Inputs["a"], err, c.want)
+		}
+	}
+}
+
 func TestValidateCatchesProblems(t *testing.T) {
 	p, err := LU3x3()
 	if err != nil {

@@ -31,8 +31,7 @@ import (
 // graphs of identical shape but different Work or Words fields
 // schedule differently and must not collide.
 func Fingerprint(f *graph.Flat, m *machine.Machine, algorithm string) string {
-	h := sha256.New()
-	w := fpWriter{h}
+	w := fpWriter{h: sha256.New()}
 	w.str(algorithm)
 
 	g := f.Graph
@@ -91,22 +90,44 @@ func Fingerprint(f *graph.Flat, m *machine.Machine, algorithm string) string {
 		w.f64(m.Rel.LinkDrop)
 		w.f64(m.Rel.Grace)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	w.flush()
+	return hex.EncodeToString(w.h.Sum(nil))
 }
 
 // fpWriter feeds length-prefixed strings and fixed-width integers into
-// the hash so no two distinct field sequences share an encoding.
-type fpWriter struct{ h hash.Hash }
-
-func (w fpWriter) num(v int64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(v))
-	w.h.Write(b[:])
+// the hash so no two distinct field sequences share an encoding. Fields
+// are gathered in buf and handed to the hash a buffer at a time: one
+// Write per field costs an allocation each (the argument escapes
+// through the hash.Hash interface), thousands per fingerprint.
+type fpWriter struct {
+	h   hash.Hash
+	n   int
+	buf [4096]byte
 }
 
-func (w fpWriter) f64(v float64) { w.num(int64(math.Float64bits(v))) }
+func (w *fpWriter) flush() {
+	w.h.Write(w.buf[:w.n])
+	w.n = 0
+}
 
-func (w fpWriter) str(s string) {
+func (w *fpWriter) num(v int64) {
+	if w.n+8 > len(w.buf) {
+		w.flush()
+	}
+	binary.LittleEndian.PutUint64(w.buf[w.n:], uint64(v))
+	w.n += 8
+}
+
+func (w *fpWriter) f64(v float64) { w.num(int64(math.Float64bits(v))) }
+
+func (w *fpWriter) str(s string) {
 	w.num(int64(len(s)))
-	w.h.Write([]byte(s))
+	for len(s) > 0 {
+		if w.n == len(w.buf) {
+			w.flush()
+		}
+		c := copy(w.buf[w.n:], s)
+		w.n += c
+		s = s[c:]
+	}
 }

@@ -67,7 +67,6 @@ func SpeedupCurve(s Scheduler, g *graph.Graph, machines []*machine.Machine) ([]S
 		if m == nil {
 			return nil, fmt.Errorf("speedup curve: nil machine at index %d", i)
 		}
-		m.Topo.Precompute() // routing tables build lazily; force before sharing
 		wg.Add(1)
 		go func(i int, m *machine.Machine) {
 			defer wg.Done()
@@ -100,7 +99,6 @@ func Compare(g *graph.Graph, m *machine.Machine) (map[string]*Schedule, error) {
 	all := All()
 	scs := make([]*Schedule, len(all))
 	errs := make([]error, len(all))
-	m.Topo.Precompute() // routing tables build lazily; force before sharing
 	var wg sync.WaitGroup
 	for i, s := range all {
 		wg.Add(1)

@@ -16,9 +16,9 @@ import (
 )
 
 // cacheEntry is a reusable compiled submission: the flattened design
-// and its finalized schedule. Both are immutable after Finalize and
-// Topo.Precompute, so concurrent cache-hit runs share them freely;
-// only the input values differ per request.
+// and its finalized schedule. Both are immutable after Finalize, so
+// concurrent cache-hit runs share them freely; only the input values
+// differ per request.
 type cacheEntry struct {
 	flat *graph.Flat
 	sc   *sched.Schedule

@@ -418,10 +418,76 @@ func TestServeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestServeRejectsTrailingData: a body is one project document. The
+// decoder stops after the first JSON value, so what follows it has to
+// be looked for: garbage or a second document is a 400, whitespace is
+// not.
+func TestServeRejectsTrailingData(t *testing.T) {
+	s := New(Options{DefaultAlg: "etf"})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	doc, err := json.Marshal(testProject(t, 10, 1, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, tail string
+		status     int
+	}{
+		{"whitespace", " \n\t", http.StatusOK},
+		{"garbage", " trailing garbage", http.StatusBadRequest},
+		{"second document", string(doc), http.StatusBadRequest},
+		{"stray bracket", "]", http.StatusBadRequest},
+	} {
+		resp, err := http.Post(ts.URL+"/run?mode=schedule", "application/json", strings.NewReader(string(doc)+c.tail))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var msg bytes.Buffer
+		_, _ = msg.ReadFrom(resp.Body) // a short read only weakens the message check below
+		resp.Body.Close()
+		if resp.StatusCode != c.status {
+			t.Errorf("%s: status = %d, want %d (%s)", c.name, resp.StatusCode, c.status, msg.String())
+		}
+		if c.status == http.StatusBadRequest && !strings.Contains(msg.String(), "parsing project: trailing data") {
+			t.Errorf("%s: body %q does not say \"parsing project: trailing data\"", c.name, msg.String())
+		}
+	}
+}
+
+// TestServeRejectsNullInput: "inputs": {"x": null} used to decode as
+// x = 0 and run to a wrong answer with status 200.
+func TestServeRejectsNullInput(t *testing.T) {
+	s := New(Options{DefaultAlg: "etf"})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	good, err := json.Marshal(testProject(t, 10, 1, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.Replace(good, []byte(`"inputs":{"x":3}`), []byte(`"inputs":{"x":null}`), 1)
+	if bytes.Equal(body, good) {
+		t.Fatalf("project document has no x input to replace: %s", good)
+	}
+	resp, err := http.Post(ts.URL+"/run", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var msg bytes.Buffer
+	_, _ = msg.ReadFrom(resp.Body) // a short read only weakens the message check below
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg.String(), "unsupported JSON value") {
+		t.Errorf("null input: status %d, body %q; want 400 naming the unsupported value", resp.StatusCode, msg.String())
+	}
+}
+
 // TestServeRejectsOversizedMachine: a posted machine is built while the
 // body decodes, so its size must be refused from the spec alone —
-// ring:200000 would otherwise allocate two 200000² int tables before
-// any handler code ran, and full:200000 as many adjacency entries.
+// ring:200000 would otherwise be accepted and ask for two 200000² int
+// tables at its first schedule, and full:200000 builds as many
+// adjacency entries during decode itself.
 func TestServeRejectsOversizedMachine(t *testing.T) {
 	s := New(Options{DefaultAlg: "etf"})
 	ts := httptest.NewServer(s.Handler())

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sort"
@@ -257,8 +258,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	var p project.Project
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20)).Decode(&p); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
+	if err := dec.Decode(&p); err != nil {
 		s.failRun(w, http.StatusBadRequest, "parsing project: %v", err)
+		return
+	}
+	// Decode stops after the first value; a body is one document.
+	if _, err := dec.Token(); err != io.EOF {
+		s.failRun(w, http.StatusBadRequest, "parsing project: trailing data")
 		return
 	}
 	alg := r.URL.Query().Get("alg")
@@ -367,9 +374,10 @@ func (s *Server) compile(p *project.Project, alg string) (cacheEntry, string, er
 	if err != nil {
 		return cacheEntry{}, "", fmt.Errorf("scheduling: %w", err)
 	}
-	// Finalize the derived views and routing tables before the pair is
-	// shared across concurrent cache-hit runs — the lazy builds are not
-	// synchronized.
+	// Finalize the derived views before the pair is shared across
+	// concurrent cache-hit runs (that lazy build is not synchronized),
+	// and build the routing tables here so the miss pays for them, not
+	// the first virtual-time run that hits.
 	sc.Finalize()
 	sc.Machine.Topo.Precompute()
 	entry := cacheEntry{flat: env.Flat, sc: sc}
