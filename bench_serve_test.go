@@ -66,11 +66,6 @@ func benchServeThroughput(b *testing.B, conc int, mode string, warm bool) {
 		DefaultAlg: "mh", MaxConcurrent: conc,
 		QueueDepth: 4 * conc, TenantCap: -1,
 		CacheCap: cacheCap, Virtual: true,
-		// In-process runs cannot lose messages, but conc 128-PE runs
-		// time-sharing the bench host's cores stretch wall-clock
-		// delivery far past the 1s default floor — without this, the
-		// per-receive watchdog aborts healthy runs at c16.
-		WatchdogMin: 5 * time.Minute,
 	})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
@@ -205,7 +200,6 @@ func benchServeFleet(b *testing.B, workers, conc, maxRuns int) {
 		DefaultAlg: "etf", MaxConcurrent: conc,
 		QueueDepth: 4 * conc, TenantCap: -1,
 		CacheCap: 16, Fleet: fleet,
-		WatchdogMin: 5 * time.Minute,
 	})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()

@@ -7,14 +7,20 @@ package banger_test
 // them.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/codegen"
@@ -26,6 +32,7 @@ import (
 	"repro/internal/pits"
 	"repro/internal/project"
 	"repro/internal/sched"
+	"repro/internal/serve"
 	"repro/internal/wire"
 )
 
@@ -576,8 +583,8 @@ func layeredCalcGraph(layers, width int) *graph.Graph {
 
 // BenchmarkRunnerVirtual measures the goroutine runner in deterministic
 // virtual time on a ~500-task layered calculator design scheduled by
-// ETF — the fault-tolerant runtime's fault-free fast path (watchdogs
-// armed, no retries, no checksums) — on an 8-processor hypercube
+// ETF — the fault-tolerant runtime's fault-free fast path (no retries,
+// no checksums) — on an 8-processor hypercube
 // (baseline: BENCH_PR3.json) and on the 128-processor ring whose run
 // mode BENCH_PR9 could not sustain.
 func BenchmarkRunnerVirtual(b *testing.B) {
@@ -626,6 +633,67 @@ func TestSessionAllocScalesWithTraffic(t *testing.T) {
 	}
 	if large >= 3*small {
 		t.Errorf("a ring:128 run allocates %.1fx a ring:16 run (%d vs %d bytes), want < 3x", float64(large)/float64(small), large, small)
+	}
+}
+
+// TestNoFalseDeadlockOnAStarvedHost runs the regime that used to need a
+// timeout raised: 16 concurrent in-process runs of the 501-task design
+// on a 32-processor ring, time-sliced on one core that four spinning
+// goroutines also want. A run's deadlock detector counts blocked
+// processors instead of timing them, so starving a healthy run of CPU
+// slows it and nothing else: every request answers 200 with the same
+// outputs and the server counts no failure.
+func TestNoFalseDeadlockOnAStarvedHost(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var stop atomic.Bool
+	defer stop.Store(true)
+	for i := 0; i < 4; i++ {
+		go func() {
+			for !stop.Load() {
+			}
+		}()
+	}
+	s := serve.New(serve.Options{MaxConcurrent: 16, TenantCap: -1})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	body, err := json.Marshal(layeredProject(t, "ring:32"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const clients = 16
+	replies := make([]serve.RunResponse, clients)
+	errs := make([]error, clients)
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Post(srv.URL+"/run", "application/json", bytes.NewReader(body))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				msg, _ := io.ReadAll(resp.Body)
+				errs[i] = fmt.Errorf("status %d: %s", resp.StatusCode, msg)
+				return
+			}
+			errs[i] = json.NewDecoder(resp.Body).Decode(&replies[i])
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if len(replies[i].Outputs) == 0 || !reflect.DeepEqual(replies[i].Outputs, replies[0].Outputs) {
+			t.Errorf("request %d outputs %v, want %v", i, replies[i].Outputs, replies[0].Outputs)
+		}
+	}
+	if st := s.Stats(); st.Runs.Failed != 0 || st.Runs.Total != clients {
+		t.Errorf("server counted %d failed of %d runs, want 0 of %d", st.Runs.Failed, st.Runs.Total, clients)
 	}
 }
 

@@ -214,10 +214,7 @@ func TestDistProcessKillWorker(t *testing.T) {
 
 	co := &wire.Coordinator{
 		Transport: wire.TCP(), Addrs: addrs,
-		// The watchdog floor sits above the injected 2s delay so the
-		// kill is detected by heartbeat loss, not a receive watchdog.
-		Runner: &exec.Runner{Inputs: env.Project.Inputs, Faults: plan,
-			WatchdogMin: 10 * time.Second},
+		Runner:         &exec.Runner{Inputs: env.Project.Inputs, Faults: plan},
 		HeartbeatEvery: 50 * time.Millisecond,
 		PeerTimeout:    600 * time.Millisecond,
 		Logf:           t.Logf,
@@ -419,8 +416,7 @@ func TestDistProcessChurn(t *testing.T) {
 	ctrlCh := make(chan string, 1)
 	co := &wire.Coordinator{
 		Transport: wire.TCP(), Addrs: []string{a1, a2, a3},
-		Runner: &exec.Runner{Inputs: inputs, Faults: plan,
-			WatchdogMin: 10 * time.Second},
+		Runner:         &exec.Runner{Inputs: inputs, Faults: plan},
 		HeartbeatEvery: 50 * time.Millisecond,
 		PeerTimeout:    600 * time.Millisecond,
 		Control:        "127.0.0.1:0",

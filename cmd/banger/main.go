@@ -126,7 +126,7 @@ commands:
   simulate -project P [-alg A]
   animate  -project P [-alg A] [-frames N]
   rehearse -project P
-  run      -project P [-alg A] [-virtual] [-chart] [-retry] [-grace G]
+  run      -project P [-alg A] [-virtual] [-chart] [-retry]
            [-faults SPEC|rand] [-fault-seed N]
            [-dist HOST:PORT,HOST:PORT,...] [-calibrate]
            [-peer-timeout D] [-heartbeat D]
@@ -453,7 +453,6 @@ func cmdRun(args []string) error {
 	chart := fs.Bool("chart", false, "draw the executed trace as a Gantt chart")
 	faults := fs.String("faults", "", `inject faults: "rand" or a spec like "crash:1@0,drop:a->b:u" (see banger help)`)
 	faultSeed := fs.Int64("fault-seed", 1, "seed for -faults rand")
-	grace := fs.Float64("grace", 0, "watchdog grace factor over predicted arrival times (0 = machine default)")
 	retry := fs.Bool("retry", false, "acknowledged delivery with retransmission (absorbs drops/dups)")
 	dist := fs.String("dist", "", "distribute over running workers: comma-separated host:port list")
 	calibrate := fs.Bool("calibrate", false, "with -dist: measure wire latency and recalibrate the machine model before scheduling")
@@ -506,8 +505,7 @@ func cmdRun(args []string) error {
 		return err
 	}
 
-	runner := &exec.Runner{VirtualTime: *virtual, Retry: *retry, Grace: *grace,
-		Inputs: env.Project.Inputs}
+	runner := &exec.Runner{VirtualTime: *virtual, Retry: *retry, Inputs: env.Project.Inputs}
 	switch {
 	case *faults == "":
 	case *faults == "rand":

@@ -269,6 +269,14 @@ func TestMeshFlagRemoved(t *testing.T) {
 	}
 }
 
+// TestWatchdogFlagsRemoved: a hung run is decided by counting, not by a
+// per-receive timer, so the timer's knobs `run -grace` and `serve
+// -watchdog-min` are refused rather than ignored.
+func TestWatchdogFlagsRemoved(t *testing.T) {
+	wantUnknownFlag(t, "run", "-grace", "-grace 2")
+	wantUnknownFlag(t, "serve", "-watchdog-min", "-watchdog-min 5s")
+}
+
 // TestTuningFlagsRemoved: schedule construction is serial and the
 // frame-coalescing window is a constant, so `-workers` and
 // `-flush-interval` are refused rather than ignored, and the help text

@@ -35,7 +35,6 @@ func cmdServe(args []string) error {
 	minWorkers := fs.Int("min-workers", 0, "refuse drains leaving fewer live workers (0 = only the last)")
 	heartbeat := fs.Duration("heartbeat", 250*time.Millisecond, "fleet keepalive cadence")
 	peerTimeout := fs.Duration("peer-timeout", 3*time.Second, "fleet silence budget before a worker is declared dead")
-	watchdogMin := fs.Duration("watchdog-min", 0, "per-receive watchdog floor; raise when -max-runs oversubscribes the cores (0 = 1s)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "in-flight budget at shutdown")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -78,8 +77,7 @@ func cmdServe(args []string) error {
 	s := serve.New(serve.Options{
 		DefaultAlg: *alg, MaxConcurrent: *maxRuns, QueueDepth: *queue,
 		TenantCap: *tenantCap, CacheCap: *cacheCap,
-		Fleet: fl, Virtual: *virtual,
-		WatchdogMin: *watchdogMin, Logf: logf,
+		Fleet: fl, Virtual: *virtual, Logf: logf,
 	})
 
 	lis, err := net.Listen("tcp", *listen)

@@ -115,7 +115,7 @@ func (e *Environment) RunVirtual(sc *sched.Schedule) (*exec.Result, error) {
 }
 
 // RunWith executes the schedule with a caller-configured runner (fault
-// injection, retry, watchdog and grace settings). The project's input
+// injection and retry settings). The project's input
 // data is bound automatically unless the runner already carries inputs.
 func (e *Environment) RunWith(sc *sched.Schedule, r *exec.Runner) (*exec.Result, error) {
 	if r.Inputs == nil {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -18,7 +19,7 @@ import (
 // This file is one session's coordinator: the goroutine that watches
 // its workers' life-cycle events, reports them to the remote plane,
 // carries out the Pause/Resume commands that come back, and detects
-// global stalls.
+// deadlock (by counting) and stalls (by timing).
 
 // wevent is a worker life-cycle notification to the coordinator.
 type wevent struct {
@@ -62,12 +63,21 @@ type controller struct {
 	flat   *graph.Flat
 	numPE  int
 
-	// hosted flags the processors this session runs; plane carries
+	// hosted flags the processors this session runs (a flag drops when
+	// a joiner revives a processor that crashed here); plane carries
 	// traffic for the rest and hears the life-cycle reports. cmds feeds
 	// Pause/Resume requests to the coordinator loop.
-	hosted []bool
+	hosted []atomic.Bool
 	plane  RemotePlane
 	cmds   chan sessCmd
+	// busy counts what can still hand a hosted processor a message
+	// without outside help: live hosted workers that are neither blocked
+	// in receive nor through their slot list, plus the deliveries
+	// background goroutines still owe. Zero with a worker blocked is
+	// starvation (see starved). crashed is up from a hosted processor's
+	// death until the resume that replans it.
+	busy    atomic.Int64
+	crashed atomic.Bool
 	// quiescent is set while every live hosted worker is idle or parked:
 	// local progress legitimately stops while other sessions still work
 	// (or the barrier forms), so the stall detector must hold fire.
@@ -88,13 +98,12 @@ type controller struct {
 	extra  []trace.Event // events emitted outside worker goroutines
 	runErr error         // coordinator-detected failure (stall, unrecoverable crash)
 
-	bg sync.WaitGroup // retry, delay and stall goroutines
+	bg sync.WaitGroup // owed-delivery goroutines (see later) and stallWatch
 
 	workers   []*worker
 	faults    *faultState
 	retry     bool
 	checksums bool
-	grace     float64
 	now       func() machine.Time
 	stats     *Stats
 }
@@ -104,14 +113,14 @@ func (c *controller) complete() { c.finishOnce.Do(func() { close(c.finish) }) }
 
 // isLocal reports whether processor pe is hosted by this session.
 func (c *controller) isLocal(pe int) bool {
-	return pe >= 0 && pe < len(c.hosted) && c.hosted[pe]
+	return pe >= 0 && pe < len(c.hosted) && c.hosted[pe].Load()
 }
 
 // numLocal counts the processors hosted by this session.
 func (c *controller) numLocal() int {
 	n := 0
-	for _, h := range c.hosted {
-		if h {
+	for i := range c.hosted {
+		if c.hosted[i].Load() {
 			n++
 		}
 	}
@@ -135,28 +144,76 @@ func (c *controller) addEvent(e trace.Event) {
 	c.mu.Unlock()
 }
 
-// waitingSummary renders the blocked processors for stall diagnostics.
-func (c *controller) waitingSummary() string {
-	if s := c.waitingExcept(-1); s != "" {
-		return s
-	}
-	return "no worker waiting on a message"
-}
-
-// waitingExcept renders the blocked hosted processors other than skip,
-// in processor order — a watchdog that fires downstream of the real
-// loss uses it to point at the edge that is actually missing.
-func (c *controller) waitingExcept(skip int) string {
+// waiting renders the blocked hosted processors in processor order,
+// each with the edge it awaits and the processor scheduled to send it:
+// the body of a deadlock or stall report.
+func (c *controller) waiting() string {
 	var parts []string
 	for pe, w := range c.workers {
-		if w == nil || pe == skip {
+		if w == nil {
 			continue
 		}
-		if k := w.awaiting.Load(); k != nil {
-			parts = append(parts, fmt.Sprintf("PE %d waits for %s", pe, k))
+		if a := w.awaiting.Load(); a != nil {
+			parts = append(parts, fmt.Sprintf("PE %d waits for %s from PE %d", pe, a.key, a.fromPE))
 		}
 	}
 	return strings.Join(parts, "; ")
+}
+
+// retire takes one unit out of the busy count: a worker finished its
+// slot list or died, or a background goroutine made (or gave up) the
+// delivery it owed.
+func (c *controller) retire() {
+	if c.busy.Add(-1) == 0 {
+		c.starved()
+	}
+}
+
+// later runs f, which owes the session a delivery, in the background
+// after wall-clock delay d — or not at all if the run ends first. The
+// debt is in the busy count from before the sender moves on until f
+// returns, so a session waiting on it is never taken for starved.
+func (c *controller) later(d time.Duration, f func()) {
+	c.bg.Add(1)
+	c.busy.Add(1)
+	go func() {
+		defer c.bg.Done()
+		defer c.retire()
+		if d > 0 {
+			t := time.NewTimer(d)
+			defer t.Stop()
+			select {
+			case <-t.C:
+			case <-c.done:
+				return
+			case <-c.finish:
+				return
+			}
+		}
+		f()
+	}()
+}
+
+// starved is called by whoever took the last unit out of the busy
+// count: every live hosted worker is now blocked in receive or through
+// its list, and nothing in this session will ever send again. A session
+// hosting a share of the machine may be waiting on its peers and leaves
+// the verdict to stallWatch. One hosting all of it has proved a deadlock
+// the moment some worker is blocked — unless a recovery is about to
+// rewrite the plan: a hosted crash not yet replanned, or the barrier
+// already forming.
+func (c *controller) starved() {
+	if c.numLocal() < c.numPE || c.crashed.Load() {
+		return
+	}
+	select {
+	case <-c.era.Load().pause:
+		return
+	default:
+	}
+	if waits := c.waiting(); waits != "" {
+		c.fail(fmt.Errorf("exec: run deadlocked: %s", waits))
+	}
 }
 
 // post sends a life-cycle event to the coordinator, giving up if the
@@ -169,11 +226,11 @@ func (c *controller) post(ev wevent) {
 }
 
 // assignment is the per-processor derivation of a recovery plan: slot
-// lists, expected arrivals with predicted times, sends from re-run
-// producers and era-start re-sends of surviving results.
+// lists, expected arrivals with their sending processors, sends from
+// re-run producers and era-start re-sends of surviving results.
 type assignment struct {
 	slots    [][]sched.Slot
-	expected []map[msgKey]machine.Time
+	expected []map[msgKey]int
 	sends    []map[graph.NodeID][]sendPlan
 	resends  [][]sendPlan
 }
@@ -185,7 +242,7 @@ type assignment struct {
 func deriveAssignment(numPE int, slots []sched.Slot, msgs []sched.Msg, done map[graph.NodeID]int) *assignment {
 	a := &assignment{
 		slots:    make([][]sched.Slot, numPE),
-		expected: make([]map[msgKey]machine.Time, numPE),
+		expected: make([]map[msgKey]int, numPE),
 		sends:    make([]map[graph.NodeID][]sendPlan, numPE),
 		resends:  make([][]sendPlan, numPE),
 	}
@@ -193,12 +250,12 @@ func deriveAssignment(numPE int, slots []sched.Slot, msgs []sched.Msg, done map[
 		a.slots[sl.PE] = append(a.slots[sl.PE], sl)
 	}
 	for pe := 0; pe < numPE; pe++ {
-		a.expected[pe] = map[msgKey]machine.Time{}
+		a.expected[pe] = map[msgKey]int{}
 		a.sends[pe] = map[graph.NodeID][]sendPlan{}
 	}
 	for _, m := range msgs {
 		k := msgKey{m.From, m.To, m.Var}
-		a.expected[m.ToPE][k] = m.Recv
+		a.expected[m.ToPE][k] = m.FromPE
 		sp := sendPlan{key: k, toPE: m.ToPE, words: m.Words}
 		if _, held := done[m.From]; held {
 			// The producer's result survives on m.FromPE: that worker
@@ -401,8 +458,16 @@ func (c *controller) extraSnapshot() []trace.Event {
 // installPlan rewrites the hosted workers' era state from a global
 // plan. Imports (a drained worker's env checkpoint re-homed here) land
 // in the new holders' local stores first, so the plan's re-sends and
-// adoptions can read them exactly as if the tasks had run here.
+// adoptions can read them exactly as if the tasks had run here. A
+// processor that crashed here and is live in the plan was revived by a
+// joiner: from now on it is remote, and senders must reach it through
+// the plane, not through the dead worker's mailbox.
 func (c *controller) installPlan(p *ResumePlan) {
+	for pe, w := range c.workers {
+		if w != nil && w.dead && !p.Dead[pe] {
+			c.hosted[pe].Store(false)
+		}
+	}
 	for _, imp := range p.Imports {
 		if imp.PE < 0 || imp.PE >= c.numPE || !c.isLocal(imp.PE) {
 			continue
@@ -422,6 +487,7 @@ func (c *controller) installPlan(p *ResumePlan) {
 // and releases the parked workers into the new era.
 func (c *controller) resumeLocal(p *ResumePlan) {
 	c.installPlan(p)
+	c.crashed.Store(false)
 	er := c.era.Load()
 	next := &era{epoch: p.Epoch, pause: make(chan struct{}), resume: make(chan struct{})}
 	c.era.Store(next)
@@ -436,8 +502,8 @@ func (c *controller) resumeLocal(p *ResumePlan) {
 // drop or corruption is healed here by emulating the one
 // retransmission the in-process ack loop would have sent: the receiver
 // discards the corrupt copy by checksum and absorbs duplicates by
-// sequence number. Without retry, the loss becomes the receiver's
-// watchdog timeout, exactly as on the direct in-process path.
+// sequence number. Without retry, the loss starves the receiver,
+// exactly as on the direct in-process path.
 func (c *controller) sendRemote(m xmsg, orig pits.Value, toPE, copies int, wallDelay time.Duration) error {
 	m.ack = nil
 	if c.retry && (copies == 0 || (m.sum != 0 && m.sum != checksum(m.val))) {
@@ -450,26 +516,18 @@ func (c *controller) sendRemote(m xmsg, orig pits.Value, toPE, copies int, wallD
 		FromPE: m.fromPE, ToPE: toPE, Seq: m.seq, Epoch: m.epoch,
 		At: m.at, Sum: m.sum, Val: m.val}
 	if wallDelay > 0 {
-		c.bg.Add(1)
-		go func() {
-			defer c.bg.Done()
-			t := time.NewTimer(wallDelay)
-			defer t.Stop()
-			select {
-			case <-t.C:
-				for i := 0; i < copies; i++ {
-					c.stats.RemoteSends.Add(1)
-					if err := c.plane.DeliverRemote(rm); err != nil {
-						c.fail(fmt.Errorf("exec: remote delivery to PE %d: %w", toPE, err))
-						return
-					}
+		c.later(wallDelay, func() {
+			for i := 0; i < copies; i++ {
+				c.stats.RemoteSends.Add(1)
+				if err := c.plane.DeliverRemote(rm); err != nil {
+					c.fail(fmt.Errorf("exec: remote delivery to PE %d: %w", toPE, err))
+					return
 				}
-				// The delivery happened outside any slot's send burst;
-				// flush so it doesn't wait out the plane's interval.
-				c.flushRemote()
-			case <-c.done:
 			}
-		}()
+			// The delivery happened outside any slot's send burst;
+			// flush so it doesn't wait out the plane's interval.
+			c.flushRemote()
+		})
 		return nil
 	}
 	for i := 0; i < copies; i++ {
@@ -501,18 +559,7 @@ func (c *controller) retransmitRemote(m xmsg, orig pits.Value, toPE int, wallDel
 	if rt.sum != 0 {
 		rt.sum = checksum(orig)
 	}
-	c.bg.Add(1)
-	go func() {
-		defer c.bg.Done()
-		t := time.NewTimer(wallDelay + c.runner.retryBase())
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-c.done:
-			return
-		case <-c.finish:
-			return
-		}
+	c.later(wallDelay+c.runner.retryBase(), func() {
 		if c.era.Load().epoch != rt.epoch {
 			return
 		}
@@ -532,12 +579,12 @@ func (c *controller) retransmitRemote(m xmsg, orig pits.Value, toPE int, wallDel
 			return
 		}
 		c.flushRemote()
-	}()
+	})
 }
 
 // stallWatch fails the run if no task completes and no message is
-// accepted for the stall timeout: the global backstop behind the
-// per-receive watchdogs.
+// accepted for the stall timeout: the backstop of a session that hosts
+// a share of the machine and so cannot tell a deadlock from a slow peer.
 func (c *controller) stallWatch(timeout time.Duration) {
 	defer c.bg.Done()
 	step := timeout / 4
@@ -564,7 +611,8 @@ func (c *controller) stallWatch(timeout time.Duration) {
 				continue
 			}
 			if time.Since(lastChange) >= timeout {
-				c.fail(fmt.Errorf("exec: run stalled: no progress for %v (%s)", timeout, c.waitingSummary()))
+				c.fail(fmt.Errorf("exec: run stalled: no progress for %v (%s)", timeout,
+					cmp.Or(c.waiting(), "no worker waiting on a message")))
 				return
 			}
 		}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -255,54 +256,149 @@ func TestCrashAndDropRecoverExactOutputs(t *testing.T) {
 	}
 }
 
-// TestWatchdogNamesLostMessage: a dropped message without retry must
-// fail with a watchdog timeout naming the missing edge — not hang.
-func TestWatchdogNamesLostMessage(t *testing.T) {
-	s, flat := chainSchedule(t)
-	plan, err := ParseFaults("drop:a->b:u")
+// TestLostMessageIsReportedAsDeadlock: a dropped message without retry
+// leaves every processor blocked with nothing in flight. That is a state,
+// not a duration: the run fails at once, naming the missing edge, the
+// processor waiting for it and the processor that was to send it. No
+// timeout is set anywhere.
+func TestLostMessageIsReportedAsDeadlock(t *testing.T) {
+	check := func(t *testing.T, s *sched.Schedule, flat *graph.Flat, inputs pits.Env, lost sched.Msg) {
+		t.Helper()
+		k := msgKey{lost.From, lost.To, lost.Var}
+		r := &Runner{Inputs: inputs, Faults: &FaultPlan{Faults: []Fault{
+			{Kind: FaultDrop, From: lost.From, To: lost.To, Var: lost.Var, Count: 1}}}}
+		start := time.Now()
+		_, err := r.Run(s, flat)
+		took := time.Since(start)
+		if err == nil {
+			t.Fatal("lost message without retry did not fail")
+		}
+		if !strings.Contains(err.Error(), "deadlocked") {
+			t.Errorf("error is not a deadlock report: %v", err)
+		}
+		want := fmt.Sprintf("PE %d waits for %s from PE %d", lost.ToPE, k, lost.FromPE)
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("report lacks %q: %v", want, err)
+		}
+		if took > 100*time.Millisecond {
+			t.Errorf("deadlock reported after %v, want < 100ms", took)
+		}
+	}
+	t.Run("chain", func(t *testing.T) {
+		s, flat := chainSchedule(t)
+		check(t, s, flat, pits.Env{"x0": pits.Num(5)}, s.Msgs[0]) // a->b:u
+	})
+	t.Run("layered-501", func(t *testing.T) {
+		flat, inputs := layeredCalc(t, 20, 25)
+		s, err := sched.ETF{}.Schedule(flat.Graph, testMachine(t, "hypercube:3", params()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range s.Msgs {
+			if m.FromPE != m.ToPE && strings.HasPrefix(string(m.To), "t10_") {
+				check(t, s, flat, inputs, m)
+				return
+			}
+		}
+		t.Fatal("no cross-PE message into layer 10")
+	})
+}
+
+// TestCrashWhileOthersBlockIsNotDeadlock: PE 0 runs a long task a and
+// then dies before c, whose result PE 1 has been blocked on from the
+// start. The moment PE 0 dies every live processor is blocked and
+// nothing is in flight — but a crash awaiting its replan is not a
+// deadlock: recovery must complete with the fault-free outputs.
+func TestCrashWhileOthersBlockIsNotDeadlock(t *testing.T) {
+	g := graph.New("straggler")
+	g.MustAddStorage("X0", "x0")
+	g.MustAddTask("a", "a", 100).Routine = "u = x0\nrepeat 20000 do\n  u = u + 1\nend"
+	g.MustAddTask("c", "c", 10).Routine = "w = u * 2"
+	g.MustAddTask("b", "b", 10).Routine = "out = w + 1"
+	g.MustAddStorage("OUT", "out")
+	g.MustConnect("X0", "a", "x0", 1)
+	g.MustConnect("a", "c", "u", 1)
+	g.MustConnect("c", "b", "w", 1)
+	g.MustConnect("b", "OUT", "out", 1)
+	flat, err := g.Flatten()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &Runner{
-		Inputs:      pits.Env{"x0": pits.Num(5)},
-		Faults:      plan,
-		WatchdogMin: 50 * time.Millisecond,
+	s := &sched.Schedule{
+		Graph: flat.Graph, Machine: testMachine(t, "full:2", params()), Algorithm: "hand",
+		Slots: []sched.Slot{
+			{Task: "a", PE: 0, Start: 0, Finish: 101},
+			{Task: "c", PE: 0, Start: 101, Finish: 112},
+			{Task: "b", PE: 1, Start: 118, Finish: 129},
+		},
+		Msgs: []sched.Msg{
+			{Var: "w", From: "c", To: "b", FromPE: 0, ToPE: 1, Words: 1, Send: 112, Recv: 118, Hops: 1},
+		},
 	}
-	_, err = r.Run(s, flat)
-	if err == nil {
-		t.Fatal("lost message without retry did not fail")
+	s.Finalize()
+	inputs := pits.Env{"x0": pits.Num(5)}
+	want, err := (&Runner{Inputs: inputs}).Run(s, flat)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "watchdog") {
-		t.Errorf("error is not a watchdog timeout: %v", err)
+	plan, err := ParseFaults("crash:0@1")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "a->b:u") {
-		t.Errorf("watchdog error does not name the missing edge: %v", err)
+	got, err := (&Runner{Inputs: inputs, Faults: plan}).Run(s, flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Outputs, want.Outputs) {
+		t.Errorf("outputs diverged:\n got %v\nwant %v", got.Outputs, want.Outputs)
 	}
 }
 
-// TestStallDetectorBacksUpWatchdog: with per-receive watchdogs off, the
-// global stall detector must still turn the lost message into a
-// diagnosable failure.
-func TestStallDetectorBacksUpWatchdog(t *testing.T) {
+// TestHeldDeliveryIsNotDeadlock: a->b:u is held back 30ms, long enough
+// that both processors block behind it (PE 1 on it, PE 0 on b's reply).
+// A delivery still owed is not a deadlock: the run completes with the
+// fault-free outputs, with the ack/retry protocol off and on.
+func TestHeldDeliveryIsNotDeadlock(t *testing.T) {
 	s, flat := chainSchedule(t)
-	plan, err := ParseFaults("drop:a->b:u")
+	inputs := pits.Env{"x0": pits.Num(5)}
+	want, err := (&Runner{Inputs: inputs}).Run(s, flat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &Runner{
-		Inputs:       pits.Env{"x0": pits.Num(5)},
-		Faults:       plan,
-		NoWatchdog:   true,
-		StallTimeout: 150 * time.Millisecond,
+	plan, err := ParseFaults("delay:a->b:u@30000")
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, err = r.Run(s, flat)
+	for _, retry := range []bool{false, true} {
+		got, err := (&Runner{Inputs: inputs, Faults: plan, Retry: retry}).Run(s, flat)
+		if err != nil {
+			t.Fatalf("retry=%v: %v", retry, err)
+		}
+		if !reflect.DeepEqual(got.Outputs, want.Outputs) {
+			t.Errorf("retry=%v: outputs diverged:\n got %v\nwant %v", retry, got.Outputs, want.Outputs)
+		}
+	}
+}
+
+// TestStallDetectorBacksUpAPartialSession: a session hosting a share of
+// the machine cannot tell a lost message from a slow peer, so there the
+// progress-based stall detector is what turns the silence into a
+// diagnosable failure.
+func TestStallDetectorBacksUpAPartialSession(t *testing.T) {
+	s, flat := chainSchedule(t)
+	r := &Runner{Inputs: pits.Env{"x0": pits.Num(5)}, StallTimeout: 100 * time.Millisecond}
+	ses, err := r.StartSession(s, flat, []bool{false, true}, newTestPlane())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = ses.Wait()
 	if err == nil {
-		t.Fatal("stalled run did not fail")
+		t.Fatal("stalled session did not fail")
 	}
 	if !strings.Contains(err.Error(), "stalled") {
 		t.Errorf("error is not a stall report: %v", err)
 	}
-	if !strings.Contains(err.Error(), "a->b:u") {
+	if !strings.Contains(err.Error(), "PE 1 waits for a->b:u from PE 0") {
 		t.Errorf("stall report does not say what PE 1 was waiting for: %v", err)
 	}
 }

@@ -5,9 +5,11 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/pits"
 	"repro/internal/trace"
 )
@@ -16,7 +18,7 @@ import (
 // return — there is no capacity to run out of — and come back in order.
 func TestMailboxPutNeverBlocks(t *testing.T) {
 	const n = 100_000
-	b := newMailbox()
+	b := newMailbox(new(atomic.Int64))
 	filled := make(chan struct{})
 	go func() {
 		for i := 0; i < n; i++ {
@@ -30,12 +32,12 @@ func TestMailboxPutNeverBlocks(t *testing.T) {
 		t.Fatal("put blocked with no consumer")
 	}
 	for i := 0; i < n; i++ {
-		m, ok := b.take()
+		m, ok, _ := b.take()
 		if !ok || m.seq != uint64(i) {
 			t.Fatalf("take %d: got seq %d, ok %v", i, m.seq, ok)
 		}
 	}
-	if _, ok := b.take(); ok {
+	if _, ok, _ := b.take(); ok {
 		t.Fatal("take from a drained mailbox returned a message")
 	}
 }
@@ -44,7 +46,7 @@ func TestMailboxPutNeverBlocks(t *testing.T) {
 // producer's messages must come out in the order it put them.
 func TestMailboxFIFOPerProducer(t *testing.T) {
 	const producers, each = 8, 5000
-	b := newMailbox()
+	b := newMailbox(new(atomic.Int64))
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
@@ -58,7 +60,7 @@ func TestMailboxFIFOPerProducer(t *testing.T) {
 	last := make([]uint64, producers)
 	deadline := time.After(20 * time.Second)
 	for got := 0; got < producers*each; {
-		m, ok := b.take()
+		m, ok, _ := b.take()
 		if !ok {
 			select {
 			case <-b.ready:
@@ -80,11 +82,11 @@ func TestMailboxFIFOPerProducer(t *testing.T) {
 // the value it held, and a drained queue starts over at the front of
 // its backing array.
 func TestMailboxTakeReleasesPayload(t *testing.T) {
-	b := newMailbox()
+	b := newMailbox(new(atomic.Int64))
 	for i := 0; i < 3; i++ {
 		b.put(xmsg{key: msgKey{"a", "b", "v"}, val: pits.Num(i), seq: uint64(i + 1), ack: make(chan struct{}, 1)})
 	}
-	if _, ok := b.take(); !ok {
+	if _, ok, _ := b.take(); !ok {
 		t.Fatal("take failed")
 	}
 	if !reflect.DeepEqual(b.q[0], xmsg{}) {
@@ -110,11 +112,11 @@ func TestMailboxTakeReleasesPayload(t *testing.T) {
 // missed would park it forever.
 func TestMailboxNoLostWakeup(t *testing.T) {
 	const rounds = 10_000
-	b := newMailbox()
+	b := newMailbox(new(atomic.Int64))
 	got := make(chan uint64)
 	go func() {
 		for n := 0; n < rounds; {
-			m, ok := b.take()
+			m, ok, _ := b.take()
 			if !ok {
 				<-b.ready
 				continue
@@ -279,5 +281,154 @@ func TestDeadMailboxAbsorbsRetransmissions(t *testing.T) {
 	// the original and every recorded retransmission, none consumed.
 	if got := len(dead.q) - dead.head; got < 2 || got > retries+1 {
 		t.Errorf("dead mailbox holds %d copies after %d recorded retries, want 2..retries+1", got, retries)
+	}
+}
+
+// TestStarvedGuards drives the starvation decision on a session that
+// was built but never launched, one guard at a time: nothing busy and a
+// worker blocked is a deadlock only when the session hosts the whole
+// machine, no crash awaits its replan, the barrier is not forming and
+// no delivery is still owed.
+func TestStarvedGuards(t *testing.T) {
+	s, flat := chainSchedule(t)
+	r := &Runner{Inputs: pits.Env{"x0": pits.Num(5)}}
+	cases := []struct {
+		name     string
+		hosted   []bool
+		prepare  func(c *controller)
+		deadlock bool
+	}{
+		{"blocked", []bool{true, true}, func(*controller) {}, true},
+		{"nothing-blocked", []bool{true, true}, func(c *controller) { c.workers[1].awaiting.Store(nil) }, false},
+		{"share-of-machine", []bool{false, true}, func(*controller) {}, false},
+		{"crash-awaits-resume", []bool{true, true}, func(c *controller) { c.crashed.Store(true) }, false},
+		{"pause-closed", []bool{true, true}, func(c *controller) { close(c.era.Load().pause) }, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ses, err := r.buildSession(s, flat, tc.hosted, newTestPlane())
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := ses.ctrl
+			c.workers[1].awaiting.Store(&awaited{msgKey{"a", "b", "u"}, 0})
+			tc.prepare(c)
+			c.busy.Store(1)
+			c.retire()
+			select {
+			case <-c.done:
+				if !tc.deadlock {
+					t.Fatalf("declared a deadlock: %v", c.runErr)
+				}
+				if want := "exec: run deadlocked: PE 1 waits for a->b:u from PE 0"; c.runErr.Error() != want {
+					t.Errorf("report %q, want %q", c.runErr, want)
+				}
+			default:
+				if tc.deadlock {
+					t.Fatal("no deadlock declared")
+				}
+			}
+		})
+	}
+
+	t.Run("delivery-owed", func(t *testing.T) {
+		ses, err := r.buildSession(s, flat, []bool{true, true}, newTestPlane())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := ses.ctrl
+		c.busy.Store(1) // PE 1 running; PE 0 through its list
+		held := make(chan struct{})
+		c.later(0, func() { <-held })
+		w := c.workers[1]
+		w.awaiting.Store(&awaited{msgKey{"a", "b", "u"}, 0})
+		if _, ok, last := w.inbox.take(); ok || last {
+			t.Fatalf("empty take with a delivery owed: ok %v, last %v", ok, last)
+		}
+		select {
+		case <-c.done:
+			t.Fatalf("declared a deadlock with a delivery owed: %v", c.runErr)
+		default:
+		}
+		close(held) // the owed delivery gives up: now it is a deadlock
+		c.bg.Wait()
+		select {
+		case <-c.done:
+		default:
+			t.Fatal("no deadlock declared once the owed delivery retired")
+		}
+	})
+}
+
+// recordPlane is a testPlane that keeps what it is asked to deliver.
+type recordPlane struct {
+	*testPlane
+	mu   sync.Mutex
+	sent []RemoteMsg
+}
+
+func (p *recordPlane) DeliverRemote(m RemoteMsg) error {
+	p.mu.Lock()
+	p.sent = append(p.sent, m)
+	p.mu.Unlock()
+	return nil
+}
+
+// TestRevivedProcessorIsRemote: PE 1 crashes here and the resume plan
+// has it live again — a joiner took it over. From then on it is not
+// hosted: PE 0's re-send of a->b:u must go through the plane, not into
+// the dead worker's mailbox.
+func TestRevivedProcessorIsRemote(t *testing.T) {
+	s, flat := chainSchedule(t)
+	plan, err := ParseFaults("crash:1@0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &Runner{Inputs: pits.Env{"x0": pits.Num(5)}, Faults: plan}
+	pl := &recordPlane{testPlane: newTestPlane()}
+	ses, err := r.StartSession(s, flat, []bool{true, true}, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitEvent(t, pl.crash, "the injected crash")
+	// The crashed worker's goroutine is gone, so this test is the only
+	// reader of its wake-up token: once it shows, a has run on PE 0.
+	dead := ses.workers[1].inbox
+	waitEvent(t, dead.ready, "a->b:u in the dead PE's mailbox")
+	st, err := ses.Pause(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := len(dead.q) - dead.head
+	// The plan a join would bring: a's result survives on PE 0, b runs
+	// on the revived PE 1 (PlanResume, free to choose, would move b).
+	if pe, held := st.Done["a"]; !held || pe != 0 || len(st.Dead) != 1 || st.Dead[0] != 1 {
+		t.Fatalf("pause state %+v, want a held on PE 0 and PE 1 dead", st)
+	}
+	rp := &ResumePlan{Epoch: 1, Slots: s.Slots[1:], Msgs: s.Msgs,
+		Done: map[graph.NodeID]int{"a": 0}, Dead: []bool{false, false}}
+	if err := ses.Resume(rp); err != nil {
+		t.Fatal(err)
+	}
+	if ses.ctrl.isLocal(1) {
+		t.Error("PE 1 still counts as hosted after a joiner revived it")
+	}
+	// Play the joiner: answer with b's result so PE 0 can finish.
+	v := RemoteMsg{From: "b", To: "d", Var: "v", FromPE: 1, ToPE: 0, Seq: 2<<32 | 1, Epoch: 1, Val: pits.Num(11)}
+	if err := ses.Deliver(v); err != nil {
+		t.Fatal(err)
+	}
+	waitEvent(t, pl.idle, "PE 0 to finish its list")
+	ses.FinishRun()
+	if _, err := ses.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	if len(pl.sent) != 1 || pl.sent[0].Var != "u" || pl.sent[0].ToPE != 1 || pl.sent[0].Epoch != 1 {
+		t.Errorf("plane was handed %+v, want the era-1 re-send of a->b:u to PE 1", pl.sent)
+	}
+	if after := len(dead.q) - dead.head; after != before {
+		t.Errorf("dead mailbox grew from %d to %d messages after the resume", before, after)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/machine"
@@ -58,18 +59,29 @@ func ackMsg(m xmsg) {
 // never blocks whatever retries, duplicates and recoveries pile into it.
 // ready holds at most one wake-up token; a put leaves one for a consumer
 // that found the queue empty, and a stale token costs one empty take.
+//
+// waiting is the owner's blocked flag: set by the take that finds the
+// queue empty (the owner is about to block on ready), cleared by the put
+// that will wake it. It moves only under mu, and the session's busy
+// count (see controller.busy) moves with it, so the count never shows a
+// processor blocked that has a message to read.
 type mailbox struct {
-	mu    sync.Mutex
-	q     []xmsg
-	head  int // q[:head] is consumed and zeroed
-	ready chan struct{}
+	mu      sync.Mutex
+	q       []xmsg
+	head    int // q[:head] is consumed and zeroed
+	ready   chan struct{}
+	waiting bool
+	busy    *atomic.Int64
 }
 
-func newMailbox() *mailbox { return &mailbox{ready: make(chan struct{}, 1)} }
+func newMailbox(busy *atomic.Int64) *mailbox {
+	return &mailbox{ready: make(chan struct{}, 1), busy: busy}
+}
 
 func (b *mailbox) put(m xmsg) {
 	b.mu.Lock()
 	b.q = append(b.q, m)
+	b.rouseLocked()
 	b.mu.Unlock()
 	select {
 	case b.ready <- struct{}{}:
@@ -77,21 +89,42 @@ func (b *mailbox) put(m xmsg) {
 	}
 }
 
+// rouse counts a waiting owner busy again without a message: the
+// recovery barrier, not a put, ended its wait.
+func (b *mailbox) rouse() {
+	b.mu.Lock()
+	b.rouseLocked()
+	b.mu.Unlock()
+}
+
+func (b *mailbox) rouseLocked() {
+	if b.waiting {
+		b.waiting = false
+		b.busy.Add(1)
+	}
+}
+
 // take pops the oldest message. The popped slot is zeroed, so the
 // mailbox pins no payload it has handed over, and a drained queue
-// rewinds to the start of its backing array instead of growing.
-func (b *mailbox) take() (xmsg, bool) {
+// rewinds to the start of its backing array instead of growing. On an
+// empty queue the owner is marked waiting and leaves the busy count;
+// last reports that nothing busy is left behind it.
+func (b *mailbox) take() (m xmsg, ok, last bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.head == len(b.q) {
-		return xmsg{}, false
+		if !b.waiting {
+			b.waiting = true
+			last = b.busy.Add(-1) == 0
+		}
+		return xmsg{}, false, last
 	}
-	m := b.q[b.head]
+	m = b.q[b.head]
 	b.q[b.head] = xmsg{}
 	if b.head++; b.head == len(b.q) {
 		b.q, b.head = b.q[:0], 0
 	}
-	return m, true
+	return m, true, false
 }
 
 // deliver enqueues one copy for hosted processor toPE and never blocks.
@@ -116,18 +149,7 @@ func (c *controller) deliver(m xmsg, toPE int) bool {
 // so a corrupted or dropped first copy heals. Runs in a background
 // goroutine so the sending worker never blocks on a slow consumer.
 func (c *controller) sendReliable(m xmsg, orig pits.Value, toPE, copies int, wallDelay time.Duration) {
-	c.bg.Add(1)
-	go func() {
-		defer c.bg.Done()
-		if wallDelay > 0 {
-			t := time.NewTimer(wallDelay)
-			select {
-			case <-t.C:
-			case <-c.done:
-				t.Stop()
-				return
-			}
-		}
+	c.later(wallDelay, func() {
 		wait := c.runner.retryBase()
 		cap := c.runner.retryCap()
 		attempt := 0
@@ -173,21 +195,5 @@ func (c *controller) sendReliable(m xmsg, orig pits.Value, toPE, copies int, wal
 				wait = cap
 			}
 		}
-	}()
-}
-
-// sendDelayed enqueues one copy after a wall-clock delay without
-// blocking the sending worker (unreliable mode with an injected delay).
-func (c *controller) sendDelayed(m xmsg, toPE int, wallDelay time.Duration) {
-	c.bg.Add(1)
-	go func() {
-		defer c.bg.Done()
-		t := time.NewTimer(wallDelay)
-		select {
-		case <-t.C:
-			c.deliver(m, toPE)
-		case <-c.done:
-			t.Stop()
-		}
-	}()
+	})
 }

@@ -24,9 +24,10 @@ import (
 // routines are deterministic (rand() is seeded per task name).
 //
 // The runner is fault-tolerant: an optional FaultPlan injects crashes
-// and message faults at reproducible points, per-receive watchdogs turn
-// lost messages into diagnosable timeouts, Retry enables acknowledged
-// delivery with retransmission, and a crashed processor triggers
+// and message faults at reproducible points, a lost message is reported
+// as a deadlock naming the edge and both processors the moment nothing
+// can move any more, Retry enables acknowledged delivery with
+// retransmission, and a crashed processor triggers
 // recovery — surviving workers pause at a barrier while sched.Replan
 // replans the lost work onto live processors, then the run resumes and
 // produces the same outputs a fault-free run would.
@@ -58,19 +59,14 @@ type Runner struct {
 	RetryBase time.Duration
 	// RetryCap bounds the exponential backoff (0 = 120ms).
 	RetryCap time.Duration
-	// Grace scales the schedule's predicted arrival times into watchdog
-	// deadlines (0 = the machine's GraceFactor).
-	Grace float64
-	// WatchdogMin is the floor every watchdog deadline includes, so
-	// tiny predicted times don't produce hair-trigger timeouts on a
-	// loaded host (0 = 1s).
+	// WatchdogMin is ignored; kept for the frozen harness, which still
+	// names it (ROADMAP 1b).
 	WatchdogMin time.Duration
-	// NoWatchdog disables per-receive watchdogs (the global stall
-	// detector still runs).
-	NoWatchdog bool
-	// StallTimeout bounds how long the whole run may go without any
-	// task completing or message arriving before it is failed as
-	// stalled (0 = 30s, negative = disabled).
+	// StallTimeout bounds how long a session hosting a share of the
+	// machine may go without any task completing or message arriving
+	// before it is failed as stalled (0 = 30s, negative = disabled). A
+	// session hosting every processor decides deadlock by counting and
+	// arms no timer.
 	StallTimeout time.Duration
 
 	// Stats optionally accumulates runtime counters across every
@@ -93,13 +89,6 @@ func (r *Runner) retryCap() time.Duration {
 		return r.RetryCap
 	}
 	return 120 * time.Millisecond
-}
-
-func (r *Runner) watchdogMin() time.Duration {
-	if r.WatchdogMin > 0 {
-		return r.WatchdogMin
-	}
-	return time.Second
 }
 
 func (r *Runner) stallTimeout() time.Duration {

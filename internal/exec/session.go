@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
@@ -115,12 +116,12 @@ func (r *Runner) buildSession(s *sched.Schedule, flat *graph.Flat, hosted []bool
 	}
 
 	// Expected cross-PE messages per consumer processor (with their
-	// predicted arrival times, the watchdog basis), and the deliveries
-	// each producer copy must make, from the schedule.
-	expect := make([]map[msgKey]machine.Time, numPE)
+	// sending processors, for diagnostics), and the deliveries each
+	// producer copy must make, from the schedule.
+	expect := make([]map[msgKey]int, numPE)
 	sends := make([]map[graph.NodeID][]sendPlan, numPE)
 	for pe := 0; pe < numPE; pe++ {
-		expect[pe] = map[msgKey]machine.Time{}
+		expect[pe] = map[msgKey]int{}
 		sends[pe] = map[graph.NodeID][]sendPlan{}
 	}
 	for _, msg := range s.Msgs {
@@ -131,16 +132,12 @@ func (r *Runner) buildSession(s *sched.Schedule, flat *graph.Flat, hosted []bool
 		if _, dup := expect[msg.ToPE][k]; dup {
 			return nil, fmt.Errorf("exec: schedule records duplicate delivery of %s to PE %d", k, msg.ToPE)
 		}
-		expect[msg.ToPE][k] = msg.Recv
+		expect[msg.ToPE][k] = msg.FromPE
 		sends[msg.FromPE][msg.From] = append(sends[msg.FromPE][msg.From],
 			sendPlan{key: k, toPE: msg.ToPE, words: msg.Words})
 	}
 
 	faults := newFaultState(r.Faults)
-	grace := r.Grace
-	if grace <= 0 {
-		grace = s.Machine.GraceFactor()
-	}
 	start := time.Now()
 	now := func() machine.Time { return machine.Time(time.Since(start).Microseconds()) }
 
@@ -150,15 +147,19 @@ func (r *Runner) buildSession(s *sched.Schedule, flat *graph.Flat, hosted []bool
 	}
 	ctrl := &controller{
 		runner: r, s: s, flat: flat, numPE: numPE,
-		hosted: hosted, plane: plane,
+		hosted: make([]atomic.Bool, numPE), plane: plane,
 		cmds:   make(chan sessCmd),
 		done:   make(chan struct{}),
 		finish: make(chan struct{}),
 		events: make(chan wevent, numPE*4+16),
 		faults: faults, retry: r.Retry, checksums: faults.checksums,
-		grace: grace, now: now,
-		stats: stats,
+		now: now, stats: stats,
 	}
+	for pe, h := range hosted {
+		ctrl.hosted[pe].Store(h)
+	}
+	// Every hosted worker starts out busy.
+	ctrl.busy.Store(int64(ctrl.numLocal()))
 	ctrl.era.Store(&era{pause: make(chan struct{}), resume: make(chan struct{})})
 
 	workers := make([]*worker, numPE)
@@ -168,7 +169,7 @@ func (r *Runner) buildSession(s *sched.Schedule, flat *graph.Flat, hosted []bool
 		}
 		workers[pe] = &worker{
 			pe: pe, runner: r, sched: s, flat: flat, progs: progs, ctrl: ctrl, now: now,
-			inbox: newMailbox(),
+			inbox: newMailbox(&ctrl.busy),
 			slots: s.PESlots(pe), expected: expect[pe], sends: sends[pe],
 			outputs: pits.Env{}, exports: map[string]graph.NodeID{},
 			local: map[graph.NodeID]pits.Env{},
@@ -184,11 +185,12 @@ func (r *Runner) buildSession(s *sched.Schedule, flat *graph.Flat, hosted []bool
 	return ses, nil
 }
 
-// launch spawns the session's coordinator, stall watcher and worker
-// goroutines. Era state must be final before launch.
+// launch spawns the session's coordinator and worker goroutines, and
+// the stall watcher where deadlock cannot be decided by counting (see
+// controller.starved). Era state must be final before launch.
 func (ses *Session) launch() {
 	ctrl := ses.ctrl
-	if st := ses.runner.stallTimeout(); st > 0 {
+	if st := ses.runner.stallTimeout(); st > 0 && ctrl.numLocal() < ctrl.numPE {
 		ctrl.bg.Add(1)
 		go ctrl.stallWatch(st)
 	}

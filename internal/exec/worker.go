@@ -25,14 +25,14 @@ type worker struct {
 	ctrl   *controller
 	now    func() machine.Time
 	inbox  *mailbox
-	// awaiting is the message a blocked receive is waiting for (nil
-	// otherwise): the raw material of stall and watchdog diagnoses.
-	awaiting atomic.Pointer[msgKey]
+	// awaiting is what a blocked receive is waiting for (nil
+	// otherwise): the raw material of deadlock and stall reports.
+	awaiting atomic.Pointer[awaited]
 
 	// Per-era assignment.
 	slots    []sched.Slot
 	cursor   int
-	expected map[msgKey]machine.Time // key -> predicted arrival (watchdog basis)
+	expected map[msgKey]int // scheduled arrivals: key -> sending processor
 	sends    map[graph.NodeID][]sendPlan
 	resends  []sendPlan // surviving results to re-deliver at era start
 	epoch    int64
@@ -51,6 +51,12 @@ type worker struct {
 	seen     map[msgKey]uint64         // consumed keys -> sequence (duplicate rejection)
 	executed int                       // tasks executed here, across eras (crash counter)
 	seqLocal uint64                    // low bits of this sender's message sequence numbers
+}
+
+// awaited is a scheduled message and the processor due to send it.
+type awaited struct {
+	key    msgKey
+	fromPE int
 }
 
 // errPaused marks a receive or slot interrupted by the recovery
@@ -81,6 +87,8 @@ func (w *worker) run() error {
 			return err
 		case wsCrashed:
 			w.dead = true
+			w.ctrl.crashed.Store(true)
+			w.ctrl.retire()
 			w.ctrl.post(wevent{evCrash, w.pe})
 			return nil
 		case wsPaused:
@@ -88,9 +96,11 @@ func (w *worker) run() error {
 				return nil
 			}
 		case wsFinished:
+			w.ctrl.retire()
 			w.ctrl.post(wevent{evIdle, w.pe})
 			select {
 			case <-w.er.pause:
+				w.ctrl.busy.Add(1) // the next era hands out a new list
 				if !w.park() {
 					return nil
 				}
@@ -201,8 +211,8 @@ func (w *worker) runSlot(sl sched.Slot) error {
 	var dataReady machine.Time
 	for _, a := range g.PredArcs(sl.Task) {
 		k := msgKey{a.From, sl.Task, a.Var}
-		if _, isMsg := w.expected[k]; isMsg {
-			m, err := w.receive(k)
+		if fromPE, isMsg := w.expected[k]; isMsg {
+			m, err := w.receive(k, fromPE)
 			if err != nil {
 				if errors.Is(err, errPaused) {
 					return err
@@ -335,18 +345,15 @@ func (w *worker) send(sp sendPlan, val pits.Value, sendAt, arriveAt machine.Time
 		return nil
 	}
 	if copies == 0 {
-		// Dropped with no retransmission to resurrect it: the
-		// receiver's watchdog turns this into a diagnosable timeout.
-		return nil
-	}
-	if wallDelay > 0 {
-		for i := 0; i < copies; i++ {
-			w.ctrl.sendDelayed(m, sp.toPE, wallDelay)
-		}
+		// Dropped with no retransmission to resurrect it: the receiver
+		// starves, and the session reports who waits for what.
 		return nil
 	}
 	for i := 0; i < copies; i++ {
-		if !w.ctrl.deliver(m, sp.toPE) {
+		if wallDelay > 0 {
+			// Held back without blocking this worker.
+			w.ctrl.later(wallDelay, func() { w.ctrl.deliver(m, sp.toPE) })
+		} else if !w.ctrl.deliver(m, sp.toPE) {
 			return fmt.Errorf("%w while sending to PE %d", errAborted, sp.toPE)
 		}
 	}
@@ -383,11 +390,12 @@ func (w *worker) admit(m xmsg) (bool, error) {
 	return true, nil
 }
 
-// receive blocks until the identified message arrives, stashing any
-// other messages that show up first. A watchdog deadline derived from
-// the schedule's predicted arrival time bounds the wait, so a lost
-// message becomes a diagnosable timeout instead of a hang.
-func (w *worker) receive(k msgKey) (xmsg, error) {
+// receive blocks until the identified message, due from fromPE,
+// arrives, stashing any other messages that show up first. The take
+// that finds the inbox empty leaves the session's busy count, so a
+// message that never comes ends as the session's deadlock (or, across
+// processes, stall) report naming this receive.
+func (w *worker) receive(k msgKey, fromPE int) (xmsg, error) {
 	emit := func(m xmsg) xmsg {
 		at := w.now()
 		if w.runner.VirtualTime {
@@ -401,56 +409,34 @@ func (w *worker) receive(k msgKey) (xmsg, error) {
 		delete(w.recvd, k)
 		return emit(m), nil
 	}
-	predicted := w.expected[k]
-	var timeout <-chan time.Time
-	if !w.runner.NoWatchdog {
-		timer := time.NewTimer(w.watchdogDeadline(predicted))
-		defer timer.Stop()
-		timeout = timer.C
-	}
-	awaited := k // a copy: only a blocking receive pays the escape
-	w.awaiting.Store(&awaited)
+	w.awaiting.Store(&awaited{k, fromPE}) // only a blocking receive pays the allocation
 	defer w.awaiting.Store(nil)
 	for {
-		for m, ok := w.inbox.take(); ok; m, ok = w.inbox.take() {
-			fresh, err := w.admit(m)
-			if err != nil {
-				return xmsg{}, err
+		m, ok, last := w.inbox.take()
+		if !ok {
+			if last {
+				w.ctrl.starved()
 			}
-			if !fresh {
-				continue
-			}
-			if m.key == k {
-				return emit(m), nil
-			}
-			w.recvd[m.key] = m
-		}
-		select {
-		case <-w.inbox.ready:
-		case <-w.er.pause:
-			return xmsg{}, errPaused
-		case <-w.ctrl.done:
-			return xmsg{}, fmt.Errorf("%w while waiting for %s:%s from %s", errAborted, k.to, k.v, k.from)
-		case <-timeout:
-			// The recovery barrier can race the timer; parking wins.
 			select {
+			case <-w.inbox.ready:
 			case <-w.er.pause:
+				w.inbox.rouse()
 				return xmsg{}, errPaused
-			default:
+			case <-w.ctrl.done:
+				return xmsg{}, fmt.Errorf("%w while waiting for %s:%s from %s", errAborted, k.to, k.v, k.from)
 			}
-			upstream := ""
-			if others := w.ctrl.waitingExcept(w.pe); others != "" {
-				upstream = "; upstream: " + others
-			}
-			return xmsg{}, fmt.Errorf("watchdog: message %s not received within %v (predicted arrival %v, grace %.1fx)%s",
-				k, w.watchdogDeadline(predicted), predicted, w.ctrl.grace, upstream)
+			continue
 		}
+		fresh, err := w.admit(m)
+		if err != nil {
+			return xmsg{}, err
+		}
+		if !fresh {
+			continue
+		}
+		if m.key == k {
+			return emit(m), nil
+		}
+		w.recvd[m.key] = m
 	}
-}
-
-// watchdogDeadline converts a predicted arrival time into a wall-clock
-// wait bound: a fixed floor plus the prediction scaled by the grace
-// factor.
-func (w *worker) watchdogDeadline(predicted machine.Time) time.Duration {
-	return w.runner.watchdogMin() + time.Duration(w.ctrl.grace*float64(predicted))*time.Microsecond
 }

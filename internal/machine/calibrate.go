@@ -6,9 +6,8 @@ import "fmt"
 // plane — the distributed runtime's echo probes over its TCP transport
 // — expressed in the machine model's own terms. Applying a calibration
 // replaces the machine's assumed message startup and per-word
-// transmission time with the measured ones, so schedules (and the
-// watchdog deadlines derived from their predicted arrival times) are
-// built from the latency the wire actually exhibits.
+// transmission time with the measured ones, so schedules are built
+// from the latency the wire actually exhibits.
 type Calibration struct {
 	// MsgStartup is the measured per-message software latency
 	// (microseconds): half the round-trip time of a minimal frame.
@@ -59,6 +58,5 @@ func (m *Machine) Calibrated(c Calibration) (*Machine, error) {
 			return nil, err
 		}
 	}
-	nm.Rel = m.Rel
 	return nm, nil
 }

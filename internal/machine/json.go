@@ -18,8 +18,6 @@ type jsonMachine struct {
 	Edges    [][2]int `json:"edges,omitempty"`
 	Params   Params   `json:"params"`
 	Speeds   []int64  `json:"speeds,omitempty"`
-
-	Reliability *Reliability `json:"reliability,omitempty"`
 }
 
 // ParseTopology builds a topology from a compact spec string:
@@ -156,7 +154,7 @@ func (t *Topology) Spec() string {
 
 // MarshalJSON implements json.Marshaler.
 func (m *Machine) MarshalJSON() ([]byte, error) {
-	jm := jsonMachine{Name: m.Name, Params: m.Params, Speeds: m.Speeds, Reliability: m.Rel}
+	jm := jsonMachine{Name: m.Name, Params: m.Params, Speeds: m.Speeds}
 	if spec := m.Topo.Spec(); spec != "" {
 		jm.Topology = spec
 	} else {
@@ -206,12 +204,6 @@ func (m *Machine) UnmarshalJSON(data []byte) error {
 		if err := nm.SetSpeeds(jm.Speeds); err != nil {
 			return err
 		}
-	}
-	if jm.Reliability != nil {
-		if err := jm.Reliability.Validate(); err != nil {
-			return err
-		}
-		nm.Rel = jm.Reliability
 	}
 	*m = *nm
 	return nil

@@ -57,55 +57,6 @@ func DefaultParams() Params {
 	return Params{ProcSpeed: 1, TaskStartup: 1, MsgStartup: 5, WordTime: 1}
 }
 
-// Reliability optionally characterises how failure-prone a machine is.
-// The fields are advisory: the runtime uses them to pick default
-// watchdog grace factors (flakier links get more slack before a
-// missing message is declared lost), and the chaos harness may use the
-// probabilities to draw random fault plans. A nil Reliability means
-// the machine is assumed dependable.
-type Reliability struct {
-	// PEFail is the probability that any one processor crashes during
-	// a run.
-	PEFail float64 `json:"pe_fail,omitempty"`
-	// LinkDrop is the probability that any one message is lost in
-	// transit.
-	LinkDrop float64 `json:"link_drop,omitempty"`
-	// Grace overrides the default watchdog grace factor (0 = derive
-	// from the probabilities).
-	Grace float64 `json:"grace,omitempty"`
-}
-
-// Validate checks the reliability parameters.
-func (r *Reliability) Validate() error {
-	if r == nil {
-		return nil
-	}
-	if r.PEFail < 0 || r.PEFail > 1 || r.LinkDrop < 0 || r.LinkDrop > 1 {
-		return fmt.Errorf("machine reliability: probabilities must be in [0,1], got %+v", *r)
-	}
-	if r.Grace < 0 {
-		return fmt.Errorf("machine reliability: negative grace factor %g", r.Grace)
-	}
-	return nil
-}
-
-// GraceFactor returns the watchdog grace multiplier for this machine:
-// how many times the predicted arrival time of a message the runtime
-// waits before declaring it lost. Dependable machines get 4; machines
-// declared lossy get 8 so retransmissions have room to land; an
-// explicit Reliability.Grace wins over both.
-func (m *Machine) GraceFactor() float64 {
-	if m.Rel != nil {
-		if m.Rel.Grace > 0 {
-			return m.Rel.Grace
-		}
-		if m.Rel.LinkDrop > 0 || m.Rel.PEFail > 0 {
-			return 8
-		}
-	}
-	return 4
-}
-
 // Machine is a target machine: a topology plus the four parameters.
 // Shared-memory machines are modelled as fully-connected topologies
 // with zero-cost communication parameters.
@@ -116,9 +67,6 @@ type Machine struct {
 	// Speeds optionally overrides ProcSpeed per processor for
 	// heterogeneous machines. When nil the machine is homogeneous.
 	Speeds []int64
-	// Rel optionally declares the machine's failure characteristics;
-	// nil means dependable. See GraceFactor.
-	Rel *Reliability
 
 	// comm memoizes the CommCoeffs table. It sits behind a pointer so
 	// Machine values stay copyable (UnmarshalJSON assigns *m = *nm).
@@ -239,12 +187,7 @@ func (m *Machine) CommCoeffs() (startup Time, perWord []Time) {
 // Scale returns a machine identical to m but over a different topology
 // (used for speedup sweeps that grow the same machine family).
 func (m *Machine) Scale(topo *Topology) (*Machine, error) {
-	nm, err := New(fmt.Sprintf("%s/%s", m.Name, topo.Name), topo, m.Params)
-	if err != nil {
-		return nil, err
-	}
-	nm.Rel = m.Rel
-	return nm, nil
+	return New(fmt.Sprintf("%s/%s", m.Name, topo.Name), topo, m.Params)
 }
 
 // String describes the machine compactly.

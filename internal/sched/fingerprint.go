@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
-	"math"
 
 	"repro/internal/graph"
 	"repro/internal/machine"
@@ -67,8 +66,7 @@ func Fingerprint(f *graph.Flat, m *machine.Machine, algorithm string) string {
 
 	// The machine: size and adjacency (not the topology's display
 	// name — two spellings of the same wiring are the same machine),
-	// then the paper's four characteristics, per-PE speeds and the
-	// reliability model (it sets duplicate placement and grace).
+	// then the paper's four characteristics and per-PE speeds.
 	n := m.NumPE()
 	w.num(int64(n))
 	for p := 0; p < n; p++ {
@@ -84,11 +82,6 @@ func Fingerprint(f *graph.Flat, m *machine.Machine, algorithm string) string {
 	w.num(int64(len(m.Speeds)))
 	for _, s := range m.Speeds {
 		w.num(s)
-	}
-	if m.Rel != nil {
-		w.f64(m.Rel.PEFail)
-		w.f64(m.Rel.LinkDrop)
-		w.f64(m.Rel.Grace)
 	}
 	w.flush()
 	return hex.EncodeToString(w.h.Sum(nil))
@@ -117,8 +110,6 @@ func (w *fpWriter) num(v int64) {
 	binary.LittleEndian.PutUint64(w.buf[w.n:], uint64(v))
 	w.n += 8
 }
-
-func (w *fpWriter) f64(v float64) { w.num(int64(math.Float64bits(v))) }
 
 func (w *fpWriter) str(s string) {
 	w.num(int64(len(s)))

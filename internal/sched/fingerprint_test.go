@@ -98,11 +98,6 @@ func TestFingerprintMachineSensitivity(t *testing.T) {
 	if got := Fingerprint(flat, fpMachine(t, "hypercube:2", slow), "etf"); got == base {
 		t.Error("changing a machine characteristic did not change the fingerprint")
 	}
-	rel := fpMachine(t, "hypercube:2", params)
-	rel.Rel = &machine.Reliability{PEFail: 0.1}
-	if got := Fingerprint(flat, rel, "etf"); got == base {
-		t.Error("adding a reliability model did not change the fingerprint")
-	}
 }
 
 // TestFingerprintNameInsensitivity: display-only names do not reach the

@@ -37,8 +37,7 @@ type ReplanState struct {
 // feeding them — from surviving holders (Send = 0: the data already
 // exists) and between re-planned tasks. Slot and message times are
 // planning estimates relative to the resume instant (t = 0); the
-// runner uses them for per-PE ordering and watchdog deadlines, not as
-// a wall-clock promise.
+// runner uses them for per-PE ordering, not as a wall-clock promise.
 type Reassignment struct {
 	Slots []Slot
 	Msgs  []Msg

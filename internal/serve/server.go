@@ -46,12 +46,8 @@ type Options struct {
 	Fleet *wire.Fleet
 	// Virtual stamps traces in deterministic virtual time.
 	Virtual bool
-	// WatchdogMin raises the wall-clock floor of every per-receive
-	// watchdog deadline (0 = the runner's 1s default). The default
-	// suits a run with the host to itself; a server time-slicing
-	// MaxConcurrent runs across few cores stretches every wall
-	// interval by roughly that factor, so size the floor accordingly
-	// or hair-trigger timeouts abort healthy runs under load.
+	// WatchdogMin is ignored; kept for the frozen harness, which still
+	// names it (ROADMAP 1b).
 	WatchdogMin time.Duration
 	Logf        func(string, ...any)
 }
@@ -309,8 +305,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	runner := &exec.Runner{Inputs: p.Inputs, Stats: s.stats, VirtualTime: s.opts.Virtual,
-		WatchdogMin: s.opts.WatchdogMin}
+	runner := &exec.Runner{Inputs: p.Inputs, Stats: s.stats, VirtualTime: s.opts.Virtual}
 	var res *exec.Result
 	if s.opts.Fleet != nil {
 		res, err = s.opts.Fleet.Run(r.Context(), runner, entry.sc, entry.flat)

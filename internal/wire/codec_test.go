@@ -1,9 +1,13 @@
 package wire
 
 import (
+	"bytes"
+	"context"
 	"math"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/exec"
 	"repro/internal/machine"
@@ -195,19 +199,96 @@ func TestRunOptsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := &exec.Runner{VirtualTime: true, Retry: true, RetryBase: 1000, RetryCap: 8000,
-		Grace: 2.5, WatchdogMin: 500, NoWatchdog: false, StallTimeout: 90000,
-		MaxSteps: 1 << 20, Faults: plan}
+		StallTimeout: 90000, MaxSteps: 1 << 20, Faults: plan}
 	got, err := OptsFor(r).Runner()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.VirtualTime != r.VirtualTime || got.Retry != r.Retry ||
 		got.RetryBase != r.RetryBase || got.RetryCap != r.RetryCap ||
-		got.Grace != r.Grace || got.WatchdogMin != r.WatchdogMin ||
 		got.StallTimeout != r.StallTimeout || got.MaxSteps != r.MaxSteps {
 		t.Errorf("runner knobs did not survive the wire:\n got %+v\nwant %+v", got, r)
 	}
 	if got.Faults == nil || got.Faults.String() != plan.String() {
 		t.Errorf("fault plan did not survive: got %v want %v", got.Faults, plan)
+	}
+}
+
+// olderCoordinator rewrites the start bundles written on the
+// connections it dials into what a coordinator from before the
+// per-receive watchdog was retired would have sent: the options still
+// carry grace, watchdogMin and noWatchdog.
+type olderCoordinator struct {
+	Transport
+	rewritten *atomic.Int64 // start bundles rewritten
+}
+
+func (t olderCoordinator) Dial(ctx context.Context, addr string) (Conn, error) {
+	c, err := t.Transport.Dial(ctx, addr)
+	if err != nil {
+		return nil, err
+	}
+	return olderCoordinatorConn{c, t.rewritten}, nil
+}
+
+type olderCoordinatorConn struct {
+	Conn
+	rewritten *atomic.Int64
+}
+
+func (c olderCoordinatorConn) WriteFrame(f Frame) error {
+	if f.Type == TStart {
+		js, blobs, err := decBlobEnvelope(f.Payload)
+		if err != nil {
+			return err
+		}
+		js = bytes.Replace(js, []byte(`"opts":{`), []byte(`"opts":{"grace":2.5,"watchdogMin":500,"noWatchdog":true,`), 1)
+		f.Payload = encBlobEnvelope(js, blobs...)
+		c.rewritten.Add(1)
+	}
+	return c.Conn.WriteFrame(f)
+}
+
+// TestRetiredOptionsAreIgnoredOnTheWire: a start bundle from an older
+// coordinator, still carrying the retired watchdog options, decodes on
+// today's worker and the run it starts completes with the
+// single-process outputs.
+func TestRetiredOptionsAreIgnoredOnTheWire(t *testing.T) {
+	old := []byte(`{"run":"r","hosted":[true],"opts":{"virtual":true,"grace":2.5,"watchdogMin":500,"noWatchdog":true,"stallTimeout":90000}}`)
+	bundle, err := decJSON[StartBundle](old, "start")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (RunOpts{VirtualTime: true, StallTimeout: 90000}); bundle.Opts != want {
+		t.Errorf("decoded options %+v, want %+v", bundle.Opts, want)
+	}
+
+	flat, inputs := distDesign(t, 4, 3)
+	sc, err := sched.ETF{}.Schedule(flat.Graph, distMachine(t, "hypercube:2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner := &exec.Runner{Inputs: inputs, VirtualTime: true}
+	single, err := runner.Run(sc, flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := Inproc()
+	addrs, stop := startWorkers(t, tr, 2)
+	defer stop()
+	var rewritten atomic.Int64
+	co := &Coordinator{
+		Transport: olderCoordinator{tr, &rewritten}, Addrs: addrs, Runner: runner,
+		HeartbeatEvery: 50 * time.Millisecond, PeerTimeout: 2 * time.Second,
+	}
+	dist, err := co.Run(context.Background(), sc, flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dist.Outputs, single.Outputs) {
+		t.Errorf("outputs diverged:\n dist   %v\n single %v", dist.Outputs, single.Outputs)
+	}
+	if n := rewritten.Load(); n != 2 {
+		t.Errorf("%d start bundles carried the retired options, want one per worker", n)
 	}
 }

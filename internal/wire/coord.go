@@ -26,7 +26,7 @@ type Coordinator struct {
 	Transport Transport
 	Addrs     []string
 	// Runner supplies the run options every worker reproduces (faults,
-	// retry, grace, watchdogs, virtual time) and the run inputs.
+	// retry, stall timeout, virtual time) and the run inputs.
 	Runner *exec.Runner
 
 	// HeartbeatEvery is the keepalive cadence (default 250ms);

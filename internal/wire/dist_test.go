@@ -356,6 +356,61 @@ func TestCoordinatorCalibrate(t *testing.T) {
 	}
 }
 
+// TestDistLostMessageIsReportedAsStall: a worker daemon hosts a share
+// of the machine and cannot tell a lost message from a slow peer, so
+// across processes the progress-based stall detector stays the
+// backstop. A message dropped on a cross-worker edge, with no retry,
+// comes back from Coordinator.Run as the stall report naming the
+// awaited edge — promptly, and leaving no run behind on the daemons.
+// The edge dropped feeds the sink, so the sending worker finishes its
+// share and only the sink's worker has a stall to report.
+func TestDistLostMessageIsReportedAsStall(t *testing.T) {
+	flat, inputs := distDesign(t, 4, 3)
+	sc, err := sched.ETF{}.Schedule(flat.Graph, distMachine(t, "hypercube:2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	workerOf := sched.Place(sc, 2)
+	var lost *sched.Msg
+	for i, msg := range sc.Msgs {
+		if msg.To == "snk" && workerOf[msg.FromPE] != workerOf[msg.ToPE] {
+			lost = &sc.Msgs[i]
+			break
+		}
+	}
+	if lost == nil {
+		t.Fatal("schedule has no cross-worker message into the sink to drop")
+	}
+	edge := fmt.Sprintf("%s->%s:%s", lost.From, lost.To, lost.Var)
+	plan, err := exec.ParseFaults("drop:" + edge)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tr := Inproc()
+	addrs, stop := startWorkers(t, tr, 2)
+	defer stop()
+	co := &Coordinator{
+		Transport: tr, Addrs: addrs,
+		Runner:         &exec.Runner{Inputs: inputs, Faults: plan, StallTimeout: 150 * time.Millisecond},
+		HeartbeatEvery: 50 * time.Millisecond,
+		PeerTimeout:    time.Second,
+	}
+	start := time.Now()
+	_, err = co.Run(context.Background(), sc, flat)
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("run returned after %v, want within 2s", took)
+	}
+	if err == nil {
+		t.Fatal("run with a lost cross-worker message did not fail")
+	}
+	want := fmt.Sprintf("PE %d waits for %s from PE %d", lost.ToPE, edge, lost.FromPE)
+	if !strings.Contains(err.Error(), "stalled") || !strings.Contains(err.Error(), want) {
+		t.Errorf("error is not a stall report with %q: %v", want, err)
+	}
+	waitNoWorkerRuns(t, 5*time.Second)
+}
+
 // noPeerDials is a transport on which worker-to-worker dials never
 // succeed — workers behind NAT, say: each can listen and be reached by
 // the coordinator, but none can reach another.

@@ -213,7 +213,7 @@ func TestDistDrain(t *testing.T) {
 	defer stop()
 	co := &Coordinator{
 		Transport: tr, Addrs: addrs, Control: "ctl",
-		Runner:         &exec.Runner{Inputs: inputs, Faults: plan, WatchdogMin: 10 * time.Second},
+		Runner:         &exec.Runner{Inputs: inputs, Faults: plan},
 		HeartbeatEvery: 50 * time.Millisecond,
 		// A long silence budget proves the drain never leans on
 		// heartbeat-loss detection or peer-timeout expiry.
@@ -290,7 +290,7 @@ func TestDistJoinExpand(t *testing.T) {
 	<-ready
 	co := &Coordinator{
 		Transport: tr, Addrs: []string{addrs[0], addrs[1], "victim"}, Control: "ctl",
-		Runner:         &exec.Runner{Inputs: inputs, Faults: plan, WatchdogMin: 10 * time.Second},
+		Runner:         &exec.Runner{Inputs: inputs, Faults: plan},
 		HeartbeatEvery: 50 * time.Millisecond,
 		PeerTimeout:    400 * time.Millisecond,
 		Logf:           t.Logf,
@@ -359,7 +359,7 @@ func TestDistElasticChurn(t *testing.T) {
 	<-ready
 	co := &Coordinator{
 		Transport: tr, Addrs: []string{addrs[0], addrs[1], "victim"}, Control: "ctl",
-		Runner:         &exec.Runner{Inputs: inputs, Faults: plan, WatchdogMin: 10 * time.Second},
+		Runner:         &exec.Runner{Inputs: inputs, Faults: plan},
 		HeartbeatEvery: 50 * time.Millisecond,
 		PeerTimeout:    400 * time.Millisecond,
 		Logf:           t.Logf,
@@ -468,7 +468,7 @@ func TestChurnSoak(t *testing.T) {
 			<-ready
 			co := &Coordinator{
 				Transport: tr, Addrs: []string{addrs[0], addrs[1], "victim"}, Control: "ctl",
-				Runner:         &exec.Runner{Inputs: inputs, Faults: plan, WatchdogMin: 10 * time.Second},
+				Runner:         &exec.Runner{Inputs: inputs, Faults: plan},
 				HeartbeatEvery: 50 * time.Millisecond,
 				PeerTimeout:    400 * time.Millisecond,
 				Logf:           t.Logf,
@@ -568,7 +568,7 @@ func TestDrainRejectsBelowMinimum(t *testing.T) {
 	defer stop()
 	co := &Coordinator{
 		Transport: tr, Addrs: addrs, Control: "ctl", MinWorkers: 2,
-		Runner:         &exec.Runner{Inputs: inputs, Faults: plan, WatchdogMin: 10 * time.Second},
+		Runner:         &exec.Runner{Inputs: inputs, Faults: plan},
 		HeartbeatEvery: 50 * time.Millisecond,
 		PeerTimeout:    60 * time.Second,
 		Logf:           t.Logf,

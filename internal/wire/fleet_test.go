@@ -258,7 +258,7 @@ func settleGoroutines(t *testing.T, start int, patience time.Duration) int {
 // TestRepeatedLocalSessionNoLeak covers the single-process half of the
 // teardown contract: a serving layer runs many in-process sessions
 // back to back against one shared stats block, and each must unwind
-// its workers, watchdogs and controller completely.
+// its workers and controller completely.
 func TestRepeatedLocalSessionNoLeak(t *testing.T) {
 	flat, inputs := distDesign(t, 3, 3)
 	m := distMachine(t, "hypercube:2")
@@ -320,7 +320,7 @@ func TestFleetConcurrentRuns(t *testing.T) {
 	errs := make(chan error, runs)
 	for i := 0; i < runs; i++ {
 		go func() {
-			_, err := f.Run(ctx, &exec.Runner{Inputs: inputs, Faults: plan, WatchdogMin: 10 * time.Second}, sc, flat)
+			_, err := f.Run(ctx, &exec.Runner{Inputs: inputs, Faults: plan}, sc, flat)
 			errs <- err
 		}()
 	}
@@ -399,7 +399,7 @@ func TestFleetMaxRunsCaps(t *testing.T) {
 	}()
 	for i := 0; i < runs; i++ {
 		go func() {
-			_, err := f.Run(ctx, &exec.Runner{Inputs: inputs, Faults: plan, WatchdogMin: 10 * time.Second}, sc, flat)
+			_, err := f.Run(ctx, &exec.Runner{Inputs: inputs, Faults: plan}, sc, flat)
 			errs <- err
 		}()
 	}

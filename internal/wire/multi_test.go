@@ -133,7 +133,7 @@ func TestMisroutedFrameRejected(t *testing.T) {
 	errCh := make(chan error, 1)
 	go func() {
 		co := &Coordinator{Transport: tr, Addrs: addrs,
-			Runner:         &exec.Runner{Inputs: inputs, Faults: hold, WatchdogMin: 10 * time.Second},
+			Runner:         &exec.Runner{Inputs: inputs, Faults: hold},
 			HeartbeatEvery: 50 * time.Millisecond, PeerTimeout: 5 * time.Second, Logf: t.Logf}
 		res, err := co.Run(ctx, sc, flat)
 		resCh <- res
@@ -299,7 +299,7 @@ func TestOrphanAbandonPerRun(t *testing.T) {
 	defer acancel()
 	go func() {
 		co := &Coordinator{Transport: choke, Addrs: addrs,
-			Runner:         &exec.Runner{Inputs: inputs, Faults: holdPlan(3000000), WatchdogMin: 10 * time.Second},
+			Runner:         &exec.Runner{Inputs: inputs, Faults: holdPlan(3000000)},
 			HeartbeatEvery: 50 * time.Millisecond, PeerTimeout: 400 * time.Millisecond, Logf: t.Logf}
 		_, err := co.Run(actx, sc, flat)
 		aErr <- err
@@ -318,7 +318,7 @@ func TestOrphanAbandonPerRun(t *testing.T) {
 	bErr := make(chan error, 1)
 	go func() {
 		co := &Coordinator{Transport: tr, Addrs: addrs,
-			Runner:         &exec.Runner{Inputs: inputs, Faults: holdPlan(1500000), WatchdogMin: 10 * time.Second},
+			Runner:         &exec.Runner{Inputs: inputs, Faults: holdPlan(1500000)},
 			HeartbeatEvery: 50 * time.Millisecond, PeerTimeout: 10 * time.Second, Logf: t.Logf}
 		res, err := co.Run(ctx, sc, flat)
 		bRes <- res
@@ -448,7 +448,7 @@ func TestMultiSoak(t *testing.T) {
 
 			plan := holdChain(t, slots[0].sc, 3, 3, holdUsec, 2)
 			runners := []*exec.Runner{
-				{Inputs: slots[0].inputs, Faults: plan, WatchdogMin: 10 * time.Second},
+				{Inputs: slots[0].inputs, Faults: plan},
 				{Inputs: slots[1].inputs},
 				{Inputs: slots[2].inputs},
 			}

@@ -38,16 +38,13 @@ type Welcome struct {
 // RunOpts carries the Runner knobs a worker must reproduce. Durations
 // travel in nanoseconds.
 type RunOpts struct {
-	VirtualTime  bool    `json:"virtual,omitempty"`
-	FaultSpec    string  `json:"faults,omitempty"` // exec.FaultPlan.String() / ParseFaults grammar
-	Retry        bool    `json:"retry,omitempty"`
-	RetryBase    int64   `json:"retryBase,omitempty"`
-	RetryCap     int64   `json:"retryCap,omitempty"`
-	Grace        float64 `json:"grace,omitempty"`
-	WatchdogMin  int64   `json:"watchdogMin,omitempty"`
-	NoWatchdog   bool    `json:"noWatchdog,omitempty"`
-	StallTimeout int64   `json:"stallTimeout,omitempty"`
-	MaxSteps     int64   `json:"maxSteps,omitempty"`
+	VirtualTime  bool   `json:"virtual,omitempty"`
+	FaultSpec    string `json:"faults,omitempty"` // exec.FaultPlan.String() / ParseFaults grammar
+	Retry        bool   `json:"retry,omitempty"`
+	RetryBase    int64  `json:"retryBase,omitempty"`
+	RetryCap     int64  `json:"retryCap,omitempty"`
+	StallTimeout int64  `json:"stallTimeout,omitempty"`
+	MaxSteps     int64  `json:"maxSteps,omitempty"`
 }
 
 // Runner builds an exec.Runner from the shipped options.
@@ -55,9 +52,7 @@ func (o RunOpts) Runner() (*exec.Runner, error) {
 	r := &exec.Runner{
 		VirtualTime: o.VirtualTime, Retry: o.Retry,
 		RetryBase: time.Duration(o.RetryBase), RetryCap: time.Duration(o.RetryCap),
-		Grace: o.Grace, WatchdogMin: time.Duration(o.WatchdogMin),
-		NoWatchdog: o.NoWatchdog, StallTimeout: time.Duration(o.StallTimeout),
-		MaxSteps: o.MaxSteps,
+		StallTimeout: time.Duration(o.StallTimeout), MaxSteps: o.MaxSteps,
 	}
 	if o.FaultSpec != "" {
 		p, err := exec.ParseFaults(o.FaultSpec)
@@ -75,9 +70,7 @@ func OptsFor(r *exec.Runner) RunOpts {
 	o := RunOpts{
 		VirtualTime: r.VirtualTime, Retry: r.Retry,
 		RetryBase: int64(r.RetryBase), RetryCap: int64(r.RetryCap),
-		Grace: r.Grace, WatchdogMin: int64(r.WatchdogMin),
-		NoWatchdog: r.NoWatchdog, StallTimeout: int64(r.StallTimeout),
-		MaxSteps: r.MaxSteps,
+		StallTimeout: int64(r.StallTimeout), MaxSteps: r.MaxSteps,
 	}
 	if r.Faults != nil {
 		o.FaultSpec = r.Faults.String()
