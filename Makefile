@@ -17,8 +17,10 @@ build:
 # code here may call, and the candidate-scan pool must not come back.
 # The next keeps the program table single: parsed routines are
 # memoized in internal/pits, and exec must not grow its own memo back.
-# The last keeps a hung run decided, not timed: WatchdogMin survives as
+# The next keeps a hung run decided, not timed: WatchdogMin survives as
 # two ignored fields the frozen harness names, read or set by nothing.
+# The last keeps a trace ordered by typed code: the reflection-driven
+# sort.Slice family must not come back to internal/trace.
 vet:
 	$(GO) vet ./...
 	! grep -rnE '\.Mesh([^(A-Za-z0-9_]|$$)' --include='*.go' internal cmd | grep -v _test.go | grep -vE 'Mesh +bool'
@@ -28,6 +30,7 @@ vet:
 	! grep -rnE 'SchedOptions|parScan|workerPool|ScheduleOnWorkers' --include='*.go' internal cmd | grep -v _test.go
 	! grep -rnE 'progCache|parseCached' --include='*.go' internal/exec | grep -v _test.go
 	! grep -rnE 'WatchdogMin|GraceFactor|NoWatchdog|watchdogDeadline' --include='*.go' internal cmd | grep -v _test.go | grep -vE 'WatchdogMin +time\.Duration|// WatchdogMin is ignored'
+	! grep -rn 'sort\.Slice' --include='*.go' internal/trace | grep -v _test.go
 
 test:
 	$(GO) test ./...
@@ -57,13 +60,14 @@ bench:
 
 # One-iteration pass over the scheduler scaling benchmarks, MH on a
 # machine it has not seen (ring:32, ring:128, hypercube:7), the request
-# floor (decode + open + fingerprint of the harness body) and the
+# floor (decode + open + fingerprint of the harness body), the task floor
+# (one task's environment, interpretation and two trace events) and the
 # single-process/distributed runner pair: catches crashes or
 # pathological slowdowns in the hot paths without the cost of a
 # statistically meaningful benchmark run. -short keeps the 32k/100k
 # graphs out of the smoke pass.
 bench-smoke:
-	$(GO) test -run=NONE -bench='RequestFloor|SchedulerScaling|MHCold' -benchtime=1x -benchmem -short .
+	$(GO) test -run=NONE -bench='RequestFloor|TaskFloor|SchedulerScaling|MHCold' -benchtime=1x -benchmem -short .
 	$(GO) test -run=NONE -bench='RunnerWall|RunnerTCP' -benchtime=1x -benchmem .
 
 # The request-path harness's own tests, including its smoke suite (all
@@ -147,9 +151,10 @@ multisoak:
 
 # Chaos soak: the seeded fault-injection suite 50 times under the race
 # detector — crashes, drops, duplicates, delays and corruptions against
-# the recovering runtime.
+# the recovering runtime — and with it the wall-clock run whose tasks
+# start and end inside one microsecond, which only a real clock makes.
 chaos:
-	$(GO) test -race -count=50 -run 'Fault|Crash|Random|Deadlock|Stall|Duplicate' ./internal/exec/
+	$(GO) test -race -count=50 -run 'Fault|Crash|Random|Deadlock|Stall|Duplicate|WallClockSummary' ./internal/exec/
 
 # Differential conformance sweep: 25 deterministic seeds, each run
 # through the analytic simulator, the virtual-time runner, and both

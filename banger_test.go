@@ -67,6 +67,56 @@ func TestBuildDesignThroughFacade(t *testing.T) {
 	}
 }
 
+// TestZeroLengthTaskIsASpan: a placeholder task with no routine measures
+// zero operations, and on a machine without task start-up cost its
+// virtual-time slot starts and ends at one instant. The run's trace must
+// still summarise and chart: it used to fail with `PE 0 ends "b" without
+// matching start`.
+func TestZeroLengthTaskIsASpan(t *testing.T) {
+	g := banger.NewGraph("placeholder")
+	g.MustAddStorage("IN", "x")
+	g.MustAddTask("a", "a", 10).Routine = "u = x + 1"
+	g.MustAddTask("b", "b", 10)
+	g.MustAddTask("c", "c", 10).Routine = "out = u * 2"
+	g.MustAddStorage("OUT", "out")
+	g.MustConnect("IN", "a", "x", 1)
+	g.MustConnect("a", "b", "u", 1)
+	g.MustConnect("a", "c", "u", 1)
+	g.MustConnect("c", "OUT", "out", 1)
+	p := banger.DefaultParams()
+	p.TaskStartup = 0
+	m, err := banger.NewMachine("pair", "ring:2", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := banger.Open(&banger.Project{Name: "placeholder", Design: g, Machine: m, Inputs: banger.Env{"x": banger.Num(1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := env.Schedule("etf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := env.RunVirtual(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := res.Trace.Summarize(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.TasksRun != 3 || res.Outputs["out"] != banger.Num(4) {
+		t.Errorf("summary counts %d tasks, out = %v; want 3 and 4", st.TasksRun, res.Outputs["out"])
+	}
+	chart, err := banger.TraceChart(res.Trace, 2, 60)
+	if err != nil || !strings.Contains(chart, "PE1") {
+		t.Errorf("chart error %v:\n%s", err, chart)
+	}
+	if _, err := banger.Animation(res.Trace, 2, 4); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestFacadeHelpers(t *testing.T) {
 	if len(banger.Schedulers()) != 8 {
 		t.Errorf("schedulers = %d", len(banger.Schedulers()))

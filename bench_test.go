@@ -33,6 +33,7 @@ import (
 	"repro/internal/project"
 	"repro/internal/sched"
 	"repro/internal/serve"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -223,6 +224,33 @@ end`)
 		if err := in.Run(prog, pits.Env{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTaskFloor measures what the runner spends on one task of the
+// harness design apart from messages: build the task's environment from
+// two producers' results, interpret `v = a + b * 2` on an interpreter
+// the processor reuses, log the start and the end. This is the unit the
+// run workloads pay 501 times a request: 0.3 us and 360 B in five
+// allocations, against 10.5 us and 6.2 KB in ten when each execution
+// seeded its own random generator and cloned its environment.
+func BenchmarkTaskFloor(b *testing.B) {
+	prog := pits.MustParse("v = a + b * 2")
+	local := map[graph.NodeID]pits.Env{"l": {"a": pits.Num(3)}, "r": {"b": pits.Num(4)}}
+	in := &pits.Interp{}
+	var tr trace.Trace
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		env := make(pits.Env, 2)
+		env["a"], env["b"] = pits.Unalias(local["l"]["a"]), pits.Unalias(local["r"]["b"])
+		tr.Events = append(tr.Events[:0], trace.Event{Kind: trace.TaskStart, Task: "t3_7", PE: 1})
+		in.Seed = int64(i)
+		if err := in.Run(prog, env); err != nil {
+			b.Fatal(err)
+		}
+		tr.Add(trace.Event{Kind: trace.TaskEnd, At: machine.Time(in.Ops()), Task: "t3_7", PE: 1})
+		local["t3_7"] = env // a task's results stay on its processor
 	}
 }
 
@@ -634,6 +662,26 @@ func TestSessionAllocScalesWithTraffic(t *testing.T) {
 	if large >= 3*small {
 		t.Errorf("a ring:128 run allocates %.1fx a ring:16 run (%d vs %d bytes), want < 3x", float64(large)/float64(small), large, small)
 	}
+}
+
+// TestRunAllocCeiling guards what one request of the harness's run-wide
+// workload allocates inside exec: the 501 tasks in virtual time on a
+// 32-processor ring. It reads about 2.4 MB — the trace, the mailboxes
+// and one small environment per task. It read 4.96 MB when every task
+// seeded a 4.9 KB random generator its routine never drew from and
+// built its environment twice.
+func TestRunAllocCeiling(t *testing.T) {
+	flat, inputs := runnerDesign(t, 20, 25) // 501 tasks
+	sc := specSchedule(t, flat, "ring:32")
+	mb := allocMB(func() {
+		if _, err := (&exec.Runner{Inputs: inputs, VirtualTime: true}).Run(sc, flat); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if mb > 3.0 {
+		t.Errorf("a ring:32 run of the 501-task design allocated %.2f MB, want at most 3.0 MB", mb)
+	}
+	t.Logf("a ring:32 run of the 501-task design allocated %.2f MB", mb)
 }
 
 // TestNoFalseDeadlockOnAStarvedHost runs the regime that used to need a

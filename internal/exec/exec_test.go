@@ -574,6 +574,66 @@ func TestRunnerDeterministicWithRand(t *testing.T) {
 	}
 }
 
+// TestRunnerRandStreamIsPerTask: a processor reuses one interpreter for
+// all its slots, and every task still draws from the start of the
+// stream its own name seeds — "t3_7" the literal it drew before the
+// generator became lazy, its successor on the same processor what a
+// fresh interpreter draws.
+func TestRunnerRandStreamIsPerTask(t *testing.T) {
+	g := graph.New("mc")
+	g.MustAddTask("t3_7", "", 1).Routine = "x = rand()"
+	g.MustAddTask("next", "", 1).Routine = "y = x * 0 + rand()"
+	g.MustAddStorage("X", "x")
+	g.MustAddStorage("Y", "y")
+	g.MustConnect("t3_7", "X", "x", 1)
+	g.MustConnect("t3_7", "next", "x", 1)
+	g.MustConnect("next", "Y", "y", 1)
+	flat, err := g.Flatten()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := sched.ETF{}.Schedule(flat.Graph, testMachine(t, "full:2", params()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := (&Runner{}).Run(sc, flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Outputs["x"]; got != pits.Num(0.6347779984446368) {
+		t.Errorf("t3_7 (seed %d) drew %v, want 0.6347779984446368", taskSeed("t3_7"), got)
+	}
+	fresh := pits.Env{}
+	if err := (&pits.Interp{Seed: taskSeed("next")}).Run(pits.MustParse("y = rand()"), fresh); err != nil {
+		t.Fatal(err)
+	}
+	if res.Outputs["y"] != fresh["y"] {
+		t.Errorf("next drew %v, a fresh interpreter with its seed draws %v", res.Outputs["y"], fresh["y"])
+	}
+}
+
+// TestWallClockSummaryCountsEveryTask: on the wall clock a task can
+// start and end inside one microsecond, and the 501-task design's
+// one-line routines mostly do. Every one of them is still a span.
+func TestWallClockSummaryCountsEveryTask(t *testing.T) {
+	flat, inputs := layeredCalc(t, 20, 25)
+	sc, err := sched.ETF{}.Schedule(flat.Graph, testMachine(t, "hypercube:3", params()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := (&Runner{Inputs: inputs}).Run(sc, flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := res.Trace.Summarize(sc.Machine.NumPE())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.TasksRun != 501 {
+		t.Errorf("summary counts %d tasks, want 501", st.TasksRun)
+	}
+}
+
 // Property: for random designs with arithmetic routines, the runner's
 // outputs are identical across all schedulers (schedule choice must
 // never change semantics).

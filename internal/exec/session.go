@@ -169,7 +169,7 @@ func (r *Runner) buildSession(s *sched.Schedule, flat *graph.Flat, hosted []bool
 		}
 		workers[pe] = &worker{
 			pe: pe, runner: r, sched: s, flat: flat, progs: progs, ctrl: ctrl, now: now,
-			inbox: newMailbox(&ctrl.busy),
+			inbox: newMailbox(&ctrl.busy), interp: pits.Interp{MaxSteps: r.MaxSteps},
 			slots: s.PESlots(pe), expected: expect[pe], sends: sends[pe],
 			outputs: pits.Env{}, exports: map[string]graph.NodeID{},
 			local: map[graph.NodeID]pits.Env{},

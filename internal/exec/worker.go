@@ -22,6 +22,7 @@ type worker struct {
 	sched  *sched.Schedule
 	flat   *graph.Flat
 	progs  map[graph.NodeID]*pits.Program
+	interp pits.Interp // reused by every slot; reseeded per task
 	ctrl   *controller
 	now    func() machine.Time
 	inbox  *mailbox
@@ -193,9 +194,12 @@ func (w *worker) execute() (wstatus, error) {
 // message or external), interpret the routine, deliver scheduled
 // messages, and export external outputs from the primary copy.
 func (w *worker) runSlot(sl sched.Slot) error {
-	g := w.sched.Graph
 	virtual := w.runner.VirtualTime
-	env := pits.Env{}
+	preds := w.sched.Graph.PredArcs(sl.Task)
+	// The task's environment is built once, every value unaliased on the
+	// way in: a routine may write into its vectors, and they are the
+	// producer's (or the caller's) own.
+	env := make(pits.Env, len(w.flat.ExternalIn[sl.Task])+len(preds))
 	// External inputs bound by name from the runner's global data
 	// (validated up front by Run; kept as defense in depth).
 	for _, v := range w.flat.ExternalIn[sl.Task] {
@@ -203,13 +207,13 @@ func (w *worker) runSlot(sl sched.Slot) error {
 		if !ok {
 			return fmt.Errorf("task %s: missing external input %q", sl.Task, v)
 		}
-		env[v] = val
+		env[v] = pits.Unalias(val)
 	}
 	// Arc inputs: from the local store when the producer ran here, else
 	// from a received message. dataReady tracks the latest virtual
 	// message arrival.
 	var dataReady machine.Time
-	for _, a := range g.PredArcs(sl.Task) {
+	for _, a := range preds {
 		k := msgKey{a.From, sl.Task, a.Var}
 		if fromPE, isMsg := w.expected[k]; isMsg {
 			m, err := w.receive(k, fromPE)
@@ -219,7 +223,7 @@ func (w *worker) runSlot(sl sched.Slot) error {
 				}
 				return fmt.Errorf("task %s: %w", sl.Task, err)
 			}
-			env[a.Var] = m.val
+			env[a.Var] = pits.Unalias(m.val)
 			if m.at > dataReady {
 				dataReady = m.at
 			}
@@ -234,7 +238,7 @@ func (w *worker) runSlot(sl sched.Slot) error {
 		if !ok {
 			return fmt.Errorf("task %s: producer %s did not define %q", sl.Task, a.From, a.Var)
 		}
-		env[a.Var] = val
+		env[a.Var] = pits.Unalias(val)
 	}
 
 	start := w.now()
@@ -245,18 +249,17 @@ func (w *worker) runSlot(sl sched.Slot) error {
 		}
 	}
 	w.events = append(w.events, trace.Event{Kind: trace.TaskStart, At: start, Task: sl.Task, PE: w.pe, Dup: sl.Dup})
-	in := &pits.Interp{MaxSteps: w.runner.MaxSteps, Seed: taskSeed(sl.Task)}
-	env = env.Clone() // defensive: never alias values across tasks
-	if err := in.Run(w.progs[sl.Task], env); err != nil {
+	w.interp.Seed = taskSeed(sl.Task)
+	if err := w.interp.Run(w.progs[sl.Task], env); err != nil {
 		return fmt.Errorf("task %s: %w", sl.Task, err)
 	}
 	finish := w.now()
 	if virtual {
-		finish = start + w.sched.Machine.ExecTime(in.Ops(), w.pe)
+		finish = start + w.sched.Machine.ExecTime(w.interp.Ops(), w.pe)
 		w.clock = finish
 	}
 	w.events = append(w.events, trace.Event{Kind: trace.TaskEnd, At: finish, Task: sl.Task, PE: w.pe, Dup: sl.Dup})
-	for _, line := range in.Output() {
+	for _, line := range w.interp.Output() {
 		w.printed = append(w.printed, string(sl.Task)+": "+line)
 	}
 	w.local[sl.Task] = env

@@ -6,8 +6,10 @@ import (
 	"strings"
 )
 
-// Interp executes PITS routines. An Interp is single-goroutine but
-// cheap; the parallel runner creates one per task execution.
+// Interp executes PITS routines. An Interp is single-goroutine and
+// reusable: Run resets it, and builds no state (the rand() generator,
+// the formula table) before a routine first needs it, so the parallel
+// runner keeps one per processor.
 //
 // Besides producing values, the interpreter counts abstract operations
 // (the currency of graph.Node.Work and machine.Params.ProcSpeed) so a
@@ -17,8 +19,8 @@ type Interp struct {
 	// MaxSteps bounds statement executions; <= 0 means the default of
 	// ten million.
 	MaxSteps int64
-	// Seed seeds the rand() builtin; runs with equal seeds and inputs
-	// are bit-identical.
+	// Seed seeds the rand() builtin at a Run's first draw; runs with
+	// equal seeds and inputs are bit-identical.
 	Seed int64
 
 	steps    int64
@@ -51,9 +53,7 @@ func (in *Interp) Output() []string { return in.out }
 // start of each Run.
 func (in *Interp) Run(p *Program, env Env) error {
 	in.steps, in.ops, in.out = 0, 0, nil
-	in.formulas = map[string]*Formula{}
-	in.depth = 0
-	in.rng = rand.New(rand.NewSource(in.Seed))
+	in.formulas, in.rng, in.depth = nil, nil, 0
 	in.fns = builtins()
 	if env == nil {
 		env = Env{}
@@ -96,10 +96,7 @@ func (in *Interp) exec(s Stmt, env Env) error {
 		if st.Index == nil {
 			// Vectors are stored by copy on plain assignment so two
 			// variables never alias.
-			if v, ok := val.(Vec); ok {
-				val = append(Vec(nil), v...)
-			}
-			env[st.Name] = val
+			env[st.Name] = Unalias(val)
 			return nil
 		}
 		iv, err := in.eval(st.Index, env)
@@ -239,6 +236,9 @@ func (in *Interp) exec(s Stmt, env Env) error {
 		}
 		if _, isBuiltin := in.fns[st.Name]; isBuiltin {
 			return rtErr(st.Line, "formula %q shadows a builtin function", st.Name)
+		}
+		if in.formulas == nil {
+			in.formulas = map[string]*Formula{}
 		}
 		in.formulas[st.Name] = st
 		in.ops++
@@ -384,6 +384,9 @@ func (in *Interp) eval(e Expr, env Env) (Value, error) {
 		}
 		in.ops += fn.Cost
 		if fn.fn == nil { // rand: the one builtin with per-interpreter state
+			if in.rng == nil {
+				in.rng = rand.New(rand.NewSource(in.Seed))
+			}
 			return Num(in.rng.Float64()), nil
 		}
 		return fn.fn(x.Line, args)

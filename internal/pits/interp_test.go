@@ -2,6 +2,8 @@ package pits
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -294,6 +296,71 @@ func TestRandDeterministicPerSeed(t *testing.T) {
 	}
 	if x := float64(run1["x"].(Num)); x < 0 || x >= 1 {
 		t.Errorf("rand out of range: %v", x)
+	}
+}
+
+// TestRandStreamPinned pins the rand() stream to literals taken before
+// the generator moved from Run to the first draw: seed 1, and the seed
+// the runner derives for task "t3_7" (exec's
+// TestRunnerRandStreamIsPerTask ties the name to this stream).
+func TestRandStreamPinned(t *testing.T) {
+	prog := MustParse("v = [rand(), rand(), rand(), rand(), rand(), rand(), rand(), rand()]")
+	for seed, want := range map[int64]Vec{
+		1: {0.6046602879796196, 0.9405090880450124, 0.6645600532184904, 0.4377141871869802,
+			0.4246374970712657, 0.6868230728671094, 0.06563701921747622, 0.15651925473279124},
+		2917503449770267486: {0.6347779984446368, 0.17544782335500075, 0.7776640873422834, 0.47530297033716273,
+			0.14401989026156872, 0.8602537835231095, 0.969431050293698, 0.6410982568479164},
+	} {
+		env := Env{}
+		if err := (&Interp{Seed: seed}).Run(prog, env); err != nil {
+			t.Fatal(err)
+		}
+		if got := env["v"].(Vec); !slices.Equal(got, want) {
+			t.Errorf("seed %d draws %v, want %v", seed, got, want)
+		}
+	}
+}
+
+// TestReusedInterpReseeds: Run resets the generator and the formula
+// table, so one Interp run twice is two fresh interpreters.
+func TestReusedInterpReseeds(t *testing.T) {
+	prog := MustParse("s = 0\nrepeat 5 do\n  s = s * 10 + floor(rand() * 10)\nend")
+	in := &Interp{Seed: 3}
+	first, second := Env{}, Env{}
+	if err := in.Run(prog, first); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Run(MustParse("formula f(x) = x + 1\ny = f(1)"), Env{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Run(prog, second); err != nil {
+		t.Fatal(err)
+	}
+	if first["s"] != second["s"] {
+		t.Errorf("second Run drew %v, first drew %v", second["s"], first["s"])
+	}
+	if err := in.Run(MustParse("y = f(1)"), Env{}); err == nil {
+		t.Error("a formula survived into the next Run")
+	}
+}
+
+// TestRunAllocatesWhatTheRoutineUses caps Run on the harness's routine:
+// three boxed numbers and nothing else — no generator (4.9 KB), no
+// formula table.
+func TestRunAllocatesWhatTheRoutineUses(t *testing.T) {
+	prog := MustParse("v = a + b * 2")
+	in, env := NewInterp(), Env{"a": Num(1), "b": Num(2), "v": Num(0)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 1000
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := in.Run(prog, env); err != nil {
+			t.Fatal(err)
+		}
+	})
+	runtime.ReadMemStats(&after)
+	if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; allocs > 4 || bytes >= 256 {
+		t.Errorf("Run allocates %.0f objects, %d bytes; want <= 4 and < 256", allocs, bytes)
 	}
 }
 

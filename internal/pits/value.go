@@ -78,13 +78,18 @@ type Env map[string]Value
 func (e Env) Clone() Env {
 	c := make(Env, len(e))
 	for k, v := range e {
-		if vec, ok := v.(Vec); ok {
-			c[k] = append(Vec(nil), vec...)
-			continue
-		}
-		c[k] = v
+		c[k] = Unalias(v)
 	}
 	return c
+}
+
+// Unalias returns v safe to store under a second name or in a second
+// environment: a vector, the one mutable value, is copied.
+func Unalias(v Value) Value {
+	if vec, ok := v.(Vec); ok {
+		return append(Vec(nil), vec...)
+	}
+	return v
 }
 
 // RuntimeError is an execution error with the source line it occurred

@@ -19,6 +19,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/pits"
 	"repro/internal/project"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -384,6 +385,22 @@ func TestServeTraceStream(t *testing.T) {
 	var rr RunResponse
 	if err := json.Unmarshal(last, &rr); err != nil || rr.Outputs["out"] != "15" {
 		t.Fatalf("final stream line is not the result: %s (%v)", last, err)
+	}
+}
+
+// TestServeInconsistentTraceIsAFailure: a run whose trace does not pair
+// up into spans answers 500 and counts as failed — it used to answer
+// 200 with "tasks":0.
+func TestServeInconsistentTraceIsAFailure(t *testing.T) {
+	s := New(Options{})
+	rec := httptest.NewRecorder()
+	res := &exec.Result{Trace: &trace.Trace{Events: []trace.Event{{Kind: trace.TaskEnd, At: 5, Task: "b"}}}}
+	s.writeRun(rec, RunResponse{Name: "x"}, res, 1, false)
+	if want := `run produced an inconsistent trace: trace: PE 0 ends \"b\" without matching start`; rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), want) {
+		t.Errorf("status %d, body %s; want 500 with %s", rec.Code, rec.Body, want)
+	}
+	if st := s.Stats(); st.Runs.Total != 1 || st.Runs.Failed != 1 {
+		t.Errorf("stats count %d runs, %d failed; want 1 and 1", st.Runs.Total, st.Runs.Failed)
 	}
 }
 

@@ -285,6 +285,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Only the name and the inputs are read from here on: on a hit the
+	// request's own decoded design and machine are garbage already, and
+	// must not stay reachable for the length of the run.
+	p.Design, p.Machine = nil, nil
+
 	if mode == "schedule" {
 		// Schedule-only: the paper's interactive predict step as a
 		// service — map the design, report the predicted makespan and
@@ -316,20 +321,26 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.failRun(w, http.StatusInternalServerError, "run failed: %v", err)
 		return
 	}
-	s.total.Add(1)
+	s.writeRun(w, RunResponse{Name: p.Name, Algorithm: alg, Cache: verdict},
+		res, entry.sc.Machine.NumPE(), r.URL.Query().Get("trace") != "")
+}
 
-	resp := RunResponse{
-		Name: p.Name, Algorithm: alg, Cache: verdict,
-		ElapsedUS: res.Elapsed.Microseconds(),
-		Printed:   res.Printed,
-		Outputs:   renderOutputs(res),
+// writeRun answers a finished run: resp filled in from res, preceded
+// in trace mode by the event stream. A trace that does not pair up into
+// spans is a failed run, not a reply counting zero tasks.
+func (s *Server) writeRun(w http.ResponseWriter, resp RunResponse, res *exec.Result, numPE int, stream bool) {
+	st, err := res.Trace.Summarize(numPE)
+	if err != nil {
+		s.failRun(w, http.StatusInternalServerError, "run produced an inconsistent trace: %v", err)
+		return
 	}
-	if st, err := res.Trace.Summarize(entry.sc.Machine.NumPE()); err == nil {
-		resp.Tasks, resp.Msgs = int64(st.TasksRun), int64(st.Msgs)
-	}
+	s.total.Add(1)
+	resp.ElapsedUS = res.Elapsed.Microseconds()
+	resp.Tasks, resp.Msgs = int64(st.TasksRun), int64(st.Msgs)
+	resp.Printed, resp.Outputs = res.Printed, renderOutputs(res)
 
 	w.Header().Set("Content-Type", "application/json")
-	if r.URL.Query().Get("trace") == "" {
+	if !stream {
 		json.NewEncoder(w).Encode(resp)
 		return
 	}

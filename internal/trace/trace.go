@@ -5,8 +5,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/graph"
@@ -123,36 +124,84 @@ func (t *Trace) Add(e Event) { t.Events = append(t.Events, e) }
 // kindOrder ranks events sharing a timestamp: a task ending at t
 // precedes a message sent at t, which precedes a message received at t,
 // which precedes a task starting at t — the causal order of a
-// back-to-back schedule.
-var kindOrder = map[Kind]int{TaskEnd: 0, MsgSend: 1, MsgRecv: 2, TaskStart: 3,
+// back-to-back schedule. It is indexed by the kind's low byte, all the
+// wire carries, so a kind it does not list ranks 0 instead of panicking.
+var kindOrder = [256]int8{TaskEnd: 0, MsgSend: 1, MsgRecv: 2, TaskStart: 3,
 	FaultInjected: 4, MsgRetry: 5, TaskRescheduled: 6,
 	PeerConnected: 7, PeerLost: 8, WireBytes: 9, WorkerDrained: 10}
 
+// compare is the sort key: time, processor, causal kind order, task,
+// variable, peer.
+func compare(a, b *Event) int {
+	switch {
+	case a.At != b.At:
+		return cmp.Compare(a.At, b.At)
+	case a.PE != b.PE:
+		return cmp.Compare(a.PE, b.PE)
+	case a.Kind != b.Kind:
+		return cmp.Compare(kindOrder[uint8(a.Kind)], kindOrder[uint8(b.Kind)])
+	case a.Task != b.Task:
+		return cmp.Compare(a.Task, b.Task)
+	case a.Var != b.Var:
+		return cmp.Compare(a.Var, b.Var)
+	}
+	return cmp.Compare(a.Peer, b.Peer)
+}
+
 // Sort orders events by time, then processor, then causal kind order,
 // then task, variable and peer, giving a deterministic log for
-// rendering and comparison. The full key matters when diffing traces
-// from different engines: two messages from one task at one instant
-// must land in the same order regardless of which engine emitted them.
+// rendering and comparison; events equal on the whole key keep their
+// order. The full key matters when diffing traces from different
+// engines: two messages from one task at one instant must land in the
+// same order regardless of which engine emitted them. A log already in
+// order — every Sort of a run's trace after the first — costs one pass.
 func (t *Trace) Sort() {
-	sort.SliceStable(t.Events, func(i, j int) bool {
-		a, b := t.Events[i], t.Events[j]
-		if a.At != b.At {
-			return a.At < b.At
+	evs := t.Events
+	// A run's log is its workers' logs end to end, each nearly in order:
+	// a few hundred ascending stretches. Find where each ends.
+	ends := make([]int, 0, 256) // on the stack: a sorted log allocates nothing
+	for i := 1; i < len(evs); i++ {
+		if compare(&evs[i-1], &evs[i]) > 0 {
+			ends = append(ends, i)
 		}
-		if a.PE != b.PE {
-			return a.PE < b.PE
+	}
+	if len(ends) == 0 {
+		return
+	}
+	ends = append(ends, len(evs))
+	// Merge the stretches pairwise, as positions, until one is left (on
+	// a tie the left stretch goes first: stable); then move each
+	// 120-byte event once.
+	idx, buf := make([]int32, len(evs)), make([]int32, len(evs))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	for ; len(ends) > 1; idx, buf = buf, idx {
+		lo, merged := 0, ends[:0]
+		for r := 0; r < len(ends); r += 2 {
+			mid, hi := ends[r], ends[min(r+1, len(ends)-1)]
+			for a, b, k := lo, mid, lo; k < hi; k++ {
+				if b == hi || a < mid && compare(&evs[idx[a]], &evs[idx[b]]) <= 0 {
+					buf[k], a = idx[a], a+1
+				} else {
+					buf[k], b = idx[b], b+1
+				}
+			}
+			lo, merged = hi, append(merged, hi)
 		}
-		if a.Kind != b.Kind {
-			return kindOrder[a.Kind] < kindOrder[b.Kind]
+		ends = merged
+	}
+	for k := range idx {
+		if int(idx[k]) == k {
+			continue
 		}
-		if a.Task != b.Task {
-			return a.Task < b.Task
+		first, at := evs[k], k
+		for src := int(idx[at]); src != k; src = int(idx[at]) {
+			evs[at], idx[at] = evs[src], int32(at)
+			at = src
 		}
-		if a.Var != b.Var {
-			return a.Var < b.Var
-		}
-		return a.Peer < b.Peer
-	})
+		evs[at], idx[at] = first, int32(at)
+	}
 }
 
 // Makespan returns the time of the latest event.
@@ -177,31 +226,51 @@ type Span struct {
 // Spans reconstructs per-processor busy intervals by pairing
 // TaskStart/TaskEnd events. It returns an error if the log is
 // inconsistent (end without start, overlapping starts on one PE).
+//
+// Events of one instant on one processor pair by task, not by
+// position: Sort puts that instant's ends ahead of its starts, right
+// for back-to-back slots and backwards for a task that starts and ends
+// inside it. So an end that does not name the running task waits for a
+// start of the same task and Dup at the same instant, and the two make
+// a span of zero length.
 func (t *Trace) Spans() (map[int][]Span, error) {
 	t.Sort()
 	open := map[int]*Span{}
 	out := map[int][]Span{}
-	for _, e := range t.Events {
+	var early []*Event // ends of the current instant and PE still short of a start
+	for i := range t.Events {
+		e := &t.Events[i]
+		if len(early) > 0 && (early[0].At != e.At || early[0].PE != e.PE) {
+			break
+		}
+		sp := open[e.PE]
 		switch e.Kind {
-		case TaskStart:
-			if open[e.PE] != nil {
-				return nil, fmt.Errorf("trace: PE %d starts %q while %q still running", e.PE, e.Task, open[e.PE].Task)
-			}
-			open[e.PE] = &Span{Task: e.Task, Start: e.At, Dup: e.Dup}
 		case TaskEnd:
-			sp := open[e.PE]
 			if sp == nil || sp.Task != e.Task {
-				return nil, fmt.Errorf("trace: PE %d ends %q without matching start", e.PE, e.Task)
+				early = append(early, e)
+				continue
 			}
 			sp.Finish = e.At
 			out[e.PE] = append(out[e.PE], *sp)
-			open[e.PE] = nil
+			delete(open, e.PE)
+		case TaskStart:
+			k := slices.IndexFunc(early, func(end *Event) bool { return end.Task == e.Task && end.Dup == e.Dup })
+			switch {
+			case sp != nil && (k < 0 || sp.Start < e.At):
+				return nil, fmt.Errorf("trace: PE %d starts %q while %q still running", e.PE, e.Task, sp.Task)
+			case k >= 0:
+				out[e.PE] = append(out[e.PE], Span{Task: e.Task, Start: e.At, Finish: e.At, Dup: e.Dup})
+				early = slices.Delete(early, k, k+1)
+			default:
+				open[e.PE] = &Span{Task: e.Task, Start: e.At, Dup: e.Dup}
+			}
 		}
 	}
+	if len(early) > 0 {
+		return nil, fmt.Errorf("trace: PE %d ends %q without matching start", early[0].PE, early[0].Task)
+	}
 	for pe, sp := range open {
-		if sp != nil {
-			return nil, fmt.Errorf("trace: PE %d never ends %q", pe, sp.Task)
-		}
+		return nil, fmt.Errorf("trace: PE %d never ends %q", pe, sp.Task)
 	}
 	return out, nil
 }
