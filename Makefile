@@ -19,8 +19,13 @@ build:
 # memoized in internal/pits, and exec must not grow its own memo back.
 # The next keeps a hung run decided, not timed: WatchdogMin survives as
 # two ignored fields the frozen harness names, read or set by nothing.
-# The last keeps a trace ordered by typed code: the reflection-driven
+# The next keeps a trace ordered by typed code: the reflection-driven
 # sort.Slice family must not come back to internal/trace.
+# The last two keep a run's message path dense and its compiled era on
+# the schedule: one map keyed by message name may exist in internal/exec
+# (a compiled era's name -> ordinal table, for deliveries that arrive by
+# name from another process), and no package-level table at all — one
+# keyed by schedule would pin every schedule a server ever ran.
 vet:
 	$(GO) vet ./...
 	! grep -rnE '\.Mesh([^(A-Za-z0-9_]|$$)' --include='*.go' internal cmd | grep -v _test.go | grep -vE 'Mesh +bool'
@@ -31,12 +36,15 @@ vet:
 	! grep -rnE 'progCache|parseCached' --include='*.go' internal/exec | grep -v _test.go
 	! grep -rnE 'WatchdogMin|GraceFactor|NoWatchdog|watchdogDeadline' --include='*.go' internal cmd | grep -v _test.go | grep -vE 'WatchdogMin +time\.Duration|// WatchdogMin is ignored'
 	! grep -rn 'sort\.Slice' --include='*.go' internal/trace | grep -v _test.go
+	! grep -rnE 'map\[msgKey\]' --include='*.go' internal/exec | grep -v _test.go | grep -v 'type ordinals map\[msgKey\]int32'
+	! awk 'FNR==1{b=0} /^var \(/{b=1} /^\)/{b=0} (b||/^var /)&&/sync\.Map|map\[/{print FILENAME":"FNR": "$$0; f=1} END{exit !f}' $$(ls internal/exec/*.go | grep -v _test.go)
 
 test:
 	$(GO) test ./...
 
 # Race-detector pass over every concurrent subsystem: the runner (one
-# goroutine per processor), the full scheduler package (Compare and
+# goroutine per processor, and one compiled era per schedule that every
+# concurrent run of it reads), the full scheduler package (Compare and
 # SpeedupCurve schedule concurrently, and concurrent cold schedules
 # meet in the compiled-view cache), the wire transport (coordinator, worker
 # daemons, mesh links, reconnect replay), the conformance harness and the
@@ -62,13 +70,14 @@ bench:
 # machine it has not seen (ring:32, ring:128, hypercube:7), the request
 # floor (decode + open + fingerprint of the harness body), the task floor
 # (one task's environment, interpretation and two trace events) and the
-# single-process/distributed runner pair: catches crashes or
+# runners — virtual time (with the harness's run-wide shape), wall clock
+# and distributed: catches crashes or
 # pathological slowdowns in the hot paths without the cost of a
 # statistically meaningful benchmark run. -short keeps the 32k/100k
 # graphs out of the smoke pass.
 bench-smoke:
 	$(GO) test -run=NONE -bench='RequestFloor|TaskFloor|SchedulerScaling|MHCold' -benchtime=1x -benchmem -short .
-	$(GO) test -run=NONE -bench='RunnerWall|RunnerTCP' -benchtime=1x -benchmem .
+	$(GO) test -run=NONE -bench='RunnerVirtual|RunnerWall|RunnerTCP' -benchtime=1x -benchmem .
 
 # The request-path harness's own tests, including its smoke suite (all
 # four workloads in short windows on ring:16, every reply
@@ -175,4 +184,5 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 5s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeMsg -fuzztime 5s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzParseFaults -fuzztime 5s ./internal/exec/
+	$(GO) test -run '^$$' -fuzz FuzzDeliver -fuzztime 5s ./internal/exec/
 	$(GO) test -run '^$$' -fuzz FuzzConform -fuzztime 20s ./internal/conform/

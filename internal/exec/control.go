@@ -12,7 +12,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/machine"
 	"repro/internal/pits"
-	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -53,14 +52,13 @@ type sessCmd struct {
 	// checkpoint asks a pause to hand over the full worker-local state
 	// (a graceful drain's departure gift); see Session.Pause.
 	checkpoint bool
+	era        *eraPlan // a Resume's plan, compiled by the caller
 	reply      chan *PauseState
 }
 
 // controller owns the shared state of one execution session.
 type controller struct {
 	runner *Runner
-	s      *sched.Schedule
-	flat   *graph.Flat
 	numPE  int
 
 	// hosted flags the processors this session runs (a flag drops when
@@ -85,6 +83,9 @@ type controller struct {
 
 	done   chan struct{} // closed to abort the run (some worker failed)
 	finish chan struct{} // closed on clean completion (all workers idle)
+	// ended says the same to deliver, which asks once per message: 0
+	// while the run is on, then endFinished or endAborted (an abort wins).
+	ended atomic.Int32
 
 	doneOnce   sync.Once
 	finishOnce sync.Once
@@ -108,8 +109,18 @@ type controller struct {
 	stats     *Stats
 }
 
-func (c *controller) abort()    { c.doneOnce.Do(func() { close(c.done) }) }
-func (c *controller) complete() { c.finishOnce.Do(func() { close(c.finish) }) }
+const (
+	endFinished = 1 + iota
+	endAborted
+)
+
+func (c *controller) abort() {
+	c.doneOnce.Do(func() { c.ended.Store(endAborted); close(c.done) })
+}
+
+func (c *controller) complete() {
+	c.finishOnce.Do(func() { c.ended.CompareAndSwap(0, endFinished); close(c.finish) })
+}
 
 // isLocal reports whether processor pe is hosted by this session.
 func (c *controller) isLocal(pe int) bool {
@@ -135,6 +146,15 @@ func (c *controller) fail(err error) {
 	}
 	c.mu.Unlock()
 	c.abort()
+}
+
+// stamp is the time a trace event carries: the wall clock, or, in
+// virtual time, the model time the caller worked out.
+func (c *controller) stamp(virtual machine.Time) machine.Time {
+	if c.runner.VirtualTime {
+		return virtual
+	}
+	return c.now()
 }
 
 // addEvent appends a trace event from outside a worker goroutine.
@@ -225,65 +245,6 @@ func (c *controller) post(ev wevent) {
 	}
 }
 
-// assignment is the per-processor derivation of a recovery plan: slot
-// lists, expected arrivals with their sending processors, sends from
-// re-run producers and era-start re-sends of surviving results.
-type assignment struct {
-	slots    [][]sched.Slot
-	expected []map[msgKey]int
-	sends    []map[graph.NodeID][]sendPlan
-	resends  [][]sendPlan
-}
-
-// deriveAssignment turns a recovery plan's global slot and message lists
-// into per-processor worker assignments. done maps surviving tasks to
-// their holders: deliveries from them become era-start re-sends from the
-// holder's local store instead of sends attached to a task execution.
-func deriveAssignment(numPE int, slots []sched.Slot, msgs []sched.Msg, done map[graph.NodeID]int) *assignment {
-	a := &assignment{
-		slots:    make([][]sched.Slot, numPE),
-		expected: make([]map[msgKey]int, numPE),
-		sends:    make([]map[graph.NodeID][]sendPlan, numPE),
-		resends:  make([][]sendPlan, numPE),
-	}
-	for _, sl := range slots {
-		a.slots[sl.PE] = append(a.slots[sl.PE], sl)
-	}
-	for pe := 0; pe < numPE; pe++ {
-		a.expected[pe] = map[msgKey]int{}
-		a.sends[pe] = map[graph.NodeID][]sendPlan{}
-	}
-	for _, m := range msgs {
-		k := msgKey{m.From, m.To, m.Var}
-		a.expected[m.ToPE][k] = m.FromPE
-		sp := sendPlan{key: k, toPE: m.ToPE, words: m.Words}
-		if _, held := done[m.From]; held {
-			// The producer's result survives on m.FromPE: that worker
-			// re-sends the value from its local store at era start.
-			a.resends[m.FromPE] = append(a.resends[m.FromPE], sp)
-		} else {
-			a.sends[m.FromPE][m.From] = append(a.sends[m.FromPE][m.From], sp)
-		}
-	}
-	return a
-}
-
-// applyAssignment rewrites the parked live hosted workers' per-era state
-// from the derived assignment.
-func (c *controller) applyAssignment(a *assignment, epoch int64, dead []bool) {
-	for pe, w := range c.workers {
-		if w == nil || dead[pe] || w.dead {
-			continue
-		}
-		w.slots = a.slots[pe]
-		w.cursor = 0
-		w.expected = a.expected[pe]
-		w.sends = a.sends[pe]
-		w.resends = a.resends[pe]
-		w.epoch = epoch
-	}
-}
-
 // applyAdoptions re-exports orphaned external outputs from their
 // surviving holders. Adoptions naming remote holders are skipped: their
 // hosting process applies them.
@@ -346,7 +307,7 @@ func (c *controller) coordinate() {
 				}
 				continue
 			}
-			c.resumeLocal(cmd.plan)
+			c.resumeLocal(cmd.plan, cmd.era)
 			if live > 0 {
 				c.quiescent.Store(false)
 			} else {
@@ -462,7 +423,7 @@ func (c *controller) extraSnapshot() []trace.Event {
 // processor that crashed here and is live in the plan was revived by a
 // joiner: from now on it is remote, and senders must reach it through
 // the plane, not through the dead worker's mailbox.
-func (c *controller) installPlan(p *ResumePlan) {
+func (c *controller) installPlan(p *ResumePlan, ep *eraPlan) {
 	for pe, w := range c.workers {
 		if w != nil && w.dead && !p.Dead[pe] {
 			c.hosted[pe].Store(false)
@@ -478,15 +439,18 @@ func (c *controller) installPlan(p *ResumePlan) {
 		}
 		hw.local[imp.Task] = imp.Env
 	}
-	a := deriveAssignment(c.numPE, p.Slots, p.Msgs, p.Done)
-	c.applyAssignment(a, p.Epoch, p.Dead)
+	for pe, w := range c.workers {
+		if w != nil && !w.dead && !p.Dead[pe] {
+			w.assign(ep, p.Epoch)
+		}
+	}
 	c.applyAdoptions(p.Adopt)
 }
 
 // resumeLocal installs this process's share of the global recovery plan
 // and releases the parked workers into the new era.
-func (c *controller) resumeLocal(p *ResumePlan) {
-	c.installPlan(p)
+func (c *controller) resumeLocal(p *ResumePlan, ep *eraPlan) {
+	c.installPlan(p, ep)
 	c.crashed.Store(false)
 	er := c.era.Load()
 	next := &era{epoch: p.Epoch, pause: make(chan struct{}), resume: make(chan struct{})}
@@ -504,17 +468,16 @@ func (c *controller) resumeLocal(p *ResumePlan) {
 // discards the corrupt copy by checksum and absorbs duplicates by
 // sequence number. Without retry, the loss starves the receiver,
 // exactly as on the direct in-process path.
-func (c *controller) sendRemote(m xmsg, orig pits.Value, toPE, copies int, wallDelay time.Duration) error {
-	m.ack = nil
+func (c *controller) sendRemote(m xmsg, k *msgKey, orig pits.Value, toPE, copies int, wallDelay time.Duration) error {
+	rm := RemoteMsg{From: k.from, To: k.to, Var: k.v,
+		FromPE: m.fromPE, ToPE: toPE, Seq: m.seq, Epoch: m.epoch,
+		At: m.at, Sum: m.sum, Val: m.val}
 	if c.retry && (copies == 0 || (m.sum != 0 && m.sum != checksum(m.val))) {
-		c.retransmitRemote(m, orig, toPE, wallDelay)
+		c.retransmitRemote(rm, orig, wallDelay)
 	}
 	if copies == 0 {
 		return nil
 	}
-	rm := RemoteMsg{From: m.key.from, To: m.key.to, Var: m.key.v,
-		FromPE: m.fromPE, ToPE: toPE, Seq: m.seq, Epoch: m.epoch,
-		At: m.at, Sum: m.sum, Val: m.val}
 	if wallDelay > 0 {
 		c.later(wallDelay, func() {
 			for i := 0; i < copies; i++ {
@@ -553,29 +516,21 @@ func (c *controller) flushRemote() {
 // ack/retransmit loop across a process boundary. The era check mirrors
 // sendReliable: a recovery that replanned the run makes the
 // retransmission moot (the receiver would discard the stale epoch).
-func (c *controller) retransmitRemote(m xmsg, orig pits.Value, toPE int, wallDelay time.Duration) {
-	rt := m
-	rt.val = orig
-	if rt.sum != 0 {
-		rt.sum = checksum(orig)
+func (c *controller) retransmitRemote(rm RemoteMsg, orig pits.Value, wallDelay time.Duration) {
+	rm.Val = orig
+	if rm.Sum != 0 {
+		rm.Sum = checksum(orig)
 	}
 	c.later(wallDelay+c.runner.retryBase(), func() {
-		if c.era.Load().epoch != rt.epoch {
+		if c.era.Load().epoch != rm.Epoch {
 			return
 		}
-		at := c.now()
-		if c.runner.VirtualTime {
-			at = rt.at
-		}
-		c.addEvent(trace.Event{Kind: trace.MsgRetry, At: at, Task: rt.key.from,
-			PE: rt.fromPE, Var: rt.key.v, Peer: toPE, Seq: rt.seq, Note: "attempt 1"})
+		c.addEvent(trace.Event{Kind: trace.MsgRetry, At: c.stamp(rm.At), Task: rm.From,
+			PE: rm.FromPE, Var: rm.Var, Peer: rm.ToPE, Seq: rm.Seq, Note: "attempt 1"})
 		c.stats.Retries.Add(1)
-		rm := RemoteMsg{From: rt.key.from, To: rt.key.to, Var: rt.key.v,
-			FromPE: rt.fromPE, ToPE: toPE, Seq: rt.seq, Epoch: rt.epoch,
-			At: rt.at, Sum: rt.sum, Val: rt.val}
 		c.stats.RemoteSends.Add(1)
 		if err := c.plane.DeliverRemote(rm); err != nil {
-			c.fail(fmt.Errorf("exec: remote delivery to PE %d: %w", toPE, err))
+			c.fail(fmt.Errorf("exec: remote delivery to PE %d: %w", rm.ToPE, err))
 			return
 		}
 		c.flushRemote()

@@ -247,11 +247,12 @@ func RandomFaults(seed int64, s *sched.Schedule) *FaultPlan {
 type faultState struct {
 	mu        sync.Mutex
 	crashes   map[int]int // pe -> executed-task index to die at
-	msgFaults map[msgKey][]*msgFault
-	checksums bool // any corrupt fault present
+	msgFaults []*msgFault // in plan order; a plan holds a handful, so sends scan it
+	checksums bool        // any corrupt fault present
 }
 
 type msgFault struct {
+	key       msgKey
 	kind      FaultKind
 	delay     machine.Time
 	remaining int
@@ -260,7 +261,7 @@ type msgFault struct {
 // newFaultState compiles a plan; nil plans yield a state that never
 // fires.
 func newFaultState(p *FaultPlan) *faultState {
-	st := &faultState{crashes: map[int]int{}, msgFaults: map[msgKey][]*msgFault{}}
+	st := &faultState{crashes: map[int]int{}}
 	if p == nil {
 		return st
 	}
@@ -273,8 +274,7 @@ func newFaultState(p *FaultPlan) *faultState {
 		if n <= 0 {
 			n = 1
 		}
-		k := msgKey{f.From, f.To, f.Var}
-		st.msgFaults[k] = append(st.msgFaults[k], &msgFault{kind: f.Kind, delay: f.Delay, remaining: n})
+		st.msgFaults = append(st.msgFaults, &msgFault{key: msgKey{f.From, f.To, f.Var}, kind: f.Kind, delay: f.Delay, remaining: n})
 		if f.Kind == FaultCorrupt {
 			st.checksums = true
 		}
@@ -297,15 +297,15 @@ func (st *faultState) crashNow(pe, executed int) bool {
 
 // onSend returns the faults to apply to this transmission of k, in
 // plan order, consuming their counts.
-func (st *faultState) onSend(k msgKey) []FaultKind {
+func (st *faultState) onSend(k *msgKey) []FaultKind {
 	if len(st.msgFaults) == 0 {
 		return nil
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	var kinds []FaultKind
-	for _, f := range st.msgFaults[k] {
-		if f.remaining > 0 {
+	for _, f := range st.msgFaults {
+		if f.key == *k && f.remaining > 0 {
 			f.remaining--
 			kinds = append(kinds, f.kind)
 		}
@@ -314,11 +314,11 @@ func (st *faultState) onSend(k msgKey) []FaultKind {
 }
 
 // delayOf returns the configured delay for k's delay fault (0 if none).
-func (st *faultState) delayOf(k msgKey) machine.Time {
+func (st *faultState) delayOf(k *msgKey) machine.Time {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	for _, f := range st.msgFaults[k] {
-		if f.kind == FaultDelay {
+	for _, f := range st.msgFaults {
+		if f.key == *k && f.kind == FaultDelay {
 			return f.delay
 		}
 	}

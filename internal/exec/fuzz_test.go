@@ -1,8 +1,12 @@
 package exec
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/pits"
 )
 
 // FuzzParseFaults throws arbitrary strings at the -faults spec parser.
@@ -53,6 +57,46 @@ func FuzzParseFaults(f *testing.F) {
 			if strings.Contains(string(fa.From), ",") || strings.Contains(fa.Var, ",") {
 				t.Fatalf("accepted spec %q smuggled a comma into a field: %+v", spec, fa)
 			}
+		}
+	})
+}
+
+// FuzzDeliver throws arbitrary messages at the process boundary of a
+// running session, where names become ordinals. A delivery for a
+// processor not hosted here is the caller's error; any other is taken,
+// and one that names nothing the schedule sends — or another era — can
+// neither panic the receiver nor change what the run computes.
+func FuzzDeliver(f *testing.F) {
+	f.Add("x", "y", "q", 1, int64(0), uint64(9)) // a name no era schedules
+	f.Add("a", "b", "u", 1, int64(3), uint64(9)) // a scheduled name, from another era
+	f.Add("b", "d", "v", 0, int64(-1), uint64(0))
+	f.Add("a", "b", "u", 2, int64(0), uint64(1)) // off the machine
+	f.Add("", "", "", -1, int64(0), uint64(0))
+	f.Fuzz(func(t *testing.T, from, to, v string, toPE int, epoch int64, seq uint64) {
+		s, flat := chainSchedule(t)
+		pl := newTestPlane()
+		ses, err := (&Runner{Inputs: pits.Env{"x0": pits.Num(5)}}).StartSession(s, flat, []bool{true, true}, pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := RemoteMsg{From: graph.NodeID(from), To: graph.NodeID(to), Var: v, ToPE: toPE, Epoch: epoch, Seq: seq, Val: pits.Num(99)}
+		err = ses.Deliver(m)
+		if hosted := toPE == 0 || toPE == 1; hosted == (err != nil) {
+			t.Errorf("delivery for PE %d: %v", toPE, err)
+		} else if err != nil && !strings.Contains(err.Error(), "not hosted here") {
+			t.Errorf("refusal reads %q", err)
+		}
+		scheduled := epoch == 0 && (m.From == "a" && m.To == "b" && v == "u" && toPE == 1 || m.From == "b" && m.To == "d" && v == "v" && toPE == 0)
+		if scheduled {
+			ses.Abort(fmt.Errorf("a forged copy of a scheduled message may do anything but panic"))
+			ses.Wait()
+			return
+		}
+		waitEvent(t, pl.idle, "the run to go idle")
+		ses.FinishRun()
+		p, err := ses.Wait()
+		if err != nil || p.Outputs["e.out"] != pits.Num(23) {
+			t.Errorf("outputs %v, error %v; want out = 23", p, err)
 		}
 	})
 }

@@ -84,7 +84,7 @@ func TestMailboxFIFOPerProducer(t *testing.T) {
 func TestMailboxTakeReleasesPayload(t *testing.T) {
 	b := newMailbox(new(atomic.Int64))
 	for i := 0; i < 3; i++ {
-		b.put(xmsg{key: msgKey{"a", "b", "v"}, val: pits.Num(i), seq: uint64(i + 1), ack: make(chan struct{}, 1)})
+		b.put(xmsg{name: &msgKey{"a", "b", "v"}, val: pits.Num(i), seq: uint64(i + 1), ack: make(chan struct{}, 1)})
 	}
 	if _, ok, _ := b.take(); !ok {
 		t.Fatal("take failed")

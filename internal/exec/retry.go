@@ -17,9 +17,13 @@ import (
 // (capped exponential backoff), so dropped and duplicated messages are
 // absorbed instead of wedging the run.
 
-// xmsg carries one arc's data between processor goroutines.
+// xmsg carries one arc's data between processor goroutines. ord is the
+// message's ordinal on the receiving processor in its era's plan; a
+// message that crossed a process boundary arrives with name instead,
+// which the receiver resolves to ord when it admits the message.
 type xmsg struct {
-	key    msgKey
+	ord    int32
+	name   *msgKey
 	val    pits.Value
 	fromPE int
 	at     machine.Time  // virtual arrival (VirtualTime mode)
@@ -131,12 +135,8 @@ func (b *mailbox) take() (m xmsg, ok, last bool) {
 // It reports false once the run has aborted; a copy arriving after a
 // clean finish is dropped.
 func (c *controller) deliver(m xmsg, toPE int) bool {
-	select {
-	case <-c.done:
-		return false
-	case <-c.finish:
-		return true
-	default:
+	if end := c.ended.Load(); end != 0 {
+		return end == endFinished
 	}
 	c.workers[toPE].inbox.put(m)
 	return true
@@ -148,7 +148,7 @@ func (c *controller) deliver(m xmsg, toPE int) bool {
 // the run ends. orig is the uncorrupted payload; retransmissions use it
 // so a corrupted or dropped first copy heals. Runs in a background
 // goroutine so the sending worker never blocks on a slow consumer.
-func (c *controller) sendReliable(m xmsg, orig pits.Value, toPE, copies int, wallDelay time.Duration) {
+func (c *controller) sendReliable(m xmsg, k *msgKey, orig pits.Value, toPE, copies int, wallDelay time.Duration) {
 	c.later(wallDelay, func() {
 		wait := c.runner.retryBase()
 		cap := c.runner.retryCap()
@@ -183,12 +183,8 @@ func (c *controller) sendReliable(m xmsg, orig pits.Value, toPE, copies int, wal
 			if m.sum != 0 {
 				m.sum = checksum(orig)
 			}
-			at := c.now()
-			if c.runner.VirtualTime {
-				at = m.at
-			}
-			c.addEvent(trace.Event{Kind: trace.MsgRetry, At: at, Task: m.key.from,
-				PE: m.fromPE, Var: m.key.v, Peer: toPE, Seq: m.seq, Note: fmt.Sprintf("attempt %d", attempt)})
+			c.addEvent(trace.Event{Kind: trace.MsgRetry, At: c.stamp(m.at), Task: k.from,
+				PE: m.fromPE, Var: k.v, Peer: toPE, Seq: m.seq, Note: fmt.Sprintf("attempt %d", attempt)})
 			c.stats.Retries.Add(1)
 			wait *= 2
 			if wait > cap {

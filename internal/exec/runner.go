@@ -116,24 +116,6 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// msgKey identifies a scheduled message: producer task, consumer task,
-// variable.
-type msgKey struct {
-	from graph.NodeID
-	to   graph.NodeID
-	v    string
-}
-
-// String renders the key as the edge diagnostics name: "from->to:var".
-func (k msgKey) String() string { return fmt.Sprintf("%s->%s:%s", k.from, k.to, k.v) }
-
-// sendPlan is one cross-processor delivery a producer copy must make.
-type sendPlan struct {
-	key   msgKey
-	toPE  int
-	words int64
-}
-
 // Run executes the schedule against flat, the flattened design the
 // schedule was computed from.
 func (r *Runner) Run(s *sched.Schedule, flat *graph.Flat) (*Result, error) {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/pits"
 	"repro/internal/sched"
+	"repro/internal/trace"
 )
 
 // Session is one member's share of a running schedule: the worker
@@ -62,7 +63,11 @@ func (r *Runner) StartSessionFrom(s *sched.Schedule, flat *graph.Flat, hosted []
 	if len(plan.Dead) != c.numPE {
 		return nil, fmt.Errorf("exec: resume plan flags %d processors, machine has %d", len(plan.Dead), c.numPE)
 	}
-	c.installPlan(plan)
+	ep, err := eraOf(s, flat, plan)
+	if err != nil {
+		return nil, err
+	}
+	c.installPlan(plan, ep)
 	for _, w := range c.workers {
 		if w != nil {
 			w.clock = plan.Clock
@@ -80,7 +85,6 @@ func (r *Runner) buildSession(s *sched.Schedule, flat *graph.Flat, hosted []bool
 	if s == nil || flat == nil || s.Graph == nil || s.Machine == nil {
 		return nil, fmt.Errorf("exec: nil schedule or design")
 	}
-	g := s.Graph
 	numPE := s.Machine.NumPE()
 	if len(hosted) != numPE {
 		return nil, fmt.Errorf("exec: %d hosted flags for %d processors", len(hosted), numPE)
@@ -88,53 +92,17 @@ func (r *Runner) buildSession(s *sched.Schedule, flat *graph.Flat, hosted []bool
 	if plane == nil {
 		return nil, fmt.Errorf("exec: a session needs a remote plane")
 	}
-	// Build the schedule's index now: it fills lazily and
-	// unsynchronized, and every worker goroutine reads it.
-	s.Finalize()
-
 	// Fail fast on missing external inputs: one clear error before any
 	// worker spawns, instead of a root-cause-plus-cascade report.
 	if err := r.checkInputs(flat); err != nil {
 		return nil, err
 	}
 
-	// Parse every routine up front; fail fast before spawning workers.
-	progs := map[graph.NodeID]*pits.Program{}
-	for _, n := range g.Tasks() {
-		if n.Routine == "" {
-			// A routine-less task is a no-op placeholder: legal in
-			// scheduling studies, and at run time it simply produces
-			// nothing.
-			progs[n.ID] = &pits.Program{}
-			continue
-		}
-		prog, err := pits.Parse(n.Routine)
-		if err != nil {
-			return nil, fmt.Errorf("exec: task %s: %w", n.ID, err)
-		}
-		progs[n.ID] = prog
-	}
-
-	// Expected cross-PE messages per consumer processor (with their
-	// sending processors, for diagnostics), and the deliveries each
-	// producer copy must make, from the schedule.
-	expect := make([]map[msgKey]int, numPE)
-	sends := make([]map[graph.NodeID][]sendPlan, numPE)
-	for pe := 0; pe < numPE; pe++ {
-		expect[pe] = map[msgKey]int{}
-		sends[pe] = map[graph.NodeID][]sendPlan{}
-	}
-	for _, msg := range s.Msgs {
-		if msg.FromPE == msg.ToPE {
-			continue
-		}
-		k := msgKey{msg.From, msg.To, msg.Var}
-		if _, dup := expect[msg.ToPE][k]; dup {
-			return nil, fmt.Errorf("exec: schedule records duplicate delivery of %s to PE %d", k, msg.ToPE)
-		}
-		expect[msg.ToPE][k] = msg.FromPE
-		sends[msg.FromPE][msg.From] = append(sends[msg.FromPE][msg.From],
-			sendPlan{key: k, toPE: msg.ToPE, words: msg.Words})
+	// The schedule's own era: every routine parsed, every message given
+	// its ordinal; fails fast, before any worker spawns.
+	plan, err := era0(s, flat)
+	if err != nil {
+		return nil, err
 	}
 
 	faults := newFaultState(r.Faults)
@@ -146,7 +114,7 @@ func (r *Runner) buildSession(s *sched.Schedule, flat *graph.Flat, hosted []bool
 		stats = &Stats{}
 	}
 	ctrl := &controller{
-		runner: r, s: s, flat: flat, numPE: numPE,
+		runner: r, numPE: numPE,
 		hosted: make([]atomic.Bool, numPE), plane: plane,
 		cmds:   make(chan sessCmd),
 		done:   make(chan struct{}),
@@ -168,13 +136,12 @@ func (r *Runner) buildSession(s *sched.Schedule, flat *graph.Flat, hosted []bool
 			continue
 		}
 		workers[pe] = &worker{
-			pe: pe, runner: r, sched: s, flat: flat, progs: progs, ctrl: ctrl, now: now,
+			pe: pe, runner: r, sched: s, ctrl: ctrl,
 			inbox: newMailbox(&ctrl.busy), interp: pits.Interp{MaxSteps: r.MaxSteps},
-			slots: s.PESlots(pe), expected: expect[pe], sends: sends[pe],
 			outputs: pits.Env{}, exports: map[string]graph.NodeID{},
-			local: map[graph.NodeID]pits.Env{},
-			recvd: map[msgKey]xmsg{}, seen: map[msgKey]uint64{},
+			local: make(map[graph.NodeID]pits.Env, len(plan.pes[pe].slots)),
 		}
+		workers[pe].assign(plan, 0)
 	}
 	ctrl.workers = workers
 
@@ -215,13 +182,16 @@ func (ses *Session) launch() {
 
 // Deliver injects a message that arrived from another process into the
 // hosting processor's mailbox. Late deliveries after completion are
-// dropped; deliveries after an abort report it.
+// dropped; deliveries after an abort report it. This is the process
+// boundary, the one place a message travels by name: the receiving
+// worker turns the name into its ordinal once, in the message's own era
+// (see admit).
 func (ses *Session) Deliver(m RemoteMsg) error {
 	c := ses.ctrl
 	if m.ToPE < 0 || m.ToPE >= c.numPE || !c.isLocal(m.ToPE) {
 		return fmt.Errorf("exec: delivery for PE %d, which is not hosted here", m.ToPE)
 	}
-	x := xmsg{key: msgKey{m.From, m.To, m.Var}, val: m.Val, fromPE: m.FromPE,
+	x := xmsg{name: &msgKey{m.From, m.To, m.Var}, val: m.Val, fromPE: m.FromPE,
 		at: m.At, seq: m.Seq, epoch: m.Epoch, sum: m.Sum}
 	if !c.deliver(x, m.ToPE) {
 		return fmt.Errorf("exec: session aborted")
@@ -280,7 +250,11 @@ func (ses *Session) Resume(p *ResumePlan) error {
 	if p == nil || len(p.Dead) != ses.ctrl.numPE {
 		return fmt.Errorf("exec: malformed resume plan")
 	}
-	_, err := ses.command(sessCmd{plan: p})
+	ep, err := eraOf(ses.s, ses.flat, p)
+	if err != nil {
+		return err
+	}
+	_, err = ses.command(sessCmd{plan: p, era: ep})
 	return err
 }
 
@@ -330,7 +304,13 @@ func (ses *Session) Wait() (*Partial, error) {
 	}
 
 	p := &Partial{Outputs: pits.Env{}, Exports: map[string]graph.NodeID{}}
-	p.Events = append(p.Events, ses.ctrl.extra...)
+	logged := len(ses.ctrl.extra)
+	for _, w := range ses.workers {
+		if w != nil {
+			logged += len(w.events)
+		}
+	}
+	p.Events = append(make([]trace.Event, 0, logged), ses.ctrl.extra...)
 	for _, w := range ses.workers {
 		if w == nil {
 			continue

@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -13,31 +14,28 @@ import (
 	"repro/internal/trace"
 )
 
-// worker owns one simulated processor during a run. Its slot list,
-// expected messages and send plans are installed by Run for era 0 and
-// rewritten by the coordinator at each recovery barrier.
+// worker owns one simulated processor during a run. Its share of the
+// compiled era is installed at session construction for era 0 and
+// replaced by the coordinator at each recovery barrier (see assign).
 type worker struct {
 	pe     int
 	runner *Runner
 	sched  *sched.Schedule
-	flat   *graph.Flat
-	progs  map[graph.NodeID]*pits.Program
 	interp pits.Interp // reused by every slot; reseeded per task
 	ctrl   *controller
-	now    func() machine.Time
 	inbox  *mailbox
 	// awaiting is what a blocked receive is waiting for (nil
 	// otherwise): the raw material of deadlock and stall reports.
 	awaiting atomic.Pointer[awaited]
 
 	// Per-era assignment.
-	slots    []sched.Slot
-	cursor   int
-	expected map[msgKey]int // scheduled arrivals: key -> sending processor
-	sends    map[graph.NodeID][]sendPlan
-	resends  []sendPlan // surviving results to re-deliver at era start
-	epoch    int64
-	er       *era
+	plan    *eraPlan // read-only, and for era 0 shared with other runs
+	prog    *peProg  // this processor's share of it
+	cursor  int
+	resends []sendPlan // surviving results still to re-deliver at era start
+	arrived []arrival  // this era's inbound messages, by ordinal
+	epoch   int64
+	er      *era
 
 	events  []trace.Event
 	outputs pits.Env                // qualified "task.var" external outputs
@@ -48,16 +46,31 @@ type worker struct {
 
 	clock    machine.Time              // virtual-time clock (VirtualTime mode)
 	local    map[graph.NodeID]pits.Env // outputs of tasks executed here
-	recvd    map[msgKey]xmsg           // admitted but not yet consumed
-	seen     map[msgKey]uint64         // consumed keys -> sequence (duplicate rejection)
 	executed int                       // tasks executed here, across eras (crash counter)
 	seqLocal uint64                    // low bits of this sender's message sequence numbers
 }
 
-// awaited is a scheduled message and the processor due to send it.
-type awaited struct {
-	key    msgKey
-	fromPE int
+// arrival is what a worker knows of one inbound message of its era: the
+// admitted copy — its sequence number is what later copies are judged
+// by — and whether a slot has consumed it yet.
+type arrival struct {
+	xmsg
+	state uint8 // 0 until admitted, then stashed, then consumed
+}
+
+const (
+	stashed = 1 + iota
+	consumed
+)
+
+// assign installs the worker's share of a compiled era. The stash and
+// the duplicate tracking of the era before belong to that era and go;
+// the event log grows, once, by what the new era will add.
+func (w *worker) assign(p *eraPlan, epoch int64) {
+	w.plan, w.prog, w.cursor, w.epoch = p, &p.pes[w.pe], 0, epoch
+	w.resends = w.prog.resends
+	w.arrived = make([]arrival, len(w.prog.in))
+	w.events = slices.Grow(w.events, w.prog.events)
 }
 
 // errPaused marks a receive or slot interrupted by the recovery
@@ -76,9 +89,9 @@ const (
 
 // run is the worker goroutine: execute the current assignment, then
 // idle until the run completes or a recovery hands out a new one. The
-// local/recvd/seen maps are built at session construction (not here) so
-// a session started mid-run can install imported state before the
-// goroutine launches.
+// local store is built at session construction (not here) so a session
+// started mid-run can install imported state before the goroutine
+// launches.
 func (w *worker) run() error {
 	for {
 		w.er = w.ctrl.era.Load()
@@ -115,11 +128,8 @@ func (w *worker) run() error {
 }
 
 // park waits at the recovery barrier until the coordinator installs the
-// next era (true) or the run aborts (false). Undelivered stash and
-// duplicate-tracking state belong to the dead era and are discarded.
+// next era (true) or the run aborts (false).
 func (w *worker) park() bool {
-	w.recvd = map[msgKey]xmsg{}
-	w.seen = map[msgKey]uint64{}
 	w.ctrl.post(wevent{evParked, w.pe})
 	select {
 	case <-w.er.resume:
@@ -134,21 +144,16 @@ func (w *worker) execute() (wstatus, error) {
 	// First re-deliver surviving results the recovery plan routed from
 	// this processor's local store.
 	for _, sp := range w.resends {
-		env, ok := w.local[sp.key.from]
+		k := w.plan.key(sp)
+		env, ok := w.local[k.from]
 		if !ok {
-			return wsError, fmt.Errorf("recovery resend: no local result for task %s", sp.key.from)
+			return wsError, fmt.Errorf("recovery resend: no local result for task %s", k.from)
 		}
-		val, ok := env[sp.key.v]
+		val, ok := env[k.v]
 		if !ok {
-			return wsError, fmt.Errorf("recovery resend: task %s result lacks %q", sp.key.from, sp.key.v)
+			return wsError, fmt.Errorf("recovery resend: task %s result lacks %q", k.from, k.v)
 		}
-		sendAt := w.now()
-		arriveAt := machine.Time(0)
-		if w.runner.VirtualTime {
-			sendAt = w.clock
-			arriveAt = w.clock + w.sched.Machine.CommTime(sp.words, w.pe, sp.toPE)
-		}
-		if err := w.send(sp, val, sendAt, arriveAt); err != nil {
+		if err := w.send(sp, val, w.clock); err != nil {
 			return wsError, err
 		}
 	}
@@ -160,14 +165,10 @@ func (w *worker) execute() (wstatus, error) {
 	}
 	w.resends = nil
 
-	for w.cursor < len(w.slots) {
+	for w.cursor < len(w.prog.slots) {
 		if w.ctrl.faults.crashNow(w.pe, w.executed) {
-			at := w.now()
-			if w.runner.VirtualTime {
-				at = w.clock
-			}
-			w.events = append(w.events, trace.Event{Kind: trace.FaultInjected, At: at,
-				Task: w.slots[w.cursor].Task, PE: w.pe, Peer: w.pe, Note: "crash"})
+			w.events = append(w.events, trace.Event{Kind: trace.FaultInjected, At: w.ctrl.stamp(w.clock),
+				Task: w.prog.slots[w.cursor].Task, PE: w.pe, Peer: w.pe, Note: "crash"})
 			w.ctrl.stats.FaultsInjected.Add(1)
 			return wsCrashed, nil
 		}
@@ -176,7 +177,7 @@ func (w *worker) execute() (wstatus, error) {
 			return wsPaused, nil
 		default:
 		}
-		if err := w.runSlot(w.slots[w.cursor]); err != nil {
+		if err := w.runSlot(&w.prog.slots[w.cursor]); err != nil {
 			if errors.Is(err, errPaused) {
 				return wsPaused, nil
 			}
@@ -193,16 +194,15 @@ func (w *worker) execute() (wstatus, error) {
 // runSlot executes one scheduled task copy: gather inputs (local,
 // message or external), interpret the routine, deliver scheduled
 // messages, and export external outputs from the primary copy.
-func (w *worker) runSlot(sl sched.Slot) error {
+func (w *worker) runSlot(sl *slotProg) error {
 	virtual := w.runner.VirtualTime
-	preds := w.sched.Graph.PredArcs(sl.Task)
 	// The task's environment is built once, every value unaliased on the
 	// way in: a routine may write into its vectors, and they are the
 	// producer's (or the caller's) own.
-	env := make(pits.Env, len(w.flat.ExternalIn[sl.Task])+len(preds))
+	env := make(pits.Env, len(sl.extIn)+len(sl.preds))
 	// External inputs bound by name from the runner's global data
 	// (validated up front by Run; kept as defense in depth).
-	for _, v := range w.flat.ExternalIn[sl.Task] {
+	for _, v := range sl.extIn {
 		val, ok := w.runner.Inputs[v]
 		if !ok {
 			return fmt.Errorf("task %s: missing external input %q", sl.Task, v)
@@ -213,10 +213,9 @@ func (w *worker) runSlot(sl sched.Slot) error {
 	// from a received message. dataReady tracks the latest virtual
 	// message arrival.
 	var dataReady machine.Time
-	for _, a := range preds {
-		k := msgKey{a.From, sl.Task, a.Var}
-		if fromPE, isMsg := w.expected[k]; isMsg {
-			m, err := w.receive(k, fromPE)
+	for i, a := range sl.preds {
+		if ord := sl.ins[i]; ord >= 0 {
+			m, err := w.receive(ord)
 			if err != nil {
 				if errors.Is(err, errPaused) {
 					return err
@@ -241,21 +240,14 @@ func (w *worker) runSlot(sl sched.Slot) error {
 		env[a.Var] = pits.Unalias(val)
 	}
 
-	start := w.now()
-	if virtual {
-		start = w.clock
-		if dataReady > start {
-			start = dataReady
-		}
-	}
+	start := w.ctrl.stamp(max(w.clock, dataReady))
 	w.events = append(w.events, trace.Event{Kind: trace.TaskStart, At: start, Task: sl.Task, PE: w.pe, Dup: sl.Dup})
-	w.interp.Seed = taskSeed(sl.Task)
-	if err := w.interp.Run(w.progs[sl.Task], env); err != nil {
+	w.interp.Seed = sl.seed
+	if err := w.interp.Run(sl.prog, env); err != nil {
 		return fmt.Errorf("task %s: %w", sl.Task, err)
 	}
-	finish := w.now()
+	finish := w.ctrl.stamp(start + w.sched.Machine.ExecTime(w.interp.Ops(), w.pe))
 	if virtual {
-		finish = start + w.sched.Machine.ExecTime(w.interp.Ops(), w.pe)
 		w.clock = finish
 	}
 	w.events = append(w.events, trace.Event{Kind: trace.TaskEnd, At: finish, Task: sl.Task, PE: w.pe, Dup: sl.Dup})
@@ -265,22 +257,17 @@ func (w *worker) runSlot(sl sched.Slot) error {
 	w.local[sl.Task] = env
 
 	// Deliver scheduled messages from this copy.
-	for _, sp := range w.sends[sl.Task] {
-		val, ok := env[sp.key.v]
+	for _, sp := range sl.sends {
+		k := w.plan.key(sp)
+		val, ok := env[k.v]
 		if !ok {
-			return fmt.Errorf("task %s: routine did not produce %q needed by %s", sl.Task, sp.key.v, sp.key.to)
+			return fmt.Errorf("task %s: routine did not produce %q needed by %s", sl.Task, k.v, k.to)
 		}
-		sendAt := w.now()
-		arriveAt := machine.Time(0)
-		if virtual {
-			sendAt = finish
-			arriveAt = finish + w.sched.Machine.CommTime(sp.words, w.pe, sp.toPE)
-		}
-		if err := w.send(sp, val, sendAt, arriveAt); err != nil {
+		if err := w.send(sp, val, finish); err != nil {
 			return fmt.Errorf("task %s: %w", sl.Task, err)
 		}
 	}
-	if len(w.sends[sl.Task]) > 0 {
+	if len(sl.sends) > 0 {
 		// Slot boundary: the send burst above may be coalescing in a
 		// remote plane's peer buffers; put it on the wire now.
 		w.ctrl.flushRemote()
@@ -290,47 +277,51 @@ func (w *worker) runSlot(sl sched.Slot) error {
 	// communication surrogates, not result owners). Only the qualified
 	// "task.var" key is written here; Run merges the unqualified names
 	// and rejects collisions between tasks.
-	if !sl.Dup {
-		for _, v := range w.flat.ExternalOut[sl.Task] {
-			val, ok := env[v]
-			if !ok {
-				return fmt.Errorf("task %s: routine did not produce external output %q", sl.Task, v)
-			}
-			w.outputs[string(sl.Task)+"."+v] = val
-			w.exports[v] = sl.Task
+	for i, v := range sl.outs {
+		val, ok := env[v]
+		if !ok {
+			return fmt.Errorf("task %s: routine did not produce external output %q", sl.Task, v)
 		}
+		w.outputs[sl.qual[i]] = val
+		w.exports[v] = sl.Task
 	}
 	return nil
 }
 
 // send transports one scheduled delivery, applying any injected faults
-// and choosing the reliable or direct path.
-func (w *worker) send(sp sendPlan, val pits.Value, sendAt, arriveAt machine.Time) error {
+// and choosing the reliable or direct path. In virtual time the message
+// leaves at the given model time and arrives CommTime later.
+func (w *worker) send(sp sendPlan, val pits.Value, at machine.Time) error {
 	// Sequence numbers are per-sender (PE in the high bits) so that
 	// assignment does not depend on cross-goroutine interleaving:
 	// virtual-time runs replay with identical traces.
 	w.seqLocal++
-	m := xmsg{key: sp.key, val: val, fromPE: w.pe, at: arriveAt,
+	k := w.plan.key(sp)
+	m := xmsg{ord: sp.ord, val: val, fromPE: w.pe,
 		seq: uint64(w.pe+1)<<32 | w.seqLocal, epoch: w.epoch}
+	if w.runner.VirtualTime {
+		m.at = at + w.sched.Machine.CommTime(sp.words, w.pe, sp.toPE)
+	}
+	sendAt := w.ctrl.stamp(at)
 	if w.ctrl.checksums {
 		m.sum = checksum(val)
 	}
 	w.events = append(w.events, trace.Event{Kind: trace.MsgSend, At: sendAt,
-		Task: sp.key.from, PE: w.pe, Var: sp.key.v, Peer: sp.toPE, Seq: m.seq})
+		Task: k.from, PE: w.pe, Var: k.v, Peer: sp.toPE, Seq: m.seq})
 	w.ctrl.stats.MsgsSent.Add(1)
 	copies := 1
 	var wallDelay time.Duration
-	for _, k := range w.ctrl.faults.onSend(sp.key) {
+	for _, kind := range w.ctrl.faults.onSend(k) {
 		w.events = append(w.events, trace.Event{Kind: trace.FaultInjected, At: sendAt,
-			Task: sp.key.from, PE: w.pe, Var: sp.key.v, Peer: sp.toPE, Note: k.String()})
+			Task: k.from, PE: w.pe, Var: k.v, Peer: sp.toPE, Note: kind.String()})
 		w.ctrl.stats.FaultsInjected.Add(1)
-		switch k {
+		switch kind {
 		case FaultDrop:
 			copies = 0
 		case FaultDup:
 			copies = 2
 		case FaultDelay:
-			d := w.ctrl.faults.delayOf(sp.key)
+			d := w.ctrl.faults.delayOf(k)
 			m.at += d
 			wallDelay = time.Duration(d) * time.Microsecond
 		case FaultCorrupt:
@@ -340,11 +331,11 @@ func (w *worker) send(sp sendPlan, val pits.Value, sendAt, arriveAt machine.Time
 	if !w.ctrl.isLocal(sp.toPE) {
 		// The consumer lives in another process: hand the message to
 		// the remote plane, which owns process-boundary reliability.
-		return w.ctrl.sendRemote(m, val, sp.toPE, copies, wallDelay)
+		return w.ctrl.sendRemote(m, k, val, sp.toPE, copies, wallDelay)
 	}
 	if w.ctrl.retry {
 		m.ack = make(chan struct{}, 4)
-		w.ctrl.sendReliable(m, val, sp.toPE, copies, wallDelay)
+		w.ctrl.sendReliable(m, k, val, sp.toPE, copies, wallDelay)
 		return nil
 	}
 	if copies == 0 {
@@ -354,8 +345,10 @@ func (w *worker) send(sp sendPlan, val pits.Value, sendAt, arriveAt machine.Time
 	}
 	for i := 0; i < copies; i++ {
 		if wallDelay > 0 {
-			// Held back without blocking this worker.
-			w.ctrl.later(wallDelay, func() { w.ctrl.deliver(m, sp.toPE) })
+			// Held back without blocking this worker (and by a copy: a
+			// captured m would put every send's message on the heap).
+			held := m
+			w.ctrl.later(wallDelay, func() { w.ctrl.deliver(held, sp.toPE) })
 		} else if !w.ctrl.deliver(m, sp.toPE) {
 			return fmt.Errorf("%w while sending to PE %d", errAborted, sp.toPE)
 		}
@@ -366,55 +359,59 @@ func (w *worker) send(sp sendPlan, val pits.Value, sendAt, arriveAt machine.Time
 // admit vets one delivery: stale-era and benign duplicate copies are
 // acknowledged and discarded, corrupted payloads are dropped so the
 // sender retransmits (an error without retry), and a second delivery of
-// a consumed key with a different sequence number is rejected as a
-// schedule bug.
-func (w *worker) admit(m xmsg) (bool, error) {
+// an admitted message with a different sequence number is rejected as a
+// schedule bug. A fresh copy is stashed under its ordinal. The era
+// check comes first: the ordinal of a stale copy, and the name of one
+// from another process, mean nothing in this era's plan.
+func (w *worker) admit(m xmsg) error {
 	if m.epoch != w.epoch {
 		ackMsg(m)
-		return false, nil
+		return nil
+	}
+	if m.name != nil {
+		ord, scheduled := w.prog.ords[*m.name]
+		if !scheduled {
+			// This era schedules no such message for this processor; only
+			// a peer process can send one. Acknowledged, so nobody
+			// retransmits it, then dropped: nothing would ever read it.
+			ackMsg(m)
+			return nil
+		}
+		m.ord, m.name = ord, nil
 	}
 	if w.ctrl.checksums && m.sum != 0 && m.sum != checksum(m.val) {
 		if w.ctrl.retry {
-			return false, nil // no ack: the sender retransmits the original
+			return nil // no ack: the sender retransmits the original
 		}
-		return false, fmt.Errorf("message %s from PE %d corrupted in transit", m.key, m.fromPE)
+		return fmt.Errorf("message %s from PE %d corrupted in transit", w.prog.in[m.ord].key, m.fromPE)
 	}
-	if prev, consumed := w.seen[m.key]; consumed {
-		if prev == m.seq {
+	a := &w.arrived[m.ord]
+	if a.state != 0 {
+		if a.seq == m.seq {
 			ackMsg(m) // retransmission or injected duplicate of the same send
-			return false, nil
+			return nil
 		}
-		return false, fmt.Errorf("duplicate delivery of %s (sequence %d after %d): schedule sends it twice",
-			m.key, m.seq, prev)
+		return fmt.Errorf("duplicate delivery of %s (sequence %d after %d): schedule sends it twice",
+			w.prog.in[m.ord].key, m.seq, a.seq)
 	}
-	w.seen[m.key] = m.seq
+	a.xmsg, a.state = m, stashed
 	ackMsg(m)
 	w.ctrl.progress.Add(1)
-	return true, nil
+	return nil
 }
 
-// receive blocks until the identified message, due from fromPE,
-// arrives, stashing any other messages that show up first. The take
-// that finds the inbox empty leaves the session's busy count, so a
-// message that never comes ends as the session's deadlock (or, across
-// processes, stall) report naming this receive.
-func (w *worker) receive(k msgKey, fromPE int) (xmsg, error) {
-	emit := func(m xmsg) xmsg {
-		at := w.now()
-		if w.runner.VirtualTime {
-			at = m.at
-		}
-		w.events = append(w.events, trace.Event{Kind: trace.MsgRecv, At: at, Task: k.from, PE: w.pe, Var: k.v, Peer: m.fromPE, Seq: m.seq})
-		w.ctrl.stats.MsgsRecv.Add(1)
-		return m
+// receive blocks until inbound message ord arrives, admitting (and so
+// stashing) whatever shows up first. The take that finds the inbox empty
+// leaves the session's busy count, so a message that never comes ends as
+// the session's deadlock (or, across processes, stall) report naming
+// this receive.
+func (w *worker) receive(ord int32) (xmsg, error) {
+	due, a := &w.prog.in[ord], &w.arrived[ord]
+	if a.state != stashed {
+		w.awaiting.Store(due) // a pointer into the plan: blocking allocates nothing
+		defer w.awaiting.Store(nil)
 	}
-	if m, ok := w.recvd[k]; ok {
-		delete(w.recvd, k)
-		return emit(m), nil
-	}
-	w.awaiting.Store(&awaited{k, fromPE}) // only a blocking receive pays the allocation
-	defer w.awaiting.Store(nil)
-	for {
+	for a.state != stashed {
 		m, ok, last := w.inbox.take()
 		if !ok {
 			if last {
@@ -426,20 +423,16 @@ func (w *worker) receive(k msgKey, fromPE int) (xmsg, error) {
 				w.inbox.rouse()
 				return xmsg{}, errPaused
 			case <-w.ctrl.done:
-				return xmsg{}, fmt.Errorf("%w while waiting for %s:%s from %s", errAborted, k.to, k.v, k.from)
+				return xmsg{}, fmt.Errorf("%w while waiting for %s:%s from %s", errAborted, due.key.to, due.key.v, due.key.from)
 			}
 			continue
 		}
-		fresh, err := w.admit(m)
-		if err != nil {
+		if err := w.admit(m); err != nil {
 			return xmsg{}, err
 		}
-		if !fresh {
-			continue
-		}
-		if m.key == k {
-			return emit(m), nil
-		}
-		w.recvd[m.key] = m
 	}
+	a.state = consumed
+	w.events = append(w.events, trace.Event{Kind: trace.MsgRecv, At: w.ctrl.stamp(a.at), Task: due.key.from, PE: w.pe, Var: due.key.v, Peer: a.fromPE, Seq: a.seq})
+	w.ctrl.stats.MsgsRecv.Add(1)
+	return a.xmsg, nil
 }

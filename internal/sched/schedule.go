@@ -76,7 +76,23 @@ type Schedule struct {
 	Msgs      []Msg
 
 	idx atomic.Pointer[Index] // lazily-built derived views; see index.go
+	// derived is one memo slot for what a consumer outside this package
+	// builds from the finished schedule (the runner's compiled era); it
+	// lives and dies with the schedule. See Derived and SetDerived.
+	derived atomic.Pointer[any]
 }
+
+// Derived returns what SetDerived parked on the schedule, or nil.
+func (s *Schedule) Derived() any {
+	if v := s.derived.Load(); v != nil {
+		return *v
+	}
+	return nil
+}
+
+// SetDerived parks v on the schedule unless something is already there:
+// the first of racing callers wins, as with the index.
+func (s *Schedule) SetDerived(v any) { s.derived.CompareAndSwap(nil, &v) }
 
 // Finalize builds the schedule's derived views eagerly, so later
 // accessor calls are pure loads. The lazy build is itself safe under

@@ -16,9 +16,10 @@ import (
 )
 
 // cacheEntry is a reusable compiled submission: the flattened design
-// and its finalized schedule. Both are immutable after Finalize, so
-// concurrent cache-hit runs share them freely; only the input values
-// differ per request.
+// and its finalized schedule. Both are immutable after Finalize, as is
+// the compiled era the runner hangs off the schedule, so concurrent
+// cache-hit runs share them freely; only the input values differ per
+// request.
 type cacheEntry struct {
 	flat *graph.Flat
 	sc   *sched.Schedule
@@ -27,8 +28,11 @@ type cacheEntry struct {
 // scheduleCache is an LRU map from sched.Fingerprint keys to compiled
 // submissions. Hits and misses are counted for /stats; the capacity
 // bounds live entries. An entry keeps its request's machine alive too
-// (hop and next-hop tables, CommCoeffs): about 1.2 MB in all for a
-// 501-task design on ring:128, so the default cap of 128 is ~160 MB.
+// (hop and next-hop tables, CommCoeffs): about 1.1 MB in all for a
+// 501-task design on ring:128. Its first run parks the runner's
+// compiled era on the schedule, another 0.26 MB (a prediction never
+// does), so the default cap of 128 is ~145 MB of schedules that were
+// only predicted and ~180 MB of ones that all ran.
 type scheduleCache struct {
 	mu    sync.Mutex
 	cap   int

@@ -19,6 +19,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/pits"
 	"repro/internal/project"
+	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -143,6 +144,42 @@ func TestServeScheduleMode(t *testing.T) {
 
 	if _, resp := postRun(t, ts.URL, testProject(t, 10, 1, 3), "?mode=bogus", nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bogus mode status = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestServePredictionCompilesNoRun: the runner parks its compiled era on
+// the schedule at the schedule's first run, never before, so a server
+// that only predicts carries none — and the first run of a cached
+// schedule leaves exactly one for the runs after it.
+func TestServePredictionCompilesNoRun(t *testing.T) {
+	s := New(Options{DefaultAlg: "etf"})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	cached := func() *sched.Schedule {
+		t.Helper()
+		if n := s.cache.order.Len(); n != 1 {
+			t.Fatalf("%d cache entries, want 1", n)
+		}
+		return s.cache.order.Front().Value.(*cachePair).entry.sc
+	}
+	for i := 0; i < 10; i++ {
+		if rr, resp := postRun(t, ts.URL, testProject(t, 10, 1, 3), "?mode=schedule", nil); rr == nil {
+			t.Fatalf("prediction %d rejected: %d", i, resp.StatusCode)
+		}
+	}
+	if d := cached().Derived(); d != nil {
+		t.Fatalf("after 10 predictions the cached schedule carries a %T", d)
+	}
+	postRun(t, ts.URL, testProject(t, 10, 1, 3), "", nil)
+	era := cached().Derived()
+	if era == nil {
+		t.Fatal("the first run parked nothing on the cached schedule")
+	}
+	if rr, _ := postRun(t, ts.URL, testProject(t, 10, 1, 3), "", nil); rr.Cache != "hit" || rr.Outputs["out"] != "15" {
+		t.Fatalf("second run: %+v", rr)
+	}
+	if cached().Derived() != era {
+		t.Error("the second run compiled its own era")
 	}
 }
 
