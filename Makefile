@@ -26,6 +26,9 @@ build:
 # (a compiled era's name -> ordinal table, for deliveries that arrive by
 # name from another process), and no package-level table at all — one
 # keyed by schedule would pin every schedule a server ever ran.
+# The last keeps a fleet's liveness check where its run is: a run's own
+# connect drops a member that cannot be dialled, and the dial-and-close
+# probe before every run must not come back.
 vet:
 	$(GO) vet ./...
 	! grep -rnE '\.Mesh([^(A-Za-z0-9_]|$$)' --include='*.go' internal cmd | grep -v _test.go | grep -vE 'Mesh +bool'
@@ -37,6 +40,7 @@ vet:
 	! grep -rnE 'WatchdogMin|GraceFactor|NoWatchdog|watchdogDeadline' --include='*.go' internal cmd | grep -v _test.go | grep -vE 'WatchdogMin +time\.Duration|// WatchdogMin is ignored'
 	! grep -rn 'sort\.Slice' --include='*.go' internal/trace | grep -v _test.go
 	! grep -rnE 'map\[msgKey\]' --include='*.go' internal/exec | grep -v _test.go | grep -v 'type ordinals map\[msgKey\]int32'
+	! grep -n 'func (f \*Fleet) probe' internal/wire/fleet.go
 	! awk 'FNR==1{b=0} /^var \(/{b=1} /^\)/{b=0} (b||/^var /)&&/sync\.Map|map\[/{print FILENAME":"FNR": "$$0; f=1} END{exit !f}' $$(ls internal/exec/*.go | grep -v _test.go)
 
 test:
@@ -70,14 +74,15 @@ bench:
 # machine it has not seen (ring:32, ring:128, hypercube:7), the request
 # floor (decode + open + fingerprint of the harness body), the task floor
 # (one task's environment, interpretation and two trace events) and the
-# runners — virtual time (with the harness's run-wide shape), wall clock
-# and distributed: catches crashes or
+# runners — virtual time (with the harness's run-wide shape), wall clock,
+# distributed, and through a fleet (the harness's run-fleet shape, with
+# its dials and shipped schedule bytes per run): catches crashes or
 # pathological slowdowns in the hot paths without the cost of a
 # statistically meaningful benchmark run. -short keeps the 32k/100k
 # graphs out of the smoke pass.
 bench-smoke:
 	$(GO) test -run=NONE -bench='RequestFloor|TaskFloor|SchedulerScaling|MHCold' -benchtime=1x -benchmem -short .
-	$(GO) test -run=NONE -bench='RunnerVirtual|RunnerWall|RunnerTCP' -benchtime=1x -benchmem .
+	$(GO) test -run=NONE -bench='RunnerVirtual|RunnerWall|RunnerTCP|FleetRun' -benchtime=1x -benchmem .
 
 # The request-path harness's own tests, including its smoke suite (all
 # four workloads in short windows on ring:16, every reply
@@ -162,8 +167,12 @@ multisoak:
 # detector — crashes, drops, duplicates, delays and corruptions against
 # the recovering runtime — and with it the wall-clock run whose tasks
 # start and end inside one microsecond, which only a real clock makes.
+# The second line is the fleet's share: a member killed between two runs
+# or under one, and a daemon restarted between two (each several
+# heartbeat budgets long, hence the lower count).
 chaos:
 	$(GO) test -race -count=50 -run 'Fault|Crash|Random|Deadlock|Stall|Duplicate|WallClockSummary' ./internal/exec/
+	$(GO) test -race -count=10 -run 'DropsDeadWorker|MemberKilled|RestartedDaemon|ParkedLinksEnd' ./internal/wire/
 
 # Differential conformance sweep: 25 deterministic seeds, each run
 # through the analytic simulator, the virtual-time runner, and both

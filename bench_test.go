@@ -9,6 +9,7 @@ package banger_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -706,6 +707,39 @@ func TestRunAllocCeiling(t *testing.T) {
 	t.Logf("a ring:32 run of the 501-task design allocated %.2f MB in %d allocations", mb, allocs)
 }
 
+// TestEncodeEventsAllocCeiling guards the largest thing a worker sends,
+// its trace: the encoded size is known before the first byte (string
+// table, then fixed-size records), so the body is allocated once at
+// that size. Appending into a nil slice instead cost a fleet run of the
+// harness design 0.39 MB of regrowth. Counted as what 4 000 events
+// allocate beyond 40 over the same twenty names — the table's and the
+// reference list's allocations are the same count in both — with two
+// allocations of headroom.
+func TestEncodeEventsAllocCeiling(t *testing.T) {
+	events := func(n int) []trace.Event {
+		evs := make([]trace.Event, n)
+		for i := range evs {
+			evs[i] = trace.Event{Kind: trace.TaskStart, At: machine.Time(i), PE: i % 8,
+				Task: graph.NodeID(fmt.Sprintf("t%d", i%20)), Var: "v", Seq: uint64(i)}
+		}
+		return evs
+	}
+	few, many := events(40), events(4000)
+	b := wire.EncodeEvents(many)
+	if len(b) != cap(b) {
+		t.Errorf("4000 events encode to %d bytes in a buffer of %d: not sized once", len(b), cap(b))
+	}
+	base := testing.AllocsPerRun(20, func() { wire.EncodeEvents(few) })
+	got := testing.AllocsPerRun(20, func() { wire.EncodeEvents(many) })
+	if got > base+2 {
+		t.Errorf("encoding 4000 events made %.0f allocations against %.0f for 40 over the same names, want at most 2 more", got, base)
+	}
+	back, err := wire.DecodeEvents(b)
+	if err != nil || !reflect.DeepEqual(back, many) {
+		t.Errorf("sized encoding does not round-trip: %v", err)
+	}
+}
+
 // TestNoFalseDeadlockOnAStarvedHost runs the regime that used to need a
 // timeout raised: 16 concurrent in-process runs of the 501-task design
 // on a 32-processor ring, time-sliced on one core that four spinning
@@ -809,6 +843,99 @@ func BenchmarkRunnerTCP(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// countingTransport counts what a fleet's coordinators put on the wire
+// to set a run up: the dials they make, and the schedule bytes their
+// start bundles carry (the first blob of the bundle's envelope: 94 KB
+// for this design, empty when the daemon holds the schedule).
+type countingTransport struct {
+	wire.Transport
+	dials, blobBytes atomic.Int64
+}
+
+func (t *countingTransport) Dial(ctx context.Context, addr string) (wire.Conn, error) {
+	t.dials.Add(1)
+	c, err := t.Transport.Dial(ctx, addr)
+	if err != nil {
+		return nil, err
+	}
+	return startCountingConn{c, &t.blobBytes}, nil
+}
+
+type startCountingConn struct {
+	wire.Conn
+	n *atomic.Int64
+}
+
+func (c startCountingConn) WriteFrame(f wire.Frame) error {
+	// Envelope: 0x00, u32 JSON length, JSON, u32 blob count, then each
+	// blob behind its u32 length.
+	if p := f.Payload; f.Type == wire.TStart && len(p) > 5 && p[0] == 0 {
+		if at := 5 + int(binary.BigEndian.Uint32(p[1:])) + 4; at+4 <= len(p) {
+			c.n.Add(int64(binary.BigEndian.Uint32(p[at:])))
+		}
+	}
+	return c.Conn.WriteFrame(f)
+}
+
+// BenchmarkFleetRun is the harness's run-fleet request below HTTP: the
+// 501-task design, ETF on hypercube:3, run wall-clock through a Fleet on
+// two worker daemons over loopback TCP by two callers at once. Beside
+// time and memory it reports what a run's set-up put on the wire:
+// dials/op and blobKB/op are 0 once the fleet holds a link to each
+// member per caller and the daemons hold the schedule (the first run of
+// each caller dials, the first run on each daemon ships).
+func BenchmarkFleetRun(b *testing.B) {
+	flat, inputs := runnerDesign(b, 20, 25) // 501 tasks
+	sc := specSchedule(b, flat, "hypercube:3")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		ready := make(chan string, 1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wire.ServeWorker(ctx, wire.TCP(), "127.0.0.1:0", wire.WorkerOptions{},
+				func(bound string) { ready <- bound })
+		}()
+		addrs = append(addrs, <-ready)
+	}
+	tr := &countingTransport{Transport: wire.TCP()}
+	fleet := &wire.Fleet{Transport: tr, Control: "127.0.0.1:0", Seed: addrs}
+	if err := fleet.Start(); err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() {
+		fleet.Close()
+		cancel()
+		wg.Wait()
+	})
+
+	const callers = 2
+	b.ReportAllocs()
+	b.ResetTimer()
+	var next atomic.Int64
+	var lanes sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		lanes.Add(1)
+		go func() {
+			defer lanes.Done()
+			for next.Add(1) <= int64(b.N) {
+				if _, err := fleet.Run(ctx, &exec.Runner{Inputs: inputs}, sc, flat); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	lanes.Wait()
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
+	b.ReportMetric(float64(tr.dials.Load())/float64(b.N), "dials/op")
+	b.ReportMetric(float64(tr.blobBytes.Load())/1024/float64(b.N), "blobKB/op")
 }
 
 // elasticReplanBench measures the latency of the fleet-change barrier's

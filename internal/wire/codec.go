@@ -701,7 +701,13 @@ func EncodeEvents(evs []trace.Event) []byte {
 	for i, e := range evs {
 		refs[i] = [3]uint32{t.ref(string(e.Task)), t.ref(e.Var), t.ref(e.Note)}
 	}
-	b := t.encode(nil)
+	// Everything that follows has a known size: the table's strings
+	// behind their lengths, then fixed-size records.
+	n := 4 + 4 + len(evs)*eventRecLen
+	for _, s := range t.table {
+		n += 4 + len(s)
+	}
+	b := t.encode(make([]byte, 0, n))
 	b = binary.BigEndian.AppendUint32(b, uint32(len(evs)))
 	for i, e := range evs {
 		b = append(b, byte(e.Kind))

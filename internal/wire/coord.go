@@ -52,10 +52,12 @@ type Coordinator struct {
 
 	Logf func(format string, args ...any)
 
-	// Single-entry schedule-encoding memo (see encodedSchedule).
-	encMu  sync.Mutex
-	encFor *sched.Schedule
-	encBin []byte
+	// fleet is set on a fleet's coordinators: connections are leased
+	// from it and parked with it, and a member that cannot be dialled is
+	// dropped from it. ships is the shipment memo: the one a fleet's runs
+	// share, or a bare coordinator's own, hit when it runs again.
+	fleet *Fleet
+	ships *shipments
 
 	// The run in flight installs its event channel here so
 	// SubmitJoin/SubmitDrain can reach it: from its own control
@@ -69,24 +71,6 @@ type Coordinator struct {
 // runs of the same algorithm can start in the same nanosecond, and the
 // run ID is the key every worker daemon routes by.
 var runSeq atomic.Uint64
-
-// encodedSchedule memoizes EncodeSchedule for the last schedule seen:
-// repeated runs of one design (benchmarks, parameter sweeps) re-ship
-// identical bytes without re-interning every string. Sound because a
-// schedule is immutable once Finalize has run.
-func (co *Coordinator) encodedSchedule(s *sched.Schedule) ([]byte, error) {
-	co.encMu.Lock()
-	defer co.encMu.Unlock()
-	if co.encFor == s && co.encBin != nil {
-		return co.encBin, nil
-	}
-	b, err := EncodeSchedule(s)
-	if err != nil {
-		return nil, err
-	}
-	co.encFor, co.encBin = s, b
-	return b, nil
-}
 
 func (co *Coordinator) logf(format string, args ...any) {
 	if co.Logf != nil {
@@ -107,9 +91,14 @@ func (co *Coordinator) heartbeatEvery() time.Duration {
 }
 func (co *Coordinator) peerTimeout() time.Duration { return orDefault(co.PeerTimeout, 3*time.Second) }
 
-// connectTimeout bounds the initial dials, a joiner's dial and a
-// calibration's.
+// connectTimeout bounds a bare coordinator's initial dials and a
+// joiner's, and a calibration's.
 const connectTimeout = 10 * time.Second
+
+// goodbyeWait bounds how long a finished fleet run waits for its
+// workers to answer the goodbye before it gives their connections up.
+// The answers normally cross the result's assembly and cost nothing.
+const goodbyeWait = 100 * time.Millisecond
 
 // peer is the coordinator's connection to one worker process. What the
 // worker is doing in the run — idle, parked, drained — is the
@@ -118,9 +107,13 @@ type peer struct {
 	i         int
 	addr      string
 	link      *Link
+	have      bool // the daemon holds the schedule: the start bundle goes without it
 	gone      bool // lost, or dismissed with a goodbye: nothing more goes either way
 	lastHeard time.Time
-	redial    context.CancelFunc // non-nil while a reconnect is in flight
+	// parted closes when the worker answers the goodbye: its connection
+	// is idle again, fit for another run.
+	parted chan struct{}
+	redial context.CancelFunc // non-nil while a reconnect is in flight
 }
 
 // coEvent is one occurrence on the coordinator's central loop: a frame
@@ -153,9 +146,10 @@ type coRun struct {
 	start  time.Time
 	extra  []trace.Event // connection-level trace events: connects, byte counts
 	ctx    context.Context
-	// schedBin and inputs are the encoded schedule and run inputs every
-	// start bundle (the initial ones and any joiner's) carries.
-	schedBin, inputs []byte
+	// ship is the encoded schedule a start bundle carries to a daemon
+	// that does not hold it, inputs the run inputs every one carries.
+	ship   *shipment
+	inputs []byte
 }
 
 // Run executes schedule s distributed over the coordinator's workers
@@ -195,7 +189,7 @@ func (co *Coordinator) Run(ctx context.Context, s *sched.Schedule, flat *graph.F
 	}
 	r.lc = exec.NewLifecycle(s, flat, co.Runner, r.addrs, peerOf, co.MinWorkers)
 	for i, addr := range r.addrs {
-		r.peers = append(r.peers, &peer{i: i, addr: addr, lastHeard: time.Now()})
+		r.peers = append(r.peers, &peer{i: i, addr: addr, lastHeard: time.Now(), parted: make(chan struct{})})
 	}
 	return r.run(ctx)
 }
@@ -228,6 +222,16 @@ func (r *coRun) run(ctx context.Context) (*exec.Result, error) {
 		}
 	}()
 
+	if r.co.ships == nil {
+		r.co.ships = new(shipments)
+	}
+	var err error
+	if r.ship, err = r.co.ships.of(r.s, r.flat); err != nil {
+		return nil, err
+	}
+	if r.inputs, err = EncodeEnv(r.co.Runner.Inputs); err != nil {
+		return nil, fmt.Errorf("wire: encode inputs: %w", err)
+	}
 	if err := r.connectAll(); err != nil {
 		return nil, err
 	}
@@ -336,19 +340,35 @@ func (r *coRun) breakConn(p *peer, err error) {
 	r.redialPeer(p)
 }
 
-// dial connects to the worker daemon at addr and opens this run on it.
-func (r *coRun) dial(ctx context.Context, addr string) (Conn, error) {
-	ctx, cancel := context.WithTimeout(ctx, connectTimeout)
-	defer cancel()
-	c, err := dialBackoff(ctx, r.co.Transport, addr, 0, 0)
+// dial opens this run on the worker daemon at addr and reports whether
+// the daemon holds the run's schedule. A fleet's run takes a parked
+// connection when one answers the Hello, and otherwise dials once; a
+// bare coordinator, started beside its workers, keeps dialling until
+// they are up.
+func (r *coRun) dial(ctx context.Context, addr string) (c Conn, have bool, err error) {
+	hello := Hello{Proto: ProtoVersion, Run: r.id, Digest: r.ship.digest}
+	if f := r.co.fleet; f != nil {
+		if c = f.lease(addr); c != nil {
+			if w, err := handshake(c, hello); err == nil {
+				return c, w.Have, nil
+			}
+			c.Close() // the daemon went away, or closes what it finished: dial
+		}
+		c, err = f.connect(ctx, addr)
+	} else {
+		dctx, cancel := context.WithTimeout(ctx, connectTimeout)
+		defer cancel()
+		c, err = dialBackoff(dctx, r.co.Transport, addr, 0, 0)
+	}
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	if _, err := handshake(c, Hello{Proto: ProtoVersion, Run: r.id}); err != nil {
+	w, err := handshake(c, hello)
+	if err != nil {
 		c.Close()
-		return nil, err
+		return nil, false, err
 	}
-	return c, nil
+	return c, w.Have, nil
 }
 
 // connectAll dials and handshakes every worker.
@@ -356,13 +376,14 @@ func (r *coRun) connectAll() error {
 	type dialRes struct {
 		i    int
 		conn Conn
+		have bool
 		err  error
 	}
 	ch := make(chan dialRes, len(r.peers))
 	for _, p := range r.peers {
 		go func(p *peer) {
-			c, err := r.dial(r.ctx, p.addr)
-			ch <- dialRes{i: p.i, conn: c, err: err}
+			c, have, err := r.dial(r.ctx, p.addr)
+			ch <- dialRes{i: p.i, conn: c, have: have, err: err}
 		}(p)
 	}
 	var firstErr error
@@ -375,7 +396,7 @@ func (r *coRun) connectAll() error {
 			continue
 		}
 		p := r.peers[dr.i]
-		p.link = NewLink(dr.conn)
+		p.link, p.have = NewLink(dr.conn), dr.have
 		p.lastHeard = time.Now()
 	}
 	if firstErr != nil {
@@ -393,53 +414,53 @@ func (r *coRun) connectAll() error {
 	return nil
 }
 
-// handshake sends Hello on a fresh connection and expects a Welcome
-// speaking this protocol version; it returns the accepting side's
-// receive watermark (what a reconnect replays its outbox from). A
-// rejection surfaces the other side's reason.
-func handshake(c Conn, h Hello) (uint64, error) {
+// handshake sends Hello on a connection that awaits one and expects a
+// Welcome speaking this protocol version: it carries the accepting
+// side's receive watermark (what a reconnect replays its outbox from)
+// and whether it holds the schedule the Hello named. A rejection
+// surfaces the other side's reason.
+func handshake(c Conn, h Hello) (Welcome, error) {
 	if err := c.WriteFrame(Frame{Type: THello, Payload: encJSON(h)}); err != nil {
-		return 0, err
+		return Welcome{}, err
 	}
 	f, err := c.ReadFrame()
 	if err != nil {
-		return 0, err
+		return Welcome{}, err
 	}
 	switch f.Type {
 	case TWelcome:
 		w, err := decJSON[Welcome](f.Payload, "welcome")
-		if err != nil {
-			return 0, err
+		if err == nil && w.Proto != ProtoVersion {
+			err = fmt.Errorf("wire: worker speaks protocol %d, need %d", w.Proto, ProtoVersion)
 		}
-		if w.Proto != ProtoVersion {
-			return 0, fmt.Errorf("wire: worker speaks protocol %d, need %d", w.Proto, ProtoVersion)
-		}
-		return w.Rcvd, nil
+		return w, err
 	case TError:
 		n, _ := decJSON[ErrorNote](f.Payload, "error")
-		return 0, fmt.Errorf("wire: worker rejected handshake: %s", n.Msg)
+		return Welcome{}, fmt.Errorf("wire: worker rejected handshake: %s", n.Msg)
 	default:
-		return 0, fmt.Errorf("wire: expected welcome, got %s", f.Type)
+		return Welcome{}, fmt.Errorf("wire: expected welcome, got %s", f.Type)
 	}
 }
 
 // startReader pumps frames from the peer's current connection into the
-// central loop.
+// central loop. It stops at the worker's answer to the goodbye, the
+// last frame of the run: what follows on the connection is another
+// run's.
 func (r *coRun) startReader(p *peer) {
 	ctx, c := r.ctx, p.link.Conn()
 	go func() {
 		for {
 			f, err := c.ReadFrame()
-			if err != nil {
-				select {
-				case r.events <- coEvent{i: p.i, err: err}:
-				case <-ctx.Done():
-				}
+			if err == nil && f.Type == TBye {
+				close(p.parted)
 				return
 			}
 			select {
-			case r.events <- coEvent{i: p.i, f: f}:
+			case r.events <- coEvent{i: p.i, f: f, err: err}:
 			case <-ctx.Done():
+				return
+			}
+			if err != nil {
 				return
 			}
 		}
@@ -455,7 +476,7 @@ func (r *coRun) redialPeer(p *peer) {
 	}
 	rctx, cancel := context.WithTimeout(r.ctx, r.co.peerTimeout())
 	p.redial = cancel
-	hello := Hello{Proto: ProtoVersion, Run: r.id, Rcvd: p.link.Rcvd()}
+	hello := Hello{Proto: ProtoVersion, Run: r.id, Rcvd: p.link.Rcvd(), Digest: r.ship.digest}
 	r.co.logf("worker %d (%s) connection lost; redialing", p.i, p.addr)
 	go func() {
 		defer cancel()
@@ -464,7 +485,7 @@ func (r *coRun) redialPeer(p *peer) {
 			if err != nil {
 				return
 			}
-			rcvd, err := handshake(c, hello)
+			w, err := handshake(c, hello)
 			if err != nil {
 				c.Close()
 				// Pace the retry: a listener that accepts but rejects
@@ -477,7 +498,7 @@ func (r *coRun) redialPeer(p *peer) {
 				continue
 			}
 			select {
-			case r.events <- coEvent{i: p.i, conn: c, rcvd: rcvd}:
+			case r.events <- coEvent{i: p.i, conn: c, rcvd: w.Rcvd}:
 			case <-rctx.Done():
 				c.Close()
 			}
@@ -488,13 +509,6 @@ func (r *coRun) redialPeer(p *peer) {
 
 // startAll ships every worker its start bundle.
 func (r *coRun) startAll() error {
-	var err error
-	if r.schedBin, err = r.co.encodedSchedule(r.s); err != nil {
-		return fmt.Errorf("wire: encode schedule: %w", err)
-	}
-	if r.inputs, err = EncodeEnv(r.co.Runner.Inputs); err != nil {
-		return fmt.Errorf("wire: encode inputs: %w", err)
-	}
 	for _, p := range r.peers {
 		if err := r.sendStart(p, nil); err != nil {
 			return fmt.Errorf("wire: starting worker %d: %w", p.i, err)
@@ -503,10 +517,11 @@ func (r *coRun) startAll() error {
 	return nil
 }
 
-// sendStart ships worker p its start bundle: its hosted mask, the
-// design's external bindings, the run options and the worker address
-// map it dials its mesh links from — plus, for a worker joining a run
-// in flight, the resume plan of the era it enters.
+// sendStart ships worker p its start bundle: its hosted mask, the run
+// options and the worker address map it dials its mesh links from —
+// plus, for a worker joining a run in flight, the resume plan of the era
+// it enters, and for a daemon that does not hold the schedule, the
+// schedule and the design's external bindings.
 func (r *coRun) sendStart(p *peer, plan *ResumeNote) error {
 	peerOf := r.lc.PeerOf()
 	hosted := make([]bool, len(peerOf))
@@ -515,16 +530,20 @@ func (r *coRun) sendStart(p *peer, plan *ResumeNote) error {
 	}
 	bundle := StartBundle{
 		Run: r.id, Worker: p.i, Workers: len(r.peers),
-		Hosted:     hosted,
-		ExternalIn: r.flat.ExternalIn, ExternalOut: r.flat.ExternalOut,
+		Hosted:         hosted,
 		Opts:           OptsFor(r.co.Runner),
 		HeartbeatEvery: int64(r.co.heartbeatEvery()), PeerTimeout: int64(r.co.peerTimeout()),
 		Peers: r.addrs, PeerOf: peerOf,
 		Plan: plan,
 	}
+	var bin []byte
+	if !p.have {
+		bin = r.ship.bin
+		bundle.ExternalIn, bundle.ExternalOut = r.flat.ExternalIn, r.flat.ExternalOut
+	}
 	// The schedule and inputs ride out of band: they dominate the
 	// bundle and would otherwise be base64 inside the JSON.
-	return p.link.Send(TStart, encBlobEnvelope(encJSON(bundle), r.schedBin, r.inputs))
+	return p.link.Send(TStart, encBlobEnvelope(encJSON(bundle), bin, r.inputs))
 }
 
 // send ships a sequenced frame to worker p. A write failure breaks the
@@ -658,7 +677,7 @@ func (r *coRun) step(ev exec.Event, dialed Conn) (*exec.Result, error) {
 	if dialed != nil && r.lc.Members() == len(r.peers) {
 		dialed.Close()
 	} else if dialed != nil {
-		p := &peer{i: len(r.peers), addr: ev.(exec.JoinDialed).Addr, link: NewLink(dialed), lastHeard: time.Now()}
+		p := &peer{i: len(r.peers), addr: ev.(exec.JoinDialed).Addr, link: NewLink(dialed), lastHeard: time.Now(), parted: make(chan struct{})}
 		r.peers, r.addrs = append(r.peers, p), append(r.addrs, p.addr)
 		r.co.logf("worker %d (%s) joining; pausing for expand replan", p.i, p.addr)
 		r.startReader(p)
@@ -716,16 +735,39 @@ func (r *coRun) step(ev exec.Event, dialed Conn) (*exec.Result, error) {
 			e.Result.Trace.Events = append(e.Result.Trace.Events, r.extra...)
 			e.Result.Trace.Sort()
 			e.Result.Elapsed = time.Since(r.start)
+			r.parkPeers()
 			return e.Result, nil
 		}
 	}
 	return nil, err
 }
 
+// parkPeers hands the fleet the connection of every worker that
+// answered its goodbye: the daemon's end is awaiting a Hello again, so
+// the next run placed there opens on it without dialling. Workers still
+// owing the answer share goodbyeWait; whatever is not parked closes
+// with the run.
+func (r *coRun) parkPeers() {
+	patience := time.After(goodbyeWait)
+	for _, p := range r.peers {
+		if r.co.fleet == nil || !p.gone || p.link.Conn() == nil {
+			continue // a bare run, or a worker lost before any goodbye
+		}
+		select {
+		case <-p.parted:
+			r.co.fleet.park(p.addr, p.link.Release())
+		case <-patience:
+			return
+		}
+	}
+}
+
 // dialJoiner connects to a worker the lifecycle agreed to consider and
 // reports back on the central loop, where the join is validated again.
+// Whether its daemon holds the schedule is not asked: a joiner is rare
+// enough to be sent it regardless.
 func (r *coRun) dialJoiner(addr string) {
-	c, err := r.dial(r.ctx, addr)
+	c, _, err := r.dial(r.ctx, addr)
 	select {
 	case r.events <- coEvent{ctl: exec.JoinDialed{Addr: addr, Err: err}, conn: c}:
 	case <-r.ctx.Done():

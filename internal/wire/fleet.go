@@ -18,7 +18,13 @@ import (
 // list, and connectAll is all-or-nothing — so a long-running service
 // needs a layer above it that remembers who is in the fleet, hears
 // workers announce themselves, drops members whose daemons have died,
-// and hands each run's coordinator a live address list.
+// and hands each run's coordinator an address list.
+//
+// What runs share lives here too, so a repeat run pays for none of it:
+// the connection a finished run held to each member is parked and
+// leased to the next run (one run at a time per connection; a daemon
+// returns a connection whose run said goodbye to awaiting a Hello), and
+// a schedule is encoded and digested once for every run that ships it.
 //
 // Worker daemons host any number of runs concurrently (each keyed by
 // its run ID), so the fleet runs them concurrently too: every Run call
@@ -62,10 +68,12 @@ type Fleet struct {
 	Mesh bool
 	Logf func(string, ...any)
 
-	mu      sync.Mutex // guards members, load, active, lis, closed
+	mu      sync.Mutex // guards members, load, active, idle, lis, closed
 	members map[string]bool
 	load    map[string]int        // runs currently placed per member address
 	active  map[*Coordinator]bool // coordinators with a run in flight
+	idle    map[string][]Conn     // parked connections per member, each awaiting a Hello
+	ships   shipments
 	lis     Listener
 	bound   string
 	closed  bool
@@ -90,6 +98,7 @@ func (f *Fleet) Start() error {
 	}
 	f.load = map[string]int{}
 	f.active = map[*Coordinator]bool{}
+	f.idle = map[string][]Conn{}
 	if f.MaxRuns > 0 {
 		f.slots = make(chan struct{}, f.MaxRuns)
 	}
@@ -233,11 +242,8 @@ func (f *Fleet) drain(addr string) error {
 			return fmt.Errorf("drain deferred: %v; retry", err)
 		}
 	}
-	f.mu.Lock()
-	delete(f.members, addr)
-	n = len(f.members)
-	f.mu.Unlock()
-	f.Logf("fleet: worker %s drained (%d members)", addr, n)
+	f.drop(addr)
+	f.Logf("fleet: worker %s drained (%d members)", addr, f.Size())
 	return nil
 }
 
@@ -253,42 +259,61 @@ func drainIrrelevant(err error) bool {
 	return false
 }
 
-// probe dials every member and drops the ones whose daemons are gone.
-// A bare dial-and-close is deliberate: it proves the daemon's listener
-// is alive without occupying a run-table slot or starting a handshake.
-// Returns the live members, sorted.
-func (f *Fleet) probe(ctx context.Context) []string {
-	members := f.Members()
-	live := make([]string, 0, len(members))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, a := range members {
-		wg.Add(1)
-		go func(a string) {
-			defer wg.Done()
-			dctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-			defer cancel()
-			c, err := f.Transport.Dial(dctx, a)
-			if err != nil {
-				f.mu.Lock()
-				delete(f.members, a)
-				delete(f.load, a)
-				f.mu.Unlock()
-				f.Logf("fleet: dropping dead worker %s: %v", a, err)
-				return
-			}
-			c.Close()
-			mu.Lock()
-			live = append(live, a)
-			mu.Unlock()
-		}(a)
+// maxIdle bounds the connections parked per member: a burst of
+// concurrent runs must not leave its peak behind as open sockets.
+const maxIdle = 8
+
+// lease takes a parked connection to the member at addr, or nil. The
+// most recently parked goes first: it is the likeliest still alive.
+func (f *Fleet) lease(addr string) (c Conn) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if cs := f.idle[addr]; len(cs) > 0 {
+		c, f.idle[addr] = cs[len(cs)-1], cs[:len(cs)-1]
 	}
-	wg.Wait()
-	sort.Strings(live)
-	return live
+	return c
 }
 
-// place picks the run's worker subset: the numPE least-loaded live
+// park keeps a connection to the member at addr for the next run; the
+// daemon's end must be awaiting a Hello.
+func (f *Fleet) park(addr string, c Conn) {
+	f.mu.Lock()
+	if !f.closed && f.members[addr] && len(f.idle[addr]) < maxIdle {
+		f.idle[addr], c = append(f.idle[addr], c), nil
+	}
+	f.mu.Unlock()
+	if c != nil {
+		c.Close()
+	}
+}
+
+// connect dials the member at addr once, briefly. Connecting is the
+// liveness check: a member that cannot be dialled is dropped.
+func (f *Fleet) connect(ctx context.Context, addr string) (Conn, error) {
+	dctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+	defer cancel()
+	c, err := f.Transport.Dial(dctx, addr)
+	if err != nil && ctx.Err() == nil {
+		f.Logf("fleet: dropping dead worker %s: %v", addr, err)
+		f.drop(addr)
+	}
+	return c, err
+}
+
+// drop removes the member at addr, with its parked connections.
+func (f *Fleet) drop(addr string) {
+	f.mu.Lock()
+	cs := f.idle[addr]
+	delete(f.members, addr)
+	delete(f.load, addr)
+	delete(f.idle, addr)
+	f.mu.Unlock()
+	for _, c := range cs {
+		c.Close()
+	}
+}
+
+// place picks the run's worker subset: the numPE least-loaded
 // members (ties broken by address for determinism), returned sorted so
 // worker indices are stable. A run never needs more workers than the
 // machine has processors.
@@ -313,19 +338,20 @@ func (f *Fleet) place(live []string, numPE int) []string {
 }
 
 // Run executes one schedule on the fleet. Runs are concurrent: each
-// call probes the membership, places its coordinator on the
-// least-loaded live subset, and starts it immediately (blocking for a
-// slot only when MaxRuns caps the fleet). Worker daemons multiplex the
-// runs placed on them, keyed by run ID.
+// call places its coordinator on the least-loaded member subset and
+// starts it immediately (blocking for a slot only when MaxRuns caps the
+// fleet). Worker daemons multiplex the runs placed on them, keyed by run
+// ID.
 //
-// A worker that dies after the probe but before the coordinator's
-// all-or-nothing connect fails that attempt; the coordinator's own
-// crash recovery only covers deaths after the run is underway. Runs
-// are pure computations, so when an attempt fails AND a re-probe shows
-// the fleet shrank — the failure explained by a membership change —
-// the run is retried from scratch on the survivors. Failures with a
-// stable fleet (a broken design, an unschedulable machine) surface
-// immediately.
+// Nothing checks the members before the run connects to them: the
+// connect is the check, and a member that cannot be dialled is dropped
+// by it. That fails the attempt (connectAll is all-or-nothing), as does
+// a worker dying before the run is underway — the coordinator's own
+// crash recovery only covers deaths after that. Runs are pure
+// computations, so when an attempt fails AND it cost the fleet one of
+// the members it was placed on, the run is retried from scratch on the
+// survivors. Failures with a stable fleet (a broken design, an
+// unschedulable machine) surface immediately.
 func (f *Fleet) Run(ctx context.Context, runner *exec.Runner, sc *sched.Schedule, flat *graph.Flat) (*exec.Result, error) {
 	f.mu.Lock()
 	slots := f.slots
@@ -344,27 +370,27 @@ func (f *Fleet) Run(ctx context.Context, runner *exec.Runner, sc *sched.Schedule
 		numPE = sc.Machine.NumPE()
 	}
 	for attempt := 0; ; attempt++ {
-		live := f.probe(ctx)
-		if len(live) == 0 {
+		members := f.Members()
+		if len(members) == 0 {
 			return nil, fmt.Errorf("wire: fleet has no live workers")
 		}
-		placed := f.place(live, numPE)
+		placed := f.place(members, numPE)
 		res, err := f.runOnce(ctx, runner, sc, flat, placed)
 		if err == nil || ctx.Err() != nil || attempt >= 2 {
 			return res, err
 		}
-		// Retry only when the re-probe drops someone from the attempted
-		// set — a join arriving at the same time must not mask the death,
-		// so this checks for lost members, not a changed count.
-		relive := f.probe(ctx)
-		alive := make(map[string]bool, len(relive))
-		for _, a := range relive {
-			alive[a] = true
-		}
+		// Retry only when someone of the attempted set is gone — a join
+		// arriving at the same time must not mask the death, so this
+		// counts lost members, not a changed size. Each placed member is
+		// dialled (again, if the attempt's own connect dropped it), and
+		// the fresh connection of one that answers is parked for the
+		// retry.
 		lost := 0
 		for _, a := range placed {
-			if !alive[a] {
+			if c, err := f.connect(ctx, a); err != nil {
 				lost++
+			} else {
+				f.park(a, c)
 			}
 		}
 		if lost == 0 {
@@ -387,7 +413,7 @@ func (f *Fleet) runOnce(ctx context.Context, runner *exec.Runner, sc *sched.Sche
 	co := &Coordinator{
 		Transport: f.Transport, Addrs: placed, Runner: runner,
 		HeartbeatEvery: f.HeartbeatEvery, PeerTimeout: f.PeerTimeout,
-		MinWorkers: f.MinWorkers, Logf: f.Logf,
+		MinWorkers: f.MinWorkers, Logf: f.Logf, fleet: f, ships: &f.ships,
 	}
 	f.active[co] = true
 	for _, a := range placed {
@@ -410,16 +436,22 @@ func (f *Fleet) runOnce(ctx context.Context, runner *exec.Runner, sc *sched.Sche
 	return res, err
 }
 
-// Close stops the control listener and waits the accept machinery out.
-// Any run in flight finishes on its own coordinator.
+// Close stops the control listener, closes the parked connections and
+// waits the accept machinery out. Any run in flight finishes on its own
+// coordinator.
 func (f *Fleet) Close() {
 	f.mu.Lock()
 	f.closed = true
-	lis := f.lis
-	f.lis = nil
+	lis, idle := f.lis, f.idle
+	f.lis, f.idle = nil, nil
 	f.mu.Unlock()
 	if lis != nil {
 		lis.Close()
+	}
+	for _, cs := range idle {
+		for _, c := range cs {
+			c.Close()
+		}
 	}
 	f.wg.Wait()
 }

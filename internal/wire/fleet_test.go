@@ -105,9 +105,12 @@ func TestFleetRunBackToBack(t *testing.T) {
 	}
 }
 
-// TestFleetDropsDeadWorker: a member whose daemon died is dropped by
-// the pre-run probe instead of failing the all-or-nothing connect, and
-// a restarted daemon re-enters by announcing.
+// TestFleetDropsDeadWorker: nothing probes the members before a run —
+// the run's own connect is the liveness check. A member whose daemon
+// died between two runs fails the lease of its parked link and then the
+// one short dial; that drops it, the attempt fails (connect is
+// all-or-nothing) and the run is placed again on the survivor, all
+// within a second. A restarted daemon re-enters by announcing.
 func TestFleetDropsDeadWorker(t *testing.T) {
 	tr := Inproc()
 	addrs, stop := startWorkers(t, tr, 1)
@@ -138,32 +141,39 @@ func TestFleetDropsDeadWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Run once on both, kill the victim, run again: the probe must
+	// Run once on both, kill the victim, run again: the connect must
 	// shrink the fleet to the survivor and the run must still succeed.
 	if _, err := f.Run(ctx, &exec.Runner{Inputs: inputs}, sc, flat); err != nil {
 		t.Fatalf("run on full fleet: %v", err)
 	}
 	vcancel()
 	<-victimDown
+	t0 := time.Now()
 	res, err := f.Run(ctx, &exec.Runner{Inputs: inputs}, sc, flat)
 	if err != nil {
 		t.Fatalf("run after worker death: %v", err)
+	}
+	if took := time.Since(t0); took > time.Second {
+		t.Fatalf("run after worker death took %v, want under a second (one failed dial, no back-off)", took)
 	}
 	if !reflect.DeepEqual(res.Outputs, want.Outputs) {
 		t.Fatalf("outputs after worker death = %v, want %v", res.Outputs, want.Outputs)
 	}
 	if n := f.Size(); n != 1 {
-		t.Fatalf("size after probe = %d, want 1", n)
+		t.Fatalf("size after the failed connect = %d, want 1", n)
 	}
 	// Load is kept only for members with a run placed on them: with the
 	// runs over and the victim dropped, nothing may be left behind (a
 	// long-lived fleet whose workers restart on fresh ports would
 	// otherwise grow the map forever).
 	f.mu.Lock()
-	left := len(f.load)
+	left, links := len(f.load), len(f.idle["victim"])
 	f.mu.Unlock()
 	if left != 0 {
 		t.Fatalf("load map holds %d entries with no run in flight, want 0", left)
+	}
+	if links != 0 {
+		t.Fatalf("%d links still parked for the dropped member", links)
 	}
 
 	// A restarted daemon announces its way back in.
@@ -236,6 +246,34 @@ func TestRepeatedRunTeardownNoLeak(t *testing.T) {
 		pprof.Lookup("goroutine").WriteTo(&sb, 1)
 		t.Fatalf("goroutines grew from %d to %d over %d run/teardown cycles; dump:\n%s",
 			base, n, cycles, sb.String())
+	}
+	if n := parked(f); n != len(addrs) {
+		t.Fatalf("%d links parked after sequential runs on %d members, want one each", n, len(addrs))
+	}
+	closeParkedLinks(t, f)
+}
+
+// closeParkedLinks ends a leak test: what the fleet still holds with no
+// run in flight is its parked links — each a connection, and on its
+// daemon a reader and a goroutine awaiting the next Hello, none of them
+// a run-table slot — and Close gives every one of them up.
+func closeParkedLinks(t *testing.T, f *Fleet) {
+	t.Helper()
+	waitNoWorkerRuns(t, 5*time.Second)
+	links, base := parked(f), runtime.NumGoroutine()
+	f.Close()
+	if n := parked(f); n != 0 {
+		t.Fatalf("%d links still parked after Close", n)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base-links && time.Now().Before(deadline) {
+		time.Sleep(20 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base-links {
+		var sb strings.Builder
+		pprof.Lookup("goroutine").WriteTo(&sb, 1)
+		t.Fatalf("%d goroutines after Close against %d with %d links parked: the daemons still hold them; dump:\n%s",
+			n, base, links, sb.String())
 	}
 }
 

@@ -57,8 +57,23 @@ var ErrLinkDetached = errors.New("wire: link detached")
 // when its unacked outbox exceeds the cap.
 var ErrOutboxOverflow = errors.New("wire: link outbox overflow")
 
-// NewLink wraps an established connection.
-func NewLink(c Conn) *Link { return &Link{conn: c} }
+// NewLink wraps an established connection. The link counts bytes from
+// here on: what the connection carried before (its handshake, or a
+// whole earlier run when it is reused) is not this relationship's.
+func NewLink(c Conn) *Link {
+	l := &Link{}
+	if c != nil {
+		l.attachLocked(c)
+	}
+	return l
+}
+
+func (l *Link) attachLocked(c Conn) {
+	in, out := c.Stats()
+	l.pastIn -= in
+	l.pastOut -= out
+	l.conn = c
+}
 
 // SetMaxOutbox caps the unacked outbox (0 restores the default).
 func (l *Link) SetMaxOutbox(n int) {
@@ -210,14 +225,30 @@ func (l *Link) DetachIf(c Conn) {
 }
 
 func (l *Link) detachLocked() {
-	if l.conn != nil {
-		in, out := l.conn.Stats()
+	if c := l.releaseLocked(); c != nil {
+		c.Close()
+	}
+}
+
+// Release gives up the current connection without closing it, for a
+// conversation that ended cleanly on both sides: the connection can
+// carry another. Returns nil while detached.
+func (l *Link) Release() Conn {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.releaseLocked()
+}
+
+func (l *Link) releaseLocked() Conn {
+	c := l.conn
+	if c != nil {
+		in, out := c.Stats()
 		l.pastIn += in
 		l.pastOut += out
-		l.conn.Close()
 		l.conn = nil
 		l.dirty = false
 	}
+	return c
 }
 
 // Reattach installs a fresh connection after a reconnect handshake:
@@ -230,7 +261,7 @@ func (l *Link) Reattach(c Conn, peerRcvd uint64) error {
 		return l.failed
 	}
 	l.detachLocked()
-	l.conn = c
+	l.attachLocked(c)
 	l.pruneLocked(peerRcvd)
 	for _, of := range l.outbox {
 		if err := c.WriteFrameBuffered(of.f); err != nil {

@@ -46,8 +46,13 @@ type meshConfig struct {
 
 // mesh is one worker's set of direct links to its peers.
 type mesh struct {
-	cfg     meshConfig
-	deliver func(exec.RemoteMsg) error // the session's Deliver
+	cfg meshConfig
+	// deliver is the session's Deliver. A worker's mesh goes up before
+	// its session exists, so its links are forming while the session is
+	// built; ready closes once deliver is set, and a data frame a peer
+	// gets in first waits for that.
+	deliver func(exec.RemoteMsg) error
+	ready   chan struct{}
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -70,19 +75,29 @@ type mesh struct {
 
 // newMesh starts the dial loops toward lower-indexed peers and returns
 // the mesh. Higher-indexed peers dial us; their connections arrive
-// through the worker daemon's accept path (acceptPeer).
+// through the worker daemon's accept path (acceptPeer). A nil deliver
+// is supplied later, by deliverTo.
 func newMesh(cfg meshConfig, deliver func(exec.RemoteMsg) error) *mesh {
 	ctx, cancel := context.WithCancel(context.Background())
-	m := &mesh{cfg: cfg, deliver: deliver, ctx: ctx, cancel: cancel,
+	m := &mesh{cfg: cfg, ready: make(chan struct{}), ctx: ctx, cancel: cancel,
 		addrs:  append([]string(nil), cfg.addrs...),
 		peerOf: append([]int(nil), cfg.peerOf...),
 		peers:  map[int]*Link{}, lost: map[int]bool{}}
+	if deliver != nil {
+		m.deliverTo(deliver)
+	}
 	for j, addr := range cfg.addrs {
 		if j < cfg.self && addr != "" {
 			m.spawn(func() { m.dialLoop(j, addr) })
 		}
 	}
 	return m
+}
+
+// deliverTo names the session inbound data frames go to, once.
+func (m *mesh) deliverTo(deliver func(exec.RemoteMsg) error) {
+	m.deliver = deliver
+	close(m.ready)
 }
 
 // spawn runs fn on a goroutine tracked by the close barrier. It
@@ -195,6 +210,12 @@ func (m *mesh) dialLoop(j int, addr string) {
 		}
 		m.cfg.logf("mesh link to worker %d (%s) up", j, addr)
 		m.readConn(j, p, c)
+		m.mu.Lock()
+		lost := m.lost[j]
+		m.mu.Unlock()
+		if lost {
+			return // the peer said goodbye: a redial would only be closed again
+		}
 	}
 }
 
@@ -208,8 +229,8 @@ func (m *mesh) helloPeer(c Conn, rcvd uint64) (uint64, error) {
 	}
 	ch := make(chan res, 1)
 	go func() {
-		r, err := handshake(c, h)
-		ch <- res{r, err}
+		w, err := handshake(c, h)
+		ch <- res{w.Rcvd, err}
 	}()
 	select {
 	case r := <-ch:
@@ -296,6 +317,11 @@ func (m *mesh) handleFrame(j int, p *Link, f Frame) {
 			return
 		}
 		putBuf(f.Payload) // DecodeMsg copies everything out
+		select {
+		case <-m.ready:
+		case <-m.ctx.Done():
+			return // the run ended before its session began
+		}
 		if err := m.deliver(msg); err != nil {
 			m.cfg.logf("mesh: deliver: %v", err)
 		}

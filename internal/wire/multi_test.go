@@ -97,6 +97,12 @@ func TestMultiplexedRunTeardownNoLeak(t *testing.T) {
 		t.Fatalf("goroutines grew from %d to %d over %d multiplexed cycles; dump:\n%s",
 			base, n, waves*perWave, sb.String())
 	}
+	// Five runs at once park up to five links per member, and no wave
+	// adds to them.
+	if n := parked(f); n > perWave*len(addrs) {
+		t.Fatalf("%d links parked after waves of %d runs on %d members", n, perWave, len(addrs))
+	}
+	closeParkedLinks(t, f)
 }
 
 // TestMisroutedFrameRejected: the session table routes purely on the

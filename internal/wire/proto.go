@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -21,18 +23,25 @@ import (
 // dialing into the mesh — identifies the run and, on a reconnect, its
 // receive watermark so the accepting side can replay what was lost
 // with the old connection. Peer distinguishes the two dialers: 0 is
-// the coordinator, k > 0 is worker k-1 establishing a mesh link.
+// the coordinator, k > 0 is worker k-1 establishing a mesh link. A
+// coordinator's Hello also names the schedule the run executes by its
+// digest (see shipment), so the Welcome can say whether the start bundle
+// needs to carry it.
 type Hello struct {
-	Proto byte   `json:"proto"`
-	Run   string `json:"run"`            // run id; empty before Start
-	Rcvd  uint64 `json:"rcvd,omitempty"` // dialer's cumulative received wid
-	Peer  int    `json:"peer,omitempty"` // 1+worker index of a mesh dialer
+	Proto  byte   `json:"proto"`
+	Run    string `json:"run"`              // run id; empty before Start
+	Rcvd   uint64 `json:"rcvd,omitempty"`   // dialer's cumulative received wid
+	Peer   int    `json:"peer,omitempty"`   // 1+worker index of a mesh dialer
+	Digest string `json:"digest,omitempty"` // the run's schedule, by content
 }
 
-// Welcome answers a Hello with the worker's own watermark.
+// Welcome answers a Hello with the worker's own watermark. Have says the
+// daemon holds the schedule the Hello's digest names and has pinned it
+// to the run: the start bundle may come without it.
 type Welcome struct {
 	Proto byte   `json:"proto"`
 	Rcvd  uint64 `json:"rcvd,omitempty"`
+	Have  bool   `json:"have,omitempty"`
 }
 
 // RunOpts carries the Runner knobs a worker must reproduce. Durations
@@ -81,7 +90,8 @@ func OptsFor(r *exec.Runner) RunOpts {
 // StartBundle is everything a worker needs to host its share of a run:
 // the self-contained schedule (graph and machine embedded), the
 // flattening's external bindings, the input data, its hosted processor
-// mask and the runner options.
+// mask and the runner options. The schedule and the bindings are left
+// out when the daemon's Welcome said it holds them.
 type StartBundle struct {
 	Run     string `json:"run"`
 	Worker  int    `json:"worker"`  // this worker's index
@@ -109,40 +119,77 @@ type StartBundle struct {
 	Plan *ResumeNote `json:"plan,omitempty"`
 }
 
-// Workers see the same schedule bytes on every run of a given design
-// (the coordinator encodes once per Run call), and a decoded Schedule
-// is immutable during execution — every engine shares one instance
-// across processors already. Caching the decode turns repeated runs'
-// graph rebuild + validation into a map hit.
-var (
-	schedCacheMu sync.Mutex
-	schedCache   = map[string]*sched.Schedule{}
-)
-
-const schedCacheMax = 64
-
-// DecodeScheduleBundle returns the bundle's schedule.
-func (b *StartBundle) DecodeScheduleBundle() (*sched.Schedule, error) {
-	schedCacheMu.Lock()
-	// The in-place string conversion makes the lookup allocation-free;
-	// the key is only materialized on a miss.
-	if s, ok := schedCache[string(b.ScheduleBin)]; ok {
-		schedCacheMu.Unlock()
-		return s, nil
-	}
-	schedCacheMu.Unlock()
-	s, err := DecodeSchedule(b.ScheduleBin)
-	if err != nil {
-		return nil, err
-	}
-	schedCacheMu.Lock()
-	if len(schedCache) >= schedCacheMax {
-		schedCache = map[string]*sched.Schedule{}
-	}
-	schedCache[string(b.ScheduleBin)] = s
-	schedCacheMu.Unlock()
-	return s, nil
+// shipment is a schedule as a daemon receives it: the EncodeSchedule
+// blob and the digest a Hello names it by, for the design it was last
+// shipped with.
+type shipment struct {
+	bin    []byte
+	flat   *graph.Flat
+	digest string
 }
+
+// scheduleDigest is the content address of a schedule on the wire: it
+// covers every byte of a start bundle that decides what a daemon
+// compiles — the EncodeSchedule blob and the design's external
+// bindings — and nothing that varies per run. Both ends compute it from
+// the bytes they hold, so a daemon never runs a schedule on a
+// coordinator's word for what it is. (encoding/json writes map keys in
+// sorted order and never a zero byte; an empty binding map travels as
+// an absent one, so neither is written.)
+func scheduleDigest(bin []byte, in, out map[graph.NodeID][]string) string {
+	h := sha256.New()
+	h.Write(encU64(uint64(len(bin))))
+	h.Write(bin)
+	for _, m := range [2]map[graph.NodeID][]string{in, out} {
+		if len(m) > 0 {
+			h.Write(encJSON(m))
+		}
+		h.Write([]byte{0})
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// shipments memoizes the shipment of each schedule its owner runs: a
+// schedule is immutable once finalized, so it is encoded and digested
+// once however many runs ship it. A fleet owns one for all its runs; a
+// bare coordinator owns one for its own. It pins what it keys on, so it
+// stays small and is dropped wholesale at its cap.
+type shipments struct {
+	mu sync.Mutex
+	m  map[*sched.Schedule]*shipment
+}
+
+const shipmentsMax = 16
+
+func (m *shipments) of(s *sched.Schedule, flat *graph.Flat) (*shipment, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if sh := m.m[s]; sh != nil && sh.flat == flat {
+		return sh, nil
+	}
+	bin, err := EncodeSchedule(s)
+	if err != nil {
+		return nil, fmt.Errorf("wire: encode schedule: %w", err)
+	}
+	if m.m == nil || len(m.m) >= shipmentsMax {
+		m.m = map[*sched.Schedule]*shipment{}
+	}
+	m.m[s] = &shipment{bin, flat, scheduleDigest(bin, flat.ExternalIn, flat.ExternalOut)}
+	return m.m[s], nil
+}
+
+// held is a schedule in a daemon's table, with the design rebuilt around
+// it once: every run a daemon hosts of one schedule shares the pair, and
+// with it the era the first of them compiled (exec parks it on the
+// schedule, keyed to the design).
+type held struct {
+	s    *sched.Schedule
+	flat *graph.Flat
+}
+
+// heldMax bounds a daemon's schedule table, dropped wholesale when full;
+// a run in flight keeps its own reference.
+const heldMax = 64
 
 // CrashNote reports an injected crash of a hosted processor.
 type CrashNote struct {

@@ -45,10 +45,10 @@ type sessOutcome struct {
 	err error
 }
 
-// inboundConn is an accepted connection whose Hello has been read: a
-// coordinator (hello.Peer == 0) or a mesh peer (hello.Peer == k+1 for
-// worker k). The hello reader keeps pumping subsequent frames into
-// frames until the connection breaks (rerr).
+// inboundConn is an accepted connection and the last Hello read off it:
+// a coordinator's (hello.Peer == 0) or a mesh peer's (hello.Peer == k+1
+// for worker k). Its reader pumps every frame into frames until the
+// connection breaks (rerr).
 type inboundConn struct {
 	c      Conn
 	hello  Hello
@@ -56,20 +56,18 @@ type inboundConn struct {
 	rerr   chan error
 }
 
-// helloIn reads the handshake off a fresh connection and routes it;
-// connections that never say a valid Hello are dropped here without
-// disturbing any run.
-func helloIn(ctx context.Context, c Conn, opt WorkerOptions, route func(inboundConn)) {
-	frames := make(chan Frame, 256)
-	rerr := make(chan error, 1)
-	first := make(chan Frame, 1)
+// accept owns a fresh connection: it starts the reader and routes each
+// Hello the connection says; connections that do not say a valid one
+// are dropped here without disturbing any run. A fresh connection has
+// handshakeTimeout to say its first. One that comes back from route has
+// served a run that ended with a goodbye: it is a coordinator's parked
+// link, and waits for that coordinator's next run — holding no run-table
+// slot — until either end closes it.
+func (d *workerDaemon) accept(c Conn) {
+	// Deep enough that a burst of data frames rarely blocks the reader
+	// behind the run's loop.
+	frames, rerr := make(chan Frame, 256), make(chan error, 1)
 	go func() {
-		f, err := c.ReadFrame()
-		if err != nil {
-			rerr <- err
-			return
-		}
-		first <- f
 		for {
 			f, err := c.ReadFrame()
 			if err != nil {
@@ -78,36 +76,32 @@ func helloIn(ctx context.Context, c Conn, opt WorkerOptions, route func(inboundC
 			}
 			select {
 			case frames <- f:
-			case <-ctx.Done():
+			case <-d.ctx.Done():
 				return
 			}
 		}
 	}()
-
 	hs := time.NewTimer(handshakeTimeout)
 	defer hs.Stop()
-	select {
-	case f := <-first:
-		if f.Type != THello {
-			opt.logf("peer opened with %s, want hello; dropping", f.Type)
-			c.Close()
-			return
+	ic, late := &inboundConn{c: c, frames: frames, rerr: rerr}, hs.C
+	for ic != nil {
+		select {
+		case f := <-ic.frames:
+			h, err := decJSON[Hello](f.Payload, "hello")
+			if f.Type != THello || err != nil || h.Proto != ProtoVersion {
+				rejectConn(ic.c, fmt.Sprintf("handshake rejected: need a hello speaking protocol %d, got %s", ProtoVersion, f.Type))
+				return
+			}
+			ic.hello, late = h, nil
+			ic = d.route(*ic)
+			continue
+		case <-late:
+			d.opt.logf("peer connected but never said hello; dropping")
+		case <-ic.rerr:
+		case <-d.ctx.Done():
 		}
-		h, err := decJSON[Hello](f.Payload, "hello")
-		if err != nil || h.Proto != ProtoVersion {
-			c.WriteFrame(Frame{Type: TError, Payload: encJSON(ErrorNote{Msg: fmt.Sprintf(
-				"handshake rejected: need protocol %d", ProtoVersion)})})
-			c.Close()
-			return
-		}
-		route(inboundConn{c: c, hello: h, frames: frames, rerr: rerr})
-	case <-hs.C:
-		opt.logf("peer connected but never said hello; dropping")
-		c.Close()
-	case <-rerr:
-		c.Close()
-	case <-ctx.Done():
-		c.Close()
+		ic.c.Close()
+		return
 	}
 }
 
@@ -125,8 +119,10 @@ type workerRun struct {
 	id          string
 	link        *Link        // to the coordinator (nil until the first connection is adopted)
 	reader      *inboundConn // the coordinator's current connection (nil while detached)
+	held        *held        // the schedule its Hello named, if the daemon had it then
 	ses         *exec.Session
 	mesh        atomic.Pointer[mesh]
+	meshUp      chan struct{} // closed once the start bundle decided the mesh
 	hbEvery     time.Duration
 	peerTimeout time.Duration
 	resultCh    chan sessOutcome
@@ -175,19 +171,44 @@ func (r *workerRun) flushData() {
 	r.link.Flush()
 }
 
-// workerDaemon is the daemon-wide state: the table of hosted runs. All
-// connection routing keys on Hello.Run — a frame, mesh dial, heartbeat
-// or checkpoint for run A can only ever reach run A's state, because
-// the only path from a connection to a session goes through this table.
+// workerDaemon is the daemon-wide state: the table of hosted runs and
+// the table of schedules they run. All connection routing keys on
+// Hello.Run — a frame, mesh dial, heartbeat or checkpoint for run A can
+// only ever reach run A's state, because the only path from a connection
+// to a session goes through this table. Schedules are keyed by content
+// (scheduleDigest), so the runs of one schedule share one decoded
+// instance and the era compiled on it.
 type workerDaemon struct {
-	opt    WorkerOptions
-	ctx    context.Context
-	cancel context.CancelFunc
+	opt WorkerOptions
+	ctx context.Context
 
 	mu     sync.Mutex
 	runs   map[string]*workerRun
+	held   map[string]*held
 	closed bool           // no further runs may be created
 	wg     sync.WaitGroup // run loops
+}
+
+// hold returns the table's entry for the schedule a start bundle
+// carries, decoding it on a miss — under the lock: racing first runs of
+// a schedule must share one instance, and a miss is once per schedule.
+// The digest is computed here, from the bytes that arrived.
+func (d *workerDaemon) hold(b *StartBundle) (*held, error) {
+	digest := scheduleDigest(b.ScheduleBin, b.ExternalIn, b.ExternalOut)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if h := d.held[digest]; h != nil {
+		return h, nil
+	}
+	s, err := DecodeSchedule(b.ScheduleBin)
+	if err != nil {
+		return nil, err
+	}
+	if len(d.held) >= heldMax {
+		d.held = map[string]*held{}
+	}
+	d.held[digest] = &held{s, &graph.Flat{Graph: s.Graph, ExternalIn: b.ExternalIn, ExternalOut: b.ExternalOut}}
+	return d.held[digest], nil
 }
 
 // ServeWorker runs a worker daemon: listen on addr, accept coordinator
@@ -196,7 +217,17 @@ type workerDaemon struct {
 // Returns the bound address via the ready callback (useful with ":0"
 // listeners) before blocking.
 func ServeWorker(ctx context.Context, t Transport, addr string, opt WorkerOptions, ready func(boundAddr string)) error {
-	lis, err := t.Listen(addr)
+	opt.transport = t
+	return (&workerDaemon{opt: opt}).serve(ctx, addr, ready)
+}
+
+// serve is ServeWorker on a daemon value the caller keeps: tests read
+// its tables.
+func (d *workerDaemon) serve(ctx context.Context, addr string, ready func(boundAddr string)) error {
+	dctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	d.ctx, d.runs, d.held = dctx, map[string]*workerRun{}, map[string]*held{}
+	lis, err := d.opt.transport.Listen(addr)
 	if err != nil {
 		return err
 	}
@@ -204,12 +235,8 @@ func ServeWorker(ctx context.Context, t Transport, addr string, opt WorkerOption
 	if ready != nil {
 		ready(lis.Addr())
 	}
-	opt.transport = t
-	opt.logf("worker listening on %s", lis.Addr())
+	d.opt.logf("worker listening on %s", lis.Addr())
 
-	dctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	d := &workerDaemon{opt: opt, ctx: dctx, cancel: cancel, runs: map[string]*workerRun{}}
 	// Every run loop aborts on dctx; wait them out before returning so
 	// sessions, meshes and links never outlive the daemon. The closed
 	// flag is published under d.mu before the Wait so no router can
@@ -241,7 +268,7 @@ func ServeWorker(ctx context.Context, t Transport, addr string, opt WorkerOption
 				acceptErr <- err
 				return
 			}
-			go helloIn(dctx, c, opt, d.route)
+			go d.accept(c)
 		}
 	}()
 
@@ -259,8 +286,10 @@ func ServeWorker(ctx context.Context, t Transport, addr string, opt WorkerOption
 // route dispatches one handshaken connection by its Hello: mesh peers
 // and coordinators go to the run named by hello.Run; run-less
 // connections (calibration probes) get an ephemeral echo handler.
-// Runs in the connection's own goroutine.
-func (d *workerDaemon) route(ic inboundConn) {
+// Runs in the connection's own goroutine, which hosts the run a first
+// Hello creates; the connection that run ends on with a goodbye is
+// returned, idle again.
+func (d *workerDaemon) route(ic inboundConn) *inboundConn {
 	h := ic.hello
 	if h.Peer > 0 {
 		d.mu.Lock()
@@ -268,44 +297,53 @@ func (d *workerDaemon) route(ic inboundConn) {
 		d.mu.Unlock()
 		if h.Run == "" || run == nil {
 			rejectConn(ic.c, "unknown run")
-			return
+			return nil
 		}
-		attachMeshConn(run, ic, d.opt)
-		return
+		// A peer's start bundle can outrun ours: its dial waits here for
+		// our mesh instead of being turned away into a back-off. (A run
+		// leaves the table on every path, the daemon's shutdown included.)
+		select {
+		case <-run.meshUp:
+			attachMeshConn(run, ic, d.opt)
+		case <-run.gone:
+			rejectConn(ic.c, "run ended")
+		}
+		return nil
 	}
 	if h.Run == "" {
 		d.serveEphemeral(ic)
-		return
+		return nil
 	}
 	for {
 		d.mu.Lock()
 		if d.closed || d.ctx.Err() != nil {
 			d.mu.Unlock()
 			ic.c.Close()
-			return
+			return nil
 		}
 		run := d.runs[h.Run]
 		if run == nil {
-			run = &workerRun{id: h.Run,
+			// The run pins the schedule its Hello names: the start bundle
+			// may then come without it whatever happens to the table.
+			run = &workerRun{id: h.Run, held: d.held[h.Digest], meshUp: make(chan struct{}),
 				hbEvery: 250 * time.Millisecond, peerTimeout: 3 * time.Second,
 				adopt: make(chan inboundConn), gone: make(chan struct{})}
 			d.runs[h.Run] = run
 			activeWorkerRuns.Add(1)
 			d.wg.Add(1)
 			d.mu.Unlock()
-			go d.runLoop(run, ic)
-			return
+			return d.runLoop(run, ic)
 		}
 		d.mu.Unlock()
 		select {
 		case run.adopt <- ic:
-			return
+			return nil
 		case <-run.gone:
 			// The run ended while this connection was in flight; retry —
 			// the next round creates a fresh run for it.
 		case <-d.ctx.Done():
 			ic.c.Close()
-			return
+			return nil
 		}
 	}
 }
@@ -366,8 +404,9 @@ func (d *workerDaemon) endRun(run *workerRun) {
 // teardown: adopt connections, drive the frame loop while attached, and
 // while detached wait out the run's own orphan timer — never another
 // run's. One dead coordinator reaps exactly its run; co-hosted runs
-// never notice.
-func (d *workerDaemon) runLoop(run *workerRun, first inboundConn) {
+// never notice. A run that ended with a goodbye returns the connection
+// it ended on.
+func (d *workerDaemon) runLoop(run *workerRun, first inboundConn) *inboundConn {
 	defer d.wg.Done()
 	defer d.endRun(run)
 	next := &first
@@ -380,7 +419,7 @@ func (d *workerDaemon) runLoop(run *workerRun, first inboundConn) {
 			var keep bool
 			keep, next = d.frameLoop(run)
 			if !keep {
-				return
+				return next
 			}
 			continue
 		}
@@ -390,11 +429,11 @@ func (d *workerDaemon) runLoop(run *workerRun, first inboundConn) {
 		case <-d.ctx.Done():
 			orphan.Stop()
 			run.abort("worker shutting down")
-			return
+			return nil
 		case <-orphan.C:
 			d.opt.logf("coordinator did not reconnect within %v; abandoning run %s", run.peerTimeout, run.id)
 			run.abort("coordinator lost")
-			return
+			return nil
 		case ic := <-run.adopt:
 			orphan.Stop()
 			next = &ic
@@ -423,7 +462,7 @@ func adoptCoord(ic inboundConn, run *workerRun, opt WorkerOptions) {
 	if run.link != nil {
 		// Reconnect to the run in flight. The Welcome must precede the
 		// outbox replay Reattach performs.
-		if err := ic.c.WriteFrame(Frame{Type: TWelcome, Payload: encJSON(Welcome{Proto: ProtoVersion, Rcvd: run.link.Rcvd()})}); err != nil {
+		if err := ic.c.WriteFrame(Frame{Type: TWelcome, Payload: encJSON(Welcome{Proto: ProtoVersion, Rcvd: run.link.Rcvd(), Have: run.held != nil})}); err != nil {
 			ic.c.Close()
 			return
 		}
@@ -435,7 +474,7 @@ func adoptCoord(ic inboundConn, run *workerRun, opt WorkerOptions) {
 		opt.logf("coordinator reconnected to run %s", run.id)
 		return
 	}
-	if err := ic.c.WriteFrame(Frame{Type: TWelcome, Payload: encJSON(Welcome{Proto: ProtoVersion})}); err != nil {
+	if err := ic.c.WriteFrame(Frame{Type: TWelcome, Payload: encJSON(Welcome{Proto: ProtoVersion, Have: run.held != nil})}); err != nil {
 		ic.c.Close()
 		return
 	}
@@ -444,9 +483,11 @@ func adoptCoord(ic inboundConn, run *workerRun, opt WorkerOptions) {
 }
 
 // frameLoop drives one connected stretch of a run. keep=false means the
-// run is torn down; keep=true with a nil conn means the connection
-// dropped and the run awaits a reconnect; a non-nil conn is a
-// replacement coordinator connection to adopt immediately.
+// run is torn down, and a conn with it that the run ended on it with a
+// goodbye and the connection awaits a Hello again; keep=true with a nil
+// conn means the connection dropped and the run awaits a reconnect; a
+// non-nil conn is a replacement coordinator connection to adopt
+// immediately.
 func (d *workerDaemon) frameLoop(run *workerRun) (keep bool, next *inboundConn) {
 	opt := d.opt
 	rd := run.reader
@@ -512,7 +553,7 @@ func (d *workerDaemon) frameLoop(run *workerRun) (keep bool, next *inboundConn) 
 			if !run.link.Receive(f) {
 				continue // an ack, or a replay overlap already processed
 			}
-			done, err := handleFrame(run, f, opt)
+			done, err := d.handleFrame(run, f)
 			if err != nil {
 				opt.logf("protocol error on %s frame: %v", f.Type, err)
 				run.link.Send(TError, encJSON(ErrorNote{Msg: err.Error()}))
@@ -520,8 +561,16 @@ func (d *workerDaemon) frameLoop(run *workerRun) (keep bool, next *inboundConn) 
 				return false, nil
 			}
 			if done {
+				// The goodbye is answered on the bare connection, taken off
+				// the link first: nothing of this run (an owed ack, a late
+				// flush) may follow the answer onto it. The connection then
+				// awaits a Hello again; one the answer failed on is broken, and
+				// is closed there.
+				if c := run.link.Release(); c != nil {
+					c.WriteFrame(Frame{Type: TBye})
+				}
 				run.abort("run complete")
-				return false, nil
+				return false, rd
 			}
 			if len(rd.frames) == 0 {
 				// Inbound drained: flush coalesced data and the owed ack.
@@ -541,7 +590,7 @@ func (r *workerRun) progress() uint64 {
 
 // handleFrame processes one accepted frame. done=true ends the
 // connection's run cleanly.
-func handleFrame(run *workerRun, f Frame, opt WorkerOptions) (bool, error) {
+func (d *workerDaemon) handleFrame(run *workerRun, f Frame) (bool, error) {
 	switch f.Type {
 	case TStart:
 		if run.ses != nil {
@@ -558,7 +607,7 @@ func handleFrame(run *workerRun, f Frame, opt WorkerOptions) (bool, error) {
 		if len(blobs) >= 2 {
 			bundle.ScheduleBin, bundle.Inputs = blobs[0], blobs[1]
 		}
-		return false, startRun(run, &bundle, opt)
+		return false, d.startRun(run, &bundle)
 	case TData:
 		if run.ses == nil {
 			return false, fmt.Errorf("data frame before start")
@@ -642,15 +691,20 @@ func handleFrame(run *workerRun, f Frame, opt WorkerOptions) (bool, error) {
 }
 
 // startRun builds the runner and session from a start bundle.
-func startRun(run *workerRun, bundle *StartBundle, opt WorkerOptions) error {
+func (d *workerDaemon) startRun(run *workerRun, bundle *StartBundle) error {
 	if bundle.Run != run.id {
 		// The session table routes by the Hello's run ID; a bundle naming
 		// a different run would cross-wire two runs' state.
 		return fmt.Errorf("start bundle for run %q on a connection handshaken for run %q", bundle.Run, run.id)
 	}
-	s, err := bundle.DecodeScheduleBundle()
-	if err != nil {
-		return err
+	h := run.held
+	if len(bundle.ScheduleBin) > 0 {
+		var err error
+		if h, err = d.hold(bundle); err != nil {
+			return err
+		}
+	} else if h == nil {
+		return fmt.Errorf("start bundle carries no schedule and run %s named none this daemon holds", run.id)
 	}
 	inputs, err := DecodeEnv(bundle.Inputs)
 	if err != nil {
@@ -661,13 +715,19 @@ func startRun(run *workerRun, bundle *StartBundle, opt WorkerOptions) error {
 		return err
 	}
 	runner.Inputs = inputs
-	flat := &graph.Flat{Graph: s.Graph, ExternalIn: bundle.ExternalIn, ExternalOut: bundle.ExternalOut}
-	if flat.ExternalIn == nil {
-		flat.ExternalIn = map[graph.NodeID][]string{}
+	// The mesh goes up before the session: its dials overlap the
+	// session's set-up, the session's first sends find it, and the peers'
+	// dials waiting in route are let in. What a peer sends before the
+	// session exists waits in the mesh for it.
+	var ms *mesh
+	if len(bundle.Peers) > 0 && bundle.Worker < len(bundle.Peers) && d.opt.transport != nil {
+		ms = newMesh(meshConfig{
+			transport: d.opt.transport, runID: bundle.Run, self: bundle.Worker,
+			addrs: bundle.Peers, peerOf: bundle.PeerOf, logf: d.opt.logf,
+		}, nil)
+		run.mesh.Store(ms)
 	}
-	if flat.ExternalOut == nil {
-		flat.ExternalOut = map[graph.NodeID][]string{}
-	}
+	close(run.meshUp)
 	var ses *exec.Session
 	if bundle.Plan != nil {
 		// Mid-run join: the bundle carries the resume plan every
@@ -677,9 +737,9 @@ func startRun(run *workerRun, bundle *StartBundle, opt WorkerOptions) error {
 		if plan, err = bundle.Plan.plan(nil); err != nil {
 			return err
 		}
-		ses, err = runner.StartSessionFrom(s, flat, bundle.Hosted, workerPlane{run: run}, plan)
+		ses, err = runner.StartSessionFrom(h.s, h.flat, bundle.Hosted, workerPlane{run: run}, plan)
 	} else {
-		ses, err = runner.StartSession(s, flat, bundle.Hosted, workerPlane{run: run})
+		ses, err = runner.StartSession(h.s, h.flat, bundle.Hosted, workerPlane{run: run})
 	}
 	if err != nil {
 		return err
@@ -691,11 +751,8 @@ func startRun(run *workerRun, bundle *StartBundle, opt WorkerOptions) error {
 	if bundle.PeerTimeout > 0 {
 		run.peerTimeout = time.Duration(bundle.PeerTimeout)
 	}
-	if len(bundle.Peers) > 0 && bundle.Worker < len(bundle.Peers) && opt.transport != nil {
-		run.mesh.Store(newMesh(meshConfig{
-			transport: opt.transport, runID: bundle.Run, self: bundle.Worker,
-			addrs: bundle.Peers, peerOf: bundle.PeerOf, logf: opt.logf,
-		}, ses.Deliver))
+	if ms != nil {
+		ms.deliverTo(ses.Deliver)
 	}
 	// The flush ticker is the coalescing backstop: data waiting in a
 	// peer buffer never waits longer than flushEvery, even when the
@@ -725,7 +782,7 @@ func startRun(run *workerRun, bundle *StartBundle, opt WorkerOptions) error {
 			hostedN++
 		}
 	}
-	opt.logf("run %s started: hosting %d of %d processors as worker %d/%d",
+	d.opt.logf("run %s started: hosting %d of %d processors as worker %d/%d",
 		run.id, hostedN, len(bundle.Hosted), bundle.Worker, bundle.Workers)
 	return nil
 }
