@@ -29,6 +29,10 @@ build:
 # The last keeps a fleet's liveness check where its run is: a run's own
 # connect drops a member that cannot be dialled, and the dial-and-close
 # probe before every run must not come back.
+# The last two keep the request floor at one of each: the server decodes
+# a body it holds whole through project.Decode (a streaming decoder reads
+# through a doubling buffer and scans the document twice more), and a
+# graph's arc lists hang off the nodes its one index map holds.
 vet:
 	$(GO) vet ./...
 	! grep -rnE '\.Mesh([^(A-Za-z0-9_]|$$)' --include='*.go' internal cmd | grep -v _test.go | grep -vE 'Mesh +bool'
@@ -42,6 +46,8 @@ vet:
 	! grep -rnE 'map\[msgKey\]' --include='*.go' internal/exec | grep -v _test.go | grep -v 'type ordinals map\[msgKey\]int32'
 	! grep -n 'func (f \*Fleet) probe' internal/wire/fleet.go
 	! awk 'FNR==1{b=0} /^var \(/{b=1} /^\)/{b=0} (b||/^var /)&&/sync\.Map|map\[/{print FILENAME":"FNR": "$$0; f=1} END{exit !f}' $$(ls internal/exec/*.go | grep -v _test.go)
+	! grep -n 'json.NewDecoder' internal/serve/server.go
+	! grep -nE 'map\[NodeID\]\[\]Arc' $$(ls internal/graph/*.go | grep -v _test.go)
 
 test:
 	$(GO) test ./...

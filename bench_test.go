@@ -425,11 +425,11 @@ func floorBody(tb testing.TB) []byte {
 // can answer: decode the document, open (validate and flatten) the
 // project, fingerprint it.
 func requestFloor(tb testing.TB, body []byte) string {
-	var p project.Project
-	if err := json.Unmarshal(body, &p); err != nil {
+	p, err := project.Decode(body)
+	if err != nil {
 		tb.Fatal(err)
 	}
-	env, err := core.Open(&p)
+	env, err := core.Open(p)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -463,10 +463,12 @@ func allocMB(f func()) float64 {
 }
 
 // TestOpenAllocCeiling guards the hit path's biggest allocator: opening
-// (validating and flattening) the 501-task design. It reads 0.6 MB:
-// one flattening, of the design as it stands, with routines taken
-// parsed from the shared program table. A second flattening, a
-// defensive clone or a parse per routine each show up as megabytes.
+// (validating and flattening) the 501-task design. It reads 0.52 MB
+// (the ceiling is that + 15 %): one flattening, of the design as it
+// stands, into a graph that keeps one map, with routines taken parsed
+// from the shared program table. A second flattening, a defensive clone
+// or a parse per routine each show up as megabytes; adjacency maps
+// beside the node index as 0.07 MB.
 func TestOpenAllocCeiling(t *testing.T) {
 	p := layeredProject(t, "ring:32")
 	mb := allocMB(func() {
@@ -474,28 +476,50 @@ func TestOpenAllocCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if mb > 1.0 {
-		t.Errorf("core.Open of the 501-task design allocated %.2f MB, want at most 1.0 MB", mb)
+	if mb > 0.60 {
+		t.Errorf("core.Open of the 501-task design allocated %.2f MB, want at most 0.60 MB", mb)
 	}
 	t.Logf("core.Open of the 501-task design allocated %.2f MB", mb)
 }
 
-// TestDecodeAllocCeiling guards decoding the harness body: one pass
-// over the design's bytes and a machine whose routing tables are not
-// built until something routes (1.39 MB when the design was a nested
-// Unmarshaler and decode built ring:128's tables to validate it).
+// TestDecodeAllocCeiling guards decoding the harness body the way the
+// server does, through project.Decode: one decode of the design's
+// bytes and a machine whose routing tables are not built until
+// something routes. It reads 0.57 MB (the ceiling is that + 15 %); it
+// was 1.39 MB when the design was a nested Unmarshaler and decode built
+// ring:128's tables to validate it.
 func TestDecodeAllocCeiling(t *testing.T) {
 	body := floorBody(t)
 	mb := allocMB(func() {
-		var p project.Project
-		if err := json.Unmarshal(body, &p); err != nil {
+		if _, err := project.Decode(body); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if mb > 0.9 {
-		t.Errorf("decoding the %d KB project allocated %.2f MB, want at most 0.9 MB", len(body)>>10, mb)
+	if mb > 0.66 {
+		t.Errorf("decoding the %d KB project allocated %.2f MB, want at most 0.66 MB", len(body)>>10, mb)
 	}
 	t.Logf("decoding the %d KB project allocated %.2f MB", len(body)>>10, mb)
+}
+
+// TestHitAllocCeiling guards the whole of a schedule-cache hit, handler
+// included: one mode=schedule request with the harness body reads the
+// body into one buffer, decodes it once, opens and fingerprints it and
+// answers from the cache. It reads 1.22 MB; a streaming decoder's
+// doubling buffer and two more maps a graph put it at 1.51.
+func TestHitAllocCeiling(t *testing.T) {
+	body := floorBody(t)
+	h := serve.New(serve.Options{}).Handler()
+	mb := allocMB(func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/run?mode=schedule", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	})
+	if mb > 1.4 {
+		t.Errorf("a schedule-cache hit on the %d KB project allocated %.2f MB, want at most 1.4 MB", len(body)>>10, mb)
+	}
+	t.Logf("a schedule-cache hit on the %d KB project allocated %.2f MB", len(body)>>10, mb)
 }
 
 // TestFingerprintAllocs guards the fingerprint's buffered writer: one

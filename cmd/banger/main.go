@@ -168,11 +168,11 @@ func loadProject(name string) (*project.Project, error) {
 		return nil, fmt.Errorf("%q is neither a built-in project (%v) nor a readable file: %w",
 			name, project.BuiltinNames(), err)
 	}
-	var p project.Project
-	if err := json.Unmarshal(data, &p); err != nil {
+	p, err := project.Decode(data)
+	if err != nil {
 		return nil, fmt.Errorf("parsing %s: %w", name, err)
 	}
-	return &p, nil
+	return p, nil
 }
 
 // projectFlags registers the common -project/-alg flags.

@@ -69,6 +69,11 @@ type Node struct {
 	Work    int64  // abstract operation count for tasks (>= 0)
 	Routine string // PITS source text for primitive tasks (may be empty)
 	Sub     *Graph // lower-level graph for KindSub nodes
+
+	// Arcs leaving and entering the node in the graph that holds it,
+	// insertion order. They hang off the node so that the graph's one
+	// map from id to node is also its adjacency index.
+	succ, pred []Arc
 }
 
 // IsTask reports whether the node is a schedulable primitive task.
@@ -93,8 +98,6 @@ type Graph struct {
 	nodes []*Node
 	index map[NodeID]*Node
 	arcs  []Arc
-	succ  map[NodeID][]Arc // arcs leaving each node, insertion order
-	pred  map[NodeID][]Arc // arcs entering each node, insertion order
 
 	version uint64 // bumped on every structural mutation
 }
@@ -114,8 +117,6 @@ func newSized(name string, nodes, arcs int) *Graph {
 		nodes: make([]*Node, 0, nodes),
 		index: make(map[NodeID]*Node, nodes),
 		arcs:  make([]Arc, 0, arcs),
-		succ:  make(map[NodeID][]Arc, nodes),
-		pred:  make(map[NodeID][]Arc, nodes),
 	}
 }
 
@@ -249,10 +250,11 @@ func (g *Graph) MustAddOutput(id NodeID) *Node {
 // Connect adds an arc carrying variable v (words machine words) from
 // one node to another. Both endpoints must already exist.
 func (g *Graph) Connect(from, to NodeID, v string, words int64) error {
-	if g.index[from] == nil {
+	src, dst := g.index[from], g.index[to]
+	if src == nil {
 		return fmt.Errorf("graph %q: arc source %q not found", g.Name, from)
 	}
-	if g.index[to] == nil {
+	if dst == nil {
 		return fmt.Errorf("graph %q: arc target %q not found", g.Name, to)
 	}
 	if from == to {
@@ -263,8 +265,8 @@ func (g *Graph) Connect(from, to NodeID, v string, words int64) error {
 	}
 	a := Arc{From: from, To: to, Var: v, Words: words}
 	g.arcs = append(g.arcs, a)
-	g.succ[from] = append(g.succ[from], a)
-	g.pred[to] = append(g.pred[to], a)
+	src.succ = append(src.succ, a)
+	dst.pred = append(dst.pred, a)
 	g.version++
 	return nil
 }
@@ -279,30 +281,39 @@ func (g *Graph) MustConnect(from, to NodeID, v string, words int64) {
 // Succ returns a copy of the arcs leaving node id, in insertion order.
 // Hot paths should prefer SuccArcs, which does not allocate.
 func (g *Graph) Succ(id NodeID) []Arc {
-	return append([]Arc(nil), g.succ[id]...)
+	return append([]Arc(nil), g.SuccArcs(id)...)
 }
 
 // Pred returns a copy of the arcs entering node id, in insertion order.
 // Hot paths should prefer PredArcs, which does not allocate.
 func (g *Graph) Pred(id NodeID) []Arc {
-	return append([]Arc(nil), g.pred[id]...)
+	return append([]Arc(nil), g.PredArcs(id)...)
 }
 
 // SuccArcs returns the arcs leaving node id, in insertion order. The
 // slice is shared with the graph's arc index and must be treated as
 // read-only; it stays valid until the graph is mutated.
-func (g *Graph) SuccArcs(id NodeID) []Arc { return g.succ[id] }
+func (g *Graph) SuccArcs(id NodeID) []Arc { return g.at(id).succ }
 
 // PredArcs returns the arcs entering node id, in insertion order. The
 // slice is shared with the graph's arc index and must be treated as
 // read-only; it stays valid until the graph is mutated.
-func (g *Graph) PredArcs(id NodeID) []Arc { return g.pred[id] }
+func (g *Graph) PredArcs(id NodeID) []Arc { return g.at(id).pred }
+
+// at is Node for a caller that only reads arc lists: an id the graph
+// lacks gets a node with none.
+func (g *Graph) at(id NodeID) *Node {
+	if n := g.index[id]; n != nil {
+		return n
+	}
+	return &Node{}
+}
 
 // Successors returns the distinct successor node ids of id, sorted.
-func (g *Graph) Successors(id NodeID) []NodeID { return neighborIDs(g.succ[id], false) }
+func (g *Graph) Successors(id NodeID) []NodeID { return neighborIDs(g.SuccArcs(id), false) }
 
 // Predecessors returns the distinct predecessor node ids of id, sorted.
-func (g *Graph) Predecessors(id NodeID) []NodeID { return neighborIDs(g.pred[id], true) }
+func (g *Graph) Predecessors(id NodeID) []NodeID { return neighborIDs(g.PredArcs(id), true) }
 
 func neighborIDs(arcs []Arc, fromSide bool) []NodeID {
 	seen := make(map[NodeID]bool, len(arcs))
@@ -325,7 +336,7 @@ func neighborIDs(arcs []Arc, fromSide bool) []NodeID {
 func (g *Graph) Entries() []*Node {
 	var out []*Node
 	for _, n := range g.nodes {
-		if len(g.pred[n.ID]) == 0 {
+		if len(n.pred) == 0 {
 			out = append(out, n)
 		}
 	}
@@ -336,7 +347,7 @@ func (g *Graph) Entries() []*Node {
 func (g *Graph) Exits() []*Node {
 	var out []*Node
 	for _, n := range g.nodes {
-		if len(g.succ[n.ID]) == 0 {
+		if len(n.succ) == 0 {
 			out = append(out, n)
 		}
 	}
@@ -368,9 +379,10 @@ func (g *Graph) TotalWords() int64 {
 // Clone returns a deep copy of the graph. Subgraphs are cloned
 // recursively; Routine strings are shared (immutable).
 func (g *Graph) Clone() *Graph {
-	c := New(g.Name)
+	c := newSized(g.Name, len(g.nodes), len(g.arcs))
 	for _, n := range g.nodes {
-		nn := &Node{ID: n.ID, Label: n.Label, Kind: n.Kind, Work: n.Work, Routine: n.Routine}
+		nn := &Node{ID: n.ID, Label: n.Label, Kind: n.Kind, Work: n.Work, Routine: n.Routine,
+			succ: append([]Arc(nil), n.succ...), pred: append([]Arc(nil), n.pred...)}
 		if n.Sub != nil {
 			nn.Sub = n.Sub.Clone()
 		}
@@ -378,11 +390,5 @@ func (g *Graph) Clone() *Graph {
 		c.index[nn.ID] = nn
 	}
 	c.arcs = append(c.arcs, g.arcs...)
-	for id, s := range g.succ {
-		c.succ[id] = append([]Arc(nil), s...)
-	}
-	for id, p := range g.pred {
-		c.pred[id] = append([]Arc(nil), p...)
-	}
 	return c
 }

@@ -71,8 +71,8 @@ func (g *Graph) Doc() *Doc {
 }
 
 // FromDoc builds the graph a wire form describes, checking what the
-// constructors check: known kinds, unique non-empty ids, sub nodes
-// with subgraphs, arcs between existing nodes.
+// constructors check: known kinds, unique non-empty ids, subgraphs on
+// sub nodes and on no others, arcs between existing nodes.
 func FromDoc(d *Doc) (*Graph, error) {
 	g := newSized(d.Name, len(d.Nodes), len(d.Arcs))
 	for i := range d.Nodes {
@@ -83,6 +83,9 @@ func FromDoc(d *Doc) (*Graph, error) {
 		}
 		n := &Node{ID: NodeID(dn.ID), Label: dn.Label, Kind: kind, Work: dn.Work, Routine: dn.Routine}
 		if dn.Sub != nil {
+			if kind != KindSub {
+				return nil, fmt.Errorf("graph %q: %s node %q carries a subgraph", d.Name, dn.Kind, dn.ID)
+			}
 			sub, err := FromDoc(dn.Sub)
 			if err != nil {
 				return nil, err

@@ -94,3 +94,13 @@ func TestJSONRejectsDanglingArc(t *testing.T) {
 		t.Error("dangling arc accepted")
 	}
 }
+
+// TestJSONRejectsSubgraphOnNonSub: only a sub node has a lower level. A
+// task carrying one used to decode, and the subgraph went nowhere.
+func TestJSONRejectsSubgraphOnNonSub(t *testing.T) {
+	var g Graph
+	err := json.Unmarshal([]byte(`{"name":"x","nodes":[{"id":"a","kind":"task","sub":{"name":"inner","nodes":[],"arcs":[]}}]}`), &g)
+	if err == nil || !strings.Contains(err.Error(), `task node "a" carries a subgraph`) {
+		t.Errorf("task with a subgraph: err = %v, want one naming node a", err)
+	}
+}

@@ -61,21 +61,17 @@ func ShardTask(g *Graph, id NodeID, n int, gatherWork int64, gatherRoutine strin
 	orig.Work = gatherWork
 	orig.Routine = gatherRoutine
 
-	// Remove original incoming arcs by rebuilding the arc set. Graph
-	// has no arc deletion, so filter in place.
-	var kept []Arc
-	for _, a := range g.arcs {
-		if a.To == id {
-			continue
-		}
-		kept = append(kept, a)
+	// Graph has no arc deletion: drop every arc and connect again all
+	// but the original's incoming ones.
+	arcs := g.arcs
+	g.arcs = nil
+	for _, nd := range g.nodes {
+		nd.succ, nd.pred = nil, nil
 	}
-	g.arcs = kept
-	g.succ = map[NodeID][]Arc{}
-	g.pred = map[NodeID][]Arc{}
-	for _, a := range g.arcs {
-		g.succ[a.From] = append(g.succ[a.From], a)
-		g.pred[a.To] = append(g.pred[a.To], a)
+	for _, a := range arcs {
+		if a.To != id {
+			g.MustConnect(a.From, a.To, a.Var, a.Words) // it held a moment ago
+		}
 	}
 
 	for k := 1; k <= n; k++ {

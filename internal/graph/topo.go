@@ -17,7 +17,7 @@ func (g *Graph) TopoSort() ([]NodeID, error) {
 	}
 	indeg := make([]int, n)
 	for i, nd := range g.nodes {
-		indeg[i] = len(g.pred[nd.ID])
+		indeg[i] = len(nd.pred)
 	}
 	// Min-heap of insertion positions: pops the earliest-inserted ready
 	// node in O(log n) instead of a linear scan of the ready pool.
@@ -29,10 +29,9 @@ func (g *Graph) TopoSort() ([]NodeID, error) {
 	}
 	order := make([]NodeID, 0, n)
 	for len(ready) > 0 {
-		i := ready.pop()
-		id := g.nodes[i].ID
-		order = append(order, id)
-		for _, a := range g.succ[id] {
+		nd := g.nodes[ready.pop()]
+		order = append(order, nd.ID)
+		for _, a := range nd.succ {
 			ti := pos[a.To]
 			indeg[ti]--
 			if indeg[ti] == 0 {
@@ -129,7 +128,7 @@ func (g *Graph) ComputeLevels(commScale int64) (*Levels, error) {
 	}
 	for _, id := range order {
 		var t int64
-		for _, a := range g.pred[id] {
+		for _, a := range g.PredArcs(id) {
 			p := g.index[a.From]
 			cand := lv.TLevel[a.From] + p.Work + a.Words*commScale
 			if cand > t {
@@ -142,7 +141,7 @@ func (g *Graph) ComputeLevels(commScale int64) (*Levels, error) {
 		id := order[i]
 		n := g.index[id]
 		var b, s int64
-		for _, a := range g.succ[id] {
+		for _, a := range g.SuccArcs(id) {
 			if c := lv.BLevel[a.To] + a.Words*commScale; c > b {
 				b = c
 			}
@@ -172,7 +171,7 @@ func (g *Graph) CriticalPath(commScale int64) ([]NodeID, int64, error) {
 	var best NodeID
 	var bestLen int64 = -1
 	for _, id := range lv.Order {
-		if len(g.pred[id]) > 0 {
+		if len(g.PredArcs(id)) > 0 {
 			continue
 		}
 		if l := lv.BLevel[id]; l > bestLen {
@@ -185,7 +184,7 @@ func (g *Graph) CriticalPath(commScale int64) ([]NodeID, int64, error) {
 	for {
 		var next NodeID
 		found := false
-		for _, a := range g.succ[cur] {
+		for _, a := range g.SuccArcs(cur) {
 			want := lv.BLevel[cur] - g.index[cur].Work - a.Words*commScale
 			if lv.BLevel[a.To] == want && want >= 0 {
 				next = a.To
@@ -213,7 +212,7 @@ func (g *Graph) Width() (int, error) {
 	depth := make(map[NodeID]int, len(order))
 	for _, id := range order {
 		d := 0
-		for _, a := range g.pred[id] {
+		for _, a := range g.PredArcs(id) {
 			if depth[a.From]+1 > d {
 				d = depth[a.From] + 1
 			}
@@ -242,7 +241,7 @@ func (g *Graph) Depth() (int, error) {
 	max := 0
 	for _, id := range order {
 		d := 1
-		for _, a := range g.pred[id] {
+		for _, a := range g.PredArcs(id) {
 			if depth[a.From]+1 > d {
 				d = depth[a.From] + 1
 			}
@@ -260,7 +259,7 @@ func (g *Graph) Ancestors(id NodeID) []NodeID {
 	seen := map[NodeID]bool{}
 	var walk func(NodeID)
 	walk = func(n NodeID) {
-		for _, a := range g.pred[n] {
+		for _, a := range g.PredArcs(n) {
 			if !seen[a.From] {
 				seen[a.From] = true
 				walk(a.From)
@@ -281,7 +280,7 @@ func (g *Graph) Descendants(id NodeID) []NodeID {
 	seen := map[NodeID]bool{}
 	var walk func(NodeID)
 	walk = func(n NodeID) {
-		for _, a := range g.succ[n] {
+		for _, a := range g.SuccArcs(n) {
 			if !seen[a.To] {
 				seen[a.To] = true
 				walk(a.To)

@@ -29,16 +29,16 @@ func (g *Graph) Validate() error {
 	for _, n := range g.nodes {
 		switch n.Kind {
 		case KindInput:
-			if len(g.pred[n.ID]) > 0 {
+			if len(n.pred) > 0 {
 				errs = append(errs, fmt.Errorf("graph %q: input port %q has predecessors", g.Name, n.ID))
 			}
 		case KindOutput:
-			if len(g.succ[n.ID]) > 0 {
+			if len(n.succ) > 0 {
 				errs = append(errs, fmt.Errorf("graph %q: output port %q has successors", g.Name, n.ID))
 			}
 		case KindStorage:
-			if len(g.pred[n.ID]) > 1 {
-				errs = append(errs, fmt.Errorf("graph %q: storage %q has %d writers (max 1)", g.Name, n.ID, len(g.pred[n.ID])))
+			if len(n.pred) > 1 {
+				errs = append(errs, fmt.Errorf("graph %q: storage %q has %d writers (max 1)", g.Name, n.ID, len(n.pred)))
 			}
 		case KindTask:
 			if n.Work < 0 {

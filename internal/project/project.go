@@ -74,8 +74,8 @@ func (p *Project) Flatten() (*graph.Flat, error) {
 	return flat, nil
 }
 
-// jsonProject is the wire form. The design is its graph.Doc inline, so
-// the whole document is encoded and decoded in one pass; inputs are
+// jsonProject is the wire form. The design is its graph.Doc inline, not
+// a nested Marshaler whose bytes would be scanned again; inputs are
 // plain JSON numbers, arrays of numbers, booleans and strings.
 type jsonProject struct {
 	Name    string           `json:"name"`
@@ -110,31 +110,45 @@ func (p *Project) MarshalJSON() ([]byte, error) {
 	return json.Marshal(jp)
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
-func (p *Project) UnmarshalJSON(data []byte) error {
+// Decode reads a project document: one json.Unmarshal into the wire
+// form (a validating scan, then the decode), the design built from its
+// graph.Doc. Everything that holds a whole document in memory decodes
+// through here.
+func Decode(data []byte) (*Project, error) {
 	var jp jsonProject
 	if err := json.Unmarshal(data, &jp); err != nil {
-		return err
+		return nil, err
 	}
-	np := Project{Name: jp.Name, Machine: jp.Machine}
+	p := &Project{Name: jp.Name, Machine: jp.Machine}
 	if jp.Design != nil {
 		var err error
-		if np.Design, err = graph.FromDoc(jp.Design); err != nil {
-			return err
+		if p.Design, err = graph.FromDoc(jp.Design); err != nil {
+			return nil, err
 		}
 	}
 	if jp.Inputs != nil {
-		np.Inputs = make(pits.Env, len(jp.Inputs))
+		p.Inputs = make(pits.Env, len(jp.Inputs))
 		for k, v := range jp.Inputs {
 			val, ok := inputValue(v)
 			if !ok {
-				return fmt.Errorf("project %q: input %q: unsupported JSON value", jp.Name, k)
+				return nil, fmt.Errorf("project %q: input %q: unsupported JSON value", jp.Name, k)
 			}
-			np.Inputs[k] = val
+			p.Inputs[k] = val
 		}
 	}
-	*p = np
-	return nil
+	return p, nil
+}
+
+// UnmarshalJSON implements json.Unmarshaler for a project met inside
+// another decode, which has by then scanned data twice more than Decode
+// will (once to validate the enclosing document, once to find where
+// this value ends).
+func (p *Project) UnmarshalJSON(data []byte) error {
+	np, err := Decode(data)
+	if err == nil {
+		*p = *np
+	}
+	return err
 }
 
 // inputValue converts one decoded JSON input to its PITS value: a

@@ -1,13 +1,17 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync"
@@ -507,6 +511,165 @@ func TestServeRejectsTrailingData(t *testing.T) {
 		if c.status == http.StatusBadRequest && !strings.Contains(msg.String(), "parsing project: trailing data") {
 			t.Errorf("%s: body %q does not say \"parsing project: trailing data\"", c.name, msg.String())
 		}
+	}
+}
+
+// postRaw posts body to /run?mode=schedule and returns the status and
+// the reply's bytes. With chunked set the request states no
+// Content-Length.
+func postRaw(t *testing.T, url, body string, chunked bool) (int, string) {
+	t.Helper()
+	var rd io.Reader = strings.NewReader(body)
+	if chunked {
+		rd = struct{ io.Reader }{rd} // a reader net/http cannot size
+	}
+	resp, err := http.Post(url+"/run?mode=schedule", "application/json", rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	reply, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(reply)
+}
+
+// TestServeBodyFraming: the body is read whole before it is decoded,
+// into a buffer sized by Content-Length when there is one. However the
+// bytes were framed — sized, chunked, followed by whitespace — they
+// decode to the same project: the replies of a miss and of the hits
+// after it differ by the cache verdict and the clock alone.
+func TestServeBodyFraming(t *testing.T) {
+	s := New(Options{DefaultAlg: "etf"})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	doc, err := json.Marshal(testProject(t, 10, 1, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	elapsed := regexp.MustCompile(`"elapsed_us":\d+`)
+	var miss string
+	for i, c := range []struct {
+		name, body string
+		chunked    bool
+	}{
+		{"sized", string(doc), false},
+		{"sized again", string(doc), false},
+		{"chunked", string(doc), true},
+		{"chunked, trailing whitespace", string(doc) + "\r\n \t", true},
+		{"sized, trailing whitespace", string(doc) + "\n", false},
+	} {
+		status, reply := postRaw(t, ts.URL, c.body, c.chunked)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status = %d (%s)", c.name, status, reply)
+		}
+		reply = elapsed.ReplaceAllString(reply, `"elapsed_us":0`)
+		if i == 0 {
+			miss = reply
+			continue
+		}
+		if want := strings.Replace(miss, `"cache":"miss"`, `"cache":"hit"`, 1); reply != want {
+			t.Errorf("%s: reply %s, want the miss's with the verdict changed: %s", c.name, reply, want)
+		}
+	}
+	if st := scrapeStats(t, ts.URL); st.Cache.Misses != 1 || st.Cache.Hits != 4 {
+		t.Errorf("cache stats = %+v, want 1 miss / 4 hits", st.Cache)
+	}
+}
+
+// TestServeRefusalTexts pins what a body that is not one whole document
+// is told, whichever way it falls short: the texts are the ones a
+// streaming decoder gave, and clients match on them.
+func TestServeRefusalTexts(t *testing.T) {
+	s := New(Options{DefaultAlg: "etf"})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	docBytes, err := json.Marshal(testProject(t, 10, 1, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(docBytes)
+	badKind := strings.Replace(doc, `"kind":"task"`, `"kind":"bogus"`, 1)
+	subOnTask := strings.Replace(doc, `"kind":"task"`, `"kind":"task","sub":{"name":"inner","nodes":[],"arcs":[]}`, 1)
+	for _, c := range []struct {
+		name, body, want string
+	}{
+		{"empty", "", "parsing project: EOF"},
+		{"whitespace only", " \n", "parsing project: EOF"},
+		{"cut off", doc[:len(doc)/2], "parsing project: unexpected EOF"},
+		{"cut off before the last brace", doc[:len(doc)-1], "parsing project: unexpected EOF"},
+		{"wrong top-level type", "[1,2]", "parsing project: json: cannot unmarshal array into Go value of type project.jsonProject"},
+		{"number then letter", "123x", "parsing project: json: cannot unmarshal number into Go value of type project.jsonProject"},
+		{"bad document, then garbage", badKind + " x", `parsing project: graph "diamond": unknown node kind "bogus"`},
+		{"subgraph on a task", subOnTask, `parsing project: graph "diamond": task node "a" carries a subgraph`},
+	} {
+		for _, chunked := range []bool{false, true} {
+			status, reply := postRaw(t, ts.URL, c.body, chunked)
+			var msg struct{ Error string }
+			if err := json.Unmarshal([]byte(reply), &msg); err != nil {
+				t.Errorf("%s: reply %q is not an error document", c.name, reply)
+			}
+			if status != http.StatusBadRequest || msg.Error != c.want {
+				t.Errorf("%s (chunked %v): %d %q, want 400 %q", c.name, chunked, status, msg.Error, c.want)
+			}
+		}
+	}
+}
+
+// TestServeShortBody: a client that promises more bytes than it sends
+// and then goes away is answered 400 with the read error — the handler
+// neither waits for the rest nor parses a buffer padded out to the
+// promised length, and what did arrive is not decoded, whole document
+// or not.
+func TestServeShortBody(t *testing.T) {
+	s := New(Options{DefaultAlg: "etf"})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	doc, err := json.Marshal(testProject(t, 10, 1, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sent := range [][]byte{doc[:len(doc)/2], doc} {
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		fmt.Fprintf(conn, "POST /run?mode=schedule HTTP/1.1\r\nHost: test\r\nContent-Length: %d\r\n\r\n%s", len(doc)+100, sent)
+		if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatalf("no reply to %d of %d promised bytes: %v", len(sent), len(doc)+100, err)
+		}
+		reply, _ := io.ReadAll(resp.Body) // the server closes the connection under a refused body
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(reply), "parsing project: unexpected EOF") {
+			t.Errorf("%d of %d promised bytes: %d %s, want 400 parsing project: unexpected EOF",
+				len(sent), len(doc)+100, resp.StatusCode, reply)
+		}
+	}
+}
+
+// TestServeRejectsOversizedBody: one byte over 64 MB is refused with
+// the limit reader's text, whether or not the length was announced.
+func TestServeRejectsOversizedBody(t *testing.T) {
+	if testing.Short() {
+		t.Skip("posts 64 MB")
+	}
+	s := New(Options{DefaultAlg: "etf"})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	status, reply := postRaw(t, ts.URL, strings.Repeat(" ", maxBody+1), false)
+	if status != http.StatusBadRequest || !strings.Contains(reply, "parsing project: http: request body too large") {
+		t.Errorf("oversized body: %d %s, want 400 parsing project: http: request body too large", status, reply)
 	}
 }
 

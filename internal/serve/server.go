@@ -1,13 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -253,15 +256,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	var p project.Project
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err := dec.Decode(&p); err != nil {
+	p, err := decodeBody(w, r)
+	if err != nil {
 		s.failRun(w, http.StatusBadRequest, "parsing project: %v", err)
-		return
-	}
-	// Decode stops after the first value; a body is one document.
-	if _, err := dec.Token(); err != io.EOF {
-		s.failRun(w, http.StatusBadRequest, "parsing project: trailing data")
 		return
 	}
 	alg := r.URL.Query().Get("alg")
@@ -279,7 +276,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	entry, verdict, err := s.compile(&p, alg)
+	entry, verdict, err := s.compile(p, alg)
 	if err != nil {
 		s.failRun(w, http.StatusUnprocessableEntity, "%v", err)
 		return
@@ -323,6 +320,43 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	s.writeRun(w, RunResponse{Name: p.Name, Algorithm: alg, Cache: verdict},
 		res, entry.sc.Machine.NumPE(), r.URL.Query().Get("trace") != "")
+}
+
+// maxBody bounds a request body.
+const maxBody = 64 << 20
+
+// decodeBody reads the request's body into one buffer — sized by the
+// Content-Length when one is stated and within bounds, grown as bytes
+// arrive otherwise — and decodes it as one project document. Refusals
+// keep the texts of a decoder reading the stream, which clients match
+// on: the document is judged before what follows it, and a body that
+// ends early is named by the read error it amounts to.
+func decodeBody(w http.ResponseWriter, r *http.Request) (*project.Project, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= maxBody {
+		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead to spare when it meets EOF
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody)); err != nil {
+		return nil, err
+	}
+	body := buf.Bytes()
+	p, err := project.Decode(body)
+	var syn *json.SyntaxError
+	if !errors.As(err, &syn) {
+		return p, err
+	}
+	switch {
+	case strings.HasSuffix(syn.Error(), "after top-level value"):
+		if p, err = project.Decode(body[:syn.Offset-1]); err == nil {
+			err = errors.New("trailing data")
+		}
+	case syn.Error() == "unexpected end of JSON input":
+		err = io.ErrUnexpectedEOF
+		if len(bytes.TrimSpace(body)) == 0 {
+			err = io.EOF
+		}
+	}
+	return p, err
 }
 
 // writeRun answers a finished run: resp filled in from res, preceded
