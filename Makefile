@@ -33,6 +33,8 @@ build:
 # a body it holds whole through project.Decode (a streaming decoder reads
 # through a doubling buffer and scans the document twice more), and a
 # graph's arc lists hang off the nodes its one index map holds.
+# The next keeps one ETF: a replan grows no processor clock or arrival of its own.
+# The last keeps a BSP superstep an order: no start waits for a barrier.
 vet:
 	$(GO) vet ./...
 	! grep -rnE '\.Mesh([^(A-Za-z0-9_]|$$)' --include='*.go' internal cmd | grep -v _test.go | grep -vE 'Mesh +bool'
@@ -48,6 +50,8 @@ vet:
 	! awk 'FNR==1{b=0} /^var \(/{b=1} /^\)/{b=0} (b||/^var /)&&/sync\.Map|map\[/{print FILENAME":"FNR": "$$0; f=1} END{exit !f}' $$(ls internal/exec/*.go | grep -v _test.go)
 	! grep -n 'json.NewDecoder' internal/serve/server.go
 	! grep -nE 'map\[NodeID\]\[\]Arc' $$(ls internal/graph/*.go | grep -v _test.go)
+	! grep -nE 'procFree|arrival :=' internal/sched/recover.go
+	! grep -nE 'levelEnd|barrier >' internal/sched/bsp.go
 
 test:
 	$(GO) test ./...

@@ -479,18 +479,8 @@ func (c *controller) sendRemote(m xmsg, k *msgKey, orig pits.Value, toPE, copies
 		return nil
 	}
 	if wallDelay > 0 {
-		c.later(wallDelay, func() {
-			for i := 0; i < copies; i++ {
-				c.stats.RemoteSends.Add(1)
-				if err := c.plane.DeliverRemote(rm); err != nil {
-					c.fail(fmt.Errorf("exec: remote delivery to PE %d: %w", toPE, err))
-					return
-				}
-			}
-			// The delivery happened outside any slot's send burst;
-			// flush so it doesn't wait out the plane's interval.
-			c.flushRemote()
-		})
+		er := c.era.Load()
+		c.later(wallDelay, func() { c.deliverLate(er, rm, copies) })
 		return nil
 	}
 	for i := 0; i < copies; i++ {
@@ -513,28 +503,60 @@ func (c *controller) flushRemote() {
 
 // retransmitRemote re-ships the uncorrupted payload of a remote
 // message after one retry backoff, standing in for the in-process
-// ack/retransmit loop across a process boundary. The era check mirrors
-// sendReliable: a recovery that replanned the run makes the
-// retransmission moot (the receiver would discard the stale epoch).
+// ack/retransmit loop across a process boundary.
 func (c *controller) retransmitRemote(rm RemoteMsg, orig pits.Value, wallDelay time.Duration) {
 	rm.Val = orig
 	if rm.Sum != 0 {
 		rm.Sum = checksum(orig)
 	}
+	er := c.era.Load()
 	c.later(wallDelay+c.runner.retryBase(), func() {
-		if c.era.Load().epoch != rm.Epoch {
+		if c.moot(er) {
 			return
 		}
 		c.addEvent(trace.Event{Kind: trace.MsgRetry, At: c.stamp(rm.At), Task: rm.From,
 			PE: rm.FromPE, Var: rm.Var, Peer: rm.ToPE, Seq: rm.Seq, Note: "attempt 1"})
 		c.stats.Retries.Add(1)
+		c.deliverLate(er, rm, 1)
+	})
+}
+
+// deliverLate makes, from the background, a remote delivery owed since
+// era er. Once er's recovery barrier has formed, or the run has
+// finished, the delivery is moot: receivers discard a replaced era's
+// messages, and the replan re-sends what the next era needs. So it is
+// skipped, and a failure it meets is not the run's — the peer may
+// rightly have dropped its link to a process whose processors the replan
+// gave up.
+func (c *controller) deliverLate(er *era, rm RemoteMsg, copies int) {
+	if c.moot(er) {
+		return
+	}
+	for i := 0; i < copies; i++ {
 		c.stats.RemoteSends.Add(1)
 		if err := c.plane.DeliverRemote(rm); err != nil {
-			c.fail(fmt.Errorf("exec: remote delivery to PE %d: %w", rm.ToPE, err))
+			if !c.moot(er) {
+				c.fail(fmt.Errorf("exec: remote delivery to PE %d: %w", rm.ToPE, err))
+			}
 			return
 		}
-		c.flushRemote()
-	})
+	}
+	// The delivery happened outside any slot's send burst; flush so it
+	// doesn't wait out the plane's interval.
+	c.flushRemote()
+}
+
+// moot reports whether a delivery owed since era er no longer matters:
+// er's recovery barrier has formed, or the run has finished.
+func (c *controller) moot(er *era) bool {
+	select {
+	case <-er.pause:
+		return true
+	case <-c.finish:
+		return true
+	default:
+		return false
+	}
 }
 
 // stallWatch fails the run if no task completes and no message is

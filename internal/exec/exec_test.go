@@ -69,7 +69,7 @@ func TestSimulateMatchesContentionFreeSchedulers(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := testMachine(t, "hypercube:2", params())
-	for _, s := range []sched.Scheduler{sched.Serial{}, sched.HLFET{}, sched.ETF{}, sched.ISH{}, sched.DSH{}, sched.Pack{}} {
+	for _, s := range []sched.Scheduler{sched.Serial{}, sched.HLFET{}, sched.ETF{}, sched.ISH{}, sched.DSH{}, sched.Pack{}, sched.BSP{}} {
 		sc, err := s.Schedule(g, m)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
@@ -102,7 +102,7 @@ func TestSimulateMatchesContentionFreeSchedulers(t *testing.T) {
 // layered graphs and machine shapes, the simulator must re-derive every
 // contention-free scheduler's slot times exactly.
 func TestSimulateReproducesContentionFreeSchedulersRandom(t *testing.T) {
-	schedulers := []sched.Scheduler{sched.Serial{}, sched.HLFET{}, sched.ETF{}, sched.ISH{}, sched.DSH{}, sched.Pack{}}
+	schedulers := []sched.Scheduler{sched.Serial{}, sched.HLFET{}, sched.ETF{}, sched.ISH{}, sched.DSH{}, sched.Pack{}, sched.BSP{}}
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g, err := graph.LayeredRandom(rng, graph.LayeredConfig{
@@ -112,7 +112,7 @@ func TestSimulateReproducesContentionFreeSchedulersRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, spec := range []string{"hypercube:2", "mesh:2x2", "star:4"} {
+		for _, spec := range []string{"hypercube:2", "mesh:2x2", "star:4", "chain:3"} {
 			m := testMachine(t, spec, params())
 			for _, s := range schedulers {
 				sc, err := s.Schedule(g, m)

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/pits"
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -430,5 +431,61 @@ func TestRevivedProcessorIsRemote(t *testing.T) {
 	}
 	if after := len(dead.q) - dead.head; after != before {
 		t.Errorf("dead mailbox grew from %d to %d messages after the resume", before, after)
+	}
+}
+
+// gatePlane is a testPlane whose remote deliveries report themselves,
+// wait for the test to open the gate, and then fail, the way a delivery
+// fails on a link its peer has already dropped.
+type gatePlane struct {
+	*testPlane
+	calls chan RemoteMsg
+	gate  chan struct{}
+}
+
+func (p *gatePlane) DeliverRemote(m RemoteMsg) error {
+	p.calls <- m
+	<-p.gate
+	return errors.New("peer dropped the link")
+}
+
+// TestDelayedDeliveryOutlivesItsEra: PE 0 sends a->b:u to the remote
+// PE 1 under a delay fault, then crashes. The delayed delivery is still
+// in flight when the recovery barrier forms, and it fails there: the
+// peer has given up this session's only processor and dropped its link.
+// The replan owes PE 1 nothing from era 0, so the run must not fail.
+func TestDelayedDeliveryOutlivesItsEra(t *testing.T) {
+	s, flat := chainSchedule(t)
+	plan, err := ParseFaults("crash:0@1,delay:a->b:u@1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &Runner{Inputs: pits.Env{"x0": pits.Num(5)}, Faults: plan}
+	pl := &gatePlane{testPlane: newTestPlane(), calls: make(chan RemoteMsg, 1), gate: make(chan struct{})}
+	ses, err := r.StartSession(s, flat, []bool{true, false}, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := waitEvent(t, pl.calls, "the delayed delivery of a->b:u"); m.Var != "u" || m.Epoch != 0 {
+		t.Fatalf("plane was handed %+v, want era 0's a->b:u", m)
+	}
+	waitEvent(t, pl.crash, "the injected crash")
+	if _, err := ses.Pause(false); err != nil {
+		t.Fatal(err)
+	}
+	close(pl.gate) // the barrier has formed: now the delivery fails
+	var onPE1 []sched.Slot
+	for _, sl := range s.Slots {
+		sl.PE = 1
+		onPE1 = append(onPE1, sl)
+	}
+	rp := &ResumePlan{Epoch: 1, Slots: onPE1, Done: map[graph.NodeID]int{}, Dead: []bool{true, false}}
+	if err := ses.Resume(rp); err != nil {
+		t.Fatal(err)
+	}
+	waitEvent(t, pl.idle, "the session to report nothing left to run")
+	ses.FinishRun()
+	if _, err := ses.Wait(); err != nil {
+		t.Fatalf("a delivery the replan gave up failed the run: %v", err)
 	}
 }

@@ -25,11 +25,12 @@ import (
 // message routing (which producer copy feeds each consumer copy)
 // under the contention-free machine model, deriving start/finish
 // times from first principles. For schedules produced by the
-// contention-free schedulers — including DSH, whose duplicates make
-// the producer-copy choice significant — the derived times equal the
-// scheduled times; for MH the derived times may be earlier (MH also
-// charges link contention). The returned trace contains task and
-// message events.
+// contention-free schedulers — every one but MH, including DSH, whose
+// duplicates make the producer-copy choice significant, and BSP, whose
+// supersteps order each processor's slots but delay none — the derived
+// times equal the scheduled times; for MH the derived times may be
+// earlier (MH also charges link contention). The returned trace
+// contains task and message events.
 func Simulate(s *sched.Schedule) (*trace.Trace, error) {
 	if s == nil || s.Graph == nil || s.Machine == nil {
 		return nil, fmt.Errorf("exec: nil schedule")

@@ -355,32 +355,45 @@ func (h *denseHeap) pop() int32 {
 // readyTracker yields tasks whose predecessors are all placed, as an
 // unordered pool. It serves the schedulers whose per-step choice is a
 // total-order minimum over (task, PE) pairs (ETF, MH, Pack), where pool
-// order cannot affect the selection.
+// order cannot affect the selection. Tasks flagged held (nil: none)
+// count as placed from the start and never become ready.
 type readyTracker struct {
 	c       *compiled
+	held    []bool
 	pending []int32
 	ready   []int32
 }
 
-func newReadyTracker(c *compiled, ar *arena) *readyTracker {
-	rt := &readyTracker{c: c, pending: ar.int32s(c.n, false)}
+func newReadyTracker(c *compiled, ar *arena, held []bool) *readyTracker {
+	rt := &readyTracker{c: c, held: held, pending: ar.int32s(c.n, false)}
 	copy(rt.pending, c.npred)
-	rt.ready = ar.int32s(c.n, false)[:0]
-	for i := int32(0); i < int32(c.n); i++ {
-		if rt.pending[i] == 0 {
-			rt.ready = append(rt.ready, i)
+	for t, h := range held {
+		if h {
+			for _, s := range c.succIDsOf(int32(t)) {
+				rt.pending[s]--
+			}
 		}
 	}
+	rt.ready = ar.int32s(c.n, false)[:0]
+	for i := int32(0); i < int32(c.n); i++ {
+		rt.release(i)
+	}
 	return rt
+}
+
+// release moves t into the pool once nothing it waits for is unplaced,
+// unless it is held.
+func (rt *readyTracker) release(t int32) {
+	if rt.pending[t] == 0 && (rt.held == nil || !rt.held[t]) {
+		rt.ready = append(rt.ready, t)
+	}
 }
 
 // complete marks t placed and moves newly ready tasks into the pool.
 func (rt *readyTracker) complete(t int32) {
 	for _, s := range rt.c.succIDsOf(t) {
 		rt.pending[s]--
-		if rt.pending[s] == 0 {
-			rt.ready = append(rt.ready, s)
-		}
+		rt.release(s)
 	}
 }
 

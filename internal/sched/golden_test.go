@@ -23,14 +23,18 @@ import (
 // (pre-optimization) scheduler implementations; the incremental EST
 // cache and compiled graph view must reproduce them byte for byte.
 //
-// Regenerate (only when the scheduling semantics intentionally change)
-// with:
+// TestGoldenReplans pins Replan the same way in
+// testdata/golden_replans.json. Regenerate either (only when the
+// scheduling semantics intentionally change) with:
 //
-//	go test ./internal/sched -run TestGoldenEquivalence -update-golden
+//	go test ./internal/sched -run TestGolden -update-golden
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_schedules.json from the current schedulers")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden files under testdata/ from the current code")
 
-const goldenPath = "testdata/golden_schedules.json"
+const (
+	goldenPath       = "testdata/golden_schedules.json"
+	goldenReplanPath = "testdata/golden_replans.json"
+)
 
 // goldenEntry is one (graph, machine, scheduler) combination.
 type goldenEntry struct {
@@ -137,22 +141,29 @@ func TestGoldenEquivalence(t *testing.T) {
 		}
 	}
 
+	checkGolden(t, goldenPath, entries)
+}
+
+// checkGolden compares entries with the golden file at path, or
+// rewrites the file under -update-golden.
+func checkGolden(t *testing.T, path string, entries []goldenEntry) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
 		data, err := json.MarshalIndent(entries, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("recorded %d golden schedules to %s", len(entries), goldenPath)
+		t.Logf("recorded %d golden entries to %s", len(entries), path)
 		return
 	}
 
-	data, err := os.ReadFile(goldenPath)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("missing goldens (run with -update-golden to record): %v", err)
 	}
@@ -175,7 +186,88 @@ func TestGoldenEquivalence(t *testing.T) {
 			continue
 		}
 		if got != w {
-			t.Errorf("%s: schedule diverged from golden:\n got  %+v\nwant %+v", key, got, w)
+			t.Errorf("%s: diverged from golden:\n got  %+v\nwant %+v", key, got, w)
 		}
 	}
+}
+
+// replanDraw draws one seeded surviving state of a run on m: a live
+// mask (every fifth draw leaves a single survivor) and a done set drawn
+// task by task, so it is not closed under predecessors — some surviving
+// results outlive the producers they were computed from.
+func replanDraw(rng *rand.Rand, g *graph.Graph, m *machine.Machine, k int) ReplanState {
+	n := m.NumPE()
+	live := make([]bool, n)
+	if k%5 != 0 {
+		for pe := range live {
+			live[pe] = rng.Intn(3) > 0
+		}
+	}
+	live[rng.Intn(n)] = true
+	var alive []int
+	for pe, l := range live {
+		if l {
+			alive = append(alive, pe)
+		}
+	}
+	done := map[graph.NodeID]int{}
+	pct := rng.Intn(90)
+	for _, nd := range g.Nodes() {
+		if rng.Intn(100) < pct {
+			done[nd.ID] = alive[rng.Intn(len(alive))]
+		}
+	}
+	return ReplanState{Live: live, Done: done}
+}
+
+// TestGoldenReplans pins Replan's exact output — slots and messages, in
+// order — on 25 seeded surviving states per golden graph and machine.
+func TestGoldenReplans(t *testing.T) {
+	var entries []goldenEntry
+	singles, orphans := 0, 0
+	for gi, g := range goldenGraphs(t) {
+		for mi, m := range goldenMachines(t) {
+			s, err := ETF{}.Schedule(g, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(10*gi + mi + 1)))
+			for k := 0; k < 25; k++ {
+				st := replanDraw(rng, g, m, k)
+				alive := 0
+				for _, l := range st.Live {
+					if l {
+						alive++
+					}
+				}
+				if alive == 1 {
+					singles++
+				}
+				for id := range st.Done {
+					for _, a := range g.PredArcs(id) {
+						if _, ok := st.Done[a.From]; !ok {
+							orphans++
+						}
+					}
+				}
+				plan, err := Replan(s, st)
+				if err != nil {
+					t.Fatalf("%s/%s draw %d: %v", g.Name, m.Name, k, err)
+				}
+				var mk machine.Time
+				for _, sl := range plan.Slots {
+					mk = max(mk, sl.Finish)
+				}
+				entries = append(entries, goldenEntry{
+					Graph: g.Name, Machine: m.Name, Alg: fmt.Sprintf("replan-%02d", k),
+					Makespan: mk, Slots: len(plan.Slots), Msgs: len(plan.Msgs),
+					SHA256: canonicalFingerprint(&Schedule{Algorithm: "replan", Slots: plan.Slots, Msgs: plan.Msgs}),
+				})
+			}
+		}
+	}
+	if singles == 0 || orphans == 0 {
+		t.Fatalf("corpus lacks single-survivor masks (%d) or done tasks with lost producers (%d)", singles, orphans)
+	}
+	checkGolden(t, goldenReplanPath, entries)
 }

@@ -289,28 +289,36 @@ func (HLFET) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
 	h := newReadyHeap(b.c, b.ar)
 	for h.len() > 0 {
 		t := h.pop() // highest static level first; ties by id
-		// The data-ready row is computed arc-major (one pass over the
-		// predecessors fills every PE's entry); the scan only reads it.
-		row, err := b.dataReadyRow(t)
-		if err != nil {
-			return nil, err
-		}
-		best := cand{}
-		for pe, st := range row {
-			if pf := b.procFree[pe]; pf > st {
-				st = pf
-			}
-			fin := st + b.c.exec(t, pe)
-			if betterPE(best.ok, best.fin, best.pe, fin, pe) {
-				best = cand{ok: true, t: t, pe: pe, st: st, fin: fin}
-			}
-		}
-		if _, err := b.place(t, best.pe, best.st, false); err != nil {
+		if err := b.placeEarliest(t); err != nil {
 			return nil, err
 		}
 		h.complete(t)
 	}
 	return b.finish("hlfet"), nil
+}
+
+// placeEarliest places task t on the processor where it finishes
+// earliest, after that processor's last slot: the per-task step of HLFET
+// and BSP, which differ only in the order they present tasks. The
+// data-ready row is computed arc-major (one pass over the predecessors
+// fills every PE's entry); the scan only reads it.
+func (b *builder) placeEarliest(t int32) error {
+	row, err := b.dataReadyRow(t)
+	if err != nil {
+		return err
+	}
+	best := cand{}
+	for pe, st := range row {
+		if pf := b.procFree[pe]; pf > st {
+			st = pf
+		}
+		fin := st + b.c.exec(t, pe)
+		if betterPE(best.ok, best.fin, best.pe, fin, pe) {
+			best = cand{ok: true, t: t, pe: pe, st: st, fin: fin}
+		}
+	}
+	_, err = b.place(t, best.pe, best.st, false)
+	return err
 }
 
 // ETF is Earliest Task First: at each step the (ready task, processor)
@@ -328,11 +336,21 @@ func (ETF) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
 		return nil, err
 	}
 	defer b.release()
+	if err := b.etf(nil, nil); err != nil {
+		return nil, err
+	}
+	return b.finish("etf"), nil
+}
+
+// etf places, by the ETF rule, every task not flagged held onto the
+// processors flagged live (nil: all of them). Held tasks are never
+// placed: their results exist already (see Replan).
+func (b *builder) etf(live, held []bool) error {
 	c := b.c
-	rt := newReadyTracker(c, b.ar)
+	rt := newReadyTracker(c, b.ar, held)
 
 	// lbFin[t] is a monotone lower bound on task t's best finish time
-	// over all processors. ETF never duplicates, so a ready task's
+	// over the live processors. ETF never duplicates, so a ready task's
 	// data-ready times are fixed, and procFree only advances — the best
 	// finish computed at any earlier step can only have grown since.
 	// A ready task whose bound is strictly worse than the running best
@@ -354,6 +372,9 @@ func (ETF) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
 		execRow := c.execT[int(t)*c.pes : int(t+1)*c.pes]
 		tbest := cand{}
 		for pe := 0; pe < c.pes; pe++ {
+			if live != nil && !live[pe] {
+				continue
+			}
 			st := row[pe]
 			if pf := b.procFree[pe]; pf > st {
 				st = pf
@@ -382,7 +403,7 @@ func (ETF) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
 			}
 			tbest, err := evalTask(i)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if c.betterCand(best, tbest) {
 				best = tbest
@@ -390,9 +411,9 @@ func (ETF) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
 		}
 		t := rt.take(best.idx)
 		if _, err := b.place(t, best.pe, best.st, false); err != nil {
-			return nil, err
+			return err
 		}
 		rt.complete(t)
 	}
-	return b.finish("etf"), nil
+	return nil
 }

@@ -257,7 +257,7 @@ func (MH) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := newReadyTracker(c, b.ar)
+	rt := newReadyTracker(c, b.ar, nil)
 
 	// Routed data-arrival cache: arr[t*P+pe] is the max over t's
 	// predecessor arcs of the best copy's routed arrival, stamped with

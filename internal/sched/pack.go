@@ -176,7 +176,7 @@ func scheduleFixed(b *builder, assign map[graph.NodeID]int, alg string) (*Schedu
 	for id, pe := range assign {
 		pa[c.idOf[id]] = pe
 	}
-	rt := newReadyTracker(c, b.ar)
+	rt := newReadyTracker(c, b.ar, nil)
 	for len(rt.ready) > 0 {
 		bestIdx := -1
 		bestT := int32(-1)

@@ -18,9 +18,14 @@
 //   - Pack: grain packing by linear clustering — chains of heavy
 //     communication are merged into grains, grains are load-balanced
 //     across processors, then times are assigned ETF-style.
-//   - BSP: bulk-synchronous superstep scheduling (after Papp, Anegg &
-//     Yzelman) — precedence levels become supersteps separated by
-//     barriers.
+//   - BSP: BSP-ordered superstep scheduling (after Papp, Anegg &
+//     Yzelman) — precedence levels become supersteps, placed in order;
+//     no start waits for a barrier.
+//
+// Every scheduler but MH is contention-free: a slot starts once its
+// processor is free and its inputs have arrived, which is what
+// exec.Simulate's replay does, so their times replay exactly. A replan
+// after a crash, drain or join (Replan) is ETF on the same list builder.
 //
 // Each Schedule call runs on its caller's goroutine with scratch carved
 // from a pooled arena; a greedy step is too little work to shard (see
