@@ -34,7 +34,9 @@ build:
 # through a doubling buffer and scans the document twice more), and a
 # graph's arc lists hang off the nodes its one index map holds.
 # The next keeps one ETF: a replan grows no processor clock or arrival of its own.
-# The last keeps a BSP superstep an order: no start waits for a barrier.
+# The next keeps a BSP superstep an order: no start waits for a barrier.
+# The next keeps MH's arrival rows at their contention-free floor from the start: no never-computed state.
+# The last keeps MH's route tables built once per topology: no per-call carve of them.
 vet:
 	$(GO) vet ./...
 	! grep -rnE '\.Mesh([^(A-Za-z0-9_]|$$)' --include='*.go' internal cmd | grep -v _test.go | grep -vE 'Mesh +bool'
@@ -52,6 +54,8 @@ vet:
 	! grep -nE 'map\[NodeID\]\[\]Arc' $$(ls internal/graph/*.go | grep -v _test.go)
 	! grep -nE 'procFree|arrival :=' internal/sched/recover.go
 	! grep -nE 'levelEnd|barrier >' internal/sched/bsp.go
+	! grep -n 'mhStampNever' internal/sched/mh.go
+	! grep -nE 'routeLinks = ar\.' internal/sched/mh.go
 
 test:
 	$(GO) test ./...

@@ -357,8 +357,9 @@ func BenchmarkSchedulerScaling(b *testing.B) {
 	}
 }
 
-// specMachine builds a new machine (and with it a topology whose
-// routing tables nothing has used yet) from a topology spec.
+// specMachine builds a new machine over the topology a spec names. The
+// topology is interned, so every machine of one spec shares it and its
+// routing tables.
 func specMachine(tb testing.TB, spec string) *machine.Machine {
 	tb.Helper()
 	topo, err := machine.ParseTopology(spec)
@@ -372,25 +373,54 @@ func specMachine(tb testing.TB, spec string) *machine.Machine {
 	return m
 }
 
-// BenchmarkMHCold measures MH the way a schedule-cache miss pays for
-// it: the 501-task layered design on a machine value no schedule has
-// seen, so the compiled view, the topology's hop tables, the
-// communication table and MH's link and route tables are all built
-// inside the timed call (building the machine itself is not timed). BenchmarkSchedulerScaling reuses one
-// machine and so never included any of that. The three machines span
-// mean route lengths of 8, 32 and 3.5 hops.
+// BenchmarkMHCold measures MH on a machine value no schedule has seen,
+// the 501-task layered design each time, so the compiled view and the
+// communication table are built inside the timed call (building the
+// machine itself is not timed). BenchmarkSchedulerScaling reuses one
+// machine and so never included any of that.
+//
+// The first three cases build their topology in code, a new one per
+// iteration, so its hop tables and MH's link and route tables are built
+// inside the timed call too; they span mean route lengths of 8, 32 and
+// 3.5 hops. The decoded case is what a schedule-cache miss pays: its
+// machine is read from a document naming ring:128, whose topology is
+// interned, so those tables were built by the first document and are
+// shared.
 func BenchmarkMHCold(b *testing.B) {
 	flat, _ := runnerDesign(b, 20, 25) // 501 tasks
-	for _, spec := range []string{"ring:32", "ring:128", "hypercube:7"} {
-		b.Run(spec, func(b *testing.B) {
+	doc, err := json.Marshal(specMachine(b, "ring:128"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		topo func() (*machine.Topology, error)
+	}{
+		{"ring:32", func() (*machine.Topology, error) { return machine.Ring(32) }},
+		{"ring:128", func() (*machine.Topology, error) { return machine.Ring(128) }},
+		{"hypercube:7", func() (*machine.Topology, error) { return machine.Hypercube(7) }},
+		{"decoded", func() (*machine.Topology, error) {
+			var m machine.Machine
+			err := json.Unmarshal(doc, &m)
+			return m.Topo, err
+		}},
+	} {
+		newMachine := func() *machine.Machine {
+			topo, err := c.topo()
+			if err != nil {
+				b.Fatal(err)
+			}
+			return machine.MustNew(topo.Name, topo, machine.DefaultParams())
+		}
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
-			if _, err := (sched.MH{}).Schedule(flat.Graph, specMachine(b, spec)); err != nil { // warm the arena
+			if _, err := (sched.MH{}).Schedule(flat.Graph, newMachine()); err != nil { // warm the arena
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				m := specMachine(b, spec)
+				m := newMachine()
 				b.StartTimer()
 				if _, err := (sched.MH{}).Schedule(flat.Graph, m); err != nil {
 					b.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // jsonMachine is the wire form of a Machine. Topologies are stored as
@@ -72,8 +73,55 @@ func parseSpec(spec string) (topoSpec, error) {
 	return ts, err
 }
 
-// build constructs the topology the spec names.
+// String renders the spec canonically ("" for the zero spec).
+func (ts topoSpec) String() string {
+	switch ts.kind {
+	case "":
+		return ""
+	case "mesh", "torus", "tree":
+		return fmt.Sprintf("%s:%dx%d", ts.kind, ts.a, ts.b)
+	}
+	return fmt.Sprintf("%s:%d", ts.kind, ts.a)
+}
+
+// topologies interns the topologies built from specs, keyed by the
+// parsed spec ("ring:128" and "ring:0128" share one), so a server that
+// sees the same few machines request after request builds their
+// routing tables once. Past the bound the table is dropped wholesale,
+// like the PITS program table; a dropped topology stays valid for
+// whoever holds it. Errors are not interned.
+var topologiesMu sync.Mutex
+var topologies = map[topoSpec]*Topology{}
+
+const maxTopologies = 16
+
+// build returns the interned topology the spec names, constructing it
+// on first sight; of two racing first sights, the first to finish wins.
 func (ts topoSpec) build() (*Topology, error) {
+	topologiesMu.Lock()
+	t, ok := topologies[ts]
+	topologiesMu.Unlock()
+	if ok {
+		return t, nil
+	}
+	t, err := ts.construct()
+	if err != nil {
+		return nil, err
+	}
+	topologiesMu.Lock()
+	defer topologiesMu.Unlock()
+	if won, ok := topologies[ts]; ok {
+		return won, nil
+	}
+	if len(topologies) >= maxTopologies {
+		clear(topologies)
+	}
+	topologies[ts] = t
+	return t, nil
+}
+
+// construct builds a new topology of the spec's kind.
+func (ts topoSpec) construct() (*Topology, error) {
 	switch ts.kind {
 	case "hypercube":
 		return Hypercube(ts.a)
@@ -131,26 +179,10 @@ func (ts topoSpec) numPE() int {
 // -topology are not limited.
 const maxDecodedPEs = 1024
 
-// Spec returns the compact spec string for a built-in topology name, or
-// "" if the topology was custom-built.
-func (t *Topology) Spec() string {
-	for _, prefix := range []string{"hypercube-", "mesh-", "torus-", "tree-", "star-", "ring-", "chain-", "full-"} {
-		if strings.HasPrefix(t.Name, prefix) {
-			kind := strings.TrimSuffix(prefix, "-")
-			arg := strings.TrimPrefix(t.Name, prefix)
-			if kind == "tree" {
-				// tree-b2-l3 -> tree:2x3
-				var b, l int
-				if n, _ := fmt.Sscanf(arg, "b%d-l%d", &b, &l); n == 2 {
-					return fmt.Sprintf("tree:%dx%d", b, l)
-				}
-				return ""
-			}
-			return kind + ":" + arg
-		}
-	}
-	return ""
-}
+// Spec returns the compact spec string of a built-in topology, recorded
+// by its constructor, or "" if the topology was custom-built — whatever
+// either is named.
+func (t *Topology) Spec() string { return t.spec.String() }
 
 // MarshalJSON implements json.Marshaler.
 func (m *Machine) MarshalJSON() ([]byte, error) {

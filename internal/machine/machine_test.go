@@ -314,6 +314,59 @@ func TestMachineJSONCustomTopology(t *testing.T) {
 	}
 }
 
+// A custom machine is written back as its edges whatever it is named:
+// its topology, "<name>-net", once read as "ring:net" (which does not
+// parse) or as "tree:2x3" (a different network).
+func TestMachineJSONCustomNamedLikeBuiltin(t *testing.T) {
+	for _, name := range []string{"ring", "tree-b2-l3"} {
+		m := decodeMachine(t, `{"name":"`+name+`","n":7,"edges":[[0,1],[1,2],[2,3],[3,4],[4,5],[5,6]],"params":{"ProcSpeed":1}}`)
+		if spec := m.Topo.Spec(); spec != "" {
+			t.Errorf("%s: custom topology %q has spec %q", name, m.Topo.Name, spec)
+		}
+		data, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back := decodeMachine(t, string(data))
+		for p := 0; p < 7; p++ {
+			for q := 0; q < 7; q++ {
+				if got, want := back.Topo.Hops(p, q), m.Topo.Hops(p, q); got != want {
+					t.Fatalf("%s: round trip via %s: Hops(%d,%d) = %d, want %d", name, data, p, q, got, want)
+				}
+			}
+		}
+		if back.Topo.Hops(0, 6) != 6 {
+			t.Errorf("%s: Hops(0,6) = %d after the round trip, want 6", name, back.Topo.Hops(0, 6))
+		}
+	}
+}
+
+// Two machines read from one spec share one topology, and with it its
+// routing tables; a spelling of the same spec shares it too. A
+// custom topology is its own.
+func TestDecodedTopologyInterned(t *testing.T) {
+	doc := func(topo string) *Machine {
+		return decodeMachine(t, `{"name":"m",`+topo+`,"params":{"ProcSpeed":1}}`)
+	}
+	a, b, c := doc(`"topology":"ring:12"`), doc(`"topology":"ring:012"`), doc(`"topology":"ring:13"`)
+	if a.Topo != b.Topo {
+		t.Error("two machines decoded from ring:12 hold different topologies")
+	}
+	if a.Topo == c.Topo {
+		t.Error("ring:12 and ring:13 share a topology")
+	}
+	if p, err := ParseTopology("ring:12"); err != nil || p != a.Topo {
+		t.Errorf("ParseTopology(ring:12) = %p, %v; decoded %p", p, err, a.Topo)
+	}
+	if r, _ := Ring(12); r == a.Topo || r.Spec() != "ring:12" {
+		t.Errorf("Ring(12) = %p with spec %q; a constructor builds its own and records its spec", r, r.Spec())
+	}
+	edges := `"n":3,"edges":[[0,1],[1,2]]`
+	if doc(edges).Topo == doc(edges).Topo {
+		t.Error("custom topologies are interned")
+	}
+}
+
 func TestTopologyASCIIAndDOT(t *testing.T) {
 	mesh, _ := Mesh(2, 3)
 	s := mesh.ASCII()

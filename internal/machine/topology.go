@@ -11,10 +11,17 @@ import (
 // first time one is asked for and kept; that build is synchronized, so
 // a Topology may be shared across goroutines freely. It must not be
 // mutated after first use, and (holding a sync.Once) not copied.
+//
+// A topology built from a spec string (ParseTopology, or a machine
+// read from a document) is interned: every build of one spec returns
+// the same *Topology, so its routing tables — and the route tables
+// schedulers keep per topology — are built once per spec, not once per
+// document. Custom topologies are never interned.
 type Topology struct {
 	Name string
 	N    int
-	adj  [][]int // sorted neighbor lists
+	adj  [][]int  // sorted neighbor lists
+	spec topoSpec // the built-in kind and arguments; zero for Custom
 
 	routes sync.Once
 	dist   [][]int // all-pairs hop counts, built on demand
@@ -22,8 +29,8 @@ type Topology struct {
 }
 
 // newTopology allocates a topology with empty adjacency.
-func newTopology(name string, n int) *Topology {
-	return &Topology{Name: name, N: n, adj: make([][]int, n)}
+func newTopology(name string, spec topoSpec, n int) *Topology {
+	return &Topology{Name: name, N: n, adj: make([][]int, n), spec: spec}
 }
 
 // addEdge inserts the undirected edge {a,b} once.
@@ -49,7 +56,7 @@ func Custom(name string, n int, edges [][2]int) (*Topology, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("topology %q: need at least one processor, got %d", name, n)
 	}
-	t := newTopology(name, n)
+	t := newTopology(name, topoSpec{}, n)
 	for _, e := range edges {
 		a, b := e[0], e[1]
 		if a < 0 || a >= n || b < 0 || b >= n {
@@ -72,7 +79,7 @@ func Hypercube(dim int) (*Topology, error) {
 		return nil, fmt.Errorf("hypercube dimension %d out of range [0,20]", dim)
 	}
 	n := 1 << dim
-	t := newTopology(fmt.Sprintf("hypercube-%d", dim), n)
+	t := newTopology(fmt.Sprintf("hypercube-%d", dim), topoSpec{"hypercube", dim, 0}, n)
 	for p := 0; p < n; p++ {
 		for b := 0; b < dim; b++ {
 			q := p ^ (1 << b)
@@ -90,7 +97,7 @@ func Mesh(rows, cols int) (*Topology, error) {
 	if rows < 1 || cols < 1 {
 		return nil, fmt.Errorf("mesh %dx%d: dimensions must be positive", rows, cols)
 	}
-	t := newTopology(fmt.Sprintf("mesh-%dx%d", rows, cols), rows*cols)
+	t := newTopology(fmt.Sprintf("mesh-%dx%d", rows, cols), topoSpec{"mesh", rows, cols}, rows*cols)
 	id := func(r, c int) int { return r*cols + c }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
@@ -111,7 +118,7 @@ func Torus(rows, cols int) (*Topology, error) {
 	if rows < 1 || cols < 1 {
 		return nil, fmt.Errorf("torus %dx%d: dimensions must be positive", rows, cols)
 	}
-	t := newTopology(fmt.Sprintf("torus-%dx%d", rows, cols), rows*cols)
+	t := newTopology(fmt.Sprintf("torus-%dx%d", rows, cols), topoSpec{"torus", rows, cols}, rows*cols)
 	id := func(r, c int) int { return r*cols + c }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
@@ -140,7 +147,7 @@ func Tree(branch, levels int) (*Topology, error) {
 		n += pow
 		pow *= branch
 	}
-	t := newTopology(fmt.Sprintf("tree-b%d-l%d", branch, levels), n)
+	t := newTopology(fmt.Sprintf("tree-b%d-l%d", branch, levels), topoSpec{"tree", branch, levels}, n)
 	for i := 0; i < n; i++ {
 		for c := 1; c <= branch; c++ {
 			child := branch*i + c
@@ -159,7 +166,7 @@ func Star(n int) (*Topology, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("star size %d: must be >= 1", n)
 	}
-	t := newTopology(fmt.Sprintf("star-%d", n), n)
+	t := newTopology(fmt.Sprintf("star-%d", n), topoSpec{"star", n, 0}, n)
 	for i := 1; i < n; i++ {
 		t.addEdge(0, i)
 	}
@@ -172,7 +179,7 @@ func Ring(n int) (*Topology, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("ring size %d: must be >= 1", n)
 	}
-	t := newTopology(fmt.Sprintf("ring-%d", n), n)
+	t := newTopology(fmt.Sprintf("ring-%d", n), topoSpec{"ring", n, 0}, n)
 	if n > 1 {
 		for i := 0; i < n; i++ {
 			t.addEdge(i, (i+1)%n)
@@ -187,7 +194,7 @@ func Chain(n int) (*Topology, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("chain size %d: must be >= 1", n)
 	}
-	t := newTopology(fmt.Sprintf("chain-%d", n), n)
+	t := newTopology(fmt.Sprintf("chain-%d", n), topoSpec{"chain", n, 0}, n)
 	for i := 0; i+1 < n; i++ {
 		t.addEdge(i, i+1)
 	}
@@ -200,7 +207,7 @@ func Full(n int) (*Topology, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("full size %d: must be >= 1", n)
 	}
-	t := newTopology(fmt.Sprintf("full-%d", n), n)
+	t := newTopology(fmt.Sprintf("full-%d", n), topoSpec{"full", n, 0}, n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			t.addEdge(i, j)

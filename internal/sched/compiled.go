@@ -106,64 +106,96 @@ func (c *compiled) comm(words int64, p, q int) machine.Time {
 	return c.commStart + machine.Time(words)*c.commPerWord[p*c.pes+q]
 }
 
-// compiledCache is the bounded LRU behind compiledFor. Entries pin
-// their graph and machine, so the capacity bounds how many retired
-// graphs the cache can keep alive; churny callers (the conformance
-// fuzzer generates thousands of small graphs) evict old entries
-// quickly.
-var compiledCache struct {
+// memo is a bounded most-recently-used list of immutable values built
+// from inputs the caller identifies by pointer: the compiled views and
+// MH's route tables. Entries pin what they were built from, so the
+// capacity bounds how much retired input a memo can keep alive; churny
+// callers (the conformance fuzzer generates thousands of small graphs)
+// evict old entries quickly.
+//
+// The build runs outside the lock: concurrent misses on different keys
+// — every cold request of a server — build in parallel. Two goroutines
+// missing on the same key may both build; values are immutable and
+// equal, so the loser's copy is simply dropped.
+type memo[T any] struct {
 	sync.Mutex
-	entries []*compiled // most recently used last
+	entries []*T // most recently used last
+
+	// With size set, the entries' total size is bounded by budget too:
+	// the least recently used are evicted until the rest fit, though
+	// never the entry just inserted.
+	size   func(*T) int
+	budget int
+	total  int
 }
 
-const compiledCacheCap = 8
+const memoCap = 8
+
+// get returns the entry match accepts, building and inserting it on a
+// miss. Errors are not memoized.
+func (mc *memo[T]) get(match func(*T) bool, build func() (*T, error)) (*T, error) {
+	mc.Lock()
+	v := mc.hit(match)
+	mc.Unlock()
+	if v != nil {
+		return v, nil
+	}
+	v, err := build()
+	if err != nil {
+		return nil, err
+	}
+	mc.Lock()
+	defer mc.Unlock()
+	if won := mc.hit(match); won != nil {
+		return won, nil
+	}
+	mc.entries = append(mc.entries, v)
+	mc.total += mc.sizeOf(v)
+	for len(mc.entries) > memoCap || (len(mc.entries) > 1 && mc.total > mc.budget) {
+		// Shift rather than reslice, so the backing array does not keep
+		// the evicted entry alive.
+		mc.total -= mc.sizeOf(mc.entries[0])
+		last := len(mc.entries) - 1
+		copy(mc.entries, mc.entries[1:])
+		mc.entries[last] = nil
+		mc.entries = mc.entries[:last]
+	}
+	return v, nil
+}
+
+// sizeOf is v's share of the budget: 0 when the memo bounds count alone.
+func (mc *memo[T]) sizeOf(v *T) int {
+	if mc.size == nil {
+		return 0
+	}
+	return mc.size(v)
+}
+
+// hit returns the entry match accepts, moved to the most-recently-used
+// end, or nil. The caller holds the lock.
+func (mc *memo[T]) hit(match func(*T) bool) *T {
+	last := len(mc.entries) - 1
+	for i, v := range mc.entries {
+		if match(v) {
+			copy(mc.entries[i:], mc.entries[i+1:])
+			mc.entries[last] = v
+			return v
+		}
+	}
+	return nil
+}
+
+// compiledCache is the memo behind compiledFor.
+var compiledCache memo[compiled]
 
 // compiledFor returns the cached compiled view of (g, m), building it
 // on a miss or when g has been mutated since it was compiled. The
 // returned view is shared and must be treated as read-only; concurrent
 // schedulers (Compare, SpeedupCurve) deliberately share one view.
-//
-// The build runs outside the lock: concurrent misses on different
-// graphs — every cold request of a server — compile in parallel. Two
-// goroutines missing on the same key may both compile; views are
-// immutable and equal, so the loser's copy is simply dropped.
 func compiledFor(g *graph.Graph, m *machine.Machine) (*compiled, error) {
 	ver := g.Version()
-	compiledCache.Lock()
-	c := compiledHit(g, m, ver)
-	compiledCache.Unlock()
-	if c != nil {
-		return c, nil
-	}
-	c, err := compile(g, m)
-	if err != nil {
-		return nil, err
-	}
-	compiledCache.Lock()
-	defer compiledCache.Unlock()
-	if won := compiledHit(g, m, ver); won != nil {
-		return won, nil
-	}
-	compiledCache.entries = append(compiledCache.entries, c)
-	if len(compiledCache.entries) > compiledCacheCap {
-		compiledCache.entries = compiledCache.entries[1:]
-	}
-	return c, nil
-}
-
-// compiledHit returns the cached view of (g, m) at graph version ver,
-// moved to the most-recently-used end, or nil. The caller holds the
-// cache lock.
-func compiledHit(g *graph.Graph, m *machine.Machine, ver uint64) *compiled {
-	last := len(compiledCache.entries) - 1
-	for i, c := range compiledCache.entries {
-		if c.g == g && c.m == m && c.gver == ver {
-			copy(compiledCache.entries[i:], compiledCache.entries[i+1:])
-			compiledCache.entries[last] = c
-			return c
-		}
-	}
-	return nil
+	return compiledCache.get(func(c *compiled) bool { return c.g == g && c.m == m && c.gver == ver },
+		func() (*compiled, error) { return compile(g, m) })
 }
 
 // compile builds the view. The graph must already be flat-validated.

@@ -79,7 +79,7 @@ func TestCompiledCacheConcurrent(t *testing.T) {
 		}
 		return m
 	}
-	const distinct, sharers = 2 * compiledCacheCap, 4
+	const distinct, sharers = 2 * memoCap, 4
 	want := make([]string, distinct+1)
 	for i := range want {
 		sc, err := (ETF{}).Schedule(equivGraph(t, int64(i+1)), newMachine())
@@ -118,7 +118,7 @@ func TestCompiledCacheConcurrent(t *testing.T) {
 	compiledCache.Lock()
 	n := len(compiledCache.entries)
 	compiledCache.Unlock()
-	if n > compiledCacheCap {
-		t.Errorf("compiled cache holds %d entries, cap is %d", n, compiledCacheCap)
+	if n > memoCap {
+		t.Errorf("compiled cache holds %d entries, cap is %d", n, memoCap)
 	}
 }

@@ -24,8 +24,10 @@ import (
 // cache and compiled graph view must reproduce them byte for byte.
 //
 // TestGoldenReplans pins Replan the same way in
-// testdata/golden_replans.json. Regenerate either (only when the
-// scheduling semantics intentionally change) with:
+// testdata/golden_replans.json, and TestGoldenMHContention pins MH on
+// the networks where its link contention bites in
+// testdata/golden_mh_contention.json. Regenerate any of them (only when
+// the scheduling semantics intentionally change) with:
 //
 //	go test ./internal/sched -run TestGolden -update-golden
 
@@ -34,6 +36,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the golden files u
 const (
 	goldenPath       = "testdata/golden_schedules.json"
 	goldenReplanPath = "testdata/golden_replans.json"
+	goldenMHPath     = "testdata/golden_mh_contention.json"
 )
 
 // goldenEntry is one (graph, machine, scheduler) combination.
@@ -142,6 +145,33 @@ func TestGoldenEquivalence(t *testing.T) {
 	}
 
 	checkGolden(t, goldenPath, entries)
+}
+
+// TestGoldenMHContention pins MH where contention lives. The golden
+// machines are all shallow (diameter ≤ 3), so they rarely queue a
+// message behind another; rings, a chain and a torus route over many
+// shared links, and there MH's link bookkeeping and candidate pruning
+// decide the schedule. The 501-task layered design is the one a
+// cold prediction serves.
+func TestGoldenMHContention(t *testing.T) {
+	var entries []goldenEntry
+	for _, g := range append(goldenGraphs(t), layeredDesign(t, 20, 25)) {
+		for _, spec := range []string{"ring:16", "ring:64", "ring:128", "chain:32", "torus:4x8"} {
+			sc, err := MH{}.Schedule(g, mk(t, spec, machine.DefaultParams()))
+			if err != nil {
+				t.Fatalf("mh on %s/%s: %v", g.Name, spec, err)
+			}
+			if err := sc.Validate(); err != nil {
+				t.Fatalf("mh on %s/%s: invalid schedule: %v", g.Name, spec, err)
+			}
+			entries = append(entries, goldenEntry{
+				Graph: g.Name, Machine: spec, Alg: "mh",
+				Makespan: sc.Makespan(), Slots: len(sc.Slots), Msgs: len(sc.Msgs),
+				SHA256: canonicalFingerprint(sc),
+			})
+		}
+	}
+	checkGolden(t, goldenMHPath, entries)
 }
 
 // checkGolden compares entries with the golden file at path, or

@@ -20,11 +20,10 @@ type MH struct{}
 // Name implements Scheduler.
 func (MH) Name() string { return "mh" }
 
-// mhNet tracks per-link availability for the contention model. Every
-// route and link id is built eagerly up front — the estimation loops
-// then only read flat arrays and never touch a map. All of its
-// tables are carved from the schedule's arena, so steady-state set-up
-// allocates nothing.
+// mhNet tracks per-link availability for the contention model, over
+// the topology's shared route tables. Its own state — link free times
+// and destination epochs — is carved from the schedule's arena, so
+// steady-state set-up allocates nothing.
 //
 // It also maintains the state behind MH's incremental routed-arrival
 // cache. Because routing is destination-based (the next hop out of u
@@ -35,58 +34,78 @@ func (MH) Name() string { return "mh" }
 // time, destEpoch of those destinations is bumped, invalidating only
 // the cached arrivals that could observe the change.
 type mhNet struct {
-	pes      int
+	*mhRoutes
 	startup  machine.Time
 	wordTime machine.Time
-
-	linkTo     []int32        // per link id: the PE the link leads to
-	routeOff   []int32        // flat p*pes+q -> range into routeLinks
-	routeLinks []int32        // concatenated link-id sequences
-	linkFree   []machine.Time // per link id
-	destOff    []int32        // per link id -> range into destFlat
-	destFlat   []int32        // concatenated destination PEs per link
+	linkFree []machine.Time // per link id
 
 	epoch     uint64   // bumped once per commit phase; starts at mhFirstEpoch
 	destEpoch []uint64 // per PE: epoch of the last commit affecting it
 }
 
-// Stamp values below mhFirstEpoch are reserved: mhStampNever marks an
-// arrival-cache entry that was never computed, mhStampPartial one that
-// holds a partial (bailed-out) lower bound. Both are permanently stale.
+// mhRoutes is the half of MH's network model that depends on the
+// topology alone: every route and link id, built once per topology and
+// then only read, so the estimation loops read flat arrays and never
+// touch a map. Schedules on one *Topology share one mhRoutes through
+// mhRouteMemo; a topology read from a document is interned (one per
+// spec), so every request naming that spec shares it too.
+type mhRoutes struct {
+	topo       *machine.Topology
+	linkTo     []int32 // per link id: the PE the link leads to
+	routeOff   []int32 // flat p*pes+q -> range into routeLinks
+	routeLinks []int32 // concatenated link-id sequences
+	destOff    []int32 // per link id -> range into destFlat
+	destFlat   []int32 // concatenated destination PEs per link
+}
+
+// mhRouteMemo holds the route tables of the topologies most recently
+// scheduled on, bounded by bytes as well as by count: a table is 2.1 MB
+// for ring:128 but 1.4 GB for a 1024-PE chain. Past mhRouteBudget the
+// least recently used tables go, so what it pins is the budget or the
+// one newest table, whichever is larger — never several large ones.
+var mhRouteMemo = memo[mhRoutes]{budget: 64 << 20, size: func(n *mhRoutes) int {
+	return 4 * (len(n.linkTo) + len(n.routeOff) + len(n.routeLinks) + len(n.destOff) + len(n.destFlat))
+}}
+
+// Stamp values below mhFirstEpoch are reserved: mhStampPartial marks an
+// arrival-cache entry that holds only a lower bound — the contention-
+// free floor it starts at, or a bailed-out partial route maximum. It is
+// permanently stale.
 const (
-	mhStampNever   = 0
-	mhStampPartial = 1
-	mhFirstEpoch   = 2
+	mhStampPartial = 0
+	mhFirstEpoch   = 1
 )
 
-// newMHNet numbers the directed links and flattens every route straight
-// from the topology's next-hop table. The link u->v has id linkOff[u] +
-// (index of v in Neighbors(u)); numbering doesn't influence schedules
-// (ids only group contention state). The routes are stored flat rather
-// than walked hop by hop in the scan because the scan reads them
-// millions of times: a sequential slice there beats two dependent
-// loads per hop severalfold.
+// newMHNet returns a fresh contention state over m's route tables.
 func newMHNet(m *machine.Machine, ar *arena) (*mhNet, error) {
-	P := m.NumPE()
-	topo := m.Topo
-	n := &mhNet{
-		pes:       P,
-		startup:   m.Params.MsgStartup,
-		wordTime:  m.Params.WordTime,
-		epoch:     mhFirstEpoch,
-		destEpoch: ar.uint64s(P, true),
+	r, err := mhRouteMemo.get(func(r *mhRoutes) bool { return r.topo == m.Topo },
+		func() (*mhRoutes, error) { return newMHRoutes(m.Topo, ar) })
+	if err != nil {
+		return nil, err
 	}
+	return &mhNet{mhRoutes: r, startup: m.Params.MsgStartup, wordTime: m.Params.WordTime,
+		linkFree: ar.times(len(r.linkTo), true), epoch: mhFirstEpoch, destEpoch: ar.uint64s(m.NumPE(), true)}, nil
+}
+
+// newMHRoutes numbers the directed links and flattens every route
+// straight from the topology's next-hop table; only its scratch comes
+// from the arena. The link u->v has id linkOff[u] + (index of v in
+// Neighbors(u)); numbering doesn't influence schedules (ids only group
+// contention state). The routes are stored flat rather than walked hop
+// by hop in the scan because the scan reads them millions of times: a
+// sequential slice there beats two dependent loads per hop severalfold.
+func newMHRoutes(topo *machine.Topology, ar *arena) (*mhRoutes, error) {
+	P := topo.N
+	n := &mhRoutes{topo: topo}
 	linkOff := ar.int32s(P+1, false)
 	linkOff[0] = 0
 	for u := 0; u < P; u++ {
 		linkOff[u+1] = linkOff[u] + int32(topo.Degree(u))
 	}
 	L := int(linkOff[P])
-	n.linkTo = ar.int32s(L, false)
-	n.linkFree = ar.times(L, true)
-	n.destOff = ar.int32s(L+1, true)
-	n.routeOff = ar.int32s(P*P+1, false)
-	n.routeOff[0] = 0
+	n.linkTo = make([]int32, L)
+	n.destOff = make([]int32, L+1)
+	n.routeOff = make([]int32, P*P+1)
 
 	// Pass 1: outLink[u*P+q] is the link a message at u bound for q
 	// leaves on. Count each link's destinations (into destOff[l+1]) and
@@ -129,8 +148,8 @@ func newMHNet(m *machine.Machine, ar *arena) (*mhNet, error) {
 	// walks toward q stacking PEs until it meets one that is done, then
 	// unwinds. Following outLink hop by hop for every pair instead is a
 	// dependent load per hop, five times slower on ring:128.
-	n.destFlat = ar.int32s(P*(P-1), false)
-	n.routeLinks = ar.int32s(hops, false)
+	n.destFlat = make([]int32, P*(P-1))
+	n.routeLinks = make([]int32, hops)
 	fill := ar.int32s(L, false)
 	copy(fill, n.destOff)
 	done := ar.int32s(P, true)
@@ -166,37 +185,18 @@ func newMHNet(m *machine.Machine, ar *arena) (*mhNet, error) {
 
 // route returns the link-id sequence of the shortest path from p to q
 // (empty when p == q).
-func (n *mhNet) route(p, q int) []int32 {
-	i := p*n.pes + q
+func (n *mhRoutes) route(p, q int) []int32 {
+	i := p*n.topo.N + q
 	return n.routeLinks[n.routeOff[i]:n.routeOff[i+1]]
 }
 
-// deliver computes when a message of words words, ready at the source
-// at send time, arrives at processor q when routed from p over the
-// shortest path with store-and-forward per-hop contention, without
-// booking anything. Co-located delivery is free and immediate.
-func (n *mhNet) deliver(words int64, send machine.Time, p, q int) machine.Time {
-	if p == q {
-		return send
-	}
-	if words < 0 {
-		words = 0
-	}
-	at := send + n.startup
-	hop := machine.Time(words) * n.wordTime
-	for _, l := range n.route(p, q) {
-		if f := n.linkFree[l]; f > at {
-			at = f
-		}
-		at += hop
-	}
-	return at
-}
-
-// commitDeliver is deliver plus booking: each traversed link's free
-// time is advanced to the hop's completion when later than the current
-// value, and the destinations routed over a changed link have their
-// epoch bumped so stale cached arrivals are recomputed.
+// commitDeliver routes a message of words words, ready at the source at
+// send time, from p to q over the shortest path with store-and-forward
+// per-hop contention, returns its arrival and books it: each traversed
+// link's free time is advanced to the hop's completion when later than
+// the current value, and the destinations routed over a changed link
+// have their epoch bumped so stale cached arrivals are recomputed.
+// Co-located delivery is free and immediate and books nothing.
 func (n *mhNet) commitDeliver(words int64, send machine.Time, p, q int) machine.Time {
 	if p == q {
 		return send
@@ -261,12 +261,15 @@ func (MH) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
 
 	// Routed data-arrival cache: arr[t*P+pe] is the max over t's
 	// predecessor arcs of the best copy's routed arrival, stamped with
-	// the net epoch it was computed at (mhStampNever = never computed,
-	// mhStampPartial = holds a bailed-out partial lower bound). An entry
-	// stays valid until a commit advances a link on some route toward pe
-	// (MH never duplicates, so producer copies are fixed once t is
-	// ready); procFree is applied live and needs no invalidation.
-	arr := b.ar.times(c.n*c.pes, false)
+	// the net epoch it was computed at. An entry stays valid until a
+	// commit advances a link on some route toward pe (MH never
+	// duplicates, so producer copies are fixed once t is ready);
+	// procFree is applied live and needs no invalidation. An entry
+	// stamped mhStampPartial holds a lower bound instead: each row starts
+	// at its contention-free floor (set as the task becomes ready; an
+	// entry task's is the zero it is carved with), raised by any
+	// bailed-out partial maximum since.
+	arr := b.ar.times(c.n*c.pes, true)
 	stamp := b.ar.uint64s(c.n*c.pes, true)
 
 	// Monotone pruning bounds. Link free times and procFree only
@@ -282,19 +285,17 @@ func (MH) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
 	lbFin := b.ar.times(c.n, true)
 
 	// MH never duplicates, so each placed task has exactly one copy;
-	// srcPE/srcFin are the flat fast path to it (-1 = not placed yet),
-	// avoiding the copies slice-of-slices indirection in the scan.
+	// srcPE/srcFin are the flat fast path to it, avoiding the copies
+	// slice-of-slices indirection in the scan. They are written as a
+	// task is placed and read only for a ready task's producers.
 	srcPE := b.ar.int32s(c.n, false)
 	srcFin := b.ar.times(c.n, false)
-	for i := range srcPE {
-		srcPE[i] = -1
-	}
 
 	// evalTask evaluates ready index i exactly (updating the arrival
 	// cache and lbFin) under the pruning bound and returns the task's
 	// best candidate. Candidate orders are strict, so pruning with any
 	// valid bound never changes which candidate wins a scan.
-	evalTask := func(i int, bound cand) (cand, error) {
+	evalTask := func(i int, bound cand) cand {
 		t := rt.ready[i]
 		taskLB := machine.Time(math.MaxInt64)
 		tbest := cand{}
@@ -311,27 +312,17 @@ func (MH) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
 				return (bound.ok && fin > bound.fin) || (tbest.ok && fin >= tbest.fin)
 			}
 			if st := stamp[ci]; st < mhFirstEpoch || st < net.destEpoch[pe] {
-				if st != mhStampNever {
-					lb := arr[ci]
-					if pf > lb {
-						lb = pf
-					}
-					if beaten(lb + ex) {
-						if lb+ex < taskLB {
-							taskLB = lb + ex
-						}
-						continue
-					}
+				if lb := max(arr[ci], pf) + ex; beaten(lb) {
+					taskLB = min(taskLB, lb)
+					continue
 				}
 				var a machine.Time
 				complete := true
 				for _, pa := range preds {
 					sp := srcPE[pa.from]
-					if sp < 0 {
-						return cand{}, errProducerNotPlaced(c.arcs[pa.aidx])
-					}
-					// deliver, hand-rolled on the flat single-copy
-					// arrays: this loop is the profile's hottest path.
+					// commitDeliver without the booking, hand-rolled on
+					// the flat single-copy arrays: this loop is the
+					// profile's hottest path.
 					at := srcFin[pa.from]
 					if int(sp) != pe {
 						w := pa.words
@@ -340,7 +331,7 @@ func (MH) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
 						}
 						at += net.startup
 						hop := machine.Time(w) * net.wordTime
-						base := int(sp)*net.pes + pe
+						base := int(sp)*c.pes + pe
 						for _, l := range net.routeLinks[net.routeOff[base]:net.routeOff[base+1]] {
 							if f := net.linkFree[l]; f > at {
 								at = f
@@ -362,17 +353,9 @@ func (MH) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
 					}
 				}
 				if !complete {
-					if st == mhStampNever || a > arr[ci] {
-						arr[ci] = a
-					}
+					arr[ci] = max(arr[ci], a)
 					stamp[ci] = mhStampPartial
-					lb := a
-					if pf > lb {
-						lb = pf
-					}
-					if lb+ex < taskLB {
-						taskLB = lb + ex
-					}
+					taskLB = min(taskLB, max(arr[ci], pf)+ex)
 					continue
 				}
 				arr[ci] = a
@@ -394,7 +377,7 @@ func (MH) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
 			}
 		}
 		lbFin[t] = taskLB
-		return tbest, nil
+		return tbest
 	}
 
 	// Message stubs: committed cross-PE messages are recorded as
@@ -420,19 +403,12 @@ func (MH) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
 				seedIdx = i
 			}
 		}
-		best, err := evalTask(seedIdx, cand{})
-		if err != nil {
-			return nil, err
-		}
+		best := evalTask(seedIdx, cand{})
 		for i, t := range rt.ready {
 			if i == seedIdx || (best.ok && lbFin[t] > best.fin) {
 				continue
 			}
-			tbest, err := evalTask(i, best)
-			if err != nil {
-				return nil, err
-			}
-			if c.betterCand(best, tbest) {
+			if tbest := evalTask(i, best); c.betterCand(best, tbest) {
 				best = tbest
 			}
 		}
@@ -446,15 +422,8 @@ func (MH) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
 		net.epoch++
 		feeds = feeds[:0]
 		for _, pa := range c.predArcsOf(t) {
-			cps := b.copies[pa.from]
-			bsrc := cps[0]
-			bestAt := net.deliver(pa.words, cps[0].Finish, cps[0].PE, bestPE)
-			for _, cp := range cps[1:] {
-				if at := net.deliver(pa.words, cp.Finish, cp.PE, bestPE); at < bestAt || (at == bestAt && cp.PE < bsrc.PE) {
-					bestAt, bsrc = at, cp
-				}
-			}
-			feeds = append(feeds, feed{a: pa, src: bsrc, send: bsrc.Finish})
+			src := b.copies[pa.from][0] // MH never duplicates: the one copy
+			feeds = append(feeds, feed{a: pa, src: src, send: src.Finish})
 		}
 		sortFeeds(feeds, c.rank)
 		start := b.procFree[bestPE]
@@ -475,7 +444,21 @@ func (MH) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
 		sl := Slot{Task: c.ids[t], PE: bestPE, Start: start, Finish: start + c.exec(t, bestPE)}
 		b.commitSlot(t, sl)
 		srcPE[t], srcFin[t] = int32(bestPE), sl.Finish
+		// A task's arrival row starts, as it becomes ready, at what the
+		// routed arrivals would be on idle links: its contention-free
+		// data-ready row. Each hop of a route only adds time, so this
+		// floor never exceeds the routed arrival, and it is fixed from
+		// here on: the stale-bound skip in evalTask then rules out far
+		// candidates without walking a route.
+		was := len(rt.ready)
 		rt.complete(t)
+		for _, s := range rt.ready[was:] {
+			row, err := b.dataReadyRow(s)
+			if err != nil {
+				return nil, err
+			}
+			copy(arr[int(s)*c.pes:], row)
+		}
 	}
 	// Materialise the message list, exactly sized, in commit order. By
 	// now every task is placed, so producer/consumer PEs and the send

@@ -1,8 +1,10 @@
 package sched
 
 import (
+	"encoding/json"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/machine"
@@ -97,19 +99,141 @@ func TestMHNetRoutesMatchNextHop(t *testing.T) {
 	}
 }
 
-// TestMHColdAllocsFlatInDiameter pins MH's set-up cost on a machine it
-// has never seen: with the arena warm, a schedule on a fresh ring:128
-// allocates its compiled view and its result, not route tables (the
-// memoized path table and its map-driven re-encoding were 16.65 MB
-// here). The schedule itself is pinned to the one those tables
-// produced.
+// TestMHSharedRoutesConcurrent: schedules on machines decoded from one
+// spec share one topology and one route table, read from several
+// goroutines at once, while schedules on topologies built in code —
+// more of them than the memo holds — build, insert and evict entries
+// around them. Every schedule must equal the serial one. Run under
+// -race.
+func TestMHSharedRoutesConcurrent(t *testing.T) {
+	g := layeredDesign(t, 6, 8)
+	specs := []string{"ring:16", "ring:24"}
+	decode := func(i int) *machine.Machine {
+		var m machine.Machine
+		doc := `{"name":"m","topology":"` + specs[i%2] + `","params":{"ProcSpeed":1,"TaskStartup":1,"MsgStartup":5,"WordTime":1}}`
+		if err := json.Unmarshal([]byte(doc), &m); err != nil {
+			t.Fatal(err)
+		}
+		return &m
+	}
+	want := make([]string, len(specs))
+	for i := range specs {
+		sc, err := (MH{}).Schedule(g, decode(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = canonicalFingerprint(sc)
+	}
+	machines := make([]*machine.Machine, 4*memoCap)
+	for i := range machines {
+		if machines[i] = decode(i); i%2 == 0 {
+			topo, err := machine.Ring(machines[i].NumPE()) // never interned: one route table each
+			if err != nil {
+				t.Fatal(err)
+			}
+			machines[i] = machine.MustNew("m", topo, machine.DefaultParams())
+		}
+	}
+	var wg sync.WaitGroup
+	for i, m := range machines {
+		wg.Add(1)
+		go func(i int, m *machine.Machine) {
+			defer wg.Done()
+			sc, err := (MH{}).Schedule(g, m)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if got := canonicalFingerprint(sc); got != want[i%2] {
+				t.Errorf("schedule %d on %s differs from the serial one", i, m.Topo.Name)
+			}
+		}(i, m)
+	}
+	wg.Wait()
+	mhRouteMemo.Lock()
+	n := len(mhRouteMemo.entries)
+	mhRouteMemo.Unlock()
+	if n > memoCap {
+		t.Errorf("route memo holds %d entries, cap is %d", n, memoCap)
+	}
+}
+
+// TestMHRouteMemoBoundedByBytes: schedules on more distinct large
+// topologies than the route memo holds pin the tables that fit its byte
+// budget, not one table per entry. Each chain:N table here is about
+// 5.5 MB; with the budget lowered to 8 MB the memo keeps the newest
+// alone, and the heap a collection leaves behind grows by about that
+// (plus the compiled views), not by the ~44 MB eight tables would hold.
+func TestMHRouteMemoBoundedByBytes(t *testing.T) {
+	setBudget := func(b int) int {
+		mhRouteMemo.Lock()
+		defer mhRouteMemo.Unlock()
+		old := mhRouteMemo.budget
+		mhRouteMemo.budget = b
+		return old
+	}
+	const budget = 8 << 20
+	defer setBudget(setBudget(budget))
+	g := layeredDesign(t, 2, 4)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for n := 160; n < 160+memoCap+2; n++ {
+		topo, err := machine.Chain(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := (MH{}).Schedule(g, machine.MustNew("m", topo, costlyComm())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+
+	mhRouteMemo.Lock()
+	sum := 0
+	for _, r := range mhRouteMemo.entries {
+		sum += mhRouteMemo.size(r)
+	}
+	entries, total := len(mhRouteMemo.entries), mhRouteMemo.total
+	mhRouteMemo.Unlock()
+	if total != sum {
+		t.Errorf("route memo counts %d bytes, its entries hold %d", total, sum)
+	}
+	if entries > 1 && total > budget {
+		t.Errorf("route memo holds %d tables of %d bytes in all, budget %d", entries, total, budget)
+	}
+	if mb := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / (1 << 20); mb > 20 {
+		t.Errorf("scheduling on %d large chains left %.1f MB more live heap, want at most 20 MB", memoCap+2, mb)
+	}
+}
+
+// TestMHColdAllocsFlatInDiameter pins MH's set-up cost on a machine
+// value it has never seen, read from a document the way a request's
+// is: two machines decoded from one spec share one topology, so with
+// the arena warm a schedule on the second allocates its compiled view
+// and its result, not routing or route tables (the memoized path table
+// and its map-driven re-encoding were 16.65 MB here; a topology's own
+// route tables are 2.1 MB). The schedule itself is pinned to the one
+// those tables produced.
 func TestMHColdAllocsFlatInDiameter(t *testing.T) {
 	const golden = "482e81ab6d5a80ec60956073fb3cdd5bd233fe9ecc60e562adfce7ede3169d28"
 	g := layeredDesign(t, 20, 25) // 501 tasks
-	if _, err := (MH{}).Schedule(g, mk(t, "ring:128", costlyComm())); err != nil {
+	decode := func() *machine.Machine {
+		var m machine.Machine
+		doc := `{"name":"ring:128","topology":"ring:128","params":{"ProcSpeed":1,"MsgStartup":5,"WordTime":1}}`
+		if err := json.Unmarshal([]byte(doc), &m); err != nil {
+			t.Fatal(err)
+		}
+		return &m
+	}
+	first, fresh := decode(), decode()
+	if first.Topo != fresh.Topo {
+		t.Fatal("two machines decoded from ring:128 hold different topologies")
+	}
+	if _, err := (MH{}).Schedule(g, first); err != nil {
 		t.Fatal(err) // warm-up: sizes the pooled arena
 	}
-	fresh := mk(t, "ring:128", costlyComm())
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	sc, err := (MH{}).Schedule(g, fresh)

@@ -27,12 +27,15 @@ type cacheEntry struct {
 
 // scheduleCache is an LRU map from sched.Fingerprint keys to compiled
 // submissions. Hits and misses are counted for /stats; the capacity
-// bounds live entries. An entry keeps its request's machine alive too
-// (hop and next-hop tables, CommCoeffs): about 1.1 MB in all for a
-// 501-task design on ring:128. Its first run parks the runner's
-// compiled era on the schedule, another 0.26 MB (a prediction never
-// does), so the default cap of 128 is ~145 MB of schedules that were
-// only predicted and ~180 MB of ones that all ran.
+// bounds live entries. An entry keeps its request's machine alive too,
+// with its CommCoeffs table, but not routing tables of its own: a
+// topology read from a document is interned, so all entries naming
+// ring:128 share one. That is about 0.92 MB per entry for a 501-task
+// design on ring:128 (1.18 MB while each held its own tables). Its
+// first run parks the runner's compiled era on the schedule, another
+// 0.26 MB (a prediction never does), so the default cap of 128 is
+// ~118 MB of schedules that were only predicted and ~150 MB of ones
+// that all ran.
 type scheduleCache struct {
 	mu    sync.Mutex
 	cap   int

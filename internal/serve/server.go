@@ -415,11 +415,10 @@ func (s *Server) compile(p *project.Project, alg string) (cacheEntry, string, er
 		return cacheEntry{}, "", fmt.Errorf("scheduling: %w", err)
 	}
 	// Finalize the derived views before the pair is shared across
-	// concurrent cache-hit runs (that lazy build is not synchronized),
-	// and build the routing tables here so the miss pays for them, not
-	// the first virtual-time run that hits.
+	// concurrent cache-hit runs (that lazy build is not synchronized).
+	// The machine's routing tables need no build here: its topology is
+	// interned per spec, so only the first document naming it builds them.
 	sc.Finalize()
-	sc.Machine.Topo.Precompute()
 	entry := cacheEntry{flat: env.Flat, sc: sc}
 	s.cache.put(key, entry)
 	return entry, "miss", nil
