@@ -1,61 +1,52 @@
 GO ?= go
 
-.PHONY: build test vet race verify bench bench-smoke bench-check bench-e2e bench-dist bench-serve serve-smoke chaos churn multisoak conform fuzz-smoke
+.PHONY: build test vet race verify bench bench-smoke bench-check bench-e2e serve-smoke chaos churn multisoak conform fuzz-smoke
 
 build:
 	$(GO) build ./...
 
-# The second line keeps the data plane at one mode: Coordinator.Mesh
-# and Fleet.Mesh are declared no-ops (kept until the frozen benchmark
-# harness stops naming them) and nothing may read them back into a
-# meaning. The next two keep the run lifecycle in one place: planning a
-# barrier and merging partials are exec.Lifecycle's alone, so
-# internal/wire may not name either, and the single-process recovery
-# loop must not grow back beside it. The last two keep schedule
-# construction serial: sched.WithWorkers is a declared identity function
-# (kept until the frozen benchmark harness stops calling it) that no
-# code here may call, and the candidate-scan pool must not come back.
-# The next keeps the program table single: parsed routines are
-# memoized in internal/pits, and exec must not grow its own memo back.
-# The next keeps a hung run decided, not timed: WatchdogMin survives as
-# two ignored fields the frozen harness names, read or set by nothing.
-# The next keeps a trace ordered by typed code: the reflection-driven
-# sort.Slice family must not come back to internal/trace.
-# The last two keep a run's message path dense and its compiled era on
-# the schedule: one map keyed by message name may exist in internal/exec
-# (a compiled era's name -> ordinal table, for deliveries that arrive by
-# name from another process), and no package-level table at all — one
-# keyed by schedule would pin every schedule a server ever ran.
-# The last keeps a fleet's liveness check where its run is: a run's own
-# connect drops a member that cannot be dialled, and the dial-and-close
-# probe before every run must not come back.
-# The last two keep the request floor at one of each: the server decodes
-# a body it holds whole through project.Decode (a streaming decoder reads
-# through a doubling buffer and scans the document twice more), and a
-# graph's arc lists hang off the nodes its one index map holds.
-# The next keeps one ETF: a replan grows no processor clock or arrival of its own.
-# The next keeps a BSP superstep an order: no start waits for a barrier.
-# The next keeps MH's arrival rows at their contention-free floor from the start: no never-computed state.
-# The last keeps MH's route tables built once per topology: no per-call carve of them.
+# Each guard below keeps a retired mechanism from coming back; the
+# comment above it says which.
 vet:
 	$(GO) vet ./...
+# One data plane: Coordinator.Mesh and Fleet.Mesh are ignored fields (ROADMAP 3(d)) nothing reads back into a meaning.
 	! grep -rnE '\.Mesh([^(A-Za-z0-9_]|$$)' --include='*.go' internal cmd | grep -v _test.go | grep -vE 'Mesh +bool'
+# One run lifecycle: planning a barrier and merging partials are exec.Lifecycle's alone, never internal/wire's.
 	! grep -rnE 'PlanResume|MergePartials' --include='*.go' internal/wire
+# One recovery loop: the single-process one must not grow back beside exec.Lifecycle.
 	! grep -rn 'recoverRun' --include='*.go' internal/exec | grep -v _test.go
+# Serial schedule construction: sched.WithWorkers is an identity function (ROADMAP 3(d)) no code here may call.
 	! grep -rn 'WithWorkers(' --include='*.go' internal cmd | grep -v _test.go | grep -v 'func WithWorkers('
+# Serial schedule construction: the candidate-scan pool must not come back.
 	! grep -rnE 'SchedOptions|parScan|workerPool|ScheduleOnWorkers' --include='*.go' internal cmd | grep -v _test.go
+# One program table: parsed routines are memoized in internal/pits, and exec grows no memo of its own.
 	! grep -rnE 'progCache|parseCached' --include='*.go' internal/exec | grep -v _test.go
+# A hung run is decided, not timed: WatchdogMin is two ignored fields (ROADMAP 3(d)) that nothing reads or sets.
 	! grep -rnE 'WatchdogMin|GraceFactor|NoWatchdog|watchdogDeadline' --include='*.go' internal cmd | grep -v _test.go | grep -vE 'WatchdogMin +time\.Duration|// WatchdogMin is ignored'
+# A trace is ordered by typed code: the reflection-driven sort.Slice family stays out of internal/trace.
 	! grep -rn 'sort\.Slice' --include='*.go' internal/trace | grep -v _test.go
+# A dense message path: internal/exec's one map keyed by message name is a compiled era's name -> ordinal table.
 	! grep -rnE 'map\[msgKey\]' --include='*.go' internal/exec | grep -v _test.go | grep -v 'type ordinals map\[msgKey\]int32'
+# A fleet run's own connect is its liveness check: no dial-and-close probe before every run.
 	! grep -n 'func (f \*Fleet) probe' internal/wire/fleet.go
+# A compiled era lives on its schedule: no package-level table in internal/exec, which would pin every schedule a server ran.
 	! awk 'FNR==1{b=0} /^var \(/{b=1} /^\)/{b=0} (b||/^var /)&&/sync\.Map|map\[/{print FILENAME":"FNR": "$$0; f=1} END{exit !f}' $$(ls internal/exec/*.go | grep -v _test.go)
+# One body scan: the server decodes a body it holds whole through project.Decode, not a streaming decoder.
 	! grep -n 'json.NewDecoder' internal/serve/server.go
+# One graph map: a graph's arc lists hang off the nodes its one index map holds.
 	! grep -nE 'map\[NodeID\]\[\]Arc' $$(ls internal/graph/*.go | grep -v _test.go)
+# One ETF: a replan grows no processor clock or arrival of its own.
 	! grep -nE 'procFree|arrival :=' internal/sched/recover.go
+# A BSP superstep is an order: no start waits for a barrier.
 	! grep -nE 'levelEnd|barrier >' internal/sched/bsp.go
+# MH's arrival rows start at their contention-free floor: no never-computed state.
 	! grep -n 'mhStampNever' internal/sched/mh.go
+# MH's route tables are built once per topology: no per-call carve of them.
 	! grep -nE 'routeLinks = ar\.' internal/sched/mh.go
+# One run cap: `banger serve -max-runs`; the fleet keeps no second one.
+	! grep -n 'MaxRuns' internal/wire/fleet.go
+# One measurement system: the retired per-PR baseline files are cited nowhere in code, CI or docs.
+	! grep -rn 'BENCH_P[R]' Makefile .github cmd docs examples internal *.go README.md DESIGN.md EXPERIMENTS.md
 
 test:
 	$(GO) test ./...
@@ -109,47 +100,6 @@ bench-check:
 # traced, every metric printed, result in bench/out/result.json.
 bench-e2e:
 	bash bench/run.sh -seed 1
-
-# The committed scheduler baselines (BENCH_PR7.json) were measured with
-# this: every heuristic over the scaling sweep, plus the 32k- and
-# ~100k-task graphs for the near-linear schedulers, allocation counts
-# on. The first schedule of each sub-benchmark runs before the timer,
-# so numbers are steady-state (compiled view cached, arenas pooled),
-# and every sub-benchmark shares one 8-PE machine: these numbers never
-# included building a topology's routing tables or communication
-# table. BenchmarkMHCold measures a schedule that pays for those.
-# Each big size runs in its own process: a 100k-task graph plus its
-# compiled view is gigabytes of string-bearing live heap, and carrying
-# one size's graph through another size's measurement taxes every GC
-# cycle of the op being timed (~4x slower at 100k when the 32k state
-# is still live).
-bench-sched:
-	$(GO) test -run=NONE -bench=SchedulerScaling -benchtime=3x -benchmem -short .
-	$(GO) test -run=NONE -bench='SchedulerScaling/(etf|hlfet|bsp)/rand-L200xW160$$' -benchtime=3x -benchmem -timeout 30m .
-	$(GO) test -run=NONE -bench='SchedulerScaling/(etf|hlfet|bsp)/rand-L350xW290$$' -benchtime=3x -benchmem -timeout 60m .
-
-# The committed distributed-runtime baselines (BENCH_PR6.json, and
-# BENCH_PR8.json for the fleet-change barrier replans) were measured
-# with this: the wall-clock runner against the TCP mesh on loopback
-# plus the elastic expand/drain replans, 15 iterations, medians of 3
-# runs.
-bench-dist:
-	$(GO) test -run=NONE -bench='RunnerVirtual|RunnerWall|RunnerTCP|ElasticReplan' -benchtime=15x -benchmem -count=3 .
-
-# The committed serving-layer baselines (BENCH_PR9.json, and
-# BENCH_PR10.json for the fleet-backed run mode) were measured with
-# this: full HTTP round trips against the control plane in both local
-# request modes (schedule-only prediction and full virtual-time run),
-# cold (schedule cache disabled, every submission pays the MH pass) vs
-# warm (cache primed), at three concurrency levels; plus the fleet
-# axis — runs executing wall-clock on a live worker fleet, {1,4,16}
-# concurrent runs × {1,2,4} multiplexing daemons, with the MaxRuns=1
-# serialized lease as the comparison point. Medians of 3 runs. The
-# local-mode workload is the 501-task design on a 128-PE ring — the
-# machine family where MH's link-contention pass is most expensive,
-# i.e. the regime the schedule cache exists for.
-bench-serve:
-	$(GO) test -run=NONE -bench=ServeThroughput -benchtime=10x -count=3 -timeout 45m .
 
 # Serving-layer smoke: the in-process serve tests (admission, cache,
 # drain, trace streaming), the fleet membership layer, and the

@@ -27,7 +27,6 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/gantt"
 	"repro/internal/graph"
 	"repro/internal/machine"
 	"repro/internal/pits"
@@ -212,22 +211,6 @@ func BenchmarkExtD_Codegen(b *testing.B) {
 	}
 }
 
-// BenchmarkPITSInterp measures raw interpreter throughput on a tight
-// arithmetic loop (the substrate of every trial run).
-func BenchmarkPITSInterp(b *testing.B) {
-	prog := pits.MustParse(`s = 0
-for i = 1 to 1000 do
-  s = s + sqrt(i) * 2 - i / 3
-end`)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		in := pits.NewInterp()
-		if err := in.Run(prog, pits.Env{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkTaskFloor measures what the runner spends on one task of the
 // harness design apart from messages: build the task's environment from
 // two producers' results, interpret `v = a + b * 2` on an interpreter
@@ -252,17 +235,6 @@ func BenchmarkTaskFloor(b *testing.B) {
 		}
 		tr.Add(trace.Event{Kind: trace.TaskEnd, At: machine.Time(in.Ops()), Task: "t3_7", PE: 1})
 		local["t3_7"] = env // a task's results stay on its processor
-	}
-}
-
-// BenchmarkRehearse measures a full sequential rehearsal of the LU
-// design (trial run of an entire program).
-func BenchmarkRehearse(b *testing.B) {
-	env := mustLU(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := env.Rehearse(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -312,7 +284,7 @@ var scalingSizesBig = []struct{ layers, width int }{
 // timer starts, so the one-time compile of the graph view (cached
 // across runs) and the arena warm-up are not in the measured op —
 // the op is the steady-state schedule/inspect/tweak latency.
-// Baseline: BENCH_PR7.json (BENCH_PR2.json measured the pre-arena core).
+// docs/SCHEDULING.md keeps the ~100k-task rows.
 func BenchmarkSchedulerScaling(b *testing.B) {
 	schedulers := []sched.Scheduler{
 		sched.MH{}, sched.ETF{}, sched.HLFET{}, sched.DSH{}, sched.ISH{}, sched.BSP{},
@@ -562,47 +534,6 @@ func TestFingerprintAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkValidate measures re-checking an ETF schedule of a large
-// random graph against the graph and machine model — the hot path of
-// every load-from-JSON and every property test.
-func BenchmarkValidate(b *testing.B) {
-	for _, size := range scalingSizes[3:] { // 500/2000/8000 tasks
-		g := scalingGraph(b, size.layers, size.width)
-		m := hypercubeMachine(b, 3)
-		sc, err := (sched.ETF{}).Schedule(g, m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(g.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := sc.Validate(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkGanttRender measures rendering the ASCII Gantt chart plus
-// the utilisation report for an ETF schedule of a large random graph —
-// the display loop of the paper's schedule/inspect/tweak cycle.
-func BenchmarkGanttRender(b *testing.B) {
-	for _, size := range scalingSizes[3:] { // 500/2000/8000 tasks
-		g := scalingGraph(b, size.layers, size.width)
-		m := hypercubeMachine(b, 3)
-		sc, err := (sched.ETF{}).Schedule(g, m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(g.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = gantt.Chart(sc, 100)
-				_ = gantt.Report(sc)
-			}
-		})
-	}
-}
-
 // runnerDesign builds a layered calculator design of layers*width+1
 // real PITS tasks: every layer-l task combines two layer-(l-1) results,
 // layer 0 reads the external input, and a final sink folds the last
@@ -630,7 +561,7 @@ func specSchedule(tb testing.TB, flat *graph.Flat, spec string) *sched.Schedule 
 }
 
 // layeredCalcGraph is the design behind runnerDesign, unflattened —
-// the serve benchmarks post it whole as a project submission.
+// layeredProject wraps it whole as a project submission.
 func layeredCalcGraph(layers, width int) *graph.Graph {
 	g := graph.New("layered-calc")
 	g.MustAddStorage("IN", "x")
@@ -667,9 +598,8 @@ func layeredCalcGraph(layers, width int) *graph.Graph {
 // BenchmarkRunnerVirtual measures the goroutine runner in deterministic
 // virtual time on a ~500-task layered calculator design scheduled by
 // ETF — the fault-tolerant runtime's fault-free fast path (no retries,
-// no checksums) — on an 8-processor hypercube
-// (baseline: BENCH_PR3.json) and on the 128-processor ring whose run
-// mode BENCH_PR9 could not sustain.
+// no checksums) — on an 8-processor hypercube and on a 128-processor
+// ring.
 func BenchmarkRunnerVirtual(b *testing.B) {
 	flat, inputs := runnerDesign(b, 20, 25) // 501 tasks
 	run := func(name string, sc *sched.Schedule) {
@@ -860,7 +790,6 @@ func TestNoFalseDeadlockOnAStarvedHost(t *testing.T) {
 // iteration is a full run): workers dial each other, data frames
 // coalesce per peer, and acks batch into the flushes. The delta
 // against BenchmarkRunnerWall is the wire transport's overhead.
-// Baseline: BENCH_PR6.json (PR4 measured the relay plane here).
 func BenchmarkRunnerTCP(b *testing.B) {
 	flat, inputs := runnerDesign(b, 20, 25) // 501 tasks
 	m := hypercubeMachine(b, 3)
@@ -990,82 +919,6 @@ func BenchmarkFleetRun(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
 	b.ReportMetric(float64(tr.dials.Load())/float64(b.N), "dials/op")
 	b.ReportMetric(float64(tr.blobBytes.Load())/1024/float64(b.N), "blobKB/op")
-}
-
-// elasticReplanBench measures the latency of the fleet-change barrier's
-// replan — what every worker waits out, paused, when the fleet grows or
-// shrinks mid-run. The era's first third counts as done; surviving
-// results parked on departing processors are re-homed round-robin onto
-// the live set, the way the coordinator re-homes a drained worker's
-// checkpoint. homes restricts where done tasks may sit (the pre-join
-// fleet for the expand direction, the survivors for drain).
-func elasticReplanBench(b *testing.B, layers, width int, live, homes []bool) {
-	flat, _ := runnerDesign(b, layers, width)
-	m := hypercubeMachine(b, 3)
-	sc, err := (sched.ETF{}).Schedule(flat.Graph, m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var homeList []int
-	for pe, h := range homes {
-		if h {
-			homeList = append(homeList, pe)
-		}
-	}
-	cut := sc.Makespan() / 3
-	done := map[graph.NodeID]int{}
-	rehomed := 0
-	for _, sl := range sc.Slots {
-		if sl.Dup || sl.Finish > cut {
-			continue
-		}
-		pe := sl.PE
-		if !homes[pe] {
-			pe = homeList[rehomed%len(homeList)]
-			rehomed++
-		}
-		done[sl.Task] = pe
-	}
-	st := sched.ReplanState{Live: live, Done: done}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sched.Replan(sc, st); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkElasticReplan pins the barrier replan latency in both fleet
-// directions on the 501-task and ~8k-task layered designs (hypercube-8,
-// ETF). expand: two processors revive after a join, queued work
-// migrates onto them. drain: two processors depart gracefully, their
-// queued work and re-homed results fold onto the survivors. Baseline:
-// BENCH_PR8.json.
-func BenchmarkElasticReplan(b *testing.B) {
-	mask := func(dead ...int) []bool {
-		m := []bool{true, true, true, true, true, true, true, true}
-		for _, pe := range dead {
-			m[pe] = false
-		}
-		return m
-	}
-	all := mask()
-	for _, sz := range []struct {
-		name          string
-		layers, width int
-	}{
-		{"501", 20, 25},
-		{"8001", 80, 100},
-	} {
-		b.Run("expand/"+sz.name, func(b *testing.B) {
-			// Pre-join era ran on six processors; 6 and 7 revive.
-			elasticReplanBench(b, sz.layers, sz.width, all, mask(6, 7))
-		})
-		b.Run("drain/"+sz.name, func(b *testing.B) {
-			survivors := mask(0, 1)
-			elasticReplanBench(b, sz.layers, sz.width, survivors, survivors)
-		})
-	}
 }
 
 // BenchmarkRunnerWall is the single-process wall-clock twin of

@@ -60,8 +60,7 @@ func cmdServe(args []string) error {
 			ctl = "127.0.0.1:0"
 		}
 		fl = &wire.Fleet{
-			Transport: wire.TCP(), Control: ctl, Seed: seed,
-			MinWorkers: *minWorkers, MaxRuns: *maxRuns,
+			Transport: wire.TCP(), Control: ctl, Seed: seed, MinWorkers: *minWorkers,
 			HeartbeatEvery: *heartbeat, PeerTimeout: *peerTimeout,
 			Logf: logf,
 		}

@@ -59,8 +59,8 @@ type Runner struct {
 	RetryBase time.Duration
 	// RetryCap bounds the exponential backoff (0 = 120ms).
 	RetryCap time.Duration
-	// WatchdogMin is ignored; kept for the frozen harness, which still
-	// names it (ROADMAP 1b).
+	// WatchdogMin is ignored; it goes with ROADMAP 3(d), once
+	// bench/layers.go:356,492,555 stop setting it.
 	WatchdogMin time.Duration
 	// StallTimeout bounds how long a session hosting a share of the
 	// machine may go without any task completing or message arriving

@@ -33,8 +33,8 @@ func bytesPerRun(t *testing.T, s Scheduler, g *graph.Graph, m *machine.Machine) 
 	return float64(after.TotalAlloc-before.TotalAlloc) / runs
 }
 
-// TestSchedulerBytesLinear is the satellite regression test for the
-// BENCH_PR2 bytes/op superlinearity: ETF and HLFET rebuilt dense
+// TestSchedulerBytesLinear is the regression test for the pre-arena
+// bytes/op superlinearity: ETF and HLFET rebuilt dense
 // per-run state, so doubling the graph more than doubled bytes/op.
 // With the arena the per-run allocation is the escaping schedule
 // product plus O(1) bookkeeping, so bytes/op must grow no faster than
@@ -83,7 +83,8 @@ func TestSchedulerBytesLinear(t *testing.T) {
 // TestSchedulerAllocsFlat pins the steady-state allocation count:
 // after the compiled view is cached, a schedule run may allocate the
 // escaping product and bounded bookkeeping, not O(steps) garbage
-// (BENCH_PR2 measured 24k allocs per MH run from per-step sorting).
+// (the pre-arena core made 24k allocations per MH run from per-step
+// sorting).
 func TestSchedulerAllocsFlat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")

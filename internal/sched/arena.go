@@ -11,8 +11,8 @@ import (
 // arrival tables, copy lists — is a fixed set of flat arrays whose
 // sizes depend only on the compiled graph (n tasks × P processors) and
 // whose lifetime is exactly one Schedule call. Allocating them with
-// make() on every run is what BENCH_PR2 showed as tens of thousands of
-// allocations and tens of megabytes per schedule; the garbage collector
+// make() on every run once cost tens of thousands of allocations and
+// tens of megabytes per schedule; the garbage collector
 // then re-marks them on every cycle. Instead each run carves its arrays
 // out of a pooled arena of typed slabs: the slabs survive between runs
 // in a sync.Pool, so steady-state scheduling performs no large

@@ -20,8 +20,8 @@ func All() []Scheduler {
 
 // WithWorkers returns s unchanged. Schedule construction is serial
 // (docs/SCHEDULING.md, "Why the scan is serial"); the function is kept,
-// as a declared no-op, only because the frozen benchmark harness calls
-// it (bench/layers.go) and goes when the harness stops (ROADMAP 1b).
+// as a declared no-op, only because bench/layers.go:193 calls it, and
+// goes with ROADMAP 3(d) once that call does.
 func WithWorkers(s Scheduler, _ int) Scheduler {
 	return s
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -92,6 +93,28 @@ func postRun(t testing.TB, url string, p *project.Project, query string, header 
 		t.Fatalf("decoding response: %v", err)
 	}
 	return &rr, resp
+}
+
+// postAsync submits a project from a goroutine of its own and delivers
+// the response status (0 if the request failed).
+func postAsync(t *testing.T, url string, p *project.Project) <-chan int {
+	t.Helper()
+	body, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(url+"/run", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			code <- 0
+			return
+		}
+		resp.Body.Close()
+		code <- resp.StatusCode
+	}()
+	return code
 }
 
 func scrapeStats(t testing.TB, url string) StatsResponse {
@@ -815,15 +838,51 @@ func TestServeDrainAndShutdownLeakFree(t *testing.T) {
 	}
 }
 
-// TestServeFleetMode runs the control plane against a live in-process
-// worker fleet and checks outputs match the in-process engine.
-func TestServeFleetMode(t *testing.T) {
+// TestServeDrainWaitsForQueuedRuns: a run waiting in the queue is in
+// flight. Drain waits for it as for an executing one, and the run is
+// still served once a slot frees.
+func TestServeDrainWaitsForQueuedRuns(t *testing.T) {
+	s := New(Options{DefaultAlg: "etf", MaxConcurrent: 1, QueueDepth: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	s.sem <- struct{}{} // the slot is busy
+	free := sync.OnceFunc(func() { <-s.sem })
+	defer free() // before ts.Close, which waits for the queued request
+	served := postAsync(t, ts.URL, testProject(t, 10, 1, 3))
+	deadline := time.Now().Add(5 * time.Second)
+	for s.waiting.Load() == 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if s.waiting.Load() == 0 {
+		t.Fatal("submission never queued")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if err := s.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "1 runs still in flight") {
+		t.Fatalf("drain with one run queued = %v, want the deadline naming 1 run", err)
+	}
+
+	free()
+	if code := <-served; code != http.StatusOK {
+		t.Fatalf("the queued run answered %d after the drain began, want 200", code)
+	}
+	ctx, cancel = context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatalf("drain once the queued run finished: %v", err)
+	}
+}
+
+// startFleet starts two in-process worker daemons and a fleet seeded
+// with them, all stopped when the test ends.
+func startFleet(t *testing.T, control string) *wire.Fleet {
 	tr := wire.Inproc()
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	var wg sync.WaitGroup
+	var seed []string
 	for i := 0; i < 2; i++ {
-		addr := fmt.Sprintf("worker-%d", i)
+		addr := fmt.Sprintf("%s-worker-%d", control, i)
 		ready := make(chan struct{})
 		wg.Add(1)
 		go func() {
@@ -831,18 +890,24 @@ func TestServeFleetMode(t *testing.T) {
 			wire.ServeWorker(ctx, tr, addr, wire.WorkerOptions{Logf: t.Logf}, func(string) { close(ready) })
 		}()
 		<-ready
+		seed = append(seed, addr)
 	}
-	defer wg.Wait()
-	defer cancel()
-
-	fleet := &wire.Fleet{Transport: tr, Control: "fleet-control",
-		Seed: []string{"worker-0", "worker-1"}, Logf: t.Logf}
+	fleet := &wire.Fleet{Transport: tr, Control: control, Seed: seed, Logf: t.Logf}
 	if err := fleet.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer fleet.Close()
+	t.Cleanup(func() {
+		fleet.Close()
+		cancel()
+		wg.Wait()
+	})
+	return fleet
+}
 
-	s := New(Options{DefaultAlg: "etf", Fleet: fleet})
+// TestServeFleetMode runs the control plane against a live in-process
+// worker fleet and checks outputs match the in-process engine.
+func TestServeFleetMode(t *testing.T) {
+	s := New(Options{DefaultAlg: "etf", Fleet: startFleet(t, "fleet-control")})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -874,5 +939,48 @@ func TestServeFleetMode(t *testing.T) {
 	}
 	if st.Cache.Hits != 2 || st.Cache.Misses != 1 {
 		t.Fatalf("cache stats over fleet = %+v", st.Cache)
+	}
+}
+
+// TestServeRunCapHoldsInFleetMode: the server's run slots are the one
+// cap on concurrent runs, fleet runs included. With one slot, three
+// concurrent submissions are all served and the fleet never has more
+// than one run in flight.
+func TestServeRunCapHoldsInFleetMode(t *testing.T) {
+	f := startFleet(t, "fleet-control-capped")
+	s := New(Options{DefaultAlg: "etf", MaxConcurrent: 1, QueueDepth: 4, Fleet: f})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	stop := make(chan struct{})
+	peak := make(chan int)
+	go func() {
+		most := 0
+		for {
+			most = max(most, f.ActiveRuns())
+			select {
+			case <-stop:
+				peak <- most
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}()
+	var codes []<-chan int
+	for i := 0; i < 3; i++ {
+		// A loop in the first task keeps each run in flight long enough
+		// for a second one to overlap it if nothing held it back.
+		p := testProject(t, 10, 1, float64(i))
+		p.Design.Node("a").Routine = "s = 0\nfor i = 1 to 20000 do\n  s = s + i\nend\nu = x + 1"
+		codes = append(codes, postAsync(t, ts.URL, p))
+	}
+	for _, c := range codes {
+		if code := <-c; code != http.StatusOK {
+			t.Errorf("submission answered %d, want 200", code)
+		}
+	}
+	close(stop)
+	if most := <-peak; most > 1 {
+		t.Fatalf("%d fleet runs in flight at once with one run slot", most)
 	}
 }

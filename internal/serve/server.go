@@ -49,8 +49,8 @@ type Options struct {
 	Fleet *wire.Fleet
 	// Virtual stamps traces in deterministic virtual time.
 	Virtual bool
-	// WatchdogMin is ignored; kept for the frozen harness, which still
-	// names it (ROADMAP 1b).
+	// WatchdogMin is ignored; it goes with ROADMAP 3(d), once
+	// bench/harness.go:93 stops setting it.
 	WatchdogMin time.Duration
 	Logf        func(string, ...any)
 }
@@ -72,11 +72,10 @@ type Server struct {
 	failed   atomic.Int64
 	rejected atomic.Int64 // turned away by admission control
 
-	mu      sync.Mutex
-	tenants map[string]int
-
-	draining atomic.Bool
-	inflight sync.WaitGroup
+	mu       sync.Mutex
+	tenants  map[string]int // admitted runs per tenant
+	admitted int            // admitted runs, queued or executing
+	idle     chan struct{}  // non-nil once draining; closed when admitted reaches 0
 	mux      *http.ServeMux
 }
 
@@ -119,22 +118,26 @@ func New(opts Options) *Server {
 // Handler returns the HTTP handler for the control plane.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Drain stops admitting runs and waits for the in-flight ones to
-// finish (or ctx to expire). The fleet, if any, is left running —
-// closing it is the owner's business.
+// Drain stops admitting runs and waits for the admitted ones, queued
+// or executing, to finish (or ctx to expire). The fleet, if any, is
+// left running — closing it is the owner's business.
 func (s *Server) Drain(ctx context.Context) error {
-	s.draining.Store(true)
-	done := make(chan struct{})
-	go func() {
-		s.inflight.Wait()
-		close(done)
-	}()
+	s.mu.Lock()
+	if s.idle == nil {
+		s.idle = make(chan struct{})
+		if s.admitted == 0 {
+			close(s.idle)
+		}
+	}
+	idle := s.idle
+	s.mu.Unlock()
 	select {
-	case <-done:
+	case <-idle:
 		return nil
 	case <-ctx.Done():
-		return fmt.Errorf("serve: drain: %d runs still in flight: %w",
-			s.waiting.Load()+s.active.Load(), ctx.Err())
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return fmt.Errorf("serve: drain: %d runs still in flight: %w", s.admitted, ctx.Err())
 	}
 }
 
@@ -178,27 +181,29 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 // release function when the request may proceed to wait for an
 // execution slot, or writes the rejection and returns nil.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request) (tenant string, release func()) {
-	if s.draining.Load() {
-		httpError(w, http.StatusServiceUnavailable, "server is draining")
-		return "", nil
-	}
 	tenant = r.Header.Get("X-Tenant")
 	if tenant == "" {
 		tenant = "anon"
 	}
-	if cap := s.opts.TenantCap; cap > 0 {
-		s.mu.Lock()
-		if s.tenants[tenant] >= cap {
-			s.mu.Unlock()
-			s.rejected.Add(1)
-			w.Header().Set("Retry-After", "1")
-			httpError(w, http.StatusTooManyRequests,
-				"tenant %q already has %d runs in flight", tenant, cap)
-			return "", nil
-		}
-		s.tenants[tenant]++
+	// Admission is counted under the lock Drain takes to start draining,
+	// so a run is either refused here or waited for there.
+	s.mu.Lock()
+	if s.idle != nil {
 		s.mu.Unlock()
+		httpError(w, http.StatusServiceUnavailable, "server is draining")
+		return "", nil
 	}
+	if cap := s.opts.TenantCap; cap > 0 && s.tenants[tenant] >= cap {
+		s.mu.Unlock()
+		s.rejected.Add(1)
+		w.Header().Set("Retry-After", "1")
+		httpError(w, http.StatusTooManyRequests,
+			"tenant %q already has %d runs in flight", tenant, cap)
+		return "", nil
+	}
+	s.tenants[tenant]++
+	s.admitted++
+	s.mu.Unlock()
 	// Acquire an execution slot, queueing when all are busy. The run
 	// queue is bounded: beyond the configured depth the server is
 	// saturated, and honest backpressure beats unbounded queueing.
@@ -206,7 +211,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (tenant string, r
 	case s.sem <- struct{}{}: // a slot is free; no queueing needed
 	default:
 		if s.waiting.Load() >= int64(max(s.opts.QueueDepth, 0)) {
-			s.releaseTenant(tenant)
+			s.leave(tenant)
 			s.rejected.Add(1)
 			w.Header().Set("Retry-After", "1")
 			httpError(w, http.StatusTooManyRequests,
@@ -219,29 +224,28 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (tenant string, r
 			s.waiting.Add(-1)
 		case <-r.Context().Done():
 			s.waiting.Add(-1)
-			s.releaseTenant(tenant)
+			s.leave(tenant)
 			s.rejected.Add(1)
 			return "", nil
 		}
 	}
 	s.active.Add(1)
-	s.inflight.Add(1)
 	return tenant, func() {
 		s.active.Add(-1)
 		<-s.sem
-		s.releaseTenant(tenant)
-		s.inflight.Done()
+		s.leave(tenant)
 	}
 }
 
-func (s *Server) releaseTenant(tenant string) {
-	if s.opts.TenantCap > 0 {
-		s.mu.Lock()
-		s.tenants[tenant]--
-		if s.tenants[tenant] <= 0 {
-			delete(s.tenants, tenant)
-		}
-		s.mu.Unlock()
+// leave uncounts one admitted run, waking a Drain it was the last of.
+func (s *Server) leave(tenant string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.tenants[tenant]--; s.tenants[tenant] <= 0 {
+		delete(s.tenants, tenant)
+	}
+	if s.admitted--; s.admitted == 0 && s.idle != nil {
+		close(s.idle)
 	}
 }
 
@@ -451,9 +455,11 @@ func renderOutputs(res *exec.Result) map[string]string {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	status, code := "ok", http.StatusOK
-	if s.draining.Load() {
+	s.mu.Lock()
+	if s.idle != nil {
 		status, code = "draining", http.StatusServiceUnavailable
 	}
+	s.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(map[string]any{

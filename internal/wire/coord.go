@@ -35,8 +35,8 @@ type Coordinator struct {
 	HeartbeatEvery time.Duration
 	PeerTimeout    time.Duration
 
-	// Mesh is ignored: the mesh is always on. The field is kept only
-	// until the benchmark harness's struct literals drop it.
+	// Mesh is ignored: the mesh is always on. The field goes with
+	// ROADMAP 3(d), once bench/layers.go:513 stops setting it.
 	Mesh bool
 	// Control is an optional listen address for fleet-elasticity
 	// commands: workers announce themselves with Join to enter a run in

@@ -29,8 +29,9 @@ import (
 // Worker daemons host any number of runs concurrently (each keyed by
 // its run ID), so the fleet runs them concurrently too: every Run call
 // places its coordinator on the least-loaded member subset and starts
-// it immediately, up to the MaxRuns cap. Placement is load-aware — the
-// fleet tracks how many runs each worker currently hosts and picks the
+// it immediately (how many may run at once is its caller's admission,
+// the serving layer's run slots). Placement is load-aware — the fleet
+// tracks how many runs each worker currently hosts and picks the
 // members hosting fewest, so concurrent runs spread over the pool
 // instead of piling onto one daemon.
 //
@@ -55,16 +56,12 @@ type Fleet struct {
 	// MinWorkers refuses drains that would leave fewer live members
 	// (0 = only forbid draining the last one).
 	MinWorkers int
-	// MaxRuns caps concurrently executing fleet runs; Run blocks for a
-	// slot past it (0 = unlimited — callers like the serving layer
-	// usually bound admission themselves).
-	MaxRuns int
 
 	// Per-run coordinator knobs, passed through to every run.
 	HeartbeatEvery time.Duration
 	PeerTimeout    time.Duration
-	// Mesh is ignored: the mesh is always on. The field is kept only
-	// until the benchmark harness's struct literals drop it.
+	// Mesh is ignored: the mesh is always on. The field goes with
+	// ROADMAP 3(d), once bench/harness.go:169 stops setting it.
 	Mesh bool
 	Logf func(string, ...any)
 
@@ -78,7 +75,6 @@ type Fleet struct {
 	bound   string
 	closed  bool
 	wg      sync.WaitGroup
-	slots   chan struct{} // MaxRuns semaphore (nil = unlimited)
 }
 
 // Start records the seed members and opens the control listener. The
@@ -99,9 +95,6 @@ func (f *Fleet) Start() error {
 	f.load = map[string]int{}
 	f.active = map[*Coordinator]bool{}
 	f.idle = map[string][]Conn{}
-	if f.MaxRuns > 0 {
-		f.slots = make(chan struct{}, f.MaxRuns)
-	}
 	if f.Control == "" {
 		return fmt.Errorf("wire: fleet needs a control listen address")
 	}
@@ -339,9 +332,8 @@ func (f *Fleet) place(live []string, numPE int) []string {
 
 // Run executes one schedule on the fleet. Runs are concurrent: each
 // call places its coordinator on the least-loaded member subset and
-// starts it immediately (blocking for a slot only when MaxRuns caps the
-// fleet). Worker daemons multiplex the runs placed on them, keyed by run
-// ID.
+// starts it immediately. Worker daemons multiplex the runs placed on
+// them, keyed by run ID.
 //
 // Nothing checks the members before the run connects to them: the
 // connect is the check, and a member that cannot be dialled is dropped
@@ -353,18 +345,6 @@ func (f *Fleet) place(live []string, numPE int) []string {
 // survivors. Failures with a stable fleet (a broken design, an
 // unschedulable machine) surface immediately.
 func (f *Fleet) Run(ctx context.Context, runner *exec.Runner, sc *sched.Schedule, flat *graph.Flat) (*exec.Result, error) {
-	f.mu.Lock()
-	slots := f.slots
-	f.mu.Unlock()
-	if slots != nil {
-		select {
-		case slots <- struct{}{}:
-			defer func() { <-slots }()
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-
 	numPE := 0
 	if sc != nil && sc.Machine != nil {
 		numPE = sc.Machine.NumPE()

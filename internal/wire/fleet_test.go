@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -394,66 +393,6 @@ func TestFleetConcurrentRuns(t *testing.T) {
 	<-done
 	if peak < 2 {
 		t.Fatalf("runs never overlapped: peak concurrency %d, want >= 2", peak)
-	}
-}
-
-// TestFleetMaxRunsCaps: the MaxRuns semaphore bounds concurrently
-// executing fleet runs without losing any.
-func TestFleetMaxRunsCaps(t *testing.T) {
-	tr := Inproc()
-	addrs, stop := startWorkers(t, tr, 2)
-	defer stop()
-	f := &Fleet{Transport: tr, Control: "fleet-control-capped", Seed: addrs, Logf: t.Logf,
-		HeartbeatEvery: 50 * time.Millisecond, PeerTimeout: 2 * time.Second,
-		MaxRuns: 1}
-	if err := f.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(f.Close)
-	ctx := context.Background()
-
-	flat, inputs := distDesign(t, 3, 3)
-	m := distMachine(t, "hypercube:2")
-	sc, err := sched.ETF{}.Schedule(flat.Graph, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, _ := holdOpen(t, sc, 2, 150000, -1)
-	const runs = 3
-	errs := make(chan error, runs)
-	stopWatch := make(chan struct{})
-	var over atomic.Bool
-	go func() {
-		for {
-			if f.ActiveRuns() > 1 {
-				over.Store(true)
-			}
-			select {
-			case <-stopWatch:
-				return
-			case <-time.After(2 * time.Millisecond):
-			}
-		}
-	}()
-	for i := 0; i < runs; i++ {
-		go func() {
-			_, err := f.Run(ctx, &exec.Runner{Inputs: inputs, Faults: plan}, sc, flat)
-			errs <- err
-		}()
-	}
-	for i := 0; i < runs; i++ {
-		select {
-		case err := <-errs:
-			if err != nil {
-				t.Fatalf("capped run: %v", err)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatal("capped fleet runs deadlocked")
-		}
-	}
-	close(stopWatch)
-	if over.Load() {
-		t.Fatal("MaxRuns=1 fleet had more than one run in flight")
 	}
 }
 
