@@ -45,6 +45,12 @@ vet:
 	! grep -nE 'routeLinks = ar\.' internal/sched/mh.go
 # One run cap: `banger serve -max-runs`; the fleet keeps no second one.
 	! grep -n 'MaxRuns' internal/wire/fleet.go
+# A cached schedule costs its design, not its machine's square: the index keeps no processor-pair matrix.
+	! grep -n 'numPE\*numPE' internal/sched/index.go
+# One communication table per topology: a machine value keeps none of its own.
+	! grep -rn 'commTable' --include='*.go' internal/machine
+# Placement builds its traffic matrix and drops it: a schedule answers no per-pair traffic.
+	! grep -rn 'PairTraffic' --include='*.go' internal cmd
 # One measurement system: the retired per-PR baseline files are cited nowhere in code, CI or docs.
 	! grep -rn 'BENCH_P[R]' Makefile .github cmd docs examples internal *.go README.md DESIGN.md EXPERIMENTS.md
 

@@ -346,17 +346,17 @@ func specMachine(tb testing.TB, spec string) *machine.Machine {
 }
 
 // BenchmarkMHCold measures MH on a machine value no schedule has seen,
-// the 501-task layered design each time, so the compiled view and the
-// communication table are built inside the timed call (building the
-// machine itself is not timed). BenchmarkSchedulerScaling reuses one
-// machine and so never included any of that.
+// the 501-task layered design each time, so the compiled view is built
+// inside the timed call (building the machine itself is not timed).
+// BenchmarkSchedulerScaling reuses one machine and so never included
+// any of that.
 //
 // The first three cases build their topology in code, a new one per
-// iteration, so its hop tables and MH's link and route tables are built
-// inside the timed call too; they span mean route lengths of 8, 32 and
-// 3.5 hops. The decoded case is what a schedule-cache miss pays: its
-// machine is read from a document naming ring:128, whose topology is
-// interned, so those tables were built by the first document and are
+// iteration, so its hop tables and MH's link and route tables are
+// built inside the timed call too; they span mean route lengths of 8,
+// 32 and 3.5 hops. The decoded case is what a schedule-cache miss pays:
+// its machine is read from a document naming ring:128, whose topology
+// is interned, so those tables were built by the first document and are
 // shared.
 func BenchmarkMHCold(b *testing.B) {
 	flat, _ := runnerDesign(b, 20, 25) // 501 tasks
@@ -654,6 +654,103 @@ func TestSessionAllocScalesWithTraffic(t *testing.T) {
 	}
 	if large >= 3*small {
 		t.Errorf("a ring:128 run allocates %.1fx a ring:16 run (%d vs %d bytes), want < 3x", float64(large)/float64(small), large, small)
+	}
+}
+
+// decodedMachine reads the machine a topology spec names back from its
+// document, as a request's machine is: a new value on the spec's
+// interned topology.
+func decodedMachine(tb testing.TB, doc []byte) *machine.Machine {
+	tb.Helper()
+	var m machine.Machine
+	if err := json.Unmarshal(doc, &m); err != nil {
+		tb.Fatal(err)
+	}
+	return &m
+}
+
+// TestColdScheduleAllocScalesWithDesign guards a cold prediction's
+// memory against growing with the machine instead of with the design:
+// ETF and MH on a fresh copy of the 501-task design and a machine read
+// from a document, index built, must allocate about as much on a
+// 128-processor ring as on a 16-processor one. An n×P table of
+// execution times, a communication table per machine value and a P×P
+// traffic matrix in the index made ring:128 2.4x ring:16 (1242 KB
+// against 524); it reads about 1.1x (369 KB against 343).
+func TestColdScheduleAllocScalesWithDesign(t *testing.T) {
+	for _, s := range []sched.Scheduler{sched.ETF{}, sched.MH{}} {
+		allocPerSchedule := func(spec string) uint64 {
+			doc, err := json.Marshal(specMachine(t, spec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var samples []uint64
+			for i := 0; i < 4; i++ { // the first warms the arena and the topology's tables and is dropped
+				flat, _ := runnerDesign(t, 20, 25) // 501 tasks
+				m := decodedMachine(t, doc)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				sc, err := s.Schedule(flat.Graph, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sc.Finalize()
+				runtime.ReadMemStats(&after)
+				samples = append(samples, after.TotalAlloc-before.TotalAlloc)
+			}
+			samples = samples[1:]
+			sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+			return samples[1]
+		}
+		small, large := allocPerSchedule("ring:16"), allocPerSchedule("ring:128")
+		ratio := float64(large) / float64(small)
+		t.Logf("%s: KB allocated per cold schedule: ring:16 %d, ring:128 %d (%.2fx)", s.Name(), small>>10, large>>10, ratio)
+		if ratio > 1.25 {
+			t.Errorf("%s: a cold ring:128 schedule allocates %.2fx a ring:16 one (%d vs %d bytes), want at most 1.25x", s.Name(), ratio, large, small)
+		}
+	}
+}
+
+// TestCachedPredictionRetention guards what a full schedule cache of
+// predictions keeps alive: 128 cold MH schedules of the 501-task design
+// on ring:128, each with its own graph and decoded machine, as a server
+// holds them after 128 distinct predictions. They retain about 54 MB;
+// 101 MB while every machine kept its own communication table and every
+// index a P×P traffic matrix and two maps of slot copies.
+func TestCachedPredictionRetention(t *testing.T) {
+	doc, err := json.Marshal(specMachine(t, "ring:128"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	predict := func() (*graph.Flat, *sched.Schedule) {
+		flat, _ := runnerDesign(t, 20, 25) // 501 tasks
+		sc, err := (sched.MH{}).Schedule(flat.Graph, decodedMachine(t, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Finalize()
+		return flat, sc
+	}
+	predict() // warms the arena and the topology's tables, which a server keeps anyway
+	type entry struct {
+		flat *graph.Flat
+		sc   *sched.Schedule
+	}
+	held := make([]entry, 0, 128)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for len(held) < cap(held) {
+		flat, sc := predict()
+		held = append(held, entry{flat, sc})
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(held)
+	mb := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / (1 << 20)
+	t.Logf("128 cached ring:128 predictions retain %.1f MB", mb)
+	if mb > 70 {
+		t.Errorf("128 cached ring:128 predictions retain %.1f MB, want at most 70 MB", mb)
 	}
 }
 

@@ -12,7 +12,6 @@ package machine
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // Time is simulated time in integer microseconds. All scheduling and
@@ -67,16 +66,6 @@ type Machine struct {
 	// Speeds optionally overrides ProcSpeed per processor for
 	// heterogeneous machines. When nil the machine is homogeneous.
 	Speeds []int64
-
-	// comm memoizes the CommCoeffs table. It sits behind a pointer so
-	// Machine values stay copyable (UnmarshalJSON assigns *m = *nm).
-	comm *commTable
-}
-
-// commTable is the lazily-built fast-path communication table.
-type commTable struct {
-	once    sync.Once
-	perWord []Time // flat N×N: hops(p,q) · WordTime
 }
 
 // New returns a machine over the given topology with the given
@@ -91,7 +80,7 @@ func New(name string, topo *Topology, p Params) (*Machine, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Machine{Name: name, Topo: topo, Params: p, comm: &commTable{}}, nil
+	return &Machine{Name: name, Topo: topo, Params: p}, nil
 }
 
 // MustNew is New that panics on error; for literal example machines.
@@ -156,32 +145,19 @@ func (m *Machine) CommTime(words int64, p, q int) Time {
 
 // CommCoeffs is the allocation-free fast path behind CommTime for
 // schedulers that evaluate millions of candidate placements: it returns
-// the per-message startup and a flat N×N table of per-word transfer
-// costs such that, for p != q,
+// the per-message startup, the per-word time of one hop and the
+// topology's all-pairs hop counts, such that, for p != q,
 //
-//	CommTime(words, p, q) == startup + Time(words)*perWord[p*N+q]
+//	CommTime(words, p, q) == startup + Time(words)*wordTime*Time(hops[p][q])
 //
-// (and 0 when p == q). The table is built once and shared; callers must
-// treat it as read-only. Safe for concurrent use on machines built by
-// New.
-func (m *Machine) CommCoeffs() (startup Time, perWord []Time) {
-	if m.comm == nil {
-		// Hand-assembled machine value: no memo slot, build unshared.
-		m.comm = &commTable{}
-	}
-	m.comm.once.Do(func() {
-		n := m.Topo.N
-		tbl := make([]Time, n*n)
-		for p := 0; p < n; p++ {
-			for q := 0; q < n; q++ {
-				if p != q {
-					tbl[p*n+q] = Time(m.Topo.Hops(p, q)) * m.Params.WordTime
-				}
-			}
-		}
-		m.comm.perWord = tbl
-	})
-	return m.Params.MsgStartup, m.comm.perWord
+// (and 0 when p == q). The hop table is the topology's own routing
+// table, so the fast path adds no table per machine or per word time:
+// every machine read from a document naming ring:128 reads the one its
+// interned topology holds. Callers must treat it as read-only. Safe for
+// concurrent use.
+func (m *Machine) CommCoeffs() (startup, wordTime Time, hops [][]int) {
+	m.Topo.buildRoutes()
+	return m.Params.MsgStartup, m.Params.WordTime, m.Topo.dist
 }
 
 // Scale returns a machine identical to m but over a different topology

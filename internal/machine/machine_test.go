@@ -106,6 +106,31 @@ func TestCommTime(t *testing.T) {
 	}
 }
 
+// TestCommCoeffsSharedPerTopology: the fast path agrees with CommTime
+// and reads the topology's own hop table — every machine over the
+// topology, a hand-assembled value included, whatever its word time.
+func TestCommCoeffsSharedPerTopology(t *testing.T) {
+	topo, err := Torus(3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Params{ProcSpeed: 1, MsgStartup: 7, WordTime: 3}
+	a := MustNew("a", topo, p)
+	startup, wordTime, hops := a.CommCoeffs()
+	for q := 0; q < topo.N; q++ {
+		for r := 0; r < topo.N; r++ {
+			got := startup + 11*wordTime*Time(hops[q][r])
+			if want := a.CommTime(11, q, r); q != r && got != want {
+				t.Errorf("%d->%d: fast path gives %v, CommTime %v", q, r, got, want)
+			}
+		}
+	}
+	p.WordTime = 2
+	if _, wt, other := (&Machine{Name: "b", Topo: topo, Params: p}).CommCoeffs(); wt != 2 || &other[0][0] != &hops[0][0] {
+		t.Error("a second machine on the topology does not read its hop table")
+	}
+}
+
 func TestCommTimeMonotoneInDistanceAndSize(t *testing.T) {
 	m := testMachine(t, 4)
 	f := func(w uint16, a, b, c uint8) bool {

@@ -26,6 +26,8 @@ type Topology struct {
 	routes sync.Once
 	dist   [][]int // all-pairs hop counts, built on demand
 	nextH  [][]int // nextH[p][q]: first hop from p toward q (-1 when p==q or unreachable)
+	hops   int     // sum of dist over ordered pairs that reach each other: every route's length
+	pairs  int     // ordered pairs of distinct processors that reach each other
 }
 
 // newTopology allocates a topology with empty adjacency.
@@ -248,6 +250,11 @@ func (t *Topology) buildRoutes() {
 			t.dist[s] = make([]int, t.N)
 			t.nextH[s] = make([]int, t.N)
 			t.bfs(s, t.dist[s], t.nextH[s], queue)
+			for _, d := range t.dist[s] {
+				if d > 0 {
+					t.hops, t.pairs = t.hops+d, t.pairs+1
+				}
+			}
 		}
 	})
 }
@@ -338,22 +345,18 @@ func (t *Topology) Diameter() int {
 // processors (0 for a single-processor network).
 func (t *Topology) AvgDist() float64 {
 	t.buildRoutes()
-	if t.N < 2 {
+	if t.pairs == 0 {
 		return 0
 	}
-	sum, cnt := 0, 0
-	for p := 0; p < t.N; p++ {
-		for q := 0; q < t.N; q++ {
-			if p != q && t.dist[p][q] > 0 {
-				sum += t.dist[p][q]
-				cnt++
-			}
-		}
-	}
-	if cnt == 0 {
-		return 0
-	}
-	return float64(sum) / float64(cnt)
+	return float64(t.hops) / float64(t.pairs)
+}
+
+// RouteHops returns the length of every shortest route together: the
+// sum of Hops over all ordered pairs of processors that reach each
+// other.
+func (t *Topology) RouteHops() int {
+	t.buildRoutes()
+	return t.hops
 }
 
 // IsConnected reports whether every processor can reach every other:

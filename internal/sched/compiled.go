@@ -69,10 +69,11 @@ type compiled struct {
 	slevel []int64 // static level (HLFET priority), identical to Levels.SLevel
 	topo   []int32 // topological order, identical to graph.TopoSort
 
-	execT []machine.Time // flat n×P: ExecTime(work[t], pe)
+	execT  []machine.Time // ExecTime(work[t], pe): one per task, a row of P per task only when hetero
+	hetero bool           // the machine has Speeds, so exec times differ by processor
 
-	commStart   machine.Time   // per-message startup
-	commPerWord []machine.Time // flat P×P: hops·WordTime (0 on diagonal)
+	commStart, wordTime machine.Time // see machine.CommCoeffs
+	hops                [][]int      // the topology's own hop table: a view keeps nothing P×P
 }
 
 // succIDsOf returns the distinct successors of t, sorted by NodeID.
@@ -94,7 +95,10 @@ func (c *compiled) succArcsOf(t int32) []carc {
 
 // exec returns the execution time of task t on pe.
 func (c *compiled) exec(t int32, pe int) machine.Time {
-	return c.execT[int(t)*c.pes+pe]
+	if c.hetero {
+		return c.execT[int(t)*c.pes+pe]
+	}
+	return c.execT[t]
 }
 
 // comm returns the communication time of a words-sized message from p
@@ -103,7 +107,7 @@ func (c *compiled) comm(words int64, p, q int) machine.Time {
 	if p == q {
 		return 0
 	}
-	return c.commStart + machine.Time(words)*c.commPerWord[p*c.pes+q]
+	return c.commStart + machine.Time(words)*c.wordTime*machine.Time(c.hops[p][q])
 }
 
 // memo is a bounded most-recently-used list of immutable values built
@@ -317,15 +321,19 @@ func compile(g *graph.Graph, m *machine.Machine) (*compiled, error) {
 		c.slevel[t] = s + c.work[t]
 	}
 
-	// Execution-time table.
-	c.execT = make([]machine.Time, n*c.pes)
+	// Execution-time table: a column per processor only where speeds differ.
+	cols := 1
+	if c.hetero = m.Speeds != nil; c.hetero {
+		cols = c.pes
+	}
+	c.execT = make([]machine.Time, 0, n*cols)
 	for t := 0; t < n; t++ {
-		for pe := 0; pe < c.pes; pe++ {
-			c.execT[t*c.pes+pe] = m.ExecTime(c.work[t], pe)
+		for pe := 0; pe < cols; pe++ {
+			c.execT = append(c.execT, m.ExecTime(c.work[t], pe))
 		}
 	}
 
-	c.commStart, c.commPerWord = m.CommCoeffs()
+	c.commStart, c.wordTime, c.hops = m.CommCoeffs()
 	return c, nil
 }
 

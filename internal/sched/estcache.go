@@ -75,14 +75,14 @@ func (b *builder) dataReadyRow(t int32) ([]machine.Time, error) {
 		}
 		if len(cps) == 1 {
 			// No duplicates (the common case): inline the comm formula
-			// over the producer PE's coefficient row.
+			// over the producer PE's row of hop counts.
 			sl := cps[0]
-			w := machine.Time(a.words)
-			pw := b.c.commPerWord[sl.PE*e.pes : (sl.PE+1)*e.pes]
+			w := machine.Time(a.words) * b.c.wordTime
+			hops := b.c.hops[sl.PE]
 			for pe := range row {
 				at := sl.Finish
 				if pe != sl.PE {
-					at += b.c.commStart + w*pw[pe]
+					at += b.c.commStart + w*machine.Time(hops[pe])
 				}
 				if at > row[pe] {
 					row[pe] = at

@@ -26,7 +26,10 @@ import (
 // TestGoldenReplans pins Replan the same way in
 // testdata/golden_replans.json, and TestGoldenMHContention pins MH on
 // the networks where its link contention bites in
-// testdata/golden_mh_contention.json. Regenerate any of them (only when
+// testdata/golden_mh_contention.json. TestGoldenHetero pins every
+// scheduler on machines whose processors differ in speed, the one case
+// where a task's execution time depends on its processor, in
+// testdata/golden_hetero.json. Regenerate any of them (only when
 // the scheduling semantics intentionally change) with:
 //
 //	go test ./internal/sched -run TestGolden -update-golden
@@ -37,6 +40,7 @@ const (
 	goldenPath       = "testdata/golden_schedules.json"
 	goldenReplanPath = "testdata/golden_replans.json"
 	goldenMHPath     = "testdata/golden_mh_contention.json"
+	goldenHeteroPath = "testdata/golden_hetero.json"
 )
 
 // goldenEntry is one (graph, machine, scheduler) combination.
@@ -172,6 +176,41 @@ func TestGoldenMHContention(t *testing.T) {
 		}
 	}
 	checkGolden(t, goldenMHPath, entries)
+}
+
+// TestGoldenHetero pins every scheduler on two heterogeneous-speed
+// machines, where execution times come from a per-processor table.
+func TestGoldenHetero(t *testing.T) {
+	var entries []goldenEntry
+	for _, g := range goldenGraphs(t) {
+		for _, hm := range []struct {
+			spec   string
+			speeds []int64
+		}{
+			{"hypercube:3", []int64{1, 3, 2, 1, 4, 1, 2, 5}},
+			{"mesh:2x3", []int64{2, 1, 1, 3, 1, 2}},
+		} {
+			m := mk(t, hm.spec, machine.DefaultParams())
+			if err := m.SetSpeeds(hm.speeds); err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range All() {
+				sc, err := s.Schedule(g, m)
+				if err != nil {
+					t.Fatalf("%s on %s/%s: %v", s.Name(), g.Name, hm.spec, err)
+				}
+				if err := sc.Validate(); err != nil {
+					t.Fatalf("%s on %s/%s: invalid schedule: %v", s.Name(), g.Name, hm.spec, err)
+				}
+				entries = append(entries, goldenEntry{
+					Graph: g.Name, Machine: hm.spec + "-hetero", Alg: s.Name(),
+					Makespan: sc.Makespan(), Slots: len(sc.Slots), Msgs: len(sc.Msgs),
+					SHA256: canonicalFingerprint(sc),
+				})
+			}
+		}
+	}
+	checkGolden(t, goldenHeteroPath, entries)
 }
 
 // checkGolden compares entries with the golden file at path, or

@@ -8,13 +8,14 @@ import (
 )
 
 // Index is an immutable set of derived views over a finalized schedule:
-// per-processor slot lists pre-sorted by start time, a per-task slot
-// map covering primaries and duplicates, and the aggregate figures
-// (makespan, per-PE busy time, outbound traffic) every display and
-// check re-derives otherwise. It turns the Schedule accessors from
+// per-processor slot lists pre-sorted by start time, a per-task map of
+// slot ordinals covering primaries and duplicates, and the aggregate
+// figures (makespan, per-PE busy time, outbound traffic) every display
+// and check re-derives otherwise. It turns the Schedule accessors from
 // linear scans over all slots into map and slice lookups, which is what
 // keeps Validate, the simulator, the runner and the Gantt renderers
-// linear as graphs grow.
+// linear as graphs grow. Nothing in it is sized by processor pairs: a
+// cached schedule holds its index for as long as it is cached.
 //
 // Invalidation is by construction: schedulers assemble slots in a
 // private builder and create the Schedule exactly once, finished, so an
@@ -23,12 +24,11 @@ import (
 // contract and owns the consequences.
 type Index struct {
 	byPE     [][]Slot                // per PE, sorted by (Start, Task); shared, callers must not mutate
-	byTask   map[graph.NodeID][]Slot // every copy of each task, in Slots order
-	primary  map[graph.NodeID]Slot   // the non-duplicate copy of each task
+	slotOf   map[graph.NodeID]int32  // ordinal in Slots of each task's first non-duplicate copy, else of its first
+	copies   map[graph.NodeID][]Slot // every copy, in Slots order, of the tasks that have more than one
 	busy     []machine.Time          // per-PE total busy time
 	msgsOut  []int                   // per-PE cross-PE messages originated
 	wordsOut []int64                 // per-PE cross-PE words originated
-	pair     []int64                 // dense numPE×numPE words matrix, row = FromPE
 	makespan machine.Time
 	usedPEs  int
 }
@@ -61,17 +61,23 @@ func buildIndex(s *Schedule) *Index {
 	}
 	idx := &Index{
 		byPE:     make([][]Slot, numPE),
-		byTask:   make(map[graph.NodeID][]Slot, len(s.Slots)),
-		primary:  make(map[graph.NodeID]Slot, len(s.Slots)),
+		slotOf:   make(map[graph.NodeID]int32, len(s.Slots)),
+		copies:   map[graph.NodeID][]Slot{},
 		busy:     make([]machine.Time, numPE),
 		msgsOut:  make([]int, numPE),
 		wordsOut: make([]int64, numPE),
-		pair:     make([]int64, numPE*numPE),
 	}
-	for _, sl := range s.Slots {
-		idx.byTask[sl.Task] = append(idx.byTask[sl.Task], sl)
-		if _, seen := idx.primary[sl.Task]; !sl.Dup && !seen {
-			idx.primary[sl.Task] = sl
+	for i, sl := range s.Slots {
+		j, seen := idx.slotOf[sl.Task]
+		if seen { // a later copy: j is the first until a primary replaces it
+			cps, ok := idx.copies[sl.Task]
+			if !ok {
+				cps = []Slot{s.Slots[j]}
+			}
+			idx.copies[sl.Task] = append(cps, sl)
+		}
+		if !seen || (s.Slots[j].Dup && !sl.Dup) {
+			idx.slotOf[sl.Task] = int32(i)
 		}
 		if sl.Finish > idx.makespan {
 			idx.makespan = sl.Finish
@@ -94,15 +100,9 @@ func buildIndex(s *Schedule) *Index {
 		}
 	}
 	for _, m := range s.Msgs {
-		if m.FromPE == m.ToPE {
-			continue
-		}
-		if m.FromPE >= 0 && m.FromPE < numPE {
+		if m.FromPE != m.ToPE && m.FromPE >= 0 && m.FromPE < numPE {
 			idx.msgsOut[m.FromPE]++
 			idx.wordsOut[m.FromPE] += m.Words
-			if m.ToPE >= 0 && m.ToPE < numPE {
-				idx.pair[m.FromPE*numPE+m.ToPE] += m.Words
-			}
 		}
 	}
 	return idx

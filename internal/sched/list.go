@@ -369,7 +369,7 @@ func (b *builder) etf(live, held []bool) error {
 		if err != nil {
 			return cand{}, err
 		}
-		execRow := c.execT[int(t)*c.pes : int(t+1)*c.pes]
+		ex := c.exec(t, 0) // every processor's, unless speeds differ
 		tbest := cand{}
 		for pe := 0; pe < c.pes; pe++ {
 			if live != nil && !live[pe] {
@@ -379,7 +379,10 @@ func (b *builder) etf(live, held []bool) error {
 			if pf := b.procFree[pe]; pf > st {
 				st = pf
 			}
-			fin := st + execRow[pe]
+			if c.hetero {
+				ex = c.exec(t, pe)
+			}
+			fin := st + ex
 			if !tbest.ok || fin < tbest.fin {
 				tbest = cand{ok: true, t: t, idx: i, pe: pe, st: st, fin: fin}
 			}

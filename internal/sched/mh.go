@@ -63,9 +63,22 @@ type mhRoutes struct {
 // for ring:128 but 1.4 GB for a 1024-PE chain. Past mhRouteBudget the
 // least recently used tables go, so what it pins is the budget or the
 // one newest table, whichever is larger — never several large ones.
-var mhRouteMemo = memo[mhRoutes]{budget: 64 << 20, size: func(n *mhRoutes) int {
+var mhRouteMemo = memo[mhRoutes]{budget: MHRouteBudget, size: func(n *mhRoutes) int {
 	return 4 * (len(n.linkTo) + len(n.routeOff) + len(n.routeLinks) + len(n.destOff) + len(n.destFlat))
 }}
+
+// MHRouteBudget is mhRouteMemo's byte budget. MH builds tables of any
+// size; a server refuses MH where MHRouteBytes exceeds it.
+const MHRouteBudget = 64 << 20
+
+// MHRouteBytes is what mhRouteMemo counts for topo's route tables,
+// from the topology's hop sum alone: 4 bytes per hop of every route
+// ((P³−P)/3 hops on a P-chain), plus a few per link and per pair of
+// processors.
+func MHRouteBytes(topo *machine.Topology) int {
+	P := topo.N
+	return 4 * (4*topo.NumLinks() + 2 + P*P + P*(P-1) + topo.RouteHops())
+}
 
 // Stamp values below mhFirstEpoch are reserved: mhStampPartial marks an
 // arrival-cache entry that holds only a lower bound — the contention-

@@ -248,3 +248,23 @@ func TestMHColdAllocsFlatInDiameter(t *testing.T) {
 		t.Errorf("schedule fingerprint %s, want %s", got, golden)
 	}
 }
+
+// TestMHRouteBytesMatchesTables: the size a server checks before MH runs
+// is the size of the tables MH then builds, as the route memo counts it.
+func TestMHRouteBytesMatchesTables(t *testing.T) {
+	for _, spec := range []string{"full:1", "chain:2", "ring:16", "chain:32", "torus:4x8", "hypercube:5", "tree:3x3", "star:9"} {
+		topo, err := machine.ParseTopology(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ar := getArena()
+		r, err := newMHRoutes(topo, ar)
+		ar.release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := MHRouteBytes(topo), mhRouteMemo.size(r); got != want {
+			t.Errorf("%s: MHRouteBytes = %d, the built tables take %d", spec, got, want)
+		}
+	}
+}

@@ -9,7 +9,8 @@ import "sort"
 // are the term that dominates distributed wall time. Place keeps the
 // contiguous partition's per-worker quotas (so load stays balanced the
 // same way) but chooses *which* processors share a worker by the
-// schedule's per-pair traffic matrix, and is deterministic so the
+// schedule's per-pair traffic — a dense matrix built for the one
+// placement and dropped with it — and is deterministic so the
 // conformance harness stays reproducible.
 
 // Place maps each processor of the finalized schedule onto one of
@@ -30,7 +31,17 @@ func Place(s *Schedule, workers int) []int {
 	if workers < 1 {
 		workers = 1
 	}
-	s.Finalize()
+	// both[p*numPE+q] is the words p and q exchange, either way;
+	// weight[p] is all p exchanges.
+	both, weight := make([]int64, numPE*numPE), make([]int64, numPE)
+	for _, m := range s.Msgs {
+		if p, q := m.FromPE, m.ToPE; p != q && uint(p) < uint(numPE) && uint(q) < uint(numPE) {
+			both[p*numPE+q] += m.Words
+			both[q*numPE+p] += m.Words
+			weight[p] += m.Words
+			weight[q] += m.Words
+		}
+	}
 
 	quota := make([]int, workers)
 	base, rem := numPE/workers, numPE%workers
@@ -50,21 +61,13 @@ func Place(s *Schedule, workers int) []int {
 			pe++
 		}
 	}
-	refine(s, contig, workers)
+	refine(both, contig)
 
 	// Candidate 2: greedy affinity, refined. Heavy processors place
 	// first so their edges anchor the clusters.
 	order := make([]int, numPE)
 	for i := range order {
 		order[i] = i
-	}
-	weight := make([]int64, numPE)
-	for i := 0; i < numPE; i++ {
-		for j := 0; j < numPE; j++ {
-			if i != j {
-				weight[i] += s.PairTraffic(i, j) + s.PairTraffic(j, i)
-			}
-		}
 	}
 	sort.SliceStable(order, func(a, b int) bool {
 		if weight[order[a]] != weight[order[b]] {
@@ -86,7 +89,7 @@ func Place(s *Schedule, workers int) []int {
 			aff := int64(0)
 			for q := 0; q < numPE; q++ {
 				if greedy[q] == w {
-					aff += s.PairTraffic(p, q) + s.PairTraffic(q, p)
+					aff += both[p*numPE+q]
 				}
 			}
 			if aff > bestAff {
@@ -96,7 +99,7 @@ func Place(s *Schedule, workers int) []int {
 		greedy[p] = bestW
 		left[bestW]--
 	}
-	refine(s, greedy, workers)
+	refine(both, greedy)
 
 	if CrossWorkerWords(s, contig) < CrossWorkerWords(s, greedy) {
 		return contig
@@ -109,7 +112,7 @@ func Place(s *Schedule, workers int) []int {
 // strictly reduces cross-worker words is swapped. Quotas are preserved
 // by construction (a swap never changes per-worker counts). Passes are
 // bounded; each full no-improvement scan terminates early.
-func refine(s *Schedule, peerOf []int, workers int) {
+func refine(both []int64, peerOf []int) {
 	numPE := len(peerOf)
 	for pass := 0; pass < 8; pass++ {
 		improved := false
@@ -118,7 +121,7 @@ func refine(s *Schedule, peerOf []int, workers int) {
 				if peerOf[i] == peerOf[j] {
 					continue
 				}
-				if swapGain(s, peerOf, i, j) > 0 {
+				if swapGain(both, peerOf, i, j) > 0 {
 					peerOf[i], peerOf[j] = peerOf[j], peerOf[i]
 					improved = true
 				}
@@ -133,15 +136,13 @@ func refine(s *Schedule, peerOf []int, workers int) {
 // swapGain returns the cross-worker words saved by swapping the worker
 // assignments of processors i and j (positive = the swap helps). Only
 // edges incident to i or j change, so the delta is O(numPE).
-func swapGain(s *Schedule, peerOf []int, i, j int) int64 {
+func swapGain(both []int64, peerOf []int, i, j int) int64 {
+	n := len(peerOf)
 	cost := func(p, wp int) int64 {
 		var c int64
-		for q := 0; q < len(peerOf); q++ {
-			if q == i || q == j {
-				continue
-			}
-			if peerOf[q] != wp {
-				c += s.PairTraffic(p, q) + s.PairTraffic(q, p)
+		for q, w := range both[p*n : (p+1)*n] {
+			if q != i && q != j && peerOf[q] != wp {
+				c += w
 			}
 		}
 		return c
@@ -159,11 +160,9 @@ func swapGain(s *Schedule, peerOf []int, i, j int) int64 {
 func CrossWorkerWords(s *Schedule, peerOf []int) int64 {
 	var words int64
 	n := len(peerOf)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if peerOf[i] != peerOf[j] {
-				words += s.PairTraffic(i, j)
-			}
+	for _, m := range s.Msgs {
+		if uint(m.FromPE) < uint(n) && uint(m.ToPE) < uint(n) && peerOf[m.FromPE] != peerOf[m.ToPE] {
+			words += m.Words
 		}
 	}
 	return words

@@ -111,17 +111,27 @@ func (s *Schedule) Makespan() machine.Time {
 	return s.index().makespan
 }
 
-// SlotsFor returns every slot (primary and duplicates) of the task.
-// The returned slice is shared with the schedule's index; callers must
-// not modify it.
+// SlotsFor returns every slot (primary and duplicates) of the task, in
+// Slots order, shared with the schedule (a task with one copy gets a
+// one-element view of Slots): callers must not modify it.
 func (s *Schedule) SlotsFor(t graph.NodeID) []Slot {
-	return s.index().byTask[t]
+	idx := s.index()
+	if cps, ok := idx.copies[t]; ok {
+		return cps
+	}
+	if i, ok := idx.slotOf[t]; ok {
+		return s.Slots[i : i+1 : i+1]
+	}
+	return nil
 }
 
 // PrimarySlot returns the non-duplicate slot of the task, or false.
 func (s *Schedule) PrimarySlot(t graph.NodeID) (Slot, bool) {
-	sl, ok := s.index().primary[t]
-	return sl, ok
+	i, ok := s.index().slotOf[t]
+	if !ok || s.Slots[i].Dup {
+		return Slot{}, false
+	}
+	return s.Slots[i], true
 }
 
 // PESlots returns the slots on processor pe sorted by start time. The
@@ -152,19 +162,6 @@ func (s *Schedule) OutTraffic(pe int) (msgs int, words int64) {
 		return 0, 0
 	}
 	return idx.msgsOut[pe], idx.wordsOut[pe]
-}
-
-// PairTraffic returns the words the schedule sends from processor
-// `from` to processor `to` (0 when either index is out of range or the
-// processors are the same). Placement uses it to keep heavy edges
-// inside one worker process.
-func (s *Schedule) PairTraffic(from, to int) int64 {
-	idx := s.index()
-	n := len(idx.busy)
-	if from < 0 || from >= n || to < 0 || to >= n {
-		return 0
-	}
-	return idx.pair[from*n+to]
 }
 
 // UsedPEs returns how many processors run at least one slot.
@@ -282,8 +279,8 @@ func (s *Schedule) Validate() error {
 	// Precedence + communication: per-task map lookups instead of
 	// per-arc scans over every slot.
 	for _, a := range s.Graph.Arcs() {
-		producers := idx.byTask[a.From]
-		consumers := idx.byTask[a.To]
+		producers := s.SlotsFor(a.From)
+		consumers := s.SlotsFor(a.To)
 		if len(producers) == 0 || len(consumers) == 0 {
 			errs = append(errs, fmt.Errorf("arc %s->%s: unscheduled endpoint", a.From, a.To))
 			continue

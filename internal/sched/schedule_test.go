@@ -193,18 +193,24 @@ func TestValidateCatchesLyingMessage(t *testing.T) {
 	}
 }
 
+// TestPrimarySlotAndPESlots covers the per-task views on a hand-built
+// schedule whose slot order no scheduler produces: a duplicate listed
+// before its task's primary copy, and a task with no primary copy.
 func TestPrimarySlotAndPESlots(t *testing.T) {
 	g := graph.Chain(2, 10, 0)
 	m := mk(t, "full:2", cheapComm())
 	s := &Schedule{Graph: g, Machine: m,
 		Slots: []Slot{
-			{Task: "t1", PE: 0, Start: 10, Finish: 20},
-			{Task: "t0", PE: 0, Start: 0, Finish: 10},
+			{Task: "t1", PE: 0, Start: 10, Finish: 20, Dup: true},
 			{Task: "t0", PE: 1, Start: 0, Finish: 10, Dup: true},
+			{Task: "t0", PE: 0, Start: 0, Finish: 10},
 		}}
 	p, ok := s.PrimarySlot("t0")
-	if !ok || p.PE != 0 {
+	if !ok || p.PE != 0 || p.Dup {
 		t.Errorf("PrimarySlot(t0) = %+v, %v", p, ok)
+	}
+	if _, ok := s.PrimarySlot("t1"); ok {
+		t.Error("PrimarySlot of a task with only a duplicate copy returned ok")
 	}
 	if _, ok := s.PrimarySlot("nosuch"); ok {
 		t.Error("PrimarySlot of unknown task returned ok")
@@ -213,8 +219,14 @@ func TestPrimarySlotAndPESlots(t *testing.T) {
 	if len(pes) != 2 || pes[0].Task != "t0" || pes[1].Task != "t1" {
 		t.Errorf("PESlots(0) = %v", pes)
 	}
-	if n := len(s.SlotsFor("t0")); n != 2 {
-		t.Errorf("SlotsFor(t0) = %d slots", n)
+	if got := s.SlotsFor("t0"); len(got) != 2 || got[0] != s.Slots[1] || got[1] != s.Slots[2] {
+		t.Errorf("SlotsFor(t0) = %v, want both copies in Slots order", got)
+	}
+	if got := s.SlotsFor("t1"); len(got) != 1 || got[0] != s.Slots[0] {
+		t.Errorf("SlotsFor(t1) = %v, want its one copy", got)
+	}
+	if got := s.SlotsFor("nosuch"); got != nil {
+		t.Errorf("SlotsFor(nosuch) = %v, want nil", got)
 	}
 }
 

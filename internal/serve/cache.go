@@ -28,14 +28,16 @@ type cacheEntry struct {
 // scheduleCache is an LRU map from sched.Fingerprint keys to compiled
 // submissions. Hits and misses are counted for /stats; the capacity
 // bounds live entries. An entry keeps its request's machine alive too,
-// with its CommCoeffs table, but not routing tables of its own: a
-// topology read from a document is interned, so all entries naming
-// ring:128 share one. That is about 0.92 MB per entry for a 501-task
-// design on ring:128 (1.18 MB while each held its own tables). Its
-// first run parks the runner's compiled era on the schedule, another
-// 0.26 MB (a prediction never does), so the default cap of 128 is
-// ~118 MB of schedules that were only predicted and ~150 MB of ones
-// that all ran.
+// but nothing sized by processor pairs: a topology read from a document
+// is interned, so all entries naming ring:128 share its routing tables,
+// which the schedulers' communication costs read too, and a schedule's
+// index keeps no P×P matrix.
+// That is about 0.42 MB per entry for a 501-task design on ring:128
+// (0.79 MB while each machine held its own communication table and each
+// index a traffic matrix). Its first run parks the runner's compiled era
+// on the schedule, another 0.26 MB (a prediction never does), so the
+// default cap of 128 is ~54 MB of schedules that were only predicted
+// and ~87 MB of ones that all ran.
 type scheduleCache struct {
 	mu    sync.Mutex
 	cap   int

@@ -767,6 +767,55 @@ func TestServeRejectsOversizedMachine(t *testing.T) {
 	}
 }
 
+// TestServeRejectsUnaffordableMHRoutes: MH's route tables grow with the
+// sum of the machine's route lengths, cubic on a chain, so a posted
+// chain:512 within the processor limit would have MH build 172 MB of
+// them. The server sizes them from the hop counts and refuses instead;
+// ETF on the same machine keeps no such tables and is served.
+func TestServeRejectsUnaffordableMHRoutes(t *testing.T) {
+	s := New(Options{DefaultAlg: "etf"})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	good, err := json.Marshal(testProject(t, 10, 1, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.Replace(good, []byte(`"topology":"hypercube:2"`), []byte(`"topology":"chain:512"`), 1)
+	if bytes.Equal(body, good) {
+		t.Fatalf("project document has no topology field to replace: %s", good)
+	}
+	post := func(alg string) (int, string) {
+		resp, err := http.Post(ts.URL+"/run?mode=schedule&alg="+alg, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var msg bytes.Buffer
+		_, _ = msg.ReadFrom(resp.Body) // a short read only weakens the message check below
+		resp.Body.Close()
+		return resp.StatusCode, msg.String()
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	code, msg := post("mh")
+	took := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if code != http.StatusBadRequest || !strings.Contains(msg, "172 MB") || !strings.Contains(msg, "at most 64 MB") {
+		t.Errorf("mh on chain:512: status %d, body %q; want 400 naming the tables' 172 MB and the 64 MB budget", code, msg)
+	}
+	if took > time.Second {
+		t.Errorf("mh on chain:512: refused after %v, want under 1s", took)
+	}
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb > 64 {
+		t.Errorf("mh on chain:512: refusing allocated %.1f MB, want under 64 MB", mb)
+	}
+	if code, msg := post("etf"); code != http.StatusOK {
+		t.Errorf("etf on chain:512: status %d, body %q; want 200", code, msg)
+	}
+}
+
 // TestServeRejectsExponentialScheduler: sched.ByName resolves
 // "optimal", an exponential search with no context to cancel it (the
 // built-in stats project on hypercube:3 does not finish in a minute).

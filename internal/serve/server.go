@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -17,6 +18,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/machine"
 	"repro/internal/project"
 	"repro/internal/sched"
 	"repro/internal/wire"
@@ -269,7 +271,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if alg == "" {
 		alg = s.alg
 	}
-	if err := checkAlg(alg); err != nil {
+	if err := checkAlg(alg, p.Machine); err != nil {
 		s.failRun(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -431,16 +433,26 @@ func (s *Server) compile(p *project.Project, alg string) (cacheEntry, string, er
 // checkAlg refuses an alg that is not one of sched.All(). sched.ByName
 // also resolves "optimal", whose search is exponential and takes no
 // context, so one request naming it would hold a core and an admission
-// slot past any timeout.
-func checkAlg(alg string) error {
+// slot past any timeout. It refuses MH on a machine (m, when the
+// request has one) whose route tables would outgrow the budget MH keeps
+// them in: a posted chain:512 asks for 172 MB of them before the first
+// task is placed, chain:1024 for 1.3 GB.
+func checkAlg(alg string, m *machine.Machine) error {
 	all := sched.All()
 	names := make([]string, len(all))
 	for i, sc := range all {
-		if names[i] = sc.Name(); names[i] == alg {
-			return nil
+		names[i] = sc.Name()
+	}
+	if !slices.Contains(names, alg) {
+		return fmt.Errorf("unknown scheduler %q (have %v)", alg, names)
+	}
+	if alg == (sched.MH{}).Name() && m != nil {
+		if b := sched.MHRouteBytes(m.Topo); b > sched.MHRouteBudget {
+			return fmt.Errorf("machine %q: mh's route tables on %s would take %d MB; a request may ask for at most %d MB",
+				m.Name, m.Topo.Name, b>>20, sched.MHRouteBudget>>20)
 		}
 	}
-	return fmt.Errorf("unknown scheduler %q (have %v)", alg, names)
+	return nil
 }
 
 // renderOutputs renders the run's external outputs exactly as `banger
