@@ -53,6 +53,12 @@ vet:
 	! grep -rn 'PairTraffic' --include='*.go' internal cmd
 # One measurement system: the retired per-PR baseline files are cited nowhere in code, CI or docs.
 	! grep -rn 'BENCH_P[R]' Makefile .github cmd docs examples internal *.go README.md DESIGN.md EXPERIMENTS.md
+# Frames leave when a burst ends: a hosted run keeps no flush ticker.
+	! grep -rnE 'flushEvery|stopFlush' --include='*.go' internal/wire
+# Flushing is part of exec.RemotePlane: no optional flusher interface beside it.
+	! grep -rn 'RemoteFlusher' --include='*.go' internal cmd
+# Every fuzz target under internal/ runs in fuzz-smoke.
+	! for f in $$(grep -rhoE '^func Fuzz[A-Za-z0-9_]+' --include='*_test.go' internal | cut -c6-); do sed -n '/^fuzz-smoke:/,/^$$/p' Makefile | grep -q -- "-fuzz $$f " || echo "$$f is not in fuzz-smoke"; done | grep .
 
 test:
 	$(GO) test ./...
@@ -162,6 +168,10 @@ conform: build
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 5s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeMsg -fuzztime 5s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeValue -fuzztime 5s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeEnv -fuzztime 5s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeSchedule -fuzztime 5s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeEvents -fuzztime 5s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzParseFaults -fuzztime 5s ./internal/exec/
 	$(GO) test -run '^$$' -fuzz FuzzDeliver -fuzztime 5s ./internal/exec/
 	$(GO) test -run '^$$' -fuzz FuzzConform -fuzztime 20s ./internal/conform/

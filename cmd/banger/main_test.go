@@ -277,8 +277,8 @@ func TestWatchdogFlagsRemoved(t *testing.T) {
 	wantUnknownFlag(t, "serve", "-watchdog-min", "-watchdog-min 5s")
 }
 
-// TestTuningFlagsRemoved: schedule construction is serial and the
-// frame-coalescing window is a constant, so `-workers` and
+// TestTuningFlagsRemoved: schedule construction is serial and frames
+// leave when a burst of sends ends, so `-workers` and
 // `-flush-interval` are refused rather than ignored, and the help text
 // no longer offers them.
 func TestTuningFlagsRemoved(t *testing.T) {

@@ -106,15 +106,19 @@ func drawChurn(rng *rand.Rand, workers int) []ChurnOp {
 	}
 }
 
-// applyChurn fires the ops at their offsets against the run's control
-// listener. Rejections are ultimately swallowed: "run is finishing"
-// means the op raced the run's natural completion, which is a
-// legitimate interleaving the outputs oracle must survive, not a
-// harness failure. Transient rejections — a replan in flight, no free
-// capacity yet (a join only lands once a crash or departure frees
-// processors), the control listener not up — are retried briefly so an
-// op scheduled inside the run's window usually lands.
-func applyChurn(ctx context.Context, tr wire.Transport, ctl <-chan string, joiner string, ops []ChurnOp, workers int) {
+// applyChurn fires the ops at their offsets against the control
+// listener whose address arrives on ctl — a run's own, or a fleet's,
+// which hosts many runs at once. Joins announce joiner; a drain names
+// members[op.Worker % len(members)] by address, so "worker 1" always
+// means the second original member. Rejections are ultimately
+// swallowed: "run is finishing" means the op raced the run's natural
+// completion, which is a legitimate interleaving the outputs oracle
+// must survive, not a harness failure. Transient rejections — a replan
+// in flight, no free capacity yet (a join only lands once a crash or
+// departure frees processors), the control listener not up — are
+// retried briefly so an op scheduled inside the run's window usually
+// lands.
+func applyChurn(ctx context.Context, tr wire.Transport, ctl <-chan string, joiner string, ops []ChurnOp, members []string) {
 	var control string
 	select {
 	case control = <-ctl:
@@ -143,7 +147,7 @@ func applyChurn(ctx context.Context, tr wire.Transport, ctl <-chan string, joine
 			case "join":
 				err = wire.Announce(octx, tr, control, joiner)
 			case "drain":
-				err = wire.Drain(octx, tr, control, op.Worker%workers, "")
+				err = wire.Drain(octx, tr, control, -1, members[op.Worker%len(members)])
 			}
 			cancel()
 			if err == nil || !transient(err) {

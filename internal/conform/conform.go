@@ -355,7 +355,7 @@ func runDist(ctx context.Context, c *Case, sc *sched.Schedule, flat *graph.Flat,
 			}()
 			joiner = jaddrs[0]
 		}
-		go applyChurn(rctx, tr, ctlCh, joiner, c.Churn, workers)
+		go applyChurn(rctx, tr, ctlCh, joiner, c.Churn, addrs)
 	}
 	res, err := co.Run(rctx, sc, flat)
 	if err != nil {

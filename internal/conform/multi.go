@@ -171,9 +171,6 @@ func RunMulti(ctx context.Context, mc *MultiCase) (*MultiReport, error) {
 	defer cancel()
 
 	// Fire the (single) churn script against the fleet control plane.
-	// Fleet drains are addressed by worker address, not index — the
-	// fleet hosts many runs at once, so "worker 1" is only meaningful
-	// relative to the original seed membership.
 	for _, c := range mc.Cases {
 		if len(c.Churn) == 0 {
 			continue
@@ -189,7 +186,9 @@ func RunMulti(ctx context.Context, mc *MultiCase) (*MultiReport, error) {
 			defer jstop()
 			joiner = jaddrs[0]
 		}
-		go applyFleetChurn(rctx, tr, f.Addr(), joiner, c.Churn, addrs)
+		ctl := make(chan string, 1)
+		ctl <- f.Addr()
+		go applyChurn(rctx, tr, ctl, joiner, c.Churn, addrs)
 		break
 	}
 
@@ -255,45 +254,6 @@ func samePrinted(a, b []string) bool {
 		}
 	}
 	return true
-}
-
-// applyFleetChurn fires churn ops against the FLEET control listener
-// (rather than a single run's): joins announce a spare member, drains
-// name the victim by address and evacuate it from every run it hosts.
-// Same best-effort semantics as applyChurn — the oracle is not "the op
-// landed" but "no run's outputs moved whether or not it did".
-func applyFleetChurn(ctx context.Context, tr wire.Transport, control, joiner string, ops []ChurnOp, members []string) {
-	transient := func(err error) bool {
-		for _, s := range []string{"retry", "capacity", "dial", "refused", "no listener"} {
-			if strings.Contains(err.Error(), s) {
-				return true
-			}
-		}
-		return false
-	}
-	start := time.Now()
-	for _, op := range ops {
-		select {
-		case <-time.After(time.Duration(op.AtMS)*time.Millisecond - time.Since(start)):
-		case <-ctx.Done():
-			return
-		}
-		for attempt := 0; attempt < 40 && ctx.Err() == nil; attempt++ {
-			octx, cancel := context.WithTimeout(ctx, time.Second)
-			var err error
-			switch op.Op {
-			case "join":
-				err = wire.Announce(octx, tr, control, joiner)
-			case "drain":
-				err = wire.Drain(octx, tr, control, -1, members[op.Worker%len(members)])
-			}
-			cancel()
-			if err == nil || !transient(err) {
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
 }
 
 // runMultiForShrink is RunMulti behind a seam so ShrinkMulti's loop

@@ -467,8 +467,10 @@ func (c *controller) resumeLocal(p *ResumePlan, ep *eraPlan) {
 // retransmission the in-process ack loop would have sent: the receiver
 // discards the corrupt copy by checksum and absorbs duplicates by
 // sequence number. Without retry, the loss starves the receiver,
-// exactly as on the direct in-process path.
-func (c *controller) sendRemote(m xmsg, k *msgKey, orig pits.Value, toPE, copies int, wallDelay time.Duration) error {
+// exactly as on the direct in-process path. handed reports whether the
+// plane now holds the message, which the sender's burst then owes a
+// flush; delayed and retried copies flush themselves (deliverLate).
+func (c *controller) sendRemote(m xmsg, k *msgKey, orig pits.Value, toPE, copies int, wallDelay time.Duration) (handed bool, err error) {
 	rm := RemoteMsg{From: k.from, To: k.to, Var: k.v,
 		FromPE: m.fromPE, ToPE: toPE, Seq: m.seq, Epoch: m.epoch,
 		At: m.at, Sum: m.sum, Val: m.val}
@@ -476,29 +478,26 @@ func (c *controller) sendRemote(m xmsg, k *msgKey, orig pits.Value, toPE, copies
 		c.retransmitRemote(rm, orig, wallDelay)
 	}
 	if copies == 0 {
-		return nil
+		return false, nil
 	}
 	if wallDelay > 0 {
 		er := c.era.Load()
 		c.later(wallDelay, func() { c.deliverLate(er, rm, copies) })
-		return nil
+		return false, nil
 	}
 	for i := 0; i < copies; i++ {
 		c.stats.RemoteSends.Add(1)
 		if err := c.plane.DeliverRemote(rm); err != nil {
-			return fmt.Errorf("remote delivery to PE %d: %w", toPE, err)
+			return true, fmt.Errorf("remote delivery to PE %d: %w", toPE, err)
 		}
 	}
-	return nil
+	return true, nil
 }
 
-// flushRemote asks a coalescing remote plane to put buffered frames on
-// the wire. A no-op for planes without batching.
+// flushRemote ends a burst that handed the remote plane a message.
 func (c *controller) flushRemote() {
-	if f, ok := c.plane.(RemoteFlusher); ok {
-		c.stats.RemoteFlushes.Add(1)
-		f.FlushRemote()
-	}
+	c.stats.RemoteFlushes.Add(1)
+	c.plane.FlushRemote()
 }
 
 // retransmitRemote re-ships the uncorrupted payload of a remote
@@ -541,8 +540,7 @@ func (c *controller) deliverLate(er *era, rm RemoteMsg, copies int) {
 			return
 		}
 	}
-	// The delivery happened outside any slot's send burst; flush so it
-	// doesn't wait out the plane's interval.
+	// The delivery is a burst of its own, outside any slot's sends.
 	c.flushRemote()
 }
 

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -151,6 +152,7 @@ func newTestPlane() *testPlane {
 }
 
 func (p *testPlane) DeliverRemote(RemoteMsg) error { return nil }
+func (p *testPlane) FlushRemote()                  {}
 func (p *testPlane) LocalIdle()                    { p.idle <- struct{}{} }
 func (p *testPlane) LocalCrash(pe int)             { p.crash <- pe }
 
@@ -373,6 +375,91 @@ func (p *recordPlane) DeliverRemote(m RemoteMsg) error {
 	p.sent = append(p.sent, m)
 	p.mu.Unlock()
 	return nil
+}
+
+// flushPlane is a testPlane that logs deliveries and flushes in order,
+// and reports each flush on flushed.
+type flushPlane struct {
+	*testPlane
+	flushed chan struct{}
+	mu      sync.Mutex
+	log     []string
+}
+
+func (p *flushPlane) DeliverRemote(m RemoteMsg) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.log = append(p.log, fmt.Sprintf("deliver %s->%s:%s", m.From, m.To, m.Var))
+	return nil
+}
+
+func (p *flushPlane) FlushRemote() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.log = append(p.log, "flush")
+	p.flushed <- struct{}{}
+}
+
+// TestFlushEndsBurstsThatReachedThePlane: a session hosting PEs 0 and 2
+// of the diamond flushes its plane once per burst that handed it a
+// message — a's sends, or the delayed delivery that replaces them — and
+// never after c, whose one send stays in the session.
+func TestFlushEndsBurstsThatReachedThePlane(t *testing.T) {
+	flat := diamondDesign(t)
+	m := testMachine(t, "full:3", params())
+	s := &sched.Schedule{
+		Graph: flat.Graph, Machine: m, Algorithm: "hand",
+		Slots: []sched.Slot{
+			{Task: "a", PE: 0, Start: 0, Finish: 11},
+			{Task: "b", PE: 1, Start: 17, Finish: 28},
+			{Task: "c", PE: 2, Start: 17, Finish: 28},
+			{Task: "d", PE: 0, Start: 34, Finish: 45},
+		},
+		Msgs: []sched.Msg{
+			{Var: "u", From: "a", To: "b", FromPE: 0, ToPE: 1, Words: 1, Send: 11, Recv: 17, Hops: 1},
+			{Var: "u", From: "a", To: "c", FromPE: 0, ToPE: 2, Words: 1, Send: 11, Recv: 17, Hops: 1},
+			{Var: "v", From: "b", To: "d", FromPE: 1, ToPE: 0, Words: 1, Send: 28, Recv: 34, Hops: 1},
+			{Var: "w", From: "c", To: "d", FromPE: 2, ToPE: 0, Words: 1, Send: 28, Recv: 34, Hops: 1},
+		},
+	}
+	s.Finalize()
+	for _, faults := range []string{"", "delay:a->b:u@1"} {
+		r := &Runner{Inputs: pits.Env{"x0": pits.Num(5)}, Stats: &Stats{}}
+		if faults != "" {
+			plan, err := ParseFaults(faults)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Faults = plan
+		}
+		pl := &flushPlane{testPlane: newTestPlane(), flushed: make(chan struct{}, 16)}
+		ses, err := r.StartSession(s, flat, []bool{true, false, true}, pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Play PE 1: b's result for d.
+		v := RemoteMsg{From: "b", To: "d", Var: "v", FromPE: 1, ToPE: 0, Seq: 2<<32 | 1, Val: pits.Num(11)}
+		if err := ses.Deliver(v); err != nil {
+			t.Fatal(err)
+		}
+		// A delayed delivery owed when the run finishes is moot: wait for
+		// the flush before finishing.
+		waitEvent(t, pl.flushed, "the flush of a's burst")
+		waitEvent(t, pl.idle, "PEs 0 and 2 to finish their lists")
+		ses.FinishRun()
+		if _, err := ses.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		pl.mu.Lock()
+		got := strings.Join(pl.log, ", ")
+		pl.mu.Unlock()
+		if want := "deliver a->b:u, flush"; got != want {
+			t.Errorf("%q: plane saw %q, want %q", faults, got, want)
+		}
+		if st := r.Stats.Snapshot(); st.RemoteSends != 1 || st.RemoteFlushes != 1 {
+			t.Errorf("%q: RemoteSends %d, RemoteFlushes %d, want 1 and 1", faults, st.RemoteSends, st.RemoteFlushes)
+		}
+	}
 }
 
 // TestRevivedProcessorIsRemote: PE 1 crashes here and the resume plan

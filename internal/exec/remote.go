@@ -47,24 +47,21 @@ type RemoteMsg struct {
 // concurrent use: worker goroutines deliver concurrently.
 type RemotePlane interface {
 	// DeliverRemote ships one message toward the process hosting
-	// m.ToPE. An error fails the sending task (and so the run).
+	// m.ToPE. It may hold the message back until the next FlushRemote.
+	// An error fails the sending task (and so the run).
 	DeliverRemote(m RemoteMsg) error
+	// FlushRemote puts every message DeliverRemote holds on its way.
+	// The session calls it at the end of each burst that handed the
+	// plane at least one message: a slot's sends, an era's re-sends, a
+	// delayed or retried delivery. Nothing else decides when a held
+	// message leaves.
+	FlushRemote()
 	// LocalIdle reports that every live locally-hosted processor
 	// finished its current era's slot list.
 	LocalIdle()
 	// LocalCrash reports an injected crash killing locally-hosted
 	// processor pe. The run's lifecycle must drive a recovery.
 	LocalCrash(pe int)
-}
-
-// RemoteFlusher is an optional RemotePlane extension for planes that
-// coalesce outgoing frames. The runner calls FlushRemote at natural
-// batch boundaries — the end of a slot's send burst, era-start
-// re-sends, delayed and retried deliveries — so batched messages do
-// not wait out the plane's flush interval. Planes without batching
-// simply don't implement it.
-type RemoteFlusher interface {
-	FlushRemote()
 }
 
 // Partial is one process's share of a run's result: qualified external

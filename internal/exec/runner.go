@@ -219,6 +219,7 @@ func (p localPlane) post(ev Event) {
 func (p localPlane) DeliverRemote(m RemoteMsg) error {
 	return fmt.Errorf("exec: PE %d is not on this machine", m.ToPE)
 }
+func (p localPlane) FlushRemote()      {}
 func (p localPlane) LocalIdle()        { p.post(Idle{}) }
 func (p localPlane) LocalCrash(pe int) { p.post(Crash{PE: pe}) }
 

@@ -26,9 +26,11 @@ type Stats struct {
 	// RemoteSends counts deliveries handed to the remote plane
 	// (distributed runs only; includes injected duplicate copies).
 	RemoteSends atomic.Int64
-	// RemoteFlushes counts explicit flushes of a coalescing remote
-	// plane (slot boundaries, barriers, retries). The ratio
-	// RemoteSends/RemoteFlushes is the achieved batching factor.
+	// RemoteFlushes counts the bursts that handed the remote plane at
+	// least one message — slots, era-start re-sends, delayed and
+	// retried deliveries — each ended by one FlushRemote (distributed
+	// runs only). RemoteSends/RemoteFlushes is the achieved batching
+	// factor.
 	RemoteFlushes atomic.Int64
 }
 

@@ -92,6 +92,9 @@ func TestRunStatsMatchTrace(t *testing.T) {
 			t.Errorf("%q: faults=%d recoveries=%d, want %d and %d", tc.faults,
 				snap.FaultsInjected, snap.Recoveries, tc.faulted, tc.recover)
 		}
+		if snap.RemoteSends != 0 || snap.RemoteFlushes != 0 {
+			t.Errorf("%q: an in-process run counted %d remote sends and %d flushes", tc.faults, snap.RemoteSends, snap.RemoteFlushes)
+		}
 		if snap.TasksRun == 0 || snap.MsgsSent == 0 {
 			t.Errorf("%q: counters never moved on a real run", tc.faults)
 		}

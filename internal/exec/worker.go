@@ -48,6 +48,9 @@ type worker struct {
 	local    map[graph.NodeID]pits.Env // outputs of tasks executed here
 	executed int                       // tasks executed here, across eras (crash counter)
 	seqLocal uint64                    // low bits of this sender's message sequence numbers
+	// flushOwed is set while the current burst of sends has handed the
+	// remote plane a message it has not flushed yet.
+	flushOwed bool
 }
 
 // arrival is what a worker knows of one inbound message of its era: the
@@ -157,12 +160,9 @@ func (w *worker) execute() (wstatus, error) {
 			return wsError, err
 		}
 	}
-	if len(w.resends) > 0 {
-		// The re-send burst precedes the slot loop; flush it so peers
-		// waiting on surviving results aren't stalled behind our first
-		// (possibly long) slot.
-		w.ctrl.flushRemote()
-	}
+	// The re-send burst precedes the slot loop: peers waiting on
+	// surviving results must not wait out our first (possibly long) slot.
+	w.endBurst()
 	w.resends = nil
 
 	for w.cursor < len(w.prog.slots) {
@@ -267,11 +267,7 @@ func (w *worker) runSlot(sl *slotProg) error {
 			return fmt.Errorf("task %s: %w", sl.Task, err)
 		}
 	}
-	if len(sl.sends) > 0 {
-		// Slot boundary: the send burst above may be coalescing in a
-		// remote plane's peer buffers; put it on the wire now.
-		w.ctrl.flushRemote()
-	}
+	w.endBurst() // the slot boundary ends its send burst
 
 	// External outputs from the primary copy only (duplicates are
 	// communication surrogates, not result owners). Only the qualified
@@ -331,7 +327,9 @@ func (w *worker) send(sp sendPlan, val pits.Value, at machine.Time) error {
 	if !w.ctrl.isLocal(sp.toPE) {
 		// The consumer lives in another process: hand the message to
 		// the remote plane, which owns process-boundary reliability.
-		return w.ctrl.sendRemote(m, k, val, sp.toPE, copies, wallDelay)
+		handed, err := w.ctrl.sendRemote(m, k, val, sp.toPE, copies, wallDelay)
+		w.flushOwed = w.flushOwed || handed
+		return err
 	}
 	if w.ctrl.retry {
 		m.ack = make(chan struct{}, 4)
@@ -354,6 +352,15 @@ func (w *worker) send(sp sendPlan, val pits.Value, at machine.Time) error {
 		}
 	}
 	return nil
+}
+
+// endBurst ends a burst of sends: if any of them handed the remote
+// plane a message, the plane flushes, so what it holds leaves now.
+func (w *worker) endBurst() {
+	if w.flushOwed {
+		w.flushOwed = false
+		w.ctrl.flushRemote()
+	}
 }
 
 // admit vets one delivery: stale-era and benign duplicate copies are

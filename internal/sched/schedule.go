@@ -241,9 +241,12 @@ func (s *Schedule) Validate() error {
 		return errors.New("schedule: missing graph or machine")
 	}
 	idx := s.index()
+	// A processor outside the machine is reported once, and every check
+	// that would index the machine by it is skipped.
+	onMachine := func(pe int) bool { return pe >= 0 && pe < s.Machine.NumPE() }
 	primary := map[graph.NodeID]int{}
 	for _, sl := range s.Slots {
-		if sl.PE < 0 || sl.PE >= s.Machine.NumPE() {
+		if !onMachine(sl.PE) {
 			errs = append(errs, fmt.Errorf("slot %s on invalid PE %d", sl.Task, sl.PE))
 		}
 		if s.Graph.Node(sl.Task) == nil {
@@ -255,6 +258,9 @@ func (s *Schedule) Validate() error {
 		}
 		if sl.Start < 0 || sl.Finish < sl.Start {
 			errs = append(errs, fmt.Errorf("slot %s has bad interval [%v,%v]", sl.Task, sl.Start, sl.Finish))
+		}
+		if !onMachine(sl.PE) {
+			continue
 		}
 		want := s.Machine.ExecTime(s.Graph.Node(sl.Task).Work, sl.PE)
 		if sl.Finish-sl.Start != want {
@@ -286,8 +292,14 @@ func (s *Schedule) Validate() error {
 			continue
 		}
 		for _, c := range consumers {
+			if !onMachine(c.PE) {
+				continue
+			}
 			satisfied := false
 			for _, p := range producers {
+				if !onMachine(p.PE) {
+					continue
+				}
 				ready := p.Finish + s.Machine.CommTime(a.Words, p.PE, c.PE)
 				if c.Start >= ready {
 					satisfied = true
@@ -302,6 +314,11 @@ func (s *Schedule) Validate() error {
 	}
 	// Message records must respect the lower-bound latency model.
 	for _, m := range s.Msgs {
+		if !onMachine(m.FromPE) || !onMachine(m.ToPE) {
+			errs = append(errs, fmt.Errorf("msg %s->%s from PE %d to PE %d: a processor outside the machine",
+				m.From, m.To, m.FromPE, m.ToPE))
+			continue
+		}
 		if m.FromPE == m.ToPE {
 			continue
 		}

@@ -88,6 +88,51 @@ func TestValidateCatchesOverlap(t *testing.T) {
 	}
 }
 
+// TestValidateReportsProcessorsOutsideTheMachine: a slot or message
+// naming a processor the machine does not have is an error Validate
+// returns, never an index it panics on — on a homogeneous machine and
+// on one whose per-processor speeds ExecTime would index too.
+func TestValidateReportsProcessorsOutsideTheMachine(t *testing.T) {
+	g := graph.Chain(2, 10, 4)
+	valid := func(m *machine.Machine) *Schedule {
+		comm := m.CommTime(4, 0, 1)
+		return &Schedule{Graph: g, Machine: m, Algorithm: "hand",
+			Slots: []Slot{
+				{Task: "t0", PE: 0, Start: 0, Finish: m.ExecTime(10, 0)},
+				{Task: "t1", PE: 1, Start: m.ExecTime(10, 0) + comm, Finish: m.ExecTime(10, 0) + comm + m.ExecTime(10, 1)},
+			},
+			Msgs: []Msg{{Var: "v1", From: "t0", To: "t1", FromPE: 0, ToPE: 1, Words: 4,
+				Send: m.ExecTime(10, 0), Recv: m.ExecTime(10, 0) + comm, Hops: 1}},
+		}
+	}
+	homog := mk(t, "ring:4", costlyComm())
+	hetero := mk(t, "ring:4", costlyComm())
+	if err := hetero.SetSpeeds([]int64{1, 2, 1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	for kind, m := range map[string]*machine.Machine{"homogeneous": homog, "with speeds": hetero} {
+		if err := valid(m).Validate(); err != nil {
+			t.Fatalf("%s: valid schedule rejected: %v", kind, err)
+		}
+		for _, tc := range []struct {
+			name   string
+			mutate func(s *Schedule)
+		}{
+			{"slot PE 99", func(s *Schedule) { s.Slots[1].PE = 99 }},
+			{"slot PE -1", func(s *Schedule) { s.Slots[0].PE = -1 }},
+			{"message from PE 99", func(s *Schedule) { s.Msgs[0].FromPE = 99 }},
+			{"message to PE 99", func(s *Schedule) { s.Msgs[0].ToPE = 99 }},
+			{"message to PE -1", func(s *Schedule) { s.Msgs[0].ToPE = -1 }},
+		} {
+			s := valid(m)
+			tc.mutate(s)
+			if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "99") && !strings.Contains(err.Error(), "-1") {
+				t.Errorf("%s, %s: Validate = %v, want an error naming the processor", kind, tc.name, err)
+			}
+		}
+	}
+}
+
 func TestValidateCatchesPrecedenceViolation(t *testing.T) {
 	g := graph.Chain(2, 10, 0)
 	m := mk(t, "full:2", cheapComm())

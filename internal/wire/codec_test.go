@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"sync/atomic"
@@ -160,6 +161,58 @@ func TestScheduleRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeSchedule([]byte{99}); err == nil {
 		t.Error("unknown codec version decoded without error")
+	}
+}
+
+// outOfRangeSchedules encodes ETF schedules on ring:4 — homogeneous
+// and with per-processor speeds — each broken by one slot or message
+// naming a processor the machine does not have: the schedule bytes a
+// corrupted or hostile start bundle carries.
+func outOfRangeSchedules(t testing.TB) map[string][]byte {
+	t.Helper()
+	flat, _ := distDesign(t, 2, 2)
+	out := map[string][]byte{}
+	for _, speeds := range [][]int64{nil, {1, 2, 1, 2}} {
+		m := distMachine(t, "ring:4")
+		if speeds != nil {
+			if err := m.SetSpeeds(speeds); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for name, mutate := range map[string]func(s *sched.Schedule){
+			"slot on PE 99":      func(s *sched.Schedule) { s.Slots[0].PE = 99 },
+			"slot on PE -1":      func(s *sched.Schedule) { s.Slots[len(s.Slots)-1].PE = -1 },
+			"message from PE 99": func(s *sched.Schedule) { s.Msgs[0].FromPE = 99 },
+			"message to PE 99":   func(s *sched.Schedule) { s.Msgs[0].ToPE = 99 },
+		} {
+			sc, err := sched.ETF{}.Schedule(flat.Graph, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(sc.Msgs) == 0 {
+				t.Fatal("ETF sent no messages on ring:4")
+			}
+			broken := &sched.Schedule{Graph: sc.Graph, Machine: sc.Machine, Algorithm: sc.Algorithm,
+				Slots: append([]sched.Slot(nil), sc.Slots...), Msgs: append([]sched.Msg(nil), sc.Msgs...)}
+			mutate(broken)
+			b, err := EncodeSchedule(broken)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[fmt.Sprintf("%s, speeds %v", name, speeds)] = b
+		}
+	}
+	return out
+}
+
+// TestDecodeScheduleRejectsProcessorsOutsideTheMachine: a start bundle
+// whose schedule names a processor outside its machine is refused with
+// an error; decoding it must not panic the worker daemon.
+func TestDecodeScheduleRejectsProcessorsOutsideTheMachine(t *testing.T) {
+	for name, b := range outOfRangeSchedules(t) {
+		if _, err := DecodeSchedule(b); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
 	}
 }
 

@@ -594,7 +594,7 @@ func (r *coRun) dismiss(p *peer) {
 // for a data frame whose mesh link was not up, relays it. A non-nil
 // result or error ends the run.
 func (r *coRun) handleFrame(p *peer, f Frame) (*exec.Result, error) {
-	if !p.link.Receive(f) {
+	if handle, _ := p.link.Receive(f); !handle {
 		return nil, nil
 	}
 	switch f.Type {

@@ -20,7 +20,7 @@ import (
 
 // distDesign builds a layered design with real routines and printed
 // output: layers*width compute tasks plus a printing sink.
-func distDesign(t *testing.T, layers, width int) (*graph.Flat, pits.Env) {
+func distDesign(t testing.TB, layers, width int) (*graph.Flat, pits.Env) {
 	t.Helper()
 	g := graph.New("dist-calc")
 	g.MustAddStorage("IN", "x")
@@ -57,7 +57,7 @@ func distDesign(t *testing.T, layers, width int) (*graph.Flat, pits.Env) {
 	return flat, pits.Env{"x": pits.Num(3)}
 }
 
-func distMachine(t *testing.T, spec string) *machine.Machine {
+func distMachine(t testing.TB, spec string) *machine.Machine {
 	t.Helper()
 	topo, err := machine.ParseTopology(spec)
 	if err != nil {

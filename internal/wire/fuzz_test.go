@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/pits"
+	"repro/internal/sched"
+	"repro/internal/trace"
 )
 
 // Fuzz targets for the wire decoders: whatever bytes arrive off a
@@ -154,6 +156,61 @@ func FuzzDecodeMsg(f *testing.F) {
 		m.Val, m2.Val = nil, nil // values compared via their encoding above
 		if !reflect.DeepEqual(m, m2) {
 			t.Fatalf("message changed across round trip:\n%+v\n%+v", m, m2)
+		}
+	})
+}
+
+func FuzzDecodeSchedule(f *testing.F) {
+	flat, _ := distDesign(f, 2, 2)
+	sc, err := sched.ETF{}.Schedule(flat.Graph, distMachine(f, "full:2"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	b, err := EncodeSchedule(sc)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b)
+	f.Add(b[:len(b)/2])
+	for _, bad := range outOfRangeSchedules(f) {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := DecodeSchedule(data)
+		if err != nil {
+			return
+		}
+		// A schedule that decoded is valid, so it re-encodes and decodes.
+		b, err := EncodeSchedule(s)
+		if err != nil {
+			t.Fatalf("re-encoding a decoded schedule: %v", err)
+		}
+		if _, err := DecodeSchedule(b); err != nil {
+			t.Fatalf("re-decoding: %v", err)
+		}
+	})
+}
+
+func FuzzDecodeEvents(f *testing.F) {
+	b := EncodeEvents([]trace.Event{
+		{Kind: trace.TaskStart, At: 10, Task: "t1", PE: 2},
+		{Kind: trace.MsgSend, At: 26, Task: "t1", PE: 2, Var: "x", Peer: 5, Seq: 7, Bytes: 64},
+		{Kind: trace.MsgRecv, At: 31, Task: "t2", PE: 5, Var: "x", Peer: 2, Seq: 7, Dup: true, Note: "late"},
+	})
+	f.Add(b)
+	f.Add(EncodeEvents(nil))
+	f.Add(b[:len(b)-3])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		evs, err := DecodeEvents(data)
+		if err != nil {
+			return
+		}
+		evs2, err := DecodeEvents(EncodeEvents(evs))
+		if err != nil {
+			t.Fatalf("re-decoding: %v", err)
+		}
+		if len(evs) != 0 && !reflect.DeepEqual(evs, evs2) {
+			t.Fatalf("events changed across round trip:\n%+v\n%+v", evs, evs2)
 		}
 	})
 }

@@ -26,7 +26,7 @@ type Link struct {
 	max    int        // outbox cap; 0 means DefaultMaxOutbox
 	failed error      // sticky: set when the outbox cap is exceeded
 	dirty  bool       // buffered frames await a Flush
-	ackDue bool       // sequenced frames arrived since the last ack went out
+	owed   int        // sequenced frames arrived since the last ack went out
 
 	// Accumulated byte counters of connections that came and went.
 	pastIn, pastOut int64
@@ -133,8 +133,8 @@ func (l *Link) sendSeq(t Type, payload []byte, pooled, buffered bool) error {
 func (l *Link) Flush() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	ack := l.ackDue
-	l.ackDue = false
+	ack := l.owed > 0
+	l.owed = 0
 	if l.conn == nil || !ack && !l.dirty {
 		return nil
 	}
@@ -160,12 +160,13 @@ func (l *Link) SendRaw(f Frame) error {
 }
 
 // Receive runs the receive side of the link for one inbound frame and
-// reports whether the caller should handle it. An ack prunes the outbox
-// and is consumed; an unsequenced frame always passes; a sequenced frame
+// reports whether the caller should handle it, and how many sequenced
+// frames now wait on this side's next ack. An ack prunes the outbox and
+// is consumed; an unsequenced frame always passes; a sequenced frame
 // already seen (a replay overlap after a reconnect) is absorbed; and
 // every sequenced frame, fresh or replayed, puts an ack on the next
 // Flush.
-func (l *Link) Receive(f Frame) bool {
+func (l *Link) Receive(f Frame) (handle bool, unacked int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	switch {
@@ -173,16 +174,16 @@ func (l *Link) Receive(f Frame) bool {
 		if wid, err := decU64(f.Payload); err == nil {
 			l.pruneLocked(wid)
 		}
-		return false
+		return false, l.owed
 	case f.Wid == 0:
-		return true
+		return true, l.owed
 	}
-	l.ackDue = true
+	l.owed++
 	if f.Wid <= l.rcvd {
-		return false
+		return false, l.owed
 	}
 	l.rcvd = f.Wid
-	return true
+	return true, l.owed
 }
 
 // Rcvd returns the cumulative received watermark (the ack payload).

@@ -65,9 +65,14 @@ func ack(wid uint64) Frame { return Frame{Type: TAck, Payload: encU64(wid)} }
 // overlap is absorbed but still re-acked, acks are consumed, and
 // however many sequenced frames arrive between two flushes, the flush
 // carries exactly one cumulative ack — and none when nothing arrived.
+// Receive counts the frames the next ack will cover.
 func TestLinkReceive(t *testing.T) {
 	a, b := inprocPair()
 	l := NewLink(a)
+	recv := func(f Frame) bool {
+		handle, _ := l.Receive(f)
+		return handle
+	}
 	acks := func() (n int, last uint64) {
 		t.Helper()
 		// A heartbeat marks the end of what the flush put on the wire.
@@ -92,7 +97,7 @@ func TestLinkReceive(t *testing.T) {
 		}
 	}
 
-	if !l.Receive(Frame{Type: THeartbeat}) {
+	if !recv(Frame{Type: THeartbeat}) {
 		t.Error("unsequenced frame not delivered")
 	}
 	l.Flush()
@@ -100,8 +105,8 @@ func TestLinkReceive(t *testing.T) {
 		t.Errorf("%d acks after an unsequenced frame, want none", n)
 	}
 	for wid := uint64(1); wid <= 3; wid++ {
-		if !l.Receive(Frame{Type: TData, Wid: wid}) {
-			t.Errorf("fresh wid %d not delivered", wid)
+		if handle, unacked := l.Receive(Frame{Type: TData, Wid: wid}); !handle || unacked != int(wid) {
+			t.Errorf("fresh wid %d: handle %v, %d unacked; want true, %d", wid, handle, unacked, wid)
 		}
 	}
 	l.Flush()
@@ -114,14 +119,14 @@ func TestLinkReceive(t *testing.T) {
 	}
 
 	// Replay overlap: a reconnecting peer resends 2 and 3, then 4.
-	if l.Receive(Frame{Type: TData, Wid: 2}) || l.Receive(Frame{Type: TData, Wid: 3}) {
+	if recv(Frame{Type: TData, Wid: 2}) || recv(Frame{Type: TData, Wid: 3}) {
 		t.Error("replayed wid delivered twice")
 	}
 	l.Flush()
 	if n, last := acks(); n != 1 || last != 3 {
 		t.Errorf("%d acks (last %d) after a pure replay, want one re-ack of 3", n, last)
 	}
-	if l.Receive(Frame{Type: TData, Wid: 3}) || !l.Receive(Frame{Type: TData, Wid: 4}) {
+	if recv(Frame{Type: TData, Wid: 3}) || !recv(Frame{Type: TData, Wid: 4}) {
 		t.Error("replay tail: wid 3 must be absorbed and wid 4 delivered")
 	}
 	if l.Rcvd() != 4 {
@@ -134,7 +139,7 @@ func TestLinkReceive(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if l.Receive(ack(2)) || l.Receive(Frame{Type: TAck, Payload: []byte{1}}) {
+	if recv(ack(2)) || recv(Frame{Type: TAck, Payload: []byte{1}}) {
 		t.Error("ack frame handed to the caller")
 	}
 	if len(l.outbox) != 1 || l.outbox[0].f.Wid != 3 {

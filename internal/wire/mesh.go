@@ -29,10 +29,13 @@ import (
 // the mesh: each message travels on exactly one link, is sequenced
 // there, and replays there after a reconnect.
 
-// flushEvery is the frame-coalescing window: small data frames buffer
-// per peer until the sender's slot ends, the link goes idle, or this
-// much time passes, whichever is first.
-const flushEvery = 200 * time.Microsecond
+// Frames leave when a burst ends: small data frames buffer per peer
+// until the sender's session flushes its plane (the end of a burst of
+// sends, see exec.RemotePlane), goes idle or reaches a barrier. An ack
+// a link owes rides the next of those flushes, or the heartbeat's — and
+// a receiver that never sends writes it from its reader once ackEvery
+// sequenced frames wait on it, long before the sender's outbox cap.
+const ackEvery = DefaultMaxOutbox / 64
 
 // meshConfig is the initial wiring of a worker's mesh.
 type meshConfig struct {
@@ -306,7 +309,13 @@ func (m *mesh) readChan(j int, p *Link, c Conn, frames <-chan Frame, rerr <-chan
 // gracefully, so nothing waits out the heartbeat budget), anything else
 // is connection noise.
 func (m *mesh) handleFrame(j int, p *Link, f Frame) {
-	if !p.Receive(f) {
+	fresh, unacked := p.Receive(f)
+	if unacked >= ackEvery {
+		if err := p.Flush(); err != nil {
+			p.Detach()
+		}
+	}
+	if !fresh {
 		return
 	}
 	switch f.Type {
@@ -336,16 +345,13 @@ func (m *mesh) handleFrame(j int, p *Link, f Frame) {
 }
 
 // flushAll drives every peer's coalescing buffer and owed ack onto the
-// wire. Called at slot boundaries, on idle/pause barriers, and by the
-// run's flush ticker.
+// wire. Called at the end of every burst of sends, on idle and pause
+// barriers, when the coordinator link's inbound drains, and on the
+// heartbeat.
 func (m *mesh) flushAll() {
 	m.mu.Lock()
-	peers := make([]*Link, 0, len(m.peers))
+	defer m.mu.Unlock()
 	for _, p := range m.peers {
-		peers = append(peers, p)
-	}
-	m.mu.Unlock()
-	for _, p := range peers {
 		if err := p.Flush(); err != nil {
 			p.Detach()
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -54,42 +55,47 @@ func acceptMeshConns(t *testing.T, ln Listener, m *mesh) {
 	}()
 }
 
-// TestMeshDirectDelivery pins the peer-to-peer path end to end without
-// a coordinator: worker 1 dials worker 0, data frames coalesce until an
-// explicit flush, arrive in order, and the batched cumulative ack
-// prunes the sender's outbox.
-func TestMeshDirectDelivery(t *testing.T) {
+// meshPair brings up worker 0 (delivering into deliver0) and worker 1
+// (delivering nowhere) over one inproc transport, and returns both
+// meshes and worker 1's established link to worker 0.
+func meshPair(t *testing.T, runID string, deliver0 func(exec.RemoteMsg) error) (m0, m1 *mesh, l *Link) {
+	t.Helper()
 	tr := Inproc()
 	ln, err := tr.Listen("w0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	t.Cleanup(func() { ln.Close() })
 
-	cfg := meshConfig{transport: tr, runID: "r1",
+	cfg := meshConfig{transport: tr, runID: runID,
 		addrs: []string{"w0", "w1"}, peerOf: []int{0, 1}, logf: t.Logf}
-
-	got := make(chan exec.RemoteMsg, 16)
 	cfg0 := cfg
 	cfg0.self = 0
-	m0 := newMesh(cfg0, func(m exec.RemoteMsg) error { got <- m; return nil })
-	defer m0.close()
+	m0 = newMesh(cfg0, deliver0)
+	t.Cleanup(m0.close)
 	acceptMeshConns(t, ln, m0)
 
 	cfg1 := cfg
 	cfg1.self = 1
-	m1 := newMesh(cfg1, func(exec.RemoteMsg) error { return nil })
-	defer m1.close()
+	m1 = newMesh(cfg1, func(exec.RemoteMsg) error { return nil })
+	t.Cleanup(m1.close)
 
-	var l *Link
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
 		if l = m1.linkFor(0); l != nil {
-			break
+			return m0, m1, l
 		}
 	}
-	if l == nil {
-		t.Fatal("mesh link from worker 1 to worker 0 never came up")
-	}
+	t.Fatal("mesh link from worker 1 to worker 0 never came up")
+	return nil, nil, nil
+}
+
+// TestMeshDirectDelivery pins the peer-to-peer path end to end without
+// a coordinator: worker 1 dials worker 0, data frames coalesce until an
+// explicit flush, arrive in order, and the batched cumulative ack
+// prunes the sender's outbox.
+func TestMeshDirectDelivery(t *testing.T) {
+	got := make(chan exec.RemoteMsg, 16)
+	m0, m1, l := meshPair(t, "r1", func(m exec.RemoteMsg) error { got <- m; return nil })
 
 	want := make([]exec.RemoteMsg, 3)
 	for i := range want {
@@ -134,6 +140,35 @@ func TestMeshDirectDelivery(t *testing.T) {
 		}
 		if !time.Now().Before(deadline) {
 			t.Fatalf("sender outbox still holds %d frames after ack flush", n)
+		}
+	}
+}
+
+// TestMeshAcksWithoutSending: worker 0 only receives, so no burst of
+// its own ever flushes the ack it owes worker 1's link; its reader
+// writes that ack once enough frames wait on it. Twice the outbox cap
+// of data frames then pass without failing the sender's link.
+func TestMeshAcksWithoutSending(t *testing.T) {
+	const total = 2 * DefaultMaxOutbox
+	var got atomic.Int64
+	_, m1, l := meshPair(t, "r-acks", func(exec.RemoteMsg) error { got.Add(1); return nil })
+	for i := 0; i < total; i++ {
+		b, err := AppendMsg(getBuf(), exec.RemoteMsg{From: "a", To: "b", Var: "x",
+			FromPE: 1, ToPE: 0, Seq: uint64(i + 1), Epoch: 1, Val: pits.Num(float64(i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.SendData(TData, b, true); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if i%64 == 63 {
+			m1.flushAll() // the sender's burst ends
+		}
+	}
+	m1.flushAll()
+	for deadline := time.Now().Add(20 * time.Second); got.Load() < total; time.Sleep(2 * time.Millisecond) {
+		if !time.Now().Before(deadline) {
+			t.Fatalf("%d of %d frames delivered", got.Load(), total)
 		}
 	}
 }

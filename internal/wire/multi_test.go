@@ -40,8 +40,8 @@ func waitNoWorkerRuns(t *testing.T, patience time.Duration) {
 // over one persistent fleet — waves of concurrent runs sharing the same
 // two daemons — must leave the session tables empty and the goroutine
 // count flat. This is the multi-session variant of
-// TestRepeatedRunTeardownNoLeak: every cycle's session, mesh, link,
-// flush ticker and orphan timer must unwind even though the daemons
+// TestRepeatedRunTeardownNoLeak: every cycle's session, mesh, link
+// and orphan timer must unwind even though the daemons
 // (and other runs) live on.
 func TestMultiplexedRunTeardownNoLeak(t *testing.T) {
 	tr := Inproc()

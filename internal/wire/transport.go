@@ -103,10 +103,10 @@ type tcpConn struct {
 	in, out int64
 }
 
-// tcpBufSize sizes the per-connection read and write buffers. Large
-// enough that a coalesced burst of small data frames becomes one
-// syscall, small enough to keep buffered-but-unflushed latency bounded
-// by the flush interval rather than memory pressure.
+// tcpBufSize sizes the per-connection read and write buffers: large
+// enough that a coalesced burst of small data frames — everything a
+// slot sends a peer before its session flushes — becomes one syscall.
+// A burst larger than the buffer writes through early.
 const tcpBufSize = 64 << 10
 
 func newTCPConn(c net.Conn) *tcpConn {

@@ -535,6 +535,9 @@ func TestFleetMemberKilledMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The first run's sessions may still be tearing down; the count below
+	// must be the held run's alone.
+	waitNoWorkerRuns(t, 5*time.Second)
 	// Hold a cross-worker message so the run is still open when the
 	// victim goes.
 	plan, _ := holdOpen(t, sc, 2, 300000, -1)
@@ -571,6 +574,109 @@ func TestFleetMemberKilledMidRun(t *testing.T) {
 	}
 	if n := f.Size(); n != 1 {
 		t.Errorf("fleet size %d after the kill, want 1", n)
+	}
+	waitNoWorkerRuns(t, 5*time.Second)
+}
+
+// slowClose is a transport whose listeners take 50 ms to close. It
+// stamps when a listener's close finished and when each connection it
+// accepted was closed.
+type slowClose struct {
+	Transport
+	mu             sync.Mutex
+	listenerClosed time.Time
+	connsClosed    []time.Time
+}
+
+type slowListener struct {
+	Listener
+	t *slowClose
+}
+
+type stampedConn struct {
+	Conn
+	t *slowClose
+}
+
+func (t *slowClose) Listen(addr string) (Listener, error) {
+	l, err := t.Transport.Listen(addr)
+	if err != nil {
+		return nil, err
+	}
+	return slowListener{l, t}, nil
+}
+
+func (l slowListener) Accept() (Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return stampedConn{c, l.t}, nil
+}
+
+func (l slowListener) Close() error {
+	time.Sleep(50 * time.Millisecond)
+	err := l.Listener.Close()
+	l.t.mu.Lock()
+	if l.t.listenerClosed.IsZero() {
+		l.t.listenerClosed = time.Now()
+	}
+	l.t.mu.Unlock()
+	return err
+}
+
+func (c stampedConn) Close() error {
+	c.t.mu.Lock()
+	c.t.connsClosed = append(c.t.connsClosed, time.Now())
+	c.t.mu.Unlock()
+	return c.Conn.Close()
+}
+
+// TestDaemonStopsListeningBeforeItDropsRuns: a daemon that is told to
+// stop while it hosts a run closes its listener first and only then
+// closes the run's connections, so a fleet that lost the run and
+// re-dials the member cannot reach it any more.
+func TestDaemonStopsListeningBeforeItDropsRuns(t *testing.T) {
+	tr := Inproc()
+	slow := &slowClose{Transport: tr}
+	startDaemon(t, tr, "w0")
+	_, stop := startDaemon(t, slow, "victim")
+	f := &Fleet{Transport: tr, Control: "fleet-control", Seed: []string{"w0", "victim"}, Logf: t.Logf,
+		HeartbeatEvery: 20 * time.Millisecond, PeerTimeout: 400 * time.Millisecond}
+	if err := f.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	sc, flat, runner := warmDesign(t)
+	plan, _ := holdOpen(t, sc, 2, 300000, -1)
+	inFlight := make(chan error, 1)
+	go func() {
+		_, err := f.Run(context.Background(), &exec.Runner{Inputs: runner.Inputs, Faults: plan}, sc, flat)
+		inFlight <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ActiveWorkerRuns() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the held run never reached both daemons")
+		}
+	}
+	stopAt := time.Now()
+	stop()
+	slow.mu.Lock()
+	for _, at := range slow.connsClosed {
+		if at.After(stopAt) && at.Before(slow.listenerClosed) {
+			t.Errorf("a run connection closed %v into the shutdown, before the listener finished closing at %v",
+				at.Sub(stopAt), slow.listenerClosed.Sub(stopAt))
+		}
+	}
+	if slow.listenerClosed.IsZero() {
+		t.Error("the daemon never closed its listener")
+	}
+	slow.mu.Unlock()
+	select {
+	case err := <-inFlight:
+		t.Logf("the held run ended: %v", err)
+	case <-time.After(20 * time.Second):
+		t.Fatal("the held run never returned")
 	}
 	waitNoWorkerRuns(t, 5*time.Second)
 }

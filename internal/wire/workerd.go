@@ -128,7 +128,6 @@ type workerRun struct {
 	resultCh    chan sessOutcome
 	outcome     *sessOutcome // set once the session ended
 	sentResult  bool
-	stopFlush   context.CancelFunc // the run's flush ticker
 
 	// adopt receives coordinator connections for this run (reconnects,
 	// or a replacement connection while one is attached); gone closes
@@ -140,10 +139,6 @@ type workerRun struct {
 
 // abort tears the run down (session abort + drain the Wait goroutine).
 func (r *workerRun) abort(reason string) {
-	if r.stopFlush != nil {
-		r.stopFlush()
-		r.stopFlush = nil
-	}
 	// The session goes down before the mesh: mesh close waits for its
 	// connection readers, and a reader blocked delivering into a live
 	// session only unblocks when the session ends.
@@ -224,40 +219,33 @@ func ServeWorker(ctx context.Context, t Transport, addr string, opt WorkerOption
 // serve is ServeWorker on a daemon value the caller keeps: tests read
 // its tables.
 func (d *workerDaemon) serve(ctx context.Context, addr string, ready func(boundAddr string)) error {
-	dctx, cancel := context.WithCancel(ctx)
+	// The runs end on their own context, cancelled only once the listener
+	// is closed: a daemon that is shutting down accepts no connection
+	// while it drops its runs, so a fleet re-dialling it finds it gone.
+	dctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 	defer cancel()
 	d.ctx, d.runs, d.held = dctx, map[string]*workerRun{}, map[string]*held{}
 	lis, err := d.opt.transport.Listen(addr)
 	if err != nil {
 		return err
 	}
-	defer lis.Close()
 	if ready != nil {
 		ready(lis.Addr())
 	}
 	d.opt.logf("worker listening on %s", lis.Addr())
 
-	// Every run loop aborts on dctx; wait them out before returning so
-	// sessions, meshes and links never outlive the daemon. The closed
-	// flag is published under d.mu before the Wait so no router can
-	// wg.Add a fresh run once the Wait has begun.
+	// Shutdown: close the listener (which also unblocks Accept), then
+	// abort every run loop and wait them out, so sessions, meshes and
+	// links never outlive the daemon. The closed flag is published under
+	// d.mu before the Wait so no router can wg.Add a fresh run once the
+	// Wait has begun.
 	defer func() {
+		lis.Close()
 		cancel()
 		d.mu.Lock()
 		d.closed = true
 		d.mu.Unlock()
 		d.wg.Wait()
-	}()
-
-	// Unblock Accept when ctx ends.
-	stopping := make(chan struct{})
-	defer close(stopping)
-	go func() {
-		select {
-		case <-dctx.Done():
-			lis.Close()
-		case <-stopping:
-		}
 	}()
 
 	acceptErr := make(chan error, 1)
@@ -550,7 +538,7 @@ func (d *workerDaemon) frameLoop(run *workerRun) (keep bool, next *inboundConn) 
 			return true, &ic
 		case f := <-rd.frames:
 			lastHeard = time.Now()
-			if !run.link.Receive(f) {
+			if handle, _ := run.link.Receive(f); !handle {
 				continue // an ack, or a replay overlap already processed
 			}
 			done, err := d.handleFrame(run, f)
@@ -754,23 +742,6 @@ func (d *workerDaemon) startRun(run *workerRun, bundle *StartBundle) error {
 	if ms != nil {
 		ms.deliverTo(ses.Deliver)
 	}
-	// The flush ticker is the coalescing backstop: data waiting in a
-	// peer buffer never waits longer than flushEvery, even when the
-	// sending goroutine is off doing something else.
-	fctx, cancel := context.WithCancel(context.Background())
-	run.stopFlush = cancel
-	go func() {
-		t := time.NewTicker(flushEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-fctx.Done():
-				return
-			case <-t.C:
-				run.flushData()
-			}
-		}
-	}()
 	run.resultCh = make(chan sessOutcome, 1)
 	go func() {
 		p, err := ses.Wait()
@@ -821,8 +792,8 @@ func (p workerPlane) DeliverRemote(m exec.RemoteMsg) error {
 	return p.run.link.SendData(TData, b, true)
 }
 
-// FlushRemote implements exec.RemoteFlusher: the runner calls it at
-// slot boundaries so a burst of sends shares one wire write.
+// FlushRemote ends a burst of sends: they share one wire write per
+// link, and the acks this worker owes its links ride along.
 func (p workerPlane) FlushRemote() { p.run.flushData() }
 
 func (p workerPlane) LocalIdle() {
