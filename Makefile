@@ -57,6 +57,8 @@ vet:
 	! grep -rnE 'flushEvery|stopFlush' --include='*.go' internal/wire
 # Flushing is part of exec.RemotePlane: no optional flusher interface beside it.
 	! grep -rn 'RemoteFlusher' --include='*.go' internal cmd
+# A project's missing input is found in flat node order, on the bind path and the flatten path alike: no ranging over the ExternalIn map.
+	! grep -nE 'range flat\.ExternalIn( |$$)' internal/project/project.go
 # Every fuzz target under internal/ runs in fuzz-smoke.
 	! for f in $$(grep -rhoE '^func Fuzz[A-Za-z0-9_]+' --include='*_test.go' internal | cut -c6-); do sed -n '/^fuzz-smoke:/,/^$$/p' Makefile | grep -q -- "-fuzz $$f " || echo "$$f is not in fuzz-smoke"; done | grep .
 
@@ -72,10 +74,12 @@ test:
 # multi-process CLI integration tests. internal/pits is here for its
 # two pieces of cross-goroutine state, the shared builtin table and the
 # program table, and internal/machine with it for a topology's
-# build-once routing tables.
+# build-once routing tables; internal/project for its table of design
+# shapes, which concurrent opens read and fill, and internal/serve for
+# the schedule cache its concurrent requests share.
 race:
 	$(GO) test -race ./internal/exec/...
-	$(GO) test -race ./internal/pits/... ./internal/machine/...
+	$(GO) test -race ./internal/pits/... ./internal/machine/... ./internal/project/ ./internal/serve/
 	$(GO) test -race ./internal/sched/...
 	$(GO) test -race ./internal/wire/
 	$(GO) test -race ./internal/conform/
@@ -174,4 +178,5 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEvents -fuzztime 5s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzParseFaults -fuzztime 5s ./internal/exec/
 	$(GO) test -run '^$$' -fuzz FuzzDeliver -fuzztime 5s ./internal/exec/
+	$(GO) test -run '^$$' -fuzz FuzzShapeBind -fuzztime 5s ./internal/project/
 	$(GO) test -run '^$$' -fuzz FuzzConform -fuzztime 20s ./internal/conform/

@@ -464,24 +464,53 @@ func allocMB(f func()) float64 {
 	return float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
 }
 
-// TestOpenAllocCeiling guards the hit path's biggest allocator: opening
-// (validating and flattening) the 501-task design. It reads 0.52 MB
-// (the ceiling is that + 15 %): one flattening, of the design as it
+// TestOpenAllocCeiling guards opening (validating and flattening) the
+// 501-task design the first time: a design whose shape no earlier open
+// interned, as a one-shot CLI open or a server's first request of a
+// design is. It reads 0.59 MB: one flattening, of the design as it
 // stands, into a graph that keeps one map, with routines taken parsed
-// from the shared program table. A second flattening, a defensive clone
-// or a parse per routine each show up as megabytes; adjacency maps
-// beside the node index as 0.07 MB.
+// from the shared program table (0.52 MB), then the shape key's walk and
+// a copy of the flat's nodes for the shape table. A second flattening, a
+// defensive clone of the design or a parse per routine each show up as
+// megabytes; adjacency maps beside the node index as 0.07 MB.
 func TestOpenAllocCeiling(t *testing.T) {
 	p := layeredProject(t, "ring:32")
+	opens := 0
 	mb := allocMB(func() {
+		opens++
+		p.Design.Name = fmt.Sprint("cold-", opens) // a name no open has interned
 		if _, err := core.Open(p); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if mb > 0.60 {
-		t.Errorf("core.Open of the 501-task design allocated %.2f MB, want at most 0.60 MB", mb)
+		t.Errorf("a cold core.Open of the 501-task design allocated %.2f MB, want at most 0.60 MB", mb)
 	}
-	t.Logf("core.Open of the 501-task design allocated %.2f MB", mb)
+	t.Logf("a cold core.Open of the 501-task design allocated %.2f MB", mb)
+}
+
+// TestKnownShapeOpenAllocCeiling guards the hit path's biggest
+// allocator: opening the 501-task design when a design of its shape,
+// differing at most in task work, was opened before. The open binds the
+// weights onto the interned shape: one slab of task nodes, an id index
+// and the weight vector, about 0.10 MB in 13 allocations. Flattening
+// and checking the design again read 0.52 MB in 3 500.
+func TestKnownShapeOpenAllocCeiling(t *testing.T) {
+	p := layeredProject(t, "ring:32")
+	open := func() {
+		if _, err := core.Open(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mb := allocMB(open)
+	allocs := testing.AllocsPerRun(10, open)
+	if mb > 0.15 {
+		t.Errorf("core.Open of the 501-task design allocated %.2f MB, want at most 0.15 MB", mb)
+	}
+	if allocs > 50 {
+		t.Errorf("core.Open of the 501-task design made %.0f allocations, want at most 50", allocs)
+	}
+	t.Logf("core.Open of the 501-task design allocated %.2f MB in %.0f allocations", mb, allocs)
 }
 
 // TestDecodeAllocCeiling guards decoding the harness body the way the
@@ -506,8 +535,10 @@ func TestDecodeAllocCeiling(t *testing.T) {
 // TestHitAllocCeiling guards the whole of a schedule-cache hit, handler
 // included: one mode=schedule request with the harness body reads the
 // body into one buffer, decodes it once, opens and fingerprints it and
-// answers from the cache. It reads 1.22 MB; a streaming decoder's
-// doubling buffer and two more maps a graph put it at 1.51.
+// answers from the cache. It reads 0.79 MB; flattening and checking
+// the design again, where it now binds its weights onto the interned
+// shape, put it at 1.22, and a streaming decoder's doubling buffer and
+// two more maps a graph at 1.51.
 func TestHitAllocCeiling(t *testing.T) {
 	body := floorBody(t)
 	h := serve.New(serve.Options{}).Handler()
@@ -518,8 +549,8 @@ func TestHitAllocCeiling(t *testing.T) {
 			t.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
 	})
-	if mb > 1.4 {
-		t.Errorf("a schedule-cache hit on the %d KB project allocated %.2f MB, want at most 1.4 MB", len(body)>>10, mb)
+	if mb > 0.95 {
+		t.Errorf("a schedule-cache hit on the %d KB project allocated %.2f MB, want at most 0.95 MB", len(body)>>10, mb)
 	}
 	t.Logf("a schedule-cache hit on the %d KB project allocated %.2f MB", len(body)>>10, mb)
 }
@@ -712,11 +743,13 @@ func TestColdScheduleAllocScalesWithDesign(t *testing.T) {
 }
 
 // TestCachedPredictionRetention guards what a full schedule cache of
-// predictions keeps alive: 128 cold MH schedules of the 501-task design
-// on ring:128, each with its own graph and decoded machine, as a server
-// holds them after 128 distinct predictions. They retain about 54 MB;
-// 101 MB while every machine kept its own communication table and every
-// index a P×P traffic matrix and two maps of slot copies.
+// predictions keeps alive apart from the request path: 128 cold MH
+// schedules of the 501-task design on ring:128, each with its own
+// decoded machine and its own graph from graph.Flatten, which no
+// request decoded or bound to a shape (TestServedPredictionRetention
+// posts them through a server). They retain about 56 MB; 101 MB while
+// every machine kept its own communication table and every index a
+// P×P traffic matrix and two maps of slot copies.
 func TestCachedPredictionRetention(t *testing.T) {
 	doc, err := json.Marshal(specMachine(t, "ring:128"))
 	if err != nil {
@@ -751,6 +784,50 @@ func TestCachedPredictionRetention(t *testing.T) {
 	t.Logf("128 cached ring:128 predictions retain %.1f MB", mb)
 	if mb > 70 {
 		t.Errorf("128 cached ring:128 predictions retain %.1f MB, want at most 70 MB", mb)
+	}
+}
+
+// TestServedPredictionRetention guards what a server keeps after 128
+// predictions posted as documents: weight variants of the 501-task
+// design on ring:128, each decoded, opened and scheduled by MH, filling
+// the schedule cache. Every entry's flat binds its weights onto the
+// design's one interned shape and owns only its task nodes and id
+// index. They retain about 29 MB; 56 MB while every entry kept its own
+// flattening, which pinned its arcs, arc lists and decoded strings.
+func TestServedPredictionRetention(t *testing.T) {
+	p := layeredProject(t, "ring:128")
+	rng := rand.New(rand.NewSource(1))
+	bodies := make([][]byte, 129)
+	for i := range bodies {
+		eachTask(p.Design, func(n *graph.Node) { n.Work = 10 + rng.Int63n(20) })
+		var err error
+		if bodies[i], err = json.Marshal(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := serve.New(serve.Options{}).Handler()
+	post := func(body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/run?mode=schedule", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	post(bodies[0]) // warms the arena and the topology's tables and interns the shape; its entry is evicted below
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, body := range bodies[1:] {
+		post(body)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(h)
+	runtime.KeepAlive(bodies)
+	mb := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / (1 << 20)
+	t.Logf("128 served ring:128 predictions retain %.1f MB", mb)
+	if mb > 40 {
+		t.Errorf("128 served ring:128 predictions retain %.1f MB, want at most 40 MB", mb)
 	}
 }
 

@@ -76,7 +76,7 @@ func cmdServe(args []string) error {
 	s := serve.New(serve.Options{
 		DefaultAlg: *alg, MaxConcurrent: *maxRuns, QueueDepth: *queue,
 		TenantCap: *tenantCap, CacheCap: *cacheCap,
-		Fleet: fl, Virtual: *virtual, Logf: logf,
+		Fleet: fl, Virtual: *virtual,
 	})
 
 	lis, err := net.Listen("tcp", *listen)

@@ -11,7 +11,9 @@ import (
 	banger "repro"
 )
 
-func main() {
+// buildDesign is steps 1 and 2: the dataflow graph, then a calculator
+// routine per task.
+func buildDesign() *banger.Graph {
 	// Step 1 — programming-in-the-large: a diamond dataflow graph.
 	//
 	//	[x0] -> (double) -> (inc), (tens) -> (combine) -> [y]
@@ -35,6 +37,11 @@ func main() {
 	inc.Routine = "v = u + 1"
 	tens.Routine = "w = u * 10"
 	combine.Routine = "y = v + w"
+	return g
+}
+
+func main() {
+	g := buildDesign()
 
 	// Step 3 — a target machine: two fully connected processors.
 	m, err := banger.NewMachine("pair", "full:2", banger.DefaultParams())

@@ -5,7 +5,8 @@ import "fmt"
 // Flat is the result of flattening a hierarchical PITL design: a graph
 // containing only primitive task nodes, plus the binding information the
 // executor needs for data that enters or leaves the design through
-// storage cells with no producer or no consumer.
+// storage cells with no producer or no consumer. The external maps are
+// read-only: a flat bound from a Shape shares them with the shape.
 type Flat struct {
 	// Graph holds only KindTask nodes. Arcs are direct task-to-task
 	// dependencies with variable labels and word counts.
@@ -31,7 +32,9 @@ type Flat struct {
 //
 // Arc word counts: when an outer arc and an inner arc are fused, the
 // inner (more specific) count wins if non-zero, else the outer count.
-// The input design is not modified.
+// The flat graph lists the design's own tasks in node order, then each
+// sub node's tasks, flattened alike, in node order; ShapeKey returns
+// task work in that order. The input design is not modified.
 func (g *Graph) Flatten() (*Flat, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err

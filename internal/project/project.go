@@ -8,7 +8,9 @@ package project
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/machine"
@@ -33,8 +35,22 @@ func (p *Project) Validate() error {
 	return err
 }
 
+// shapes interns the flattened shapes of the designs seen lately, by
+// graph.ShapeKey: a design that differs from one of them in task work
+// alone binds its work onto the shape, and skips flattening and the
+// routine checks, which the shape has passed. Past maxShapes the table
+// is dropped wholesale, like machine's topology table; a dropped shape
+// stays valid for every flat bound to it.
+var (
+	shapesMu sync.Mutex
+	shapes   = map[[32]byte]*graph.Shape{}
+)
+
+const maxShapes = 16
+
 // Flatten flattens the design and runs Validate's checks on the
-// result.
+// result. A design whose shape is interned binds its task work onto
+// the shape instead, and only its inputs are checked.
 func (p *Project) Flatten() (*graph.Flat, error) {
 	if p.Design == nil {
 		return nil, fmt.Errorf("project %q: no design", p.Name)
@@ -42,16 +58,30 @@ func (p *Project) Flatten() (*graph.Flat, error) {
 	if p.Machine == nil {
 		return nil, fmt.Errorf("project %q: no machine", p.Name)
 	}
-	flat, err := p.Design.Flatten()
+	key, work := p.Design.ShapeKey()
+	shapesMu.Lock()
+	sh := shapes[key]
+	shapesMu.Unlock()
+	if slices.ContainsFunc(work, func(w int64) bool { return w < 0 }) {
+		sh = nil // flattening refuses it, with Validate's error
+	}
+	flatten := p.Design.Flatten
+	if sh != nil {
+		flatten = func() (*graph.Flat, error) { return sh.Bind(work) }
+	}
+	flat, err := flatten()
 	if err != nil {
 		return nil, fmt.Errorf("project %q: %w", p.Name, err)
 	}
-	for task, vars := range flat.ExternalIn {
-		for _, v := range vars {
+	for _, n := range flat.Graph.Nodes() {
+		for _, v := range flat.ExternalIn[n.ID] {
 			if _, ok := p.Inputs[v]; !ok {
-				return nil, fmt.Errorf("project %q: task %s needs external input %q which has no value", p.Name, task, v)
+				return nil, fmt.Errorf("project %q: task %s needs external input %q which has no value", p.Name, n.ID, v)
 			}
 		}
+	}
+	if sh != nil {
+		return flat, nil
 	}
 	var defined []string
 	for _, n := range flat.Graph.Nodes() { // all tasks, once flattened
@@ -71,6 +101,13 @@ func (p *Project) Flatten() (*graph.Flat, error) {
 			return nil, fmt.Errorf("project %q: task %s: %w", p.Name, n.ID, err)
 		}
 	}
+	sh = graph.NewShape(flat)
+	shapesMu.Lock()
+	defer shapesMu.Unlock()
+	if len(shapes) >= maxShapes {
+		clear(shapes)
+	}
+	shapes[key] = sh
 	return flat, nil
 }
 

@@ -32,12 +32,15 @@ type cacheEntry struct {
 // is interned, so all entries naming ring:128 share its routing tables,
 // which the schedulers' communication costs read too, and a schedule's
 // index keeps no P×P matrix.
-// That is about 0.42 MB per entry for a 501-task design on ring:128
-// (0.79 MB while each machine held its own communication table and each
-// index a traffic matrix). Its first run parks the runner's compiled era
-// on the schedule, another 0.26 MB (a prediction never does), so the
-// default cap of 128 is ~54 MB of schedules that were only predicted
-// and ~87 MB of ones that all ran.
+// Nor does it keep a flattening of its own: the flat graph owns its
+// task nodes and id index and shares the rest with its design's
+// interned shape (project.Flatten). That is about 0.23 MB per entry for
+// a 501-task design on ring:128 (0.44 MB with a private flattening,
+// 0.79 MB while each machine also held its own communication table and
+// each index a traffic matrix). Its first run parks the runner's
+// compiled era on the schedule, another 0.26 MB (a prediction never
+// does), so the default cap of 128 is ~29 MB of schedules that were
+// only predicted and ~62 MB of ones that all ran.
 type scheduleCache struct {
 	mu    sync.Mutex
 	cap   int

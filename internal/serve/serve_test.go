@@ -642,6 +642,33 @@ func TestServeRefusalTexts(t *testing.T) {
 	}
 }
 
+// TestServeMissingInputsAnswerOneText: a project missing several
+// inputs is told about the first of them in flat node order, so the
+// same body gets the same 422 byte for byte, every time.
+func TestServeMissingInputsAnswerOneText(t *testing.T) {
+	ts := httptest.NewServer(New(Options{DefaultAlg: "etf"}).Handler())
+	defer ts.Close()
+	p := testProject(t, 10, 1, 3)
+	g := graph.New("two-inputs")
+	g.MustAddStorage("A", "a")
+	g.MustAddStorage("B", "b")
+	g.MustAddTask("ta", "", 1).Routine = "x = a"
+	g.MustAddTask("tb", "", 1).Routine = "y = b"
+	g.MustConnect("A", "ta", "a", 1)
+	g.MustConnect("B", "tb", "b", 1)
+	p.Design, p.Inputs = g, nil
+	body, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"error":"opening project: project \"diamond\": task ta needs external input \"a\" which has no value"}` + "\n"
+	for i := 0; i < 20; i++ {
+		if status, reply := postRaw(t, ts.URL, string(body), false); status != http.StatusUnprocessableEntity || reply != want {
+			t.Fatalf("post %d: %d %s, want 422 %s", i, status, reply, want)
+		}
+	}
+}
+
 // TestServeShortBody: a client that promises more bytes than it sends
 // and then goes away is answered 400 with the read error — the handler
 // neither waits for the rest nor parses a buffer padded out to the

@@ -54,7 +54,6 @@ type Options struct {
 	// WatchdogMin is ignored; it goes with ROADMAP 3(d), once
 	// bench/harness.go:93 stops setting it.
 	WatchdogMin time.Duration
-	Logf        func(string, ...any)
 }
 
 // Server is the control plane: it owns the schedule cache, the
@@ -97,9 +96,6 @@ func New(opts Options) *Server {
 	}
 	if opts.CacheCap == 0 {
 		opts.CacheCap = 128
-	}
-	if opts.Logf == nil {
-		opts.Logf = func(string, ...any) {}
 	}
 	s := &Server{
 		opts:    opts,
