@@ -59,6 +59,10 @@ vet:
 	! grep -rn 'RemoteFlusher' --include='*.go' internal cmd
 # A project's missing input is found in flat node order, on the bind path and the flatten path alike: no ranging over the ExternalIn map.
 	! grep -nE 'range flat\.ExternalIn( |$$)' internal/project/project.go
+# One event log per session: the partial takes the workers' log; Wait copies no worker's events into a new one.
+	! grep -n 'append(p.Events, w.events\.\.\.)' internal/exec/session.go
+# A result carries no string table: the events codec names tasks and variables by their place in the run's flat graph.
+	! awk '/^func (EncodeEvents|eventsLen|appendEvents?|DecodeEvents)\(/,/^}/' internal/wire/codec.go | grep -nE 'newStringTable|decodeStringTable'
 # Every fuzz target under internal/ runs in fuzz-smoke.
 	! for f in $$(grep -rhoE '^func Fuzz[A-Za-z0-9_]+' --include='*_test.go' internal | cut -c6-); do sed -n '/^fuzz-smoke:/,/^$$/p' Makefile | grep -q -- "-fuzz $$f " || echo "$$f is not in fuzz-smoke"; done | grep .
 

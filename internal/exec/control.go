@@ -388,16 +388,12 @@ func (c *controller) pauseLocal(live *int, checkpoint bool) (*PauseState, bool) 
 		for t, pe := range st.Done {
 			st.Local[t] = c.workers[pe].local[t]
 		}
-		st.Events = append(st.Events, c.extraSnapshot()...)
+		// A copy: a drain that cannot complete resumes this session.
+		st.Events = c.eventLog(nil)
 		for pe := 0; pe < c.numPE; pe++ {
+			// A crashed worker's printed lines died with it.
 			w := c.workers[pe]
-			if w == nil {
-				continue
-			}
-			// A crashed worker's trace survives, like in Wait; its
-			// printed lines died with it.
-			st.Events = append(st.Events, w.events...)
-			if w.dead {
+			if w == nil || w.dead {
 				continue
 			}
 			st.Printed = append(st.Printed, w.printed...)
@@ -409,11 +405,33 @@ func (c *controller) pauseLocal(live *int, checkpoint bool) (*PauseState, bool) 
 	return st, true
 }
 
-// extraSnapshot copies the coordinator-emitted events under the lock.
-func (c *controller) extraSnapshot() []trace.Event {
+// eventLog returns the events this session logged: its workers' logs end
+// to end — a crashed worker's too, which shows what happened up to the
+// crash — and then those logged outside them. The workers' logs start
+// out as consecutive stretches of one array; given it, they are closed
+// up there if every log is still in its stretch. A worker that outgrew
+// its stretch (faults, retries and recovery eras log beyond a fault-free
+// pass) moved its log away, and so raised the stretches' total capacity
+// above the array's length: then, as without an array, the logs are
+// copied into a new one of the right size.
+func (c *controller) eventLog(log []trace.Event) []trace.Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]trace.Event(nil), c.extra...)
+	n, room := len(c.extra), 0
+	for _, w := range c.workers {
+		if w != nil {
+			n, room = n+len(w.events), room+cap(w.events)
+		}
+	}
+	if log = log[:0]; room != cap(log) {
+		log = make([]trace.Event, 0, n)
+	}
+	for _, w := range c.workers {
+		if w != nil {
+			log = append(log, w.events...)
+		}
+	}
+	return append(log, c.extra...)
 }
 
 // installPlan rewrites the hosted workers' era state from a global

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/pits"
@@ -74,6 +75,12 @@ func runFingerprint(t *testing.T, s sched.Scheduler, flat *graph.Flat, inputs pi
 	if err != nil {
 		t.Fatal(err)
 	}
+	return resultFingerprint(res)
+}
+
+// resultFingerprint hashes a run's full trace rendering, sorted outputs
+// and print lines.
+func resultFingerprint(res *Result) string {
 	var b strings.Builder
 	b.WriteString(res.Trace.String())
 	keys := make([]string, 0, len(res.Outputs))
@@ -121,4 +128,59 @@ func TestRunnerInprocGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFaultedRunTracesArePinned pins, event for event, the virtual-time
+// traces of runs whose workers log more than a fault-free pass over
+// their era: a crash recovered in a second era, after a dropped message
+// healed by a retry, on the deterministic chain; and duplicated, dropped
+// and delayed messages on the layered design. Such a worker outgrows its
+// stretch of the session's event log, and its log must still reach the
+// result whole. The fingerprints were computed while each worker's log
+// was its own array, copied into the partial.
+func TestFaultedRunTracesArePinned(t *testing.T) {
+	retrying := func(r *Runner) *Runner {
+		r.VirtualTime, r.Retry, r.RetryBase, r.RetryCap = true, true, 2*time.Millisecond, 10*time.Millisecond
+		return r
+	}
+	t.Run("chain-drop-crash", func(t *testing.T) {
+		s, flat := chainSchedule(t)
+		plan, err := ParseFaults("drop:a->b:u,crash:0@2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := retrying(&Runner{Inputs: pits.Env{"x0": pits.Num(5)}, Faults: plan}).Run(s, flat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := resultFingerprint(res), "5d50f7703a58da76"; got != want {
+			t.Errorf("faulted chain fingerprint drifted: got %s want %s\n%s", got, want, res.Trace)
+		}
+	})
+	t.Run("layered-msg-faults", func(t *testing.T) {
+		flat, inputs := layeredCalc(t, 5, 4)
+		sc, err := sched.ETF{}.Schedule(flat.Graph, testMachine(t, "hypercube:3", params()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := &FaultPlan{}
+		for i, kind := range []FaultKind{FaultDup, FaultDrop, FaultDelay} {
+			m := sc.Msgs[i*len(sc.Msgs)/3]
+			plan.Faults = append(plan.Faults, Fault{Kind: kind, From: m.From, To: m.To, Var: m.Var, Delay: 40})
+		}
+		res, err := retrying(&Runner{Inputs: inputs, Faults: plan}).Run(sc, flat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clean, err := (&Runner{Inputs: inputs, VirtualTime: true}).Run(sc, flat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Trace.Events) <= len(clean.Trace.Events) {
+			t.Fatalf("the faulted run logged %d events, the fault-free one %d", len(res.Trace.Events), len(clean.Trace.Events))
+		}
+		if got, want := resultFingerprint(res), "02d09ffd3a0627af"; got != want {
+			t.Errorf("faulted layered fingerprint drifted: got %s want %s\n%s", got, want, res.Trace)
+		}
+	})
 }

@@ -563,13 +563,21 @@ func (l *Lifecycle) checkResults() error {
 	if err != nil {
 		return err
 	}
-	// The first partial's events are taken over, not copied: the trace is
-	// a run's largest allocation, and a one-member run has nothing to add.
-	tr := &trace.Trace{Label: "run:" + l.s.Algorithm}
+	// The trace is a run's largest allocation, so it is made once: a lone
+	// session's log, as Wait handed it over, is taken over when it has
+	// room for the lifecycle's events; otherwise the run's log is made at
+	// its size, with room for the connect and the byte count per member
+	// that a fleet's driver logs after Done.
+	n := len(l.extra)
 	for _, p := range parts {
-		if tr.Events == nil {
-			tr.Events = p.Events
-		} else {
+		n += len(p.Events)
+	}
+	tr := &trace.Trace{Label: "run:" + l.s.Algorithm}
+	if len(parts) == 1 && cap(parts[0].Events) >= n {
+		tr.Events = parts[0].Events
+	} else {
+		tr.Events = make([]trace.Event, 0, n+2*len(l.members))
+		for _, p := range parts {
 			tr.Events = append(tr.Events, p.Events...)
 		}
 	}

@@ -27,6 +27,7 @@ type Session struct {
 	flat      *graph.Flat
 	ctrl      *controller
 	workers   []*worker
+	log       []trace.Event // the workers' event logs, one stretch each (see controller.eventLog)
 	start     time.Time
 	wg        sync.WaitGroup
 	coordDone chan struct{}
@@ -130,6 +131,15 @@ func (r *Runner) buildSession(s *sched.Schedule, flat *graph.Flat, hosted []bool
 	ctrl.busy.Store(int64(ctrl.numLocal()))
 	ctrl.era.Store(&era{pause: make(chan struct{}), resume: make(chan struct{})})
 
+	// The hosted workers log into consecutive stretches of one array, each
+	// as long as a fault-free pass over its share of the era logs.
+	logged := 0
+	for pe := range plan.pes {
+		if ctrl.isLocal(pe) {
+			logged += plan.pes[pe].events
+		}
+	}
+	log, off := make([]trace.Event, logged), 0
 	workers := make([]*worker, numPE)
 	for pe := 0; pe < numPE; pe++ {
 		if !ctrl.isLocal(pe) {
@@ -139,14 +149,16 @@ func (r *Runner) buildSession(s *sched.Schedule, flat *graph.Flat, hosted []bool
 			pe: pe, runner: r, sched: s, ctrl: ctrl,
 			inbox: newMailbox(&ctrl.busy), interp: pits.Interp{MaxSteps: r.MaxSteps},
 			outputs: pits.Env{}, exports: map[string]graph.NodeID{},
-			local: make(map[graph.NodeID]pits.Env, len(plan.pes[pe].slots)),
+			local:  make(map[graph.NodeID]pits.Env, len(plan.pes[pe].slots)),
+			events: log[off : off : off+plan.pes[pe].events],
 		}
+		off += plan.pes[pe].events
 		workers[pe].assign(plan, 0)
 	}
 	ctrl.workers = workers
 
 	ses := &Session{
-		runner: r, s: s, flat: flat, ctrl: ctrl, workers: workers,
+		runner: r, s: s, flat: flat, ctrl: ctrl, workers: workers, log: log,
 		start: start, coordDone: make(chan struct{}),
 	}
 	return ses, nil
@@ -303,23 +315,11 @@ func (ses *Session) Wait() (*Partial, error) {
 		return nil, errors.Join(cascades...)
 	}
 
-	p := &Partial{Outputs: pits.Env{}, Exports: map[string]graph.NodeID{}}
-	logged := len(ses.ctrl.extra)
+	p := &Partial{Outputs: pits.Env{}, Exports: map[string]graph.NodeID{}, Events: ses.ctrl.eventLog(ses.log)}
 	for _, w := range ses.workers {
-		if w != nil {
-			logged += len(w.events)
-		}
-	}
-	p.Events = append(make([]trace.Event, 0, logged), ses.ctrl.extra...)
-	for _, w := range ses.workers {
-		if w == nil {
-			continue
-		}
-		// A crashed worker's trace survives (it shows what happened up
-		// to the crash) but its results died with it: recovery
-		// recomputed them elsewhere.
-		p.Events = append(p.Events, w.events...)
-		if w.dead {
+		// A crashed worker's results died with it: recovery recomputed
+		// them elsewhere.
+		if w == nil || w.dead {
 			continue
 		}
 		for k, v := range w.outputs {

@@ -60,3 +60,15 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		RemoteFlushes:  s.RemoteFlushes.Load(),
 	}
 }
+
+// Add adds a snapshot's counts, such as a remote session's, into s.
+func (s *Stats) Add(d StatsSnapshot) {
+	s.TasksRun.Add(d.TasksRun)
+	s.MsgsSent.Add(d.MsgsSent)
+	s.MsgsRecv.Add(d.MsgsRecv)
+	s.Retries.Add(d.Retries)
+	s.FaultsInjected.Add(d.FaultsInjected)
+	s.Recoveries.Add(d.Recoveries)
+	s.RemoteSends.Add(d.RemoteSends)
+	s.RemoteFlushes.Add(d.RemoteFlushes)
+}

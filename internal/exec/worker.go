@@ -68,7 +68,8 @@ const (
 
 // assign installs the worker's share of a compiled era. The stash and
 // the duplicate tracking of the era before belong to that era and go;
-// the event log grows, once, by what the new era will add.
+// the event log grows, once, by what the new era will add (for era 0
+// the room is already there: the worker's stretch of the session's log).
 func (w *worker) assign(p *eraPlan, epoch int64) {
 	w.plan, w.prog, w.cursor, w.epoch = p, &p.pes[w.pe], 0, epoch
 	w.resends = w.prog.resends

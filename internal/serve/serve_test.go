@@ -1018,6 +1018,62 @@ func TestServeFleetMode(t *testing.T) {
 	}
 }
 
+// TestServeFleetStatsCountTheDaemons: a fleet-backed server's execution
+// counters are what the worker daemons counted, carried back in each
+// result frame. Three runs count three times the design's tasks and the
+// in-process engine's messages, and the daemons' remote deliveries left
+// in bursts, at most one flush per delivery.
+func TestServeFleetStatsCountTheDaemons(t *testing.T) {
+	s := New(Options{DefaultAlg: "etf", Fleet: startFleet(t, "fleet-stats")})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// Four layers of four tasks, each reading two of the layer before:
+	// whatever the placement, messages cross between the two daemons.
+	p := testProject(t, 10, 1, 3)
+	g := graph.New("lattice")
+	g.MustAddStorage("IN", "x")
+	for l := 0; l < 4; l++ {
+		for i := 0; i < 4; i++ {
+			id := graph.NodeID(fmt.Sprintf("t%d_%d", l, i))
+			n := g.MustAddTask(id, string(id), 10)
+			if l == 0 {
+				n.Routine = fmt.Sprintf("v%d = x + %d", i, i)
+				g.MustConnect("IN", id, "x", 1)
+				continue
+			}
+			g.MustConnect(graph.NodeID(fmt.Sprintf("t%d_%d", l-1, i)), id, fmt.Sprintf("v%d", i), 1)
+			g.MustConnect(graph.NodeID(fmt.Sprintf("t%d_%d", l-1, (i+1)%4)), id, fmt.Sprintf("v%d", (i+1)%4), 1)
+			n.Routine = fmt.Sprintf("v%d = v%d + v%d", i, i, (i+1)%4)
+		}
+	}
+	p.Design = g
+	entry, _, err := New(Options{DefaultAlg: "etf"}).compile(p, "etf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := &exec.Stats{}
+	if _, err := (&exec.Runner{Inputs: p.Inputs, Stats: local}).Run(entry.sc, entry.flat); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 3
+	for i := 0; i < runs; i++ {
+		if rr, resp := postRun(t, ts.URL, p, "", nil); rr == nil {
+			t.Fatalf("fleet run %d rejected: %d", i, resp.StatusCode)
+		}
+	}
+	st := scrapeStats(t, ts.URL).Exec
+	if want := int64(runs * entry.flat.Graph.Len()); st.TasksRun != want {
+		t.Errorf("%d fleet runs counted %d tasks, want %d", runs, st.TasksRun, want)
+	}
+	if want := runs * local.MsgsSent.Load(); want == 0 || st.MsgsSent != want || st.MsgsRecv != want {
+		t.Errorf("%d fleet runs counted %d messages sent and %d received, want %d each", runs, st.MsgsSent, st.MsgsRecv, want)
+	}
+	if st.RemoteFlushes <= 0 || st.RemoteFlushes > st.RemoteSends {
+		t.Errorf("fleet runs counted %d remote sends in %d flushes, want 0 < flushes <= sends", st.RemoteSends, st.RemoteFlushes)
+	}
+}
+
 // TestServeRunCapHoldsInFleetMode: the server's run slots are the one
 // cap on concurrent runs, fleet runs included. With one slot, three
 // concurrent submissions are all served and the fleet never has more

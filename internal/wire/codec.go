@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/exec"
@@ -293,18 +294,26 @@ func encBlobEnvelope(js []byte, blobs ...[]byte) []byte {
 	if len(blobs) == 0 {
 		return js
 	}
+	return openEnvelope(js, len(blobs), blobs...)
+}
+
+// encEventsEnvelope is encBlobEnvelope(js, blob, EncodeEvents(evs, ix))
+// with the events encoded straight into the envelope, not copied in.
+func encEventsEnvelope(js, blob []byte, evs []trace.Event, ix NameIndex) []byte {
+	return appendEvents(openEnvelope(js, 2, blob), evs, ix)
+}
+
+// openEnvelope frames js and the first blobs of nBlobs; the caller
+// appends the rest.
+func openEnvelope(js []byte, nBlobs int, blobs ...[]byte) []byte {
 	n := 1 + 4 + len(js) + 4
 	for _, b := range blobs {
 		n += 4 + len(b)
 	}
-	out := make([]byte, 0, n)
-	out = append(out, blobEnvelopeMagic)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(js)))
-	out = append(out, js...)
-	out = binary.BigEndian.AppendUint32(out, uint32(len(blobs)))
+	out := binary.BigEndian.AppendUint32(append(make([]byte, 0, n), blobEnvelopeMagic), uint32(len(js)))
+	out = binary.BigEndian.AppendUint32(append(out, js...), uint32(nBlobs))
 	for _, b := range blobs {
-		out = binary.BigEndian.AppendUint32(out, uint32(len(b)))
-		out = append(out, b...)
+		out = append(binary.BigEndian.AppendUint32(out, uint32(len(b))), b...)
 	}
 	return out
 }
@@ -686,95 +695,124 @@ func DecodeSchedule(b []byte) (*sched.Schedule, error) {
 }
 
 // ---------------------------------------------------------------------
-// Binary trace-event lists. A run's result carries thousands of events
-// whose task IDs, variable names and notes repeat constantly; encoding
-// them through a string table makes the result payload a fraction of
-// its JSON size and lets the decoder allocate each distinct string
-// once instead of once per event.
+// Binary trace-event lists. A run's result carries thousands of events,
+// and both ends hold the run's flat graph — a daemon inside the schedule
+// it holds, the coordinator as handed to it. So a task travels as its
+// position in the graph's node order, a variable as the position of an
+// arc carrying it, and decoded names alias the graph's strings: a result
+// carries no string table. A record is eight varints — kind and
+// duplicate flag, time, processor, peer, sequence number, byte count,
+// task and variable reference (0: inline) — then three strings: the task
+// and the variable when the graph does not hold them, and the note. A
+// zero costs a byte; a run's records average 16.
 
-// EncodeEvents encodes a trace event list: a string table followed by
-// fixed-layout event records referencing it.
-func EncodeEvents(evs []trace.Event) []byte {
-	t := newStringTable()
-	// Intern first so the table precedes the records in the buffer.
-	refs := make([][3]uint32, len(evs))
-	for i, e := range evs {
-		refs[i] = [3]uint32{t.ref(string(e.Task)), t.ref(e.Var), t.ref(e.Note)}
+// NameIndex is what the event encoder looks names up in: for a task ID,
+// its position in the graph's node order, and for a variable, the
+// position of an arc carrying it, each plus one, in the low and the high
+// 32 bits. Build it once per graph (a daemon holds one per schedule),
+// never per result.
+type NameIndex map[string]int64
+
+// NewNameIndex indexes g's task IDs and variables for EncodeEvents.
+func NewNameIndex(g *graph.Graph) NameIndex {
+	ix := NameIndex{}
+	for i, n := range g.Nodes() {
+		ix[string(n.ID)] |= int64(i) + 1
 	}
-	// Everything that follows has a known size: the table's strings
-	// behind their lengths, then fixed-size records.
-	n := 4 + 4 + len(evs)*eventRecLen
-	for _, s := range t.table {
-		n += 4 + len(s)
+	for i, a := range g.Arcs() {
+		ix[a.Var] = ix[a.Var]&(1<<32-1) | (int64(i)+1)<<32
 	}
-	b := t.encode(make([]byte, 0, n))
-	b = binary.BigEndian.AppendUint32(b, uint32(len(evs)))
-	for i, e := range evs {
-		b = append(b, byte(e.Kind))
-		b = binary.BigEndian.AppendUint64(b, uint64(e.At))
-		b = binary.BigEndian.AppendUint32(b, refs[i][0])
-		b = binary.BigEndian.AppendUint32(b, uint32(int32(e.PE)))
-		b = binary.BigEndian.AppendUint32(b, refs[i][1])
-		b = binary.BigEndian.AppendUint32(b, uint32(int32(e.Peer)))
-		b = binary.BigEndian.AppendUint64(b, e.Seq)
-		if e.Dup {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-		b = binary.BigEndian.AppendUint32(b, refs[i][2])
-		b = binary.BigEndian.AppendUint64(b, uint64(e.Bytes))
+	return ix
+}
+
+// EncodeEvents encodes a trace event list against ix, in one
+// allocation.
+func EncodeEvents(evs []trace.Event, ix NameIndex) []byte {
+	return appendEvents(nil, evs, ix)[4:]
+}
+
+// appendEvents appends the encoding of evs — their count, then their
+// records — as an envelope blob, behind its 4-byte length. It measures
+// the records on the stack first, so b grows at most once.
+func appendEvents(b []byte, evs []trace.Event, ix NameIndex) []byte {
+	var tmp [64]byte
+	n := len(binary.AppendUvarint(tmp[:0], uint64(len(evs))))
+	for i := range evs {
+		n += len(appendEvent(tmp[:0], &evs[i], ix))
+	}
+	b = binary.BigEndian.AppendUint32(slices.Grow(b, 4+n), uint32(n))
+	b = binary.AppendUvarint(b, uint64(len(evs)))
+	for i := range evs {
+		b = appendEvent(b, &evs[i], ix)
 	}
 	return b
 }
 
-// eventRecLen is the fixed size of one encoded event record.
-const eventRecLen = 1 + 8 + 4 + 4 + 4 + 4 + 8 + 1 + 4 + 8
+func appendEvent(b []byte, e *trace.Event, ix NameIndex) []byte {
+	t, a, kind := ix[string(e.Task)]&(1<<32-1), ix[e.Var]>>32, int64(e.Kind)<<1
+	task, v := string(e.Task), e.Var
+	if t != 0 {
+		task = ""
+	}
+	if a != 0 {
+		v = ""
+	}
+	if e.Dup {
+		kind |= 1
+	}
+	for _, x := range [...]int64{kind, int64(e.At), int64(e.PE), int64(e.Peer), int64(e.Seq), e.Bytes, t, a} {
+		b = binary.AppendVarint(b, x)
+	}
+	for _, s := range [...]string{task, v, e.Note} {
+		b = append(binary.AppendUvarint(b, uint64(len(s))), s...)
+	}
+	return b
+}
 
-// DecodeEvents decodes an EncodeEvents payload.
-func DecodeEvents(b []byte) ([]trace.Event, error) {
-	table, b, err := decodeStringTable(b)
-	if err != nil {
-		return nil, err
+var errBadEvents = fmt.Errorf("wire: event list truncated or referring outside its graph")
+
+// DecodeEvents decodes an EncodeEvents payload against g, the graph it
+// was encoded on. Every malformed input is an error: a truncated record,
+// a reference outside g, a count the bytes cannot hold.
+func DecodeEvents(b []byte, g *graph.Graph) ([]trace.Event, error) {
+	// Untrusted count: a record takes at least eleven bytes.
+	n, k := binary.Uvarint(b)
+	if k <= 0 || n > uint64(len(b)-k)/11 {
+		return nil, fmt.Errorf("wire: event count does not fit its %d bytes", len(b))
 	}
-	str := func(i uint32) (string, error) {
-		if int(i) >= len(table) {
-			return "", fmt.Errorf("wire: event string reference %d outside table of %d", i, len(table))
-		}
-		return table[i], nil
-	}
-	if len(b) < 4 {
-		return nil, fmt.Errorf("wire: truncated event count")
-	}
-	n := int(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	if len(b) != n*eventRecLen {
-		return nil, fmt.Errorf("wire: %d bytes for %d event records of %d", len(b), n, eventRecLen)
-	}
+	b, nodes, arcs := b[k:], g.Nodes(), g.Arcs()
 	evs := make([]trace.Event, n)
 	for i := range evs {
-		e := &evs[i]
-		e.Kind = trace.Kind(b[0])
-		e.At = machine.Time(binary.BigEndian.Uint64(b[1:]))
-		var task, v, note string
-		if task, err = str(binary.BigEndian.Uint32(b[9:])); err != nil {
-			return nil, err
+		var x [8]int64
+		var s [3]string
+		for j := range x {
+			if x[j], k = binary.Varint(b); k <= 0 {
+				return nil, errBadEvents
+			}
+			b = b[k:]
 		}
-		e.Task = graph.NodeID(task)
-		e.PE = int(int32(binary.BigEndian.Uint32(b[13:])))
-		if v, err = str(binary.BigEndian.Uint32(b[17:])); err != nil {
-			return nil, err
+		for j := range s {
+			l, k := binary.Uvarint(b)
+			if k <= 0 || l > uint64(len(b)-k) {
+				return nil, errBadEvents
+			}
+			s[j], b = string(b[k:k+int(l)]), b[k+int(l):]
 		}
-		e.Var = v
-		e.Peer = int(int32(binary.BigEndian.Uint32(b[21:])))
-		e.Seq = binary.BigEndian.Uint64(b[25:])
-		e.Dup = b[33] != 0
-		if note, err = str(binary.BigEndian.Uint32(b[34:])); err != nil {
-			return nil, err
+		t, a := uint64(x[6]), uint64(x[7])
+		if t > uint64(len(nodes)) || a > uint64(len(arcs)) {
+			return nil, errBadEvents
 		}
-		e.Note = note
-		e.Bytes = int64(binary.BigEndian.Uint64(b[38:]))
-		b = b[eventRecLen:]
+		if t > 0 {
+			s[0] = string(nodes[t-1].ID)
+		}
+		if a > 0 {
+			s[1] = arcs[a-1].Var
+		}
+		evs[i] = trace.Event{Kind: trace.Kind(x[0] >> 1), Dup: x[0]&1 != 0, At: machine.Time(x[1]), PE: int(x[2]),
+			Peer: int(x[3]), Seq: uint64(x[4]), Bytes: x[5], Task: graph.NodeID(s[0]), Var: s[1], Note: s[2]}
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("wire: %d trailing bytes after %d events", len(b), n)
 	}
 	return evs, nil
 }

@@ -5,12 +5,15 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/exec"
+	"repro/internal/graph"
 	"repro/internal/machine"
 	"repro/internal/pits"
 	"repro/internal/sched"
@@ -216,33 +219,89 @@ func TestDecodeScheduleRejectsProcessorsOutsideTheMachine(t *testing.T) {
 	}
 }
 
-func TestEventsRoundTrip(t *testing.T) {
-	evs := []trace.Event{
-		{Kind: trace.TaskStart, At: 10, Task: "t1", PE: 2},
-		{Kind: trace.TaskEnd, At: 25, Task: "t1", PE: 2, Note: "ok"},
-		{Kind: trace.MsgSend, At: 26, Task: "t1", PE: 2, Var: "x", Peer: 5, Seq: 7, Bytes: 64},
-		{Kind: trace.MsgRecv, At: 31, Task: "t2", PE: 5, Var: "x", Peer: 2, Seq: 7, Dup: true, Bytes: -1},
-		{Kind: trace.WireBytes, At: 31, PE: -1, Bytes: 1 << 40},
+// eventsOnBothEnds returns an ETF schedule of the 3x3 calculator as its
+// coordinator holds it, and the graph a daemon decodes from its start
+// bundle: the two ends of an event list.
+func eventsOnBothEnds(t testing.TB) (coord *sched.Schedule, daemon *graph.Graph) {
+	t.Helper()
+	flat, _ := distDesign(t, 3, 3)
+	sc, err := sched.ETF{}.Schedule(flat.Graph, distMachine(t, "hypercube:3"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	got, err := DecodeEvents(EncodeEvents(evs))
+	b, err := EncodeSchedule(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, err := DecodeSchedule(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc, held.Graph
+}
+
+// randomEvents draws n events of every kind over g's tasks and their
+// variables, with names g does not hold, empty strings and extreme
+// numbers mixed in.
+func randomEvents(rng *rand.Rand, g *graph.Graph, n int) []trace.Event {
+	pick := func(opts ...string) string { return opts[rng.Intn(len(opts))] }
+	nodes := g.Nodes()
+	evs := make([]trace.Event, n)
+	for i := range evs {
+		e := &evs[i]
+		e.Kind = trace.Kinds()[rng.Intn(len(trace.Kinds()))]
+		e.At = machine.Time(rng.Int63n(1<<40) - 1<<20)
+		switch rng.Intn(4) {
+		case 0:
+			e.Task = graph.NodeID(pick("", "not-in-graph", "t0_0/x"))
+		default:
+			e.Task = nodes[rng.Intn(len(nodes))].ID
+		}
+		var vars []string
+		for _, a := range g.SuccArcs(e.Task) {
+			vars = append(vars, a.Var)
+		}
+		e.Var = pick(append(vars, "", "nowhere", "x")...)
+		e.PE, e.Peer = rng.Intn(9)-1, rng.Intn(9)-1
+		e.Seq = rng.Uint64() >> uint(rng.Intn(64))
+		e.Dup = rng.Intn(2) == 0
+		e.Note = pick("", "", "crash", "attempt 1", "127.0.0.1:4000")
+		e.Bytes = rng.Int63() >> uint(rng.Intn(63)) * int64(1-2*rng.Intn(2))
+	}
+	return evs
+}
+
+// TestEventsRoundTrip: events encoded against the daemon's decoded copy
+// of the schedule's graph decode on the coordinator's to what was sent,
+// whatever their kind and whether or not the graph holds their names;
+// the decoded names of known tasks and variables are the graph's own
+// strings. A truncated list or one with bytes to spare is an error.
+func TestEventsRoundTrip(t *testing.T) {
+	sc, daemon := eventsOnBothEnds(t)
+	evs := randomEvents(rand.New(rand.NewSource(1)), sc.Graph, 2000)
+	b := EncodeEvents(evs, NewNameIndex(daemon))
+	got, err := DecodeEvents(b, sc.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, evs) {
-		t.Errorf("round trip:\n got %#v\nwant %#v", got, evs)
+		t.Fatal("round trip changed the events")
+	}
+	for i, e := range got {
+		if n := sc.Graph.Node(e.Task); n != nil && unsafe.StringData(string(e.Task)) != unsafe.StringData(string(n.ID)) {
+			t.Fatalf("event %d: task %s decoded to a copy, not the graph's string", i, e.Task)
+		}
 	}
 
-	empty, err := DecodeEvents(EncodeEvents(nil))
-	if err != nil {
-		t.Fatal(err)
+	empty, err := DecodeEvents(EncodeEvents(nil, nil), sc.Graph)
+	if err != nil || len(empty) != 0 {
+		t.Errorf("empty event list decoded to %d events, %v", len(empty), err)
 	}
-	if len(empty) != 0 {
-		t.Errorf("empty event list decoded to %d events", len(empty))
-	}
-
-	b := EncodeEvents(evs)
-	if _, err := DecodeEvents(b[:len(b)-3]); err == nil {
+	if _, err := DecodeEvents(b[:len(b)-3], sc.Graph); err == nil {
 		t.Error("truncated events decoded without error")
+	}
+	if _, err := DecodeEvents(append(b, 0), sc.Graph); err == nil {
+		t.Error("events with a trailing byte decoded without error")
 	}
 }
 

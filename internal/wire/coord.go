@@ -633,7 +633,7 @@ func (r *coRun) handleFrame(p *peer, f Frame) (*exec.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := note.state(blobs)
+		st, err := note.state(blobs, r.s.Graph)
 		if err != nil {
 			return nil, fmt.Errorf("wire: worker %d checkpoint: %w", p.i, err)
 		}
@@ -647,15 +647,18 @@ func (r *coRun) handleFrame(p *peer, f Frame) (*exec.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if len(blobs) >= 2 {
-			note.Outputs, note.EventsBin = blobs[0], blobs[1]
+		if len(blobs) != 2 {
+			return nil, fmt.Errorf("wire: worker %d result carries %d blobs, want 2", p.i, len(blobs))
 		}
 		part := &exec.Partial{Exports: note.Exports, Printed: note.Printed, PrintedPE: note.PrintedPE}
-		if part.Outputs, err = DecodeEnv(note.Outputs); err == nil {
-			part.Events, err = DecodeEvents(note.EventsBin)
+		if part.Outputs, err = DecodeEnv(blobs[0]); err == nil {
+			part.Events, err = DecodeEvents(blobs[1], r.s.Graph)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("wire: worker %d result: %w", p.i, err)
+		}
+		if st := r.co.Runner.Stats; st != nil {
+			st.Add(note.Stats)
 		}
 		return r.step(exec.Returned{W: p.i, Partial: part}, nil)
 	case TError:

@@ -162,7 +162,7 @@ func TestCoordParkedWhileFinishing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := encJSON(ResultNote{Outputs: empty, EventsBin: EncodeEvents(nil)})
+	res := encEventsEnvelope(encJSON(ResultNote{}), empty, nil, nil)
 	if err := w0.l.Send(TResult, res); err != nil {
 		t.Fatal(err)
 	}

@@ -534,7 +534,7 @@ func TestCoordJoinWhileFinishing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := encJSON(ResultNote{Outputs: empty, EventsBin: EncodeEvents(nil)})
+	res := encEventsEnvelope(encJSON(ResultNote{}), empty, nil, nil)
 	if err := w0.l.Send(TResult, res); err != nil {
 		t.Fatal(err)
 	}

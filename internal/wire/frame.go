@@ -26,7 +26,7 @@ const (
 	Magic uint16 = 0xBA46
 	// ProtoVersion is the wire protocol version, checked in the
 	// Hello/Welcome handshake and carried in every frame header.
-	ProtoVersion byte = 1
+	ProtoVersion byte = 2
 	// HeaderLen is the fixed frame header size in bytes.
 	HeaderLen = 24
 	// MaxPayload bounds a frame payload (a corrupted length prefix must

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"reflect"
 	"testing"
 
@@ -191,21 +193,47 @@ func FuzzDecodeSchedule(f *testing.F) {
 	})
 }
 
+// FuzzDecodeEvents decodes arbitrary bytes against a real schedule's
+// graph. Seeds: a valid list of every kind, with inline names; the
+// empty list; a truncated one; references past the graph's tasks, past
+// a task's arcs and past the bytes an inline name has; and counts no
+// payload can hold.
 func FuzzDecodeEvents(f *testing.F) {
+	sc, daemon := eventsOnBothEnds(f)
+	ix := NewNameIndex(daemon)
 	b := EncodeEvents([]trace.Event{
-		{Kind: trace.TaskStart, At: 10, Task: "t1", PE: 2},
-		{Kind: trace.MsgSend, At: 26, Task: "t1", PE: 2, Var: "x", Peer: 5, Seq: 7, Bytes: 64},
-		{Kind: trace.MsgRecv, At: 31, Task: "t2", PE: 5, Var: "x", Peer: 2, Seq: 7, Dup: true, Note: "late"},
-	})
+		{Kind: trace.TaskStart, At: 10, Task: "t0_0", PE: 2},
+		{Kind: trace.MsgSend, At: 26, Task: "t0_0", PE: 2, Var: "v0_0", Peer: 5, Seq: 7, Bytes: 64},
+		{Kind: trace.MsgRecv, At: 31, Task: "elsewhere", PE: 5, Var: "x", Peer: 2, Seq: 7, Dup: true, Note: "late"},
+		{Kind: trace.WireBytes, At: -1, PE: -1, Bytes: -1 << 40},
+	}, ix)
 	f.Add(b)
-	f.Add(EncodeEvents(nil))
+	f.Add(EncodeEvents(nil, ix))
 	f.Add(b[:len(b)-3])
+	// One record of a TaskStart: its eight numbers, with the task and
+	// variable references given, then its three strings' bytes.
+	rec := func(task, arc int64, strs ...byte) []byte {
+		b := []byte{1}
+		for _, x := range []int64{int64(trace.TaskStart) << 1, 10, 2, 0, 0, 0, task, arc} {
+			b = binary.AppendVarint(b, x)
+		}
+		return append(b, strs...)
+	}
+	f.Add(rec(0, 0, 0, 0, 0))                                   // a valid record
+	f.Add(rec(1000, 0, 0, 0, 0))                                // a task past the graph's
+	f.Add(rec(-1, 0, 0, 0, 0))                                  // a negative task
+	f.Add(rec(1, 9, 0, 0, 0))                                   // an arc past the task's
+	f.Add(rec(0, 1, 0, 0, 0))                                   // an arc of no task
+	f.Add(rec(0, 0, 40, 'a'))                                   // an inline name past the bytes
+	f.Add(rec(0, 0, 0, 0, 5, 'n'))                              // a note cut short
+	f.Add(binary.AppendUvarint(nil, math.MaxUint64))            // a count past any payload
+	f.Add(append(binary.AppendUvarint(nil, 1<<32), 0, 0, 0, 0)) // a count past this one
 	f.Fuzz(func(t *testing.T, data []byte) {
-		evs, err := DecodeEvents(data)
+		evs, err := DecodeEvents(data, sc.Graph)
 		if err != nil {
 			return
 		}
-		evs2, err := DecodeEvents(EncodeEvents(evs))
+		evs2, err := DecodeEvents(EncodeEvents(evs, ix), sc.Graph)
 		if err != nil {
 			t.Fatalf("re-decoding: %v", err)
 		}

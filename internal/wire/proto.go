@@ -183,8 +183,9 @@ func (m *shipments) of(s *sched.Schedule, flat *graph.Flat) (*shipment, error) {
 // with it the era the first of them compiled (exec parks it on the
 // schedule, keyed to the design).
 type held struct {
-	s    *sched.Schedule
-	flat *graph.Flat
+	s     *sched.Schedule
+	flat  *graph.Flat
+	names NameIndex // what its runs' trace events are encoded against
 }
 
 // heldMax bounds a daemon's schedule table, dropped wholesale when full;
@@ -238,24 +239,26 @@ type ParkedNote struct {
 	PrintedPE []int    `json:"printedPE,omitempty"`
 }
 
-// parkedNote is the wire form of a pause state; a checkpoint's env
-// store and trace events come back as the envelope's two blobs.
-func parkedNote(st *exec.PauseState) (ParkedNote, [][]byte, error) {
-	n := ParkedNote{Done: st.Done, Held: st.Held, Dead: st.Dead, Clock: st.Clock,
-		Printed: st.Printed, PrintedPE: st.PrintedPE}
+// parkedNote is the wire form of a pause state: plain JSON, or for a
+// checkpoint an envelope whose two blobs are the env store and the trace
+// events, encoded against ix.
+func parkedNote(st *exec.PauseState, ix NameIndex) ([]byte, error) {
+	n := encJSON(ParkedNote{Done: st.Done, Held: st.Held, Dead: st.Dead, Clock: st.Clock,
+		Printed: st.Printed, PrintedPE: st.PrintedPE})
 	if st.Local == nil {
-		return n, nil, nil
+		return n, nil
 	}
 	ckpt, err := EncodeCheckpoint(st.Local)
 	if err != nil {
-		return n, nil, err
+		return nil, err
 	}
-	return n, [][]byte{ckpt, EncodeEvents(st.Events)}, nil
+	return encEventsEnvelope(n, ckpt, st.Events, ix), nil
 }
 
 // state is parkedNote's inverse: the pause state the note and its
-// envelope blobs (none, or a checkpoint's two) describe.
-func (n ParkedNote) state(blobs [][]byte) (*exec.PauseState, error) {
+// envelope blobs (none, or a checkpoint's two, whose events decode on
+// g) describe.
+func (n ParkedNote) state(blobs [][]byte, g *graph.Graph) (*exec.PauseState, error) {
 	st := &exec.PauseState{Done: n.Done, Held: n.Held, Dead: n.Dead, Clock: n.Clock,
 		Printed: n.Printed, PrintedPE: n.PrintedPE}
 	if len(blobs) < 2 {
@@ -265,7 +268,7 @@ func (n ParkedNote) state(blobs [][]byte) (*exec.PauseState, error) {
 	if st.Local, err = DecodeCheckpoint(blobs[0]); err != nil {
 		return nil, err
 	}
-	if st.Events, err = DecodeEvents(blobs[1]); err != nil {
+	if st.Events, err = DecodeEvents(blobs[1], g); err != nil {
 		return nil, fmt.Errorf("events: %w", err)
 	}
 	return st, nil
@@ -337,15 +340,19 @@ func (n *ResumeNote) plan(blobs [][]byte) (*exec.ResumePlan, error) {
 	return p, nil
 }
 
-// ResultNote is a worker's partial result at the end of a run.
+// ResultNote is a worker's partial result at the end of a run. It
+// travels as a blob envelope: this JSON, then the outputs (EncodeEnv)
+// and the trace events (EncodeEvents) out of band.
 type ResultNote struct {
-	Outputs []byte                  `json:"outputs"` // EncodeEnv bytes
 	Exports map[string]graph.NodeID `json:"exports,omitempty"`
 	Printed []string                `json:"printed,omitempty"`
 	// PrintedPE tags each print line with its processor, so the merge
 	// restores ascending-processor order under non-contiguous placement.
-	PrintedPE []int  `json:"printedPE,omitempty"`
-	EventsBin []byte `json:"eventsBin,omitempty"` // EncodeEvents bytes
+	PrintedPE []int `json:"printedPE,omitempty"`
+	// Stats are the hosted session's counters, which the coordinator adds
+	// into its runner's. A drained or lost member sends none: its counts
+	// leave the run with it.
+	Stats exec.StatsSnapshot `json:"stats"`
 }
 
 // ErrorNote aborts the run with a root cause.

@@ -119,7 +119,7 @@ type workerRun struct {
 	id          string
 	link        *Link        // to the coordinator (nil until the first connection is adopted)
 	reader      *inboundConn // the coordinator's current connection (nil while detached)
-	held        *held        // the schedule its Hello named, if the daemon had it then
+	held        *held        // the schedule its Hello named (if the daemon had it), then the one it started
 	ses         *exec.Session
 	mesh        atomic.Pointer[mesh]
 	meshUp      chan struct{} // closed once the start bundle decided the mesh
@@ -202,7 +202,7 @@ func (d *workerDaemon) hold(b *StartBundle) (*held, error) {
 	if len(d.held) >= heldMax {
 		d.held = map[string]*held{}
 	}
-	d.held[digest] = &held{s, &graph.Flat{Graph: s.Graph, ExternalIn: b.ExternalIn, ExternalOut: b.ExternalOut}}
+	d.held[digest] = &held{s, &graph.Flat{Graph: s.Graph, ExternalIn: b.ExternalIn, ExternalOut: b.ExternalOut}, NewNameIndex(s.Graph)}
 	return d.held[digest], nil
 }
 
@@ -522,7 +522,7 @@ func (d *workerDaemon) frameLoop(run *workerRun) (keep bool, next *inboundConn) 
 				opt.logf("run %s failed locally: %v", run.id, out.err)
 				run.link.Send(TError, encJSON(ErrorNote{Msg: out.err.Error()}))
 			} else {
-				note, err := resultNote(out.p)
+				note, err := resultNote(out.p, run.ses.Stats(), run.held.names)
 				if err != nil {
 					run.link.Send(TError, encJSON(ErrorNote{Msg: err.Error()}))
 				} else {
@@ -627,11 +627,11 @@ func (d *workerDaemon) handleFrame(run *workerRun, f Frame) (bool, error) {
 		// The barrier: everything coalescing must be on the wire before
 		// the coordinator sees Parked.
 		run.flushData()
-		note, blobs, err := parkedNote(st)
+		note, err := parkedNote(st, run.held.names)
 		if err != nil {
 			return false, err
 		}
-		return false, run.link.Send(TParked, encBlobEnvelope(encJSON(note), blobs...))
+		return false, run.link.Send(TParked, note)
 	case TResume:
 		if run.ses == nil {
 			return false, fmt.Errorf("resume frame before start")
@@ -732,7 +732,7 @@ func (d *workerDaemon) startRun(run *workerRun, bundle *StartBundle) error {
 	if err != nil {
 		return err
 	}
-	run.ses = ses
+	run.ses, run.held = ses, h
 	if bundle.HeartbeatEvery > 0 {
 		run.hbEvery = time.Duration(bundle.HeartbeatEvery)
 	}
@@ -758,19 +758,16 @@ func (d *workerDaemon) startRun(run *workerRun, bundle *StartBundle) error {
 	return nil
 }
 
-// resultNote serializes a partial result. The output environment and
-// trace events ride out of band in the blob envelope.
-func resultNote(p *exec.Partial) ([]byte, error) {
+// resultNote serializes a partial result and the session's counters.
+// The output environment and the trace events, encoded against ix, ride
+// out of band in the blob envelope.
+func resultNote(p *exec.Partial, st exec.StatsSnapshot, ix NameIndex) ([]byte, error) {
 	outputs, err := EncodeEnv(p.Outputs)
 	if err != nil {
 		return nil, err
 	}
-	exports := make(map[string]graph.NodeID, len(p.Exports))
-	for k, v := range p.Exports {
-		exports[k] = v
-	}
-	js := encJSON(ResultNote{Exports: exports, Printed: p.Printed, PrintedPE: p.PrintedPE})
-	return encBlobEnvelope(js, outputs, EncodeEvents(p.Events)), nil
+	js := encJSON(ResultNote{Exports: p.Exports, Printed: p.Printed, PrintedPE: p.PrintedPE, Stats: st})
+	return encEventsEnvelope(js, outputs, p.Events, ix), nil
 }
 
 // workerPlane adapts the run's links to the session's RemotePlane:
