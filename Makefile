@@ -63,6 +63,8 @@ vet:
 	! grep -n 'append(p.Events, w.events\.\.\.)' internal/exec/session.go
 # A result carries no string table: the events codec names tasks and variables by their place in the run's flat graph.
 	! awk '/^func (EncodeEvents|eventsLen|appendEvents?|DecodeEvents)\(/,/^}/' internal/wire/codec.go | grep -nE 'newStringTable|decodeStringTable'
+# One idle pool: a fleet's parked links and a daemon's parked mesh links are both idleConns; no second map of parked connections beside it.
+	! awk '/^(type idleConns|func \(p \*idleConns\))/{b=1} /^}/{b=0} !b && /map\[string\]\[\]Conn/{print FILENAME":"FNR": "$$0; f=1} END{exit !f}' $$(ls internal/wire/*.go | grep -v _test.go)
 # Every fuzz target under internal/ runs in fuzz-smoke.
 	! for f in $$(grep -rhoE '^func Fuzz[A-Za-z0-9_]+' --include='*_test.go' internal | cut -c6-); do sed -n '/^fuzz-smoke:/,/^$$/p' Makefile | grep -q -- "-fuzz $$f " || echo "$$f is not in fuzz-smoke"; done | grep .
 
@@ -153,10 +155,12 @@ multisoak:
 # start and end inside one microsecond, which only a real clock makes.
 # The second line is the fleet's share: a member killed between two runs
 # or under one, and a daemon restarted between two (each several
-# heartbeat budgets long, hence the lower count).
+# heartbeat budgets long, hence the lower count), and the mesh links
+# parked across runs — reused, lost with their daemon or member, never
+# shared by two runs at once.
 chaos:
 	$(GO) test -race -count=50 -run 'Fault|Crash|Random|Deadlock|Stall|Duplicate|WallClockSummary' ./internal/exec/
-	$(GO) test -race -count=10 -run 'DropsDeadWorker|MemberKilled|RestartedDaemon|ParkedLinksEnd' ./internal/wire/
+	$(GO) test -race -count=10 -run 'DropsDeadWorker|MemberKilled|RestartedDaemon|ParkedLinksEnd|ReuseMeshLinks|ParkedMeshLink|NoParkedMeshLink|ShareAMeshLink' ./internal/wire/
 
 # Differential conformance sweep: 25 deterministic seeds, each run
 # through the analytic simulator, the virtual-time runner, and both

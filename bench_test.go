@@ -997,10 +997,11 @@ func BenchmarkRunnerTCP(b *testing.B) {
 	}
 }
 
-// countingTransport counts what a fleet's coordinators put on the wire
-// to set a run up: the dials they make, and the schedule bytes their
-// start bundles carry (the first blob of the bundle's envelope: 94 KB
-// for this design, empty when the daemon holds the schedule).
+// countingTransport counts what a run's set-up puts on the wire: the
+// dials made through it — a fleet's coordinators', or the worker
+// daemons' mesh dials — and the schedule bytes start bundles carry (the
+// first blob of the bundle's envelope: 94 KB for this design, empty when
+// the daemon holds the schedule).
 type countingTransport struct {
 	wire.Transport
 	dials, blobBytes atomic.Int64
@@ -1034,10 +1035,13 @@ func (c startCountingConn) WriteFrame(f wire.Frame) error {
 // BenchmarkFleetRun is the harness's run-fleet request below HTTP: the
 // 501-task design, ETF on hypercube:3, run wall-clock through a Fleet on
 // two worker daemons over loopback TCP by two callers at once. Beside
-// time and memory it reports what a run's set-up put on the wire:
-// dials/op and blobKB/op are 0 once the fleet holds a link to each
-// member per caller and the daemons hold the schedule (the first run of
-// each caller dials, the first run on each daemon ships).
+// time and memory it reports what a run's set-up put on the wire: the
+// coordinators' dials/op, the daemons' meshDials/op and blobKB/op. Only
+// the first runs pay them: each caller's first run dials both members
+// and its mesh link, and the first run on each daemon ships the
+// schedule; later runs lease the links earlier runs parked. A run whose
+// goodbyes miss goodbyeWait (a host too loaded to answer in 100 ms)
+// closes its links, and the next run on them dials again.
 func BenchmarkFleetRun(b *testing.B) {
 	flat, inputs := runnerDesign(b, 20, 25) // 501 tasks
 	sc := specSchedule(b, flat, "hypercube:3")
@@ -1045,12 +1049,13 @@ func BenchmarkFleetRun(b *testing.B) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	var addrs []string
+	mesh := &countingTransport{Transport: wire.TCP()}
 	for i := 0; i < 2; i++ {
 		ready := make(chan string, 1)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wire.ServeWorker(ctx, wire.TCP(), "127.0.0.1:0", wire.WorkerOptions{},
+			wire.ServeWorker(ctx, mesh, "127.0.0.1:0", wire.WorkerOptions{},
 				func(bound string) { ready <- bound })
 		}()
 		addrs = append(addrs, <-ready)
@@ -1087,6 +1092,7 @@ func BenchmarkFleetRun(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
 	b.ReportMetric(float64(tr.dials.Load())/float64(b.N), "dials/op")
+	b.ReportMetric(float64(mesh.dials.Load())/float64(b.N), "meshDials/op")
 	b.ReportMetric(float64(tr.blobBytes.Load())/1024/float64(b.N), "blobKB/op")
 }
 
@@ -1118,10 +1124,12 @@ func BenchmarkRunnerWall(b *testing.B) {
 // event log dominates it: each daemon's workers log their share once,
 // and that log is the partial; a result carries it by graph index with
 // no string table, encoded straight into its frame; the coordinator
-// decodes each and merges them once. It reads about 1.53 MB on a
-// 2-core x86-64 host; 2.40 MB while the log was copied into the partial,
-// re-interned into a string table per result, copied into the frame and
-// merged by regrowing the first partial.
+// decodes each and merges them once. The daemons' mesh link is leased
+// from the run before, so no run pays a fresh connection's four 64 KB
+// buffers. It reads about 1.29 MB on a 2-core x86-64 host; 1.55 MB while
+// each run dialled its mesh link, and 2.40 MB while the log was copied
+// into the partial, re-interned into a string table per result, copied
+// into the frame and merged by regrowing the first partial.
 func TestFleetRunAllocCeiling(t *testing.T) {
 	flat, inputs := runnerDesign(t, 20, 25) // 501 tasks
 	sc := specSchedule(t, flat, "hypercube:3")
@@ -1162,7 +1170,7 @@ func TestFleetRunAllocCeiling(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20) / runs
 	t.Logf("a fleet run of the 501-task design allocated %.2f MB", mb)
-	if mb > 1.75 {
-		t.Errorf("a fleet run of the 501-task design allocated %.2f MB, want at most 1.75 MB", mb)
+	if mb > 1.42 {
+		t.Errorf("a fleet run of the 501-task design allocated %.2f MB, want at most 1.42 MB", mb)
 	}
 }

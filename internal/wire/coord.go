@@ -348,7 +348,7 @@ func (r *coRun) breakConn(p *peer, err error) {
 func (r *coRun) dial(ctx context.Context, addr string) (c Conn, have bool, err error) {
 	hello := Hello{Proto: ProtoVersion, Run: r.id, Digest: r.ship.digest}
 	if f := r.co.fleet; f != nil {
-		if c = f.lease(addr); c != nil {
+		if c = f.idle.lease(addr); c != nil {
 			if w, err := handshake(c, hello); err == nil {
 				return c, w.Have, nil
 			}
@@ -414,6 +414,10 @@ func (r *coRun) connectAll() error {
 	return nil
 }
 
+// errRefused wraps a Hello's refusal: the connection answered it, and
+// awaits a Hello again.
+var errRefused = errors.New("wire: worker rejected handshake")
+
 // handshake sends Hello on a connection that awaits one and expects a
 // Welcome speaking this protocol version: it carries the accepting
 // side's receive watermark (what a reconnect replays its outbox from)
@@ -436,7 +440,7 @@ func handshake(c Conn, h Hello) (Welcome, error) {
 		return w, err
 	case TError:
 		n, _ := decJSON[ErrorNote](f.Payload, "error")
-		return Welcome{}, fmt.Errorf("wire: worker rejected handshake: %s", n.Msg)
+		return Welcome{}, fmt.Errorf("%w: %s", errRefused, n.Msg)
 	default:
 		return Welcome{}, fmt.Errorf("wire: expected welcome, got %s", f.Type)
 	}

@@ -65,11 +65,11 @@ type Fleet struct {
 	Mesh bool
 	Logf func(string, ...any)
 
-	mu      sync.Mutex // guards members, load, active, idle, lis, closed
+	mu      sync.Mutex // guards members, load, active, lis, closed
 	members map[string]bool
 	load    map[string]int        // runs currently placed per member address
 	active  map[*Coordinator]bool // coordinators with a run in flight
-	idle    map[string][]Conn     // parked connections per member, each awaiting a Hello
+	idle    idleConns             // parked connections per member, each awaiting a Hello
 	ships   shipments
 	lis     Listener
 	bound   string
@@ -94,7 +94,6 @@ func (f *Fleet) Start() error {
 	}
 	f.load = map[string]int{}
 	f.active = map[*Coordinator]bool{}
-	f.idle = map[string][]Conn{}
 	if f.Control == "" {
 		return fmt.Errorf("wire: fleet needs a control listen address")
 	}
@@ -252,32 +251,75 @@ func drainIrrelevant(err error) bool {
 	return false
 }
 
-// maxIdle bounds the connections parked per member: a burst of
+// maxIdle bounds the connections parked per address: a burst of
 // concurrent runs must not leave its peak behind as open sockets.
 const maxIdle = 8
 
-// lease takes a parked connection to the member at addr, or nil. The
-// most recently parked goes first: it is the likeliest still alive.
-func (f *Fleet) lease(addr string) (c Conn) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if cs := f.idle[addr]; len(cs) > 0 {
-		c, f.idle[addr] = cs[len(cs)-1], cs[:len(cs)-1]
+// idleConns keeps connections whose conversation ended cleanly on both
+// sides, by the address of their far end, for the next conversation
+// there: a fleet's links to its members, and a daemon's mesh links to
+// the daemons it dialled. A leased connection belongs to its lessee
+// alone. The most recently parked goes first: it is the likeliest still
+// alive. The zero value is empty and open.
+type idleConns struct {
+	mu     sync.Mutex
+	conns  map[string][]Conn
+	closed bool
+}
+
+// lease takes a parked connection to addr, or nil.
+func (p *idleConns) lease(addr string) (c Conn) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if cs := p.conns[addr]; len(cs) > 0 {
+		c, p.conns[addr] = cs[len(cs)-1], cs[:len(cs)-1]
+		if len(cs) == 1 {
+			delete(p.conns, addr) // members come and go: the map must not grow
+		}
 	}
 	return c
 }
 
-// park keeps a connection to the member at addr for the next run; the
-// daemon's end must be awaiting a Hello.
-func (f *Fleet) park(addr string, c Conn) {
-	f.mu.Lock()
-	if !f.closed && f.members[addr] && len(f.idle[addr]) < maxIdle {
-		f.idle[addr], c = append(f.idle[addr], c), nil
+// park keeps c for the next conversation with addr, or closes it when
+// the pool is closed or holds maxIdle there already.
+func (p *idleConns) park(addr string, c Conn) {
+	p.mu.Lock()
+	if !p.closed && len(p.conns[addr]) < maxIdle {
+		if p.conns == nil {
+			p.conns = map[string][]Conn{}
+		}
+		p.conns[addr], c = append(p.conns[addr], c), nil
 	}
-	f.mu.Unlock()
+	p.mu.Unlock()
 	if c != nil {
 		c.Close()
 	}
+}
+
+// close closes every parked connection, and each one parked after it.
+func (p *idleConns) close() {
+	p.mu.Lock()
+	all := p.conns
+	p.conns, p.closed = nil, true
+	p.mu.Unlock()
+	for _, cs := range all {
+		for _, c := range cs {
+			c.Close()
+		}
+	}
+}
+
+// park keeps a connection to the member at addr for the next run; the
+// daemon's end must be awaiting a Hello. One to a member dropped
+// meanwhile is closed.
+func (f *Fleet) park(addr string, c Conn) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if !f.members[addr] {
+		c.Close()
+		return
+	}
+	f.idle.park(addr, c)
 }
 
 // connect dials the member at addr once, briefly. Connecting is the
@@ -296,12 +338,10 @@ func (f *Fleet) connect(ctx context.Context, addr string) (Conn, error) {
 // drop removes the member at addr, with its parked connections.
 func (f *Fleet) drop(addr string) {
 	f.mu.Lock()
-	cs := f.idle[addr]
+	defer f.mu.Unlock()
 	delete(f.members, addr)
 	delete(f.load, addr)
-	delete(f.idle, addr)
-	f.mu.Unlock()
-	for _, c := range cs {
+	for c := f.idle.lease(addr); c != nil; c = f.idle.lease(addr) {
 		c.Close()
 	}
 }
@@ -422,16 +462,12 @@ func (f *Fleet) runOnce(ctx context.Context, runner *exec.Runner, sc *sched.Sche
 func (f *Fleet) Close() {
 	f.mu.Lock()
 	f.closed = true
-	lis, idle := f.lis, f.idle
-	f.lis, f.idle = nil, nil
+	lis := f.lis
+	f.lis = nil
 	f.mu.Unlock()
 	if lis != nil {
 		lis.Close()
 	}
-	for _, cs := range idle {
-		for _, c := range cs {
-			c.Close()
-		}
-	}
+	f.idle.close()
 	f.wg.Wait()
 }

@@ -166,8 +166,11 @@ func TestFleetDropsDeadWorker(t *testing.T) {
 	// long-lived fleet whose workers restart on fresh ports would
 	// otherwise grow the map forever).
 	f.mu.Lock()
-	left, links := len(f.load), len(f.idle["victim"])
+	left := len(f.load)
 	f.mu.Unlock()
+	f.idle.mu.Lock()
+	links := len(f.idle.conns["victim"])
+	f.idle.mu.Unlock()
 	if left != 0 {
 		t.Fatalf("load map holds %d entries with no run in flight, want 0", left)
 	}
@@ -246,7 +249,7 @@ func TestRepeatedRunTeardownNoLeak(t *testing.T) {
 		t.Fatalf("goroutines grew from %d to %d over %d run/teardown cycles; dump:\n%s",
 			base, n, cycles, sb.String())
 	}
-	if n := parked(f); n != len(addrs) {
+	if n := parked(&f.idle); n != len(addrs) {
 		t.Fatalf("%d links parked after sequential runs on %d members, want one each", n, len(addrs))
 	}
 	closeParkedLinks(t, f)
@@ -259,9 +262,9 @@ func TestRepeatedRunTeardownNoLeak(t *testing.T) {
 func closeParkedLinks(t *testing.T, f *Fleet) {
 	t.Helper()
 	waitNoWorkerRuns(t, 5*time.Second)
-	links, base := parked(f), runtime.NumGoroutine()
+	links, base := parked(&f.idle), runtime.NumGoroutine()
 	f.Close()
-	if n := parked(f); n != 0 {
+	if n := parked(&f.idle); n != 0 {
 		t.Fatalf("%d links still parked after Close", n)
 	}
 	deadline := time.Now().Add(5 * time.Second)

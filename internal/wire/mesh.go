@@ -2,6 +2,7 @@ package wire
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -28,6 +29,18 @@ import (
 // fall back to the coordinator relay. Correctness never depends on
 // the mesh: each message travels on exactly one link, is sequenced
 // there, and replays there after a reconnect.
+//
+// Parking: a mesh connection outlives its run. When a run ends, each
+// side takes the connection off its link, says goodbye (TBye) on it and
+// sends nothing more; a side that reads the peer's goodbye reads
+// nothing more, answering it first if it has not said its own. A
+// connection both goodbyes crossed within goodbyeWait is clean both
+// ways, so the next run between the same two daemons opens on it: the
+// dialler parks it in its daemon's pool, keyed by the peer's listen
+// address, and leases it on its next start bundle; the accepting
+// daemon's end awaits a Hello again. A leased connection that no longer
+// answers is closed and the peer dialled once. Each run still gets
+// fresh links — wids, watermarks, outbox —; only the socket carries over.
 
 // Frames leave when a burst ends: small data frames buffer per peer
 // until the sender's session flushes its plane (the end of a burst of
@@ -40,6 +53,7 @@ const ackEvery = DefaultMaxOutbox / 64
 // meshConfig is the initial wiring of a worker's mesh.
 type meshConfig struct {
 	transport Transport
+	idle      *idleConns // the daemon's parked connections to the workers it dials
 	runID     string
 	self      int      // this worker's index
 	addrs     []string // worker listen addresses by index
@@ -73,6 +87,9 @@ type mesh struct {
 	peerOf []int
 	peers  map[int]*Link // established (possibly detached) links by worker index
 	lost   map[int]bool  // workers declared dead or departed
+	// conns holds every connection a handshake or reader is on, and
+	// whether this side's goodbye is on it.
+	conns  map[Conn]bool
 	closed bool
 }
 
@@ -85,13 +102,17 @@ func newMesh(cfg meshConfig, deliver func(exec.RemoteMsg) error) *mesh {
 	m := &mesh{cfg: cfg, ready: make(chan struct{}), ctx: ctx, cancel: cancel,
 		addrs:  append([]string(nil), cfg.addrs...),
 		peerOf: append([]int(nil), cfg.peerOf...),
-		peers:  map[int]*Link{}, lost: map[int]bool{}}
+		peers:  map[int]*Link{}, lost: map[int]bool{}, conns: map[Conn]bool{}}
 	if deliver != nil {
 		m.deliverTo(deliver)
 	}
 	for j, addr := range cfg.addrs {
 		if j < cfg.self && addr != "" {
-			m.spawn(func() { m.dialLoop(j, addr) })
+			m.wg.Add(1)
+			go func() {
+				defer m.wg.Done()
+				m.dialLoop(j, addr)
+			}()
 		}
 	}
 	return m
@@ -101,24 +122,6 @@ func newMesh(cfg meshConfig, deliver func(exec.RemoteMsg) error) *mesh {
 func (m *mesh) deliverTo(deliver func(exec.RemoteMsg) error) {
 	m.deliver = deliver
 	close(m.ready)
-}
-
-// spawn runs fn on a goroutine tracked by the close barrier. It
-// refuses (returning false) once the mesh is closed, so close never
-// races a late wg.Add against its Wait.
-func (m *mesh) spawn(fn func()) bool {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return false
-	}
-	m.wg.Add(1)
-	m.mu.Unlock()
-	go func() {
-		defer m.wg.Done()
-		fn()
-	}()
-	return true
 }
 
 // update installs new membership after a mid-run join: the address
@@ -138,32 +141,28 @@ func (m *mesh) update(addrs []string, peerOf []int) {
 	}
 }
 
-// linkFor returns the direct link to the worker hosting pe, or nil
-// when the frame should fall back to the coordinator relay (processor
-// hosted locally — a caller bug —, link not yet established, or peer
-// declared dead: the relay drops frames for dead workers, which is
-// what recovery wants).
+// linkFor returns the link to the worker hosting pe, or nil when the
+// frame should fall back to the coordinator relay (processor hosted
+// locally — a caller bug —, no dial loop or accepted connection has
+// created the link yet, or peer declared dead: the relay drops frames
+// for dead workers, which is what recovery wants). A link exists from
+// the dial on, before its handshake: until Reattach its frames wait in
+// the outbox, and replay there.
 func (m *mesh) linkFor(pe int) *Link {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if pe < 0 || pe >= len(m.peerOf) {
 		return nil
 	}
-	j := m.peerOf[pe]
-	if j == m.cfg.self {
-		return nil
+	if j := m.peerOf[pe]; j != m.cfg.self {
+		return m.peers[j] // none once j is lost or the mesh closed
 	}
-	if m.lost[j] || m.closed {
-		return nil
-	}
-	return m.peers[j]
+	return nil
 }
 
-// peer returns (creating if needed) the link to worker j, or nil if j
-// is dead or the mesh is closed.
-func (m *mesh) peer(j int) *Link {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// peerLocked returns (creating if needed) the link to worker j, or nil
+// if j is dead or the mesh is closed. Callers hold m.mu.
+func (m *mesh) peerLocked(j int) *Link {
 	if m.closed || m.lost[j] {
 		return nil
 	}
@@ -176,25 +175,50 @@ func (m *mesh) peer(j int) *Link {
 }
 
 // dialLoop establishes and maintains the link to lower-indexed worker
-// j: dial, handshake, attach, read until the connection breaks, redial.
-// A handshake rejection usually means the peer hasn't received its
-// start bundle yet; retry with backoff until the run ends.
+// j: lease a parked connection or dial, handshake, attach, read until
+// the connection breaks or the run ends, redial. A handshake rejection
+// means the peer's run has not begun or has ended; retry with backoff
+// until this run ends.
 func (m *mesh) dialLoop(j int, addr string) {
 	backoff := 5 * time.Millisecond
 	const backoffCap = 500 * time.Millisecond
+	lease := true // until a leased connection fails to answer
 	for m.ctx.Err() == nil {
-		c, err := dialBackoff(m.ctx, m.cfg.transport, addr, 25*time.Millisecond, backoffCap)
-		if err != nil {
-			return // ctx cancelled
+		var c Conn
+		if lease {
+			c = m.cfg.idle.lease(addr)
 		}
-		p := m.peer(j)
+		leased := c != nil
+		if !leased {
+			var err error
+			if c, err = dialBackoff(m.ctx, m.cfg.transport, addr, 25*time.Millisecond, backoffCap); err != nil {
+				return // ctx cancelled
+			}
+		}
+		p := m.open(j, c)
 		if p == nil {
-			c.Close()
+			m.cfg.idle.park(addr, c) // unused: as clean as it came
 			return
 		}
-		rcvd, err := m.helloPeer(c, p.Rcvd())
+		// The end of the run does not cut a handshake short: a welcomed
+		// connection is said goodbye on and parked instead (attach), and
+		// hangUp bounds what the close waits.
+		t := time.AfterFunc(handshakeTimeout, func() { c.Close() })
+		w, err := handshake(c, Hello{Proto: ProtoVersion, Run: m.cfg.runID, Rcvd: p.Rcvd(), Peer: m.cfg.self + 1})
+		if !t.Stop() {
+			err = errors.New("wire: mesh handshake timed out")
+		}
 		if err != nil {
-			c.Close()
+			m.untrack(c)
+			if errors.Is(err, errRefused) {
+				m.cfg.idle.park(addr, c) // a refusal leaves it awaiting a Hello
+			} else {
+				c.Close()
+				if leased {
+					lease = false // the peer's daemon went away: dial once
+					continue
+				}
+			}
 			m.cfg.logf("mesh hello to worker %d (%s) failed: %v", j, addr, err)
 			select {
 			case <-time.After(backoff):
@@ -207,12 +231,13 @@ func (m *mesh) dialLoop(j int, addr string) {
 			continue
 		}
 		backoff = 5 * time.Millisecond
-		if err := p.Reattach(c, rcvd); err != nil {
-			p.Detach()
+		if err := m.attach(p, c, w.Rcvd); err != nil {
 			continue
 		}
 		m.cfg.logf("mesh link to worker %d (%s) up", j, addr)
-		m.readConn(j, p, c)
+		if m.read(j, p, c, c.ReadFrame) {
+			m.cfg.idle.park(addr, c)
+		}
 		m.mu.Lock()
 		lost := m.lost[j]
 		m.mu.Unlock()
@@ -222,92 +247,126 @@ func (m *mesh) dialLoop(j int, addr string) {
 	}
 }
 
-// helloPeer performs the mesh handshake on a fresh connection and
-// returns the peer's receive watermark, bounded by a timeout.
-func (m *mesh) helloPeer(c Conn, rcvd uint64) (uint64, error) {
-	h := Hello{Proto: ProtoVersion, Run: m.cfg.runID, Rcvd: rcvd, Peer: m.cfg.self + 1}
-	type res struct {
-		rcvd uint64
-		err  error
+// open returns (creating if needed) the link to worker j and registers
+// c, which a handshake is about to go out on; nil if j is dead or the
+// mesh is closed.
+func (m *mesh) open(j int, c Conn) *Link {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	p := m.peerLocked(j)
+	if p != nil {
+		m.conns[c] = false
 	}
-	ch := make(chan res, 1)
-	go func() {
-		w, err := handshake(c, h)
-		ch <- res{w.Rcvd, err}
-	}()
-	select {
-	case r := <-ch:
-		return r.rcvd, r.err
-	case <-time.After(handshakeTimeout):
-		c.Close()
-		return 0, fmt.Errorf("wire: mesh handshake timed out")
-	case <-m.ctx.Done():
-		c.Close()
-		return 0, m.ctx.Err()
-	}
+	return p
 }
 
-// acceptPeer attaches an inbound mesh connection from worker j (the
-// daemon already read its Hello). The Welcome carries our watermark
-// and must precede the outbox replay that Reattach performs.
-func (m *mesh) acceptPeer(j int, c Conn, peerRcvd uint64, frames <-chan Frame, rerr <-chan error) error {
+func (m *mesh) untrack(c Conn) {
 	m.mu.Lock()
-	known := len(m.addrs)
-	m.mu.Unlock()
-	if j < 0 || j >= known || j == m.cfg.self {
-		return fmt.Errorf("wire: mesh hello from out-of-range worker %d", j)
-	}
-	p := m.peer(j)
-	if p == nil {
-		return fmt.Errorf("wire: mesh hello from dead worker %d", j)
-	}
-	if err := c.WriteFrame(Frame{Type: TWelcome, Payload: encJSON(Welcome{Proto: ProtoVersion, Rcvd: p.Rcvd()})}); err != nil {
-		return err
-	}
+	defer m.mu.Unlock()
+	delete(m.conns, c)
+}
+
+// attach installs a welcomed connection on p. A mesh that closed during
+// the handshake says goodbye on it at once, so its reader waits only for
+// the peer's.
+func (m *mesh) attach(p *Link, c Conn, peerRcvd uint64) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if err := p.Reattach(c, peerRcvd); err != nil {
-		p.Detach()
+		delete(m.conns, c)
+		p.DetachIf(c)
+		c.Close()
 		return err
 	}
-	m.cfg.logf("mesh link from worker %d up", j)
-	if !m.spawn(func() { m.readChan(j, p, c, frames, rerr) }) {
-		return fmt.Errorf("wire: mesh closed")
+	if m.closed {
+		m.byeLocked(p)
 	}
 	return nil
 }
 
-// readConn pumps a dialed connection until it breaks.
-func (m *mesh) readConn(j int, p *Link, c Conn) {
+// acceptPeer hosts an inbound mesh connection, whose Hello the daemon
+// read, until its link ends. The Welcome carries our watermark and
+// precedes the outbox replay Reattach performs. The connection comes
+// back awaiting a Hello again when the link ended with both goodbyes, or
+// when the Hello is refused; otherwise it is closed, and nil returned.
+func (m *mesh) acceptPeer(ic inboundConn) *inboundConn {
+	j := ic.hello.Peer - 1
+	m.mu.Lock()
+	var p *Link
+	if j >= 0 && j < len(m.addrs) && j != m.cfg.self {
+		p = m.peerLocked(j)
+	}
+	if p == nil {
+		m.mu.Unlock()
+		return refuse(ic, fmt.Sprintf("mesh hello from worker %d: out of range, dead, or after the run", j))
+	}
+	m.conns[ic.c] = false
+	m.wg.Add(1) // close waits for this reader as for its own
+	m.mu.Unlock()
+	defer m.wg.Done()
+	welcome := Frame{Type: TWelcome, Payload: encJSON(Welcome{Proto: ProtoVersion, Rcvd: p.Rcvd()})}
+	if ic.c.WriteFrame(welcome) != nil || m.attach(p, ic.c, ic.hello.Rcvd) != nil {
+		m.untrack(ic.c)
+		ic.c.Close()
+		return nil
+	}
+	m.cfg.logf("mesh link from worker %d up", j)
+	if m.read(j, p, ic.c, ic.next) {
+		return &ic
+	}
+	return nil
+}
+
+// read pumps worker j's connection c, frame by frame from next, until it
+// breaks or the peer says goodbye, and reports whether c carried both
+// goodbyes.
+func (m *mesh) read(j int, p *Link, c Conn, next func() (Frame, error)) bool {
 	for {
-		f, err := c.ReadFrame()
+		f, err := next()
 		if err != nil {
+			m.untrack(c)
 			p.DetachIf(c)
-			return
+			c.Close()
+			return false
+		}
+		if f.Type == TBye {
+			return m.parted(j, p, c)
 		}
 		m.handleFrame(j, p, f)
 	}
 }
 
-// readChan pumps an accepted connection (frames arrive through the
-// daemon's hello reader) until it breaks.
-func (m *mesh) readChan(j int, p *Link, c Conn, frames <-chan Frame, rerr <-chan error) {
-	for {
-		select {
-		case f := <-frames:
-			m.handleFrame(j, p, f)
-		case <-rerr:
-			p.DetachIf(c)
-			return
-		case <-m.ctx.Done():
-			return
-		}
+// byeLocked takes p off its connection and says goodbye there: this
+// side sends nothing more on it. Callers hold m.mu.
+func (m *mesh) byeLocked(p *Link) {
+	if c := p.Release(); c != nil {
+		m.conns[c] = c.WriteFrame(Frame{Type: TBye}) == nil
 	}
 }
 
+// parted ends worker j's link at the peer's goodbye: this side answers
+// it unless it said its own already, and the peer leaves the run (it
+// ended, or departed gracefully: nothing waits out the heartbeat
+// budget). It reports whether c carried both goodbyes and so can carry
+// another run; if not, c is closed.
+func (m *mesh) parted(j int, p *Link, c Conn) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if p.Conn() == c {
+		m.byeLocked(p)
+	}
+	said := m.conns[c]
+	delete(m.conns, c)
+	m.lostLocked(j)
+	if !said {
+		c.Close()
+	}
+	return said
+}
+
 // handleFrame processes one frame from mesh peer j: the link absorbs
-// acks and replays, data is delivered straight into the session, a
-// goodbye tears the link down immediately (the peer departed
-// gracefully, so nothing waits out the heartbeat budget), anything else
-// is connection noise.
+// acks and replays, data is delivered straight into the session,
+// anything else is connection noise.
 func (m *mesh) handleFrame(j int, p *Link, f Frame) {
 	fresh, unacked := p.Receive(f)
 	if unacked >= ackEvery {
@@ -334,9 +393,6 @@ func (m *mesh) handleFrame(j int, p *Link, f Frame) {
 		if err := m.deliver(msg); err != nil {
 			m.cfg.logf("mesh: deliver: %v", err)
 		}
-	case TBye:
-		m.cfg.logf("mesh: worker %d departed; closing link", j)
-		m.markLost(j)
 	case THeartbeat, TPing, TPong:
 		// Liveness is the coordinator's job; ignore.
 	default:
@@ -362,15 +418,13 @@ func (m *mesh) flushAll() {
 // every processor they hosted is dead, so nothing routes there again.
 func (m *mesh) pruneDead(dead []bool) {
 	m.mu.Lock()
-	n := len(m.addrs)
-	peerOf := append([]int(nil), m.peerOf...)
-	m.mu.Unlock()
-	for j := 0; j < n; j++ {
+	defer m.mu.Unlock()
+	for j := range m.addrs {
 		if j == m.cfg.self {
 			continue
 		}
 		gone := false
-		for pe, w := range peerOf {
+		for pe, w := range m.peerOf {
 			if w != j || pe >= len(dead) {
 				continue
 			}
@@ -381,15 +435,13 @@ func (m *mesh) pruneDead(dead []bool) {
 			gone = true
 		}
 		if gone {
-			m.markLost(j)
+			m.lostLocked(j)
 		}
 	}
 }
 
-// markLost drops worker j from the mesh.
-func (m *mesh) markLost(j int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// lostLocked drops worker j from the mesh. Callers hold m.mu.
+func (m *mesh) lostLocked(j int) {
 	if m.lost[j] {
 		return
 	}
@@ -401,11 +453,11 @@ func (m *mesh) markLost(j int) {
 }
 
 // close tears the mesh down: dial loops stop, links close, pooled
-// outbox payloads return to the pool. Attached peers get a goodbye
-// frame first, so a graceful departure tears down the remote end of
-// each link immediately instead of leaving it to rot until the next
-// membership update.
-func (m *mesh) close() {
+// outbox payloads return to the pool. With bye — the coordinator ended
+// the run with a goodbye — each link says goodbye on its connection and
+// close waits up to goodbyeWait for the peers', so the connections can
+// carry the next run; without, every connection closes at once.
+func (m *mesh) close(bye bool) {
 	m.cancel()
 	m.mu.Lock()
 	if m.closed {
@@ -414,13 +466,31 @@ func (m *mesh) close() {
 	}
 	m.closed = true
 	for j, p := range m.peers {
-		p.SendRaw(Frame{Type: TBye}) // best effort; detached links just skip it
+		if bye {
+			m.byeLocked(p)
+		}
 		p.Close()
 		delete(m.peers, j)
 	}
 	m.mu.Unlock()
-	// Closing the links broke every blocking read, so this terminates:
-	// wait out the dial loops and readers before the caller moves on to
-	// recycle the run (and, in tests, finish the t that owns logf).
+	if bye {
+		t := time.AfterFunc(goodbyeWait, m.hangUp)
+		defer t.Stop()
+	} else {
+		m.hangUp()
+	}
+	// Every blocking read ends at a goodbye or a closed connection, so
+	// this terminates: wait out the dial loops and readers before the
+	// caller moves on to recycle the run (and, in tests, finish the t that
+	// owns logf).
 	m.wg.Wait()
+}
+
+// hangUp closes every connection a handshake or reader is still on.
+func (m *mesh) hangUp() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for c := range m.conns {
+		c.Close()
+	}
 }

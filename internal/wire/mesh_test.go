@@ -46,10 +46,7 @@ func acceptMeshConns(t *testing.T, ln Listener, m *mesh) {
 						frames <- f
 					}
 				}()
-				if err := m.acceptPeer(h.Peer-1, c, h.Rcvd, frames, rerr); err != nil {
-					t.Logf("acceptPeer: %v", err)
-					c.Close()
-				}
+				m.acceptPeer(inboundConn{c: c, hello: h, frames: frames, rerr: rerr})
 			}(c)
 		}
 	}()
@@ -57,7 +54,9 @@ func acceptMeshConns(t *testing.T, ln Listener, m *mesh) {
 
 // meshPair brings up worker 0 (delivering into deliver0) and worker 1
 // (delivering nowhere) over one inproc transport, and returns both
-// meshes and worker 1's established link to worker 0.
+// meshes and worker 1's established link to worker 0. Established means
+// attached: the link exists from the dial on, and frames sent before its
+// handshake wait in the outbox and replay at Reattach, flushed.
 func meshPair(t *testing.T, runID string, deliver0 func(exec.RemoteMsg) error) (m0, m1 *mesh, l *Link) {
 	t.Helper()
 	tr := Inproc()
@@ -67,21 +66,21 @@ func meshPair(t *testing.T, runID string, deliver0 func(exec.RemoteMsg) error) (
 	}
 	t.Cleanup(func() { ln.Close() })
 
-	cfg := meshConfig{transport: tr, runID: runID,
+	cfg := meshConfig{transport: tr, idle: &idleConns{}, runID: runID,
 		addrs: []string{"w0", "w1"}, peerOf: []int{0, 1}, logf: t.Logf}
 	cfg0 := cfg
 	cfg0.self = 0
 	m0 = newMesh(cfg0, deliver0)
-	t.Cleanup(m0.close)
+	t.Cleanup(func() { m0.close(false) })
 	acceptMeshConns(t, ln, m0)
 
 	cfg1 := cfg
 	cfg1.self = 1
 	m1 = newMesh(cfg1, func(exec.RemoteMsg) error { return nil })
-	t.Cleanup(m1.close)
+	t.Cleanup(func() { m1.close(false) })
 
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
-		if l = m1.linkFor(0); l != nil {
+		if l = m1.linkFor(0); l != nil && l.Conn() != nil {
 			return m0, m1, l
 		}
 	}
@@ -177,13 +176,18 @@ func TestMeshAcksWithoutSending(t *testing.T) {
 // dead, linkFor routes its processors back to the relay (nil).
 func TestMeshLostPeerFallsBack(t *testing.T) {
 	tr := Inproc()
-	cfg := meshConfig{transport: tr, runID: "r2", self: 1,
+	cfg := meshConfig{transport: tr, idle: &idleConns{}, runID: "r2", self: 1,
 		addrs: []string{"", "w1", ""}, peerOf: []int{0, 1, 2}, logf: t.Logf}
 	m := newMesh(cfg, func(exec.RemoteMsg) error { return nil })
-	defer m.close()
+	defer m.close(false)
+	peer := func(j int) *Link {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return m.peerLocked(j)
+	}
 
 	// Fake an established link to worker 2.
-	p := m.peer(2)
+	p := peer(2)
 	if p == nil {
 		t.Fatal("peer(2) returned nil")
 	}
@@ -199,7 +203,7 @@ func TestMeshLostPeerFallsBack(t *testing.T) {
 	if m.linkFor(2) != nil {
 		t.Error("linkFor must return nil for a worker declared dead")
 	}
-	if m.peer(2) != nil {
+	if peer(2) != nil {
 		t.Error("peer must not resurrect a dead worker")
 	}
 }
@@ -212,7 +216,7 @@ func TestMeshHelloRejectionLogsReason(t *testing.T) {
 	addrs, stop := startWorkers(t, tr, 1)
 	defer stop()
 	logged := make(chan string, 64)
-	m := newMesh(meshConfig{transport: tr, runID: "no-such-run", self: 1,
+	m := newMesh(meshConfig{transport: tr, idle: &idleConns{}, runID: "no-such-run", self: 1,
 		addrs: []string{addrs[0], "self"}, peerOf: []int{0, 1},
 		logf: func(format string, args ...any) {
 			select {
@@ -220,7 +224,7 @@ func TestMeshHelloRejectionLogsReason(t *testing.T) {
 			default:
 			}
 		}}, func(exec.RemoteMsg) error { return nil })
-	defer m.close()
+	defer m.close(false)
 	deadline := time.After(5 * time.Second)
 	for {
 		select {

@@ -99,7 +99,7 @@ func TestMultiplexedRunTeardownNoLeak(t *testing.T) {
 	}
 	// Five runs at once park up to five links per member, and no wave
 	// adds to them.
-	if n := parked(f); n > perWave*len(addrs) {
+	if n := parked(&f.idle); n > perWave*len(addrs) {
 		t.Fatalf("%d links parked after waves of %d runs on %d members", n, perWave, len(addrs))
 	}
 	closeParkedLinks(t, f)

@@ -113,12 +113,12 @@ func heldBy(d *workerDaemon) map[string]*held {
 	return out
 }
 
-// parked counts the fleet's idle connections.
-func parked(f *Fleet) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+// parked counts a pool's idle connections.
+func parked(p *idleConns) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	n := 0
-	for _, cs := range f.idle {
+	for _, cs := range p.conns {
 		n += len(cs)
 	}
 	return n
@@ -476,7 +476,7 @@ func TestFleetRunsReuseLinks(t *testing.T) {
 			t.Errorf("6 sequential runs dialled %s %d times, want 1", a, n)
 		}
 	}
-	if n := parked(f); n != 2 {
+	if n := parked(&f.idle); n != 2 {
 		t.Errorf("%d links parked between runs, want one per member", n)
 	}
 	shipped := wc.blob.Load()
@@ -505,11 +505,235 @@ func TestFleetRunsReuseLinks(t *testing.T) {
 	}
 	waitNoWorkerRuns(t, 5*time.Second)
 	f.Close()
-	if n := parked(f); n != 0 {
+	if n := parked(&f.idle); n != 0 {
 		t.Errorf("%d links still parked after Close", n)
 	}
 	if _, err := f.Run(ctx, runner, sc, flat); err == nil {
 		t.Error("a closed fleet ran")
+	}
+}
+
+// parkedTo counts a pool's connections to addr.
+func parkedTo(p *idleConns, addr string) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.conns[addr])
+}
+
+// runUntilParked runs the design on f until daemon d holds a parked
+// mesh link to addr, and returns the last run: a run can be over before
+// its dial loop got to dial at all.
+func runUntilParked(t *testing.T, f *Fleet, runner *exec.Runner, sc *sched.Schedule, flat *graph.Flat, d *workerDaemon, addr string) *exec.Result {
+	t.Helper()
+	for i := 0; i < 50; i++ {
+		res, err := f.Run(context.Background(), runner, sc, flat)
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		waitNoWorkerRuns(t, 5*time.Second)
+		if parkedTo(&d.idle, addr) > 0 {
+			return res
+		}
+	}
+	t.Fatalf("50 runs parked no mesh link to %s", addr)
+	return nil
+}
+
+// TestFleetRunsReuseMeshLinks: the mesh link of a run is parked by its
+// daemon pair when the run ends, so sequential runs on two daemons make
+// one mesh dial in all — worker 1's first — and the dialling daemon
+// holds that one connection between runs.
+func TestFleetRunsReuseMeshLinks(t *testing.T) {
+	tr := Inproc()
+	meshDials := &wireCount{Transport: tr}
+	ds, _ := startDaemons(t, meshDials, "w0", "w1")
+	f := startFleet(t, tr, []string{"w0", "w1"})
+	sc, flat, runner := warmDesign(t)
+	runUntilParked(t, f, runner, sc, flat, ds[1], "w0")
+	for i := 0; i < 6; i++ {
+		if _, err := f.Run(context.Background(), runner, sc, flat); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		waitNoWorkerRuns(t, 5*time.Second)
+		if n := parkedTo(&ds[1].idle, "w0"); n != 1 {
+			t.Fatalf("after run %d worker 1's daemon holds %d mesh links to worker 0, want 1", i, n)
+		}
+	}
+	if n := meshDials.dialled("w0"); n != 1 {
+		t.Errorf("sequential runs made %d mesh dials, want 1", n)
+	}
+	if n := parked(&ds[0].idle); n != 0 {
+		t.Errorf("the dialled daemon parked %d mesh links: the accepting end keeps none", n)
+	}
+}
+
+// TestParkedMeshLinkEndsWithItsDaemon: the daemon at the far end of a
+// parked mesh link dies between two runs and comes back on its address.
+// The next run to reach its dial loop leases that link, its Hello fails,
+// one dial reaches the new process, and later runs lease that one. Every
+// run is the first, event for event.
+func TestParkedMeshLinkEndsWithItsDaemon(t *testing.T) {
+	tr := Inproc()
+	meshDials := &wireCount{Transport: tr}
+	ds, kill := startDaemons(t, meshDials, "w0", "w1")
+	f := startFleet(t, tr, []string{"w0", "w1"})
+	sc, flat, runner := warmDesign(t)
+	want := runUntilParked(t, f, runner, sc, flat, ds[1], "w0")
+	before := meshDials.dialled("w0")
+	kill[0]()
+	startDaemon(t, meshDials, "w0")
+	var runs []*exec.Result
+	for i := 0; i < 50 && meshDials.dialled("w0") == before; i++ {
+		runs = append(runs, runUntilParked(t, f, runner, sc, flat, ds[1], "w0"))
+	}
+	runs = append(runs, runUntilParked(t, f, runner, sc, flat, ds[1], "w0"))
+	if n := meshDials.dialled("w0") - before; n != 1 {
+		t.Errorf("%d mesh dials to w0 after the restart, want 1: one after the dead lease", n)
+	}
+	for i, got := range runs {
+		if !reflect.DeepEqual(got.Outputs, want.Outputs) || !reflect.DeepEqual(got.Printed, want.Printed) {
+			t.Errorf("run %d after the restart: outputs %v printed %q, want %v %q", i, got.Outputs, got.Printed, want.Outputs, want.Printed)
+		}
+		if a, b := runEvents(want), runEvents(got); !reflect.DeepEqual(a, b) {
+			t.Errorf("run %d after the restart: %d events against %d", i, len(b), len(a))
+		}
+	}
+}
+
+// TestLostMemberGetsNoParkedMeshLink: a member killed under a run takes
+// its mesh links with it — the survivors park none to it — while the
+// survivors' own link, which said both goodbyes, is parked.
+func TestLostMemberGetsNoParkedMeshLink(t *testing.T) {
+	tr := Inproc()
+	ds, kill := startDaemons(t, tr, "victim", "w1", "w2") // sorted: the victim is worker 0
+	f := &Fleet{Transport: tr, Control: "fleet-control", Seed: []string{"victim", "w1", "w2"}, Logf: t.Logf,
+		HeartbeatEvery: 20 * time.Millisecond, PeerTimeout: 400 * time.Millisecond}
+	if err := f.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	sc, flat, runner := warmDesign(t)
+	ctx := context.Background()
+	want := runUntilParked(t, f, runner, sc, flat, ds[1], "victim")
+	runUntilParked(t, f, runner, sc, flat, ds[2], "victim")
+	plan, _ := holdOpen(t, sc, 3, 300000, 0)
+	inFlight := make(chan error, 1)
+	var got *exec.Result
+	go func() {
+		var err error
+		got, err = f.Run(ctx, &exec.Runner{Inputs: runner.Inputs, Faults: plan}, sc, flat)
+		inFlight <- err
+	}()
+	// The held run has leased the links to the victim: what is parked to
+	// it after the kill, the held run parked.
+	for deadline := time.Now().Add(5 * time.Second); parkedTo(&ds[1].idle, "victim")+parkedTo(&ds[2].idle, "victim") > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the held run never leased its links to the victim")
+		}
+	}
+	kill[0]()
+	select {
+	case err := <-inFlight:
+		if err != nil {
+			t.Fatalf("run in flight at the kill: %v", err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("run in flight at the kill never returned")
+	}
+	if !reflect.DeepEqual(got.Outputs, want.Outputs) || !reflect.DeepEqual(got.Printed, want.Printed) {
+		t.Errorf("run recovered from the kill: outputs %v printed %q, want %v %q", got.Outputs, got.Printed, want.Outputs, want.Printed)
+	}
+	waitNoWorkerRuns(t, 5*time.Second)
+	for _, i := range []int{1, 2} {
+		if n := parkedTo(&ds[i].idle, "victim"); n != 0 {
+			t.Errorf("daemon w%d parked %d mesh links to the lost member", i, n)
+		}
+	}
+	// (Two when the held attempt ended and the fleet ran it again.)
+	if n := parkedTo(&ds[2].idle, "w1"); n == 0 {
+		t.Error("the survivors' mesh link was not parked")
+	}
+}
+
+// soleUser wraps a transport and fails the test when a mesh Hello goes
+// out on a connection it dialled while another run is still on it: a
+// connection is a run's from its Hello to this side's goodbye, or to the
+// refusal it reads.
+type soleUser struct {
+	Transport
+	t *testing.T
+}
+
+func (s soleUser) Dial(ctx context.Context, addr string) (Conn, error) {
+	c, err := s.Transport.Dial(ctx, addr)
+	if err != nil {
+		return nil, err
+	}
+	return &soleConn{Conn: c, t: s.t}, nil
+}
+
+type soleConn struct {
+	Conn
+	t    *testing.T
+	busy atomic.Bool
+}
+
+func (c *soleConn) WriteFrame(f Frame) error {
+	switch f.Type {
+	case THello:
+		if c.busy.Swap(true) {
+			c.t.Error("a mesh Hello went out on a connection another run is still on")
+		}
+	case TBye:
+		c.busy.Store(false)
+	}
+	return c.Conn.WriteFrame(f)
+}
+
+func (c *soleConn) ReadFrame() (Frame, error) {
+	f, err := c.Conn.ReadFrame()
+	if err == nil && f.Type == TError {
+		c.busy.Store(false)
+	}
+	return f, err
+}
+
+// TestConcurrentRunsNeverShareAMeshLink: waves of concurrent runs on one
+// daemon pair each open on a connection of their own — leased or dialled
+// — and every run is the solo run.
+func TestConcurrentRunsNeverShareAMeshLink(t *testing.T) {
+	tr := Inproc()
+	meshDials := &wireCount{Transport: soleUser{tr, t}}
+	startDaemons(t, meshDials, "w0", "w1")
+	f := startFleet(t, tr, []string{"w0", "w1"})
+	sc, flat, runner := warmDesign(t)
+	ctx := context.Background()
+	want, err := f.Run(ctx, runner, sc, flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const waves, perWave = 5, 4
+	for w := 0; w < waves; w++ {
+		res := make(chan *exec.Result, perWave)
+		for i := 0; i < perWave; i++ {
+			go func() {
+				r, err := f.Run(ctx, runner, sc, flat)
+				if err != nil {
+					t.Errorf("wave %d: %v", w, err)
+				}
+				res <- r
+			}()
+		}
+		for i := 0; i < perWave; i++ {
+			if r := <-res; r != nil && (!reflect.DeepEqual(r.Outputs, want.Outputs) || !reflect.DeepEqual(r.Printed, want.Printed)) {
+				t.Errorf("wave %d: outputs %v printed %q, want %v %q", w, r.Outputs, r.Printed, want.Outputs, want.Printed)
+			}
+		}
+	}
+	n := meshDials.dialled("w0")
+	t.Logf("%d runs, %d at a time, made %d mesh dials", 1+waves*perWave, perWave, n)
+	if n >= waves*perWave {
+		t.Errorf("%d mesh dials for %d runs: no run reused a link", n, 1+waves*perWave)
 	}
 }
 
@@ -686,9 +910,10 @@ func TestDaemonStopsListeningBeforeItDropsRuns(t *testing.T) {
 // Hello used to be rejected then — costing a back-off during which every
 // cross-worker frame took the coordinator relay. The dial now waits for
 // the mesh, which goes up before the session can send. Over 200
-// back-to-back runs no mesh handshake is rejected and no run dials its
-// one link twice (a worker that has heard its peer's goodbye does not
-// redial it). What is still relayed is what a worker sends before its
+// back-to-back runs no mesh handshake is rejected and the pair's link is
+// dialled once: every later run leases the connection the run before
+// parked (a worker that has heard its peer's goodbye does not redial
+// it, it parks). What is still relayed is what a worker sends before its
 // pair's link is up — the per-link fallback TestDistRelayFallback pins —
 // a window the host's scheduler sets, so it is bounded here in aggregate
 // and logged, not pinned at zero.
@@ -747,9 +972,8 @@ func TestMeshLinkIsNeverTurnedAway(t *testing.T) {
 	if n := rejected.Load(); n != 0 {
 		t.Errorf("%d mesh handshakes rejected over %d runs, want none", n, runs)
 	}
-	// (A run can be over before its dial loop got to dial at all.)
-	if n := meshDials.dialled("w0"); n > runs {
-		t.Errorf("worker 1 dialled worker 0 %d times over %d runs, want at most once a run", n, runs)
+	if n := meshDials.dialled("w0"); n > 1 {
+		t.Errorf("worker 1 dialled worker 0 %d times over %d sequential runs, want at most once", n, runs)
 	}
 	n := relayed.Load()
 	t.Logf("%d runs of %d cross-worker messages: %d relayed before their link was up", runs, crossing, n)
@@ -770,10 +994,10 @@ func TestParkedLinksEndWithTheirDaemon(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitNoWorkerRuns(t, 5*time.Second)
-	if n := parked(f); n != 1 {
+	if n := parked(&f.idle); n != 1 {
 		t.Fatalf("%d links parked after a run, want 1", n)
 	}
-	c := f.lease("w0")
+	c := f.idle.lease("w0")
 	if c == nil {
 		t.Fatal("no parked link to lease")
 	}

@@ -56,13 +56,24 @@ type inboundConn struct {
 	rerr   chan error
 }
 
+// next returns the connection's next frame, or the error its reader
+// stopped at.
+func (ic *inboundConn) next() (Frame, error) {
+	select {
+	case f := <-ic.frames:
+		return f, nil
+	case err := <-ic.rerr:
+		return Frame{}, err
+	}
+}
+
 // accept owns a fresh connection: it starts the reader and routes each
 // Hello the connection says; connections that do not say a valid one
 // are dropped here without disturbing any run. A fresh connection has
 // handshakeTimeout to say its first. One that comes back from route has
-// served a run that ended with a goodbye: it is a coordinator's parked
-// link, and waits for that coordinator's next run — holding no run-table
-// slot — until either end closes it.
+// served a run that ended with a goodbye, or had a mesh Hello refused:
+// it is a coordinator's or a peer daemon's parked link, and waits for
+// its next run — holding no run-table slot — until either end closes it.
 func (d *workerDaemon) accept(c Conn) {
 	// Deep enough that a burst of data frames rarely blocks the reader
 	// behind the run's loop.
@@ -77,6 +88,7 @@ func (d *workerDaemon) accept(c Conn) {
 			select {
 			case frames <- f:
 			case <-d.ctx.Done():
+				rerr <- d.ctx.Err() // a mesh reader waits on this, not on the daemon
 				return
 			}
 		}
@@ -111,6 +123,16 @@ func rejectConn(c Conn, msg string) {
 	c.Close()
 }
 
+// refuse answers a mesh Hello the daemon cannot serve and keeps the
+// connection, awaiting a Hello again: the dialler parks it.
+func refuse(ic inboundConn, msg string) *inboundConn {
+	if ic.c.WriteFrame(Frame{Type: TError, Payload: encJSON(ErrorNote{Msg: msg})}) != nil {
+		ic.c.Close()
+		return nil
+	}
+	return &ic
+}
+
 // workerRun is the state of one run hosted by a worker daemon,
 // surviving coordinator reconnects. A daemon hosts any number of these
 // concurrently, each with its own session, mesh, heartbeat cadence and
@@ -138,7 +160,9 @@ type workerRun struct {
 }
 
 // abort tears the run down (session abort + drain the Wait goroutine).
-func (r *workerRun) abort(reason string) {
+// bye says the coordinator ended the run with a goodbye: the mesh says
+// goodbye on its links too, and their connections can carry another run.
+func (r *workerRun) abort(reason string, bye bool) {
 	// The session goes down before the mesh: mesh close waits for its
 	// connection readers, and a reader blocked delivering into a live
 	// session only unblocks when the session ends.
@@ -150,7 +174,7 @@ func (r *workerRun) abort(reason string) {
 		}
 	}
 	if ms := r.mesh.Swap(nil); ms != nil {
-		ms.close()
+		ms.close(bye)
 	}
 	if r.link != nil {
 		r.link.Close()
@@ -182,6 +206,7 @@ type workerDaemon struct {
 	held   map[string]*held
 	closed bool           // no further runs may be created
 	wg     sync.WaitGroup // run loops
+	idle   idleConns      // mesh connections to the daemons this one dialled, parked by their address
 }
 
 // hold returns the table's entry for the schedule a start bundle
@@ -246,6 +271,7 @@ func (d *workerDaemon) serve(ctx context.Context, addr string, ready func(boundA
 		d.closed = true
 		d.mu.Unlock()
 		d.wg.Wait()
+		d.idle.close()
 	}()
 
 	acceptErr := make(chan error, 1)
@@ -275,8 +301,9 @@ func (d *workerDaemon) serve(ctx context.Context, addr string, ready func(boundA
 // and coordinators go to the run named by hello.Run; run-less
 // connections (calibration probes) get an ephemeral echo handler.
 // Runs in the connection's own goroutine, which hosts the run a first
-// Hello creates; the connection that run ends on with a goodbye is
-// returned, idle again.
+// coordinator Hello creates, or the mesh link a peer's Hello opens; the
+// connection that run or link ends on with a goodbye is returned, idle
+// again, and so is one whose mesh Hello was refused.
 func (d *workerDaemon) route(ic inboundConn) *inboundConn {
 	h := ic.hello
 	if h.Peer > 0 {
@@ -284,19 +311,20 @@ func (d *workerDaemon) route(ic inboundConn) *inboundConn {
 		run := d.runs[h.Run]
 		d.mu.Unlock()
 		if h.Run == "" || run == nil {
-			rejectConn(ic.c, "unknown run")
-			return nil
+			return refuse(ic, "unknown run")
 		}
 		// A peer's start bundle can outrun ours: its dial waits here for
 		// our mesh instead of being turned away into a back-off. (A run
 		// leaves the table on every path, the daemon's shutdown included.)
 		select {
 		case <-run.meshUp:
-			attachMeshConn(run, ic, d.opt)
 		case <-run.gone:
-			rejectConn(ic.c, "run ended")
+			return refuse(ic, "run ended")
 		}
-		return nil
+		if ms := run.mesh.Load(); ms != nil {
+			return ms.acceptPeer(ic)
+		}
+		return refuse(ic, "mesh disabled")
 	}
 	if h.Run == "" {
 		d.serveEphemeral(ic)
@@ -416,29 +444,16 @@ func (d *workerDaemon) runLoop(run *workerRun, first inboundConn) *inboundConn {
 		select {
 		case <-d.ctx.Done():
 			orphan.Stop()
-			run.abort("worker shutting down")
+			run.abort("worker shutting down", false)
 			return nil
 		case <-orphan.C:
 			d.opt.logf("coordinator did not reconnect within %v; abandoning run %s", run.peerTimeout, run.id)
-			run.abort("coordinator lost")
+			run.abort("coordinator lost", false)
 			return nil
 		case ic := <-run.adopt:
 			orphan.Stop()
 			next = &ic
 		}
-	}
-}
-
-// attachMeshConn hands an inbound mesh connection to the run's mesh.
-func attachMeshConn(run *workerRun, ic inboundConn, opt WorkerOptions) {
-	ms := run.mesh.Load()
-	if ms == nil {
-		rejectConn(ic.c, "mesh disabled")
-		return
-	}
-	if err := ms.acceptPeer(ic.hello.Peer-1, ic.c, ic.hello.Rcvd, ic.frames, ic.rerr); err != nil {
-		opt.logf("mesh attach from worker %d failed: %v", ic.hello.Peer-1, err)
-		ic.c.Close()
 	}
 }
 
@@ -495,12 +510,12 @@ func (d *workerDaemon) frameLoop(run *workerRun) (keep bool, next *inboundConn) 
 		}
 		select {
 		case <-d.ctx.Done():
-			run.abort("worker shutting down")
+			run.abort("worker shutting down", false)
 			return false, nil
 		case err := <-rd.rerr:
 			if run.ses == nil || run.sentResult {
 				// No run started, or it already ended: nothing to keep.
-				run.abort("connection closed")
+				run.abort("connection closed", false)
 				return false, nil
 			}
 			opt.logf("coordinator connection to run %s lost (%v); awaiting reconnect", run.id, err)
@@ -512,7 +527,7 @@ func (d *workerDaemon) frameLoop(run *workerRun) (keep bool, next *inboundConn) 
 			run.link.SendRaw(Frame{Type: THeartbeat, Payload: encU64(run.progress())})
 			if time.Since(lastHeard) > run.peerTimeout {
 				opt.logf("no coordinator traffic for %v; abandoning run %s", run.peerTimeout, run.id)
-				run.abort("coordinator heartbeat lost")
+				run.abort("coordinator heartbeat lost", false)
 				return false, nil
 			}
 		case out := <-results:
@@ -545,7 +560,7 @@ func (d *workerDaemon) frameLoop(run *workerRun) (keep bool, next *inboundConn) 
 			if err != nil {
 				opt.logf("protocol error on %s frame: %v", f.Type, err)
 				run.link.Send(TError, encJSON(ErrorNote{Msg: err.Error()}))
-				run.abort(fmt.Sprintf("protocol error: %v", err))
+				run.abort(fmt.Sprintf("protocol error: %v", err), false)
 				return false, nil
 			}
 			if done {
@@ -557,7 +572,7 @@ func (d *workerDaemon) frameLoop(run *workerRun) (keep bool, next *inboundConn) 
 				if c := run.link.Release(); c != nil {
 					c.WriteFrame(Frame{Type: TBye})
 				}
-				run.abort("run complete")
+				run.abort("run complete", true)
 				return false, rd
 			}
 			if len(rd.frames) == 0 {
@@ -710,7 +725,7 @@ func (d *workerDaemon) startRun(run *workerRun, bundle *StartBundle) error {
 	var ms *mesh
 	if len(bundle.Peers) > 0 && bundle.Worker < len(bundle.Peers) && d.opt.transport != nil {
 		ms = newMesh(meshConfig{
-			transport: d.opt.transport, runID: bundle.Run, self: bundle.Worker,
+			transport: d.opt.transport, idle: &d.idle, runID: bundle.Run, self: bundle.Worker,
 			addrs: bundle.Peers, peerOf: bundle.PeerOf, logf: d.opt.logf,
 		}, nil)
 		run.mesh.Store(ms)
