@@ -62,7 +62,11 @@ vet:
 # One event log per session: the partial takes the workers' log; Wait copies no worker's events into a new one.
 	! grep -n 'append(p.Events, w.events\.\.\.)' internal/exec/session.go
 # A result carries no string table: the events codec names tasks and variables by their place in the run's flat graph.
-	! awk '/^func (EncodeEvents|eventsLen|appendEvents?|DecodeEvents)\(/,/^}/' internal/wire/codec.go | grep -nE 'newStringTable|decodeStringTable'
+	! awk '/^func (EncodeEvents|eventsLen|appendEvents?|DecodeEvents|AppendEvents)\(/,/^}/' internal/wire/codec.go | grep -nE 'newStringTable|decodeStringTable'
+# A fleet run's log is made once: the coordinator decodes a result's events into the run's log at the merge, into no array of their own.
+	! grep -n 'DecodeEvents(' internal/wire/coord.go
+# Summarize pairs spans without storing them: it shares Spans' pairing walk, not its map.
+	! awk '/^func \(t \*Trace\) Summarize\(/,/^}/' internal/trace/trace.go | grep -n 'Spans()'
 # One idle pool: a fleet's parked links and a daemon's parked mesh links are both idleConns; no second map of parked connections beside it.
 	! awk '/^(type idleConns|func \(p \*idleConns\))/{b=1} /^}/{b=0} !b && /map\[string\]\[\]Conn/{print FILENAME":"FNR": "$$0; f=1} END{exit !f}' $$(ls internal/wire/*.go | grep -v _test.go)
 # Every fuzz target under internal/ runs in fuzz-smoke.
@@ -157,10 +161,11 @@ multisoak:
 # or under one, and a daemon restarted between two (each several
 # heartbeat budgets long, hence the lower count), and the mesh links
 # parked across runs — reused, lost with their daemon or member, never
-# shared by two runs at once.
+# shared by two runs at once — and so are the session logs a daemon
+# recycles.
 chaos:
 	$(GO) test -race -count=50 -run 'Fault|Crash|Random|Deadlock|Stall|Duplicate|WallClockSummary' ./internal/exec/
-	$(GO) test -race -count=10 -run 'DropsDeadWorker|MemberKilled|RestartedDaemon|ParkedLinksEnd|ReuseMeshLinks|ParkedMeshLink|NoParkedMeshLink|ShareAMeshLink' ./internal/wire/
+	$(GO) test -race -count=10 -run 'DropsDeadWorker|MemberKilled|RestartedDaemon|ParkedLinksEnd|ReuseMeshLinks|ParkedMeshLink|NoParkedMeshLink|ShareAMeshLink|ShareALog' ./internal/wire/
 
 # Differential conformance sweep: 25 deterministic seeds, each run
 # through the analytic simulator, the virtual-time runner, and both

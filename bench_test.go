@@ -886,7 +886,7 @@ func TestEncodeEventsAllocCeiling(t *testing.T) {
 	if got := testing.AllocsPerRun(20, func() { wire.EncodeEvents(evs, ix) }); got != 1 {
 		t.Errorf("encoding %d events made %.0f allocations, want 1", len(evs), got)
 	}
-	back, err := wire.DecodeEvents(b, flat.Graph)
+	back, err := wire.AppendEvents(nil, b, flat.Graph)
 	if err != nil || !reflect.DeepEqual(back, evs) {
 		t.Errorf("encoding does not round-trip: %v", err)
 	}
@@ -1041,7 +1041,11 @@ func (c startCountingConn) WriteFrame(f wire.Frame) error {
 // and its mesh link, and the first run on each daemon ships the
 // schedule; later runs lease the links earlier runs parked. A run whose
 // goodbyes miss goodbyeWait (a host too loaded to answer in 100 ms)
-// closes its links, and the next run on them dials again.
+// closes its links, and the next run on them dials again. It also
+// reports what a run puts on its data plane: the daemons' sends/op
+// (messages handed to the remote plane) and flushes/op (the bursts that
+// put them on their way), summed from each member's counters into the
+// runs' shared exec.Stats; sends/flushes is the batching achieved.
 func BenchmarkFleetRun(b *testing.B) {
 	flat, inputs := runnerDesign(b, 20, 25) // 501 tasks
 	sc := specSchedule(b, flat, "hypercube:3")
@@ -1072,6 +1076,7 @@ func BenchmarkFleetRun(b *testing.B) {
 	})
 
 	const callers = 2
+	stats := &exec.Stats{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var next atomic.Int64
@@ -1081,7 +1086,7 @@ func BenchmarkFleetRun(b *testing.B) {
 		go func() {
 			defer lanes.Done()
 			for next.Add(1) <= int64(b.N) {
-				if _, err := fleet.Run(ctx, &exec.Runner{Inputs: inputs}, sc, flat); err != nil {
+				if _, err := fleet.Run(ctx, &exec.Runner{Inputs: inputs, Stats: stats}, sc, flat); err != nil {
 					b.Error(err)
 					return
 				}
@@ -1094,6 +1099,8 @@ func BenchmarkFleetRun(b *testing.B) {
 	b.ReportMetric(float64(tr.dials.Load())/float64(b.N), "dials/op")
 	b.ReportMetric(float64(mesh.dials.Load())/float64(b.N), "meshDials/op")
 	b.ReportMetric(float64(tr.blobBytes.Load())/1024/float64(b.N), "blobKB/op")
+	b.ReportMetric(float64(stats.RemoteSends.Load())/float64(b.N), "sends/op")
+	b.ReportMetric(float64(stats.RemoteFlushes.Load())/float64(b.N), "flushes/op")
 }
 
 // BenchmarkRunnerWall is the single-process wall-clock twin of
@@ -1121,15 +1128,19 @@ func BenchmarkRunnerWall(b *testing.B) {
 // 501-task design, ETF on hypercube:3, wall clock through a Fleet on
 // two worker daemons over loopback TCP, one caller, averaged over four
 // runs after a warm one (which dials and ships the schedule). The run's
-// event log dominates it: each daemon's workers log their share once,
+// event log dominates it, and is made once: each daemon's workers log
+// their share into the log the schedule's previous run there released,
 // and that log is the partial; a result carries it by graph index with
 // no string table, encoded straight into its frame; the coordinator
-// decodes each and merges them once. The daemons' mesh link is leased
-// from the run before, so no run pays a fresh connection's four 64 KB
-// buffers. It reads about 1.29 MB on a 2-core x86-64 host; 1.55 MB while
-// each run dialled its mesh link, and 2.40 MB while the log was copied
-// into the partial, re-interned into a string table per result, copied
-// into the frame and merged by regrowing the first partial.
+// decodes each member's events straight into the run's log. The
+// daemons' mesh link is leased from the run before, so no run pays a
+// fresh connection's four 64 KB buffers. It reads about 0.81 MB on a
+// 2-core x86-64 host; 1.28 MB while each daemon made a new log per run
+// and the coordinator decoded each result into an array of its own and
+// then copied it into the run's log, 1.55 MB while each run dialled its
+// mesh link, and 2.40 MB while the log was copied into the partial,
+// re-interned into a string table per result, copied into the frame and
+// merged by regrowing the first partial.
 func TestFleetRunAllocCeiling(t *testing.T) {
 	flat, inputs := runnerDesign(t, 20, 25) // 501 tasks
 	sc := specSchedule(t, flat, "hypercube:3")
@@ -1170,7 +1181,7 @@ func TestFleetRunAllocCeiling(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20) / runs
 	t.Logf("a fleet run of the 501-task design allocated %.2f MB", mb)
-	if mb > 1.42 {
-		t.Errorf("a fleet run of the 501-task design allocated %.2f MB, want at most 1.42 MB", mb)
+	if mb > 0.90 {
+		t.Errorf("a fleet run of the 501-task design allocated %.2f MB, want at most 0.90 MB", mb)
 	}
 }

@@ -2,10 +2,13 @@ package exec
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/pits"
 	"repro/internal/sched"
+	"repro/internal/trace"
 )
 
 // This file is the era compiler: the one place a (slots, messages,
@@ -15,7 +18,8 @@ import (
 // each message gets an ordinal on its receiving processor, each slot
 // its program, seed, resolved inputs, sends and output names, each
 // processor the number of trace events it will log. A compiled era is
-// read-only, so every run of a cached schedule shares one era 0.
+// read-only, so every run of a cached schedule shares one era 0; only
+// its spare logs change hands (see Session.Release).
 
 // msgKey identifies a scheduled message: producer task, consumer task,
 // variable. On the in-process message path it is read back from the
@@ -75,6 +79,25 @@ type peProg struct {
 type eraPlan struct {
 	flat *graph.Flat
 	pes  []peProg
+
+	mu    sync.Mutex
+	spare [][]trace.Event // released session logs: no more than ever ran at once
+}
+
+// takeLog returns the event log of a session of this era that logs n
+// events: a released one with the room, resliced so that its capacity
+// is n (controller.eventLog keeps a log only when its workers filled it
+// exactly), or a new one.
+func (p *eraPlan) takeLog(n int) []trace.Event {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i, log := range p.spare {
+		if cap(log) >= n {
+			p.spare = slices.Delete(p.spare, i, i+1)
+			return log[:n:n]
+		}
+	}
+	return make([]trace.Event, n)
 }
 
 // key names the message a send plan delivers.

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/pits"
@@ -262,8 +263,7 @@ func TestRecoveryLeavesSharedEraAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapshot := *before
-	snapshot.pes = append([]peProg(nil), before.pes...)
+	snapshot := append([]peProg(nil), before.pes...)
 	crash, err := ParseFaults("crash:2@1")
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +274,7 @@ func TestRecoveryLeavesSharedEraAlone(t *testing.T) {
 	if got := traceOf(t, s, flat, inputs, nil); got != want {
 		t.Errorf("after a recovery on the same schedule a fault-free run differs from a fresh schedule's:\n%s\nvs\n%s", got, want)
 	}
-	if after, _ := era0(s, flat); after != before || !reflect.DeepEqual(after.pes, snapshot.pes) {
+	if after, _ := era0(s, flat); after != before || !reflect.DeepEqual(after.pes, snapshot) {
 		t.Error("the recovery wrote into the schedule's shared era")
 	}
 }
@@ -294,5 +294,69 @@ func TestEraIsCompiledAgainstItsDesign(t *testing.T) {
 	}
 	if again, _ := era0(s, flat); again != first {
 		t.Error("the parked era was displaced")
+	}
+}
+
+// TestReleasedSessionLogIsReused: a session's event log, released once
+// its partial is read, is the next session's log — the same array, not
+// a new one — and that session's partial is what the fresh session's
+// was. A released log too short for a session stays for one it fits,
+// and a second Release hands nothing back twice.
+func TestReleasedSessionLogIsReused(t *testing.T) {
+	flat, inputs := layeredCalc(t, 5, 4)
+	s, err := sched.MH{}.Schedule(flat.Graph, testMachine(t, "hypercube:3", params()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosted := make([]bool, s.Machine.NumPE())
+	for pe := range hosted {
+		hosted[pe] = true
+	}
+	run := func() (*Session, []trace.Event) {
+		t.Helper()
+		pl := newTestPlane()
+		ses, err := (&Runner{Inputs: inputs, VirtualTime: true}).StartSession(s, flat, hosted, pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitEvent(t, pl.idle, "the session to go idle")
+		ses.FinishRun()
+		p, err := ses.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if unsafe.SliceData(p.Events) != unsafe.SliceData(ses.log) {
+			t.Fatal("the partial's events are not the session's log")
+		}
+		tr := &trace.Trace{Events: append([]trace.Event(nil), p.Events...)}
+		tr.Sort()
+		return ses, tr.Events
+	}
+	era, err := era0(s, flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := make([]trace.Event, 1)
+	era.spare = append(era.spare, short)
+
+	first, want := run()
+	log := unsafe.SliceData(first.log)
+	if log == unsafe.SliceData(short) {
+		t.Fatal("a session took a released log too short for it")
+	}
+	first.Release()
+	first.Release()
+	if len(era.spare) != 2 {
+		t.Fatalf("%d spare logs after releasing one session twice, want 2", len(era.spare))
+	}
+	second, got := run()
+	if unsafe.SliceData(second.log) != log {
+		t.Error("the next session allocated a log instead of taking the released one")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("a session on a released log logged differently from a fresh one")
+	}
+	if len(era.spare) != 1 || unsafe.SliceData(era.spare[0]) != unsafe.SliceData(short) {
+		t.Errorf("spare logs %d, want only the short one left", len(era.spare))
 	}
 }

@@ -567,18 +567,23 @@ func (l *Lifecycle) checkResults() error {
 	// session's log, as Wait handed it over, is taken over when it has
 	// room for the lifecycle's events; otherwise the run's log is made at
 	// its size, with room for the connect and the byte count per member
-	// that a fleet's driver logs after Done.
+	// that a fleet's driver logs after Done, and each partial's events,
+	// encoded ones too, land in it directly.
 	n := len(l.extra)
 	for _, p := range parts {
-		n += len(p.Events)
+		n += len(p.Events) + p.NumEvents
 	}
 	tr := &trace.Trace{Label: "run:" + l.s.Algorithm}
-	if len(parts) == 1 && cap(parts[0].Events) >= n {
+	if len(parts) == 1 && parts[0].AppendEvents == nil && cap(parts[0].Events) >= n {
 		tr.Events = parts[0].Events
 	} else {
 		tr.Events = make([]trace.Event, 0, n+2*len(l.members))
 		for _, p := range parts {
-			tr.Events = append(tr.Events, p.Events...)
+			if tr.Events = append(tr.Events, p.Events...); p.AppendEvents != nil {
+				if tr.Events, err = p.AppendEvents(tr.Events); err != nil {
+					return err
+				}
+			}
 		}
 	}
 	tr.Events = append(tr.Events, l.extra...)

@@ -81,6 +81,11 @@ type Partial struct {
 	// placed non-contiguously across workers.
 	PrintedPE []int
 	Events    []trace.Event
+	// A partial that crossed the wire holds its events still encoded
+	// instead: NumEvents of them, a count checked on arrival, which
+	// AppendEvents decodes onto the run's log when the partials merge.
+	NumEvents    int
+	AppendEvents func(dst []trace.Event) ([]trace.Event, error)
 }
 
 // PauseState is what a paused session reports so the coordinator can

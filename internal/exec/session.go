@@ -27,6 +27,7 @@ type Session struct {
 	flat      *graph.Flat
 	ctrl      *controller
 	workers   []*worker
+	era0      *eraPlan
 	log       []trace.Event // the workers' event logs, one stretch each (see controller.eventLog)
 	start     time.Time
 	wg        sync.WaitGroup
@@ -139,7 +140,7 @@ func (r *Runner) buildSession(s *sched.Schedule, flat *graph.Flat, hosted []bool
 			logged += plan.pes[pe].events
 		}
 	}
-	log, off := make([]trace.Event, logged), 0
+	log, off := plan.takeLog(logged), 0
 	workers := make([]*worker, numPE)
 	for pe := 0; pe < numPE; pe++ {
 		if !ctrl.isLocal(pe) {
@@ -158,7 +159,7 @@ func (r *Runner) buildSession(s *sched.Schedule, flat *graph.Flat, hosted []bool
 	ctrl.workers = workers
 
 	ses := &Session{
-		runner: r, s: s, flat: flat, ctrl: ctrl, workers: workers, log: log,
+		runner: r, s: s, flat: flat, ctrl: ctrl, workers: workers, era0: plan, log: log,
 		start: start, coordDone: make(chan struct{}),
 	}
 	return ses, nil
@@ -276,6 +277,18 @@ func (ses *Session) FinishRun() { ses.ctrl.complete() }
 
 // Abort fails the session with the given root cause.
 func (ses *Session) Abort(err error) { ses.ctrl.fail(err) }
+
+// Release hands the session's event log back to the schedule's era, for
+// the next session of it in this process to log into. Call it after Wait,
+// once its partial is read for the last time: the partial's events may
+// be that log. A run whose log becomes its Result.Trace never calls it.
+func (ses *Session) Release() {
+	ses.era0.mu.Lock()
+	defer ses.era0.mu.Unlock()
+	if ses.log != nil {
+		ses.era0.spare, ses.log = append(ses.era0.spare, ses.log), nil
+	}
+}
 
 // Wait blocks until the session has fully unwound and returns this
 // process's partial result, or the run's root-cause error(s).

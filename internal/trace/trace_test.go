@@ -12,6 +12,38 @@ import (
 	"repro/internal/machine"
 )
 
+// CheckSpans is tr.Spans(), cross-checked against Summarize, which pairs
+// the same log without storing a span: the tasks, duplicate copies and
+// busy time it counts and the error it returns must be what the stored
+// spans give. Every trace this package's tests pair goes through it.
+func CheckSpans(t testing.TB, tr *Trace) (map[int][]Span, error) {
+	t.Helper()
+	spans, err := tr.Spans()
+	st, serr := tr.Summarize(1)
+	if fmt.Sprint(err) != fmt.Sprint(serr) {
+		t.Errorf("Spans fails with %v, Summarize with %v", err, serr)
+	}
+	if err != nil || serr != nil {
+		return spans, err
+	}
+	tasks, dups, busy := 0, 0, map[int]machine.Time{}
+	for pe, ss := range spans {
+		for _, s := range ss {
+			busy[pe] += s.Finish - s.Start
+			if s.Dup {
+				dups++
+			} else {
+				tasks++
+			}
+		}
+	}
+	if st.TasksRun != tasks || st.DupsRun != dups || !reflect.DeepEqual(st.BusyByPE, busy) {
+		t.Errorf("Summarize counts %d tasks, %d duplicates, busy %v; the spans give %d, %d, %v",
+			st.TasksRun, st.DupsRun, st.BusyByPE, tasks, dups, busy)
+	}
+	return spans, err
+}
+
 func TestSpansPairing(t *testing.T) {
 	tr := &Trace{Label: "t"}
 	tr.Add(Event{Kind: TaskEnd, At: 10, Task: "a", PE: 0})
@@ -20,7 +52,7 @@ func TestSpansPairing(t *testing.T) {
 	tr.Add(Event{Kind: TaskEnd, At: 25, Task: "b", PE: 0})
 	tr.Add(Event{Kind: TaskStart, At: 5, Task: "c", PE: 1, Dup: true})
 	tr.Add(Event{Kind: TaskEnd, At: 9, Task: "c", PE: 1, Dup: true})
-	spans, err := tr.Spans()
+	spans, err := CheckSpans(t, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,17 +71,17 @@ func TestSpansDetectInconsistency(t *testing.T) {
 	overlap := &Trace{}
 	overlap.Add(Event{Kind: TaskStart, At: 0, Task: "a", PE: 0})
 	overlap.Add(Event{Kind: TaskStart, At: 1, Task: "b", PE: 0})
-	if _, err := overlap.Spans(); err == nil {
+	if _, err := CheckSpans(t, overlap); err == nil {
 		t.Error("overlapping starts accepted")
 	}
 	orphanEnd := &Trace{}
 	orphanEnd.Add(Event{Kind: TaskEnd, At: 5, Task: "a", PE: 0})
-	if _, err := orphanEnd.Spans(); err == nil {
+	if _, err := CheckSpans(t, orphanEnd); err == nil {
 		t.Error("end without start accepted")
 	}
 	neverEnds := &Trace{}
 	neverEnds.Add(Event{Kind: TaskStart, At: 0, Task: "a", PE: 0})
-	if _, err := neverEnds.Spans(); err == nil {
+	if _, err := CheckSpans(t, neverEnds); err == nil {
 		t.Error("unterminated task accepted")
 	}
 }
@@ -71,7 +103,7 @@ func TestSpansZeroLength(t *testing.T) {
 	tr.Add(Event{Kind: TaskEnd, At: 10, Task: "p", PE: 1})
 	tr.Add(Event{Kind: TaskStart, At: 10, Task: "q", PE: 1, Dup: true})
 	tr.Add(Event{Kind: TaskEnd, At: 10, Task: "q", PE: 1, Dup: true})
-	spans, err := tr.Spans()
+	spans, err := CheckSpans(t, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +148,7 @@ func TestSpansZeroLengthStillChecked(t *testing.T) {
 			{Kind: TaskStart, At: 5, Task: "x", PE: 0}, {Kind: TaskEnd, At: 5, Task: "x", PE: 0},
 			{Kind: TaskStart, At: 5, Task: "y", PE: 0}}, `never ends "y"`},
 	} {
-		_, err := (&Trace{Events: c.events}).Spans()
+		_, err := CheckSpans(t, &Trace{Events: c.events})
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want one containing %q", name, err, c.want)
 		}
@@ -185,6 +217,7 @@ func TestSummarize(t *testing.T) {
 	tr.Add(Event{Kind: TaskEnd, At: 5, Task: "b", PE: 1, Dup: true})
 	tr.Add(Event{Kind: MsgSend, At: 10, Task: "a", PE: 0, Var: "v", Peer: 1})
 	tr.Add(Event{Kind: MsgRecv, At: 12, Task: "a", PE: 1, Var: "v", Peer: 0})
+	CheckSpans(t, tr)
 	st, err := tr.Summarize(2)
 	if err != nil {
 		t.Fatal(err)

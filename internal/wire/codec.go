@@ -129,11 +129,7 @@ func DecodeEnv(b []byte) (pits.Env, error) {
 	// buffer could possibly hold (every entry needs a 4-byte key length,
 	// at least an empty key, and a 1-byte value tag), so a corrupted
 	// count cannot demand gigabytes before the first entry fails.
-	hint := n
-	if max := len(b) / 5; hint > max {
-		hint = max
-	}
-	e := make(pits.Env, hint)
+	e := make(pits.Env, min(n, len(b)/5))
 	for i := 0; i < n; i++ {
 		k, rest, err := decodeString(b)
 		if err != nil {
@@ -183,11 +179,7 @@ func DecodeCheckpoint(b []byte) (map[graph.NodeID]pits.Env, error) {
 	b = b[4:]
 	// Untrusted count: cap the allocation hint by what the buffer could
 	// hold (each entry needs two 4-byte lengths at minimum).
-	hint := n
-	if max := len(b) / 8; hint > max {
-		hint = max
-	}
-	local := make(map[graph.NodeID]pits.Env, hint)
+	local := make(map[graph.NodeID]pits.Env, min(n, len(b)/8))
 	for i := 0; i < n; i++ {
 		t, rest, err := decodeString(b)
 		if err != nil {
@@ -345,11 +337,7 @@ func decBlobEnvelope(p []byte) (js []byte, blobs [][]byte, err error) {
 	}
 	nBlobs := int(binary.BigEndian.Uint32(b))
 	b = b[4:]
-	hint := nBlobs
-	if max := len(b) / 4; hint > max {
-		hint = max
-	}
-	blobs = make([][]byte, 0, hint)
+	blobs = make([][]byte, 0, min(nBlobs, len(b)/4))
 	for i := 0; i < nBlobs; i++ {
 		var blob []byte
 		if blob, b, err = take(b); err != nil {
@@ -410,11 +398,7 @@ func decodeStringTable(b []byte) ([]string, []byte, error) {
 	n := int(binary.BigEndian.Uint32(b))
 	b = b[4:]
 	// Untrusted count: every entry needs at least its 4 length bytes.
-	hint := n
-	if max := len(b) / 4; hint > max {
-		hint = max
-	}
-	table := make([]string, 0, hint)
+	table := make([]string, 0, min(n, len(b)/4))
 	for i := 0; i < n; i++ {
 		s, rest, err := decodeString(b)
 		if err != nil {
@@ -771,36 +755,48 @@ func appendEvent(b []byte, e *trace.Event, ix NameIndex) []byte {
 
 var errBadEvents = fmt.Errorf("wire: event list truncated or referring outside its graph")
 
-// DecodeEvents decodes an EncodeEvents payload against g, the graph it
-// was encoded on. Every malformed input is an error: a truncated record,
-// a reference outside g, a count the bytes cannot hold.
-func DecodeEvents(b []byte, g *graph.Graph) ([]trace.Event, error) {
-	// Untrusted count: a record takes at least eleven bytes.
+// eventCount reads the untrusted count an EncodeEvents payload opens
+// with, and its length: a record takes at least eleven bytes, so a count
+// the bytes cannot hold is an error.
+func eventCount(b []byte) (int, int, error) {
 	n, k := binary.Uvarint(b)
 	if k <= 0 || n > uint64(len(b)-k)/11 {
-		return nil, fmt.Errorf("wire: event count does not fit its %d bytes", len(b))
+		return 0, 0, fmt.Errorf("wire: event count does not fit its %d bytes", len(b))
+	}
+	return int(n), k, nil
+}
+
+// AppendEvents decodes an EncodeEvents payload against g, the graph it
+// was encoded on, onto dst, which grows at most once. Every malformed
+// input is an error, and leaves dst's events as they were: a truncated
+// record, a reference outside g, a count the bytes cannot hold.
+func AppendEvents(dst []trace.Event, b []byte, g *graph.Graph) ([]trace.Event, error) {
+	n, k, err := eventCount(b)
+	if err != nil {
+		return dst, err
 	}
 	b, nodes, arcs := b[k:], g.Nodes(), g.Arcs()
-	evs := make([]trace.Event, n)
+	out := slices.Grow(dst, n)[:len(dst)+n]
+	evs := out[len(dst):]
 	for i := range evs {
 		var x [8]int64
 		var s [3]string
 		for j := range x {
 			if x[j], k = binary.Varint(b); k <= 0 {
-				return nil, errBadEvents
+				return dst, errBadEvents
 			}
 			b = b[k:]
 		}
 		for j := range s {
 			l, k := binary.Uvarint(b)
 			if k <= 0 || l > uint64(len(b)-k) {
-				return nil, errBadEvents
+				return dst, errBadEvents
 			}
 			s[j], b = string(b[k:k+int(l)]), b[k+int(l):]
 		}
 		t, a := uint64(x[6]), uint64(x[7])
 		if t > uint64(len(nodes)) || a > uint64(len(arcs)) {
-			return nil, errBadEvents
+			return dst, errBadEvents
 		}
 		if t > 0 {
 			s[0] = string(nodes[t-1].ID)
@@ -812,9 +808,9 @@ func DecodeEvents(b []byte, g *graph.Graph) ([]trace.Event, error) {
 			Peer: int(x[3]), Seq: uint64(x[4]), Bytes: x[5], Task: graph.NodeID(s[0]), Var: s[1], Note: s[2]}
 	}
 	if len(b) != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after %d events", len(b), n)
+		return dst, fmt.Errorf("wire: %d trailing bytes after %d events", len(b), n)
 	}
-	return evs, nil
+	return out, nil
 }
 
 func appendString(b []byte, s string) []byte {

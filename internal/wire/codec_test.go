@@ -280,7 +280,7 @@ func TestEventsRoundTrip(t *testing.T) {
 	sc, daemon := eventsOnBothEnds(t)
 	evs := randomEvents(rand.New(rand.NewSource(1)), sc.Graph, 2000)
 	b := EncodeEvents(evs, NewNameIndex(daemon))
-	got, err := DecodeEvents(b, sc.Graph)
+	got, err := AppendEvents(nil, b, sc.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,14 +293,14 @@ func TestEventsRoundTrip(t *testing.T) {
 		}
 	}
 
-	empty, err := DecodeEvents(EncodeEvents(nil, nil), sc.Graph)
+	empty, err := AppendEvents(nil, EncodeEvents(nil, nil), sc.Graph)
 	if err != nil || len(empty) != 0 {
 		t.Errorf("empty event list decoded to %d events, %v", len(empty), err)
 	}
-	if _, err := DecodeEvents(b[:len(b)-3], sc.Graph); err == nil {
+	if _, err := AppendEvents(nil, b[:len(b)-3], sc.Graph); err == nil {
 		t.Error("truncated events decoded without error")
 	}
-	if _, err := DecodeEvents(append(b, 0), sc.Graph); err == nil {
+	if _, err := AppendEvents(nil, append(b, 0), sc.Graph); err == nil {
 		t.Error("events with a trailing byte decoded without error")
 	}
 }

@@ -654,9 +654,18 @@ func (r *coRun) handleFrame(p *peer, f Frame) (*exec.Result, error) {
 		if len(blobs) != 2 {
 			return nil, fmt.Errorf("wire: worker %d result carries %d blobs, want 2", p.i, len(blobs))
 		}
-		part := &exec.Partial{Exports: note.Exports, Printed: note.Printed, PrintedPE: note.PrintedPE}
+		// The events stay encoded until the run's log is made: the
+		// lifecycle decodes them straight into it.
+		part := &exec.Partial{Exports: note.Exports, Printed: note.Printed, PrintedPE: note.PrintedPE,
+			AppendEvents: func(dst []trace.Event) ([]trace.Event, error) {
+				out, err := AppendEvents(dst, blobs[1], r.s.Graph)
+				if err != nil {
+					return dst, fmt.Errorf("wire: worker %d result: %w", p.i, err)
+				}
+				return out, nil
+			}}
 		if part.Outputs, err = DecodeEnv(blobs[0]); err == nil {
-			part.Events, err = DecodeEvents(blobs[1], r.s.Graph)
+			part.NumEvents, _, err = eventCount(blobs[1])
 		}
 		if err != nil {
 			return nil, fmt.Errorf("wire: worker %d result: %w", p.i, err)

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -194,9 +195,10 @@ func FuzzDecodeSchedule(f *testing.F) {
 }
 
 // FuzzDecodeEvents decodes arbitrary bytes against a real schedule's
-// graph. Seeds: a valid list of every kind, with inline names; the
-// empty list; a truncated one; references past the graph's tasks, past
-// a task's arcs and past the bytes an inline name has; and counts no
+// graph, alone and onto a log that already holds events. Seeds: a valid
+// list of every kind, with inline names; the empty list; a truncated
+// one; references past the graph's tasks, past a task's arcs and past
+// the bytes an inline name has; a number that never ends; and counts no
 // payload can hold.
 func FuzzDecodeEvents(f *testing.F) {
 	sc, daemon := eventsOnBothEnds(f)
@@ -226,14 +228,33 @@ func FuzzDecodeEvents(f *testing.F) {
 	f.Add(rec(0, 1, 0, 0, 0))                                   // an arc of no task
 	f.Add(rec(0, 0, 40, 'a'))                                   // an inline name past the bytes
 	f.Add(rec(0, 0, 0, 0, 5, 'n'))                              // a note cut short
+	f.Add(append([]byte{1}, bytes.Repeat([]byte{0x80}, 11)...)) // a number that never ends
 	f.Add(binary.AppendUvarint(nil, math.MaxUint64))            // a count past any payload
 	f.Add(append(binary.AppendUvarint(nil, 1<<32), 0, 0, 0, 0)) // a count past this one
+	prefix := []trace.Event{{Kind: trace.PeerConnected, At: 3, Peer: 1, Note: "w1"}, {Kind: trace.TaskEnd, At: 9, Task: "t0_0"}}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		evs, err := DecodeEvents(data, sc.Graph)
+		evs, err := AppendEvents(nil, data, sc.Graph)
+		// Onto a log that already holds events — with room to spare or
+		// without — the same bytes decode to the same events and errors,
+		// and leave those events alone.
+		onto := append(make([]trace.Event, 0, len(prefix)+len(data)%4), prefix...)
+		got, err2 := AppendEvents(onto, data, sc.Graph)
+		if fmt.Sprint(err) != fmt.Sprint(err2) {
+			t.Fatalf("decoding alone: %v; onto a prefix: %v", err, err2)
+		}
+		if !reflect.DeepEqual(got[:len(prefix)], prefix) || !reflect.DeepEqual(onto[:len(prefix)], prefix) {
+			t.Fatalf("decoding onto a prefix changed it: %+v", got[:len(prefix)])
+		}
 		if err != nil {
+			if len(got) != len(prefix) {
+				t.Fatalf("a failed decode left %d events on a log of %d", len(got), len(prefix))
+			}
 			return
 		}
-		evs2, err := DecodeEvents(EncodeEvents(evs, ix), sc.Graph)
+		if len(got) != len(prefix)+len(evs) || len(evs) != 0 && !reflect.DeepEqual(got[len(prefix):], evs) {
+			t.Fatalf("decoding onto a prefix gave %d events after it, alone %d", len(got)-len(prefix), len(evs))
+		}
+		evs2, err := AppendEvents(nil, EncodeEvents(evs, ix), sc.Graph)
 		if err != nil {
 			t.Fatalf("re-decoding: %v", err)
 		}

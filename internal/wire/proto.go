@@ -268,7 +268,7 @@ func (n ParkedNote) state(blobs [][]byte, g *graph.Graph) (*exec.PauseState, err
 	if st.Local, err = DecodeCheckpoint(blobs[0]); err != nil {
 		return nil, err
 	}
-	if st.Events, err = DecodeEvents(blobs[1], g); err != nil {
+	if st.Events, err = AppendEvents(nil, blobs[1], g); err != nil {
 		return nil, fmt.Errorf("events: %w", err)
 	}
 	return st, nil

@@ -39,10 +39,10 @@ var activeWorkerRuns atomic.Int64
 // are currently hosting (attached or awaiting a coordinator reconnect).
 func ActiveWorkerRuns() int64 { return activeWorkerRuns.Load() }
 
-// sessOutcome is what a session's Wait produced.
+// sessOutcome is how a session ended: its encoded result, or the error.
 type sessOutcome struct {
-	p   *exec.Partial
-	err error
+	note []byte
+	err  error
 }
 
 // inboundConn is an accepted connection and the last Hello read off it:
@@ -148,7 +148,7 @@ type workerRun struct {
 	hbEvery     time.Duration
 	peerTimeout time.Duration
 	resultCh    chan sessOutcome
-	outcome     *sessOutcome // set once the session ended
+	ended       bool // the session's outcome arrived
 	sentResult  bool
 
 	// adopt receives coordinator connections for this run (reconnects,
@@ -168,9 +168,9 @@ func (r *workerRun) abort(reason string, bye bool) {
 	// session only unblocks when the session ends.
 	if r.ses != nil {
 		r.ses.Abort(fmt.Errorf("wire: %s", reason))
-		if r.outcome == nil {
-			out := <-r.resultCh
-			r.outcome = &out
+		if !r.ended {
+			<-r.resultCh
+			r.ended = true
 		}
 	}
 	if ms := r.mesh.Swap(nil); ms != nil {
@@ -505,7 +505,7 @@ func (d *workerDaemon) frameLoop(run *workerRun) (keep bool, next *inboundConn) 
 			hb.Reset(cadence)
 		}
 		var results chan sessOutcome
-		if run.outcome == nil {
+		if !run.ended {
 			results = run.resultCh
 		}
 		select {
@@ -531,19 +531,14 @@ func (d *workerDaemon) frameLoop(run *workerRun) (keep bool, next *inboundConn) 
 				return false, nil
 			}
 		case out := <-results:
-			run.outcome = &out
+			run.ended = true
 			run.flushData()
 			if out.err != nil {
 				opt.logf("run %s failed locally: %v", run.id, out.err)
 				run.link.Send(TError, encJSON(ErrorNote{Msg: out.err.Error()}))
 			} else {
-				note, err := resultNote(out.p, run.ses.Stats(), run.held.names)
-				if err != nil {
-					run.link.Send(TError, encJSON(ErrorNote{Msg: err.Error()}))
-				} else {
-					run.link.Send(TResult, note)
-					run.sentResult = true
-				}
+				run.link.Send(TResult, out.note)
+				run.sentResult = true
 			}
 		case ic := <-run.adopt:
 			// A replacement coordinator connection for this run while one
@@ -759,8 +754,16 @@ func (d *workerDaemon) startRun(run *workerRun, bundle *StartBundle) error {
 	}
 	run.resultCh = make(chan sessOutcome, 1)
 	go func() {
+		// The partial is encoded as soon as it is whole, and its log goes
+		// back to the schedule's era for the next run of it here: nothing
+		// of this run holds the partial after that.
 		p, err := ses.Wait()
-		run.resultCh <- sessOutcome{p: p, err: err}
+		var note []byte
+		if err == nil {
+			note, err = resultNote(p, ses.Stats(), h.names)
+			ses.Release()
+		}
+		run.resultCh <- sessOutcome{note, err}
 	}()
 	hostedN := 0
 	for _, h := range bundle.Hosted {
