@@ -69,6 +69,12 @@ vet:
 	! awk '/^func \(t \*Trace\) Summarize\(/,/^}/' internal/trace/trace.go | grep -n 'Spans()'
 # One idle pool: a fleet's parked links and a daemon's parked mesh links are both idleConns; no second map of parked connections beside it.
 	! awk '/^(type idleConns|func \(p \*idleConns\))/{b=1} /^}/{b=0} !b && /map\[string\]\[\]Conn/{print FILENAME":"FNR": "$$0; f=1} END{exit !f}' $$(ls internal/wire/*.go | grep -v _test.go)
+# One control listener, the fleet's: a run opens none of its own.
+	! grep -rnE 'ControlReady|serveControl' --include='*.go' internal cmd
+# One front door: every distributed run outside the benchmark is a Fleet run, and only a Fleet builds the per-run driver.
+	! grep -rnE '(wire\.|&)Coordinator\{' --include='*.go' internal cmd | grep -v _test.go
+# One drain floor and one control plane: Coordinator declares no Control or MinWorkers field of its own.
+	! awk '/^type Coordinator struct/,/^}/' internal/wire/coord.go | grep -nE '^[[:space:]]*(Control|MinWorkers)[[:space:]]'
 # Every fuzz target under internal/ runs in fuzz-smoke.
 	! for f in $$(grep -rhoE '^func Fuzz[A-Za-z0-9_]+' --include='*_test.go' internal | cut -c6-); do sed -n '/^fuzz-smoke:/,/^$$/p' Makefile | grep -q -- "-fuzz $$f " || echo "$$f is not in fuzz-smoke"; done | grep .
 
@@ -162,10 +168,11 @@ multisoak:
 # heartbeat budgets long, hence the lower count), and the mesh links
 # parked across runs — reused, lost with their daemon or member, never
 # shared by two runs at once — and so are the session logs a daemon
-# recycles.
+# recycles; and a fleet run whose every member died reports why it
+# failed.
 chaos:
 	$(GO) test -race -count=50 -run 'Fault|Crash|Random|Deadlock|Stall|Duplicate|WallClockSummary' ./internal/exec/
-	$(GO) test -race -count=10 -run 'DropsDeadWorker|MemberKilled|RestartedDaemon|ParkedLinksEnd|ReuseMeshLinks|ParkedMeshLink|NoParkedMeshLink|ShareAMeshLink|ShareALog' ./internal/wire/
+	$(GO) test -race -count=10 -run 'DropsDeadWorker|MemberKilled|RestartedDaemon|ParkedLinksEnd|ReuseMeshLinks|ParkedMeshLink|NoParkedMeshLink|ShareAMeshLink|ShareALog|KeepsCause' ./internal/wire/
 
 # Differential conformance sweep: 25 deterministic seeds, each run
 # through the analytic simulator, the virtual-time runner, and both

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -204,6 +205,9 @@ func TestDistProcessKillWorker(t *testing.T) {
 
 	a1, c1 := spawnWorkerProcess(t)
 	a2, c2 := spawnWorkerProcess(t)
+	if a2 < a1 { // a run numbers its workers in sorted address order
+		a1, c1, a2, c2 = a2, c2, a1, c1
+	}
 	addrs := []string{a1, a2}
 	victimCmd := []*goexec.Cmd{c1, c2}[victim]
 
@@ -372,7 +376,7 @@ func holdChain(t *testing.T, sc *sched.Schedule, workers, n int, usec int64, avo
 
 // TestDistProcessChurn drives the full elastic-fleet CLI surface over
 // real processes in one run: a worker process is SIGKILLed mid-run, a
-// replacement daemon started with -join announces itself to the run's
+// replacement daemon started with -join announces itself to the fleet's
 // control address and rides in during the recovery's busy window, and
 // `banger drain` (the wire.Drain call it wraps) then evacuates one of
 // the original survivors. Outputs must match the undisturbed
@@ -410,58 +414,59 @@ func TestDistProcessChurn(t *testing.T) {
 	const victim = 2
 	plan := holdChain(t, sc, 3, 3, 1200000, victim)
 
-	a1, _ := spawnWorkerProcess(t)
-	a2, _ := spawnWorkerProcess(t)
-	a3, c3 := spawnWorkerProcess(t)
-	ctrlCh := make(chan string, 1)
-	co := &wire.Coordinator{
-		Transport: wire.TCP(), Addrs: []string{a1, a2, a3},
-		Runner:         &exec.Runner{Inputs: inputs, Faults: plan},
+	// A fleet numbers its workers in sorted address order: the victim
+	// is whichever process's address sorts last.
+	procs := map[string]*goexec.Cmd{}
+	for range 3 {
+		a, c := spawnWorkerProcess(t)
+		procs[a] = c
+	}
+	addrs := make([]string, 0, len(procs))
+	for a := range procs {
+		addrs = append(addrs, a)
+	}
+	sort.Strings(addrs)
+	tookJoiner := make(chan struct{})
+	var once sync.Once
+	f := &wire.Fleet{
+		Transport: wire.TCP(), Seed: addrs, Control: "127.0.0.1:0",
 		HeartbeatEvery: 50 * time.Millisecond,
 		PeerTimeout:    600 * time.Millisecond,
-		Control:        "127.0.0.1:0",
-		ControlReady:   func(addr string) { ctrlCh <- addr },
-		Logf:           t.Logf,
+		Logf: func(format string, args ...any) {
+			t.Logf(format, args...)
+			if strings.Contains(format, "joined a run in flight") {
+				once.Do(func() { close(tookJoiner) })
+			}
+		},
 	}
+	if err := f.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ctrl := f.Addr()
 	resCh := make(chan *exec.Result, 1)
 	errCh := make(chan error, 1)
 	go func() {
-		res, err := co.Run(context.Background(), sc, flat)
+		res, err := f.Run(context.Background(), &exec.Runner{Inputs: inputs, Faults: plan}, sc, flat)
 		resCh <- res
 		errCh <- err
 	}()
-	var ctrl string
-	select {
-	case ctrl = <-ctrlCh:
-	case <-time.After(5 * time.Second):
-		t.Fatal("control listener never came up")
-	}
 
-	// Kill the third worker process once the run is inside the first
+	// Kill the last worker process once the run is inside the first
 	// hold. Heartbeat loss frees its processors and the recovery
 	// re-executes its finished tasks, opening the capacity + busy
 	// window the joiner needs.
 	time.Sleep(200 * time.Millisecond)
-	c3.Process.Signal(syscall.SIGKILL)
+	procs[addrs[victim]].Process.Signal(syscall.SIGKILL)
 
-	// The replacement daemon announces itself via its own -join loop.
-	// Poll the same control endpoint from the test until an announce
-	// for its address is accepted: announcing a worker that is already
-	// part of the run is an idempotent welcome, so whichever loop lands
-	// first, a nil here means the join has happened.
-	ja, _ := spawnWorker(t, ctrl)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		actx, acancel := context.WithTimeout(context.Background(), time.Second)
-		err = wire.Announce(actx, wire.TCP(), ctrl, ja)
-		acancel()
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("join never accepted: %v", err)
-		}
-		time.Sleep(50 * time.Millisecond)
+	// The replacement daemon announces itself via its own -join loop:
+	// the fleet records it at once, and each announce offers it to the
+	// run, which takes it in once the victim's processors are dead.
+	spawnWorker(t, ctrl)
+	select {
+	case <-tookJoiner:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no run took the joiner in")
 	}
 
 	// With the joiner in and the next hold armed, gracefully evacuate
@@ -470,7 +475,7 @@ func TestDistProcessChurn(t *testing.T) {
 	dctx, dcancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer dcancel()
 	for {
-		err = wire.Drain(dctx, wire.TCP(), ctrl, 0, "")
+		err = wire.Drain(dctx, wire.TCP(), ctrl, -1, addrs[0])
 		if err == nil || !strings.Contains(err.Error(), "retry") {
 			break
 		}

@@ -21,7 +21,7 @@
 //	run        execute the scheduled program on goroutines (wall-clock
 //	           or deterministic virtual time), locally or distributed
 //	           over worker daemons with -dist
-//	worker     host processors for a remote coordinator's "run -dist"
+//	worker     host processors for "run -dist" and "serve -fleet" runs
 //	drain      gracefully evacuate one worker from a running fleet
 //	serve      scheduling-as-a-service control plane over HTTP/JSON
 //	batch      fan runs out to a serve control plane concurrently
@@ -473,16 +473,9 @@ func cmdRun(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var addrs []string
-	if *dist != "" {
-		for _, a := range strings.Split(*dist, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				addrs = append(addrs, a)
-			}
-		}
-		if len(addrs) == 0 {
-			return fmt.Errorf("-dist needs at least one worker address")
-		}
+	addrs := addrList(*dist)
+	if *dist != "" && len(addrs) == 0 {
+		return fmt.Errorf("-dist needs at least one worker address")
 	}
 
 	m := env.Project.Machine
@@ -490,8 +483,9 @@ func cmdRun(args []string) error {
 		if len(addrs) == 0 {
 			return fmt.Errorf("-calibrate needs -dist workers to measure against")
 		}
-		probe := &wire.Coordinator{Transport: wire.TCP(), Addrs: addrs}
-		cal, err := probe.Calibrate(ctx, 8)
+		cctx, cancel := context.WithTimeout(ctx, *peerTimeout)
+		cal, err := wire.Calibrate(cctx, wire.TCP(), addrs[0], 8)
+		cancel()
 		if err != nil {
 			return fmt.Errorf("calibrating against %s: %w", addrs[0], err)
 		}
@@ -523,15 +517,15 @@ func cmdRun(args []string) error {
 
 	var res *exec.Result
 	if len(addrs) > 0 {
-		co := &wire.Coordinator{
-			Transport: wire.TCP(), Addrs: addrs, Runner: runner,
-			HeartbeatEvery: *heartbeat, PeerTimeout: *peerTimeout,
-			Control: *control, MinWorkers: *minWorkers,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, "dist: "+format+"\n", args...)
-			},
+		// A -dist run is a one-run fleet: its workers are numbered in
+		// sorted address order, and -control is the fleet's listener.
+		f := &wire.Fleet{Transport: wire.TCP(), Seed: addrs, Control: *control, MinWorkers: *minWorkers,
+			HeartbeatEvery: *heartbeat, PeerTimeout: *peerTimeout, Logf: logTo("dist")}
+		if err := f.Start(); err != nil {
+			return err
 		}
-		res, err = co.Run(ctx, sc, env.Flat)
+		defer f.Close()
+		res, err = f.Run(ctx, runner, sc, env.Flat)
 	} else {
 		res, err = runner.RunContext(ctx, sc, env.Flat)
 	}
@@ -573,13 +567,29 @@ func cmdRun(args []string) error {
 	return nil
 }
 
+// addrList splits a comma-separated address list, dropping blanks.
+func addrList(s string) []string {
+	var out []string
+	for _, a := range strings.Split(s, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// logTo is a logger writing lines tagged prefix to stderr.
+func logTo(prefix string) func(string, ...any) {
+	return func(format string, args ...any) { fmt.Fprintf(os.Stderr, prefix+": "+format+"\n", args...) }
+}
+
 // cmdWorker runs a worker daemon: it hosts a share of the processors
-// for a coordinator running "banger run -dist". The daemon keeps
-// serving runs until interrupted.
+// for the fleet runs of "banger run -dist" and "banger serve -fleet".
+// The daemon keeps serving runs until interrupted.
 func cmdWorker(args []string) error {
 	fs := flag.NewFlagSet("worker", flag.ExitOnError)
 	listen := fs.String("listen", "127.0.0.1:9040", "address to listen on (port 0 picks a free one)")
-	join := fs.String("join", "", "control address of a running coordinator; announce this worker for a mid-run elastic join")
+	join := fs.String("join", "", "control address of a running fleet (run -dist -control, or serve); announce this worker for a mid-run elastic join")
 	quiet := fs.Bool("quiet", false, "suppress per-run log lines")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -588,9 +598,7 @@ func cmdWorker(args []string) error {
 	defer stop()
 	opts := wire.WorkerOptions{}
 	if !*quiet {
-		opts.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "worker: "+format+"\n", args...)
-		}
+		opts.Logf = logTo("worker")
 	}
 	return wire.ServeWorker(ctx, wire.TCP(), *listen, opts, func(bound string) {
 		// The bound address goes to stdout so scripts (and the
@@ -598,24 +606,24 @@ func cmdWorker(args []string) error {
 		fmt.Printf("listening on %s\n", bound)
 		if *join != "" {
 			// Keep announcing for the daemon's whole life: before the
-			// coordinator is up the dial fails quietly, once adopted the
-			// announce is an idempotent no-op, and after a drain the next
-			// announce re-enters the fleet.
-			// A tight cadence matters: the coordinator only accepts
-			// joins while the run has live work to hand over, so a slow
-			// loop can miss the window a recovery opens.
+			// fleet is up the dial fails quietly, once a member the
+			// announce re-offers the worker to the runs in flight, and
+			// after a drain the next announce re-enters the fleet.
+			// A tight cadence matters: a run only takes a joiner in
+			// while it has dead processors and live work to hand over,
+			// so a slow loop can miss the window a recovery opens.
 			go wire.AnnounceLoop(ctx, wire.TCP(), *join, bound, 500*time.Millisecond, opts.Logf)
 		}
 	})
 }
 
-// cmdDrain asks a running coordinator (via its -control listener) to
+// cmdDrain asks a running fleet (via its -control listener) to
 // gracefully evacuate one worker: the worker finishes in-flight slots,
 // hands its state over, and departs without triggering crash recovery.
 func cmdDrain(args []string) error {
 	fs := flag.NewFlagSet("drain", flag.ExitOnError)
 	control := fs.String("control", "", "the run's control address (banger run -dist -control ...)")
-	worker := fs.Int("worker", -1, "worker index to drain (as shown in dist: log lines)")
+	worker := fs.Int("worker", -1, "worker index to drain: the fleet's N-th member in sorted address order (a -dist run's dist: worker N)")
 	addr := fs.String("addr", "", "worker listen address to drain (alternative to -worker)")
 	timeout := fs.Duration("timeout", 30*time.Second, "give up if the drain has not completed in this long")
 	if err := fs.Parse(args); err != nil {

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -43,24 +42,16 @@ func cmdServe(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	logf := func(format string, a ...any) {
-		fmt.Fprintf(os.Stderr, "serve: "+format+"\n", a...)
-	}
+	logf := logTo("serve")
 
 	var fl *wire.Fleet
 	if *fleet != "" || *control != "" {
-		var seed []string
-		for _, a := range strings.Split(*fleet, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				seed = append(seed, a)
-			}
-		}
 		ctl := *control
 		if ctl == "" {
 			ctl = "127.0.0.1:0"
 		}
 		fl = &wire.Fleet{
-			Transport: wire.TCP(), Control: ctl, Seed: seed, MinWorkers: *minWorkers,
+			Transport: wire.TCP(), Control: ctl, Seed: addrList(*fleet), MinWorkers: *minWorkers,
 			HeartbeatEvery: *heartbeat, PeerTimeout: *peerTimeout,
 			Logf: logf,
 		}

@@ -12,10 +12,10 @@ import (
 )
 
 // ChurnOp is one fleet change fired against a distributed engine
-// mid-run: a worker joining through the coordinator's control plane,
+// mid-run: a worker joining through the fleet's control plane,
 // or a graceful drain of one original worker. Ops are best-effort by
 // construction — a conform run may finish before the op's offset, and
-// the coordinator rightly rejects fleet changes on a finishing run —
+// a run rightly rejects fleet changes once it is finishing —
 // so the oracle is not "the op landed" but "outputs are byte-identical
 // whether or not it did".
 type ChurnOp struct {
@@ -106,33 +106,20 @@ func drawChurn(rng *rand.Rand, workers int) []ChurnOp {
 	}
 }
 
-// applyChurn fires the ops at their offsets against the control
-// listener whose address arrives on ctl — a run's own, or a fleet's,
-// which hosts many runs at once. Joins announce joiner; a drain names
+// applyChurn fires the ops at their offsets against the fleet control
+// listener at control; the fleet may host many runs at once. A join
+// announces joiner and keeps re-announcing it until ctx ends, as
+// `banger worker -join` does: the fleet records the member at once, and
+// every announce offers it to the runs in flight, which take it in only
+// once a crash or departure frees processors. A drain names
 // members[op.Worker % len(members)] by address, so "worker 1" always
-// means the second original member. Rejections are ultimately
+// means the second original member. Drain rejections are ultimately
 // swallowed: "run is finishing" means the op raced the run's natural
 // completion, which is a legitimate interleaving the outputs oracle
-// must survive, not a harness failure. Transient rejections — a replan
-// in flight, no free capacity yet (a join only lands once a crash or
-// departure frees processors), the control listener not up — are
-// retried briefly so an op scheduled inside the run's window usually
-// lands.
-func applyChurn(ctx context.Context, tr wire.Transport, ctl <-chan string, joiner string, ops []ChurnOp, members []string) {
-	var control string
-	select {
-	case control = <-ctl:
-	case <-ctx.Done():
-		return
-	}
-	transient := func(err error) bool {
-		for _, s := range []string{"retry", "capacity", "dial", "refused", "no listener"} {
-			if strings.Contains(err.Error(), s) {
-				return true
-			}
-		}
-		return false
-	}
+// must survive, not a harness failure. A rejection that asks for a
+// retry — a replan in flight — is retried briefly so a drain scheduled
+// inside the run's window usually lands.
+func applyChurn(ctx context.Context, tr wire.Transport, control, joiner string, ops []ChurnOp, members []string) {
 	start := time.Now()
 	for _, op := range ops {
 		select {
@@ -140,17 +127,15 @@ func applyChurn(ctx context.Context, tr wire.Transport, ctl <-chan string, joine
 		case <-ctx.Done():
 			return
 		}
+		if op.Op == "join" {
+			go wire.AnnounceLoop(ctx, tr, control, joiner, 10*time.Millisecond, nil)
+			continue
+		}
 		for attempt := 0; attempt < 40 && ctx.Err() == nil; attempt++ {
 			octx, cancel := context.WithTimeout(ctx, time.Second)
-			var err error
-			switch op.Op {
-			case "join":
-				err = wire.Announce(octx, tr, control, joiner)
-			case "drain":
-				err = wire.Drain(octx, tr, control, -1, members[op.Worker%len(members)])
-			}
+			err := wire.Drain(octx, tr, control, -1, members[op.Worker%len(members)])
 			cancel()
-			if err == nil || !transient(err) {
+			if err == nil || !strings.Contains(err.Error(), "retry") {
 				break
 			}
 			time.Sleep(5 * time.Millisecond)

@@ -1,9 +1,9 @@
 // Package conform is Banger's differential conformance harness: it
 // generates random (design, machine, heuristic, fault-plan) tuples,
 // runs each through every execution engine the repo has — the analytic
-// simulator, the virtual-time in-process runner, the distributed
-// coordinator with its worker mesh over the in-process transport, and
-// the same over real TCP workers — and checks that they agree wherever
+// simulator, the virtual-time in-process runner, a one-run wire.Fleet
+// with its worker mesh over the in-process transport, and the same over
+// real TCP workers — and checks that they agree wherever
 // the machine model says they must:
 //
 //   - external outputs are byte-identical across all executing engines;
@@ -235,7 +235,7 @@ func (c *Case) skewed(sc *sched.Schedule) (*sched.Schedule, error) {
 // case up (unschedulable design, unknown heuristic); engine failures
 // are not errors — they are "error"-class divergences in the report.
 // The two distributed engines differ only in transport: "inproc" runs
-// the coordinator and its worker mesh over the in-process transport,
+// a one-run fleet and its worker mesh over the in-process transport,
 // "tcp" over real sockets.
 func RunCase(ctx context.Context, c *Case) (*Report, error) {
 	flat, sc, err := c.prepare()
@@ -317,27 +317,31 @@ func runDist(ctx context.Context, c *Case, sc *sched.Schedule, flat *graph.Flat,
 			er.Err = fmt.Errorf("worker shutdown: %w", serr)
 		}
 	}()
-	co := &wire.Coordinator{
-		Transport: tr, Addrs: addrs,
-		Runner:         c.runner(false),
+	// The engine is a one-run fleet, the same door `banger serve` uses;
+	// a churn script needs its control listener.
+	f := &wire.Fleet{
+		Transport: tr, Seed: addrs,
 		HeartbeatEvery: 50 * time.Millisecond,
 		PeerTimeout:    5 * time.Second,
 	}
+	if len(c.Churn) > 0 {
+		f.Control = fmt.Sprintf("conform-%s-%d-ctl", name, c.Seed)
+		if name == "tcp" {
+			f.Control = "127.0.0.1:0"
+		}
+	}
+	if err := f.Start(); err != nil {
+		er.Err = err
+		return er
+	}
+	defer f.Close()
 	rctx, cancel := context.WithTimeout(ctx, 2*time.Minute)
 	defer cancel()
 	if len(c.Churn) > 0 {
-		ctlCh := make(chan string, 1)
-		if name == "tcp" {
-			co.Control = "127.0.0.1:0"
-			co.ControlReady = func(addr string) { ctlCh <- addr }
-		} else {
-			co.Control = fmt.Sprintf("conform-%s-%d-ctl", name, c.Seed)
-			ctlCh <- co.Control
-		}
 		joiner := ""
 		if churnNeedsJoin(c.Churn) {
 			// The spare worker the join op offers. It idles until (and
-			// unless) its announce lands.
+			// unless) a run takes it in.
 			jaddrs, jstop, err := startWorkers(tr, func(int) string {
 				if name == "tcp" {
 					return "127.0.0.1:0"
@@ -355,9 +359,9 @@ func runDist(ctx context.Context, c *Case, sc *sched.Schedule, flat *graph.Flat,
 			}()
 			joiner = jaddrs[0]
 		}
-		go applyChurn(rctx, tr, ctlCh, joiner, c.Churn, addrs)
+		go applyChurn(rctx, tr, f.Addr(), joiner, c.Churn, addrs)
 	}
-	res, err := co.Run(rctx, sc, flat)
+	res, err := f.Run(rctx, c.runner(false), sc, flat)
 	if err != nil {
 		er.Err = err
 		return er

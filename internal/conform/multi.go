@@ -186,9 +186,7 @@ func RunMulti(ctx context.Context, mc *MultiCase) (*MultiReport, error) {
 			defer jstop()
 			joiner = jaddrs[0]
 		}
-		ctl := make(chan string, 1)
-		ctl <- f.Addr()
-		go applyChurn(rctx, tr, ctl, joiner, c.Churn, addrs)
+		go applyChurn(rctx, tr, f.Addr(), joiner, c.Churn, addrs)
 		break
 	}
 

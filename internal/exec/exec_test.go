@@ -145,6 +145,48 @@ func TestSimulateReproducesContentionFreeSchedulersRandom(t *testing.T) {
 	}
 }
 
+// TestSimulateReplaysZeroLengthSlotFirst: a zero-length slot that
+// starts with a longer one on its processor replays first, at its own
+// time, whatever the two tasks are called. Here ISH puts n0.1 [0,0]
+// beside n0.0 [0,3] on PE 0 and feeds n1.0 on PE 1 from it; replaying
+// n0.1 after n0.0 (name order) delays that message by 3 and the
+// makespan from 10 to 13.
+func TestSimulateReplaysZeroLengthSlotFirst(t *testing.T) {
+	g := graph.New("zero-length")
+	g.MustAddTask("n0.0", "a", 3)
+	g.MustAddTask("n0.1", "b", 0)
+	g.MustAddTask("n1.0", "c", 2)
+	g.MustAddTask("n1.1", "d", 6)
+	g.MustConnect("n0.1", "n1.0", "v", 3)
+	g.MustConnect("n0.0", "n1.1", "u", 3)
+	m := testMachine(t, "full:2", machine.Params{ProcSpeed: 1, TaskStartup: 0, MsgStartup: 5, WordTime: 1})
+	sc, err := sched.ISH{}.Schedule(g, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sl, _ := sc.PrimarySlot("n0.1"); sl.PE != 0 || sl.Start != 0 || sl.Finish != 0 {
+		t.Fatalf("ISH placed n0.1 at %+v; the case needs it zero-length at 0 on PE 0", sl)
+	}
+	tr, err := Simulate(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans, err := tr.Spans()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pe, ss := range spans {
+		for _, sp := range ss {
+			if sl, _ := sc.PrimarySlot(sp.Task); sl.PE != pe || sl.Start != sp.Start || sl.Finish != sp.Finish {
+				t.Errorf("%s simulated on PE%d [%v,%v], scheduled %+v", sp.Task, pe, sp.Start, sp.Finish, sl)
+			}
+		}
+	}
+	if got, want := tr.Makespan(), sc.Makespan(); got != want {
+		t.Errorf("simulated makespan %v, scheduled %v", got, want)
+	}
+}
+
 func TestSimulateMHNeverBeatenByScheduledTimes(t *testing.T) {
 	// MH charges link contention the simulator doesn't model, so the
 	// simulated (contention-free) makespan must be <= MH's estimate.

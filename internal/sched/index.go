@@ -1,7 +1,8 @@
 package sched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/machine"
@@ -23,7 +24,7 @@ import (
 // Slots or Msgs of an already-indexed Schedule by hand breaks that
 // contract and owns the consequences.
 type Index struct {
-	byPE     [][]Slot                // per PE, sorted by (Start, Task); shared, callers must not mutate
+	byPE     [][]Slot                // per PE, sorted by (Start, Finish), stable; shared, callers must not mutate
 	slotOf   map[graph.NodeID]int32  // ordinal in Slots of each task's first non-duplicate copy, else of its first
 	copies   map[graph.NodeID][]Slot // every copy, in Slots order, of the tasks that have more than one
 	busy     []machine.Time          // per-PE total busy time
@@ -88,12 +89,12 @@ func buildIndex(s *Schedule) *Index {
 		}
 	}
 	for pe := range idx.byPE {
+		// Replay order: by start, then by finish — a zero-length slot
+		// runs before a longer one that starts with it — then in Slots
+		// order.
 		slots := idx.byPE[pe]
-		sort.Slice(slots, func(i, j int) bool {
-			if slots[i].Start != slots[j].Start {
-				return slots[i].Start < slots[j].Start
-			}
-			return slots[i].Task < slots[j].Task
+		slices.SortStableFunc(slots, func(a, b Slot) int {
+			return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Finish, b.Finish))
 		})
 		if len(slots) > 0 {
 			idx.usedPEs++

@@ -7,13 +7,10 @@ import (
 	"time"
 )
 
-// Why a forwarded fleet change found no run to apply to. Together with
-// exec's drain sentinels these mean "this run does not involve the
+// errRunEnded says a forwarded fleet change found its run over. With
+// exec's drain sentinels it means "this run does not involve the
 // worker", which a fleet-wide drain skips over; match with errors.Is.
-var (
-	errNoRun    = errors.New("wire: no run in flight")
-	errRunEnded = errors.New("run ended before the fleet change completed")
-)
+var errRunEnded = errors.New("run ended before the fleet change completed")
 
 // readControl reads the one request a fresh control connection carries,
 // a join announce or a drain order, and returns its note. The first
@@ -55,7 +52,7 @@ func answerControl(c Conn, err error) {
 	c.Close()
 }
 
-// controlRequest opens a fresh connection to a coordinator's control
+// controlRequest opens a fresh connection to a fleet's control
 // listener, sends one request frame, and waits for the verdict: a
 // Welcome (accepted) or an Error naming the reason.
 func controlRequest(ctx context.Context, tr Transport, control string, f Frame) error {
@@ -91,28 +88,32 @@ func controlRequest(ctx context.Context, tr Transport, control string, f Frame) 
 	}
 }
 
-// Drain asks the coordinator whose control listener is at control to
-// gracefully evacuate a worker: by index when worker >= 0, else by its
-// listen address. It returns nil once the worker has departed with all
-// its state handed over, or the coordinator's rejection reason.
+// Drain asks the fleet whose control listener is at control to
+// gracefully evacuate a member: by its listen address, or when addr is
+// empty by its index in the fleet's sorted Members. It returns nil once
+// the worker has left every run it served with all its state handed
+// over, or the fleet's rejection reason.
 func Drain(ctx context.Context, tr Transport, control string, worker int, addr string) error {
 	return controlRequest(ctx, tr, control,
 		Frame{Type: TDrain, Payload: encJSON(DrainNote{Worker: worker, Addr: addr})})
 }
 
-// Announce offers the worker daemon listening at addr to the run whose
-// control listener is at control. It returns nil once the worker is
-// part of the run (or already was), or the rejection reason.
+// Announce offers the worker daemon listening at addr to the fleet
+// whose control listener is at control. It returns nil once the fleet
+// has recorded the member, or the rejection reason; whether a run in
+// flight takes the worker in is that run's decision, made at its next
+// barrier, and every re-announce offers it again.
 func Announce(ctx context.Context, tr Transport, control, addr string) error {
 	return controlRequest(ctx, tr, control,
 		Frame{Type: TJoin, Payload: encJSON(JoinNote{Addr: addr})})
 }
 
-// AnnounceLoop re-announces addr to control until ctx ends. Rejections
-// are expected steady-state noise — no free capacity, a recovery in
-// flight, no coordinator up yet — so the loop logs only transitions.
-// Announcing while already serving the run is an idempotent no-op, and
-// a drained worker's next announce is how it re-enters the fleet.
+// AnnounceLoop re-announces addr to control until ctx ends. Failures
+// are expected steady-state noise — no fleet up yet, one shutting down
+// — so the loop logs only transitions. Announcing while already a
+// member is an idempotent no-op that re-offers the worker to the runs
+// in flight, and a drained worker's next announce is how it re-enters
+// the fleet.
 func AnnounceLoop(ctx context.Context, tr Transport, control, addr string, every time.Duration, logf func(string, ...any)) {
 	if every <= 0 {
 		every = 2 * time.Second

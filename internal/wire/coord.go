@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -15,68 +15,42 @@ import (
 	"repro/internal/trace"
 )
 
-// Coordinator drives a distributed run: it places the machine's
-// processors on worker daemons (sched.Place), ships each its share of
-// the schedule and the worker address map, and arbitrates membership,
-// heartbeats and the recovery barrier when a processor crashes or a
-// whole worker process dies. Workers exchange data frames over direct
-// mesh links; a frame whose link is not up comes here instead and is
-// forwarded by its destination processor without being decoded.
+// Coordinator runs one schedule on a fixed list of worker daemons: its
+// Run is a one-run Fleet seeded with Addrs, with no control listener,
+// closed when the run ends. It stays only because the request-path
+// benchmark builds one (bench/layers.go:513); ROADMAP item 3(d)
+// deletes it. Everything else drives distributed runs through a Fleet.
 type Coordinator struct {
 	Transport Transport
 	Addrs     []string
 	// Runner supplies the run options every worker reproduces (faults,
 	// retry, stall timeout, virtual time) and the run inputs.
 	Runner *exec.Runner
-
-	// HeartbeatEvery is the keepalive cadence (default 250ms);
-	// PeerTimeout the silence budget after which a worker is declared
-	// dead (default 3s).
+	// HeartbeatEvery and PeerTimeout are the fleet's (see Fleet).
 	HeartbeatEvery time.Duration
 	PeerTimeout    time.Duration
-
 	// Mesh is ignored: the mesh is always on. The field goes with
 	// ROADMAP 3(d), once bench/layers.go:513 stops setting it.
 	Mesh bool
-	// Control is an optional listen address for fleet-elasticity
-	// commands: workers announce themselves with Join to enter a run in
-	// flight, and `banger drain` asks for a graceful evacuation with
-	// Drain. Empty disables the control listener.
-	Control string
-	// MinWorkers is the smallest live fleet a drain may leave behind
-	// (0 means 1: the run must always keep at least one worker).
-	MinWorkers int
-	// ControlReady, when set, is called once with the control listener's
-	// bound address, so a Control of "host:0" remains reachable.
-	ControlReady func(addr string)
-
 	Logf func(format string, args ...any)
+}
 
-	// fleet is set on a fleet's coordinators: connections are leased
-	// from it and parked with it, and a member that cannot be dialled is
-	// dropped from it. ships is the shipment memo: the one a fleet's runs
-	// share, or a bare coordinator's own, hit when it runs again.
-	fleet *Fleet
-	ships *shipments
-
-	// The run in flight installs its event channel here so
-	// SubmitJoin/SubmitDrain can reach it: from its own control
-	// listener, and from the fleet's always-up control plane.
-	ctlMu   sync.Mutex
-	ctlCh   chan coEvent
-	ctlDone chan struct{}
+// Run executes schedule s distributed over the coordinator's workers
+// and returns a result equivalent to Runner.Run's.
+func (co *Coordinator) Run(ctx context.Context, s *sched.Schedule, flat *graph.Flat) (*exec.Result, error) {
+	f := &Fleet{Transport: co.Transport, Seed: co.Addrs,
+		HeartbeatEvery: co.HeartbeatEvery, PeerTimeout: co.PeerTimeout, Logf: co.Logf}
+	if err := f.Start(); err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return f.Run(ctx, co.Runner, s, flat)
 }
 
 // runSeq makes run IDs collision-proof within a process: concurrent
 // runs of the same algorithm can start in the same nanosecond, and the
 // run ID is the key every worker daemon routes by.
 var runSeq atomic.Uint64
-
-func (co *Coordinator) logf(format string, args ...any) {
-	if co.Logf != nil {
-		co.Logf(format, args...)
-	}
-}
 
 // orDefault is d when it is set (positive), else def.
 func orDefault(d, def time.Duration) time.Duration {
@@ -86,14 +60,10 @@ func orDefault(d, def time.Duration) time.Duration {
 	return def
 }
 
-func (co *Coordinator) heartbeatEvery() time.Duration {
-	return orDefault(co.HeartbeatEvery, 250*time.Millisecond)
+func (f *Fleet) heartbeatEvery() time.Duration {
+	return orDefault(f.HeartbeatEvery, 250*time.Millisecond)
 }
-func (co *Coordinator) peerTimeout() time.Duration { return orDefault(co.PeerTimeout, 3*time.Second) }
-
-// connectTimeout bounds a bare coordinator's initial dials and a
-// joiner's, and a calibration's.
-const connectTimeout = 10 * time.Second
+func (f *Fleet) peerTimeout() time.Duration { return orDefault(f.PeerTimeout, 3*time.Second) }
 
 // goodbyeWait bounds how long a finished fleet run waits for its
 // workers to answer the goodbye before it gives their connections up.
@@ -124,7 +94,7 @@ type coEvent struct {
 	i    int
 	f    Frame
 	err  error
-	conn Conn   // reattach, or join dial: fresh connection
+	conn Conn   // reattach, or join dial: fresh connection; read error: the broken one
 	rcvd uint64 // reattach: worker's receive watermark
 	ctl  exec.Event
 }
@@ -133,9 +103,11 @@ type coEvent struct {
 // It connects, pumps frames into events and effects into frames,
 // redials, turns heartbeat silence into Lost, and relays data for
 // worker pairs whose mesh link is not up. It decides nothing about the
-// run.
+// run. Only a Fleet builds one: transport, timers, drain floor, parked
+// connections and shipped schedules are all its fleet's.
 type coRun struct {
-	co     *Coordinator
+	f      *Fleet
+	runner *exec.Runner
 	s      *sched.Schedule
 	flat   *graph.Flat
 	id     string
@@ -143,55 +115,37 @@ type coRun struct {
 	peers  []*peer
 	addrs  []string // worker listen addresses by index (grows on join)
 	events chan coEvent
-	start  time.Time
-	extra  []trace.Event // connection-level trace events: connects, byte counts
-	ctx    context.Context
+	// done closes when the run ends, releasing a join or drain the
+	// fleet forwarded whose verdict was still owed.
+	done  chan struct{}
+	start time.Time
+	extra []trace.Event // connection-level trace events: connects, byte counts
+	ctx   context.Context
 	// ship is the encoded schedule a start bundle carries to a daemon
 	// that does not hold it, inputs the run inputs every one carries.
 	ship   *shipment
 	inputs []byte
 }
 
-// Run executes schedule s distributed over the coordinator's workers
-// and returns a result equivalent to Runner.Run's.
-func (co *Coordinator) Run(ctx context.Context, s *sched.Schedule, flat *graph.Flat) (*exec.Result, error) {
-	if co.Transport == nil {
-		return nil, fmt.Errorf("wire: coordinator needs a transport")
-	}
-	if len(co.Addrs) == 0 {
-		return nil, fmt.Errorf("wire: coordinator needs at least one worker address")
-	}
-	if co.Runner == nil {
-		return nil, fmt.Errorf("wire: coordinator needs a runner for options and inputs")
-	}
-	if s == nil || s.Machine == nil {
-		return nil, fmt.Errorf("wire: nil schedule")
-	}
+// newRun prepares one run of s over the placed workers, numbered in
+// placed's order. Traffic-aware placement puts near-equal per-worker
+// processor quotas on them, grouped to minimize cross-worker bytes
+// (never worse than contiguous blocks; see sched.Place).
+func (f *Fleet) newRun(runner *exec.Runner, s *sched.Schedule, flat *graph.Flat, placed []string) *coRun {
 	s.Finalize()
-	numPE := s.Machine.NumPE()
-	workers := len(co.Addrs)
-	if workers > numPE {
-		workers = numPE
-		co.logf("machine has %d processors; using %d of %d workers", numPE, workers, len(co.Addrs))
-	}
-	// Traffic-aware placement: near-equal per-worker quotas, grouped to
-	// minimize cross-worker bytes (never worse than contiguous blocks;
-	// see sched.Place).
-	peerOf := sched.Place(s, workers)
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	r := &coRun{
-		co: co, s: s, flat: flat,
+		f: f, runner: runner, s: s, flat: flat,
 		id:     fmt.Sprintf("%s-%d-%d", s.Algorithm, time.Now().UnixNano(), runSeq.Add(1)),
-		addrs:  append([]string(nil), co.Addrs[:workers]...),
+		addrs:  slices.Clone(placed),
 		events: make(chan coEvent, 256),
+		done:   make(chan struct{}),
 		start:  time.Now(),
 	}
-	r.lc = exec.NewLifecycle(s, flat, co.Runner, r.addrs, peerOf, co.MinWorkers)
+	r.lc = exec.NewLifecycle(s, flat, runner, r.addrs, sched.Place(s, len(placed)), f.MinWorkers)
 	for i, addr := range r.addrs {
 		r.peers = append(r.peers, &peer{i: i, addr: addr, lastHeard: time.Now(), parted: make(chan struct{})})
 	}
-	return r.run(ctx)
+	return r
 }
 
 // now is the coordinator event timestamp: microseconds since run start.
@@ -201,19 +155,11 @@ func (r *coRun) now() machine.Time {
 
 // run connects, starts, and drives the central loop to completion.
 func (r *coRun) run(ctx context.Context) (*exec.Result, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	r.ctx = ctx
-	// Expose the event channel for joins and drains, the run's own and
-	// fleet-forwarded ones; done releases a submitter whose request was
-	// still unanswered when the run ended.
-	done := make(chan struct{})
-	r.co.ctlMu.Lock()
-	r.co.ctlCh, r.co.ctlDone = r.events, done
-	r.co.ctlMu.Unlock()
 	defer func() {
-		r.co.ctlMu.Lock()
-		r.co.ctlCh, r.co.ctlDone = nil, nil
-		r.co.ctlMu.Unlock()
-		close(done)
+		close(r.done)
 		for _, p := range r.peers {
 			if p.redial != nil {
 				p.redial()
@@ -222,36 +168,21 @@ func (r *coRun) run(ctx context.Context) (*exec.Result, error) {
 		}
 	}()
 
-	if r.co.ships == nil {
-		r.co.ships = new(shipments)
-	}
 	var err error
-	if r.ship, err = r.co.ships.of(r.s, r.flat); err != nil {
+	if r.ship, err = r.f.ships.of(r.s, r.flat); err != nil {
 		return nil, err
 	}
-	if r.inputs, err = EncodeEnv(r.co.Runner.Inputs); err != nil {
+	if r.inputs, err = EncodeEnv(r.runner.Inputs); err != nil {
 		return nil, fmt.Errorf("wire: encode inputs: %w", err)
 	}
 	if err := r.connectAll(); err != nil {
 		return nil, err
 	}
-	if r.co.Control != "" {
-		lis, err := r.co.Transport.Listen(r.co.Control)
-		if err != nil {
-			return nil, fmt.Errorf("wire: control listener: %w", err)
-		}
-		defer lis.Close()
-		r.co.logf("control listening on %s", lis.Addr())
-		if r.co.ControlReady != nil {
-			r.co.ControlReady(lis.Addr())
-		}
-		go r.serveControl(lis)
-	}
 	if err := r.startAll(); err != nil {
 		return nil, err
 	}
 
-	hb := time.NewTicker(r.co.heartbeatEvery())
+	hb := time.NewTicker(r.f.heartbeatEvery())
 	defer hb.Stop()
 	handled := 0
 	for {
@@ -288,10 +219,20 @@ func (r *coRun) run(ctx context.Context) (*exec.Result, error) {
 	}
 }
 
-// peerEvent handles what worker p's connection produced: a fresh
-// connection after a redial, a break, or a frame.
+// peerEvent handles what worker p's connection produced: a break, a
+// fresh connection after a redial, or a frame.
 func (r *coRun) peerEvent(p *peer, ev coEvent) (*exec.Result, error) {
 	switch {
+	case ev.err != nil:
+		// Connection broke: keep the run alive and redial until the
+		// heartbeat budget declares the worker dead. An error from a
+		// connection the link has left is stale — the daemon closes the
+		// old connection as it takes a redialled one — and must not
+		// break its replacement.
+		if ev.conn == p.link.Conn() {
+			p.link.Detach()
+			r.redialPeer(p)
+		}
 	case ev.conn != nil:
 		p.redial = nil
 		if err := p.link.Reattach(ev.conn, ev.rcvd); err != nil {
@@ -301,13 +242,8 @@ func (r *coRun) peerEvent(p *peer, ev coEvent) (*exec.Result, error) {
 		}
 		p.lastHeard = time.Now()
 		r.extra = append(r.extra, trace.Event{Kind: trace.PeerConnected, At: r.now(), Peer: p.i, Note: "reconnect"})
-		r.co.logf("worker %d (%s) reconnected", p.i, p.addr)
+		r.f.Logf("worker %d (%s) reconnected", p.i, p.addr)
 		r.startReader(p)
-	case ev.err != nil:
-		// Connection broke: keep the run alive and redial until the
-		// heartbeat budget declares the worker dead.
-		p.link.Detach()
-		r.redialPeer(p)
 	default:
 		p.lastHeard = time.Now()
 		return r.handleFrame(p, ev.f)
@@ -335,32 +271,24 @@ func (r *coRun) breakConn(p *peer, err error) {
 	if p.gone || errors.Is(err, ErrLinkDetached) {
 		return
 	}
-	r.co.logf("worker %d (%s) write failed (%v); reconnecting", p.i, p.addr, err)
+	r.f.Logf("worker %d (%s) write failed (%v); reconnecting", p.i, p.addr, err)
 	p.link.Detach()
 	r.redialPeer(p)
 }
 
 // dial opens this run on the worker daemon at addr and reports whether
-// the daemon holds the run's schedule. A fleet's run takes a parked
-// connection when one answers the Hello, and otherwise dials once; a
-// bare coordinator, started beside its workers, keeps dialling until
-// they are up.
+// the daemon holds the run's schedule. It takes a parked connection
+// when one answers the Hello, and otherwise connects through the fleet,
+// once.
 func (r *coRun) dial(ctx context.Context, addr string) (c Conn, have bool, err error) {
 	hello := Hello{Proto: ProtoVersion, Run: r.id, Digest: r.ship.digest}
-	if f := r.co.fleet; f != nil {
-		if c = f.idle.lease(addr); c != nil {
-			if w, err := handshake(c, hello); err == nil {
-				return c, w.Have, nil
-			}
-			c.Close() // the daemon went away, or closes what it finished: dial
+	if c = r.f.idle.lease(addr); c != nil {
+		if w, err := handshake(c, hello); err == nil {
+			return c, w.Have, nil
 		}
-		c, err = f.connect(ctx, addr)
-	} else {
-		dctx, cancel := context.WithTimeout(ctx, connectTimeout)
-		defer cancel()
-		c, err = dialBackoff(dctx, r.co.Transport, addr, 0, 0)
+		c.Close() // the daemon went away, or closes what it finished: dial
 	}
-	if err != nil {
+	if c, err = r.f.connect(ctx, addr); err != nil {
 		return nil, false, err
 	}
 	w, err := handshake(c, hello)
@@ -459,8 +387,12 @@ func (r *coRun) startReader(p *peer) {
 				close(p.parted)
 				return
 			}
+			ev := coEvent{i: p.i, f: f}
+			if err != nil {
+				ev.err, ev.conn = err, c
+			}
 			select {
-			case r.events <- coEvent{i: p.i, f: f, err: err}:
+			case r.events <- ev:
 			case <-ctx.Done():
 				return
 			}
@@ -478,14 +410,14 @@ func (r *coRun) redialPeer(p *peer) {
 	if p.redial != nil {
 		return // already dialing
 	}
-	rctx, cancel := context.WithTimeout(r.ctx, r.co.peerTimeout())
+	rctx, cancel := context.WithTimeout(r.ctx, r.f.peerTimeout())
 	p.redial = cancel
 	hello := Hello{Proto: ProtoVersion, Run: r.id, Rcvd: p.link.Rcvd(), Digest: r.ship.digest}
-	r.co.logf("worker %d (%s) connection lost; redialing", p.i, p.addr)
+	r.f.Logf("worker %d (%s) connection lost; redialing", p.i, p.addr)
 	go func() {
 		defer cancel()
 		for rctx.Err() == nil {
-			c, err := dialBackoff(rctx, r.co.Transport, p.addr, 0, 0)
+			c, err := dialBackoff(rctx, r.f.Transport, p.addr, 0, 0)
 			if err != nil {
 				return
 			}
@@ -535,8 +467,8 @@ func (r *coRun) sendStart(p *peer, plan *ResumeNote) error {
 	bundle := StartBundle{
 		Run: r.id, Worker: p.i, Workers: len(r.peers),
 		Hosted:         hosted,
-		Opts:           OptsFor(r.co.Runner),
-		HeartbeatEvery: int64(r.co.heartbeatEvery()), PeerTimeout: int64(r.co.peerTimeout()),
+		Opts:           OptsFor(r.runner),
+		HeartbeatEvery: int64(r.f.heartbeatEvery()), PeerTimeout: int64(r.f.peerTimeout()),
 		Peers: r.addrs, PeerOf: peerOf,
 		Plan: plan,
 	}
@@ -573,8 +505,8 @@ func (r *coRun) heartbeat() (*exec.Result, error) {
 				r.breakConn(p, err)
 			}
 		}
-		if now.Sub(p.lastHeard) > r.co.peerTimeout() {
-			r.co.logf("worker %d (%s) declared dead: no traffic for %v", p.i, p.addr, r.co.peerTimeout())
+		if now.Sub(p.lastHeard) > r.f.peerTimeout() {
+			r.f.Logf("worker %d (%s) declared dead: no traffic for %v", p.i, p.addr, r.f.peerTimeout())
 			r.dismiss(p)
 			if res, err := r.step(exec.Lost{W: p.i}, nil); res != nil || err != nil {
 				return res, err
@@ -670,7 +602,7 @@ func (r *coRun) handleFrame(p *peer, f Frame) (*exec.Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("wire: worker %d result: %w", p.i, err)
 		}
-		if st := r.co.Runner.Stats; st != nil {
+		if st := r.runner.Stats; st != nil {
 			st.Add(note.Stats)
 		}
 		return r.step(exec.Returned{W: p.i, Partial: part}, nil)
@@ -695,7 +627,7 @@ func (r *coRun) step(ev exec.Event, dialed Conn) (*exec.Result, error) {
 	} else if dialed != nil {
 		p := &peer{i: len(r.peers), addr: ev.(exec.JoinDialed).Addr, link: NewLink(dialed), lastHeard: time.Now(), parted: make(chan struct{})}
 		r.peers, r.addrs = append(r.peers, p), append(r.addrs, p.addr)
-		r.co.logf("worker %d (%s) joining; pausing for expand replan", p.i, p.addr)
+		r.f.Logf("worker %d (%s) joining; pausing for expand replan", p.i, p.addr)
 		r.startReader(p)
 	}
 	var resume []byte // one barrier's plan, encoded once for all survivors
@@ -717,7 +649,7 @@ func (r *coRun) step(ev exec.Event, dialed Conn) (*exec.Result, error) {
 				// grew the address list and re-homed revived processors.
 				note.Peers, note.PeerOf = r.addrs, r.lc.PeerOf()
 				resume = encBlobEnvelope(encJSON(note), blobs...)
-				r.co.logf("barrier: %d slots replanned (epoch %d)", len(e.Plan.Slots), e.Plan.Epoch)
+				r.f.Logf("barrier: %d slots replanned (epoch %d)", len(e.Plan.Slots), e.Plan.Epoch)
 			}
 			r.send(r.peers[e.W], TResume, resume)
 		case exec.Start:
@@ -729,7 +661,7 @@ func (r *coRun) step(ev exec.Event, dialed Conn) (*exec.Result, error) {
 			if err := r.sendStart(r.peers[e.W], &note); err != nil {
 				return nil, fmt.Errorf("wire: starting joined worker %d: %w", e.W, err)
 			}
-			r.co.logf("worker %d (%s) joined (epoch %d)", e.W, r.peers[e.W].addr, e.Plan.Epoch)
+			r.f.Logf("worker %d (%s) joined (epoch %d)", e.W, r.peers[e.W].addr, e.Plan.Epoch)
 		case exec.Finish:
 			r.send(r.peers[e.W], TFinish, nil)
 		case exec.Bye:
@@ -766,12 +698,12 @@ func (r *coRun) step(ev exec.Event, dialed Conn) (*exec.Result, error) {
 func (r *coRun) parkPeers() {
 	patience := time.After(goodbyeWait)
 	for _, p := range r.peers {
-		if r.co.fleet == nil || !p.gone || p.link.Conn() == nil {
-			continue // a bare run, or a worker lost before any goodbye
+		if !p.gone || p.link.Conn() == nil {
+			continue // a worker lost before any goodbye
 		}
 		select {
 		case <-p.parted:
-			r.co.fleet.park(p.addr, p.link.Release())
+			r.f.park(p.addr, p.link.Release())
 		case <-patience:
 			return
 		}
@@ -793,38 +725,12 @@ func (r *coRun) dialJoiner(addr string) {
 	}
 }
 
-// serveControl answers the run's own control listener, which closes
-// with the run: each connection's one request goes the same way a
-// fleet-forwarded one does.
-func (r *coRun) serveControl(lis Listener) {
-	for {
-		c, err := lis.Accept()
-		if err != nil {
-			return
-		}
-		go func() {
-			switch join, drain := readControl(c); {
-			case join != nil:
-				answerControl(c, r.co.SubmitJoin(r.ctx, join.Addr))
-			case drain != nil:
-				answerControl(c, r.co.SubmitDrain(r.ctx, drain.Worker, drain.Addr))
-			}
-		}()
-	}
-}
-
-// submitCtl posts a join offer or drain request to the run in flight
-// and waits for the verdict that answers reply.
-func (co *Coordinator) submitCtl(ctx context.Context, ev exec.Event, reply chan error) error {
-	co.ctlMu.Lock()
-	ch, done := co.ctlCh, co.ctlDone
-	co.ctlMu.Unlock()
-	if ch == nil {
-		return errNoRun
-	}
+// submit posts a join offer or drain request the fleet forwards to the
+// run and waits for the verdict that answers reply.
+func (r *coRun) submit(ctx context.Context, ev exec.Event, reply chan error) error {
 	select {
-	case ch <- coEvent{ctl: ev}:
-	case <-done:
+	case r.events <- coEvent{ctl: ev}:
+	case <-r.done:
 		return errRunEnded
 	case <-ctx.Done():
 		return ctx.Err()
@@ -832,46 +738,41 @@ func (co *Coordinator) submitCtl(ctx context.Context, ev exec.Event, reply chan 
 	select {
 	case err := <-reply:
 		return err
-	case <-done:
+	case <-r.done:
 		return errRunEnded
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 }
 
-// SubmitJoin offers the worker daemon at addr to the run in flight,
-// exactly as a TJoin announce on the run's own control listener would.
-// It returns nil once the worker serves the run (or already did), or
-// the run's rejection reason.
-func (co *Coordinator) SubmitJoin(ctx context.Context, addr string) error {
-	reply := make(chan error, 1)
-	return co.submitCtl(ctx, exec.JoinOffer{Addr: addr, Req: reply}, reply)
-}
-
-// SubmitDrain asks the run in flight to gracefully evacuate a worker:
-// by index when worker >= 0, else by its listen address. It returns nil
-// once the worker departed with its state handed over, or the run's
+// submitJoin offers the worker daemon at addr to the run. It returns
+// nil once the worker serves the run (or already did), or the run's
 // rejection reason.
-func (co *Coordinator) SubmitDrain(ctx context.Context, worker int, addr string) error {
+func (r *coRun) submitJoin(ctx context.Context, addr string) error {
 	reply := make(chan error, 1)
-	return co.submitCtl(ctx, exec.DrainReq{Worker: worker, Addr: addr, Req: reply}, reply)
+	return r.submit(ctx, exec.JoinOffer{Addr: addr, Req: reply}, reply)
 }
 
-// Calibrate measures round-trip latency to the first worker with empty
-// and 4096-word ping payloads and derives a machine.Calibration
-// (message startup cost and per-word transfer time): the paper's
-// machine-model parameters measured from the actual wire.
-func (co *Coordinator) Calibrate(ctx context.Context, probes int) (machine.Calibration, error) {
+// submitDrain asks the run to gracefully evacuate the worker listening
+// at addr. It returns nil once the worker departed with its state
+// handed over, or the run's rejection reason.
+func (r *coRun) submitDrain(ctx context.Context, addr string) error {
+	reply := make(chan error, 1)
+	return r.submit(ctx, exec.DrainReq{Worker: -1, Addr: addr, Req: reply}, reply)
+}
+
+// Calibrate measures round-trip latency to the worker daemon at addr
+// with empty and 4096-word ping payloads and derives a
+// machine.Calibration (message startup cost and per-word transfer
+// time): the paper's machine-model parameters measured from the actual
+// wire. ctx bounds the dial and every probe: a pong that never comes
+// fails the calibration when ctx ends.
+func Calibrate(ctx context.Context, tr Transport, addr string, probes int) (machine.Calibration, error) {
 	if probes <= 0 {
 		probes = 8
 	}
 	var cal machine.Calibration
-	if len(co.Addrs) == 0 {
-		return cal, fmt.Errorf("wire: no worker address to calibrate against")
-	}
-	dctx, cancel := context.WithTimeout(ctx, connectTimeout)
-	defer cancel()
-	c, err := dialBackoff(dctx, co.Transport, co.Addrs[0], 0, 0)
+	c, err := tr.Dial(ctx, addr)
 	if err != nil {
 		return cal, err
 	}
@@ -880,8 +781,7 @@ func (co *Coordinator) Calibrate(ctx context.Context, probes int) (machine.Calib
 		return cal, err
 	}
 
-	// One reader goroutine feeds every probe; per-probe deadlines live
-	// in minRTT (a lost pong must not spin the loop forever).
+	// One reader goroutine feeds every probe.
 	frames := make(chan Frame, 16)
 	rerr := make(chan error, 1)
 	done := make(chan struct{})
@@ -902,12 +802,11 @@ func (co *Coordinator) Calibrate(ctx context.Context, probes int) (machine.Calib
 	}()
 
 	const words = 4096
-	timeout := co.peerTimeout()
-	small, err := minRTT(c, probes, nil, frames, rerr, timeout)
+	small, err := minRTT(ctx, c, probes, nil, frames, rerr)
 	if err != nil {
 		return cal, err
 	}
-	large, err := minRTT(c, probes, make([]byte, words*8), frames, rerr, timeout)
+	large, err := minRTT(ctx, c, probes, make([]byte, words*8), frames, rerr)
 	if err != nil {
 		return cal, err
 	}
@@ -930,25 +829,16 @@ func (co *Coordinator) Calibrate(ctx context.Context, probes int) (machine.Calib
 }
 
 // minRTT measures the fastest of n ping round trips with the given
-// payload. Each probe is bounded by timeout: a lost pong (or a worker
-// that only ever sends heartbeats) fails the calibration instead of
-// spinning the receive loop forever.
-func minRTT(c Conn, n int, payload []byte, frames <-chan Frame, rerr <-chan error, timeout time.Duration) (time.Duration, error) {
+// payload. A lost pong (or a worker that only ever sends heartbeats)
+// fails the probe when ctx ends instead of spinning the receive loop
+// forever.
+func minRTT(ctx context.Context, c Conn, n int, payload []byte, frames <-chan Frame, rerr <-chan error) (time.Duration, error) {
 	best := time.Duration(0)
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
 	for i := 0; i < n; i++ {
 		t0 := time.Now()
 		if err := c.WriteFrame(Frame{Type: TPing, Payload: payload}); err != nil {
 			return 0, err
 		}
-		if !deadline.Stop() {
-			select {
-			case <-deadline.C:
-			default:
-			}
-		}
-		deadline.Reset(timeout)
 	probe:
 		for {
 			select {
@@ -959,8 +849,8 @@ func minRTT(c Conn, n int, payload []byte, frames <-chan Frame, rerr <-chan erro
 				// Heartbeats and acks interleave with pongs; skip them.
 			case err := <-rerr:
 				return 0, err
-			case <-deadline.C:
-				return 0, fmt.Errorf("wire: calibration probe %d timed out after %v (no pong)", i, timeout)
+			case <-ctx.Done():
+				return 0, fmt.Errorf("wire: calibration probe %d timed out (no pong): %w", i, ctx.Err())
 			}
 		}
 		if rtt := time.Since(t0); best == 0 || rtt < best {

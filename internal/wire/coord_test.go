@@ -77,11 +77,22 @@ func (w *scripted) readUntil(ty Type) Frame {
 	return Frame{}
 }
 
-// steerToFinishing runs a coordinator against two scripted workers and
+// finishingRun is a fleet run steered into its finishing state against
+// two scripted workers.
+type finishingRun struct {
+	w0, w1 *scripted
+	lns    []Listener // the scripted workers' listeners
+	errCh  chan error
+	resCh  chan *exec.Result
+	f      *Fleet
+}
+
+// steerToFinishing runs a fleet run against two scripted workers and
 // walks them to the finishing state: start bundles received, both
-// workers idle, Finish broadcast. Returns the workers and the run's
-// result channel.
-func steerToFinishing(t *testing.T) (*scripted, *scripted, chan error, chan *exec.Result, Transport) {
+// workers idle, Finish broadcast. The fleet's control listener is at
+// "ctl". Past the scripted accept, each listener accepts and closes
+// further dials: a daemon that is still up when the fleet checks on it.
+func steerToFinishing(t *testing.T) *finishingRun {
 	t.Helper()
 	flat, inputs := distDesign(t, 2, 2)
 	m := distMachine(t, "hypercube:1")
@@ -100,48 +111,62 @@ func steerToFinishing(t *testing.T) (*scripted, *scripted, chan error, chan *exe
 	}
 	t.Cleanup(func() { ln0.Close(); ln1.Close() })
 
-	co := &Coordinator{
-		Transport: tr, Addrs: []string{"w0", "w1"}, Control: "ctl",
-		Runner:         &exec.Runner{Inputs: inputs},
+	f := &Fleet{
+		Transport: tr, Control: "ctl", Seed: []string{"w0", "w1"},
 		HeartbeatEvery: 50 * time.Millisecond,
 		// Long silence budget: the tests below must see the state
 		// machine's own reaction, not a heartbeat-loss fallback.
 		PeerTimeout: 60 * time.Second,
 		Logf:        t.Logf,
 	}
-	errCh := make(chan error, 1)
-	resCh := make(chan *exec.Result, 1)
+	if err := f.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	run := &finishingRun{lns: []Listener{ln0, ln1}, errCh: make(chan error, 1), resCh: make(chan *exec.Result, 1), f: f}
 	go func() {
-		res, err := co.Run(context.Background(), sc, flat)
-		resCh <- res
-		errCh <- err
+		res, err := f.Run(context.Background(), &exec.Runner{Inputs: inputs}, sc, flat)
+		run.resCh <- res
+		run.errCh <- err
 	}()
-	w0 := acceptScripted(t, ln0)
-	w1 := acceptScripted(t, ln1)
-	w0.readUntil(TStart)
-	w1.readUntil(TStart)
-	if err := w0.l.Send(TIdle, nil); err != nil {
+	run.w0 = acceptScripted(t, ln0)
+	run.w1 = acceptScripted(t, ln1)
+	for _, ln := range run.lns {
+		go func() {
+			for {
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				c.Close()
+			}
+		}()
+	}
+	run.w0.readUntil(TStart)
+	run.w1.readUntil(TStart)
+	if err := run.w0.l.Send(TIdle, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := w1.l.Send(TIdle, nil); err != nil {
+	if err := run.w1.l.Send(TIdle, nil); err != nil {
 		t.Fatal(err)
 	}
-	w0.readUntil(TFinish)
-	w1.readUntil(TFinish)
-	return w0, w1, errCh, resCh, tr
+	run.w0.readUntil(TFinish)
+	run.w1.readUntil(TFinish)
+	return run
 }
 
 // TestCoordCrashWhileFinishing: a crash report racing the finish
-// decision must fail the run promptly. The old state machine fell
-// through to startPause, waiting on a barrier the already-finished
-// sessions could never answer — the run hung until heartbeat loss.
+// decision must fail the run promptly, with its own cause. The old
+// state machine fell through to startPause, waiting on a barrier the
+// already-finished sessions could never answer — the run hung until
+// heartbeat loss.
 func TestCoordCrashWhileFinishing(t *testing.T) {
-	w0, _, errCh, _, _ := steerToFinishing(t)
-	if err := w0.l.Send(TCrash, encJSON(CrashNote{PE: 0})); err != nil {
+	run := steerToFinishing(t)
+	if err := run.w0.l.Send(TCrash, encJSON(CrashNote{PE: 0})); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case err := <-errCh:
+	case err := <-run.errCh:
 		if err == nil || !strings.Contains(err.Error(), "finishing") {
 			t.Fatalf("got %v, want a crashed-while-finishing error", err)
 		}
@@ -150,12 +175,38 @@ func TestCoordCrashWhileFinishing(t *testing.T) {
 	}
 }
 
+// TestFleetRunKeepsCauseWhenMembersDie: when a run fails and every
+// member it was placed on is gone by the time the fleet checks, no
+// retry is possible — and the error must still name why the run
+// failed, not only that the fleet is now empty.
+func TestFleetRunKeepsCauseWhenMembersDie(t *testing.T) {
+	run := steerToFinishing(t)
+	// Both daemons go away: their listeners refuse the fleet's check.
+	for _, ln := range run.lns {
+		ln.Close()
+	}
+	if err := run.w0.l.Send(TCrash, encJSON(CrashNote{PE: 0})); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-run.errCh:
+		if err == nil || !strings.Contains(err.Error(), "crashed while the run was finishing") {
+			t.Fatalf("got %v, want the run's crashed-while-finishing cause", err)
+		}
+		if n := run.f.Size(); n != 0 {
+			t.Errorf("fleet kept %d members whose daemons are gone", n)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("fleet run hung after its members died")
+	}
+}
+
 // TestCoordParkedWhileFinishing: a stale Parked frame arriving after
 // the finish decision (a replayed barrier reply) must be ignored, not
 // kill the run as "parked outside a pause".
 func TestCoordParkedWhileFinishing(t *testing.T) {
-	w0, w1, errCh, resCh, _ := steerToFinishing(t)
-	if err := w0.l.Send(TParked, encJSON(ParkedNote{})); err != nil {
+	run := steerToFinishing(t)
+	if err := run.w0.l.Send(TParked, encJSON(ParkedNote{})); err != nil {
 		t.Fatal(err)
 	}
 	empty, err := EncodeEnv(pits.Env{})
@@ -163,18 +214,18 @@ func TestCoordParkedWhileFinishing(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := encEventsEnvelope(encJSON(ResultNote{}), empty, nil, nil)
-	if err := w0.l.Send(TResult, res); err != nil {
+	if err := run.w0.l.Send(TResult, res); err != nil {
 		t.Fatal(err)
 	}
-	if err := w1.l.Send(TResult, res); err != nil {
+	if err := run.w1.l.Send(TResult, res); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case err := <-errCh:
+	case err := <-run.errCh:
 		if err != nil {
 			t.Fatalf("run failed on a stale parked frame: %v", err)
 		}
-		if r := <-resCh; r == nil {
+		if r := <-run.resCh; r == nil {
 			t.Fatal("run returned no result")
 		}
 	case <-time.After(5 * time.Second):
@@ -313,8 +364,120 @@ func TestCoordWriteFailureRedials(t *testing.T) {
 	}
 }
 
+// staleReadTransport hands out a half-closed first connection, like
+// flakyTransport's, whose read error — what its reader sees once the
+// daemon drops it for the redialled replacement — is held back until
+// the replacement has carried something past its Hello: until the link
+// has reattached to it.
+type staleReadTransport struct {
+	Transport
+	mu       sync.Mutex
+	dials    int
+	once     sync.Once
+	attached chan struct{}
+}
+
+func (t *staleReadTransport) Dial(ctx context.Context, addr string) (Conn, error) {
+	c, err := t.Transport.Dial(ctx, addr)
+	if err != nil {
+		return nil, err
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	switch t.dials++; t.dials {
+	case 1:
+		return &staleReadConn{flakyConn: &flakyConn{Conn: c, failAfter: 2}, attached: t.attached}, nil
+	case 2:
+		return &replacementConn{Conn: c, attached: func() { t.once.Do(func() { close(t.attached) }) }}, nil
+	}
+	return c, nil
+}
+
+type staleReadConn struct {
+	*flakyConn
+	attached <-chan struct{}
+}
+
+func (c *staleReadConn) ReadFrame() (Frame, error) {
+	f, err := c.flakyConn.ReadFrame()
+	if err != nil {
+		select {
+		case <-c.attached:
+		case <-time.After(5 * time.Second): // no replacement came: let the reader go
+		}
+	}
+	return f, err
+}
+
+// replacementConn reports the first write after its Hello.
+type replacementConn struct {
+	Conn
+	hello    bool
+	attached func()
+}
+
+func (c *replacementConn) WriteFrame(f Frame) error {
+	if c.hello {
+		c.attached()
+	}
+	c.hello = true
+	return c.Conn.WriteFrame(f)
+}
+
+func (c *replacementConn) WriteFrameBuffered(f Frame) error {
+	c.attached()
+	return c.Conn.WriteFrameBuffered(f)
+}
+
+func (c *replacementConn) Flush() error {
+	c.attached()
+	return c.Conn.Flush()
+}
+
+// TestStaleReadErrorKeepsTheNewLink: the read error of a connection a
+// redial has already replaced is stale. It must not break the
+// replacement: the run reconnects once. Before, the late error detached
+// the new link and redialled, and when every replaced connection's
+// error came in after its replacement's Welcome (the daemon closes the
+// old connection as it takes the new one) the run redialled until its
+// caller gave up.
+func TestStaleReadErrorKeepsTheNewLink(t *testing.T) {
+	flat, inputs := distDesign(t, 2, 2)
+	m := distMachine(t, "hypercube:1")
+	sc, err := sched.ETF{}.Schedule(flat.Graph, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := Inproc()
+	addrs, stop := startWorkers(t, inner, 1)
+	defer stop()
+	co := &Coordinator{
+		Transport:      &staleReadTransport{Transport: inner, attached: make(chan struct{})},
+		Addrs:          addrs,
+		Runner:         &exec.Runner{Inputs: inputs},
+		HeartbeatEvery: 20 * time.Millisecond,
+		PeerTimeout:    60 * time.Second,
+		Logf:           t.Logf,
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	dist, err := co.Run(ctx, sc, flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reconnects := 0
+	for _, e := range dist.Trace.Events {
+		if e.Kind == trace.PeerConnected && e.Note == "reconnect" {
+			reconnects++
+		}
+	}
+	if reconnects != 1 {
+		t.Errorf("trace records %d reconnects, want 1: a replaced connection's read error broke its replacement", reconnects)
+	}
+}
+
 // TestCalibrateProbeTimeout: a worker that answers the handshake but
-// swallows pings must fail calibration within the peer timeout, not
+// swallows pings must fail calibration when its context ends, not
 // block forever on a pong that never comes.
 func TestCalibrateProbeTimeout(t *testing.T) {
 	tr := Inproc()
@@ -340,11 +503,11 @@ func TestCalibrateProbeTimeout(t *testing.T) {
 			}
 		}
 	}()
-	co := &Coordinator{Transport: tr, Addrs: []string{"w0"},
-		PeerTimeout: 200 * time.Millisecond, Logf: t.Logf}
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := co.Calibrate(context.Background(), 2)
+		_, err := Calibrate(ctx, tr, "w0", 2)
 		errCh <- err
 	}()
 	select {

@@ -338,8 +338,9 @@ func TestCoordinatorCalibrate(t *testing.T) {
 	tr := Inproc()
 	addrs, stop := startWorkers(t, tr, 1)
 	defer stop()
-	co := &Coordinator{Transport: tr, Addrs: addrs}
-	cal, err := co.Calibrate(context.Background(), 4)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	cal, err := Calibrate(ctx, tr, addrs[0], 4)
 	if err != nil {
 		t.Fatal(err)
 	}

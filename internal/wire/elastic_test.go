@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,7 +20,7 @@ import (
 	"repro/internal/trace"
 )
 
-// ctlRequest dials the coordinator's control listener, sends one
+// ctlRequest dials a fleet's control listener, sends one
 // request frame, and returns the reply type and any error message.
 func ctlRequest(t *testing.T, tr Transport, addr string, typ Type, payload []byte) (Type, string) {
 	t.Helper()
@@ -85,6 +86,49 @@ func startNamedWorker(t *testing.T, tr Transport, addr string) func() {
 	return func() {
 		cancel()
 		<-done
+	}
+}
+
+// startCtlFleet opens a fleet on tr seeded with addrs, its control
+// listener at "ctl", and registers cleanup.
+func startCtlFleet(t *testing.T, tr Transport, addrs []string, peerTimeout time.Duration, minWorkers int, logf func(string, ...any)) *Fleet {
+	t.Helper()
+	f := &Fleet{Transport: tr, Control: "ctl", Seed: addrs, MinWorkers: minWorkers,
+		HeartbeatEvery: 50 * time.Millisecond, PeerTimeout: peerTimeout, Logf: logf}
+	if err := f.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	return f
+}
+
+// joinWatch returns a fleet Logf that logs to t, and a channel that
+// closes at the fleet's first report of a run taking a joiner in.
+func joinWatch(t *testing.T) (func(string, ...any), <-chan struct{}) {
+	joined := make(chan struct{})
+	var once sync.Once
+	return func(format string, args ...any) {
+		t.Logf(format, args...)
+		if strings.Contains(format, "joined a run in flight") {
+			once.Do(func() { close(joined) })
+		}
+	}, joined
+}
+
+// announceUntilJoined re-announces addr to the fleet at ctl until a run
+// in flight takes it in (joined closes) or within passes. The fleet
+// welcomes every announce once it has recorded the member; each one
+// offers the worker to the runs in flight again, and a run takes it
+// only once it has dead processors to revive.
+func announceUntilJoined(tr Transport, ctl, addr string, joined <-chan struct{}, within time.Duration) error {
+	ctx, cancel := context.WithTimeout(context.Background(), within)
+	defer cancel()
+	go AnnounceLoop(ctx, tr, ctl, addr, 25*time.Millisecond, nil)
+	select {
+	case <-joined:
+		return nil
+	case <-ctx.Done():
+		return fmt.Errorf("no run took %s in within %v", addr, within)
 	}
 }
 
@@ -211,21 +255,16 @@ func TestDistDrain(t *testing.T) {
 	tr := Inproc()
 	addrs, stop := startWorkers(t, tr, 2)
 	defer stop()
-	co := &Coordinator{
-		Transport: tr, Addrs: addrs, Control: "ctl",
-		Runner:         &exec.Runner{Inputs: inputs, Faults: plan},
-		HeartbeatEvery: 50 * time.Millisecond,
-		// A long silence budget proves the drain never leans on
-		// heartbeat-loss detection or peer-timeout expiry.
-		PeerTimeout: 60 * time.Second,
-		Logf:        t.Logf,
-	}
+	// A long silence budget proves the drain never leans on
+	// heartbeat-loss detection or peer-timeout expiry.
+	f := startCtlFleet(t, tr, addrs, 60*time.Second, 0, t.Logf)
 	drained := make(chan error, 1)
 	go func() {
 		time.Sleep(300 * time.Millisecond)
+		// The run's worker numbering is the fleet's sorted membership.
 		drained <- ctlRetry(t, tr, "ctl", TDrain, encJSON(DrainNote{Worker: target}), 5*time.Second)
 	}()
-	dist, err := co.Run(context.Background(), sc, flat)
+	dist, err := f.Run(context.Background(), &exec.Runner{Inputs: inputs, Faults: plan}, sc, flat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,33 +320,29 @@ func TestDistJoinExpand(t *testing.T) {
 	tr := Inproc()
 	addrs, stop := startWorkers(t, tr, 2)
 	defer stop()
-	// The third worker dies early; its processors revive on the
-	// joiner announced after the recovery settles.
+	// The third worker (the last in sorted order) dies early; its
+	// processors revive on the joiner announced after the recovery
+	// settles.
 	victimCtx, killVictim := context.WithCancel(context.Background())
 	defer killVictim()
 	ready := make(chan struct{})
-	go ServeWorker(victimCtx, tr, "victim", WorkerOptions{Logf: t.Logf}, func(string) { close(ready) })
+	go ServeWorker(victimCtx, tr, "worker-2", WorkerOptions{Logf: t.Logf}, func(string) { close(ready) })
 	<-ready
-	co := &Coordinator{
-		Transport: tr, Addrs: []string{addrs[0], addrs[1], "victim"}, Control: "ctl",
-		Runner:         &exec.Runner{Inputs: inputs, Faults: plan},
-		HeartbeatEvery: 50 * time.Millisecond,
-		PeerTimeout:    400 * time.Millisecond,
-		Logf:           t.Logf,
-	}
+	logf, joinedRun := joinWatch(t)
+	f := startCtlFleet(t, tr, append(addrs, "worker-2"), 400*time.Millisecond, 0, logf)
 	joined := make(chan error, 1)
 	go func() {
 		time.Sleep(200 * time.Millisecond)
 		killVictim()
-		// Announce right away: the retry loop rides out "no free
-		// capacity" until heartbeat loss frees the victim's
-		// processors, then lands during the next hold.
+		// Announce right away: the run turns the offers down until
+		// heartbeat loss frees the victim's processors, then takes the
+		// joiner in during the next hold.
 		time.Sleep(50 * time.Millisecond)
-		jstop := startNamedWorker(t, tr, "joiner")
+		jstop := startNamedWorker(t, tr, "worker-3")
 		t.Cleanup(jstop)
-		joined <- ctlRetry(t, tr, "ctl", TJoin, encJSON(JoinNote{Addr: "joiner"}), 5*time.Second)
+		joined <- announceUntilJoined(tr, "ctl", "worker-3", joinedRun, 5*time.Second)
 	}()
-	dist, err := co.Run(context.Background(), sc, flat)
+	dist, err := f.Run(context.Background(), &exec.Runner{Inputs: inputs, Faults: plan}, sc, flat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,15 +390,10 @@ func TestDistElasticChurn(t *testing.T) {
 	victimCtx, killVictim := context.WithCancel(context.Background())
 	defer killVictim()
 	ready := make(chan struct{})
-	go ServeWorker(victimCtx, tr, "victim", WorkerOptions{Logf: t.Logf}, func(string) { close(ready) })
+	go ServeWorker(victimCtx, tr, "worker-2", WorkerOptions{Logf: t.Logf}, func(string) { close(ready) })
 	<-ready
-	co := &Coordinator{
-		Transport: tr, Addrs: []string{addrs[0], addrs[1], "victim"}, Control: "ctl",
-		Runner:         &exec.Runner{Inputs: inputs, Faults: plan},
-		HeartbeatEvery: 50 * time.Millisecond,
-		PeerTimeout:    400 * time.Millisecond,
-		Logf:           t.Logf,
-	}
+	logf, joinedRun := joinWatch(t)
+	f := startCtlFleet(t, tr, append(addrs, "worker-2"), 400*time.Millisecond, 0, logf)
 	churn := make(chan error, 1)
 	go func() {
 		// Kill one worker, join a replacement, then drain one of the
@@ -372,16 +402,17 @@ func TestDistElasticChurn(t *testing.T) {
 		time.Sleep(200 * time.Millisecond)
 		killVictim()
 		time.Sleep(50 * time.Millisecond)
-		jstop := startNamedWorker(t, tr, "joiner")
+		jstop := startNamedWorker(t, tr, "worker-3")
 		t.Cleanup(jstop)
-		if err := ctlRetry(t, tr, "ctl", TJoin, encJSON(JoinNote{Addr: "joiner"}), 5*time.Second); err != nil {
+		if err := announceUntilJoined(tr, "ctl", "worker-3", joinedRun, 5*time.Second); err != nil {
 			churn <- fmt.Errorf("join: %w", err)
 			return
 		}
 		time.Sleep(100 * time.Millisecond)
+		// Worker 0 of the sorted membership: worker-0, a survivor.
 		churn <- ctlRetry(t, tr, "ctl", TDrain, encJSON(DrainNote{Worker: 0}), 5*time.Second)
 	}()
-	dist, err := co.Run(context.Background(), sc, flat)
+	dist, err := f.Run(context.Background(), &exec.Runner{Inputs: inputs, Faults: plan}, sc, flat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,16 +494,11 @@ func TestChurnSoak(t *testing.T) {
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
-				ServeWorker(victimCtx, tr, "victim", WorkerOptions{Logf: t.Logf}, func(string) { close(ready) })
+				ServeWorker(victimCtx, tr, "worker-2", WorkerOptions{Logf: t.Logf}, func(string) { close(ready) })
 			}()
 			<-ready
-			co := &Coordinator{
-				Transport: tr, Addrs: []string{addrs[0], addrs[1], "victim"}, Control: "ctl",
-				Runner:         &exec.Runner{Inputs: inputs, Faults: plan},
-				HeartbeatEvery: 50 * time.Millisecond,
-				PeerTimeout:    400 * time.Millisecond,
-				Logf:           t.Logf,
-			}
+			logf, joinedRun := joinWatch(t)
+			f := startCtlFleet(t, tr, append(addrs, "worker-2"), 400*time.Millisecond, 0, logf)
 			churn := make(chan error, 1)
 			jstops := make(chan func(), 1)
 			go func() {
@@ -486,11 +512,11 @@ func TestChurnSoak(t *testing.T) {
 				default:
 					killVictim()
 					time.Sleep(50 * time.Millisecond)
-					jstops <- startNamedWorker(t, tr, "joiner")
-					churn <- ctlRetry(t, tr, "ctl", TJoin, encJSON(JoinNote{Addr: "joiner"}), 5*time.Second)
+					jstops <- startNamedWorker(t, tr, "worker-3")
+					churn <- announceUntilJoined(tr, "ctl", "worker-3", joinedRun, 5*time.Second)
 				}
 			}()
-			dist, err := co.Run(context.Background(), sc, flat)
+			dist, err := f.Run(context.Background(), &exec.Runner{Inputs: inputs, Faults: plan}, sc, flat)
 			killVictim()
 			<-done
 			cerr := <-churn
@@ -517,19 +543,31 @@ func TestChurnSoak(t *testing.T) {
 	}
 }
 
-// TestCoordJoinWhileFinishing: a worker announcing itself while the
-// run is finishing must be rejected explicitly — never silently
-// admitted into the processor map with nothing left to start it with.
+// TestCoordJoinWhileFinishing: a worker offered to a run that is
+// finishing must be rejected explicitly — never silently admitted into
+// the processor map with nothing left to start it with — and a drain
+// of one of its workers refused, so the fleet keeps the member.
 func TestCoordJoinWhileFinishing(t *testing.T) {
-	w0, w1, errCh, resCh, tr := steerToFinishing(t)
-	got, msg := ctlRequest(t, tr, "ctl", TJoin, encJSON(JoinNote{Addr: "latecomer"}))
-	if got != TError || !strings.Contains(msg, "finishing") {
-		t.Fatalf("join while finishing: got %s %q, want an explicit finishing rejection", got, msg)
-	}
-	got, msg = ctlRequest(t, tr, "ctl", TDrain, encJSON(DrainNote{Worker: 0}))
+	run := steerToFinishing(t)
+	tr := run.f.Transport
+	got, msg := ctlRequest(t, tr, "ctl", TDrain, encJSON(DrainNote{Worker: 0}))
 	if got != TError || !strings.Contains(msg, "finishing") {
 		t.Fatalf("drain while finishing: got %s %q, want an explicit finishing rejection", got, msg)
 	}
+	// The fleet records an announced member whatever its runs decide.
+	if got, msg := ctlRequest(t, tr, "ctl", TJoin, encJSON(JoinNote{Addr: "latecomer"})); got != TWelcome {
+		t.Fatalf("announce: got %s %q, want the fleet's welcome", got, msg)
+	}
+	runs := run.f.runs()
+	if len(runs) != 1 {
+		t.Fatalf("%d runs in flight, want 1", len(runs))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := runs[0].submitJoin(ctx, "latecomer"); err == nil || !strings.Contains(err.Error(), "finishing") {
+		t.Fatalf("join offer while finishing: got %v, want an explicit finishing rejection", err)
+	}
+	w0, w1, errCh, resCh := run.w0, run.w1, run.errCh, run.resCh
 	empty, err := EncodeEnv(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -566,13 +604,7 @@ func TestDrainRejectsBelowMinimum(t *testing.T) {
 	tr := Inproc()
 	addrs, stop := startWorkers(t, tr, 2)
 	defer stop()
-	co := &Coordinator{
-		Transport: tr, Addrs: addrs, Control: "ctl", MinWorkers: 2,
-		Runner:         &exec.Runner{Inputs: inputs, Faults: plan},
-		HeartbeatEvery: 50 * time.Millisecond,
-		PeerTimeout:    60 * time.Second,
-		Logf:           t.Logf,
-	}
+	f := startCtlFleet(t, tr, addrs, 60*time.Second, 2, t.Logf)
 	checked := make(chan error, 1)
 	go func() {
 		time.Sleep(200 * time.Millisecond)
@@ -583,7 +615,7 @@ func TestDrainRejectsBelowMinimum(t *testing.T) {
 		}
 		checked <- nil
 	}()
-	if _, err := co.Run(context.Background(), sc, flat); err != nil {
+	if _, err := f.Run(context.Background(), &exec.Runner{Inputs: inputs, Faults: plan}, sc, flat); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-checked; err != nil {

@@ -13,12 +13,13 @@ import (
 	"repro/internal/sched"
 )
 
-// Fleet keeps a pool of worker daemons alive across many runs. A
-// coordinator run is a one-shot affair — it dials a fixed address
-// list, and connectAll is all-or-nothing — so a long-running service
-// needs a layer above it that remembers who is in the fleet, hears
-// workers announce themselves, drops members whose daemons have died,
-// and hands each run's coordinator an address list.
+// Fleet keeps a pool of worker daemons alive across many runs, and is
+// the one way to drive a distributed run: `banger serve`, `banger run
+// -dist` and the conformance engines all run through one. It remembers
+// who is in the pool, hears workers announce themselves, drops members
+// whose daemons have died, and places each run on a subset of them.
+// A `-dist` run is a fleet seeded with its address list, so its workers
+// are numbered in sorted address order, like Members.
 //
 // What runs share lives here too, so a repeat run pays for none of it:
 // the connection a finished run held to each member is parked and
@@ -28,36 +29,41 @@ import (
 //
 // Worker daemons host any number of runs concurrently (each keyed by
 // its run ID), so the fleet runs them concurrently too: every Run call
-// places its coordinator on the least-loaded member subset and starts
-// it immediately (how many may run at once is its caller's admission,
-// the serving layer's run slots). Placement is load-aware — the fleet
+// places its run on the least-loaded member subset and starts it
+// immediately (how many may run at once is its caller's admission, the
+// serving layer's run slots). Placement is load-aware — the fleet
 // tracks how many runs each worker currently hosts and picks the
 // members hosting fewest, so concurrent runs spread over the pool
 // instead of piling onto one daemon.
 //
-// Membership flows through the same TJoin/TDrain control protocol the
-// coordinator speaks: the fleet owns the control listener permanently
-// and forwards fleet changes to every run in flight. A join announce
-// records the member and is offered to each active coordinator (a run
-// with dead processors integrates the joiner at its next barrier; the
-// rest reject it as steady-state noise — announce loops re-offer every
-// cycle). A drain evacuates the worker from every run it hosts — one
-// checkpoint handover per hosted run — before the member is removed,
-// so `banger drain` still means "this process may exit losing
-// nothing", however many runs it was serving.
+// Membership flows through the TJoin/TDrain control protocol on the
+// fleet's control listener, the only one there is; the fleet forwards
+// each change to every run in flight. A join announce is accepted once
+// the member is recorded, and is then offered to each run (a run with
+// dead processors integrates the joiner at its next barrier; the rest
+// reject it as steady-state noise — announce loops re-offer every
+// cycle). A drain names a member by address, or by its index in
+// Members, and evacuates it from every run it hosts — one checkpoint
+// handover per hosted run — before the member is removed, so `banger
+// drain` still means "this process may exit losing nothing", however
+// many runs it was serving.
 type Fleet struct {
 	Transport Transport
 	// Control is the persistent control listen address (port 0 picks a
-	// free one; Addr reports the bound address).
+	// free one; Addr reports the bound address). Empty opens no
+	// listener: the fleet keeps its seed members and takes no joins or
+	// drains.
 	Control string
 	// Seed lists initial member addresses (may be empty: workers join
 	// by announcing).
 	Seed []string
-	// MinWorkers refuses drains that would leave fewer live members
-	// (0 = only forbid draining the last one).
+	// MinWorkers refuses drains that would leave fewer live members, in
+	// the fleet and in each run (0 = only forbid draining the last one).
 	MinWorkers int
 
-	// Per-run coordinator knobs, passed through to every run.
+	// HeartbeatEvery is every run's keepalive cadence (default 250ms);
+	// PeerTimeout the silence budget after which a run declares a
+	// worker dead (default 3s).
 	HeartbeatEvery time.Duration
 	PeerTimeout    time.Duration
 	// Mesh is ignored: the mesh is always on. The field goes with
@@ -67,9 +73,9 @@ type Fleet struct {
 
 	mu      sync.Mutex // guards members, load, active, lis, closed
 	members map[string]bool
-	load    map[string]int        // runs currently placed per member address
-	active  map[*Coordinator]bool // coordinators with a run in flight
-	idle    idleConns             // parked connections per member, each awaiting a Hello
+	load    map[string]int  // runs currently placed per member address
+	active  map[*coRun]bool // runs in flight
+	idle    idleConns       // parked connections per member, each awaiting a Hello
 	ships   shipments
 	lis     Listener
 	bound   string
@@ -77,42 +83,40 @@ type Fleet struct {
 	wg      sync.WaitGroup
 }
 
-// Start records the seed members and opens the control listener. The
-// fleet serves joins and drains until Close.
+// Start records the seed members and opens the control listener, if
+// the fleet has a Control address. The fleet serves joins and drains
+// until Close.
 func (f *Fleet) Start() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.Logf == nil {
 		f.Logf = func(string, ...any) {}
 	}
-	if f.members != nil {
-		return fmt.Errorf("wire: fleet already started")
+	switch {
+	case f.Transport == nil:
+		return errors.New("wire: fleet needs a transport")
+	case f.members != nil:
+		return errors.New("wire: fleet already started")
 	}
 	f.members = map[string]bool{}
 	for _, a := range f.Seed {
 		f.members[a] = true
 	}
 	f.load = map[string]int{}
-	f.active = map[*Coordinator]bool{}
+	f.active = map[*coRun]bool{}
 	if f.Control == "" {
-		return fmt.Errorf("wire: fleet needs a control listen address")
+		return nil
 	}
-	f.bound = f.Control
-	return f.listenLocked()
-}
-
-// listenLocked opens the control listener and spawns its accept loop.
-// Callers hold f.mu.
-func (f *Fleet) listenLocked() error {
-	lis, err := f.Transport.Listen(f.bound)
+	lis, err := f.Transport.Listen(f.Control)
 	if err != nil {
-		return fmt.Errorf("wire: fleet control listen %s: %w", f.bound, err)
+		return fmt.Errorf("wire: fleet control listen %s: %w", f.Control, err)
 	}
 	f.lis = lis
 	f.bound = lis.Addr() // resolve ":0" once
 	f.wg.Add(1)
 	go func() {
 		defer f.wg.Done()
+		f.Logf("fleet: control listening on %s", lis.Addr())
 		for {
 			c, err := lis.Accept()
 			if err != nil {
@@ -128,7 +132,7 @@ func (f *Fleet) listenLocked() error {
 	return nil
 }
 
-// Addr is the bound control address.
+// Addr is the bound control address, or "" without a listener.
 func (f *Fleet) Addr() string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -162,13 +166,13 @@ func (f *Fleet) ActiveRuns() int {
 	return len(f.active)
 }
 
-// coordinators snapshots the active run set.
-func (f *Fleet) coordinators() []*Coordinator {
+// runs snapshots the active run set.
+func (f *Fleet) runs() []*coRun {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]*Coordinator, 0, len(f.active))
-	for co := range f.active {
-		out = append(out, co)
+	out := make([]*coRun, 0, len(f.active))
+	for r := range f.active {
+		out = append(out, r)
 	}
 	return out
 }
@@ -198,24 +202,29 @@ func (f *Fleet) control(c Conn) {
 		// (no dead processors, a barrier already forming) — that is
 		// steady-state noise, and announce loops re-offer every cycle —
 		// but a run that lost a worker picks the joiner up here.
-		for _, co := range f.coordinators() {
+		for _, r := range f.runs() {
 			jctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			if err := co.SubmitJoin(jctx, join.Addr); err == nil {
+			if err := r.submitJoin(jctx, join.Addr); err == nil {
 				f.Logf("fleet: worker %s joined a run in flight", join.Addr)
 			}
 			cancel()
 		}
 	case drain != nil:
-		answerControl(c, f.drain(drain.Addr))
+		answerControl(c, f.drain(drain.Worker, drain.Addr))
 	}
 }
 
-// drain evacuates the member at addr from every run it hosts — each run
-// pauses, takes the checkpoint handover, replans onto its survivors and
-// says goodbye — and only then removes it from the pool.
-func (f *Fleet) drain(addr string) error {
+// drain evacuates a member — the one at addr, or else Members()[worker]
+// — from every run it hosts (each run pauses, takes the checkpoint
+// handover, replans onto its survivors and says goodbye), and only then
+// removes it from the pool.
+func (f *Fleet) drain(worker int, addr string) error {
 	if addr == "" {
-		return errors.New("fleet drain needs a worker address (-addr)")
+		members := f.Members()
+		if worker < 0 || worker >= len(members) {
+			return fmt.Errorf("no worker %d: the fleet has %d", worker, len(members))
+		}
+		addr = members[worker]
 	}
 	f.mu.Lock()
 	member, n := f.members[addr], len(f.members)
@@ -224,11 +233,11 @@ func (f *Fleet) drain(addr string) error {
 	case !member:
 		return fmt.Errorf("no member %s", addr)
 	case n <= floor:
-		return fmt.Errorf("drain would leave %d live workers (floor %d)", n-1, floor)
+		return fmt.Errorf("drain would leave %d workers; the minimum is %d", n-1, floor)
 	}
-	for _, co := range f.coordinators() {
+	for _, r := range f.runs() {
 		dctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-		err := co.SubmitDrain(dctx, -1, addr)
+		err := r.submitDrain(dctx, addr)
 		cancel()
 		if err != nil && !drainIrrelevant(err) {
 			return fmt.Errorf("drain deferred: %v; retry", err)
@@ -243,7 +252,7 @@ func (f *Fleet) drain(addr string) error {
 // run simply does not (or no longer) involves the worker — which is
 // fine — as opposed to a real obstacle worth surfacing.
 func drainIrrelevant(err error) bool {
-	for _, fine := range []error{exec.ErrNoSuchWorker, exec.ErrAlreadyDrained, exec.ErrAlreadyLost, errNoRun, errRunEnded} {
+	for _, fine := range []error{exec.ErrNoSuchWorker, exec.ErrAlreadyDrained, exec.ErrAlreadyLost, errRunEnded} {
 		if errors.Is(err, fine) {
 			return true
 		}
@@ -370,32 +379,37 @@ func (f *Fleet) place(live []string, numPE int) []string {
 	return placed
 }
 
-// Run executes one schedule on the fleet. Runs are concurrent: each
-// call places its coordinator on the least-loaded member subset and
-// starts it immediately. Worker daemons multiplex the runs placed on
-// them, keyed by run ID.
+// Run executes one schedule on the fleet and returns a result
+// equivalent to Runner.Run's. Runs are concurrent: each call places its
+// run on the least-loaded member subset and starts it immediately.
+// Worker daemons multiplex the runs placed on them, keyed by run ID.
 //
 // Nothing checks the members before the run connects to them: the
-// connect is the check, and a member that cannot be dialled is dropped
-// by it. That fails the attempt (connectAll is all-or-nothing), as does
-// a worker dying before the run is underway — the coordinator's own
-// crash recovery only covers deaths after that. Runs are pure
-// computations, so when an attempt fails AND it cost the fleet one of
-// the members it was placed on, the run is retried from scratch on the
-// survivors. Failures with a stable fleet (a broken design, an
-// unschedulable machine) surface immediately.
+// connect is the check, and a member that cannot be dialled within 2 s
+// is dropped by it. That fails the attempt (connectAll is
+// all-or-nothing), as does a worker dying before the run is underway —
+// the run's own crash recovery only covers deaths after that. Runs are
+// pure computations, so when an attempt fails AND it cost the fleet one
+// of the members it was placed on, the run is retried from scratch on
+// the survivors; when none survive, the attempt's error is returned.
+// Failures with a stable fleet (a broken design, an unschedulable
+// machine) surface immediately.
 func (f *Fleet) Run(ctx context.Context, runner *exec.Runner, sc *sched.Schedule, flat *graph.Flat) (*exec.Result, error) {
-	numPE := 0
-	if sc != nil && sc.Machine != nil {
-		numPE = sc.Machine.NumPE()
+	if runner == nil || sc == nil || sc.Machine == nil {
+		return nil, errors.New("wire: a fleet run needs a runner and a schedule")
 	}
+	var err error // the last attempt's: the cause when no member survives it
 	for attempt := 0; ; attempt++ {
 		members := f.Members()
 		if len(members) == 0 {
-			return nil, fmt.Errorf("wire: fleet has no live workers")
+			if err != nil {
+				return nil, fmt.Errorf("wire: fleet has no live workers left: %w", err)
+			}
+			return nil, errors.New("wire: fleet has no live workers")
 		}
-		placed := f.place(members, numPE)
-		res, err := f.runOnce(ctx, runner, sc, flat, placed)
+		placed := f.place(members, sc.Machine.NumPE())
+		var res *exec.Result
+		res, err = f.runOnce(ctx, runner, sc, flat, placed)
 		if err == nil || ctx.Err() != nil || attempt >= 2 {
 			return res, err
 		}
@@ -421,30 +435,26 @@ func (f *Fleet) Run(ctx context.Context, runner *exec.Runner, sc *sched.Schedule
 	}
 }
 
-// runOnce executes one coordinator run over the placed members,
-// registering it with the control plane (joins and drains forward to
-// it) and in the load accounting for the duration.
+// runOnce executes one run over the placed members, registering it
+// with the control plane (joins and drains forward to it) and in the
+// load accounting for the duration.
 func (f *Fleet) runOnce(ctx context.Context, runner *exec.Runner, sc *sched.Schedule, flat *graph.Flat, placed []string) (*exec.Result, error) {
+	r := f.newRun(runner, sc, flat, placed)
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
 		return nil, fmt.Errorf("wire: fleet is closed")
 	}
-	co := &Coordinator{
-		Transport: f.Transport, Addrs: placed, Runner: runner,
-		HeartbeatEvery: f.HeartbeatEvery, PeerTimeout: f.PeerTimeout,
-		MinWorkers: f.MinWorkers, Logf: f.Logf, fleet: f, ships: &f.ships,
-	}
-	f.active[co] = true
+	f.active[r] = true
 	for _, a := range placed {
 		f.load[a]++
 	}
 	f.mu.Unlock()
 
-	res, err := co.Run(ctx, sc, flat)
+	res, err := r.run(ctx)
 
 	f.mu.Lock()
-	delete(f.active, co)
+	delete(f.active, r)
 	for _, a := range placed {
 		// Entries live only while a run is placed there: members come
 		// and go (restarted daemons, fresh ports), the map must not grow.
@@ -457,8 +467,8 @@ func (f *Fleet) runOnce(ctx context.Context, runner *exec.Runner, sc *sched.Sche
 }
 
 // Close stops the control listener, closes the parked connections and
-// waits the accept machinery out. Any run in flight finishes on its own
-// coordinator.
+// waits the accept machinery out. Any run in flight finishes on its
+// own.
 func (f *Fleet) Close() {
 	f.mu.Lock()
 	f.closed = true

@@ -65,6 +65,33 @@ func TestFleetMembership(t *testing.T) {
 	}
 }
 
+// TestFleetDrainByIndex: a drain that names a worker by index, as
+// `banger drain -worker N` does, drains the fleet's N-th member in
+// sorted address order — the worker a -dist run numbers N. An index
+// past the members is refused and drains nothing.
+func TestFleetDrainByIndex(t *testing.T) {
+	tr := Inproc()
+	addrs, stop := startWorkers(t, tr, 3)
+	defer stop()
+	f := startFleet(t, tr, []string{addrs[2], addrs[0], addrs[1]})
+	ctx := context.Background()
+
+	for _, n := range []int{3, -1} {
+		if err := Drain(ctx, tr, f.Addr(), n, ""); err == nil || !strings.Contains(err.Error(), "no worker") {
+			t.Fatalf("drain of worker %d: got %v, want an out-of-range refusal", n, err)
+		}
+	}
+	if got := f.Size(); got != 3 {
+		t.Fatalf("a refused drain left %d members, want 3", got)
+	}
+	if err := Drain(ctx, tr, f.Addr(), 1, ""); err != nil {
+		t.Fatalf("drain of worker 1: %v", err)
+	}
+	if got := f.Members(); !reflect.DeepEqual(got, []string{"worker-0", "worker-2"}) {
+		t.Fatalf("members after draining worker 1 = %v, want worker-1 gone", got)
+	}
+}
+
 // TestFleetRunBackToBack is the reuse contract: many runs over one
 // fleet, every one byte-identical to the single-process runner, with
 // the control listener handed back and forth each time.

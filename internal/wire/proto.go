@@ -151,9 +151,9 @@ func scheduleDigest(bin []byte, in, out map[graph.NodeID][]string) string {
 
 // shipments memoizes the shipment of each schedule its owner runs: a
 // schedule is immutable once finalized, so it is encoded and digested
-// once however many runs ship it. A fleet owns one for all its runs; a
-// bare coordinator owns one for its own. It pins what it keys on, so it
-// stays small and is dropped wholesale at its cap.
+// once however many runs ship it. A fleet owns one for all its runs. It
+// pins what it keys on, so it stays small and is dropped wholesale at
+// its cap.
 type shipments struct {
 	mu sync.Mutex
 	m  map[*sched.Schedule]*shipment
@@ -204,20 +204,20 @@ type PauseNote struct {
 	Checkpoint bool `json:"checkpoint,omitempty"`
 }
 
-// JoinNote announces a worker on the coordinator's control listener:
-// Addr is the worker daemon's listen address, which the coordinator
-// dials back exactly like a configured worker. The control connection
-// is answered with Welcome once the worker is integrated into the run,
-// or Error when the run cannot take it (finishing, no free capacity,
-// another fleet change in flight).
+// JoinNote announces a worker on a fleet's control listener: Addr is
+// the worker daemon's listen address, which a run that takes the worker
+// in dials back exactly like a placed member. The control connection is
+// answered with Welcome once the fleet has recorded the member, or
+// Error when it cannot (a fleet shutting down).
 type JoinNote struct {
 	Addr string `json:"addr"`
 }
 
-// DrainNote asks the coordinator to gracefully evacuate a worker:
-// by index (Worker >= 0) or by listen address. The control connection
-// is answered with Welcome once the worker has departed with all its
-// state handed over, or Error when the drain is not possible.
+// DrainNote asks a fleet to gracefully evacuate a member: by listen
+// address, or when Addr is empty by its index in the fleet's sorted
+// members. The control connection is answered with Welcome once the
+// worker has left every run it served with all its state handed over,
+// or Error when the drain is not possible.
 type DrainNote struct {
 	Worker int    `json:"worker"`
 	Addr   string `json:"addr,omitempty"`
