@@ -75,6 +75,8 @@ vet:
 	! grep -rnE '(wire\.|&)Coordinator\{' --include='*.go' internal cmd | grep -v _test.go
 # One drain floor and one control plane: Coordinator declares no Control or MinWorkers field of its own.
 	! awk '/^type Coordinator struct/,/^}/' internal/wire/coord.go | grep -nE '^[[:space:]]*(Control|MinWorkers)[[:space:]]'
+# One retransmission rule: a dropped or corrupted copy is resent once, at the send; no ack loop, no backoff knobs, no second rule for the remote plane.
+	! grep -rnE 'RetryBase|RetryCap|retryBase|retryCap|ackMsg|sendReliable|retransmitRemote' --include='*.go' internal cmd
 # Every fuzz target under internal/ runs in fuzz-smoke.
 	! for f in $$(grep -rhoE '^func Fuzz[A-Za-z0-9_]+' --include='*_test.go' internal | cut -c6-); do sed -n '/^fuzz-smoke:/,/^$$/p' Makefile | grep -q -- "-fuzz $$f " || echo "$$f is not in fuzz-smoke"; done | grep .
 

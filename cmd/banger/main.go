@@ -453,7 +453,7 @@ func cmdRun(args []string) error {
 	chart := fs.Bool("chart", false, "draw the executed trace as a Gantt chart")
 	faults := fs.String("faults", "", `inject faults: "rand" or a spec like "crash:1@0,drop:a->b:u" (see banger help)`)
 	faultSeed := fs.Int64("fault-seed", 1, "seed for -faults rand")
-	retry := fs.Bool("retry", false, "acknowledged delivery with retransmission (absorbs drops/dups)")
+	retry := fs.Bool("retry", false, "resend each dropped or corrupted copy once (absorbs drops, dups and corruptions)")
 	dist := fs.String("dist", "", "distribute over running workers: comma-separated host:port list")
 	calibrate := fs.Bool("calibrate", false, "with -dist: measure wire latency and recalibrate the machine model before scheduling")
 	peerTimeout := fs.Duration("peer-timeout", 3*time.Second, "with -dist: silence budget before a worker is declared dead")

@@ -16,7 +16,10 @@
 //   - messages are conserved: sends equal receives exactly for
 //     crash-free runs (retransmission heals injected drops, duplicates
 //     and corruptions), and sends never undershoot receives after a
-//     crash (re-executed eras re-send).
+//     crash (re-executed eras re-send);
+//   - retransmissions follow the fault plan: the virtual-time runner
+//     resends exactly its dropped and corrupted copies, and the
+//     wall-clock engines at most those.
 //
 // When a case diverges, Shrink reduces it to a local minimum that
 // still shows the same divergence class, and WriteRepro emits a
@@ -82,8 +85,8 @@ func (c *Case) HasCrash() bool {
 
 // Divergence is one oracle violation. Oracle is a stable class name
 // ("outputs", "printed", "trace-vs-sim", "makespan", "causality",
-// "conservation", "validate", "error"); the minimizer considers two
-// reports equivalent when they share a class.
+// "conservation", "retries", "validate", "error"); the minimizer
+// considers two reports equivalent when they share a class.
 type Divergence struct {
 	Oracle string
 	Engine string
@@ -195,15 +198,12 @@ func (c *Case) prepare() (*graph.Flat, *sched.Schedule, error) {
 }
 
 // runner returns the single-process runner configured for the case.
-// Fault plans always run with acknowledged retransmission: drops,
-// duplicates and corruptions are only survivable with it on.
+// Fault plans always run with Retry on: drops and corruptions are only
+// survivable when the dropped or corrupted copy is resent.
 func (c *Case) runner(virtual bool) *exec.Runner {
 	r := &exec.Runner{Inputs: c.Inputs, VirtualTime: virtual}
 	if c.Faults != nil {
-		r.Faults = c.Faults
-		r.Retry = true
-		r.RetryBase = 2 * time.Millisecond
-		r.RetryCap = 20 * time.Millisecond
+		r.Faults, r.Retry = c.Faults, true
 	}
 	return r
 }

@@ -63,6 +63,39 @@ func check(rep *Report, flat *graph.Flat) {
 		checkCausality(rep, run.Trace)
 		checkConservation(rep, run.Trace)
 	}
+	for _, e := range rep.Engines {
+		if e.Err == nil && e.Name != "simulate" {
+			checkRetries(rep, e)
+		}
+	}
+}
+
+// checkRetries verifies the one retransmission rule: a copy is resent
+// once, at the send, exactly when the fault plan dropped or corrupted it.
+// In virtual time the runner's retries are therefore exactly its sends
+// that a fired drop or corrupt fault hit (a send two faults hit is
+// resent once; its fault events share the send's sequence number). On
+// the wall-clock engines they are at most that: a resend a delay fault
+// held back is skipped once its era's recovery barrier has formed.
+func checkRetries(rep *Report, e *EngineRun) {
+	type send struct {
+		at  machine.Time
+		seq uint64
+	}
+	retries, hit := 0, map[send]bool{}
+	for _, ev := range e.Trace.Events {
+		switch {
+		case ev.Kind == trace.MsgRetry:
+			retries++
+		case ev.Kind == trace.FaultInjected && (ev.Note == "drop" || ev.Note == "corrupt"):
+			hit[send{ev.At, ev.Seq}] = true
+		}
+	}
+	if retries > len(hit) || (e.Name == "runner" && retries != len(hit)) {
+		rep.Divergences = append(rep.Divergences, Divergence{
+			Oracle: "retries", Engine: e.Name,
+			Detail: fmt.Sprintf("%d msg-retry events for %d dropped or corrupted sends", retries, len(hit))})
+	}
 }
 
 // compareTraces diffs the simulated and executed traces. Sequence
@@ -178,8 +211,8 @@ func checkCausality(rep *Report, tr *trace.Trace) {
 
 // checkConservation verifies message conservation in the runner trace.
 // Crash-free, every logical delivery is sent exactly once and consumed
-// exactly once — acknowledged retransmission heals injected drops,
-// duplicates and corruptions without extra MsgSend/MsgRecv events, so
+// exactly once — resending a dropped or corrupted copy heals it, and
+// receivers absorb duplicates, without extra MsgSend/MsgRecv events, so
 // the counts match per (producer, consumer, variable) key even under
 // message faults. After a crash, re-executed eras re-send work whose
 // receipts the new epoch may discard, so sends may only exceed

@@ -189,28 +189,25 @@ func (c *controller) retire() {
 	}
 }
 
-// later runs f, which owes the session a delivery, in the background
-// after wall-clock delay d — or not at all if the run ends first. The
-// debt is in the busy count from before the sender moves on until f
-// returns, so a session waiting on it is never taken for starved.
+// later runs f, which owes the session a delivery a wall-clock delay
+// fault held back, in the background after d — or not at all if the run
+// ends first. The debt is in the busy count from before the sender moves
+// on until f returns, so a session waiting on it is never taken for
+// starved.
 func (c *controller) later(d time.Duration, f func()) {
 	c.bg.Add(1)
 	c.busy.Add(1)
 	go func() {
 		defer c.bg.Done()
 		defer c.retire()
-		if d > 0 {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			select {
-			case <-t.C:
-			case <-c.done:
-				return
-			case <-c.finish:
-				return
-			}
+		t := time.NewTimer(d)
+		defer t.Stop()
+		select {
+		case <-t.C:
+			f()
+		case <-c.done:
+		case <-c.finish:
 		}
-		f()
 	}()
 }
 
@@ -476,90 +473,10 @@ func (c *controller) resumeLocal(p *ResumePlan, ep *eraPlan) {
 	close(er.resume)
 }
 
-// sendRemote hands a cross-process delivery to the remote plane.
-// Injected duplicate/drop faults were applied by the caller (copies)
-// and delay faults became wallDelay. The exec-level ack/retry protocol
-// does not span processes — the transport delivers reliably and in
-// order on its own — so when the retry protocol is on, an injected
-// drop or corruption is healed here by emulating the one
-// retransmission the in-process ack loop would have sent: the receiver
-// discards the corrupt copy by checksum and absorbs duplicates by
-// sequence number. Without retry, the loss starves the receiver,
-// exactly as on the direct in-process path. handed reports whether the
-// plane now holds the message, which the sender's burst then owes a
-// flush; delayed and retried copies flush themselves (deliverLate).
-func (c *controller) sendRemote(m xmsg, k *msgKey, orig pits.Value, toPE, copies int, wallDelay time.Duration) (handed bool, err error) {
-	rm := RemoteMsg{From: k.from, To: k.to, Var: k.v,
-		FromPE: m.fromPE, ToPE: toPE, Seq: m.seq, Epoch: m.epoch,
-		At: m.at, Sum: m.sum, Val: m.val}
-	if c.retry && (copies == 0 || (m.sum != 0 && m.sum != checksum(m.val))) {
-		c.retransmitRemote(rm, orig, wallDelay)
-	}
-	if copies == 0 {
-		return false, nil
-	}
-	if wallDelay > 0 {
-		er := c.era.Load()
-		c.later(wallDelay, func() { c.deliverLate(er, rm, copies) })
-		return false, nil
-	}
-	for i := 0; i < copies; i++ {
-		c.stats.RemoteSends.Add(1)
-		if err := c.plane.DeliverRemote(rm); err != nil {
-			return true, fmt.Errorf("remote delivery to PE %d: %w", toPE, err)
-		}
-	}
-	return true, nil
-}
-
 // flushRemote ends a burst that handed the remote plane a message.
 func (c *controller) flushRemote() {
 	c.stats.RemoteFlushes.Add(1)
 	c.plane.FlushRemote()
-}
-
-// retransmitRemote re-ships the uncorrupted payload of a remote
-// message after one retry backoff, standing in for the in-process
-// ack/retransmit loop across a process boundary.
-func (c *controller) retransmitRemote(rm RemoteMsg, orig pits.Value, wallDelay time.Duration) {
-	rm.Val = orig
-	if rm.Sum != 0 {
-		rm.Sum = checksum(orig)
-	}
-	er := c.era.Load()
-	c.later(wallDelay+c.runner.retryBase(), func() {
-		if c.moot(er) {
-			return
-		}
-		c.addEvent(trace.Event{Kind: trace.MsgRetry, At: c.stamp(rm.At), Task: rm.From,
-			PE: rm.FromPE, Var: rm.Var, Peer: rm.ToPE, Seq: rm.Seq, Note: "attempt 1"})
-		c.stats.Retries.Add(1)
-		c.deliverLate(er, rm, 1)
-	})
-}
-
-// deliverLate makes, from the background, a remote delivery owed since
-// era er. Once er's recovery barrier has formed, or the run has
-// finished, the delivery is moot: receivers discard a replaced era's
-// messages, and the replan re-sends what the next era needs. So it is
-// skipped, and a failure it meets is not the run's — the peer may
-// rightly have dropped its link to a process whose processors the replan
-// gave up.
-func (c *controller) deliverLate(er *era, rm RemoteMsg, copies int) {
-	if c.moot(er) {
-		return
-	}
-	for i := 0; i < copies; i++ {
-		c.stats.RemoteSends.Add(1)
-		if err := c.plane.DeliverRemote(rm); err != nil {
-			if !c.moot(er) {
-				c.fail(fmt.Errorf("exec: remote delivery to PE %d: %w", rm.ToPE, err))
-			}
-			return
-		}
-	}
-	// The delivery is a burst of its own, outside any slot's sends.
-	c.flushRemote()
 }
 
 // moot reports whether a delivery owed since era er no longer matters:

@@ -103,19 +103,18 @@ func TestDuplicateDeliveryIsRefusedInEveryEra(t *testing.T) {
 	})
 }
 
-// TestUnreadDeliveryIsAcknowledgedAndDropped: a message of the current
-// era that no slot of its processor reads — the schedule lists it, or a
-// peer process names one the era does not list at all — is admitted (or
-// refused by name), acknowledged so its sender's retransmission loop
-// ends, and never read. It is nobody's received message: only what a
+// TestUnreadDeliveryIsDropped: a message of the current era that no
+// slot of its processor reads — the schedule lists it, or a peer process
+// names one the era does not list at all — is admitted (or refused by
+// name) and never read. It is nobody's received message: only what a
 // slot consumed is counted.
-func TestUnreadDeliveryIsAcknowledgedAndDropped(t *testing.T) {
+func TestUnreadDeliveryIsDropped(t *testing.T) {
 	s, flat := chainSchedule(t)
 	// a also "sends" u to e on PE 1, where e does not run and no arc
 	// a->e exists.
 	s.Msgs = append(s.Msgs, sched.Msg{Var: "u", From: "a", To: "e", FromPE: 0, ToPE: 1, Words: 1})
 	stats := &Stats{}
-	r := &Runner{Inputs: pits.Env{"x0": pits.Num(5)}, Retry: true, RetryBase: time.Millisecond, Stats: stats}
+	r := &Runner{Inputs: pits.Env{"x0": pits.Num(5)}, Retry: true, Stats: stats}
 	pl := newTestPlane()
 	ses, err := r.StartSession(s, flat, []bool{true, true}, pl)
 	if err != nil {
@@ -127,7 +126,7 @@ func TestUnreadDeliveryIsAcknowledgedAndDropped(t *testing.T) {
 	}
 	waitEvent(t, pl.idle, "the run to go idle")
 	ses.FinishRun()
-	p, err := ses.Wait() // joins the ack loops: they ended
+	p, err := ses.Wait()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/machine"
 	"repro/internal/pits"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -121,7 +122,7 @@ func TestFaultMatrix(t *testing.T) {
 					r := &Runner{
 						Inputs: wideInputs(),
 						Faults: &FaultPlan{Faults: []Fault{fault}},
-						Retry:  true, RetryBase: 2 * time.Millisecond, RetryCap: 20 * time.Millisecond,
+						Retry:  true,
 					}
 					got, err := r.Run(s, flat)
 					if err != nil {
@@ -221,7 +222,7 @@ func TestCrashAndDropRecoverExactOutputs(t *testing.T) {
 	}
 	r := &Runner{
 		Inputs: inputs, Faults: plan,
-		Retry: true, RetryBase: 2 * time.Millisecond, RetryCap: 10 * time.Millisecond,
+		Retry: true,
 	}
 	got, err := r.Run(s, flat)
 	if err != nil {
@@ -378,6 +379,110 @@ func TestHeldDeliveryIsNotDeadlock(t *testing.T) {
 			t.Errorf("retry=%v: outputs diverged:\n got %v\nwant %v", retry, got.Outputs, want.Outputs)
 		}
 	}
+}
+
+// busyConsumer schedules, on two processors, a task a on PE 0 that
+// sends four messages to b on PE 1, where z runs first and counts to n.
+func busyConsumer(t *testing.T, n int) (*sched.Schedule, *graph.Flat) {
+	t.Helper()
+	g := graph.New("busy-consumer")
+	g.MustAddStorage("X0", "x0")
+	a := g.MustAddTask("a", "a", 10)
+	z := g.MustAddTask("z", "z", 1000)
+	b := g.MustAddTask("b", "b", 10)
+	g.MustAddStorage("OUT", "out")
+	a.Routine = "u1 = x0 + 1\nu2 = x0 + 2\nu3 = x0 + 3\nu4 = x0 + 4"
+	z.Routine = fmt.Sprintf("s = x0\nrepeat %d do\n  s = s + 1\nend", n)
+	b.Routine = "out = u1 + u2 + u3 + u4 + s"
+	g.MustConnect("X0", "a", "x0", 1)
+	g.MustConnect("X0", "z", "x0", 1)
+	g.MustConnect("z", "b", "s", 1)
+	g.MustConnect("b", "OUT", "out", 1)
+	msgs := make([]sched.Msg, 4)
+	for i := range msgs {
+		v := fmt.Sprintf("u%d", i+1)
+		g.MustConnect("a", "b", v, 1)
+		msgs[i] = sched.Msg{Var: v, From: "a", To: "b", FromPE: 0, ToPE: 1, Words: 1, Send: 11, Recv: 17, Hops: 1}
+	}
+	flat, err := g.Flatten()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &sched.Schedule{
+		Graph: flat.Graph, Machine: testMachine(t, "full:2", params()), Algorithm: "hand",
+		Slots: []sched.Slot{
+			{Task: "a", PE: 0, Start: 0, Finish: 11},
+			{Task: "z", PE: 1, Start: 0, Finish: 1001},
+			{Task: "b", PE: 1, Start: 1001, Finish: 1012},
+		},
+		Msgs: msgs,
+	}
+	s.Finalize()
+	return s, flat
+}
+
+// TestRetriesFollowTheFaultPlan: how many retransmissions a run makes
+// is the fault plan's to say, not the wall clock's. PE 1 is busy in z
+// for at least 50ms of wall time while a's four messages wait in its
+// mailbox — far longer than any retransmission timer would wait for a
+// receipt — and an unfaulted run resends none of them. Then one message
+// is dropped, one corrupted, one duplicated and one delayed: exactly the
+// drop and the corruption are resent, once each. Every run, in virtual
+// time and on the wall clock, produces the fault-free outputs.
+func TestRetriesFollowTheFaultPlan(t *testing.T) {
+	inputs := pits.Env{"x0": pits.Num(5)}
+	plan, err := ParseFaults("drop:a->b:u1,corrupt:a->b:u2,dup:a->b:u3,delay:a->b:u4@2000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want pits.Env
+	run := func(s *sched.Schedule, flat *graph.Flat, virtual bool, faults *FaultPlan, retries int) *Result {
+		t.Helper()
+		stats := &Stats{}
+		r := &Runner{Inputs: inputs, VirtualTime: virtual, MaxSteps: 1 << 40, Faults: faults, Retry: true, Stats: stats}
+		res, err := r.Run(s, flat)
+		if err != nil {
+			t.Fatalf("virtual=%v, faults %v: %v", virtual, faults, err)
+		}
+		if want != nil && !reflect.DeepEqual(res.Outputs, want) {
+			t.Errorf("virtual=%v, faults %v: outputs diverged:\n got %v\nwant %v", virtual, faults, res.Outputs, want)
+		}
+		n := 0
+		for _, ev := range res.Trace.Events {
+			if ev.Kind == trace.MsgRetry {
+				n++
+			}
+		}
+		if n != retries || stats.Snapshot().Retries != int64(retries) {
+			t.Errorf("virtual=%v, faults %v: %d msg-retry events, Stats.Retries %d; want %d of each\n%s",
+				virtual, faults, n, stats.Snapshot().Retries, retries, res.Trace)
+		}
+		return res
+	}
+	// How long z takes depends on the host and on what else it runs, so
+	// z counts longer until an unfaulted wall-clock run shows the busy
+	// spell; the runs after it count as far.
+	var s *sched.Schedule
+	var flat *graph.Flat
+	for n := 1 << 15; want == nil; n *= 2 {
+		s, flat = busyConsumer(t, n)
+		res := run(s, flat, false, nil, 0)
+		var busy machine.Time
+		for _, ev := range res.Trace.Events {
+			switch {
+			case ev.Task == "z" && ev.Kind == trace.TaskStart:
+				busy -= ev.At
+			case ev.Task == "z" && ev.Kind == trace.TaskEnd:
+				busy += ev.At
+			}
+		}
+		if busy >= 50_000 {
+			want = res.Outputs
+		}
+	}
+	run(s, flat, false, plan, 2)
+	run(s, flat, true, nil, 0)
+	run(s, flat, true, plan, 2)
 }
 
 // TestStallDetectorBacksUpAPartialSession: a session hosting a share of
@@ -560,7 +665,7 @@ func TestRandomFaultsSurvived(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		r := &Runner{
 			Inputs: wideInputs(), Faults: RandomFaults(seed, s),
-			Retry: true, RetryBase: 2 * time.Millisecond, RetryCap: 20 * time.Millisecond,
+			Retry: true,
 		}
 		got, err := r.Run(s, flat)
 		if err != nil {

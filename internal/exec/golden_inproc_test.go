@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/pits"
@@ -140,7 +139,7 @@ func TestRunnerInprocGolden(t *testing.T) {
 // was its own array, copied into the partial.
 func TestFaultedRunTracesArePinned(t *testing.T) {
 	retrying := func(r *Runner) *Runner {
-		r.VirtualTime, r.Retry, r.RetryBase, r.RetryCap = true, true, 2*time.Millisecond, 10*time.Millisecond
+		r.VirtualTime, r.Retry = true, true
 		return r
 	}
 	t.Run("chain-drop-crash", func(t *testing.T) {

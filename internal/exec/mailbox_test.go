@@ -86,7 +86,7 @@ func TestMailboxFIFOPerProducer(t *testing.T) {
 func TestMailboxTakeReleasesPayload(t *testing.T) {
 	b := newMailbox(new(atomic.Int64))
 	for i := 0; i < 3; i++ {
-		b.put(xmsg{name: &msgKey{"a", "b", "v"}, val: pits.Num(i), seq: uint64(i + 1), ack: make(chan struct{}, 1)})
+		b.put(xmsg{name: &msgKey{"a", "b", "v"}, val: pits.Num(i), seq: uint64(i + 1)})
 	}
 	if _, ok, _ := b.take(); !ok {
 		t.Fatal("take failed")
@@ -215,10 +215,11 @@ func TestDeliverAfterRunEnds(t *testing.T) {
 }
 
 // TestDeadMailboxAbsorbsRetransmissions: PE 1 crashes before reading
-// anything, so a->b:u and its retransmissions pile up in a mailbox
-// nobody will ever drain. The sender must not block on it, the backlog
-// must end with the era, and recovery must still produce the fault-free
-// outputs.
+// anything, so a->b:u lands in a mailbox nobody will ever drain. The
+// copy was not faulted, so Retry resends nothing: exactly one copy
+// reaches the dead mailbox, it belongs to the era the recovery replaces
+// (so it is dropped with that era, never read), the sender does not
+// block on it, and recovery still produces the fault-free outputs.
 func TestDeadMailboxAbsorbsRetransmissions(t *testing.T) {
 	s, flat := chainSchedule(t)
 	inputs := pits.Env{"x0": pits.Num(5)}
@@ -230,10 +231,8 @@ func TestDeadMailboxAbsorbsRetransmissions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &Runner{
-		Inputs: inputs, Faults: plan,
-		Retry: true, RetryBase: time.Millisecond, RetryCap: 4 * time.Millisecond,
-	}
+	stats := &Stats{}
+	r := &Runner{Inputs: inputs, Faults: plan, Retry: true, Stats: stats}
 	pl := newTestPlane()
 	ses, err := r.StartSession(s, flat, []bool{true, true}, pl)
 	if err != nil {
@@ -243,11 +242,9 @@ func TestDeadMailboxAbsorbsRetransmissions(t *testing.T) {
 		t.Fatalf("PE %d crashed, want PE 1", pe)
 	}
 	// The crashed worker's goroutine is gone, so this test is the only
-	// reader of its wake-up token: two tokens are at least two copies,
-	// the original and a retransmission.
+	// reader of its wake-up token.
 	dead := ses.workers[1].inbox
 	waitEvent(t, dead.ready, "a->b:u in the dead PE's mailbox")
-	waitEvent(t, dead.ready, "a retransmission of a->b:u")
 
 	st, err := ses.Pause(false)
 	if err != nil {
@@ -274,16 +271,20 @@ func TestDeadMailboxAbsorbsRetransmissions(t *testing.T) {
 	if !reflect.DeepEqual(outputs, want.Outputs) {
 		t.Errorf("outputs diverged:\n got %v\nwant %v", outputs, want.Outputs)
 	}
-	retries := 0
 	for _, ev := range p.Events {
 		if ev.Kind == trace.MsgRetry {
-			retries++
+			t.Errorf("an unfaulted copy was resent: %+v", ev)
 		}
 	}
-	// Wait has joined the retry goroutines, so the backlog is final:
-	// the original and every recorded retransmission, none consumed.
-	if got := len(dead.q) - dead.head; got < 2 || got > retries+1 {
-		t.Errorf("dead mailbox holds %d copies after %d recorded retries, want 2..retries+1", got, retries)
+	if n := stats.Snapshot().Retries; n != 0 {
+		t.Errorf("Stats.Retries = %d, want 0", n)
+	}
+	// Wait has joined every background delivery, so the mailbox is final.
+	if got := len(dead.q) - dead.head; got != 1 {
+		t.Fatalf("dead mailbox holds %d copies, want exactly 1", got)
+	}
+	if m := dead.q[dead.head]; m.epoch != 0 || m.val != pits.Num(10) {
+		t.Errorf("dead mailbox holds %+v, want era 0's a->b:u = 10", m)
 	}
 }
 

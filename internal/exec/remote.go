@@ -20,8 +20,9 @@ import (
 // idle notification and crash report to internal/wire.
 
 // RemoteMsg is one scheduled delivery crossing a process boundary: the
-// wire-facing form of the runner's internal message, minus the ack
-// channel (process-boundary reliability belongs to the transport).
+// wire-facing form of the runner's internal message. Process-boundary
+// reliability belongs to the transport; injected faults were applied,
+// and resent, by the sender (see transmit).
 type RemoteMsg struct {
 	From, To graph.NodeID
 	Var      string
@@ -53,7 +54,7 @@ type RemotePlane interface {
 	// FlushRemote puts every message DeliverRemote holds on its way.
 	// The session calls it at the end of each burst that handed the
 	// plane at least one message: a slot's sends, an era's re-sends, a
-	// delayed or retried delivery. Nothing else decides when a held
+	// delivery a delay fault held back. Nothing else decides when a held
 	// message leaves.
 	FlushRemote()
 	// LocalIdle reports that every live locally-hosted processor

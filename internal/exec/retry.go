@@ -13,9 +13,9 @@ import (
 )
 
 // This file is the message transport: sequence-numbered, checksummed
-// deliveries with optional acknowledge-and-retransmit reliability
-// (capped exponential backoff), so dropped and duplicated messages are
-// absorbed instead of wedging the run.
+// deliveries, and the one retransmission rule — a copy the fault plan
+// dropped or corrupted is resent once, at the send — so injected drops,
+// duplicates and corruptions are absorbed instead of wedging the run.
 
 // xmsg carries one arc's data between processor goroutines. ord is the
 // message's ordinal on the receiving processor in its era's plan; a
@@ -26,11 +26,10 @@ type xmsg struct {
 	name   *msgKey
 	val    pits.Value
 	fromPE int
-	at     machine.Time  // virtual arrival (VirtualTime mode)
-	seq    uint64        // unique per logical transmission; duplicates share it
-	epoch  int64         // era the message belongs to; stale eras are discarded
-	sum    uint64        // payload checksum (0 = unchecked)
-	ack    chan struct{} // receiver acknowledges here (reliable mode only)
+	at     machine.Time // virtual arrival (VirtualTime mode)
+	seq    uint64       // unique per logical transmission; duplicates share it
+	epoch  int64        // era the message belongs to; stale eras are discarded
+	sum    uint64       // payload checksum (0 = unchecked)
 }
 
 // checksum fingerprints a payload so in-transit corruption is
@@ -45,18 +44,6 @@ func checksum(v pits.Value) uint64 {
 		return 1 // 0 means "unchecked"
 	}
 	return s
-}
-
-// ackMsg acknowledges receipt; retransmission stops. Safe on messages
-// without an ack channel and on repeated calls.
-func ackMsg(m xmsg) {
-	if m.ack == nil {
-		return
-	}
-	select {
-	case m.ack <- struct{}{}:
-	default:
-	}
 }
 
 // mailbox is one hosted processor's inbox: an unbounded FIFO, so a put
@@ -142,54 +129,77 @@ func (c *controller) deliver(m xmsg, toPE int) bool {
 	return true
 }
 
-// sendReliable ships m to toPE with retransmission: deliver copies
-// (possibly 0 — an injected drop), wait for the ack with exponential
-// backoff, and retransmit the original payload until acknowledged or
-// the run ends. orig is the uncorrupted payload; retransmissions use it
-// so a corrupted or dropped first copy heals. Runs in a background
-// goroutine so the sending worker never blocks on a slow consumer.
-func (c *controller) sendReliable(m xmsg, k *msgKey, orig pits.Value, toPE, copies int, wallDelay time.Duration) {
+// transmit hands one send's copies to toPE's plane — its mailbox when
+// this session hosts it, the remote plane otherwise: the copies the
+// fault plan left (none for a drop, two for a duplicate) and then, when
+// resend is set, the uncorrupted original once more, logged as the
+// send's one MsgRetry. That is the runtime's one retransmission rule:
+// decided at the send from the fault plan and never timed, so how many
+// retries a trace holds depends on the plan alone. A wall-clock delay
+// fault holds the copies back by wallDelay without blocking the sender.
+// Held copies bound for another process flush themselves, and are
+// skipped once their era's barrier has formed or the run has finished:
+// the receiver would discard a replaced era's copy, and the replan
+// re-sends what the next era needs. handed reports whether the remote
+// plane now holds a copy that the sender's burst owes a flush.
+func (c *controller) transmit(m xmsg, k *msgKey, orig pits.Value, toPE, copies int, resend bool, wallDelay time.Duration) (handed bool, err error) {
+	if copies == 0 && !resend {
+		// Dropped for good: the receiver starves, and the session
+		// reports who waits for what.
+		return false, nil
+	}
+	local := c.isLocal(toPE)
+	if wallDelay == 0 {
+		return c.put(m, k, orig, toPE, copies, resend, local)
+	}
+	er := c.era.Load()
 	c.later(wallDelay, func() {
-		wait := c.runner.retryBase()
-		cap := c.runner.retryCap()
-		attempt := 0
-		for {
-			for i := 0; i < copies; i++ {
-				if !c.deliver(m, toPE) {
-					return
-				}
-			}
-			t := time.NewTimer(wait)
-			select {
-			case <-m.ack:
-				t.Stop()
-				return
-			case <-c.done:
-				t.Stop()
-				return
-			case <-c.finish:
-				t.Stop()
-				return
-			case <-t.C:
-			}
-			if c.era.Load().epoch != m.epoch {
-				// The world changed under this message: recovery
-				// replanned the run and the receiver would discard it.
-				return
-			}
-			attempt++
-			copies = 1
-			m.val = orig
-			if m.sum != 0 {
-				m.sum = checksum(orig)
-			}
-			c.addEvent(trace.Event{Kind: trace.MsgRetry, At: c.stamp(m.at), Task: k.from,
-				PE: m.fromPE, Var: k.v, Peer: toPE, Seq: m.seq, Note: fmt.Sprintf("attempt %d", attempt)})
-			c.stats.Retries.Add(1)
-			wait *= 2
-			if wait > cap {
-				wait = cap
-			}
+		if local {
+			// A receiver here discards a replaced era's copy itself, and
+			// only an abort, which takes every copy with it, fails a put.
+			_, _ = c.put(m, k, orig, toPE, copies, resend, true)
+			return
+		}
+		if c.moot(er) {
+			return
+		}
+		if _, err := c.put(m, k, orig, toPE, copies, resend, false); err == nil {
+			c.flushRemote() // a burst of its own, outside any slot's sends
+		} else if !c.moot(er) {
+			// Once moot, the failure is not the run's: the peer may
+			// rightly have dropped its link to a process whose
+			// processors the replan gave up.
+			c.fail(fmt.Errorf("exec: %w", err))
 		}
 	})
+	return false, nil
+}
+
+// put makes now the copies transmit decided on.
+func (c *controller) put(m xmsg, k *msgKey, orig pits.Value, toPE, copies int, resend, local bool) (handed bool, err error) {
+	n := copies
+	if resend {
+		n++
+	}
+	for i := 0; i < n; i++ {
+		if i == copies {
+			m.val = orig
+			c.addEvent(trace.Event{Kind: trace.MsgRetry, At: c.stamp(m.at), Task: k.from,
+				PE: m.fromPE, Var: k.v, Peer: toPE, Seq: m.seq, Note: "attempt 1"})
+			c.stats.Retries.Add(1)
+		}
+		if local {
+			if !c.deliver(m, toPE) {
+				return false, fmt.Errorf("%w while sending to PE %d", errAborted, toPE)
+			}
+			continue
+		}
+		c.stats.RemoteSends.Add(1)
+		handed = true
+		if err := c.plane.DeliverRemote(RemoteMsg{From: k.from, To: k.to, Var: k.v, FromPE: m.fromPE, ToPE: toPE,
+			Seq: m.seq, Epoch: m.epoch, At: m.at, Sum: m.sum, Val: m.val}); err != nil {
+			return true, fmt.Errorf("remote delivery to PE %d: %w", toPE, err)
+		}
+	}
+	return handed, nil
 }

@@ -26,11 +26,11 @@ import (
 // The runner is fault-tolerant: an optional FaultPlan injects crashes
 // and message faults at reproducible points, a lost message is reported
 // as a deadlock naming the edge and both processors the moment nothing
-// can move any more, Retry enables acknowledged delivery with
-// retransmission, and a crashed processor triggers
-// recovery — surviving workers pause at a barrier while sched.Replan
-// replans the lost work onto live processors, then the run resumes and
-// produces the same outputs a fault-free run would.
+// can move any more, Retry resends each dropped or corrupted copy
+// once, and a crashed processor triggers recovery — surviving workers
+// pause at a barrier while sched.Replan replans the lost work onto live
+// processors, then the run resumes and produces the same outputs a
+// fault-free run would.
 type Runner struct {
 	// Inputs provides the design's external data: values for every
 	// variable that flows from writer-less storage cells
@@ -51,14 +51,12 @@ type Runner struct {
 
 	// Faults optionally injects deterministic faults (see FaultPlan).
 	Faults *FaultPlan
-	// Retry enables sequence-numbered delivery with acknowledgements
-	// and capped exponential backoff, absorbing dropped and duplicated
-	// messages transparently.
+	// Retry masks injected message faults: a copy the fault plan dropped
+	// or corrupted is resent once, uncorrupted, straight behind it, and
+	// logged as one MsgRetry; receivers absorb duplicates by sequence
+	// number. Nothing is timed, so a virtual-time trace's retries
+	// depend on the fault plan alone.
 	Retry bool
-	// RetryBase is the first retransmission backoff (0 = 15ms).
-	RetryBase time.Duration
-	// RetryCap bounds the exponential backoff (0 = 120ms).
-	RetryCap time.Duration
 	// WatchdogMin is ignored; it goes with ROADMAP 3(d), once
 	// bench/layers.go:356,492,555 stop setting it.
 	WatchdogMin time.Duration
@@ -75,20 +73,6 @@ type Runner struct {
 	// and exposes the running totals. Nil keeps the default of a
 	// private counter set per session.
 	Stats *Stats
-}
-
-func (r *Runner) retryBase() time.Duration {
-	if r.RetryBase > 0 {
-		return r.RetryBase
-	}
-	return 15 * time.Millisecond
-}
-
-func (r *Runner) retryCap() time.Duration {
-	if r.RetryCap > 0 {
-		return r.RetryCap
-	}
-	return 120 * time.Millisecond
 }
 
 func (r *Runner) stallTimeout() time.Duration {

@@ -3,7 +3,7 @@ package exec
 import "sync/atomic"
 
 // Stats counts runtime events of one execution session. Every counter
-// is an atomic: worker goroutines, the retry goroutines and the
+// is an atomic: worker goroutines, the delay goroutines and the
 // recovery coordinator all increment concurrently, so plain int64
 // fields would be a data race (the regression test in stats_test.go
 // pins this under the race detector).
@@ -17,7 +17,8 @@ type Stats struct {
 	// MsgsRecv counts messages consumed by a task (duplicate and
 	// stale-era copies are absorbed without counting).
 	MsgsRecv atomic.Int64
-	// Retries counts retransmissions by the reliable transport.
+	// Retries counts resent copies: with Retry on, one per copy the
+	// fault plan dropped or corrupted.
 	Retries atomic.Int64
 	// FaultsInjected counts faults the chaos harness applied.
 	FaultsInjected atomic.Int64

@@ -286,8 +286,10 @@ func (w *worker) runSlot(sl *slotProg) error {
 }
 
 // send transports one scheduled delivery, applying any injected faults
-// and choosing the reliable or direct path. In virtual time the message
-// leaves at the given model time and arrives CommTime later.
+// and deciding once, from them, which copies go out (see transmit). In
+// virtual time the message leaves at the given model time and arrives
+// CommTime later; a delay fault moves only that stamp, and holds the
+// copies back on the wall clock only in a wall-clock run.
 func (w *worker) send(sp sendPlan, val pits.Value, at machine.Time) error {
 	// Sequence numbers are per-sender (PE in the high bits) so that
 	// assignment does not depend on cross-goroutine interleaving:
@@ -306,53 +308,32 @@ func (w *worker) send(sp sendPlan, val pits.Value, at machine.Time) error {
 	w.events = append(w.events, trace.Event{Kind: trace.MsgSend, At: sendAt,
 		Task: k.from, PE: w.pe, Var: k.v, Peer: sp.toPE, Seq: m.seq})
 	w.ctrl.stats.MsgsSent.Add(1)
-	copies := 1
+	copies, corrupted := 1, false
 	var wallDelay time.Duration
 	for _, kind := range w.ctrl.faults.onSend(k) {
 		w.events = append(w.events, trace.Event{Kind: trace.FaultInjected, At: sendAt,
-			Task: k.from, PE: w.pe, Var: k.v, Peer: sp.toPE, Note: kind.String()})
+			Task: k.from, PE: w.pe, Var: k.v, Peer: sp.toPE, Seq: m.seq, Note: kind.String()})
 		w.ctrl.stats.FaultsInjected.Add(1)
 		switch kind {
 		case FaultDrop:
 			copies = 0
 		case FaultDup:
-			copies = 2
+			copies *= 2 // a dropped copy leaves none to duplicate
 		case FaultDelay:
 			d := w.ctrl.faults.delayOf(k)
 			m.at += d
-			wallDelay = time.Duration(d) * time.Microsecond
+			if !w.runner.VirtualTime {
+				wallDelay = time.Duration(d) * time.Microsecond
+			}
 		case FaultCorrupt:
-			m.val = corruptValue(val)
+			m.val, corrupted = corruptValue(val), true
 		}
 	}
-	if !w.ctrl.isLocal(sp.toPE) {
-		// The consumer lives in another process: hand the message to
-		// the remote plane, which owns process-boundary reliability.
-		handed, err := w.ctrl.sendRemote(m, k, val, sp.toPE, copies, wallDelay)
-		w.flushOwed = w.flushOwed || handed
-		return err
-	}
-	if w.ctrl.retry {
-		m.ack = make(chan struct{}, 4)
-		w.ctrl.sendReliable(m, k, val, sp.toPE, copies, wallDelay)
-		return nil
-	}
-	if copies == 0 {
-		// Dropped with no retransmission to resurrect it: the receiver
-		// starves, and the session reports who waits for what.
-		return nil
-	}
-	for i := 0; i < copies; i++ {
-		if wallDelay > 0 {
-			// Held back without blocking this worker (and by a copy: a
-			// captured m would put every send's message on the heap).
-			held := m
-			w.ctrl.later(wallDelay, func() { w.ctrl.deliver(held, sp.toPE) })
-		} else if !w.ctrl.deliver(m, sp.toPE) {
-			return fmt.Errorf("%w while sending to PE %d", errAborted, sp.toPE)
-		}
-	}
-	return nil
+	// Without Retry a corrupted copy fails the run at its receiver.
+	resend := w.ctrl.retry && (copies == 0 || corrupted)
+	handed, err := w.ctrl.transmit(m, k, val, sp.toPE, copies, resend, wallDelay)
+	w.flushOwed = w.flushOwed || handed
+	return err
 }
 
 // endBurst ends a burst of sends: if any of them handed the remote
@@ -365,45 +346,41 @@ func (w *worker) endBurst() {
 }
 
 // admit vets one delivery: stale-era and benign duplicate copies are
-// acknowledged and discarded, corrupted payloads are dropped so the
-// sender retransmits (an error without retry), and a second delivery of
-// an admitted message with a different sequence number is rejected as a
-// schedule bug. A fresh copy is stashed under its ordinal. The era
+// discarded, a corrupted payload is dropped (the run's error without
+// retry; with it, the resent original follows it), and a second delivery
+// of an admitted message with a different sequence number is rejected as
+// a schedule bug. A fresh copy is stashed under its ordinal. The era
 // check comes first: the ordinal of a stale copy, and the name of one
 // from another process, mean nothing in this era's plan.
 func (w *worker) admit(m xmsg) error {
 	if m.epoch != w.epoch {
-		ackMsg(m)
 		return nil
 	}
 	if m.name != nil {
 		ord, scheduled := w.prog.ords[*m.name]
 		if !scheduled {
 			// This era schedules no such message for this processor; only
-			// a peer process can send one. Acknowledged, so nobody
-			// retransmits it, then dropped: nothing would ever read it.
-			ackMsg(m)
+			// a peer process can send one. Dropped: nothing would ever
+			// read it.
 			return nil
 		}
 		m.ord, m.name = ord, nil
 	}
 	if w.ctrl.checksums && m.sum != 0 && m.sum != checksum(m.val) {
 		if w.ctrl.retry {
-			return nil // no ack: the sender retransmits the original
+			return nil
 		}
 		return fmt.Errorf("message %s from PE %d corrupted in transit", w.prog.in[m.ord].key, m.fromPE)
 	}
 	a := &w.arrived[m.ord]
 	if a.state != 0 {
 		if a.seq == m.seq {
-			ackMsg(m) // retransmission or injected duplicate of the same send
-			return nil
+			return nil // the resent original or an injected duplicate of the same send
 		}
 		return fmt.Errorf("duplicate delivery of %s (sequence %d after %d): schedule sends it twice",
 			w.prog.in[m.ord].key, m.seq, a.seq)
 	}
 	a.xmsg, a.state = m, stashed
-	ackMsg(m)
 	w.ctrl.progress.Add(1)
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -176,6 +177,74 @@ func TestGoldenMHContention(t *testing.T) {
 		}
 	}
 	checkGolden(t, goldenMHPath, entries)
+}
+
+// TestMHRecordReplaysThroughCommitDeliver pins that an MH schedule's
+// message list is recorded in MH's booking order: replaying its Msgs, in
+// that order, through a fresh contention state's commitDeliver books the
+// links exactly as MH did (a co-located delivery books nothing, and MH
+// records none), so it reproduces every Msg.Recv. Each slot then starts
+// where MH started it: when its processor came free, or when its last
+// input arrived, whichever is later.
+func TestMHRecordReplaysThroughCommitDeliver(t *testing.T) {
+	type msgKey struct {
+		from, to graph.NodeID
+		v        string
+	}
+	for _, g := range append(goldenGraphs(t), layeredDesign(t, 20, 25)) {
+		for _, spec := range []string{"ring:16", "ring:64", "ring:128", "chain:32", "torus:4x8"} {
+			m := mk(t, spec, machine.DefaultParams())
+			sc, err := MH{}.Schedule(g, m)
+			if err != nil {
+				t.Fatalf("mh on %s/%s: %v", g.Name, spec, err)
+			}
+			ar := getArena()
+			net, err := newMHNet(m, ar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recv := make(map[msgKey]machine.Time, len(sc.Msgs))
+			for i, msg := range sc.Msgs {
+				at := net.commitDeliver(msg.Words, msg.Send, msg.FromPE, msg.ToPE)
+				if at != msg.Recv {
+					t.Fatalf("mh on %s/%s: message %d (%s->%s:%s) replays to arrive at %v, recorded %v",
+						g.Name, spec, i, msg.From, msg.To, msg.Var, at, msg.Recv)
+				}
+				recv[msgKey{msg.From, msg.To, msg.Var}] = at
+			}
+			ar.release()
+
+			slotOf := make(map[graph.NodeID]Slot, len(sc.Slots))
+			byPE := make([][]Slot, m.NumPE())
+			for _, sl := range sc.Slots {
+				slotOf[sl.Task] = sl
+				byPE[sl.PE] = append(byPE[sl.PE], sl)
+			}
+			for _, slots := range byPE {
+				sort.Slice(slots, func(i, j int) bool { return slots[i].Start < slots[j].Start })
+				var free machine.Time
+				for _, sl := range slots {
+					start := free
+					for _, a := range g.PredArcs(sl.Task) {
+						src, ok := slotOf[a.From]
+						if !ok {
+							continue
+						}
+						at := src.Finish
+						if src.PE != sl.PE {
+							at = recv[msgKey{a.From, sl.Task, a.Var}]
+						}
+						start = max(start, at)
+					}
+					if start != sl.Start {
+						t.Fatalf("mh on %s/%s: %s replays to start at %v on PE %d, scheduled %v",
+							g.Name, spec, sl.Task, start, sl.PE, sl.Start)
+					}
+					free = sl.Finish
+				}
+			}
+		}
+	}
 }
 
 // TestGoldenHetero pins every scheduler on two heterogeneous-speed

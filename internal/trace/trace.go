@@ -28,8 +28,8 @@ const (
 	// fault: a message dropped/duplicated/delayed/corrupted at the
 	// sender, or a processor crash. Note carries the fault kind.
 	FaultInjected
-	// MsgRetry records a retransmission of an unacknowledged message
-	// by the reliable transport.
+	// MsgRetry records the resend of a message copy the fault plan
+	// dropped or corrupted (the sender's Retry rule).
 	MsgRetry
 	// TaskRescheduled records the recovery planner moving a task to a
 	// live processor after a crash; Peer is the processor the task was

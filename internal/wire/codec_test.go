@@ -310,14 +310,13 @@ func TestRunOptsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &exec.Runner{VirtualTime: true, Retry: true, RetryBase: 1000, RetryCap: 8000,
+	r := &exec.Runner{VirtualTime: true, Retry: true,
 		StallTimeout: 90000, MaxSteps: 1 << 20, Faults: plan}
 	got, err := OptsFor(r).Runner()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.VirtualTime != r.VirtualTime || got.Retry != r.Retry ||
-		got.RetryBase != r.RetryBase || got.RetryCap != r.RetryCap ||
 		got.StallTimeout != r.StallTimeout || got.MaxSteps != r.MaxSteps {
 		t.Errorf("runner knobs did not survive the wire:\n got %+v\nwant %+v", got, r)
 	}

@@ -201,7 +201,7 @@ func TestDistCrashRecovery(t *testing.T) {
 	co := &Coordinator{
 		Transport: tr, Addrs: addrs,
 		Runner: &exec.Runner{Inputs: inputs, Faults: plan, Stats: &exec.Stats{},
-			Retry: true, RetryBase: 2 * time.Millisecond, RetryCap: 20 * time.Millisecond},
+			Retry: true},
 		HeartbeatEvery: 50 * time.Millisecond,
 		PeerTimeout:    2 * time.Second,
 	}

@@ -50,8 +50,6 @@ type RunOpts struct {
 	VirtualTime  bool   `json:"virtual,omitempty"`
 	FaultSpec    string `json:"faults,omitempty"` // exec.FaultPlan.String() / ParseFaults grammar
 	Retry        bool   `json:"retry,omitempty"`
-	RetryBase    int64  `json:"retryBase,omitempty"`
-	RetryCap     int64  `json:"retryCap,omitempty"`
 	StallTimeout int64  `json:"stallTimeout,omitempty"`
 	MaxSteps     int64  `json:"maxSteps,omitempty"`
 }
@@ -60,7 +58,6 @@ type RunOpts struct {
 func (o RunOpts) Runner() (*exec.Runner, error) {
 	r := &exec.Runner{
 		VirtualTime: o.VirtualTime, Retry: o.Retry,
-		RetryBase: time.Duration(o.RetryBase), RetryCap: time.Duration(o.RetryCap),
 		StallTimeout: time.Duration(o.StallTimeout), MaxSteps: o.MaxSteps,
 	}
 	if o.FaultSpec != "" {
@@ -78,7 +75,6 @@ func (o RunOpts) Runner() (*exec.Runner, error) {
 func OptsFor(r *exec.Runner) RunOpts {
 	o := RunOpts{
 		VirtualTime: r.VirtualTime, Retry: r.Retry,
-		RetryBase: int64(r.RetryBase), RetryCap: int64(r.RetryCap),
 		StallTimeout: int64(r.StallTimeout), MaxSteps: r.MaxSteps,
 	}
 	if r.Faults != nil {
