@@ -77,6 +77,10 @@ vet:
 	! awk '/^type Coordinator struct/,/^}/' internal/wire/coord.go | grep -nE '^[[:space:]]*(Control|MinWorkers)[[:space:]]'
 # One retransmission rule: a dropped or corrupted copy is resent once, at the send; no ack loop, no backoff knobs, no second rule for the remote plane.
 	! grep -rnE 'RetryBase|RetryCap|retryBase|retryCap|ackMsg|sendReliable|retransmitRemote' --include='*.go' internal cmd
+# One arrival rule: sched.Schedule.Deliver says when a message arrives, so non-test internal/exec names no scheduler.
+	! grep -rnE '"mh"|sched\.MH' --include='*.go' internal/exec | grep -v _test.go
+# One prediction per schedule: Simulate reproduces every scheduler's own times, so no second trace of them comes back.
+	! grep -rn 'func Predicted' --include='*.go' .
 # Every fuzz target under internal/ runs in fuzz-smoke.
 	! for f in $$(grep -rhoE '^func Fuzz[A-Za-z0-9_]+' --include='*_test.go' internal | cut -c6-); do sed -n '/^fuzz-smoke:/,/^$$/p' Makefile | grep -q -- "-fuzz $$f " || echo "$$f is not in fuzz-smoke"; done | grep .
 

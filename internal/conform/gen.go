@@ -23,10 +23,10 @@ var topologies = []string{
 	"mesh:2x2", "torus:2x2", "tree:2x3",
 }
 
-// heuristics is the pool of schedulers a case may draw. MH is excluded:
-// it charges link contention, which the contention-free replay engines
-// deliberately do not model, so its schedules are not exact-replay
-// comparable (see docs/TESTING.md).
+// heuristics is the pool of schedulers a case may draw. MH is left out
+// until the virtual-time runner starts a consumer no earlier than its
+// recorded routed arrival; the simulator already replays MH's link
+// contention exactly (see docs/TESTING.md).
 var heuristics = []string{"serial", "hlfet", "etf", "ish", "dsh", "pack", "bsp"}
 
 // Generate draws the conformance case for a seed. The same seed always

@@ -12,7 +12,6 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/machine"
@@ -20,159 +19,141 @@ import (
 	"repro/internal/trace"
 )
 
-// Simulate replays the schedule's placements (which task on which
-// processor, in which local order, including duplicates) and its
-// message routing (which producer copy feeds each consumer copy)
-// under the contention-free machine model, deriving start/finish
-// times from first principles. For schedules produced by the
-// contention-free schedulers — every one but MH, including DSH, whose
-// duplicates make the producer-copy choice significant, and BSP, whose
-// supersteps order each processor's slots but delay none — the derived
-// times equal the scheduled times; for MH the derived times may be
-// earlier (MH also charges link contention). The returned trace
-// contains task and message events.
+// Simulate replays the schedule's record against the machine cost
+// model and derives every time from it. The record fixes which task
+// runs on which processor, in which local order, including duplicates,
+// and which producer copy feeds each consumer copy. The walk takes the
+// slots in Slots order. Each slot starts once the slot before it on its
+// processor (by start) has finished and its inputs have arrived. Its
+// recorded messages arrive by the schedule's own rule
+// (sched.Schedule.Deliver), called in their recorded order, so the
+// derived times equal the scheduler's for every scheduler: for MH that
+// books its link contention as MH did. A slot recorded before the slot
+// it follows on its processor, as ISH's hole insertions are, waits for
+// a later pass. The returned trace contains task and message events.
 func Simulate(s *sched.Schedule) (*trace.Trace, error) {
 	if s == nil || s.Graph == nil || s.Machine == nil {
 		return nil, fmt.Errorf("exec: nil schedule")
 	}
-	m := s.Machine
-	g := s.Graph
-
-	// Per-PE slot order comes from the schedule's index (shared,
-	// pre-sorted; read-only here).
-	byPE := make([][]sched.Slot, m.NumPE())
-	for pe := 0; pe < m.NumPE(); pe++ {
-		byPE[pe] = s.PESlots(pe)
-	}
-	// Derived finish time of each copy: keyed by task+PE (one copy of
-	// a task per PE is the schedulers' invariant).
+	m, g, n := s.Machine, s.Graph, len(s.Slots)
+	// A task has at most one copy per processor: the schedulers' invariant.
 	type copyKey struct {
 		task graph.NodeID
 		pe   int
 	}
-	finish := map[copyKey]machine.Time{}
-	done := map[copyKey]bool{}
-	placed := map[copyKey]bool{}
-	for _, sl := range s.Slots {
-		placed[copyKey{sl.Task, sl.PE}] = true
+	slotOf := make(map[copyKey]int32, n)
+	first := make([]int32, n) // slot i's first recorded message, or -1
+	for i, sl := range s.Slots {
+		slotOf[copyKey{sl.Task, sl.PE}], first[i] = int32(i), -1
+		switch {
+		case g.Node(sl.Task) == nil:
+			return nil, fmt.Errorf("exec: slot %d names task %q, which the graph lacks", i, sl.Task)
+		case sl.PE < 0 || sl.PE >= m.NumPE():
+			return nil, fmt.Errorf("exec: slot %d (%s) is on PE %d, outside the machine's %d", i, sl.Task, sl.PE, m.NumPE())
+		case len(slotOf) <= i: // the key was there already
+			return nil, fmt.Errorf("exec: slot %d: task %s already has a slot on PE %d", i, sl.Task, sl.PE)
+		}
 	}
-	// The schedule's message records name the producer copy each
-	// consumer copy was routed from. Replaying that choice (instead of
-	// greedily taking whichever copy happens to be simulated first)
-	// is what makes the replay exact for duplication schedules, where
-	// several copies of a producer coexist.
-	type srcKey struct {
-		from, to graph.NodeID
-		v        string
-		toPE     int
+	// Slot i's recorded messages, in record order, are first[i] and then
+	// after[k] of each message k until -1; src[k] is k's producer slot.
+	src, after := make([]int32, len(s.Msgs)), make([]int32, len(s.Msgs))
+	for k := len(s.Msgs) - 1; k >= 0; k-- {
+		msg := &s.Msgs[k]
+		p, okp := slotOf[copyKey{msg.From, msg.FromPE}]
+		c, okc := slotOf[copyKey{msg.To, msg.ToPE}]
+		if !okp || !okc {
+			return nil, fmt.Errorf("exec: message %d (%s %s->%s, PE %d->%d) names a copy with no slot", k, msg.Var, msg.From, msg.To, msg.FromPE, msg.ToPE)
+		}
+		src[k], after[k], first[c] = p, first[c], int32(k)
 	}
-	src := map[srcKey]int{}
-	for _, msg := range s.Msgs {
-		src[srcKey{msg.From, msg.To, msg.Var, msg.ToPE}] = msg.FromPE
+	deliver, err := s.Deliver()
+	if err != nil {
+		return nil, err
 	}
-	idx := make([]int, m.NumPE()) // next slot to run per PE
-	procFree := make([]machine.Time, m.NumPE())
 
-	tr := &trace.Trace{Label: "simulated:" + s.Algorithm}
-	total := len(s.Slots)
-	executed := 0
-	for executed < total {
-		progress := false
-		for pe := 0; pe < m.NumPE(); pe++ {
-			for idx[pe] < len(byPE[pe]) {
-				sl := byPE[pe][idx[pe]]
-				// All inputs must be producible: every predecessor needs
-				// some finished copy.
-				start := procFree[pe]
-				ready := true
-				type feed struct {
-					arc  graph.Arc
-					from copyKey
-					at   machine.Time
-				}
-				var feeds []feed
-				for _, a := range g.PredArcs(sl.Task) {
-					bestAt := machine.Time(-1)
-					var bestKey copyKey
-					if q, ok := src[srcKey{a.From, sl.Task, a.Var, pe}]; ok {
-						// Wait for the copy the schedule routed from.
-						k := copyKey{a.From, q}
-						if done[k] {
-							bestAt, bestKey = finish[k]+m.CommTime(a.Words, q, pe), k
-						}
-					} else if placed[copyKey{a.From, pe}] {
-						// No message recorded: the schedule fed this arc
-						// from the co-located copy.
-						k := copyKey{a.From, pe}
-						if done[k] {
-							bestAt, bestKey = finish[k], k
-						}
-					} else {
-						// Hand-built schedule with no message records:
-						// fall back to the earliest-arriving finished copy.
-						for q := 0; q < m.NumPE(); q++ {
-							k := copyKey{a.From, q}
-							if !done[k] {
-								continue
-							}
-							at := finish[k] + m.CommTime(a.Words, q, pe)
-							if bestAt < 0 || at < bestAt {
-								bestAt, bestKey = at, k
-							}
-						}
-					}
-					if bestAt < 0 {
-						ready = false
-						break
-					}
-					feeds = append(feeds, feed{arc: a, from: bestKey, at: bestAt})
-					if bestAt > start {
-						start = bestAt
-					}
-				}
-				if !ready {
-					break // this PE is blocked on a not-yet-simulated producer
-				}
-				end := start + m.ExecTime(g.Node(sl.Task).Work, pe)
-				k := copyKey{sl.Task, pe}
-				finish[k] = end
-				done[k] = true
-				procFree[pe] = end
-				tr.Add(trace.Event{Kind: trace.TaskStart, At: start, Task: sl.Task, PE: pe, Dup: sl.Dup})
-				tr.Add(trace.Event{Kind: trace.TaskEnd, At: end, Task: sl.Task, PE: pe, Dup: sl.Dup})
-				sort.Slice(feeds, func(i, j int) bool { return feeds[i].arc.Var < feeds[j].arc.Var })
-				for _, f := range feeds {
-					if f.from.pe != pe {
-						tr.Add(trace.Event{Kind: trace.MsgSend, At: finish[f.from], Task: f.arc.From, PE: f.from.pe, Var: f.arc.Var, Peer: pe})
-						tr.Add(trace.Event{Kind: trace.MsgRecv, At: f.at, Task: f.arc.From, PE: pe, Var: f.arc.Var, Peer: f.from.pe})
-					}
-				}
-				idx[pe]++
-				executed++
-				progress = true
+	finish := make([]machine.Time, n)
+	done := make([]bool, n)
+	// Each processor's slots run in PESlots order: next[pe] is the
+	// position of the next, and free[pe] when the last one finished.
+	next, free := make([]int, m.NumPE()), make([]machine.Time, m.NumPE())
+	// feed returns the copy j that feeds arc a into slot i: the producer
+	// of a recorded message (recorded), else the copy on i's processor,
+	// else (a hand-built schedule with no message records) the finished
+	// copy whose data arrives first, or -1 while none has finished.
+	feed := func(i int32, a graph.Arc) (j int32, recorded bool) {
+		for k := first[i]; k >= 0; k = after[k] {
+			if s.Msgs[k].From == a.From && s.Msgs[k].Var == a.Var {
+				return src[k], true
 			}
 		}
-		if !progress {
+		pe := s.Slots[i].PE
+		if j, here := slotOf[copyKey{a.From, pe}]; here {
+			return j, false
+		}
+		j, best := -1, machine.Time(0)
+		for _, cp := range s.SlotsFor(a.From) {
+			c := slotOf[copyKey{a.From, cp.PE}]
+			if t := finish[c] + m.CommTime(a.Words, cp.PE, pe); done[c] && (j < 0 || t < best) {
+				j, best = c, t
+			}
+		}
+		return j, false
+	}
+	tr := &trace.Trace{Label: "simulated:" + s.Algorithm, Events: make([]trace.Event, 0, 2*n+2*len(s.Msgs))}
+	// Pass over the slots until all have run; a pass that runs none is
+	// stuck.
+	for ran, before := 0, -1; ran < n; {
+		if ran == before {
 			return nil, fmt.Errorf("exec: simulation deadlock — schedule's per-PE order is not consistent with precedence")
+		}
+		before = ran
+	slots:
+		for i, sl := range s.Slots {
+			// Run slot i once what it waits for has run.
+			if done[i] || s.PESlots(sl.PE)[next[sl.PE]].Task != sl.Task {
+				continue
+			}
+			for k := first[i]; k >= 0; k = after[k] {
+				if !done[src[k]] {
+					continue slots
+				}
+			}
+			for _, a := range g.PredArcs(sl.Task) {
+				if j, _ := feed(int32(i), a); j < 0 || !done[j] {
+					continue slots
+				}
+			}
+			start := free[sl.PE]
+			for k := first[i]; k >= 0; k = after[k] {
+				msg := &s.Msgs[k]
+				send := finish[src[k]]
+				recv := deliver(msg.Words, send, msg.FromPE, msg.ToPE)
+				start = max(start, recv)
+				if msg.FromPE != msg.ToPE {
+					tr.Add(trace.Event{Kind: trace.MsgSend, At: send, Task: msg.From, PE: msg.FromPE, Var: msg.Var, Peer: msg.ToPE})
+					tr.Add(trace.Event{Kind: trace.MsgRecv, At: recv, Task: msg.From, PE: msg.ToPE, Var: msg.Var, Peer: msg.FromPE})
+				}
+			}
+			for _, a := range g.PredArcs(sl.Task) {
+				j, recorded := feed(int32(i), a)
+				if recorded {
+					continue
+				}
+				q := s.Slots[j].PE
+				arrive := finish[j] + m.CommTime(a.Words, q, sl.PE)
+				start = max(start, arrive)
+				if q != sl.PE {
+					tr.Add(trace.Event{Kind: trace.MsgSend, At: finish[j], Task: a.From, PE: q, Var: a.Var, Peer: sl.PE})
+					tr.Add(trace.Event{Kind: trace.MsgRecv, At: arrive, Task: a.From, PE: sl.PE, Var: a.Var, Peer: q})
+				}
+			}
+			finish[i], done[i] = start+m.ExecTime(g.Node(sl.Task).Work, sl.PE), true
+			free[sl.PE], next[sl.PE] = finish[i], next[sl.PE]+1
+			tr.Add(trace.Event{Kind: trace.TaskStart, At: start, Task: sl.Task, PE: sl.PE, Dup: sl.Dup})
+			tr.Add(trace.Event{Kind: trace.TaskEnd, At: finish[i], Task: sl.Task, PE: sl.PE, Dup: sl.Dup})
+			ran++
 		}
 	}
 	tr.Sort()
 	return tr, nil
-}
-
-// Predicted converts the schedule's own times into a trace without
-// re-deriving anything, for rendering exactly what the scheduler
-// decided (e.g. MH's contention-aware times).
-func Predicted(s *sched.Schedule) *trace.Trace {
-	tr := &trace.Trace{Label: "predicted:" + s.Algorithm}
-	for _, sl := range s.Slots {
-		tr.Add(trace.Event{Kind: trace.TaskStart, At: sl.Start, Task: sl.Task, PE: sl.PE, Dup: sl.Dup})
-		tr.Add(trace.Event{Kind: trace.TaskEnd, At: sl.Finish, Task: sl.Task, PE: sl.PE, Dup: sl.Dup})
-	}
-	for _, msg := range s.Msgs {
-		tr.Add(trace.Event{Kind: trace.MsgSend, At: msg.Send, Task: msg.From, PE: msg.FromPE, Var: msg.Var, Peer: msg.ToPE})
-		tr.Add(trace.Event{Kind: trace.MsgRecv, At: msg.Recv, Task: msg.From, PE: msg.ToPE, Var: msg.Var, Peer: msg.FromPE})
-	}
-	tr.Sort()
-	return tr
 }

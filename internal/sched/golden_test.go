@@ -181,8 +181,8 @@ func TestGoldenMHContention(t *testing.T) {
 
 // TestMHRecordReplaysThroughCommitDeliver pins that an MH schedule's
 // message list is recorded in MH's booking order: replaying its Msgs, in
-// that order, through a fresh contention state's commitDeliver books the
-// links exactly as MH did (a co-located delivery books nothing, and MH
+// that order, through its arrival rule (Deliver: commitDeliver over a
+// fresh contention state) books the links exactly as MH did (a co-located delivery books nothing, and MH
 // records none), so it reproduces every Msg.Recv. Each slot then starts
 // where MH started it: when its processor came free, or when its last
 // input arrived, whichever is later.
@@ -198,21 +198,19 @@ func TestMHRecordReplaysThroughCommitDeliver(t *testing.T) {
 			if err != nil {
 				t.Fatalf("mh on %s/%s: %v", g.Name, spec, err)
 			}
-			ar := getArena()
-			net, err := newMHNet(m, ar)
+			deliver, err := sc.Deliver()
 			if err != nil {
 				t.Fatal(err)
 			}
 			recv := make(map[msgKey]machine.Time, len(sc.Msgs))
 			for i, msg := range sc.Msgs {
-				at := net.commitDeliver(msg.Words, msg.Send, msg.FromPE, msg.ToPE)
+				at := deliver(msg.Words, msg.Send, msg.FromPE, msg.ToPE)
 				if at != msg.Recv {
 					t.Fatalf("mh on %s/%s: message %d (%s->%s:%s) replays to arrive at %v, recorded %v",
 						g.Name, spec, i, msg.From, msg.To, msg.Var, at, msg.Recv)
 				}
 				recv[msgKey{msg.From, msg.To, msg.Var}] = at
 			}
-			ar.release()
 
 			slotOf := make(map[graph.NodeID]Slot, len(sc.Slots))
 			byPE := make([][]Slot, m.NumPE())

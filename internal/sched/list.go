@@ -23,12 +23,11 @@ type builder struct {
 	ar       *arena
 	procFree []machine.Time
 	slots    []Slot
-	msgs     []Msg
 	copies   [][]Slot // dense id -> all placed copies of the task
 	copyBuf  []Slot   // backing store for each task's first copy
 	cache    estCache
 
-	// Message stubs: place records cross-PE messages as parallel
+	// Message stubs: stub records cross-PE messages as parallel
 	// pointer-free arrays in the arena and finish materialises the
 	// []Msg once, exactly sized. A growing []Msg would otherwise be
 	// the largest live object of the whole run — ~96 bytes per message
@@ -136,29 +135,35 @@ func (b *builder) place(t int32, pe int, start machine.Time, dup bool) (Slot, er
 			return Slot{}, fmt.Errorf("sched: task %s placed at %v before data %s arrives at %v", id, start, oa.Var, at)
 		}
 		if src.PE != pe {
-			if b.stubAidx == nil {
-				// Carved for the worst case (every arc crosses PEs) but
-				// only when a first message actually exists. Duplication
-				// schedulers can exceed the cap — append then falls back
-				// to the heap, still pointer-free.
-				n := len(b.c.arcs)
-				b.stubAidx = b.ar.int32s(n, false)[:0]
-				b.stubTo = b.ar.int32s(n, false)[:0]
-				b.stubToPE = b.ar.int32s(n, false)[:0]
-				b.stubSrcPE = b.ar.int32s(n, false)[:0]
-				b.stubSrcFin = b.ar.times(n, false)[:0]
-				b.stubRecv = b.ar.times(n, false)[:0]
-			}
-			b.stubAidx = append(b.stubAidx, a.aidx)
-			b.stubTo = append(b.stubTo, t)
-			b.stubToPE = append(b.stubToPE, int32(pe))
-			b.stubSrcPE = append(b.stubSrcPE, int32(src.PE))
-			b.stubSrcFin = append(b.stubSrcFin, src.Finish)
-			b.stubRecv = append(b.stubRecv, at)
+			b.stub(a.aidx, t, pe, src, at)
 		}
 	}
 	b.commitSlot(t, sl)
 	return sl, nil
+}
+
+// stub records the cross-PE message of arc aidx from the producer copy
+// src to task t on pe, arriving at recv.
+func (b *builder) stub(aidx, t int32, pe int, src Slot, recv machine.Time) {
+	if b.stubAidx == nil {
+		// Carved for the worst case (every arc crosses PEs) but only
+		// when a first message actually exists. Duplication schedulers
+		// can exceed the cap — append then falls back to the heap,
+		// still pointer-free.
+		n := len(b.c.arcs)
+		b.stubAidx = b.ar.int32s(n, false)[:0]
+		b.stubTo = b.ar.int32s(n, false)[:0]
+		b.stubToPE = b.ar.int32s(n, false)[:0]
+		b.stubSrcPE = b.ar.int32s(n, false)[:0]
+		b.stubSrcFin = b.ar.times(n, false)[:0]
+		b.stubRecv = b.ar.times(n, false)[:0]
+	}
+	b.stubAidx = append(b.stubAidx, aidx)
+	b.stubTo = append(b.stubTo, t)
+	b.stubToPE = append(b.stubToPE, int32(pe))
+	b.stubSrcPE = append(b.stubSrcPE, int32(src.PE))
+	b.stubSrcFin = append(b.stubSrcFin, src.Finish)
+	b.stubRecv = append(b.stubRecv, recv)
 }
 
 // commitSlot records a placed slot: appends it, registers the copy,
@@ -177,28 +182,21 @@ func (b *builder) commitSlot(t int32, sl Slot) {
 }
 
 // finish materialises the message stubs into the exactly-sized []Msg
-// (schedulers with their own message path, like MH, set b.msgs before
-// calling) and assembles the Schedule. It must run before release: the
-// stubs live in the arena.
+// and assembles the Schedule. It must run before release: the stubs
+// live in the arena.
 func (b *builder) finish(alg string) *Schedule {
-	if b.msgs == nil {
-		if n := len(b.stubAidx); n > 0 {
-			b.msgs = make([]Msg, n)
-			for i := 0; i < n; i++ {
-				oa := &b.c.arcs[b.stubAidx[i]]
-				fp, tp := int(b.stubSrcPE[i]), int(b.stubToPE[i])
-				b.msgs[i] = Msg{
-					Var: oa.Var, From: oa.From, To: b.c.ids[b.stubTo[i]],
-					FromPE: fp, ToPE: tp, Words: oa.Words,
-					Send: b.stubSrcFin[i], Recv: b.stubRecv[i],
-					Hops: b.c.m.Topo.Hops(fp, tp),
-				}
-			}
-		} else {
-			b.msgs = []Msg{} // keep Msgs non-nil: JSON encodes [] rather than null
+	msgs := make([]Msg, len(b.stubAidx)) // non-nil when empty: JSON encodes [] rather than null
+	for i, ai := range b.stubAidx {
+		oa := &b.c.arcs[ai]
+		fp, tp := int(b.stubSrcPE[i]), int(b.stubToPE[i])
+		msgs[i] = Msg{
+			Var: oa.Var, From: oa.From, To: b.c.ids[b.stubTo[i]],
+			FromPE: fp, ToPE: tp, Words: oa.Words,
+			Send: b.stubSrcFin[i], Recv: b.stubRecv[i],
+			Hops: b.c.m.Topo.Hops(fp, tp),
 		}
 	}
-	return &Schedule{Graph: b.c.g, Machine: b.c.m, Algorithm: alg, Slots: b.slots, Msgs: b.msgs}
+	return &Schedule{Graph: b.c.g, Machine: b.c.m, Algorithm: alg, Slots: b.slots, Msgs: msgs}
 }
 
 // cand is one scored candidate placement.

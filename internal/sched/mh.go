@@ -234,6 +234,26 @@ func (n *mhNet) commitDeliver(words int64, send machine.Time, p, q int) machine.
 	return at
 }
 
+// Deliver returns the rule by which s's messages arrive: given a
+// message of words words sent at send from processor p, it returns when
+// the message reaches processor q. For an MH schedule it is
+// commitDeliver over fresh links, so calls made in MH's commit order —
+// consumers in Slots order, each one's messages in Msgs order —
+// reproduce its link contention; for every other schedule it is send +
+// CommTime, and the call order does not matter.
+func (s *Schedule) Deliver() (func(words int64, send machine.Time, p, q int) machine.Time, error) {
+	if s.Algorithm == (MH{}).Name() {
+		net, err := newMHNet(s.Machine, new(arena))
+		if err != nil {
+			return nil, err
+		}
+		return net.commitDeliver, nil
+	}
+	return func(words int64, send machine.Time, p, q int) machine.Time {
+		return send + s.Machine.CommTime(words, p, q)
+	}, nil
+}
+
 // feed is one incoming message of the task being committed.
 type feed struct {
 	a    carc
@@ -393,16 +413,6 @@ func (MH) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
 		return tbest
 	}
 
-	// Message stubs: committed cross-PE messages are recorded as
-	// pointer-free (arc, recv) pairs in the arena and materialised into
-	// []Msg once at the end. Building the pointerful Msg list
-	// incrementally would keep a multi-megabyte, GC-scanned, write-
-	// barriered buffer live through the whole construction.
-	stubArc := b.ar.int32s(len(c.arcs), false)[:0]
-	stubFrom := b.ar.int32s(len(c.arcs), false)[:0]
-	stubTo := b.ar.int32s(len(c.arcs), false)[:0]
-	stubRecv := b.ar.times(len(c.arcs), false)[:0]
-
 	var feeds []feed
 	for len(rt.ready) > 0 {
 		// Each step's scan starts from a seed candidate: the task with
@@ -446,10 +456,7 @@ func (MH) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
 				start = at
 			}
 			if f.src.PE != bestPE {
-				stubArc = append(stubArc, f.a.aidx)
-				stubFrom = append(stubFrom, f.a.from)
-				stubTo = append(stubTo, t)
-				stubRecv = append(stubRecv, at)
+				b.stub(f.a.aidx, t, bestPE, f.src, at)
 			}
 		}
 		// Committed contention may push the start past the estimate
@@ -471,20 +478,6 @@ func (MH) Schedule(g *graph.Graph, m *machine.Machine) (*Schedule, error) {
 				return nil, err
 			}
 			copy(arr[int(s)*c.pes:], row)
-		}
-	}
-	// Materialise the message list, exactly sized, in commit order. By
-	// now every task is placed, so producer/consumer PEs and the send
-	// times read straight off the flat arrays.
-	b.msgs = make([]Msg, len(stubArc))
-	for i, ai := range stubArc {
-		oa := &c.arcs[ai]
-		from, to := stubFrom[i], stubTo[i]
-		fp, tp := int(srcPE[from]), int(srcPE[to])
-		b.msgs[i] = Msg{
-			Var: oa.Var, From: oa.From, To: c.ids[to],
-			FromPE: fp, ToPE: tp, Words: oa.Words,
-			Send: srcFin[from], Recv: stubRecv[i], Hops: m.Topo.Hops(fp, tp),
 		}
 	}
 	return b.finish("mh"), nil

@@ -22,10 +22,13 @@
 //     Yzelman) — precedence levels become supersteps, placed in order;
 //     no start waits for a barrier.
 //
-// Every scheduler but MH is contention-free: a slot starts once its
-// processor is free and its inputs have arrived, which is what
-// exec.Simulate's replay does, so their times replay exactly. A replan
-// after a crash, drain or join (Replan) is ETF on the same list builder.
+// Every scheduler starts a slot once its processor is free and its
+// inputs have arrived. Every one but MH is contention-free: a message
+// arrives at send + CommTime. MH routes messages over links it books
+// in commit order. Schedule.Deliver is that arrival rule for either
+// kind. exec.Simulate replays the record with it, so every scheduler's
+// times replay exactly. A replan after a crash, drain or join (Replan)
+// is ETF on the same list builder.
 //
 // Each Schedule call runs on its caller's goroutine with scratch carved
 // from a pooled arena; a greedy step is too little work to shard (see

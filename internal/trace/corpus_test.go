@@ -10,11 +10,11 @@ import (
 )
 
 // TestSummarizeAgreesWithSpansOnConformCorpus: the conformance corpus's
-// designs, each scheduled by its case's heuristic, give three logs — the
-// schedule's own times, the simulator's replay and a virtual-time run
-// under the case's faults — and each of them, and each with one task
-// event dropped, pairs to the same counts, busy time and error through
-// Summarize as through Spans.
+// designs, each scheduled by its case's heuristic, give two logs — the
+// simulator's replay, which is the schedule's own times, and a
+// virtual-time run under the case's faults — and each of them, and each
+// with one task event dropped, pairs to the same counts, busy time and
+// error through Summarize as through Spans.
 func TestSummarizeAgreesWithSpansOnConformCorpus(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		c, err := conform.Generate(seed)
@@ -36,10 +36,11 @@ func TestSummarizeAgreesWithSpansOnConformCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		logs := []*trace.Trace{exec.Predicted(sc)}
-		if sim, err := exec.Simulate(sc); err == nil {
-			logs = append(logs, sim)
+		sim, err := exec.Simulate(sc)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
+		logs := []*trace.Trace{sim}
 		r := &exec.Runner{Inputs: c.Inputs, VirtualTime: true, Faults: c.Faults, Retry: c.Faults != nil}
 		if res, err := r.Run(sc, flat); err == nil {
 			logs = append(logs, res.Trace)
