@@ -81,6 +81,8 @@ vet:
 	! grep -rnE '"mh"|sched\.MH' --include='*.go' internal/exec | grep -v _test.go
 # One prediction per schedule: Simulate reproduces every scheduler's own times, so no second trace of them comes back.
 	! grep -rn 'func Predicted' --include='*.go' .
+# One shape digest: its field sequence is written once, in shapeWriter's methods, so Graph.ShapeKey and Doc.ShapeKey cannot drift apart.
+	! awk 'FNR==1{b=0} /^func \(w \*(shapeWriter|Hasher)\)/{if ($$0 !~ /}$$/) b=1; next} /^}/{b=0} !b && /\.(Str|Num)\(/{print FILENAME":"FNR": "$$0; f=1} END{exit !f}' $$(ls internal/graph/*.go | grep -v _test.go)
 # Every fuzz target under internal/ runs in fuzz-smoke.
 	! for f in $$(grep -rhoE '^func Fuzz[A-Za-z0-9_]+' --include='*_test.go' internal | cut -c6-); do sed -n '/^fuzz-smoke:/,/^$$/p' Makefile | grep -q -- "-fuzz $$f " || echo "$$f is not in fuzz-smoke"; done | grep .
 
@@ -205,4 +207,5 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseFaults -fuzztime 5s ./internal/exec/
 	$(GO) test -run '^$$' -fuzz FuzzDeliver -fuzztime 5s ./internal/exec/
 	$(GO) test -run '^$$' -fuzz FuzzShapeBind -fuzztime 5s ./internal/project/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeShape -fuzztime 5s ./internal/project/
 	$(GO) test -run '^$$' -fuzz FuzzConform -fuzztime 20s ./internal/conform/

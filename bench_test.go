@@ -514,13 +514,20 @@ func TestKnownShapeOpenAllocCeiling(t *testing.T) {
 }
 
 // TestDecodeAllocCeiling guards decoding the harness body the way the
-// server does, through project.Decode: one decode of the design's
-// bytes and a machine whose routing tables are not built until
+// server does, through project.Decode, when no open has interned the
+// design's shape (its design name is one nothing opens): one decode of
+// the design's bytes, the shape key read off them, the design built
+// from them, and a machine whose routing tables are not built until
 // something routes. It reads 0.57 MB (the ceiling is that + 15 %); it
 // was 1.39 MB when the design was a nested Unmarshaler and decode built
 // ring:128's tables to validate it.
 func TestDecodeAllocCeiling(t *testing.T) {
-	body := floorBody(t)
+	p := layeredProject(t, "ring:128")
+	p.Design.Name = "cold-decode" // a shape no open interns
+	body, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mb := allocMB(func() {
 		if _, err := project.Decode(body); err != nil {
 			t.Fatal(err)
@@ -532,13 +539,41 @@ func TestDecodeAllocCeiling(t *testing.T) {
 	t.Logf("decoding the %d KB project allocated %.2f MB", len(body)>>10, mb)
 }
 
+// TestKnownShapeDecodeAllocCeiling guards decoding and opening the
+// harness body when its shape is interned, as every request after a
+// server's first is: the decode reads the shape key off the wire form
+// and builds no design, and the open binds the weights onto the shape.
+// It reads 0.35 MB (the ceiling is that + 15 %); building the design as
+// well, and digesting it again, put it at 0.67 MB.
+func TestKnownShapeDecodeAllocCeiling(t *testing.T) {
+	body := floorBody(t)
+	requestFloor(t, body) // interns the shape
+	mb := allocMB(func() {
+		p, err := project.Decode(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := core.Open(p); err != nil {
+			t.Fatal(err)
+		}
+		if p.Design != nil {
+			t.Fatal("the decode built the design of a known shape")
+		}
+	})
+	if mb > 0.40 {
+		t.Errorf("decoding and opening the %d KB project allocated %.2f MB, want at most 0.40 MB", len(body)>>10, mb)
+	}
+	t.Logf("decoding and opening the %d KB project allocated %.2f MB", len(body)>>10, mb)
+}
+
 // TestHitAllocCeiling guards the whole of a schedule-cache hit, handler
 // included: one mode=schedule request with the harness body reads the
-// body into one buffer, decodes it once, opens and fingerprints it and
-// answers from the cache. It reads 0.79 MB; flattening and checking
-// the design again, where it now binds its weights onto the interned
-// shape, put it at 1.22, and a streaming decoder's doubling buffer and
-// two more maps a graph at 1.51.
+// body into one buffer, decodes it once, reads its shape key off the
+// wire form, binds its weights onto the interned shape, fingerprints
+// and answers from the cache. It reads 0.48 MB (the ceiling is that +
+// 15 %); building the design from the wire form as well put it at
+// 0.79, flattening and checking the design again at 1.22, and a
+// streaming decoder's doubling buffer and two more maps a graph at 1.51.
 func TestHitAllocCeiling(t *testing.T) {
 	body := floorBody(t)
 	h := serve.New(serve.Options{}).Handler()
@@ -549,8 +584,8 @@ func TestHitAllocCeiling(t *testing.T) {
 			t.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
 	})
-	if mb > 0.95 {
-		t.Errorf("a schedule-cache hit on the %d KB project allocated %.2f MB, want at most 0.95 MB", len(body)>>10, mb)
+	if mb > 0.55 {
+		t.Errorf("a schedule-cache hit on the %d KB project allocated %.2f MB, want at most 0.55 MB", len(body)>>10, mb)
 	}
 	t.Logf("a schedule-cache hit on the %d KB project allocated %.2f MB", len(body)>>10, mb)
 }

@@ -214,19 +214,20 @@ func cmdShow(args []string) error {
 	if err != nil {
 		return err
 	}
+	design := p.Graph()
 	if *dot {
-		fmt.Print(p.Design.DOT())
+		fmt.Print(design.DOT())
 		return nil
 	}
-	fmt.Print(p.Design.ASCII())
-	for _, n := range p.Design.Nodes() {
+	fmt.Print(design.ASCII())
+	for _, n := range design.Nodes() {
 		if n.Kind == graph.KindSub {
 			fmt.Printf("\nexpansion of <<%s>>:\n", n.ID)
 			fmt.Print(n.Sub.ASCII())
 		}
 	}
 	fmt.Println("\nmachine:", p.Machine)
-	flat, err := p.Design.Flatten()
+	flat, err := design.Flatten()
 	if err != nil {
 		return err
 	}

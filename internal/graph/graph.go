@@ -17,6 +17,8 @@ package graph
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/machine"
 )
 
 // NodeID identifies a node within a Graph. IDs are unique per graph.
@@ -43,22 +45,13 @@ const (
 	KindOutput
 )
 
-// String returns the lower-case name of the kind.
+// String returns the lower-case name of the kind, its name in a
+// document.
 func (k Kind) String() string {
-	switch k {
-	case KindTask:
-		return "task"
-	case KindStorage:
-		return "storage"
-	case KindSub:
-		return "sub"
-	case KindInput:
-		return "input"
-	case KindOutput:
-		return "output"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
+	if s, ok := kindNames[k]; ok {
+		return s
 	}
+	return fmt.Sprintf("kind(%d)", int(k))
 }
 
 // Node is a vertex of a PITL graph.
@@ -262,6 +255,9 @@ func (g *Graph) Connect(from, to NodeID, v string, words int64) error {
 	}
 	if words < 0 {
 		return fmt.Errorf("graph %q: arc %s->%s has negative words %d", g.Name, from, to, words)
+	}
+	if words > machine.MaxWords {
+		return fmt.Errorf("graph %q: arc %s->%s has %d words, more than %d", g.Name, from, to, words, machine.MaxWords)
 	}
 	a := Arc{From: from, To: to, Var: v, Words: words}
 	g.arcs = append(g.arcs, a)

@@ -56,6 +56,44 @@ func (w *Hasher) Sum() (sum [32]byte) {
 // nests reports whether Flatten splices n's subgraph in its place.
 func nests(n *Node) bool { return n.Kind == KindSub && n.Sub != nil }
 
+// shapeWriter is the shape key's field sequence, the one place it is
+// written: Graph.ShapeKey and Doc.ShapeKey each walk their own form of a
+// design and hand every graph, node and arc here, so a design has one
+// key whichever form it is read from.
+type shapeWriter struct {
+	*Hasher
+	work []int64
+}
+
+func (w *shapeWriter) graph(name string, nodes int) {
+	w.Str(name)
+	w.Num(int64(nodes))
+}
+
+func (w *shapeWriter) node(id, label string, kind Kind, routine string, work int64, nested bool) {
+	w.Str(id)
+	w.Str(label)
+	w.Num(int64(kind))
+	w.Str(routine)
+	if kind == KindTask {
+		w.work = append(w.work, work)
+	}
+	if nested {
+		w.Num(1)
+	} else {
+		w.Num(0)
+	}
+}
+
+func (w *shapeWriter) arcs(n int) { w.Num(int64(n)) }
+
+func (w *shapeWriter) arc(from, to, v string, words int64) {
+	w.Str(from)
+	w.Str(to)
+	w.Str(v)
+	w.Num(words)
+}
+
 // ShapeKey digests everything Flatten reads from the design but task
 // work: the graph's name and, for each node in order, its id, label,
 // kind and routine and whether it nests a subgraph, then the arcs with
@@ -65,32 +103,16 @@ func nests(n *Node) bool { return n.Kind == KindSub && n.Sub != nil }
 // Designs with equal keys flatten to graphs that differ in task work
 // alone.
 func (g *Graph) ShapeKey() (key [32]byte, work []int64) {
-	h := NewHasher()
-	work = make([]int64, 0, len(g.nodes))
+	w := shapeWriter{Hasher: NewHasher(), work: make([]int64, 0, len(g.nodes))}
 	var walk func(g *Graph)
 	walk = func(g *Graph) {
-		h.Str(g.Name)
-		h.Num(int64(len(g.nodes)))
+		w.graph(g.Name, len(g.nodes))
 		for _, n := range g.nodes {
-			h.Str(string(n.ID))
-			h.Str(n.Label)
-			h.Num(int64(n.Kind))
-			h.Str(n.Routine)
-			if n.Kind == KindTask {
-				work = append(work, n.Work)
-			}
-			nested := int64(0)
-			if nests(n) {
-				nested = 1
-			}
-			h.Num(nested)
+			w.node(string(n.ID), n.Label, n.Kind, n.Routine, n.Work, nests(n))
 		}
-		h.Num(int64(len(g.arcs)))
+		w.arcs(len(g.arcs))
 		for _, a := range g.arcs {
-			h.Str(string(a.From))
-			h.Str(string(a.To))
-			h.Str(a.Var)
-			h.Num(a.Words)
+			w.arc(string(a.From), string(a.To), a.Var, a.Words)
 		}
 		for _, n := range g.nodes {
 			if nests(n) {
@@ -99,7 +121,39 @@ func (g *Graph) ShapeKey() (key [32]byte, work []int64) {
 		}
 	}
 	walk(g)
-	return h.Sum(), work
+	return w.Sum(), w.work
+}
+
+// ShapeKey is Graph.ShapeKey read off the wire form: the key and work of
+// the graph FromDoc builds from d, without building it. ok is false, and
+// the key means nothing, when a node's kind alone makes FromDoc refuse
+// d: a kind it does not know, or a subgraph on a node that is not a sub
+// node. A document FromDoc refuses for anything else (an empty or
+// repeated id, an arc it cannot connect, a sub node with no subgraph)
+// gets a key that no design that flattens has.
+func (d *Doc) ShapeKey() (key [32]byte, work []int64, ok bool) {
+	w := shapeWriter{Hasher: NewHasher(), work: make([]int64, 0, len(d.Nodes))}
+	ok = true
+	var walk func(d *Doc)
+	walk = func(d *Doc) {
+		w.graph(d.Name, len(d.Nodes))
+		for _, n := range d.Nodes {
+			kind, known := kindValues[n.Kind]
+			ok = ok && known && (n.Sub == nil || kind == KindSub)
+			w.node(n.ID, n.Label, kind, n.Routine, n.Work, n.Sub != nil)
+		}
+		w.arcs(len(d.Arcs))
+		for _, a := range d.Arcs {
+			w.arc(a.From, a.To, a.Var, a.Words)
+		}
+		for _, n := range d.Nodes {
+			if n.Sub != nil {
+				walk(n.Sub)
+			}
+		}
+	}
+	walk(d)
+	return w.Sum(), w.work, ok
 }
 
 // Shape is what flattening a design yields apart from task work: the

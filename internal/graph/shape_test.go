@@ -203,3 +203,38 @@ func TestHasherEncodesAcrossItsBuffer(t *testing.T) {
 		t.Fatal("the buffered digest differs from the plain encoding's")
 	}
 }
+
+// TestDocShapeKeyMatchesGraph: a design's wire form digests to the key
+// and work order of the design itself, for every shape design and for
+// the generators' graphs, and a document refused for a node's kind
+// alone reports no key.
+func TestDocShapeKeyMatchesGraph(t *testing.T) {
+	designs := map[string]*Graph{"chain": Chain(5, 3, 2), "fork-join": ForkJoin(4, 2, 1), "diamond": Diamond(1, 7)}
+	for name, mk := range shapeDesigns() {
+		designs[name] = mk()
+	}
+	for name, g := range designs {
+		setWork(g, func() int64 { return int64(len(name)) })
+		wantKey, wantWork := g.ShapeKey()
+		key, work, ok := g.Doc().ShapeKey()
+		if !ok || key != wantKey || !reflect.DeepEqual(work, wantWork) {
+			t.Errorf("%s: the doc's key %x, work %v, ok %v; the graph's %x, %v", name, key[:4], work, ok, wantKey[:4], wantWork)
+		}
+	}
+	bad := map[string]func(d *Doc){
+		"unknown kind":             func(d *Doc) { d.Nodes[1].Kind = "bogus" },
+		"subgraph on a task":       func(d *Doc) { d.Nodes[1].Sub = &Doc{Name: "inner"} },
+		"nested unknown kind":      func(d *Doc) { d.Nodes[2].Sub.Nodes[2].Sub.Nodes[0].Kind = "Task" },
+		"nested subgraph on input": func(d *Doc) { d.Nodes[2].Sub.Nodes[0].Sub = &Doc{Name: "inner"} },
+	}
+	for name, edit := range bad {
+		d := nestedDesign().Doc()
+		edit(d)
+		if _, err := FromDoc(d); err == nil {
+			t.Fatalf("%s: FromDoc took the document", name)
+		}
+		if _, _, ok := d.ShapeKey(); ok {
+			t.Errorf("%s: the document reports a key", name)
+		}
+	}
+}

@@ -3,6 +3,8 @@ package graph
 import (
 	"errors"
 	"fmt"
+
+	"repro/internal/machine"
 )
 
 // Validate checks the structural invariants a PITL design must satisfy
@@ -18,7 +20,8 @@ import (
 //     are legal: a subroutine may export values nobody consumes);
 //   - storage nodes have at most one writer (single-assignment data
 //     cells, the dataflow convention of the paper);
-//   - task work is non-negative (enforced at construction, re-checked).
+//   - task work is in [0, machine.MaxWork] (AddTask refuses negative
+//     work too).
 //
 // All problems found are joined into one error.
 func (g *Graph) Validate() error {
@@ -43,6 +46,8 @@ func (g *Graph) Validate() error {
 		case KindTask:
 			if n.Work < 0 {
 				errs = append(errs, fmt.Errorf("graph %q: task %q has negative work", g.Name, n.ID))
+			} else if n.Work > machine.MaxWork {
+				errs = append(errs, fmt.Errorf("graph %q: task %q has work %d, more than %d", g.Name, n.ID, n.Work, machine.MaxWork))
 			}
 		case KindSub:
 			if n.Sub == nil {

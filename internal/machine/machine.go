@@ -38,13 +38,42 @@ type Params struct {
 	WordTime Time
 }
 
-// Validate checks that the parameters are physically meaningful.
+// Bounds on the model's inputs: a task's work, an arc's words and the
+// machine's parameters. Inside them, on a machine of at most 1024
+// processors (the most a document may describe), one task runs and one
+// message crosses the network in under 2^40 µs each (2^38 + 2^38, and
+// 2^38 + 1023·2^20·2^8), so no model time, a sum of such intervals
+// along one chain of a schedule, can overflow before the chain is 2^23
+// intervals long.
+const (
+	MaxWork     = 1 << 38       // a task's work, operations
+	MaxWords    = 1 << 20       // an arc's words
+	MaxSpeed    = 1 << 38       // ProcSpeed and per-processor speeds, operations per µs
+	MaxStartup  = Time(1 << 38) // TaskStartup and MsgStartup, µs
+	MaxWordTime = Time(1 << 8)  // WordTime, µs per word per hop
+)
+
+// Validate checks that the parameters are physically meaningful and
+// within their bounds.
 func (p Params) Validate() error {
 	if p.ProcSpeed <= 0 {
 		return fmt.Errorf("machine params: ProcSpeed must be positive, got %d", p.ProcSpeed)
 	}
 	if p.TaskStartup < 0 || p.MsgStartup < 0 || p.WordTime < 0 {
 		return fmt.Errorf("machine params: negative latency (%+v)", p)
+	}
+	for _, b := range []struct {
+		name   string
+		v, max int64
+	}{
+		{"ProcSpeed", p.ProcSpeed, MaxSpeed},
+		{"TaskStartup", int64(p.TaskStartup), int64(MaxStartup)},
+		{"MsgStartup", int64(p.MsgStartup), int64(MaxStartup)},
+		{"WordTime", int64(p.WordTime), int64(MaxWordTime)},
+	} {
+		if b.v > b.max {
+			return fmt.Errorf("machine params: %s %d is more than %d", b.name, b.v, b.max)
+		}
 	}
 	return nil
 }
@@ -101,6 +130,9 @@ func (m *Machine) SetSpeeds(speeds []int64) error {
 	for i, s := range speeds {
 		if s <= 0 {
 			return fmt.Errorf("machine %q: processor %d speed %d must be positive", m.Name, i, s)
+		}
+		if s > MaxSpeed {
+			return fmt.Errorf("machine %q: processor %d speed %d is more than %d", m.Name, i, s, MaxSpeed)
 		}
 	}
 	m.Speeds = append([]int64(nil), speeds...)

@@ -19,12 +19,40 @@ import (
 
 // Project is a complete Banger workspace.
 type Project struct {
-	Name    string
+	Name string
+	// Design is the hierarchical design. It is nil exactly when Decode
+	// found the document's design to be of a shape an earlier Flatten
+	// interned: the project then holds that shape and the task work, and
+	// Graph builds the design from the document when it is asked for.
 	Design  *graph.Graph
 	Machine *machine.Machine
 	// Inputs binds the design's external input variables (writer-less
 	// storage cells) to trial values.
 	Inputs pits.Env
+
+	// What Decode read off the document: the design's shape key and
+	// task work, the interned shape when it was known, the design built
+	// from the document (keyOf, by Decode or by Graph; nil while none
+	// is) and, until one is, the wire form. Flatten uses them while
+	// Design is keyOf, so edit a decoded design by setting Design to a
+	// graph of your own, not in place.
+	key   [32]byte
+	work  []int64
+	shape *graph.Shape
+	keyOf *graph.Graph
+	doc   *graph.Doc
+}
+
+// Graph returns the design, building it from the document, once, when
+// Decode matched a known shape and left Design nil.
+func (p *Project) Graph() *graph.Graph {
+	if p.Design == nil && p.doc != nil {
+		// FromDoc cannot fail: the document's key is that of a design
+		// that was built and flattened.
+		p.Design, _ = graph.FromDoc(p.doc)
+		p.keyOf, p.doc = p.Design, nil
+	}
+	return p.Design
 }
 
 // Validate checks the project is internally consistent: the design
@@ -48,21 +76,33 @@ var (
 
 const maxShapes = 16
 
+// badWork reports task work that flattening refuses.
+func badWork(w int64) bool { return w < 0 || w > machine.MaxWork }
+
+// known returns the interned shape of the given key, or nil.
+func known(key [32]byte) *graph.Shape {
+	shapesMu.Lock()
+	defer shapesMu.Unlock()
+	return shapes[key]
+}
+
 // Flatten flattens the design and runs Validate's checks on the
 // result. A design whose shape is interned binds its task work onto
-// the shape instead, and only its inputs are checked.
+// the shape instead, and only its inputs are checked. A decoded design
+// is digested once, by Decode.
 func (p *Project) Flatten() (*graph.Flat, error) {
-	if p.Design == nil {
+	if p.Design == nil && p.doc == nil {
 		return nil, fmt.Errorf("project %q: no design", p.Name)
 	}
 	if p.Machine == nil {
 		return nil, fmt.Errorf("project %q: no machine", p.Name)
 	}
-	key, work := p.Design.ShapeKey()
-	shapesMu.Lock()
-	sh := shapes[key]
-	shapesMu.Unlock()
-	if slices.ContainsFunc(work, func(w int64) bool { return w < 0 }) {
+	key, work, sh := p.key, p.work, p.shape
+	if p.Design != p.keyOf { // built in code, or set since Decode
+		key, work = p.Design.ShapeKey()
+		sh = known(key)
+	}
+	if slices.ContainsFunc(work, badWork) {
 		sh = nil // flattening refuses it, with Validate's error
 	}
 	flatten := p.Design.Flatten
@@ -124,8 +164,8 @@ type jsonProject struct {
 // MarshalJSON implements json.Marshaler.
 func (p *Project) MarshalJSON() ([]byte, error) {
 	jp := jsonProject{Name: p.Name, Machine: p.Machine}
-	if p.Design != nil {
-		jp.Design = p.Design.Doc()
+	if g := p.Graph(); g != nil {
+		jp.Design = g.Doc()
 	}
 	if len(p.Inputs) > 0 {
 		jp.Inputs = make(map[string]any, len(p.Inputs))
@@ -148,20 +188,29 @@ func (p *Project) MarshalJSON() ([]byte, error) {
 }
 
 // Decode reads a project document: one json.Unmarshal into the wire
-// form (a validating scan, then the decode), the design built from its
-// graph.Doc. Everything that holds a whole document in memory decodes
+// form (a validating scan, then the decode), then the design's shape
+// key read off its graph.Doc. A design of an interned shape whose task
+// work is in bounds is not built: the project keeps the shape, the work
+// and the Doc, and Design is nil. Any other design is built from its
+// Doc, with FromDoc's errors, and Flatten interns it under the key read
+// here. Everything that holds a whole document in memory decodes
 // through here.
 func Decode(data []byte) (*Project, error) {
 	var jp jsonProject
-	if err := json.Unmarshal(data, &jp); err != nil {
+	err := json.Unmarshal(data, &jp)
+	if err != nil {
 		return nil, err
 	}
 	p := &Project{Name: jp.Name, Machine: jp.Machine}
-	if jp.Design != nil {
-		var err error
-		if p.Design, err = graph.FromDoc(jp.Design); err != nil {
+	if d := jp.Design; d != nil {
+		var ok bool
+		p.key, p.work, ok = d.ShapeKey()
+		if p.shape = known(p.key); ok && p.shape != nil && !slices.ContainsFunc(p.work, badWork) {
+			p.doc = d
+		} else if p.Design, err = graph.FromDoc(d); err != nil {
 			return nil, err
 		}
+		p.keyOf = p.Design
 	}
 	if jp.Inputs != nil {
 		p.Inputs = make(pits.Env, len(jp.Inputs))

@@ -178,7 +178,9 @@ func TestProjectJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Name != p.Name || back.Design.Len() != p.Design.Len() || back.Machine.NumPE() != p.Machine.NumPE() {
+	// An earlier test interned LU3x3's shape, so Decode built no design:
+	// Graph builds it from the document.
+	if back.Name != p.Name || back.Graph().Len() != p.Design.Len() || back.Machine.NumPE() != p.Machine.NumPE() {
 		t.Fatal("round trip changed shape")
 	}
 	if !reflect.DeepEqual(back.Inputs["A"], p.Inputs["A"]) {
@@ -188,7 +190,7 @@ func TestProjectJSONRoundTrip(t *testing.T) {
 		t.Errorf("round-tripped project invalid: %v", err)
 	}
 	// Routines survive.
-	if back.Design.Node("fl21").Routine != p.Design.Node("fl21").Routine {
+	if back.Graph().Node("fl21").Routine != p.Design.Node("fl21").Routine {
 		t.Error("routine lost")
 	}
 }

@@ -284,10 +284,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Only the name and the inputs are read from here on: on a hit the
-	// request's own decoded design and machine are garbage already, and
-	// must not stay reachable for the length of the run.
-	p.Design, p.Machine = nil, nil
+	// Only the name and the inputs are read from here on, copied out so
+	// that nothing else of the decoded project (its design or the design's
+	// wire form, its machine), garbage on a hit, stays reachable for the
+	// length of the run.
+	name, inputs := p.Name, p.Inputs
 
 	if mode == "schedule" {
 		// Schedule-only: the paper's interactive predict step as a
@@ -299,7 +300,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		msgs, _ := sc.CommVolume()
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(RunResponse{
-			Name: p.Name, Algorithm: alg, Cache: verdict,
+			Name: name, Algorithm: alg, Cache: verdict,
 			ElapsedUS:  time.Since(start).Microseconds(),
 			Msgs:       int64(msgs),
 			MakespanUS: int64(sc.Makespan()),
@@ -309,7 +310,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	runner := &exec.Runner{Inputs: p.Inputs, Stats: s.stats, VirtualTime: s.opts.Virtual}
+	runner := &exec.Runner{Inputs: inputs, Stats: s.stats, VirtualTime: s.opts.Virtual}
 	var res *exec.Result
 	if s.opts.Fleet != nil {
 		res, err = s.opts.Fleet.Run(r.Context(), runner, entry.sc, entry.flat)
@@ -320,7 +321,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.failRun(w, http.StatusInternalServerError, "run failed: %v", err)
 		return
 	}
-	s.writeRun(w, RunResponse{Name: p.Name, Algorithm: alg, Cache: verdict},
+	s.writeRun(w, RunResponse{Name: name, Algorithm: alg, Cache: verdict},
 		res, entry.sc.Machine.NumPE(), r.URL.Query().Get("trace") != "")
 }
 
