@@ -62,7 +62,7 @@ vet:
 # One event log per session: the partial takes the workers' log; Wait copies no worker's events into a new one.
 	! grep -n 'append(p.Events, w.events\.\.\.)' internal/exec/session.go
 # A result carries no string table: the events codec names tasks and variables by their place in the run's flat graph.
-	! awk '/^func (EncodeEvents|eventsLen|appendEvents?|DecodeEvents|AppendEvents)\(/,/^}/' internal/wire/codec.go | grep -nE 'newStringTable|decodeStringTable'
+	! awk '/^func (eventsLen|appendEvents?|DecodeEvents|AppendEvents)\(/,/^}/' internal/wire/codec.go | grep -nE 'newStringTable|decodeStringTable'
 # A fleet run's log is made once: the coordinator decodes a result's events into the run's log at the merge, into no array of their own.
 	! grep -n 'DecodeEvents(' internal/wire/coord.go
 # Summarize pairs spans without storing them: it shares Spans' pairing walk, not its map.
@@ -83,6 +83,12 @@ vet:
 	! grep -rn 'func Predicted' --include='*.go' .
 # One shape digest: its field sequence is written once, in shapeWriter's methods, so Graph.ShapeKey and Doc.ShapeKey cannot drift apart.
 	! awk 'FNR==1{b=0} /^func \(w \*(shapeWriter|Hasher)\)/{if ($$0 !~ /}$$/) b=1; next} /^}/{b=0} !b && /\.(Str|Num)\(/{print FILENAME":"FNR": "$$0; f=1} END{exit !f}' $$(ls internal/graph/*.go | grep -v _test.go)
+# A run is counted once, from its log: no worker bumps a model counter on the hot path.
+	! grep -rnE 'stats\.(TasksRun|MsgsSent|MsgsRecv|Retries|FaultsInjected)\.Add' --include='*.go' internal/exec | grep -v _test.go
+# A run is counted once, from its log: a result note carries no model counts for the coordinator to add.
+	! grep -rn 'note\.Stats' --include='*.go' internal/wire | grep -v _test.go
+# Task work is measured by a trial run: no static estimator beside Measure.
+	! grep -rn 'func Estimate(' --include='*.go' internal/pits
 # Every fuzz target under internal/ runs in fuzz-smoke.
 	! for f in $$(grep -rhoE '^func Fuzz[A-Za-z0-9_]+' --include='*_test.go' internal | cut -c6-); do sed -n '/^fuzz-smoke:/,/^$$/p' Makefile | grep -q -- "-fuzz $$f " || echo "$$f is not in fuzz-smoke"; done | grep .
 

@@ -901,33 +901,6 @@ func TestRunAllocCeiling(t *testing.T) {
 	t.Logf("a ring:32 run of the 501-task design allocated %.2f MB in %d allocations", mb, allocs)
 }
 
-// TestEncodeEventsAllocCeiling guards the largest thing a worker sends,
-// its trace: one encoded result is one allocation. Every record names
-// its task by position in the flat graph and its variable by the
-// position of an arc carrying it, against an index built once per graph,
-// so no string table is built per result. The 2 440 events of a
-// ring:32 run encode to 39 KB, 16 bytes an event; they took 121 KB,
-// 0.29 MB and 35 allocations while a result carried its own string
-// table and fixed 46-byte records.
-func TestEncodeEventsAllocCeiling(t *testing.T) {
-	flat, inputs := runnerDesign(t, 20, 25) // 501 tasks
-	sc := specSchedule(t, flat, "ring:32")
-	res, err := (&exec.Runner{Inputs: inputs, VirtualTime: true}).Run(sc, flat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs, ix := res.Trace.Events, wire.NewNameIndex(flat.Graph)
-	b := wire.EncodeEvents(evs, ix)
-	if got := testing.AllocsPerRun(20, func() { wire.EncodeEvents(evs, ix) }); got != 1 {
-		t.Errorf("encoding %d events made %.0f allocations, want 1", len(evs), got)
-	}
-	back, err := wire.AppendEvents(nil, b, flat.Graph)
-	if err != nil || !reflect.DeepEqual(back, evs) {
-		t.Errorf("encoding does not round-trip: %v", err)
-	}
-	t.Logf("%d events encode to %d bytes, %.1f per event", len(evs), len(b), float64(len(b))/float64(len(evs)))
-}
-
 // TestNoFalseDeadlockOnAStarvedHost runs the regime that used to need a
 // timeout raised: 16 concurrent in-process runs of the 501-task design
 // on a 32-processor ring, time-sliced on one core that four spinning
@@ -1134,8 +1107,9 @@ func BenchmarkFleetRun(b *testing.B) {
 	b.ReportMetric(float64(tr.dials.Load())/float64(b.N), "dials/op")
 	b.ReportMetric(float64(mesh.dials.Load())/float64(b.N), "meshDials/op")
 	b.ReportMetric(float64(tr.blobBytes.Load())/1024/float64(b.N), "blobKB/op")
-	b.ReportMetric(float64(stats.RemoteSends.Load())/float64(b.N), "sends/op")
-	b.ReportMetric(float64(stats.RemoteFlushes.Load())/float64(b.N), "flushes/op")
+	st := stats.Snapshot()
+	b.ReportMetric(float64(st.RemoteSends)/float64(b.N), "sends/op")
+	b.ReportMetric(float64(st.RemoteFlushes)/float64(b.N), "flushes/op")
 }
 
 // BenchmarkRunnerWall is the single-process wall-clock twin of

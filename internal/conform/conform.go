@@ -19,7 +19,9 @@
 //     crash (re-executed eras re-send);
 //   - retransmissions follow the fault plan: the virtual-time runner
 //     resends exactly its dropped and corrupted copies, and the
-//     wall-clock engines at most those.
+//     wall-clock engines at most those;
+//   - a run is counted once: each executing engine's exec.Stats gains
+//     exactly the fold of its own trace.
 //
 // When a case diverges, Shrink reduces it to a local minimum that
 // still shows the same divergence class, and WriteRepro emits a
@@ -85,7 +87,7 @@ func (c *Case) HasCrash() bool {
 
 // Divergence is one oracle violation. Oracle is a stable class name
 // ("outputs", "printed", "trace-vs-sim", "makespan", "causality",
-// "conservation", "retries", "validate", "error"); the minimizer
+// "conservation", "retries", "counts", "validate", "error"); the minimizer
 // considers two reports equivalent when they share a class.
 type Divergence struct {
 	Oracle string
@@ -108,6 +110,7 @@ type EngineRun struct {
 	OutBytes []byte // wire.EncodeEnv of Outputs (canonical, comparable)
 	Printed  []string
 	Trace    *trace.Trace
+	Stats    exec.StatsSnapshot // what the run added to its runner's exec.Stats
 }
 
 // Report is the outcome of running a case through every engine.
@@ -201,7 +204,7 @@ func (c *Case) prepare() (*graph.Flat, *sched.Schedule, error) {
 // Fault plans always run with Retry on: drops and corruptions are only
 // survivable when the dropped or corrupted copy is resent.
 func (c *Case) runner(virtual bool) *exec.Runner {
-	r := &exec.Runner{Inputs: c.Inputs, VirtualTime: virtual}
+	r := &exec.Runner{Inputs: c.Inputs, VirtualTime: virtual, Stats: &exec.Stats{}}
 	if c.Faults != nil {
 		r.Faults, r.Retry = c.Faults, true
 	}
@@ -281,12 +284,13 @@ func runRunner(c *Case, sc *sched.Schedule, flat *graph.Flat) *EngineRun {
 		er.Err = err
 		return er
 	}
-	res, err := c.runner(true).Run(rsc, flat)
+	r := c.runner(true)
+	res, err := r.Run(rsc, flat)
 	if err != nil {
 		er.Err = err
 		return er
 	}
-	fillEngine(er, res)
+	fillEngine(er, res, r)
 	return er
 }
 
@@ -361,16 +365,18 @@ func runDist(ctx context.Context, c *Case, sc *sched.Schedule, flat *graph.Flat,
 		}
 		go applyChurn(rctx, tr, f.Addr(), joiner, c.Churn, addrs)
 	}
-	res, err := f.Run(rctx, c.runner(false), sc, flat)
+	r := c.runner(false)
+	res, err := f.Run(rctx, r, sc, flat)
 	if err != nil {
 		er.Err = err
 		return er
 	}
-	fillEngine(er, res)
+	fillEngine(er, res, r)
 	return er
 }
 
-func fillEngine(er *EngineRun, res *exec.Result) {
+func fillEngine(er *EngineRun, res *exec.Result, r *exec.Runner) {
+	er.Stats = r.Stats.Snapshot()
 	er.Outputs = res.Outputs
 	er.Printed = res.Printed
 	er.Trace = res.Trace

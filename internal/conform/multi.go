@@ -139,10 +139,11 @@ func RunMulti(ctx context.Context, mc *MultiCase) (*MultiReport, error) {
 		}
 		preps[i] = prepared{flat: flat, sc: sc}
 		solo := &EngineRun{Name: fmt.Sprintf("solo[%d]", i)}
-		if res, err := c.runner(true).Run(sc, flat); err != nil {
+		r := c.runner(true)
+		if res, err := r.Run(sc, flat); err != nil {
 			solo.Err = err
 		} else {
-			fillEngine(solo, res)
+			fillEngine(solo, res, r)
 		}
 		rep.Runs = append(rep.Runs, &MultiRun{Case: c, Solo: solo})
 	}
@@ -196,11 +197,12 @@ func RunMulti(ctx context.Context, mc *MultiCase) (*MultiReport, error) {
 		go func(i int, c *Case) {
 			defer wg.Done()
 			fleet := &EngineRun{Name: fmt.Sprintf("fleet[%d]", i)}
-			res, err := f.Run(rctx, c.runner(false), preps[i].sc, preps[i].flat)
+			r := c.runner(false)
+			res, err := f.Run(rctx, r, preps[i].sc, preps[i].flat)
 			if err != nil {
 				fleet.Err = err
 			} else {
-				fillEngine(fleet, res)
+				fillEngine(fleet, res, r)
 			}
 			rep.Runs[i].Fleet = fleet
 		}(i, c)
@@ -236,6 +238,13 @@ func checkMulti(rep *MultiReport) {
 				Oracle: "printed", Engine: name,
 				Detail: fmt.Sprintf("printed lines differ from solo run: solo %q, fleet %q",
 					r.Solo.Printed, r.Fleet.Printed)})
+		}
+		// Each run has its own runner, so a count one run of the shared
+		// fleet leaked into another's shows here.
+		for _, e := range []*EngineRun{r.Solo, r.Fleet} {
+			if d := checkCounts(e); d != "" {
+				rep.Divergences = append(rep.Divergences, Divergence{Oracle: "counts", Engine: e.Name, Detail: d})
+			}
 		}
 	}
 }
@@ -348,17 +357,6 @@ func multiReductions(mc *MultiCase) []*MultiCase {
 		}
 	}
 	return out
-}
-
-// HasFaultsOrChurn reports whether any sub-case injects faults or
-// churn (used by callers deciding how loudly to log).
-func (mc *MultiCase) HasFaultsOrChurn() bool {
-	for _, c := range mc.Cases {
-		if c.Faults != nil || len(c.Churn) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // WriteMultiRepro writes a repro directory for a diverging multi-run

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/machine"
 	"repro/internal/trace"
@@ -66,8 +67,40 @@ func check(rep *Report, flat *graph.Flat) {
 	for _, e := range rep.Engines {
 		if e.Err == nil && e.Name != "simulate" {
 			checkRetries(rep, e)
+			if d := checkCounts(e); d != "" {
+				rep.Divergences = append(rep.Divergences, Divergence{Oracle: "counts", Engine: e.Name, Detail: d})
+			}
 		}
 	}
+}
+
+// checkCounts verifies that the engine's run was counted once: what
+// its runner's exec.Stats gained equals a fold of the run's own trace
+// (every task end, duplicates too; every msg-send, msg-recv, msg-retry
+// and fault event). A run added twice, or not at all, fails it; so does
+// a count the log does not back. It returns "" when they agree.
+func checkCounts(e *EngineRun) string {
+	var want exec.StatsSnapshot
+	for _, ev := range e.Trace.Events {
+		switch ev.Kind {
+		case trace.TaskEnd:
+			want.TasksRun++
+		case trace.MsgSend:
+			want.MsgsSent++
+		case trace.MsgRecv:
+			want.MsgsRecv++
+		case trace.MsgRetry:
+			want.Retries++
+		case trace.FaultInjected:
+			want.FaultsInjected++
+		}
+	}
+	got := e.Stats
+	got.Recoveries, got.RemoteSends, got.RemoteFlushes = 0, 0, 0
+	if got != want {
+		return fmt.Sprintf("exec.Stats %+v != the trace's fold %+v", got, want)
+	}
+	return ""
 }
 
 // checkRetries verifies the one retransmission rule: a copy is resent

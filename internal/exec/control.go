@@ -98,6 +98,7 @@ type controller struct {
 	mu     sync.Mutex
 	extra  []trace.Event // events emitted outside worker goroutines
 	runErr error         // coordinator-detected failure (stall, unrecoverable crash)
+	late   planeCounts   // the remote plane's share of delayed copies
 
 	bg sync.WaitGroup // owed-delivery goroutines (see later) and stallWatch
 
@@ -106,8 +107,13 @@ type controller struct {
 	retry     bool
 	checksums bool
 	now       func() machine.Time
-	stats     *Stats
 }
+
+// planeCounts counts what a session handed its remote plane: copies,
+// and the bursts that ended in a flush. Each worker keeps its own, and
+// the delayed copies theirs under the controller's lock; Wait sums them
+// into the partial.
+type planeCounts struct{ sends, flushes int64 }
 
 const (
 	endFinished = 1 + iota
@@ -471,12 +477,6 @@ func (c *controller) resumeLocal(p *ResumePlan, ep *eraPlan) {
 	next := &era{epoch: p.Epoch, pause: make(chan struct{}), resume: make(chan struct{})}
 	c.era.Store(next)
 	close(er.resume)
-}
-
-// flushRemote ends a burst that handed the remote plane a message.
-func (c *controller) flushRemote() {
-	c.stats.RemoteFlushes.Add(1)
-	c.plane.FlushRemote()
 }
 
 // moot reports whether a delivery owed since era er no longer matters:

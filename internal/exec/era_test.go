@@ -113,8 +113,7 @@ func TestUnreadDeliveryIsDropped(t *testing.T) {
 	// a also "sends" u to e on PE 1, where e does not run and no arc
 	// a->e exists.
 	s.Msgs = append(s.Msgs, sched.Msg{Var: "u", From: "a", To: "e", FromPE: 0, ToPE: 1, Words: 1})
-	stats := &Stats{}
-	r := &Runner{Inputs: pits.Env{"x0": pits.Num(5)}, Retry: true, Stats: stats}
+	r := &Runner{Inputs: pits.Env{"x0": pits.Num(5)}, Retry: true}
 	pl := newTestPlane()
 	ses, err := r.StartSession(s, flat, []bool{true, true}, pl)
 	if err != nil {
@@ -133,8 +132,8 @@ func TestUnreadDeliveryIsDropped(t *testing.T) {
 	if got := p.Outputs["e.out"]; got != pits.Num(23) {
 		t.Errorf("out = %v, want 23", got)
 	}
-	if snap := stats.Snapshot(); snap.MsgsSent != 3 || snap.MsgsRecv != 2 {
-		t.Errorf("sent %d, received %d; want 3 sent, 2 received", snap.MsgsSent, snap.MsgsRecv)
+	if c := trace.Count(p.Events); c.Msgs != 3 || c.MsgsRecv != 2 {
+		t.Errorf("sent %d, received %d; want 3 sent, 2 received", c.Msgs, c.MsgsRecv)
 	}
 }
 
@@ -157,7 +156,9 @@ func TestStaleOrdinalIsDiscardedUnread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(10 * time.Second); ses.Stats().MsgsSent < 2; time.Sleep(100 * time.Microsecond) {
+	// Progress 3 is a's end, u's arrival on PE 1 and b's end, which
+	// comes after b's send.
+	for deadline := time.Now().Add(10 * time.Second); ses.Progress() < 3; time.Sleep(100 * time.Microsecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("b never sent b->d:v")
 		}

@@ -153,8 +153,9 @@ type Lifecycle struct {
 	drainReq, joinReq any
 	joinAddr          string // offered worker being dialed
 
-	saved []*Partial    // drained members' print lines and trace events
-	extra []trace.Event // events no session recorded: replans, departures
+	saved      []*Partial    // drained members' print lines and trace events
+	extra      []trace.Event // events no session recorded: replans, departures
+	recoveries int64         // crash-recovery barriers committed
 
 	now machine.Time // of the Step in progress
 	out []Effect     // of the Step in progress
@@ -162,7 +163,7 @@ type Lifecycle struct {
 
 // NewLifecycle starts a run whose member w listens at addrs[w] and
 // hosts the processors peerOf maps to it. r supplies VirtualTime and
-// the Stats that count recoveries; minWorkers is the smallest fleet a
+// the Stats the finished run is added to; minWorkers is the smallest fleet a
 // drain may leave behind (below 1 means 1).
 func NewLifecycle(s *sched.Schedule, flat *graph.Flat, r *Runner, addrs []string, peerOf []int, minWorkers int) *Lifecycle {
 	l := &Lifecycle{s: s, flat: flat, runner: r, minWorkers: max(minWorkers, 1),
@@ -424,8 +425,8 @@ func (l *Lifecycle) checkParked() error {
 		l.emit(Start{jn.w, plan})
 		l.verdict(&l.joinReq, nil)
 	}
-	if b.Cause == "recovery" && l.runner.Stats != nil {
-		l.runner.Stats.Recoveries.Add(1)
+	if b.Cause == "recovery" {
+		l.recoveries++
 	}
 	return nil
 }
@@ -587,6 +588,10 @@ func (l *Lifecycle) checkResults() error {
 		}
 	}
 	tr.Events = append(tr.Events, l.extra...)
+	// The run is counted here, once, from the log it just made.
+	if st := l.runner.Stats; st != nil {
+		st.Add(runCounts(tr.Events, l.recoveries, parts))
+	}
 	for _, m := range l.members {
 		if m.active() {
 			l.emit(Bye{m.w})

@@ -206,7 +206,7 @@ func TestLifecycleTable(t *testing.T) {
 			{Parked{1, &PauseState{Dead: []int{3}}}, "Resume(0,e1) Resume(1,e1)"},
 			{Crash{1}, ""}, // duplicate after the barrier: no second one
 		}, check: func(t *testing.T, l *Lifecycle, last []Effect) {
-			if got := l.runner.Stats.Recoveries.Load(); got != 1 {
+			if got := l.recoveries; got != 1 {
 				t.Errorf("Recoveries = %d after one crash barrier, want 1", got)
 			}
 		}},
@@ -247,7 +247,7 @@ func TestLifecycleTable(t *testing.T) {
 			if w, there := l.Home(1); w != 2 || !there {
 				t.Errorf("PE 1 crashed into the join barrier: home %d (there=%v), want revived on the joiner", w, there)
 			}
-			if got := l.runner.Stats.Recoveries.Load(); got != 1 {
+			if got := l.recoveries; got != 1 {
 				t.Errorf("Recoveries = %d, want 1: the join barrier is not a recovery", got)
 			}
 		}},
@@ -279,7 +279,7 @@ func TestLifecycleTable(t *testing.T) {
 			if w, there := l.Home(2); w != 1 || there {
 				t.Errorf("Home(2) = %d, %v; want the drained member, gone", w, there)
 			}
-			if got := l.runner.Stats.Recoveries.Load(); got != 0 {
+			if got := l.recoveries; got != 0 {
 				t.Errorf("Recoveries = %d, want 0: a drain is not a recovery", got)
 			}
 		}},

@@ -231,8 +231,7 @@ func TestDeadMailboxAbsorbsRetransmissions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := &Stats{}
-	r := &Runner{Inputs: inputs, Faults: plan, Retry: true, Stats: stats}
+	r := &Runner{Inputs: inputs, Faults: plan, Retry: true}
 	pl := newTestPlane()
 	ses, err := r.StartSession(s, flat, []bool{true, true}, pl)
 	if err != nil {
@@ -275,9 +274,6 @@ func TestDeadMailboxAbsorbsRetransmissions(t *testing.T) {
 		if ev.Kind == trace.MsgRetry {
 			t.Errorf("an unfaulted copy was resent: %+v", ev)
 		}
-	}
-	if n := stats.Snapshot().Retries; n != 0 {
-		t.Errorf("Stats.Retries = %d, want 0", n)
 	}
 	// Wait has joined every background delivery, so the mailbox is final.
 	if got := len(dead.q) - dead.head; got != 1 {
@@ -425,7 +421,7 @@ func TestFlushEndsBurstsThatReachedThePlane(t *testing.T) {
 	}
 	s.Finalize()
 	for _, faults := range []string{"", "delay:a->b:u@1"} {
-		r := &Runner{Inputs: pits.Env{"x0": pits.Num(5)}, Stats: &Stats{}}
+		r := &Runner{Inputs: pits.Env{"x0": pits.Num(5)}}
 		if faults != "" {
 			plan, err := ParseFaults(faults)
 			if err != nil {
@@ -448,7 +444,8 @@ func TestFlushEndsBurstsThatReachedThePlane(t *testing.T) {
 		waitEvent(t, pl.flushed, "the flush of a's burst")
 		waitEvent(t, pl.idle, "PEs 0 and 2 to finish their lists")
 		ses.FinishRun()
-		if _, err := ses.Wait(); err != nil {
+		p, err := ses.Wait()
+		if err != nil {
 			t.Fatal(err)
 		}
 		pl.mu.Lock()
@@ -457,8 +454,8 @@ func TestFlushEndsBurstsThatReachedThePlane(t *testing.T) {
 		if want := "deliver a->b:u, flush"; got != want {
 			t.Errorf("%q: plane saw %q, want %q", faults, got, want)
 		}
-		if st := r.Stats.Snapshot(); st.RemoteSends != 1 || st.RemoteFlushes != 1 {
-			t.Errorf("%q: RemoteSends %d, RemoteFlushes %d, want 1 and 1", faults, st.RemoteSends, st.RemoteFlushes)
+		if p.RemoteSends != 1 || p.RemoteFlushes != 1 {
+			t.Errorf("%q: partial counts %d remote sends and %d flushes, want 1 and 1", faults, p.RemoteSends, p.RemoteFlushes)
 		}
 	}
 }

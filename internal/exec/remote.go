@@ -87,6 +87,10 @@ type Partial struct {
 	// AppendEvents decodes onto the run's log when the partials merge.
 	NumEvents    int
 	AppendEvents func(dst []trace.Event) ([]trace.Event, error)
+	// RemoteSends and RemoteFlushes are the session's counts of its
+	// remote plane (see StatsSnapshot): the one thing a run counts that
+	// its log does not record.
+	RemoteSends, RemoteFlushes int64
 }
 
 // PauseState is what a paused session reports so the coordinator can

@@ -140,13 +140,13 @@ func (c *controller) deliver(m xmsg, toPE int) bool {
 // Held copies bound for another process flush themselves, and are
 // skipped once their era's barrier has formed or the run has finished:
 // the receiver would discard a replaced era's copy, and the replan
-// re-sends what the next era needs. handed reports whether the remote
-// plane now holds a copy that the sender's burst owes a flush.
-func (c *controller) transmit(m xmsg, k *msgKey, orig pits.Value, toPE, copies int, resend bool, wallDelay time.Duration) (handed bool, err error) {
+// re-sends what the next era needs. handed counts the copies the remote
+// plane now holds, which the sender's burst owes a flush.
+func (c *controller) transmit(m xmsg, k *msgKey, orig pits.Value, toPE, copies int, resend bool, wallDelay time.Duration) (handed int, err error) {
 	if copies == 0 && !resend {
 		// Dropped for good: the receiver starves, and the session
 		// reports who waits for what.
-		return false, nil
+		return 0, nil
 	}
 	local := c.isLocal(toPE)
 	if wallDelay == 0 {
@@ -163,8 +163,11 @@ func (c *controller) transmit(m xmsg, k *msgKey, orig pits.Value, toPE, copies i
 		if c.moot(er) {
 			return
 		}
-		if _, err := c.put(m, k, orig, toPE, copies, resend, false); err == nil {
-			c.flushRemote() // a burst of its own, outside any slot's sends
+		if n, err := c.put(m, k, orig, toPE, copies, resend, false); err == nil {
+			c.plane.FlushRemote() // a burst of its own, outside any slot's sends
+			c.mu.Lock()
+			c.late.sends, c.late.flushes = c.late.sends+int64(n), c.late.flushes+1
+			c.mu.Unlock()
 		} else if !c.moot(er) {
 			// Once moot, the failure is not the run's: the peer may
 			// rightly have dropped its link to a process whose
@@ -172,11 +175,11 @@ func (c *controller) transmit(m xmsg, k *msgKey, orig pits.Value, toPE, copies i
 			c.fail(fmt.Errorf("exec: %w", err))
 		}
 	})
-	return false, nil
+	return 0, nil
 }
 
 // put makes now the copies transmit decided on.
-func (c *controller) put(m xmsg, k *msgKey, orig pits.Value, toPE, copies int, resend, local bool) (handed bool, err error) {
+func (c *controller) put(m xmsg, k *msgKey, orig pits.Value, toPE, copies int, resend, local bool) (handed int, err error) {
 	n := copies
 	if resend {
 		n++
@@ -186,19 +189,17 @@ func (c *controller) put(m xmsg, k *msgKey, orig pits.Value, toPE, copies int, r
 			m.val = orig
 			c.addEvent(trace.Event{Kind: trace.MsgRetry, At: c.stamp(m.at), Task: k.from,
 				PE: m.fromPE, Var: k.v, Peer: toPE, Seq: m.seq, Note: "attempt 1"})
-			c.stats.Retries.Add(1)
 		}
 		if local {
 			if !c.deliver(m, toPE) {
-				return false, fmt.Errorf("%w while sending to PE %d", errAborted, toPE)
+				return 0, fmt.Errorf("%w while sending to PE %d", errAborted, toPE)
 			}
 			continue
 		}
-		c.stats.RemoteSends.Add(1)
-		handed = true
+		handed++
 		if err := c.plane.DeliverRemote(RemoteMsg{From: k.from, To: k.to, Var: k.v, FromPE: m.fromPE, ToPE: toPE,
 			Seq: m.seq, Epoch: m.epoch, At: m.at, Sum: m.sum, Val: m.val}); err != nil {
-			return true, fmt.Errorf("remote delivery to PE %d: %w", toPE, err)
+			return handed, fmt.Errorf("remote delivery to PE %d: %w", toPE, err)
 		}
 	}
 	return handed, nil

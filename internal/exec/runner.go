@@ -67,11 +67,9 @@ type Runner struct {
 	// arms no timer.
 	StallTimeout time.Duration
 
-	// Stats optionally accumulates runtime counters across every
-	// session this runner starts: a long-running control plane serving
-	// back-to-back runs points all of them at one shared counter set
-	// and exposes the running totals. Nil keeps the default of a
-	// private counter set per session.
+	// Stats, when set, is added each finished run's counts, once (see
+	// Stats): a long-running control plane serving back-to-back runs
+	// points all of them at one and exposes the running totals.
 	Stats *Stats
 }
 

@@ -111,10 +111,6 @@ func (r *Runner) buildSession(s *sched.Schedule, flat *graph.Flat, hosted []bool
 	start := time.Now()
 	now := func() machine.Time { return machine.Time(time.Since(start).Microseconds()) }
 
-	stats := r.Stats
-	if stats == nil {
-		stats = &Stats{}
-	}
 	ctrl := &controller{
 		runner: r, numPE: numPE,
 		hosted: make([]atomic.Bool, numPE), plane: plane,
@@ -123,7 +119,7 @@ func (r *Runner) buildSession(s *sched.Schedule, flat *graph.Flat, hosted []bool
 		finish: make(chan struct{}),
 		events: make(chan wevent, numPE*4+16),
 		faults: faults, retry: r.Retry, checksums: faults.checksums,
-		now: now, stats: stats,
+		now: now,
 	}
 	for pe, h := range hosted {
 		ctrl.hosted[pe].Store(h)
@@ -215,10 +211,6 @@ func (ses *Session) Deliver(m RemoteMsg) error {
 // Progress returns the session's progress counter (completed tasks and
 // accepted messages): the payload of liveness heartbeats.
 func (ses *Session) Progress() uint64 { return ses.ctrl.progress.Load() }
-
-// Stats returns a snapshot of the session's runtime counters. Safe to
-// call while the run is in flight.
-func (ses *Session) Stats() StatsSnapshot { return ses.ctrl.stats.Snapshot() }
 
 // Elapsed is the wall-clock time since the session started.
 func (ses *Session) Elapsed() time.Duration { return time.Since(ses.start) }
@@ -328,8 +320,12 @@ func (ses *Session) Wait() (*Partial, error) {
 		return nil, errors.Join(cascades...)
 	}
 
-	p := &Partial{Outputs: pits.Env{}, Exports: map[string]graph.NodeID{}, Events: ses.ctrl.eventLog(ses.log)}
+	p := &Partial{Outputs: pits.Env{}, Exports: map[string]graph.NodeID{}, Events: ses.ctrl.eventLog(ses.log),
+		RemoteSends: ses.ctrl.late.sends, RemoteFlushes: ses.ctrl.late.flushes}
 	for _, w := range ses.workers {
+		if w != nil {
+			p.RemoteSends, p.RemoteFlushes = p.RemoteSends+w.plane.sends, p.RemoteFlushes+w.plane.flushes
+		}
 		// A crashed worker's results died with it: recovery recomputed
 		// them elsewhere.
 		if w == nil || w.dead {

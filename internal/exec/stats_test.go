@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -9,13 +10,14 @@ import (
 	"repro/internal/trace"
 )
 
-// TestStatsConcurrentIncrements hammers every counter from many
-// goroutines. Under -race this pins the atomicity of the Stats type:
-// replacing any atomic.Int64 with a plain int64 fails the race build,
-// and lost updates fail the totals below on any build.
+// TestStatsConcurrentIncrements adds one-of-everything from many
+// goroutines while others read. Under -race this pins that Add and
+// Snapshot share the lock; a lost update fails the totals on any build.
 func TestStatsConcurrentIncrements(t *testing.T) {
 	const goroutines = 16
 	const perG = 1000
+	one := StatsSnapshot{TasksRun: 1, MsgsSent: 1, MsgsRecv: 1, Retries: 1,
+		FaultsInjected: 1, Recoveries: 1, RemoteSends: 1, RemoteFlushes: 1}
 	var s Stats
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {
@@ -23,35 +25,26 @@ func TestStatsConcurrentIncrements(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < perG; j++ {
-				s.TasksRun.Add(1)
-				s.MsgsSent.Add(1)
-				s.MsgsRecv.Add(1)
-				s.Retries.Add(1)
-				s.FaultsInjected.Add(1)
-				s.Recoveries.Add(1)
+				s.Add(one)
 				_ = s.Snapshot() // concurrent reads must be safe too
 			}
 		}()
 	}
 	wg.Wait()
-	snap := s.Snapshot()
-	want := int64(goroutines * perG)
-	for name, got := range map[string]int64{
-		"TasksRun": snap.TasksRun, "MsgsSent": snap.MsgsSent, "MsgsRecv": snap.MsgsRecv,
-		"Retries": snap.Retries, "FaultsInjected": snap.FaultsInjected, "Recoveries": snap.Recoveries,
-	} {
-		if got != want {
-			t.Errorf("%s = %d, want %d", name, got, want)
-		}
+	const n = goroutines * perG
+	want := StatsSnapshot{TasksRun: n, MsgsSent: n, MsgsRecv: n, Retries: n,
+		FaultsInjected: n, Recoveries: n, RemoteSends: n, RemoteFlushes: n}
+	if got := s.Snapshot(); got != want {
+		t.Errorf("Stats = %+v, want %+v", got, want)
 	}
 }
 
-// TestRunStatsMatchTrace runs a real schedule and checks the runner's
-// counters agree with what the trace records: counters and events are
-// incremented at the same sites, so a drift means one of them lies.
-// The crashed variant adds the one counter no session can keep — a
-// recovery is the lifecycle's doing, counted once per completed
-// crash barrier.
+// TestRunStatsMatchTrace runs a real schedule many times at once into
+// one shared Stats, as a server does, and checks that every run was
+// added exactly once: the totals are the sum of each run's own trace
+// fold (task ends, duplicates too; sends, receives, retries and faults),
+// and a crashed run adds the one recovery its lifecycle committed.
+// Under -race it also pins that concurrent Adds and Snapshots are safe.
 func TestRunStatsMatchTrace(t *testing.T) {
 	flat := diamondDesign(t)
 	inputs := pits.Env{"x0": pits.Num(3)}
@@ -60,43 +53,55 @@ func TestRunStatsMatchTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		faults           string
-		faulted, recover int64
-	}{{"", 0, 0}, {"crash:1@0", 1, 1}} {
-		r := &Runner{Inputs: inputs, VirtualTime: true, Stats: &Stats{}}
-		if tc.faults != "" {
-			if r.Faults, err = ParseFaults(tc.faults); err != nil {
+	first, last := sc.Msgs[0], sc.Msgs[len(sc.Msgs)-1]
+	plans := []string{"", "crash:1@0", fmt.Sprintf("drop:%s->%s:%s,dup:%s->%s:%s",
+		first.From, first.To, first.Var, last.From, last.To, last.Var)}
+	const rounds = 8
+	stats := &Stats{}
+	var (
+		mu   sync.Mutex
+		want StatsSnapshot
+		wg   sync.WaitGroup
+	)
+	for i := 0; i < rounds*len(plans); i++ {
+		spec := plans[i%len(plans)]
+		r := &Runner{Inputs: inputs, VirtualTime: i%2 == 0, Retry: true, Stats: stats}
+		if spec != "" {
+			if r.Faults, err = ParseFaults(spec); err != nil {
 				t.Fatal(err)
 			}
 		}
-		res, err := r.Run(sc, flat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap := r.Stats.Snapshot()
-		counts := map[trace.Kind]int64{}
-		for _, e := range res.Trace.Events {
-			counts[e.Kind]++
-		}
-		if snap.TasksRun != counts[trace.TaskStart] {
-			t.Errorf("%q: TasksRun = %d, trace has %d task starts", tc.faults, snap.TasksRun, counts[trace.TaskStart])
-		}
-		if snap.MsgsSent != counts[trace.MsgSend] {
-			t.Errorf("%q: MsgsSent = %d, trace has %d sends", tc.faults, snap.MsgsSent, counts[trace.MsgSend])
-		}
-		if snap.MsgsRecv != counts[trace.MsgRecv] {
-			t.Errorf("%q: MsgsRecv = %d, trace has %d receives", tc.faults, snap.MsgsRecv, counts[trace.MsgRecv])
-		}
-		if snap.FaultsInjected != tc.faulted || snap.Recoveries != tc.recover {
-			t.Errorf("%q: faults=%d recoveries=%d, want %d and %d", tc.faults,
-				snap.FaultsInjected, snap.Recoveries, tc.faulted, tc.recover)
-		}
-		if snap.RemoteSends != 0 || snap.RemoteFlushes != 0 {
-			t.Errorf("%q: an in-process run counted %d remote sends and %d flushes", tc.faults, snap.RemoteSends, snap.RemoteFlushes)
-		}
-		if snap.TasksRun == 0 || snap.MsgsSent == 0 {
-			t.Errorf("%q: counters never moved on a real run", tc.faults)
-		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := r.Run(sc, flat)
+			_ = stats.Snapshot() // reads race the other runs' Adds
+			if err != nil {
+				t.Errorf("%q: %v", spec, err)
+				return
+			}
+			c := trace.Count(res.Trace.Events)
+			mu.Lock()
+			defer mu.Unlock()
+			want.TasksRun += int64(c.TasksRun + c.DupsRun)
+			want.MsgsSent += int64(c.Msgs)
+			want.MsgsRecv += int64(c.MsgsRecv)
+			want.Retries += int64(c.Retries)
+			want.FaultsInjected += int64(c.Faults)
+			if spec == "crash:1@0" {
+				want.Recoveries++
+			}
+		}()
+	}
+	wg.Wait()
+	got := stats.Snapshot()
+	if got != want {
+		t.Errorf("shared Stats = %+v\nsum of the runs' folds = %+v", got, want)
+	}
+	if got.TasksRun == 0 || got.MsgsSent == 0 || got.Retries == 0 || got.Recoveries != rounds {
+		t.Errorf("counters never moved on real runs: %+v", got)
+	}
+	if got.RemoteSends != 0 || got.RemoteFlushes != 0 {
+		t.Errorf("in-process runs counted %d remote sends and %d flushes", got.RemoteSends, got.RemoteFlushes)
 	}
 }

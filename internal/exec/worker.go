@@ -51,6 +51,7 @@ type worker struct {
 	// flushOwed is set while the current burst of sends has handed the
 	// remote plane a message it has not flushed yet.
 	flushOwed bool
+	plane     planeCounts // what this worker handed the remote plane
 }
 
 // arrival is what a worker knows of one inbound message of its era: the
@@ -170,7 +171,6 @@ func (w *worker) execute() (wstatus, error) {
 		if w.ctrl.faults.crashNow(w.pe, w.executed) {
 			w.events = append(w.events, trace.Event{Kind: trace.FaultInjected, At: w.ctrl.stamp(w.clock),
 				Task: w.prog.slots[w.cursor].Task, PE: w.pe, Peer: w.pe, Note: "crash"})
-			w.ctrl.stats.FaultsInjected.Add(1)
 			return wsCrashed, nil
 		}
 		select {
@@ -187,7 +187,6 @@ func (w *worker) execute() (wstatus, error) {
 		w.cursor++
 		w.executed++
 		w.ctrl.progress.Add(1)
-		w.ctrl.stats.TasksRun.Add(1)
 	}
 	return wsFinished, nil
 }
@@ -307,13 +306,11 @@ func (w *worker) send(sp sendPlan, val pits.Value, at machine.Time) error {
 	}
 	w.events = append(w.events, trace.Event{Kind: trace.MsgSend, At: sendAt,
 		Task: k.from, PE: w.pe, Var: k.v, Peer: sp.toPE, Seq: m.seq})
-	w.ctrl.stats.MsgsSent.Add(1)
 	copies, corrupted := 1, false
 	var wallDelay time.Duration
 	for _, kind := range w.ctrl.faults.onSend(k) {
 		w.events = append(w.events, trace.Event{Kind: trace.FaultInjected, At: sendAt,
 			Task: k.from, PE: w.pe, Var: k.v, Peer: sp.toPE, Seq: m.seq, Note: kind.String()})
-		w.ctrl.stats.FaultsInjected.Add(1)
 		switch kind {
 		case FaultDrop:
 			copies = 0
@@ -332,7 +329,8 @@ func (w *worker) send(sp sendPlan, val pits.Value, at machine.Time) error {
 	// Without Retry a corrupted copy fails the run at its receiver.
 	resend := w.ctrl.retry && (copies == 0 || corrupted)
 	handed, err := w.ctrl.transmit(m, k, val, sp.toPE, copies, resend, wallDelay)
-	w.flushOwed = w.flushOwed || handed
+	w.plane.sends += int64(handed)
+	w.flushOwed = w.flushOwed || handed > 0
 	return err
 }
 
@@ -341,7 +339,8 @@ func (w *worker) send(sp sendPlan, val pits.Value, at machine.Time) error {
 func (w *worker) endBurst() {
 	if w.flushOwed {
 		w.flushOwed = false
-		w.ctrl.flushRemote()
+		w.plane.flushes++
+		w.ctrl.plane.FlushRemote()
 	}
 }
 
@@ -418,6 +417,5 @@ func (w *worker) receive(ord int32) (xmsg, error) {
 	}
 	a.state = consumed
 	w.events = append(w.events, trace.Event{Kind: trace.MsgRecv, At: w.ctrl.stamp(a.at), Task: due.key.from, PE: w.pe, Var: due.key.v, Peer: a.fromPE, Seq: a.seq})
-	w.ctrl.stats.MsgsRecv.Add(1)
 	return a.xmsg, nil
 }

@@ -202,16 +202,6 @@ func CSV(s *sched.Schedule) string {
 	return b.String()
 }
 
-// SpeedupCSV exports a speedup curve as CSV.
-func SpeedupCSV(pts []sched.SpeedupPoint) string {
-	var b strings.Builder
-	b.WriteString("pes,makespan_us,speedup\n")
-	for _, p := range pts {
-		fmt.Fprintf(&b, "%d,%d,%f\n", p.PEs, int64(p.Makespan), p.Speedup)
-	}
-	return b.String()
-}
-
 // svgPalette cycles bar fill colours per task hash.
 var svgPalette = []string{"#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f", "#edc948", "#b07aa1", "#ff9da7"}
 

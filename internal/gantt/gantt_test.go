@@ -122,10 +122,6 @@ func TestCSVFormats(t *testing.T) {
 			t.Errorf("bad row %q", l)
 		}
 	}
-	sc := SpeedupCSV([]sched.SpeedupPoint{{PEs: 2, Makespan: 10, Speedup: 1.5}})
-	if !strings.HasPrefix(sc, "pes,makespan_us,speedup\n2,10,1.5") {
-		t.Errorf("speedup csv = %q", sc)
-	}
 }
 
 func TestSVGWellFormedEnough(t *testing.T) {

@@ -7,7 +7,7 @@ import (
 
 // This file provides deterministic generators for the task-graph shapes
 // used throughout the benchmark harness: the classic structured graphs
-// of the scheduling literature (chains, trees, diamonds, FFT
+// of the scheduling literature (chains, fork-joins, diamonds, FFT
 // butterflies, Gaussian elimination) plus seeded random layered DAGs.
 
 // Chain returns a linear chain of n tasks t0 -> t1 -> ... each with the
@@ -49,46 +49,6 @@ func Diamond(work, words int64) *Graph {
 	g.MustConnect("a", "c", "ac", words)
 	g.MustConnect("b", "d", "bd", words)
 	g.MustConnect("c", "d", "cd", words)
-	return g
-}
-
-// OutTree returns a complete out-tree (root fans out) with the given
-// branching factor and depth levels. Depth 1 is a single root.
-func OutTree(branch, depth int, work, words int64) *Graph {
-	g := New(fmt.Sprintf("outtree-b%d-d%d", branch, depth))
-	var build func(id string, level int)
-	build = func(id string, level int) {
-		g.MustAddTask(NodeID(id), id, work)
-		if level+1 >= depth {
-			return
-		}
-		for c := 0; c < branch; c++ {
-			child := fmt.Sprintf("%s.%d", id, c)
-			build(child, level+1)
-			g.MustConnect(NodeID(id), NodeID(child), "d"+child, words)
-		}
-	}
-	build("r", 0)
-	return g
-}
-
-// InTree returns a complete in-tree (leaves reduce toward a root),
-// the mirror image of OutTree.
-func InTree(branch, depth int, work, words int64) *Graph {
-	g := New(fmt.Sprintf("intree-b%d-d%d", branch, depth))
-	var build func(id string, level int)
-	build = func(id string, level int) {
-		g.MustAddTask(NodeID(id), id, work)
-		if level+1 >= depth {
-			return
-		}
-		for c := 0; c < branch; c++ {
-			child := fmt.Sprintf("%s.%d", id, c)
-			build(child, level+1)
-			g.MustConnect(NodeID(child), NodeID(id), "d"+child, words)
-		}
-	}
-	build("r", 0)
 	return g
 }
 
@@ -144,30 +104,6 @@ func GE(n int, pivotWork, updateWork, words int64) *Graph {
 		}
 	}
 	return g
-}
-
-// Wavefront returns the task graph of a rows×cols dynamic-programming
-// table sweep: cell (i,j) depends on its north and west neighbours, so
-// execution proceeds in anti-diagonal waves — the dependency pattern of
-// sequence alignment, shortest paths and triangular solves.
-func Wavefront(rows, cols int, work, words int64) (*Graph, error) {
-	if rows < 1 || cols < 1 {
-		return nil, fmt.Errorf("wavefront %dx%d: dimensions must be positive", rows, cols)
-	}
-	g := New(fmt.Sprintf("wavefront-%dx%d", rows, cols))
-	id := func(i, j int) NodeID { return NodeID(fmt.Sprintf("c%d.%d", i, j)) }
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			g.MustAddTask(id(i, j), fmt.Sprintf("cell %d,%d", i, j), work)
-			if i > 0 {
-				g.MustConnect(id(i-1, j), id(i, j), fmt.Sprintf("n%d.%d", i, j), words)
-			}
-			if j > 0 {
-				g.MustConnect(id(i, j-1), id(i, j), fmt.Sprintf("w%d.%d", i, j), words)
-			}
-		}
-	}
-	return g, nil
 }
 
 // LayeredConfig controls LayeredRandom generation.

@@ -31,23 +31,6 @@ func TestForkJoinShape(t *testing.T) {
 	}
 }
 
-func TestOutTreeInTreeShapes(t *testing.T) {
-	out := OutTree(2, 3, 1, 1) // 1 + 2 + 4 = 7 nodes
-	if out.Len() != 7 || out.NumArcs() != 6 {
-		t.Errorf("outtree: %s", out.Summary())
-	}
-	if len(out.Entries()) != 1 {
-		t.Errorf("outtree entries = %v", out.Entries())
-	}
-	in := InTree(2, 3, 1, 1)
-	if in.Len() != 7 || in.NumArcs() != 6 {
-		t.Errorf("intree: %s", in.Summary())
-	}
-	if len(in.Exits()) != 1 {
-		t.Errorf("intree exits = %v", in.Exits())
-	}
-}
-
 func TestFFTShape(t *testing.T) {
 	g, err := FFT(4, 1, 1)
 	if err != nil {
@@ -161,8 +144,6 @@ func TestGeneratorsAllValidate(t *testing.T) {
 		Chain(10, 3, 1),
 		ForkJoin(5, 3, 1),
 		Diamond(3, 1),
-		OutTree(3, 3, 2, 1),
-		InTree(3, 3, 2, 1),
 		GE(5, 4, 8, 2),
 	}
 	if fft, err := FFT(8, 2, 1); err == nil {
@@ -177,30 +158,5 @@ func TestGeneratorsAllValidate(t *testing.T) {
 		if _, err := g.Flatten(); err != nil {
 			t.Errorf("%s flatten: %v", g.Name, err)
 		}
-	}
-}
-
-func TestWavefrontShape(t *testing.T) {
-	g, err := Wavefront(3, 4, 10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Len() != 12 || g.NumArcs() != 2*12-3-4 { // n*m cells, (n-1)*m + n*(m-1) arcs
-		t.Fatalf("wavefront: %s", g.Summary())
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Depth = rows + cols - 1 anti-diagonals; width = min(rows, cols).
-	d, _ := g.Depth()
-	if d != 6 {
-		t.Errorf("depth = %d, want 6", d)
-	}
-	w, _ := g.Width()
-	if w != 3 {
-		t.Errorf("width = %d, want 3", w)
-	}
-	if _, err := Wavefront(0, 3, 1, 1); err == nil {
-		t.Error("bad size accepted")
 	}
 }

@@ -11,8 +11,8 @@ type Builtin struct {
 	Name string
 	// Arity is the required argument count; -1 means variadic (>= 1).
 	Arity int
-	// Cost is the abstract operation count charged per call, used by
-	// the work estimator the scheduler consumes.
+	// Cost is the abstract operation count the interpreter charges per
+	// call, and so what a call adds to a task's measured work.
 	Cost int64
 	// Help is the one-line description shown on the calculator panel.
 	Help string
@@ -56,7 +56,7 @@ func unary(name string, cost int64, help string, f func(float64) float64) Builti
 }
 
 // builtins is the calculator's function table, built once per process
-// and shared read-only by the checker, the estimator and every Interp:
+// and shared read-only by the checker and every Interp:
 // nothing may write to the returned map. Every entry is stateless
 // except rand, which is listed (so the checker knows its arity and a
 // formula cannot shadow it) but carries no fn.

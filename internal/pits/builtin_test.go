@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// The function table is one map shared by every checker, estimator and
-// interpreter in the process. These tests pin what sharing must not
-// change: the rand() stream of a seed, the isolation of interpreters,
-// and what the estimator charges for rand.
+// The function table is one map shared by every checker and interpreter
+// in the process. These tests pin what sharing must not change: the
+// rand() stream of a seed, the isolation of interpreters, and how the
+// checker and the calculator panel see rand.
 
 const randProg = "x = rand()\ny = rand()\nz = sqrt(x) + max(x, y) + sum([x, y])"
 
@@ -42,7 +42,7 @@ func TestRandStreamUnchangedBySharedTable(t *testing.T) {
 }
 
 // TestSharedTableConcurrentUse drives the table from 64 goroutines at
-// once (run with -race): each checks, estimates and runs routines that
+// once (run with -race): each checks and runs routines that
 // call rand() and stateless builtins. Every interpreter must see its
 // own seed's stream however the others interleave.
 func TestSharedTableConcurrentUse(t *testing.T) {
@@ -57,10 +57,6 @@ func TestSharedTableConcurrentUse(t *testing.T) {
 					t.Errorf("check: %v", err)
 					return
 				}
-				if r := Reads(prog); len(r) != 0 {
-					t.Errorf("reads = %v", r)
-				}
-				_ = Estimate(prog, 0)
 				got, _, err := runRandProg(prog, seed)
 				if err != nil {
 					t.Errorf("run: %v", err)
@@ -100,16 +96,9 @@ func TestInterpretersDoNotShareRandStream(t *testing.T) {
 	}
 }
 
-// rand sits in the shared table so the checker knows it, but task work
-// estimates feed the schedulers: the estimator must go on pricing it as
-// an unknown call (1), not at its interpreter cost (4).
-func TestEstimateDoesNotKnowRand(t *testing.T) {
-	if got, unknown := Estimate(MustParse("x = rand()"), 0), Estimate(MustParse("x = nosuch()"), 0); got != 2 || got != unknown {
-		t.Errorf("Estimate(x = rand()) = %d, unknown call = %d; want both 2", got, unknown)
-	}
-	if got := Estimate(MustParse("x = sqrt(2)"), 0); got != 5 {
-		t.Errorf("Estimate(x = sqrt(2)) = %d, want 5", got)
-	}
+// rand sits in the shared table so the checker knows its arity, but the
+// calculator panel adds its key itself.
+func TestRandIsCheckedButNotListed(t *testing.T) {
 	if err := Check(MustParse("x = rand(1)"), nil); err == nil {
 		t.Error("checker accepted rand with an argument")
 	}

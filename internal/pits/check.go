@@ -26,20 +26,6 @@ func Check(p *Program, defined []string) error {
 	return errors.Join(c.errs...)
 }
 
-// Reads returns the sorted set of variables the routine reads before
-// any assignment could define them — the routine's inputs. Constants
-// are excluded.
-func Reads(p *Program) []string {
-	c := &checker{fns: builtins(), defined: map[string]bool{}, collect: true}
-	c.block(p.Stmts)
-	out := make([]string, 0, len(c.reads))
-	for v := range c.reads {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Writes returns the sorted set of variables the routine assigns — its
 // candidate outputs.
 func Writes(p *Program) []string {
@@ -77,8 +63,6 @@ type checker struct {
 	defined  map[string]bool
 	formulas map[string]int // formula name -> arity, in definition order
 	errs     []error
-	collect  bool
-	reads    map[string]bool
 }
 
 func (c *checker) errf(line int, format string, args ...any) {
@@ -90,13 +74,6 @@ func (c *checker) use(name string, line int) {
 		return
 	}
 	if _, isConst := Constants[name]; isConst {
-		return
-	}
-	if c.collect {
-		if c.reads == nil {
-			c.reads = map[string]bool{}
-		}
-		c.reads[name] = true
 		return
 	}
 	c.errf(line, "variable %q used before it is defined", name)
@@ -175,9 +152,7 @@ func (c *checker) stmt(s Stmt) {
 			body.defined[p] = true
 		}
 		body.expr(st.Body)
-		if !c.collect {
-			c.errs = append(c.errs, body.errs...)
-		}
+		c.errs = append(c.errs, body.errs...)
 		c.formulas[st.Name] = len(st.Params)
 	}
 }

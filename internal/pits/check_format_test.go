@@ -3,6 +3,8 @@ package pits
 import (
 	"math/rand"
 	"reflect"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -78,10 +80,10 @@ for i = 1 to n do
   s = i
 end
 `)
-	reads := Reads(prog)
+	reads := undefined(t, prog, nil)
 	want := []string{"a", "b", "label", "n", "q", "v"}
 	if !reflect.DeepEqual(reads, want) {
-		t.Errorf("Reads = %v, want %v", reads, want)
+		t.Errorf("reads = %v, want %v", reads, want)
 	}
 	writes := Writes(prog)
 	// v counts as a write too: indexed assignment mutates the vector.
@@ -93,10 +95,33 @@ end
 
 func TestReadsExcludesConstants(t *testing.T) {
 	prog := MustParse("area = pi * r ^ 2")
-	reads := Reads(prog)
-	if !reflect.DeepEqual(reads, []string{"r"}) {
-		t.Errorf("Reads = %v", reads)
+	if reads := undefined(t, prog, nil); !reflect.DeepEqual(reads, []string{"r"}) {
+		t.Errorf("reads = %v", reads)
 	}
+	if err := Check(prog, []string{"r"}); err != nil {
+		t.Errorf("pi is a constant, yet: %v", err)
+	}
+}
+
+// undefined returns the sorted set of variables Check reports as used
+// before they are defined, given defined: with nothing defined, the
+// routine's reads.
+func undefined(t *testing.T, p *Program, defined []string) []string {
+	t.Helper()
+	err := Check(p, defined)
+	if err == nil {
+		return nil
+	}
+	seen := map[string]bool{}
+	for _, m := range regexp.MustCompile(`variable "([^"]+)" used before it is defined`).FindAllStringSubmatch(err.Error(), -1) {
+		seen[m[1]] = true
+	}
+	out := make([]string, 0, len(seen))
+	for v := range seen {
+		out = append(out, v)
+	}
+	sort.Strings(out)
+	return out
 }
 
 func TestFormatCanonicalises(t *testing.T) {
@@ -190,49 +215,6 @@ func TestFormatRoundTripPreservesSemantics(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestEstimateLiteralLoops(t *testing.T) {
-	flat := MustParse("x = 1 + 2")
-	loop := MustParse("x = 0\nrepeat 100 do\n  x = x + 1\nend")
-	ef, el := Estimate(flat, 0), Estimate(loop, 0)
-	if ef <= 0 {
-		t.Errorf("flat estimate = %d", ef)
-	}
-	if el < 100 {
-		t.Errorf("loop estimate = %d, want >= 100", el)
-	}
-	// A literal-bound for loop scales with its bounds.
-	f10 := Estimate(MustParse("s = 0\nfor i = 1 to 10 do\n  s = s + i\nend"), 0)
-	f100 := Estimate(MustParse("s = 0\nfor i = 1 to 100 do\n  s = s + i\nend"), 0)
-	if f100 < 5*f10 {
-		t.Errorf("for-loop estimate does not scale: %d vs %d", f10, f100)
-	}
-}
-
-func TestEstimateUsesGuessForDynamicLoops(t *testing.T) {
-	p := MustParse("s = 0\nwhile s < n do\n  s = s + 1\nend")
-	small := Estimate(p, 2)
-	big := Estimate(p, 1000)
-	if big <= small {
-		t.Errorf("guess has no effect: %d vs %d", small, big)
-	}
-}
-
-func TestEstimateBranchTakesMax(t *testing.T) {
-	p := MustParse(`
-if c then
-  x = 1
-else
-  x = sqrt(sqrt(sqrt(2)))
-  y = x * x * x
-end
-`)
-	est := Estimate(p, 0)
-	thenOnly := Estimate(MustParse("x = 1"), 0)
-	if est <= thenOnly {
-		t.Errorf("estimate %d ignored heavier branch (then-only %d)", est, thenOnly)
 	}
 }
 

@@ -80,9 +80,7 @@ func TestCheckNeverPanicsOnParsedPrograms(t *testing.T) {
 				}
 			}()
 			_ = Check(prog, []string{"x"})
-			_ = Reads(prog)
 			_ = Writes(prog)
-			_ = Estimate(prog, 0)
 			_ = Format(prog)
 		}()
 	}

@@ -1018,11 +1018,12 @@ func TestServeFleetMode(t *testing.T) {
 	}
 }
 
-// TestServeFleetStatsCountTheDaemons: a fleet-backed server's execution
-// counters are what the worker daemons counted, carried back in each
-// result frame. Three runs count three times the design's tasks and the
-// in-process engine's messages, and the daemons' remote deliveries left
-// in bursts, at most one flush per delivery.
+// TestServeFleetStatsCountTheDaemons: a fleet-backed server counts each
+// run from the log it merged out of the worker daemons' results, and the
+// daemons' plane counts carried in each result frame. Three runs count
+// three times the design's tasks and the in-process engine's messages,
+// and the daemons' remote deliveries left in bursts, at most one flush
+// per delivery.
 func TestServeFleetStatsCountTheDaemons(t *testing.T) {
 	s := New(Options{DefaultAlg: "etf", Fleet: startFleet(t, "fleet-stats")})
 	ts := httptest.NewServer(s.Handler())
@@ -1066,7 +1067,7 @@ func TestServeFleetStatsCountTheDaemons(t *testing.T) {
 	if want := int64(runs * entry.flat.Graph.Len()); st.TasksRun != want {
 		t.Errorf("%d fleet runs counted %d tasks, want %d", runs, st.TasksRun, want)
 	}
-	if want := runs * local.MsgsSent.Load(); want == 0 || st.MsgsSent != want || st.MsgsRecv != want {
+	if want := runs * local.Snapshot().MsgsSent; want == 0 || st.MsgsSent != want || st.MsgsRecv != want {
 		t.Errorf("%d fleet runs counted %d messages sent and %d received, want %d each", runs, st.MsgsSent, st.MsgsRecv, want)
 	}
 	if st.RemoteFlushes <= 0 || st.RemoteFlushes > st.RemoteSends {

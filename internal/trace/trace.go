@@ -289,12 +289,14 @@ func (t *Trace) pair(span func(pe int, s Span)) error {
 	return nil
 }
 
-// Stats summarises a trace.
-type Stats struct {
-	Makespan    machine.Time
-	TasksRun    int
-	DupsRun     int
-	Msgs        int
+// Counts is one fold of a run's log: how many events of each countable
+// kind it holds. exec.Stats adds one per finished run, and Summarize
+// reports it, so the two cannot disagree.
+type Counts struct {
+	TasksRun    int   // task ends of primary copies
+	DupsRun     int   // task ends of duplicate copies
+	Msgs        int   // message sends
+	MsgsRecv    int   // messages consumed by a task
 	Faults      int   // injected faults recorded in the trace
 	Retries     int   // message retransmissions
 	Rescheduled int   // tasks moved by crash recovery
@@ -302,6 +304,49 @@ type Stats struct {
 	PeersLost   int   // worker processes declared dead mid-run
 	Drained     int   // worker processes gracefully evacuated mid-run
 	WireBytes   int64 // bytes moved over peer connections
+}
+
+// Count folds events into their counts, in one pass and allocating
+// nothing.
+func Count(events []Event) Counts {
+	var c Counts
+	for i := range events {
+		e := &events[i]
+		switch e.Kind {
+		case TaskEnd:
+			if e.Dup {
+				c.DupsRun++
+			} else {
+				c.TasksRun++
+			}
+		case MsgSend:
+			c.Msgs++
+		case MsgRecv:
+			c.MsgsRecv++
+		case FaultInjected:
+			c.Faults++
+		case MsgRetry:
+			c.Retries++
+		case TaskRescheduled:
+			c.Rescheduled++
+		case PeerConnected:
+			c.Peers++
+		case PeerLost:
+			c.PeersLost++
+		case WorkerDrained:
+			c.Drained++
+		case WireBytes:
+			c.WireBytes += e.Bytes
+		}
+	}
+	return c
+}
+
+// Stats summarises a trace: its counts, and what its paired task spans
+// say about time.
+type Stats struct {
+	Counts
+	Makespan    machine.Time
 	BusyByPE    map[int]machine.Time
 	Utilization float64 // mean busy fraction over PEs that appear in the trace
 }
@@ -310,38 +355,12 @@ type Stats struct {
 // trace ran on (idle processors count toward utilisation).
 func (t *Trace) Summarize(numPE int) (*Stats, error) {
 	st := &Stats{BusyByPE: map[int]machine.Time{}}
-	err := t.pair(func(pe int, s Span) {
-		st.BusyByPE[pe] += s.Finish - s.Start
-		if s.Dup {
-			st.DupsRun++
-		} else {
-			st.TasksRun++
-		}
-	})
+	err := t.pair(func(pe int, s Span) { st.BusyByPE[pe] += s.Finish - s.Start })
 	if err != nil {
 		return nil, err
 	}
+	st.Counts = Count(t.Events)
 	st.Makespan = t.Makespan()
-	for _, e := range t.Events {
-		switch e.Kind {
-		case MsgSend:
-			st.Msgs++
-		case FaultInjected:
-			st.Faults++
-		case MsgRetry:
-			st.Retries++
-		case TaskRescheduled:
-			st.Rescheduled++
-		case PeerConnected:
-			st.Peers++
-		case PeerLost:
-			st.PeersLost++
-		case WorkerDrained:
-			st.Drained++
-		case WireBytes:
-			st.WireBytes += e.Bytes
-		}
-	}
 	if st.Makespan > 0 && numPE > 0 {
 		var busy machine.Time
 		for _, b := range st.BusyByPE {

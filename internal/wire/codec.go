@@ -206,13 +206,11 @@ func DecodeCheckpoint(b []byte) (map[graph.NodeID]pits.Env, error) {
 	return local, nil
 }
 
-// EncodeMsg encodes one scheduled cross-process message. The consumer
-// processor sits at a fixed offset so the coordinator can route a Data
-// frame without decoding the payload (see MsgDest).
-func EncodeMsg(m exec.RemoteMsg) ([]byte, error) { return AppendMsg(nil, m) }
-
-// AppendMsg appends the encoding of m to b (which may be a recycled
-// buffer), for senders that pool payload buffers.
+// AppendMsg appends the encoding of one scheduled cross-process message
+// to b (which may be a recycled buffer, for senders that pool payload
+// buffers). The consumer processor sits at a fixed offset so the
+// coordinator can route a Data frame without decoding the payload (see
+// MsgDest).
 func AppendMsg(b []byte, m exec.RemoteMsg) ([]byte, error) {
 	b = binary.BigEndian.AppendUint32(b, uint32(m.ToPE))
 	b = binary.BigEndian.AppendUint32(b, uint32(m.FromPE))
@@ -289,8 +287,8 @@ func encBlobEnvelope(js []byte, blobs ...[]byte) []byte {
 	return openEnvelope(js, len(blobs), blobs...)
 }
 
-// encEventsEnvelope is encBlobEnvelope(js, blob, EncodeEvents(evs, ix))
-// with the events encoded straight into the envelope, not copied in.
+// encEventsEnvelope is encBlobEnvelope(js, blob, <evs encoded against
+// ix>) with the events encoded straight into the envelope, not copied in.
 func encEventsEnvelope(js, blob []byte, evs []trace.Event, ix NameIndex) []byte {
 	return appendEvents(openEnvelope(js, 2, blob), evs, ix)
 }
@@ -697,7 +695,7 @@ func DecodeSchedule(b []byte) (*sched.Schedule, error) {
 // never per result.
 type NameIndex map[string]int64
 
-// NewNameIndex indexes g's task IDs and variables for EncodeEvents.
+// NewNameIndex indexes g's task IDs and variables for the events codec.
 func NewNameIndex(g *graph.Graph) NameIndex {
 	ix := NameIndex{}
 	for i, n := range g.Nodes() {
@@ -709,15 +707,9 @@ func NewNameIndex(g *graph.Graph) NameIndex {
 	return ix
 }
 
-// EncodeEvents encodes a trace event list against ix, in one
-// allocation.
-func EncodeEvents(evs []trace.Event, ix NameIndex) []byte {
-	return appendEvents(nil, evs, ix)[4:]
-}
-
-// appendEvents appends the encoding of evs — their count, then their
-// records — as an envelope blob, behind its 4-byte length. It measures
-// the records on the stack first, so b grows at most once.
+// appendEvents appends the encoding of evs against ix — their count,
+// then their records — as an envelope blob, behind its 4-byte length. It
+// measures the records on the stack first, so b grows at most once.
 func appendEvents(b []byte, evs []trace.Event, ix NameIndex) []byte {
 	var tmp [64]byte
 	n := len(binary.AppendUvarint(tmp[:0], uint64(len(evs))))
@@ -755,7 +747,7 @@ func appendEvent(b []byte, e *trace.Event, ix NameIndex) []byte {
 
 var errBadEvents = fmt.Errorf("wire: event list truncated or referring outside its graph")
 
-// eventCount reads the untrusted count an EncodeEvents payload opens
+// eventCount reads the untrusted count an events payload opens
 // with, and its length: a record takes at least eleven bytes, so a count
 // the bytes cannot hold is an error.
 func eventCount(b []byte) (int, int, error) {
@@ -766,7 +758,7 @@ func eventCount(b []byte) (int, int, error) {
 	return int(n), k, nil
 }
 
-// AppendEvents decodes an EncodeEvents payload against g, the graph it
+// AppendEvents decodes an events payload against g, the graph it
 // was encoded on, onto dst, which grows at most once. Every malformed
 // input is an error, and leaves dst's events as they were: a truncated
 // record, a reference outside g, a count the bytes cannot hold.

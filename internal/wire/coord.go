@@ -589,6 +589,7 @@ func (r *coRun) handleFrame(p *peer, f Frame) (*exec.Result, error) {
 		// The events stay encoded until the run's log is made: the
 		// lifecycle decodes them straight into it.
 		part := &exec.Partial{Exports: note.Exports, Printed: note.Printed, PrintedPE: note.PrintedPE,
+			RemoteSends: note.Sends, RemoteFlushes: note.Flushes,
 			AppendEvents: func(dst []trace.Event) ([]trace.Event, error) {
 				out, err := AppendEvents(dst, blobs[1], r.s.Graph)
 				if err != nil {
@@ -601,9 +602,6 @@ func (r *coRun) handleFrame(p *peer, f Frame) (*exec.Result, error) {
 		}
 		if err != nil {
 			return nil, fmt.Errorf("wire: worker %d result: %w", p.i, err)
-		}
-		if st := r.runner.Stats; st != nil {
-			st.Add(note.Stats)
 		}
 		return r.step(exec.Returned{W: p.i, Partial: part}, nil)
 	case TError:

@@ -209,9 +209,9 @@ func TestDistCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The workers' counters live in their own processes; the recovery is
-	// the coordinator's doing and counts here.
-	if got := co.Runner.Stats.Recoveries.Load(); got != 1 {
+	// The recovery is the coordinator's lifecycle's doing, counted with
+	// the run.
+	if got := co.Runner.Stats.Snapshot().Recoveries; got != 1 {
 		t.Errorf("Runner.Stats.Recoveries = %d after one crash recovery, want 1", got)
 	}
 	if !reflect.DeepEqual(dist.Outputs, single.Outputs) {

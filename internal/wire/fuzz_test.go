@@ -134,7 +134,7 @@ func FuzzDecodeEnv(f *testing.F) {
 
 func FuzzDecodeMsg(f *testing.F) {
 	for _, v := range []pits.Value{pits.Num(9), pits.Vec{1}, pits.StrV("datum")} {
-		b, err := EncodeMsg(exec.RemoteMsg{
+		b, err := AppendMsg(nil, exec.RemoteMsg{
 			From: "a", To: "b", Var: "v", FromPE: 1, ToPE: 2,
 			Seq: 3, Epoch: 1, At: 99, Sum: 7, Val: v,
 		})
@@ -148,7 +148,7 @@ func FuzzDecodeMsg(f *testing.F) {
 		if err != nil {
 			return
 		}
-		b, err := EncodeMsg(m)
+		b, err := AppendMsg(nil, m)
 		if err != nil {
 			t.Fatalf("re-encoding decoded message: %v", err)
 		}
@@ -203,14 +203,14 @@ func FuzzDecodeSchedule(f *testing.F) {
 func FuzzDecodeEvents(f *testing.F) {
 	sc, daemon := eventsOnBothEnds(f)
 	ix := NewNameIndex(daemon)
-	b := EncodeEvents([]trace.Event{
+	b := encodeEvents([]trace.Event{
 		{Kind: trace.TaskStart, At: 10, Task: "t0_0", PE: 2},
 		{Kind: trace.MsgSend, At: 26, Task: "t0_0", PE: 2, Var: "v0_0", Peer: 5, Seq: 7, Bytes: 64},
 		{Kind: trace.MsgRecv, At: 31, Task: "elsewhere", PE: 5, Var: "x", Peer: 2, Seq: 7, Dup: true, Note: "late"},
 		{Kind: trace.WireBytes, At: -1, PE: -1, Bytes: -1 << 40},
 	}, ix)
 	f.Add(b)
-	f.Add(EncodeEvents(nil, ix))
+	f.Add(encodeEvents(nil, ix))
 	f.Add(b[:len(b)-3])
 	// One record of a TaskStart: its eight numbers, with the task and
 	// variable references given, then its three strings' bytes.
@@ -254,7 +254,7 @@ func FuzzDecodeEvents(f *testing.F) {
 		if len(got) != len(prefix)+len(evs) || len(evs) != 0 && !reflect.DeepEqual(got[len(prefix):], evs) {
 			t.Fatalf("decoding onto a prefix gave %d events after it, alone %d", len(got)-len(prefix), len(evs))
 		}
-		evs2, err := AppendEvents(nil, EncodeEvents(evs, ix), sc.Graph)
+		evs2, err := AppendEvents(nil, encodeEvents(evs, ix), sc.Graph)
 		if err != nil {
 			t.Fatalf("re-decoding: %v", err)
 		}

@@ -28,10 +28,10 @@ import (
 func waitNoWorkerRuns(t *testing.T, patience time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(patience)
-	for ActiveWorkerRuns() != 0 && time.Now().Before(deadline) {
+	for activeWorkerRuns.Load() != 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if n := ActiveWorkerRuns(); n != 0 {
+	if n := activeWorkerRuns.Load(); n != 0 {
 		t.Fatalf("worker session tables still hold %d runs after %v", n, patience)
 	}
 }
@@ -146,10 +146,10 @@ func TestMisroutedFrameRejected(t *testing.T) {
 		errCh <- err
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for ActiveWorkerRuns() == 0 && time.Now().Before(deadline) {
+	for activeWorkerRuns.Load() == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if ActiveWorkerRuns() == 0 {
+	if activeWorkerRuns.Load() == 0 {
 		t.Fatal("run never reached the worker")
 	}
 
@@ -311,10 +311,10 @@ func TestOrphanAbandonPerRun(t *testing.T) {
 		aErr <- err
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for ActiveWorkerRuns() == 0 && time.Now().Before(deadline) {
+	for activeWorkerRuns.Load() == 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if ActiveWorkerRuns() == 0 {
+	if activeWorkerRuns.Load() == 0 {
 		t.Fatal("run A never reached the worker")
 	}
 
@@ -331,10 +331,10 @@ func TestOrphanAbandonPerRun(t *testing.T) {
 		bErr <- err
 	}()
 	deadline = time.Now().Add(5 * time.Second)
-	for ActiveWorkerRuns() < 2 && time.Now().Before(deadline) {
+	for activeWorkerRuns.Load() < 2 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if ActiveWorkerRuns() < 2 {
+	if activeWorkerRuns.Load() < 2 {
 		t.Fatal("run B never reached the worker")
 	}
 

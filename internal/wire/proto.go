@@ -222,8 +222,8 @@ type DrainNote struct {
 // ParkedNote is a session's PauseState: the worker's answer to Pause.
 // A checkpoint reply (graceful drain) travels as a blob envelope:
 // this JSON plus Printed/PrintedPE, with the worker-local env
-// checkpoint (EncodeCheckpoint) and trace events (EncodeEvents) out of
-// band.
+// checkpoint (EncodeCheckpoint) and the trace events (encoded against
+// the schedule's NameIndex) out of band.
 type ParkedNote struct {
 	Done  map[graph.NodeID]int `json:"done,omitempty"`
 	Held  []string             `json:"held,omitempty"`
@@ -338,17 +338,19 @@ func (n *ResumeNote) plan(blobs [][]byte) (*exec.ResumePlan, error) {
 
 // ResultNote is a worker's partial result at the end of a run. It
 // travels as a blob envelope: this JSON, then the outputs (EncodeEnv)
-// and the trace events (EncodeEvents) out of band.
+// and the trace events (encoded against the schedule's NameIndex) out of
+// band.
 type ResultNote struct {
 	Exports map[string]graph.NodeID `json:"exports,omitempty"`
 	Printed []string                `json:"printed,omitempty"`
 	// PrintedPE tags each print line with its processor, so the merge
 	// restores ascending-processor order under non-contiguous placement.
 	PrintedPE []int `json:"printedPE,omitempty"`
-	// Stats are the hosted session's counters, which the coordinator adds
-	// into its runner's. A drained or lost member sends none: its counts
-	// leave the run with it.
-	Stats exec.StatsSnapshot `json:"stats"`
+	// Sends and Flushes are the session's remote-plane counts (see
+	// exec.Partial), the one thing the run counts that its log does not
+	// record; the run's other counts are folded from the log it merges.
+	Sends   int64 `json:"sends,omitempty"`
+	Flushes int64 `json:"flushes,omitempty"`
 }
 
 // ErrorNote aborts the run with a root cause.

@@ -773,7 +773,7 @@ func TestFleetMemberKilledMidRun(t *testing.T) {
 		got, err = f.Run(ctx, held, sc, flat)
 		inFlight <- err
 	}()
-	for deadline := time.Now().Add(5 * time.Second); ActiveWorkerRuns() < 2; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); activeWorkerRuns.Load() < 2; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("the held run never reached both daemons")
 		}
@@ -878,7 +878,7 @@ func TestDaemonStopsListeningBeforeItDropsRuns(t *testing.T) {
 		_, err := f.Run(context.Background(), &exec.Runner{Inputs: runner.Inputs, Faults: plan}, sc, flat)
 		inFlight <- err
 	}()
-	for deadline := time.Now().Add(5 * time.Second); ActiveWorkerRuns() < 2; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); activeWorkerRuns.Load() < 2; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("the held run never reached both daemons")
 		}

@@ -31,13 +31,10 @@ func (o WorkerOptions) logf(format string, args ...any) {
 // say Hello, and a mesh dial to be welcomed.
 const handshakeTimeout = 5 * time.Second
 
-// activeWorkerRuns counts sessions hosted across every worker daemon in
-// this process. Leak tests assert it returns to zero after teardown.
+// activeWorkerRuns counts the runs worker daemons in this process are
+// hosting (attached or awaiting a coordinator reconnect). Leak tests
+// assert it returns to zero after teardown.
 var activeWorkerRuns atomic.Int64
-
-// ActiveWorkerRuns reports how many runs worker daemons in this process
-// are currently hosting (attached or awaiting a coordinator reconnect).
-func ActiveWorkerRuns() int64 { return activeWorkerRuns.Load() }
 
 // sessOutcome is how a session ended: its encoded result, or the error.
 type sessOutcome struct {
@@ -760,7 +757,7 @@ func (d *workerDaemon) startRun(run *workerRun, bundle *StartBundle) error {
 		p, err := ses.Wait()
 		var note []byte
 		if err == nil {
-			note, err = resultNote(p, ses.Stats(), h.names)
+			note, err = resultNote(p, h.names)
 			ses.Release()
 		}
 		run.resultCh <- sessOutcome{note, err}
@@ -776,15 +773,16 @@ func (d *workerDaemon) startRun(run *workerRun, bundle *StartBundle) error {
 	return nil
 }
 
-// resultNote serializes a partial result and the session's counters.
-// The output environment and the trace events, encoded against ix, ride
-// out of band in the blob envelope.
-func resultNote(p *exec.Partial, st exec.StatsSnapshot, ix NameIndex) ([]byte, error) {
+// resultNote serializes a partial result. The output environment and
+// the trace events, encoded against ix, ride out of band in the blob
+// envelope.
+func resultNote(p *exec.Partial, ix NameIndex) ([]byte, error) {
 	outputs, err := EncodeEnv(p.Outputs)
 	if err != nil {
 		return nil, err
 	}
-	js := encJSON(ResultNote{Exports: p.Exports, Printed: p.Printed, PrintedPE: p.PrintedPE, Stats: st})
+	js := encJSON(ResultNote{Exports: p.Exports, Printed: p.Printed, PrintedPE: p.PrintedPE,
+		Sends: p.RemoteSends, Flushes: p.RemoteFlushes})
 	return encEventsEnvelope(js, outputs, p.Events, ix), nil
 }
 
