@@ -1009,10 +1009,12 @@ func BenchmarkRunnerTCP(b *testing.B) {
 // dials made through it — a fleet's coordinators', or the worker
 // daemons' mesh dials — and the schedule bytes start bundles carry (the
 // first blob of the bundle's envelope: 94 KB for this design, empty when
-// the daemon holds the schedule).
+// the daemon holds the schedule). On a coordinator's connections it also
+// counts the idle frames read: the members' reports, probe answers
+// among them.
 type countingTransport struct {
 	wire.Transport
-	dials, blobBytes atomic.Int64
+	dials, blobBytes, reports atomic.Int64
 }
 
 func (t *countingTransport) Dial(ctx context.Context, addr string) (wire.Conn, error) {
@@ -1021,12 +1023,20 @@ func (t *countingTransport) Dial(ctx context.Context, addr string) (wire.Conn, e
 	if err != nil {
 		return nil, err
 	}
-	return startCountingConn{c, &t.blobBytes}, nil
+	return startCountingConn{c, &t.blobBytes, &t.reports}, nil
 }
 
 type startCountingConn struct {
 	wire.Conn
-	n *atomic.Int64
+	n, reports *atomic.Int64
+}
+
+func (c startCountingConn) ReadFrame() (wire.Frame, error) {
+	f, err := c.Conn.ReadFrame()
+	if err == nil && f.Type == wire.TIdle {
+		c.reports.Add(1)
+	}
+	return f, err
 }
 
 func (c startCountingConn) WriteFrame(f wire.Frame) error {
@@ -1053,7 +1063,10 @@ func (c startCountingConn) WriteFrame(f wire.Frame) error {
 // reports what a run puts on its data plane: the daemons' sends/op
 // (messages handed to the remote plane) and flushes/op (the bursts that
 // put them on their way), summed from each member's counters into the
-// runs' shared exec.Stats; sends/flushes is the batching achieved.
+// runs' shared exec.Stats; sends/flushes is the batching achieved. And it
+// reports reports/op: the members' reports the coordinator read, one per
+// quiet spell of a member and one per probe answered — what deciding a
+// run's end (and a deadlock) by counting costs the wire.
 func BenchmarkFleetRun(b *testing.B) {
 	flat, inputs := runnerDesign(b, 20, 25) // 501 tasks
 	sc := specSchedule(b, flat, "hypercube:3")
@@ -1110,6 +1123,7 @@ func BenchmarkFleetRun(b *testing.B) {
 	st := stats.Snapshot()
 	b.ReportMetric(float64(st.RemoteSends)/float64(b.N), "sends/op")
 	b.ReportMetric(float64(st.RemoteFlushes)/float64(b.N), "flushes/op")
+	b.ReportMetric(float64(tr.reports.Load())/float64(b.N), "reports/op")
 }
 
 // BenchmarkRunnerWall is the single-process wall-clock twin of

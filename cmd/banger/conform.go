@@ -61,8 +61,8 @@ func cmdConform(args []string) error {
 			fmt.Printf(format+"\n", a...)
 		},
 	})
-	fmt.Printf("conform: %d case(s), %d multi scenario(s), %d divergence(s), %d harness error(s)\n",
-		res.Ran, res.MultiRan, len(res.Failures)+len(res.MultiFailures), len(res.Errors))
+	fmt.Printf("conform: %d case(s), %d lost case(s), %d multi scenario(s), %d divergence(s), %d harness error(s)\n",
+		res.Ran, res.LostRan, res.MultiRan, len(res.Failures)+len(res.MultiFailures), len(res.Errors))
 	for _, err := range res.Errors {
 		fmt.Printf("  error: %v\n", err)
 	}
@@ -90,7 +90,7 @@ func cmdConform(args []string) error {
 	}
 	if res.Failed() {
 		return fmt.Errorf("%d of %d cases diverged",
-			len(res.Failures)+len(res.MultiFailures), res.Ran+res.MultiRan)
+			len(res.Failures)+len(res.MultiFailures), res.Ran+res.LostRan+res.MultiRan)
 	}
 	return nil
 }

@@ -24,10 +24,8 @@ func TestDesignBindsAsItFlattens(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	for draw := 0; draw < 5; draw++ {
-		for _, n := range p.Design.Nodes() { // the design nests no subgraph
-			if n.IsTask() {
-				n.Work = rng.Int63n(100)
-			}
+		for _, n := range p.Design.Tasks() { // the design nests no subgraph
+			n.Work = rng.Int63n(100)
 		}
 		got, err := p.Flatten()
 		if err != nil {

@@ -13,13 +13,22 @@ import (
 	"testing"
 )
 
-// uncalledAllowed names the exported top-level functions that no
-// non-test code calls and that stay anyway, each with its reason. A name
-// is its package's import path, a dot and the function's name.
+// uncalledAllowed names the exported top-level functions and methods
+// that no non-test code calls and that stay anyway, each with its
+// reason. A name is its package's import path, a dot and the function's
+// name, or the receiver type's name, a dot and the method's.
 var uncalledAllowed = map[string]string{
 	"repro/internal/graph.Chain":    "a fixture the tests of several packages share",
 	"repro/internal/graph.Diamond":  "a fixture the tests of several packages share",
 	"repro/internal/graph.ForkJoin": "a fixture the tests of several packages share",
+
+	"repro/internal/core.Environment.Predict":    "the core.Environment facade, audited with banger.go",
+	"repro/internal/core.Environment.RunVirtual": "the core.Environment facade, audited with banger.go",
+	"repro/internal/core.Environment.RunWith":    "the core.Environment facade, audited with banger.go",
+
+	"repro/internal/graph.Graph.CriticalPath": "the reference the tests check BLevel and MH's makespan bound against",
+	"repro/internal/graph.Graph.Descendants":  "the reference the tests check Ancestors against",
+	"repro/internal/wire.Fleet.ActiveRuns":    "the observation the serve and fleet tests check the server's run cap and concurrent fleet runs by",
 }
 
 // uncalledReason says why a function no non-test code calls may stay,
@@ -35,15 +44,17 @@ func uncalledReason(file, name string) string {
 }
 
 // TestNoUncalledExports fails on an exported top-level function of a
-// non-test file that no non-test file references. The request-path
-// harness under bench/ counts as a caller. Code only tests reach belongs
-// in a _test.go file, or nowhere.
+// non-test file that no non-test file references, and on an exported
+// method that no non-test file selects by its name on any value (the
+// scan knows no types: a selector of the same name anywhere counts). The
+// request-path harness under bench/ counts as a caller. Code only tests
+// reach belongs in a _test.go file, or nowhere.
 func TestNoUncalledExports(t *testing.T) {
 	const module = "repro"
 	fset := token.NewFileSet()
 	type decl struct{ file, name string }
-	var decls []decl
-	used := map[string]bool{}
+	var decls, methods []decl
+	used, selected := map[string]bool{}, map[string]bool{}
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -78,6 +89,7 @@ func TestNoUncalledExports(t *testing.T) {
 					if id, ok := x.X.(*ast.Ident); ok && imports[id.Name] != "" {
 						used[imports[id.Name]+"."+x.Sel.Name] = true
 					}
+					selected[x.Sel.Name] = true
 				case *ast.Ident:
 					used[pkg+"."+x.Name] = true
 				}
@@ -93,8 +105,18 @@ func TestNoUncalledExports(t *testing.T) {
 			if fd.Body != nil {
 				mark(fd.Body)
 			}
-			if fd.Recv == nil && fd.Name.IsExported() && f.Name.Name != "main" {
+			switch {
+			case !fd.Name.IsExported() || f.Name.Name == "main":
+			case fd.Recv == nil:
 				decls = append(decls, decl{p, pkg + "." + fd.Name.Name})
+			default:
+				recv := fd.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					methods = append(methods, decl{p, pkg + "." + id.Name + "." + fd.Name.Name})
+				}
 			}
 		}
 		return nil
@@ -106,6 +128,11 @@ func TestNoUncalledExports(t *testing.T) {
 	for _, d := range decls {
 		if !used[d.name] && uncalledReason(d.file, d.name) == "" {
 			bad = append(bad, d.name+" ("+d.file+")")
+		}
+	}
+	for _, m := range methods {
+		if !selected[path.Ext(m.name)[1:]] && uncalledReason(m.file, m.name) == "" {
+			bad = append(bad, m.name+" ("+m.file+")")
 		}
 	}
 	sort.Strings(bad)

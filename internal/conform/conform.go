@@ -21,7 +21,10 @@
 //     resends exactly its dropped and corrupted copies, and the
 //     wall-clock engines at most those;
 //   - a run is counted once: each executing engine's exec.Stats gains
-//     exactly the fold of its own trace.
+//     exactly the fold of its own trace;
+//   - a copy dropped for good is one deadlock everywhere: with Retry
+//     off (a Lost case), every executing engine returns the same
+//     "exec: run deadlocked" error, the TCP fleet within a second.
 //
 // When a case diverges, Shrink reduces it to a local minimum that
 // still shows the same divergence class, and WriteRepro emits a
@@ -63,6 +66,12 @@ type Case struct {
 	// trace-vs-sim/makespan divergence, which is how the minimizer and
 	// the repro loop are exercised end to end.
 	SkewComm machine.Time
+
+	// Lost runs the fault plan with Retry off: a dropped copy is never
+	// resent, so a case whose plan drops a scheduled one must deadlock,
+	// and every executing engine must say so in the same words (see
+	// GenerateLost).
+	Lost bool
 
 	// Churn drives the distributed engines' elastic fleet machinery
 	// mid-run: worker joins and graceful drains fired at wall-clock
@@ -111,6 +120,7 @@ type EngineRun struct {
 	Printed  []string
 	Trace    *trace.Trace
 	Stats    exec.StatsSnapshot // what the run added to its runner's exec.Stats
+	Took     time.Duration      // the distributed engines' fleet run, wall clock
 }
 
 // Report is the outcome of running a case through every engine.
@@ -201,12 +211,13 @@ func (c *Case) prepare() (*graph.Flat, *sched.Schedule, error) {
 }
 
 // runner returns the single-process runner configured for the case.
-// Fault plans always run with Retry on: drops and corruptions are only
-// survivable when the dropped or corrupted copy is resent.
+// Fault plans run with Retry on unless the case is Lost: drops and
+// corruptions are only survivable when the dropped or corrupted copy is
+// resent.
 func (c *Case) runner(virtual bool) *exec.Runner {
 	r := &exec.Runner{Inputs: c.Inputs, VirtualTime: virtual, Stats: &exec.Stats{}}
 	if c.Faults != nil {
-		r.Faults, r.Retry = c.Faults, true
+		r.Faults, r.Retry = c.Faults, !c.Lost
 	}
 	return r
 }
@@ -366,7 +377,9 @@ func runDist(ctx context.Context, c *Case, sc *sched.Schedule, flat *graph.Flat,
 		go applyChurn(rctx, tr, f.Addr(), joiner, c.Churn, addrs)
 	}
 	r := c.runner(false)
+	start := time.Now()
 	res, err := f.Run(rctx, r, sc, flat)
+	er.Took = time.Since(start)
 	if err != nil {
 		er.Err = err
 		return er

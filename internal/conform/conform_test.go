@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/exec"
@@ -296,6 +297,39 @@ func TestSweepSmoke(t *testing.T) {
 	}
 	if res.Ran != int(seeds) {
 		t.Errorf("ran %d cases, want %d", res.Ran, seeds)
+	}
+}
+
+// TestLostCasesDeadlockAlike: a small seeded set of Lost cases, each
+// dropping one copy between processors with Retry off. Every executing
+// engine must return the same deadlock report — the runner in virtual
+// time, and a fleet of two daemons over the in-process transport and
+// over TCP — the TCP fleet within a second, and no oracle may fire.
+func TestLostCasesDeadlockAlike(t *testing.T) {
+	ran := 0
+	for seed := int64(0); ran < 4; seed++ {
+		c, err := GenerateLost(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c == nil {
+			continue // nothing crosses processors
+		}
+		ran++
+		rep, err := RunCase(context.Background(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Failed() {
+			t.Errorf("seed %d (%s): %v", seed, c.Faults, rep.Divergences)
+			continue
+		}
+		for _, name := range []string{"runner", "inproc", "tcp"} {
+			if e := rep.Engine(name); e.Err == nil || !strings.HasPrefix(e.Err.Error(), "exec: run deadlocked: ") {
+				t.Errorf("seed %d: %s returned %v, want a deadlock report", seed, name, e.Err)
+			}
+		}
+		t.Logf("seed %d (%s, %s): %v; tcp in %v", seed, c.Heuristic, c.Machine.Name, rep.Engine("tcp").Err, rep.Engine("tcp").Took)
 	}
 }
 

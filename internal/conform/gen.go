@@ -80,6 +80,35 @@ func Generate(seed int64) (*Case, error) {
 	return c, nil
 }
 
+// GenerateLost draws the case for seed and breaks it on purpose: its
+// fault plan becomes one dropped copy of a message between two
+// processors, which nothing resends (the case is Lost), and it has no
+// churn. It is nil when the schedule sends no message between
+// processors.
+func GenerateLost(seed int64) (*Case, error) {
+	c, err := Generate(seed)
+	if err != nil {
+		return nil, err
+	}
+	_, sc, err := c.prepare()
+	if err != nil {
+		return nil, fmt.Errorf("seed %d: %w", seed, err)
+	}
+	var cross []sched.Msg
+	for _, m := range sc.Msgs {
+		if m.FromPE != m.ToPE {
+			cross = append(cross, m)
+		}
+	}
+	if len(cross) == 0 {
+		return nil, nil
+	}
+	m := cross[rand.New(rand.NewSource(seed)).Intn(len(cross))]
+	c.Faults = &exec.FaultPlan{Faults: []exec.Fault{{Kind: exec.FaultDrop, From: m.From, To: m.To, Var: m.Var, Count: 1}}}
+	c.Churn, c.Lost = nil, true
+	return c, nil
+}
+
 // genDesign builds a random layered dataflow design: input storage
 // feeding a first layer, 1–3 middle layers combining their
 // predecessors with straight-line arithmetic, optionally one layer

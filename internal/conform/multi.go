@@ -6,10 +6,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/sched"
 	"repro/internal/wire"
@@ -39,6 +41,14 @@ type MultiCase struct {
 // is shared), and concurrent drain scripts would race each other over
 // the membership floor, turning placement noise into spurious
 // harness-side rejections.
+//
+// A third keeps the solo baseline the right answer: no sub-case crashes
+// a processor while the kept churn script drains a worker. A drain is a
+// planned shrink — the worker's processors leave every run it serves —
+// so on a two-processor machine it can take a run's one survivor, and
+// the crash then its last processor: "exec: all processors crashed" is
+// that run's correct verdict, which no solo baseline shares. The
+// crashes go; the sub-case keeps its message faults.
 func GenerateMulti(seed int64) (*MultiCase, error) {
 	rng := rand.New(rand.NewSource(seed ^ 0x6d756c7469)) // "multi"
 	k := 2 + rng.Intn(2)
@@ -51,13 +61,22 @@ func GenerateMulti(seed int64) (*MultiCase, error) {
 		}
 		mc.Cases = append(mc.Cases, c)
 	}
-	churned := false
+	churned, drains := false, false
 	for _, c := range mc.Cases {
 		if len(c.Churn) > 0 {
 			if churned {
 				c.Churn = nil
 			}
 			churned = true
+			drains = drains || slices.ContainsFunc(c.Churn, func(o ChurnOp) bool { return o.Op == "drain" })
+		}
+	}
+	for _, c := range mc.Cases {
+		if drains && c.HasCrash() {
+			c.Faults.Faults = slices.DeleteFunc(slices.Clone(c.Faults.Faults), func(f exec.Fault) bool { return f.Kind == exec.FaultCrash })
+			if len(c.Faults.Faults) == 0 {
+				c.Faults = nil
+			}
 		}
 	}
 	clean := false

@@ -89,6 +89,42 @@ func TestGenerateMultiNormalised(t *testing.T) {
 	}
 }
 
+// TestMultiCrashesNoRunBesideADrain: a sub-case that crashes a
+// processor never shares its fleet with a drain script. Multi seed -564
+// did: its full:2 sub-case crashed PE 1 at its second task while its
+// neighbour's script drained worker 0, and when the drain landed first
+// it had taken PE 0 out of that run, so the crash took the run's last
+// processor and the fleet run failed as "exec: all processors crashed"
+// (reproduced every time by holding the crash until the drain's
+// verdict). That verdict is right; the scenario asked for the
+// impossible. The sub-case keeps its duplicate fault.
+func TestMultiCrashesNoRunBesideADrain(t *testing.T) {
+	for _, seeds := range [][2]int64{{-600, -540}, {0, 60}} {
+		for seed := seeds[0]; seed < seeds[1]; seed++ {
+			mc, err := GenerateMulti(seed)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			drain := false
+			for _, c := range mc.Cases {
+				drain = drain || strings.Contains(ChurnString(c.Churn), "drain")
+			}
+			for i, c := range mc.Cases {
+				if drain && c.HasCrash() {
+					t.Errorf("multi seed %d: sub-case %d crashes (%s) beside a drain", seed, i, c.Faults)
+				}
+			}
+		}
+	}
+	mc, err := GenerateMulti(-564)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := mc.Cases[1].Faults.String(); got != "dup:t0_2->t1_1:v0_2" {
+		t.Errorf("multi seed -564 sub-case 1 faults %q, want its duplicate alone", got)
+	}
+}
+
 // TestMultiConform runs a few multi-run scenarios for real: concurrent
 // cases on one shared fleet, every run byte-identical to its solo
 // baseline. Seeds are chosen from the deterministic generator, so

@@ -3,10 +3,13 @@ package conform
 import (
 	"fmt"
 	"sort"
+	"strings"
+	"time"
 
 	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/machine"
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -15,6 +18,10 @@ import (
 func check(rep *Report, flat *graph.Flat) {
 	_ = flat
 	c := rep.Case
+	if c.Lost && dropsScheduled(c.Faults, rep.Schedule) {
+		checkDeadlock(rep)
+		return
+	}
 	for _, e := range rep.Engines {
 		if e.Err != nil {
 			rep.Divergences = append(rep.Divergences, Divergence{
@@ -71,6 +78,43 @@ func check(rep *Report, flat *graph.Flat) {
 				rep.Divergences = append(rep.Divergences, Divergence{Oracle: "counts", Engine: e.Name, Detail: d})
 			}
 		}
+	}
+}
+
+// dropsScheduled reports whether the plan drops a message the schedule
+// sends between two processors: one that, never resent, some processor
+// waits for forever.
+func dropsScheduled(plan *exec.FaultPlan, sc *sched.Schedule) bool {
+	for _, f := range plan.Faults {
+		for _, m := range sc.Msgs {
+			if f.Kind == exec.FaultDrop && m.From == f.From && m.To == f.To && m.Var == f.Var && m.FromPE != m.ToPE {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// checkDeadlock verifies that a copy lost for good is one deadlock on
+// every executing engine: the runner reports it as "exec: run
+// deadlocked: …", inproc and tcp return that very error, and tcp within
+// a second — the verdict is counted, not timed.
+func checkDeadlock(rep *Report) {
+	run := rep.Engine("runner")
+	if run.Err == nil || !strings.HasPrefix(run.Err.Error(), "exec: run deadlocked: ") {
+		rep.Divergences = append(rep.Divergences, Divergence{
+			Oracle: "deadlock", Engine: "runner", Detail: fmt.Sprintf("error %v, want a deadlock report", run.Err)})
+		return
+	}
+	for _, name := range []string{"inproc", "tcp"} {
+		if e := rep.Engine(name); e.Err == nil || e.Err.Error() != run.Err.Error() {
+			rep.Divergences = append(rep.Divergences, Divergence{
+				Oracle: "deadlock", Engine: name, Detail: fmt.Sprintf("error %v, want the runner's %q", e.Err, run.Err)})
+		}
+	}
+	if tcp := rep.Engine("tcp"); tcp.Took > time.Second {
+		rep.Divergences = append(rep.Divergences, Divergence{
+			Oracle: "deadlock", Engine: "tcp", Detail: fmt.Sprintf("deadlock reported after %v, want within 1s", tcp.Took)})
 	}
 }
 

@@ -37,6 +37,7 @@ type caseJSON struct {
 	Faults    string             `json:"faults,omitempty"`
 	SkewComm  int64              `json:"skew_comm,omitempty"`
 	Churn     string             `json:"churn,omitempty"`
+	Lost      bool               `json:"lost,omitempty"`
 	Inputs    map[string]float64 `json:"inputs"`
 }
 
@@ -56,6 +57,7 @@ func WriteRepro(dir string, rep *Report) error {
 		Seed:      c.Seed,
 		Heuristic: c.Heuristic,
 		SkewComm:  int64(c.SkewComm),
+		Lost:      c.Lost,
 		Inputs:    map[string]float64{},
 	}
 	if c.Faults != nil {
@@ -101,6 +103,9 @@ func reportText(rep *Report) string {
 		c.Seed, c.Heuristic, c.Machine.Name, len(c.Design.Tasks()))
 	if c.Faults != nil {
 		fmt.Fprintf(&b, "faults: %s\n", c.Faults)
+	}
+	if c.Lost {
+		b.WriteString("lost: retry off, a dropped copy is never resent\n")
 	}
 	if c.SkewComm != 0 {
 		fmt.Fprintf(&b, "skew-comm: %s (runner engine only)\n", c.SkewComm)
@@ -152,7 +157,7 @@ func LoadRepro(dir string) (*Case, error) {
 	}
 	c.Seed = cj.Seed
 	c.Heuristic = cj.Heuristic
-	c.SkewComm = machine.Time(cj.SkewComm)
+	c.SkewComm, c.Lost = machine.Time(cj.SkewComm), cj.Lost
 	for k, v := range cj.Inputs {
 		c.Inputs[k] = pits.Num(v)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/machine"
@@ -39,10 +40,16 @@ type SweepOptions struct {
 	Log func(format string, args ...any)
 }
 
+// lostEvery picks the seeds whose Lost case a sweep runs too
+// (GenerateLost: one copy dropped with Retry off, which every engine
+// must report as the same deadlock): a small seeded set, not a knob.
+const lostEvery = 5
+
 // SweepResult summarises a sweep.
 type SweepResult struct {
 	Ran       int
-	Failures  []*Report // minimized reports, ordered by seed
+	LostRan   int       // Lost cases run, besides Ran
+	Failures  []*Report // minimized reports, ordered by seed (a seed's Lost case after it)
 	ReproDirs []string  // where each failure was written (parallel to Failures; "" when OutDir unset)
 	Errors    []error   // harness errors (generation/setup), not divergences
 
@@ -75,9 +82,10 @@ func Sweep(ctx context.Context, opt SweepOptions) *SweepResult {
 
 	type outcome struct {
 		seed     int64
-		rep      *Report
-		dir      string
+		reps     []*Report
+		dirs     []string
 		err      error
+		lostRan  bool
 		multiRan bool
 		mrep     *MultiReport
 		mdir     string
@@ -101,32 +109,51 @@ func Sweep(ctx context.Context, opt SweepOptions) *SweepResult {
 				outcomes = append(outcomes, o)
 				mu.Unlock()
 			}()
+			// run runs one case, and minimizes and writes it out if it
+			// diverges; name tells the seed's cases apart.
+			run := func(name string, c *Case) error {
+				rep, err := RunCase(ctx, c)
+				if err != nil {
+					return fmt.Errorf("%s: %w", name, err)
+				}
+				if !rep.Failed() {
+					logf("%s: ok (%d tasks, %s, %s)", name,
+						len(c.Design.Tasks()), c.Heuristic, c.Machine.Name)
+					return nil
+				}
+				logf("%s: DIVERGED (%d oracle hits), minimizing...", name, len(rep.Divergences))
+				_, min := Shrink(ctx, rep, budget)
+				dir := ""
+				if opt.OutDir != "" {
+					dir = filepath.Join(opt.OutDir, strings.ReplaceAll(name, " ", "-"))
+					if err := WriteRepro(dir, min); err != nil {
+						return fmt.Errorf("%s: writing repro: %w", name, err)
+					}
+					logf("%s: repro written to %s", name, dir)
+				}
+				o.reps, o.dirs = append(o.reps, min), append(o.dirs, dir)
+				return nil
+			}
 			c, err := Generate(seed)
 			if err != nil {
 				o.err = fmt.Errorf("seed %d: generate: %w", seed, err)
 				return
 			}
 			c.SkewComm = opt.SkewComm
-			rep, err := RunCase(ctx, c)
-			if err != nil {
-				o.err = fmt.Errorf("seed %d: %w", seed, err)
+			if o.err = run(fmt.Sprintf("seed %d", seed), c); o.err != nil {
 				return
 			}
-			if !rep.Failed() {
-				logf("seed %d: ok (%d tasks, %s, %s)", seed,
-					len(c.Design.Tasks()), c.Heuristic, c.Machine.Name)
-			} else {
-				logf("seed %d: DIVERGED (%d oracle hits), minimizing...", seed, len(rep.Divergences))
-				_, min := Shrink(ctx, rep, budget)
-				o.rep = min
-				if opt.OutDir != "" {
-					dir := filepath.Join(opt.OutDir, fmt.Sprintf("seed-%d", seed))
-					if err := WriteRepro(dir, min); err != nil {
-						o.err = fmt.Errorf("seed %d: writing repro: %w", seed, err)
+			if seed%lostEvery == 0 {
+				lost, err := GenerateLost(seed)
+				if err != nil {
+					o.err = fmt.Errorf("seed %d lost: generate: %w", seed, err)
+					return
+				}
+				if lost != nil {
+					o.lostRan = true
+					if o.err = run(fmt.Sprintf("seed %d lost", seed), lost); o.err != nil {
 						return
 					}
-					o.dir = dir
-					logf("seed %d: repro written to %s", seed, dir)
 				}
 			}
 
@@ -170,9 +197,10 @@ func Sweep(ctx context.Context, opt SweepOptions) *SweepResult {
 		if o.err != nil {
 			res.Errors = append(res.Errors, o.err)
 		}
-		if o.rep != nil {
-			res.Failures = append(res.Failures, o.rep)
-			res.ReproDirs = append(res.ReproDirs, o.dir)
+		res.Failures = append(res.Failures, o.reps...)
+		res.ReproDirs = append(res.ReproDirs, o.dirs...)
+		if o.lostRan {
+			res.LostRan++
 		}
 		if o.multiRan {
 			res.MultiRan++

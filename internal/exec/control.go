@@ -1,10 +1,8 @@
 package exec
 
 import (
-	"cmp"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,23 +14,18 @@ import (
 )
 
 // This file is one session's coordinator: the goroutine that watches
-// its workers' life-cycle events, reports them to the remote plane,
-// carries out the Pause/Resume commands that come back, and detects
-// deadlock (by counting) and stalls (by timing).
+// its workers' life-cycle events and busy count, reports them to the
+// remote plane, and carries out the Pause/Resume commands that come
+// back. It decides nothing: a deadlock is the run Lifecycle's to call,
+// from every member's reports (see Report).
 
-// wevent is a worker life-cycle notification to the coordinator.
+// wevent is a worker life-cycle notification to the coordinator: the
+// worker of processor pe hit an injected crash and died, or (parked)
+// reached the recovery barrier.
 type wevent struct {
-	kind wekind
-	pe   int
+	pe     int
+	parked bool
 }
-
-type wekind int
-
-const (
-	evIdle   wekind = iota // worker finished its current slot list
-	evCrash                // worker hit an injected crash and died
-	evParked               // worker reached the recovery barrier
-)
 
 // era is one epoch of execution between recoveries. pause is closed to
 // order every live worker to the barrier; resume is closed once the new
@@ -71,15 +64,16 @@ type controller struct {
 	// busy counts what can still hand a hosted processor a message
 	// without outside help: live hosted workers that are neither blocked
 	// in receive nor through their slot list, plus the deliveries
-	// background goroutines still owe. Zero with a worker blocked is
-	// starvation (see starved). crashed is up from a hosted processor's
-	// death until the resume that replans it.
+	// background goroutines still owe. Zero is quiet: whoever takes it
+	// there wakes the coordinator through quiet, which reports the
+	// session (see tell). crashed is up from a hosted processor's death
+	// until the resume that replans it.
 	busy    atomic.Int64
 	crashed atomic.Bool
-	// quiescent is set while every live hosted worker is idle or parked:
-	// local progress legitimately stops while other sessions still work
-	// (or the barrier forms), so the stall detector must hold fire.
-	quiescent atomic.Bool
+	quiet   chan struct{}
+	// probes counts the lifecycle's probes the coordinator has still to
+	// answer (see Session.Probe).
+	probes atomic.Int32
 
 	done   chan struct{} // closed to abort the run (some worker failed)
 	finish chan struct{} // closed on clean completion (all workers idle)
@@ -92,15 +86,22 @@ type controller struct {
 
 	events chan wevent
 
-	era      atomic.Pointer[era]
-	progress atomic.Uint64 // bumped per task completion and accepted message
+	era atomic.Pointer[era]
 
 	mu     sync.Mutex
 	extra  []trace.Event // events emitted outside worker goroutines
-	runErr error         // coordinator-detected failure (stall, unrecoverable crash)
-	late   planeCounts   // the remote plane's share of delayed copies
+	runErr error         // a root cause from outside the workers: the driver's abort, a held copy's failed delivery
+	// Under mu as well: every remote copy the session handed its plane,
+	// the bursts of delayed ones that ended in a flush (the workers count
+	// their own), and the counts a Report carries: the remote copies of
+	// era epoch handed to the plane (sent) and taken in (recv[0]), and
+	// those of the era after it taken in (recv[1]), which peers already
+	// resumed into can send while this session is still parked.
+	sends, lateFlushes int64
+	epoch, sent        int64
+	recv               [2]int64
 
-	bg sync.WaitGroup // owed-delivery goroutines (see later) and stallWatch
+	bg sync.WaitGroup // owed-delivery goroutines (see later)
 
 	workers   []*worker
 	faults    *faultState
@@ -108,12 +109,6 @@ type controller struct {
 	checksums bool
 	now       func() machine.Time
 }
-
-// planeCounts counts what a session handed its remote plane: copies,
-// and the bursts that ended in a flush. Each worker keeps its own, and
-// the delayed copies theirs under the controller's lock; Wait sums them
-// into the partial.
-type planeCounts struct{ sends, flushes int64 }
 
 const (
 	endFinished = 1 + iota
@@ -170,20 +165,55 @@ func (c *controller) addEvent(e trace.Event) {
 	c.mu.Unlock()
 }
 
-// waiting renders the blocked hosted processors in processor order,
-// each with the edge it awaits and the processor scheduled to send it:
-// the body of a deadlock or stall report.
-func (c *controller) waiting() string {
-	var parts []string
+// report says what the session is now (see Report); a probe's answer
+// also names each blocked hosted processor, with the edge it awaits and
+// the processor scheduled to send it. Under mu a copy from another
+// process is either counted and in its mailbox, its blocked receiver
+// roused, or neither; a copy handed to the plane is counted before its
+// sender leaves the busy count.
+func (c *controller) report(answer bool) Quiet {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	q := Quiet{Report: Report{Epoch: c.epoch, Sent: c.sent, Recv: c.recv[0],
+		Busy: c.busy.Load() != 0 || c.crashed.Load() || c.moot(c.era.Load())}, Answer: answer}
 	for pe, w := range c.workers {
 		if w == nil {
 			continue
 		}
 		if a := w.awaiting.Load(); a != nil {
-			parts = append(parts, fmt.Sprintf("PE %d waits for %s from PE %d", pe, a.key, a.fromPE))
+			q.Waiting = true
+			if answer {
+				q.Waits = append(q.Waits, Wait{pe, fmt.Sprintf("PE %d waits for %s from PE %d", pe, a.key, a.fromPE)})
+			}
 		}
 	}
-	return strings.Join(parts, "; ")
+	return q
+}
+
+// tell answers the probes asked since it last ran, and then reports the
+// session when it is quiet and not as it last said, answers included:
+// once per quiet spell. Quiet means no hosted crash awaits its replan
+// and the barrier is not forming, too — the session then reports again
+// in the next era. Only the coordinator tells, so the plane hears every
+// report and answer in the order they were read; a newer report can
+// never be overtaken by an older answer.
+func (c *controller) tell(last *Report) {
+	for n := c.probes.Swap(0); n >= 0; n-- { // n answers, then the report
+		if q := c.report(n > 0); n > 0 || !q.Busy && q.Report != *last {
+			*last = q.Report
+			c.plane.Quiet(q)
+		}
+	}
+}
+
+// quiesce wakes the coordinator to tell the plane: the busy count
+// reached zero, a copy from another process arrived while it was, or
+// the lifecycle probes.
+func (c *controller) quiesce() {
+	select {
+	case c.quiet <- struct{}{}:
+	default:
+	}
 }
 
 // retire takes one unit out of the busy count: a worker finished its
@@ -191,15 +221,14 @@ func (c *controller) waiting() string {
 // delivery it owed.
 func (c *controller) retire() {
 	if c.busy.Add(-1) == 0 {
-		c.starved()
+		c.quiesce()
 	}
 }
 
 // later runs f, which owes the session a delivery a wall-clock delay
 // fault held back, in the background after d — or not at all if the run
 // ends first. The debt is in the busy count from before the sender moves
-// on until f returns, so a session waiting on it is never taken for
-// starved.
+// on until f returns, so a session waiting on it is never quiet.
 func (c *controller) later(d time.Duration, f func()) {
 	c.bg.Add(1)
 	c.busy.Add(1)
@@ -215,28 +244,6 @@ func (c *controller) later(d time.Duration, f func()) {
 		case <-c.finish:
 		}
 	}()
-}
-
-// starved is called by whoever took the last unit out of the busy
-// count: every live hosted worker is now blocked in receive or through
-// its list, and nothing in this session will ever send again. A session
-// hosting a share of the machine may be waiting on its peers and leaves
-// the verdict to stallWatch. One hosting all of it has proved a deadlock
-// the moment some worker is blocked — unless a recovery is about to
-// rewrite the plan: a hosted crash not yet replanned, or the barrier
-// already forming.
-func (c *controller) starved() {
-	if c.numLocal() < c.numPE || c.crashed.Load() {
-		return
-	}
-	select {
-	case <-c.era.Load().pause:
-		return
-	default:
-	}
-	if waits := c.waiting(); waits != "" {
-		c.fail(fmt.Errorf("exec: run deadlocked: %s", waits))
-	}
 }
 
 // post sends a life-cycle event to the coordinator, giving up if the
@@ -268,40 +275,28 @@ func (c *controller) applyAdoptions(ads []Adoption) {
 }
 
 // coordinate is the session's coordinator loop. It decides nothing:
-// idleness and crashes of the hosted processors are reported to the
+// quiet spells and crashes of the hosted processors are reported to the
 // plane (the run's Lifecycle, behind it, decides what to do), and
 // Pause/Resume arrive as commands from there.
 func (c *controller) coordinate() {
 	live := c.numLocal()
-	idle := 0
-	if live == 0 {
-		// A session hosting no processors is trivially quiescent; it
-		// exists only to be told the run finished.
-		c.quiescent.Store(true)
-	}
+	last := Report{Busy: true} // nothing told yet
+	// A session hosting no processor is quiet from the start.
+	c.tell(&last)
 	for {
 		select {
 		case <-c.done:
 			return
 		case <-c.finish:
 			return
+		case <-c.quiet:
+			c.tell(&last)
 		case ev := <-c.events:
-			switch ev.kind {
-			case evIdle:
-				idle++
-				if idle >= live {
-					c.quiescent.Store(true)
-					c.plane.LocalIdle()
-				}
-			case evCrash:
+			if !ev.parked {
 				live--
-				if live <= 0 {
-					c.quiescent.Store(true)
-				}
 				c.plane.LocalCrash(ev.pe)
 			}
 		case cmd := <-c.cmds:
-			idle = 0
 			if cmd.plan == nil {
 				st, ok := c.pauseLocal(&live, cmd.checkpoint)
 				cmd.reply <- st
@@ -311,15 +306,10 @@ func (c *controller) coordinate() {
 				continue
 			}
 			c.resumeLocal(cmd.plan, cmd.era)
-			if live > 0 {
-				c.quiescent.Store(false)
-			} else {
-				// Every hosted processor has crashed: no worker will
-				// ever emit evIdle again, so report idleness now or
-				// the lifecycle waits for this session forever.
-				c.plane.LocalIdle()
-			}
 			cmd.reply <- nil
+			// With every hosted processor crashed nothing takes the busy
+			// count to zero again: the new era is quiet from its start.
+			c.tell(&last)
 		}
 	}
 }
@@ -331,7 +321,6 @@ func (c *controller) coordinate() {
 // process must hand over before departing. Returns false if the
 // session aborted instead.
 func (c *controller) pauseLocal(live *int, checkpoint bool) (*PauseState, bool) {
-	c.quiescent.Store(true)
 	er := c.era.Load()
 	close(er.pause)
 	parked := 0
@@ -340,21 +329,18 @@ func (c *controller) pauseLocal(live *int, checkpoint bool) (*PauseState, bool) 
 		case <-c.done:
 			return nil, false
 		case ev := <-c.events:
-			switch ev.kind {
-			case evParked:
+			if ev.parked {
 				parked++
-			case evCrash:
-				// A processor died racing the pause; report it so the
-				// global replan sees it too.
-				*live--
-				c.plane.LocalCrash(ev.pe)
-			case evIdle:
-				// Stale: the worker will park too.
+				continue
 			}
+			// A processor died racing the pause; report it so the
+			// global replan sees it too.
+			*live--
+			c.plane.LocalCrash(ev.pe)
 		}
 	}
 	// Every live hosted worker is parked: state is safe to read (the
-	// evParked receive orders their writes before ours). Each surviving
+	// parked receive orders their writes before ours). Each surviving
 	// task result is attributed to its lowest live local holder; the
 	// planner breaks cross-session ties the same way, by
 	// ascending processor.
@@ -473,6 +459,13 @@ func (c *controller) installPlan(p *ResumePlan, ep *eraPlan) {
 func (c *controller) resumeLocal(p *ResumePlan, ep *eraPlan) {
 	c.installPlan(p, ep)
 	c.crashed.Store(false)
+	c.mu.Lock()
+	ahead := int64(0)
+	if p.Epoch == c.epoch+1 {
+		ahead = c.recv[1]
+	}
+	c.epoch, c.sent, c.recv = p.Epoch, 0, [2]int64{ahead}
+	c.mu.Unlock()
 	er := c.era.Load()
 	next := &era{epoch: p.Epoch, pause: make(chan struct{}), resume: make(chan struct{})}
 	c.era.Store(next)
@@ -489,42 +482,5 @@ func (c *controller) moot(er *era) bool {
 		return true
 	default:
 		return false
-	}
-}
-
-// stallWatch fails the run if no task completes and no message is
-// accepted for the stall timeout: the backstop of a session that hosts
-// a share of the machine and so cannot tell a deadlock from a slow peer.
-func (c *controller) stallWatch(timeout time.Duration) {
-	defer c.bg.Done()
-	step := timeout / 4
-	if step <= 0 {
-		step = time.Millisecond
-	}
-	tick := time.NewTicker(step)
-	defer tick.Stop()
-	last := c.progress.Load()
-	lastChange := time.Now()
-	for {
-		select {
-		case <-c.done:
-			return
-		case <-c.finish:
-			return
-		case <-tick.C:
-			cur := c.progress.Load()
-			// A quiescent session (all hosted workers idle or parked)
-			// legitimately makes no progress while others still work.
-			if cur != last || c.quiescent.Load() {
-				last = cur
-				lastChange = time.Now()
-				continue
-			}
-			if time.Since(lastChange) >= timeout {
-				c.fail(fmt.Errorf("exec: run stalled: no progress for %v (%s)", timeout,
-					cmp.Or(c.waiting(), "no worker waiting on a message")))
-				return
-			}
-		}
 	}
 }

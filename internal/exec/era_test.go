@@ -156,9 +156,16 @@ func TestStaleOrdinalIsDiscardedUnread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Progress 3 is a's end, u's arrival on PE 1 and b's end, which
-	// comes after b's send.
-	for deadline := time.Now().Add(10 * time.Second); ses.Progress() < 3; time.Sleep(100 * time.Microsecond) {
+	// The fault plan holds the second copy back once b has sent the
+	// first: b, which checks for the barrier only after its sends, then
+	// counts as done.
+	delayed := func() bool {
+		f := ses.ctrl.faults
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		return f.msgFaults[0].remaining < 2
+	}
+	for deadline := time.Now().Add(10 * time.Second); !delayed(); time.Sleep(100 * time.Microsecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("b never sent b->d:v")
 		}

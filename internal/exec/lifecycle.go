@@ -1,9 +1,11 @@
 package exec
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 
 	"repro/internal/graph"
 	"repro/internal/machine"
@@ -20,14 +22,22 @@ import (
 // one in-process session, wire's coordinator for worker daemons) turns
 // what it observes into events, feeds them to Step one at a time from
 // one goroutine, and carries out the effects Step returns. Members only
-// ever report; every decision is taken here.
+// ever report; every decision is taken here — that the run is finished,
+// and that it deadlocked.
 
 // Event is something a driver observed. The concrete types follow.
 type Event any
 
 type (
-	// Idle: every live processor of member W finished its slot list.
-	Idle struct{ W int }
+	// Quiet: member W's session reported itself (see Report): on its
+	// own when it fell quiet, or, with Answer set, answering a Probe,
+	// naming each processor that Waits.
+	Quiet struct {
+		W int `json:"-"`
+		Report
+		Answer bool   `json:"a,omitempty"`
+		Waits  []Wait `json:"waits,omitempty"`
+	}
 	// Crash: processor PE died of an injected fault.
 	Crash struct{ PE int }
 	// Parked: member W reached the barrier a Pause ordered.
@@ -64,8 +74,8 @@ type (
 )
 
 // Effect is something the driver must now do. Pause is answered by a
-// Parked event, Finish by Returned, Dial by JoinDialed; the rest are
-// fire and forget.
+// Parked event, Finish by Returned, Probe by Quiet, Dial by JoinDialed;
+// the rest are fire and forget.
 type Effect any
 
 type (
@@ -87,6 +97,9 @@ type (
 	}
 	// Finish tells member W the run is globally complete.
 	Finish struct{ W int }
+	// Probe asks member W for its Report as of now, answered by a Quiet:
+	// the confirming read of a deadlock (see settle).
+	Probe struct{ W int }
 	// Bye dismisses member W: nothing more will be asked of it.
 	Bye struct{ W int }
 	// Dial asks for a connection to the worker offered at Addr.
@@ -122,7 +135,15 @@ type member struct {
 	w    int
 	addr string
 
-	idle    bool
+	// rep is the member's latest report of the era, if heard; asked
+	// counts the probes it has still to answer, and confirmed says the
+	// answer to the latest was rep, naming waits.
+	rep       Report
+	heard     bool
+	asked     int
+	confirmed bool
+	waits     []Wait
+
 	lost    bool
 	pending bool // admitted mid-run, not yet integrated at a barrier
 	drained bool // departed gracefully; state handed over
@@ -146,6 +167,7 @@ type Lifecycle struct {
 	dead    []bool
 	epoch   int64
 	phase   phase
+	probing bool // every member has been probed on its latest report
 
 	// At most one join or drain is in flight at a time; crashes fold
 	// into whatever barrier is already forming.
@@ -209,12 +231,11 @@ func (l *Lifecycle) Step(ev Event, now machine.Time) ([]Effect, error) {
 	l.now, l.out = now, nil
 	var err error
 	switch e := ev.(type) {
-	case Idle:
-		// Idleness reported into a forming barrier is stale: the member
-		// parks too, and reports again in the next era.
-		if m := l.from(e.W); m != nil && l.phase == running {
-			m.idle = true
-			l.checkIdle()
+	case Quiet:
+		// A report into a forming barrier, or from an era it replaced, is
+		// stale: the member parks, and reports again in the next era.
+		if m := l.from(e.W); m != nil && l.phase == running && e.Epoch == l.epoch {
+			err = l.quiet(m, e)
 		}
 	case Crash:
 		if e.PE < 0 || e.PE >= len(l.dead) {
@@ -251,19 +272,74 @@ func (l *Lifecycle) Step(ev Event, now machine.Time) ([]Effect, error) {
 	return l.out, err
 }
 
-// checkIdle finishes the run once every active member is idle.
-func (l *Lifecycle) checkIdle() {
-	for _, m := range l.members {
-		if m.active() && !m.idle {
-			return
-		}
+// quiet takes member m's report, or its answer to a probe. Only the
+// answer to the latest probe can confirm; any report unlike the one the
+// member was probed on replaces it and calls the probes off.
+func (l *Lifecycle) quiet(m *member, q Quiet) error {
+	if q.Answer {
+		m.asked--
 	}
-	l.phase = finishing
+	switch {
+	case !m.heard || m.rep != q.Report:
+		m.rep, m.heard, l.probing = q.Report, true, false
+	case q.Answer && m.asked == 0 && l.probing:
+		m.confirmed, m.waits = true, q.Waits
+	default:
+		return nil
+	}
+	return l.settle()
+}
+
+// settle decides on every active member's latest report. All of them
+// idle finishes the run. All quiet, somebody waiting and as many copies
+// taken in as were handed out is a deadlock candidate: every member is
+// probed, and the run deadlocked if each answers with the report it was
+// probed on. Then nothing moved between the two reads, and nothing can
+// move again (Mattern's counting rule: every quiet member can be woken
+// only by a copy, and none is on its way).
+func (l *Lifecycle) settle() error {
+	var sent, recv int64
+	var waits []Wait
+	waiting, confirmed := false, true
 	for _, m := range l.members {
-		if m.active() {
+		if !m.active() {
+			continue
+		}
+		if !m.heard || m.rep.Busy {
+			return nil
+		}
+		sent, recv = sent+m.rep.Sent, recv+m.rep.Recv
+		waiting, confirmed = waiting || m.rep.Waiting, confirmed && m.confirmed
+		waits = append(waits, m.waits...)
+	}
+	switch {
+	case !waiting:
+		l.phase = finishing
+	case sent != recv:
+		return nil
+	case !l.probing:
+		l.probing = true
+	case confirmed:
+		slices.SortStableFunc(waits, func(a, b Wait) int { return cmp.Compare(a.PE, b.PE) })
+		lines := make([]string, len(waits))
+		for i, w := range waits {
+			lines[i] = w.Line
+		}
+		return fmt.Errorf("exec: run deadlocked: %s", strings.Join(lines, "; "))
+	default:
+		return nil
+	}
+	for _, m := range l.members {
+		switch {
+		case !m.active():
+		case l.phase == finishing:
 			l.emit(Finish{m.w})
+		default:
+			m.asked, m.confirmed = m.asked+1, false
+			l.emit(Probe{m.w})
 		}
 	}
+	return nil
 }
 
 // died reacts to processors newly added to the dead mask: a running
@@ -339,7 +415,7 @@ func (l *Lifecycle) verdict(req *any, err error) {
 // startPause orders every active member to the barrier. A drain target
 // is asked to checkpoint: its Parked reply carries its full local state.
 func (l *Lifecycle) startPause() error {
-	l.phase = pausing
+	l.phase, l.probing = pausing, false
 	for _, m := range l.members {
 		if m.active() {
 			m.parked = nil
@@ -401,8 +477,10 @@ func (l *Lifecycle) checkParked() error {
 	}
 	l.dead, l.epoch, l.phase = b.Dead, b.Epoch, running
 	for _, m := range l.members {
+		// Every member reports afresh in the new era; probes of the old
+		// one are answered with reports of it, which Step drops.
+		m.heard, m.asked, m.confirmed, m.waits = false, 0, false, nil
 		if m.active() && m != dr {
-			m.idle = false
 			l.emit(Resume{m.w, plan})
 		}
 	}

@@ -19,13 +19,17 @@ import (
 // here. TestLifecycleTable pins the known corners one row each;
 // TestLifecycleExplorer enumerates the orderings nobody thought of.
 // Both count which (phase, event) pairs they drove through Step, and
-// TestLifecycleCoverage fails if any of the 24 was never visited.
+// TestLifecycleCoverage fails if any of the 24 was never visited, or if
+// no Probe was ever emitted.
 
-var eventNames = []string{"Idle", "Crash", "Parked", "Returned", "Lost", "JoinOffer", "JoinDialed", "DrainReq"}
+var eventNames = []string{"Quiet", "Crash", "Parked", "Returned", "Lost", "JoinOffer", "JoinDialed", "DrainReq"}
+
+// idle is member w's report that it is idle in era epoch.
+func idle(w int, epoch int64) Quiet { return Quiet{W: w, Report: Report{Epoch: epoch}} }
 
 func eventKind(ev Event) int {
 	switch ev.(type) {
-	case Idle:
+	case Quiet:
 		return 0
 	case Crash:
 		return 1
@@ -46,16 +50,24 @@ func eventKind(ev Event) int {
 }
 
 // covered counts Step calls by the phase they found and the event they
-// carried, over the table and the explorer together; coverageFrom notes
-// which of the two have run.
+// carried, over the table and the explorer together, and probed the
+// Probe effects they returned; coverageFrom notes which of the two have
+// run.
 var (
 	covered      [3][8]int
+	probed       int
 	coverageFrom = map[string]bool{}
 )
 
 func stepCounted(l *Lifecycle, ev Event, now machine.Time) ([]Effect, error) {
 	covered[l.phase][eventKind(ev)]++
-	return l.Step(ev, now)
+	effects, err := l.Step(ev, now)
+	for _, ef := range effects {
+		if _, ok := ef.(Probe); ok {
+			probed++
+		}
+	}
+	return effects, err
 }
 
 // lifecycleFixture is a 13-task layered design scheduled over four
@@ -92,6 +104,8 @@ func show(effects []Effect) []string {
 			out = append(out, fmt.Sprintf("Start(%d,e%d)", e.W, e.Plan.Epoch))
 		case Finish:
 			out = append(out, fmt.Sprintf("Finish(%d)", e.W))
+		case Probe:
+			out = append(out, fmt.Sprintf("Probe(%d)", e.W))
 		case Bye:
 			out = append(out, fmt.Sprintf("Bye(%d)", e.W))
 		case Dial:
@@ -129,26 +143,26 @@ func TestLifecycleTable(t *testing.T) {
 		check      func(t *testing.T, l *Lifecycle, last []Effect)
 	}{
 		{name: "clean run", steps: []step{
-			{Idle{0}, ""},
-			{Idle{1}, "Finish(0) Finish(1)"},
+			{idle(0, 0), ""},
+			{idle(1, 0), "Finish(0) Finish(1)"},
 			{Returned{0, part}, ""},
 			{Returned{1, part}, "Bye(0) Bye(1) Done"},
 		}},
 		{name: "crash while finishing fails the run, never pauses", steps: []step{
-			{Idle{0}, ""}, {Idle{1}, "Finish(0) Finish(1)"},
+			{idle(0, 0), ""}, {idle(1, 0), "Finish(0) Finish(1)"},
 			{Crash{1}, "error: wire: processor 1 crashed while the run was finishing; its results are lost"},
 		}},
 		{name: "stale parked while finishing is ignored", steps: []step{
-			{Idle{0}, ""}, {Idle{1}, "Finish(0) Finish(1)"},
+			{idle(0, 0), ""}, {idle(1, 0), "Finish(0) Finish(1)"},
 			{Parked{0, empty}, ""},
-			{Idle{0}, ""}, // so is a duplicate idle report
+			{idle(0, 0), ""}, // so is a duplicate idle report
 			{Returned{0, part}, ""}, {Returned{1, part}, "Bye(0) Bye(1) Done"},
 		}},
 		{name: "parked outside a pause is a protocol error", steps: []step{
 			{Parked{0, empty}, "error: wire: worker 0 parked outside a pause"},
 		}},
 		{name: "join and drain while finishing are refused by name", steps: []step{
-			{Idle{0}, ""}, {Idle{1}, "Finish(0) Finish(1)"},
+			{idle(0, 0), ""}, {idle(1, 0), "Finish(0) Finish(1)"},
 			{JoinOffer{"joiner", "j"}, "Verdict(j: run is finishing; not accepting joins)"},
 			{DrainReq{0, "", "d"}, "Verdict(d: run is finishing; nothing to drain)"},
 			{Returned{0, part}, ""}, {Returned{1, part}, "Bye(0) Bye(1) Done"},
@@ -200,8 +214,8 @@ func TestLifecycleTable(t *testing.T) {
 		{name: "crash folded into a forming barrier: one era", steps: []step{
 			{Crash{3}, "Pause(0) Pause(1)"},
 			{Crash{1}, ""},
-			{Crash{3}, ""}, // duplicate report
-			{Idle{0}, ""},  // stale: it parks too
+			{Crash{3}, ""},   // duplicate report
+			{idle(0, 0), ""}, // stale: it parks too
 			{Parked{0, &PauseState{Dead: []int{1}}}, ""},
 			{Parked{1, &PauseState{Dead: []int{3}}}, "Resume(0,e1) Resume(1,e1)"},
 			{Crash{1}, ""}, // duplicate after the barrier: no second one
@@ -224,7 +238,7 @@ func TestLifecycleTable(t *testing.T) {
 			{Parked{1, &PauseState{Dead: []int{2, 3}}}, "error: exec: all processors crashed"},
 		}},
 		{name: "member lost while collecting results", steps: []step{
-			{Idle{0}, ""}, {Idle{1}, "Finish(0) Finish(1)"},
+			{idle(0, 0), ""}, {idle(1, 0), "Finish(0) Finish(1)"},
 			{Returned{0, part}, ""},
 			{Lost{1}, "error: wire: worker 1 lost while collecting results"},
 		}},
@@ -265,11 +279,11 @@ func TestLifecycleTable(t *testing.T) {
 			{DrainReq{-1, "w1", "d"}, "Pause(0) Pause(1,ckpt)"},
 			{Parked{0, empty}, ""},
 			{Parked{1, &PauseState{Printed: []string{"t: from w1"}, PrintedPE: []int{2}}}, "Resume(0,e1) Bye(1) Verdict(d: ok)"},
-			{Idle{1}, ""}, // late traffic from the departed
+			{idle(1, 1), ""}, // late traffic from the departed
 			{DrainReq{1, "", "d2"}, "Verdict(d2: worker 1 already drained)"},
 			{DrainReq{7, "", "d3"}, "Verdict(d3: no such worker)"},
 			{DrainReq{0, "", "d4"}, "Verdict(d4: drain would leave 0 workers; the minimum is 1)"},
-			{Idle{0}, "Finish(0)"},
+			{idle(0, 1), "Finish(0)"},
 			{Returned{0, &Partial{Printed: []string{"t: from w0"}, PrintedPE: []int{0}}}, "Bye(0) Done"},
 		}, check: func(t *testing.T, l *Lifecycle, last []Effect) {
 			res := last[1].(Done).Result
@@ -282,6 +296,13 @@ func TestLifecycleTable(t *testing.T) {
 			if got := l.recoveries; got != 0 {
 				t.Errorf("Recoveries = %d, want 0: a drain is not a recovery", got)
 			}
+		}},
+		{name: "a drain shrinks the machine: crashing the processors left fails the run", steps: []step{
+			{DrainReq{0, "", "d"}, "Pause(0,ckpt) Pause(1)"},
+			{Parked{1, empty}, ""},
+			{Parked{0, &PauseState{}}, "Resume(1,e1) Bye(0) Verdict(d: ok)"},
+			{Crash{2}, "Pause(1)"},
+			{Crash{3}, "error: exec: all processors crashed"},
 		}},
 		{name: "a drain its barrier made impossible is called off", steps: []step{
 			{DrainReq{1, "", "d"}, "Pause(0) Pause(1,ckpt)"},
@@ -312,11 +333,43 @@ func TestLifecycleTable(t *testing.T) {
 			{Crash{0}, "Pause(0) Pause(1)"},
 			{Returned{0, part}, "Bye(0) Bye(1) Done"},
 		}},
+		{name: "Mattern's single-read counterexample: sums that balance across two moments are no deadlock", steps: []step{
+			// A is quiet, having sent and taken in nothing. Then B sends to
+			// A, A wakes and sends to B, and B reports quiet with both
+			// copies counted: read once, the sums balance.
+			{Quiet{W: 0, Report: Report{Waiting: true}}, ""},
+			{Quiet{W: 1, Report: Report{Sent: 1, Recv: 1, Waiting: true}}, "Probe(0) Probe(1)"},
+			// A's answer is not the report it was probed on: it replaces
+			// it, and the balanced sums are probed afresh.
+			{Quiet{W: 0, Report: Report{Sent: 1, Recv: 1, Waiting: true}, Answer: true}, "Probe(0) Probe(1)"},
+			{Quiet{W: 1, Report: Report{Sent: 1, Recv: 1, Waiting: true}, Answer: true}, ""}, // the first probe's: confirms nothing
+			{Quiet{W: 0, Report: Report{Busy: true}, Answer: true}, ""},                      // A is at work again
+			{Quiet{W: 1, Report: Report{Sent: 1, Recv: 1, Waiting: true}, Answer: true}, ""},
+			{Quiet{W: 0, Report: Report{Sent: 2, Recv: 1}}, ""}, // idle, its last copy still on its way to B
+			{Quiet{W: 1, Report: Report{Sent: 1, Recv: 2}}, "Finish(0) Finish(1)"},
+		}},
+		{name: "a deadlock is called when every member answers unchanged, its waits in processor order", steps: []step{
+			{Quiet{W: 1, Report: Report{Sent: 1, Waiting: true}}, ""},
+			{Quiet{W: 0, Report: Report{Recv: 2, Waiting: true}}, ""}, // a copy more than was sent: one report is behind
+			{Quiet{W: 0, Report: Report{Recv: 1, Waiting: true}}, "Probe(0) Probe(1)"},
+			{Quiet{W: 1, Report: Report{Sent: 1, Waiting: true}, Answer: true, Waits: []Wait{{3, "PE 3 waits for c->d:w from PE 1"}}}, ""},
+			{Quiet{W: 0, Report: Report{Recv: 1, Waiting: true}, Answer: true, Waits: []Wait{{1, "PE 1 waits for d->c:x from PE 3"}}},
+				"error: exec: run deadlocked: PE 1 waits for d->c:x from PE 3; PE 3 waits for c->d:w from PE 1"},
+		}},
+		{name: "reports of an era a barrier replaced are dropped, probes with it", steps: []step{
+			{idle(0, 0), ""},
+			{Quiet{W: 1, Report: Report{Waiting: true}}, "Probe(0) Probe(1)"},
+			{Crash{3}, "Pause(0) Pause(1)"},
+			{Quiet{W: 0, Report: Report{}, Answer: true}, ""}, // into the forming barrier
+			{Parked{0, empty}, ""}, {Parked{1, &PauseState{Dead: []int{3}}}, "Resume(0,e1) Resume(1,e1)"},
+			{Quiet{W: 1, Report: Report{Waiting: true}, Answer: true}, ""}, // era 0's
+			{idle(0, 1), ""}, {idle(1, 1), "Finish(0) Finish(1)"},
+		}},
 		{name: "three members: one with every processor dead still takes part", peerOf: []int{0, 0, 1, 2}, steps: []step{
 			{Crash{3}, "Pause(0) Pause(1) Pause(2)"},
 			{Parked{2, &PauseState{Dead: []int{3}}}, ""}, {Parked{0, empty}, ""},
 			{Parked{1, empty}, "Resume(0,e1) Resume(1,e1) Resume(2,e1)"},
-			{Idle{0}, ""}, {Idle{1}, ""}, {Idle{2}, "Finish(0) Finish(1) Finish(2)"},
+			{idle(0, 1), ""}, {idle(1, 1), ""}, {idle(2, 1), "Finish(0) Finish(1) Finish(2)"},
 		}},
 	}
 	for _, row := range rows {
@@ -371,7 +424,11 @@ type fakeMember struct {
 	slots         map[int][]sched.Slot // the era's remaining work per processor
 	done          map[graph.NodeID]int // results held -> holding processor
 	dead          []int                // hosted processors that crashed
+	epoch         int64                // of the era installed
 	idle          bool                 // reported this era
+	waiting       bool                 // reported with a processor blocked for good
+	blocked       int                  // that processor
+	probes        []int64              // the eras of the probes still to answer
 	pause         int                  // 1: Pause outstanding; 2: parked, awaiting Resume
 	checkpoint    bool
 	finishing     bool // Finish outstanding
@@ -380,7 +437,7 @@ type fakeMember struct {
 
 func (m *fakeMember) clone() *fakeMember {
 	c := *m
-	c.pes, c.dead = slices.Clone(m.pes), slices.Clone(m.dead)
+	c.pes, c.dead, c.probes = slices.Clone(m.pes), slices.Clone(m.dead), slices.Clone(m.probes)
 	c.slots, c.done = maps.Clone(m.slots), maps.Clone(m.done)
 	return &c
 }
@@ -403,7 +460,10 @@ func (m *fakeMember) work(n int) {
 
 // install gives the member its share of a plan (nil: the schedule).
 func (m *fakeMember) install(s *sched.Schedule, plan *ResumePlan) {
-	m.slots = map[int][]sched.Slot{}
+	m.slots, m.epoch = map[int][]sched.Slot{}, 0
+	if plan != nil {
+		m.epoch = plan.Epoch
+	}
 	for _, pe := range m.pes {
 		if plan == nil {
 			m.slots[pe] = s.PESlots(pe)
@@ -420,7 +480,7 @@ func (m *fakeMember) install(s *sched.Schedule, plan *ResumePlan) {
 			}
 		}
 	}
-	m.started, m.idle, m.pause = true, false, 0
+	m.started, m.idle, m.waiting, m.pause = true, false, false, 0
 }
 
 type action struct {
@@ -439,7 +499,7 @@ type world struct {
 	members []*fakeMember
 	dialing bool // a Dial effect awaits its JoinDialed
 
-	crashes, losses, drains, joins, replays int // disturbances left
+	crashes, losses, drains, joins, replays, stalls int // disturbances left
 
 	asked    []string       // requests issued
 	verdicts map[string]int // answers received
@@ -453,7 +513,7 @@ type world struct {
 func newWorld(s *sched.Schedule, flat *graph.Flat, peerOf []int) *world {
 	n := slices.Max(peerOf) + 1
 	w := &world{s: s, flat: flat, verdicts: map[string]int{},
-		crashes: 1, losses: 1, drains: 1, joins: 1, replays: 1}
+		crashes: 1, losses: 1, drains: 1, joins: 1, replays: 1, stalls: 1}
 	addrs := make([]string, n)
 	for i := range addrs {
 		addrs[i] = fmt.Sprintf("w%d", i)
@@ -514,6 +574,9 @@ func (w *world) actions(disturb bool) []action {
 		if !m.idle && m.pause != 2 && !m.finishing {
 			acts = append(acts, action{"idle", i})
 		}
+		if len(m.probes) > 0 {
+			acts = append(acts, action{"answer", i})
+		}
 	}
 	if w.dialing {
 		acts = append(acts, action{"dialed", 0})
@@ -535,6 +598,11 @@ func (w *world) actions(disturb bool) []action {
 		// since be idle, even finishing — but a parked worker cannot die.
 		if w.crashes > 0 && m.started && m.pause != 2 && len(m.pes) > 0 {
 			acts = append(acts, action{"crash", m.pes[len(m.pes)-1]})
+		}
+		// A processor blocked on a message that is lost: the member
+		// reports quiet with it waiting, and stays so until a barrier.
+		if w.stalls > 0 && m.started && !m.idle && m.pause == 0 && !m.finishing && len(m.pes) > 0 {
+			acts = append(acts, action{"wait", i})
 		}
 		// A duplicate of a barrier reply already acted on. (One arriving
 		// inside the next barrier would pass for its reply; links absorb
@@ -584,7 +652,20 @@ func (w *world) event(a action) Event {
 		m := w.members[a.i]
 		m.work(-1)
 		m.idle = true
-		return Idle{a.i}
+		return idle(a.i, m.epoch)
+	case "wait":
+		w.stalls--
+		m := w.members[a.i]
+		m.idle, m.waiting, m.blocked = true, true, m.pes[0]
+		return Quiet{W: a.i, Report: Report{Epoch: m.epoch, Waiting: true}}
+	case "answer":
+		m := w.members[a.i]
+		q := Quiet{W: a.i, Report: Report{Epoch: m.probes[0], Busy: m.probes[0] != m.epoch || !m.idle, Waiting: m.waiting}, Answer: true}
+		if m.waiting {
+			q.Waits = []Wait{{m.blocked, fmt.Sprintf("PE %d waits", m.blocked)}}
+		}
+		m.probes = m.probes[1:]
+		return q
 	case "crash":
 		w.crashes--
 		for _, m := range w.members {
@@ -650,6 +731,21 @@ func (w *world) do(t *testing.T, a action) {
 	ev := w.event(a)
 	ph, before := w.lc.phase, w.lc.Members()
 	effects, err := stepCounted(w.lc, ev, machine.Time(len(w.trail)))
+	if err != nil && strings.HasPrefix(err.Error(), "exec: run deadlocked: ") {
+		// Called only on a fleet that is all quiet, somebody waiting.
+		waiting := false
+		for i, m := range w.members {
+			if w.lc.members[i].active() && !m.idle {
+				fail("deadlock called while member %d is at work", i)
+			}
+			waiting = waiting || w.lc.members[i].active() && m.waiting
+		}
+		if !waiting {
+			fail("deadlock called with nobody waiting: %v", err)
+		}
+		w.err = err
+		return
+	}
 	if w.lc.Members() > before {
 		w.members = append(w.members, &fakeMember{done: map[graph.NodeID]int{}})
 	}
@@ -691,10 +787,16 @@ func (w *world) do(t *testing.T, a action) {
 			m.install(w.s, e.Plan)
 		case Finish:
 			m := w.members[e.W]
-			if m.gone || !m.idle || m.pause != 0 {
-				fail("Finish(%d) to a member that is gone, busy or at a barrier", e.W)
+			if m.gone || !m.idle || m.waiting || m.pause != 0 {
+				fail("Finish(%d) to a member that is gone, busy, waiting or at a barrier", e.W)
 			}
 			m.finishing, w.finished = true, true
+		case Probe:
+			m := w.members[e.W]
+			if m.gone || !m.idle || m.pause != 0 {
+				fail("Probe(%d) to a member that is gone, busy or at a barrier", e.W)
+			}
+			m.probes = append(m.probes, m.epoch)
 		case Bye:
 			m := w.members[e.W]
 			if m.pause == 2 {
@@ -821,8 +923,11 @@ func TestLifecycleCoverage(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("Step calls by phase and event:\n%s", b.String())
+	t.Logf("Step calls by phase and event:\n%s%d Probe effects", b.String(), probed)
 	if missing > 0 {
 		t.Errorf("%d (phase, event) pairs never reached Step", missing)
+	}
+	if probed == 0 {
+		t.Error("no Step ever returned a Probe")
 	}
 }

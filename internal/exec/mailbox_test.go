@@ -141,20 +141,31 @@ func TestMailboxNoLostWakeup(t *testing.T) {
 }
 
 // testPlane is a RemotePlane that swallows remote deliveries and turns
-// the session's idle/crash reports into channel events a test can wait on.
+// the session's reports into channel events a test can wait on: every
+// report and probe answer on quiet (dropped once 16 wait unread), and
+// an idle report on idle too.
 type testPlane struct {
+	quiet chan Quiet
 	idle  chan struct{}
 	crash chan int
 }
 
 func newTestPlane() *testPlane {
-	return &testPlane{idle: make(chan struct{}, 16), crash: make(chan int, 16)}
+	return &testPlane{quiet: make(chan Quiet, 16), idle: make(chan struct{}, 16), crash: make(chan int, 16)}
 }
 
 func (p *testPlane) DeliverRemote(RemoteMsg) error { return nil }
 func (p *testPlane) FlushRemote()                  {}
-func (p *testPlane) LocalIdle()                    { p.idle <- struct{}{} }
 func (p *testPlane) LocalCrash(pe int)             { p.crash <- pe }
+func (p *testPlane) Quiet(q Quiet) {
+	select {
+	case p.quiet <- q:
+	default:
+	}
+	if !q.Waiting && !q.Answer {
+		p.idle <- struct{}{}
+	}
+}
 
 func waitEvent[T any](t *testing.T, ch <-chan T, what string) T {
 	t.Helper()
@@ -189,7 +200,7 @@ func TestDeliverAfterRunEnds(t *testing.T) {
 		if err := ses.Deliver(u); err != nil {
 			t.Errorf("delivery after FinishRun: %v, want nil", err)
 		}
-		if n := len(ses.workers[1].inbox.q); n != 0 {
+		if n := len(ses.ctrl.workers[1].inbox.q); n != 0 {
 			t.Errorf("late delivery was queued (%d in mailbox), want dropped", n)
 		}
 		if _, err := ses.Wait(); err != nil {
@@ -242,7 +253,7 @@ func TestDeadMailboxAbsorbsRetransmissions(t *testing.T) {
 	}
 	// The crashed worker's goroutine is gone, so this test is the only
 	// reader of its wake-up token.
-	dead := ses.workers[1].inbox
+	dead := ses.ctrl.workers[1].inbox
 	waitEvent(t, dead.ready, "a->b:u in the dead PE's mailbox")
 
 	st, err := ses.Pause(false)
@@ -284,29 +295,51 @@ func TestDeadMailboxAbsorbsRetransmissions(t *testing.T) {
 	}
 }
 
-// TestStarvedGuards drives the starvation decision on a session that
-// was built but never launched, one guard at a time: nothing busy and a
-// worker blocked is a deadlock only when the session hosts the whole
-// machine, no crash awaits its replan, the barrier is not forming and
-// no delivery is still owed.
+// TestStarvedGuards drives a session that was built but never launched
+// to the moment its busy count reaches zero, one guard at a time, and
+// plays its coordinator: the session reports itself, or stays silent.
+// It reports when a worker is blocked and when none is (it is idle),
+// hosting the whole machine or a share of it alike, and only once per
+// quiet spell; it stays silent while a crash awaits its replan, while
+// the barrier forms and while a delivery is still owed. Deciding is the
+// run Lifecycle's: nothing here fails the session.
 func TestStarvedGuards(t *testing.T) {
 	s, flat := chainSchedule(t)
 	r := &Runner{Inputs: pits.Env{"x0": pits.Num(5)}}
+	const waits = "PE 1 waits for a->b:u from PE 0"
+	// coordinate plays one turn of the session's coordinator loop.
+	coordinate := func(c *controller, last *Report) {
+		select {
+		case <-c.quiet:
+			c.tell(last)
+		default:
+		}
+	}
+	heard := func(pl *testPlane) (Quiet, bool) {
+		select {
+		case q := <-pl.quiet:
+			return q, true
+		default:
+			return Quiet{}, false
+		}
+	}
 	cases := []struct {
-		name     string
-		hosted   []bool
-		prepare  func(c *controller)
-		deadlock bool
+		name    string
+		hosted  []bool
+		prepare func(c *controller)
+		reports bool
+		waiting bool
 	}{
-		{"blocked", []bool{true, true}, func(*controller) {}, true},
-		{"nothing-blocked", []bool{true, true}, func(c *controller) { c.workers[1].awaiting.Store(nil) }, false},
-		{"share-of-machine", []bool{false, true}, func(*controller) {}, false},
-		{"crash-awaits-resume", []bool{true, true}, func(c *controller) { c.crashed.Store(true) }, false},
-		{"pause-closed", []bool{true, true}, func(c *controller) { close(c.era.Load().pause) }, false},
+		{"blocked", []bool{true, true}, func(*controller) {}, true, true},
+		{"nothing-blocked", []bool{true, true}, func(c *controller) { c.workers[1].awaiting.Store(nil) }, true, false},
+		{"share-of-machine", []bool{false, true}, func(*controller) {}, true, true},
+		{"crash-awaits-resume", []bool{true, true}, func(c *controller) { c.crashed.Store(true) }, false, false},
+		{"pause-closed", []bool{true, true}, func(c *controller) { close(c.era.Load().pause) }, false, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ses, err := r.buildSession(s, flat, tc.hosted, newTestPlane())
+			pl := newTestPlane()
+			ses, err := r.buildSession(s, flat, tc.hosted, pl)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -314,25 +347,83 @@ func TestStarvedGuards(t *testing.T) {
 			c.workers[1].awaiting.Store(&awaited{msgKey{"a", "b", "u"}, 0})
 			tc.prepare(c)
 			c.busy.Store(1)
+			last := Report{Busy: true}
 			c.retire()
+			coordinate(c, &last)
+			rep, ok := heard(pl)
+			if ok != tc.reports {
+				t.Fatalf("reported %v (%+v), want %v", ok, rep, tc.reports)
+			}
 			select {
 			case <-c.done:
-				if !tc.deadlock {
-					t.Fatalf("declared a deadlock: %v", c.runErr)
-				}
-				if want := "exec: run deadlocked: PE 1 waits for a->b:u from PE 0"; c.runErr.Error() != want {
-					t.Errorf("report %q, want %q", c.runErr, want)
-				}
+				t.Fatalf("the session decided for itself: %v", c.runErr)
 			default:
-				if tc.deadlock {
-					t.Fatal("no deadlock declared")
+			}
+			if tc.reports {
+				if want := (Report{Waiting: tc.waiting}); rep.Report != want || rep.Answer {
+					t.Errorf("report %+v, want %+v", rep, want)
 				}
+				c.quiesce() // a second wake-up in the same quiet spell
+				coordinate(c, &last)
+				if again, ok := heard(pl); ok {
+					t.Errorf("reported twice in one quiet spell: %+v", again)
+				}
+			}
+			ses.Probe()
+			coordinate(c, &last)
+			ans, ok := heard(pl)
+			if !ok || !ans.Answer {
+				t.Fatalf("probe not answered (%+v)", ans)
+			}
+			if !tc.reports {
+				if !ans.Busy {
+					t.Errorf("probe answered %+v, want busy", ans)
+				}
+				return
+			}
+			if ans.Report != rep.Report {
+				t.Errorf("probe answered %+v, want the report %+v", ans, rep)
+			}
+			if tc.waiting && (len(ans.Waits) != 1 || ans.Waits[0] != (Wait{1, waits})) {
+				t.Errorf("probe names %+v, want PE 1's %q", ans.Waits, waits)
 			}
 		})
 	}
 
+	// A probe answered while busy is said, too: the session tells its
+	// state once quiet again, though that is the state it last reported.
+	// Left at "busy", the lifecycle would wait for it forever.
+	t.Run("busy-answer", func(t *testing.T) {
+		pl := newTestPlane()
+		ses, err := r.buildSession(s, flat, []bool{true, true}, pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := ses.ctrl
+		c.workers[1].awaiting.Store(&awaited{msgKey{"a", "b", "u"}, 0})
+		last := Report{Busy: true}
+		c.busy.Store(1)
+		c.retire()
+		coordinate(c, &last)
+		if rep, ok := heard(pl); !ok || !rep.Waiting {
+			t.Fatalf("no waiting report (%+v, %v)", rep, ok)
+		}
+		c.busy.Add(1) // roused, with nothing for it
+		ses.Probe()
+		coordinate(c, &last)
+		if ans, ok := heard(pl); !ok || !ans.Answer || !ans.Busy {
+			t.Fatalf("probe answered %+v (%v), want busy", ans, ok)
+		}
+		c.retire()
+		coordinate(c, &last)
+		if rep, ok := heard(pl); !ok || rep.Answer || !rep.Waiting {
+			t.Fatalf("no report after the busy answer (%+v, %v)", rep, ok)
+		}
+	})
+
 	t.Run("delivery-owed", func(t *testing.T) {
-		ses, err := r.buildSession(s, flat, []bool{true, true}, newTestPlane())
+		pl := newTestPlane()
+		ses, err := r.buildSession(s, flat, []bool{true, true}, pl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,17 +436,16 @@ func TestStarvedGuards(t *testing.T) {
 		if _, ok, last := w.inbox.take(); ok || last {
 			t.Fatalf("empty take with a delivery owed: ok %v, last %v", ok, last)
 		}
-		select {
-		case <-c.done:
-			t.Fatalf("declared a deadlock with a delivery owed: %v", c.runErr)
-		default:
+		last := Report{Busy: true}
+		coordinate(c, &last)
+		if rep, ok := heard(pl); ok {
+			t.Fatalf("reported with a delivery owed: %+v", rep)
 		}
-		close(held) // the owed delivery gives up: now it is a deadlock
+		close(held) // the owed delivery gives up: now the session is quiet
 		c.bg.Wait()
-		select {
-		case <-c.done:
-		default:
-			t.Fatal("no deadlock declared once the owed delivery retired")
+		coordinate(c, &last)
+		if rep, ok := heard(pl); !ok || !rep.Waiting {
+			t.Fatalf("no waiting report once the owed delivery retired (%+v, %v)", rep, ok)
 		}
 	})
 }
@@ -479,7 +569,7 @@ func TestRevivedProcessorIsRemote(t *testing.T) {
 	waitEvent(t, pl.crash, "the injected crash")
 	// The crashed worker's goroutine is gone, so this test is the only
 	// reader of its wake-up token: once it shows, a has run on PE 0.
-	dead := ses.workers[1].inbox
+	dead := ses.ctrl.workers[1].inbox
 	waitEvent(t, dead.ready, "a->b:u in the dead PE's mailbox")
 	st, err := ses.Pause(false)
 	if err != nil {

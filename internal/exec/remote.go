@@ -14,10 +14,10 @@ import (
 // This file is the seam between a hosted execution session and whatever
 // drives it: the types a session exchanges with its RemotePlane. Every
 // session has one. A single-process run hosts the whole machine in one
-// session, so its plane never carries a delivery and only hears idle
+// session, so its plane never carries a delivery and only hears quiet
 // and crash reports (runner.go); a distributed run hosts a subset of
 // the processors per OS process and hands every cross-process delivery,
-// idle notification and crash report to internal/wire.
+// quiet report and crash report to internal/wire.
 
 // RemoteMsg is one scheduled delivery crossing a process boundary: the
 // wire-facing form of the runner's internal message. Process-boundary
@@ -57,12 +57,35 @@ type RemotePlane interface {
 	// delivery a delay fault held back. Nothing else decides when a held
 	// message leaves.
 	FlushRemote()
-	// LocalIdle reports that every live locally-hosted processor
-	// finished its current era's slot list.
-	LocalIdle()
+	// Quiet reports that the session fell quiet (see Report), once per
+	// quiet spell, or answers a Probe. Its member is the driver's to set.
+	Quiet(q Quiet)
 	// LocalCrash reports an injected crash killing locally-hosted
 	// processor pe. The run's lifecycle must drive a recovery.
 	LocalCrash(pe int)
+}
+
+// Report is what a session says of itself: whenever it falls quiet —
+// every live processor it hosts is through its slot list or blocked in
+// receive, it owes no delivery, no hosted crash awaits its replan and no
+// barrier is forming — and whenever a Probe asks. Sent and Recv count
+// the remote copies of era Epoch it handed its plane and took in; a copy
+// of the next era that arrives before the session resumes into it is
+// counted with that era. A quiet session with no processor Waiting is
+// idle; only a probe's answer can be Busy (the session is not quiet
+// now). Two reports are one state when they are equal.
+type Report struct {
+	Epoch   int64 `json:"e,omitempty"`
+	Sent    int64 `json:"s,omitempty"`
+	Recv    int64 `json:"r,omitempty"`
+	Waiting bool  `json:"w,omitempty"`
+	Busy    bool  `json:"b,omitempty"`
+}
+
+// Wait is one blocked processor, and the line a deadlock report gives it.
+type Wait struct {
+	PE   int    `json:"pe"`
+	Line string `json:"line"`
 }
 
 // Partial is one process's share of a run's result: qualified external

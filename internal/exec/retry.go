@@ -144,8 +144,8 @@ func (c *controller) deliver(m xmsg, toPE int) bool {
 // plane now holds, which the sender's burst owes a flush.
 func (c *controller) transmit(m xmsg, k *msgKey, orig pits.Value, toPE, copies int, resend bool, wallDelay time.Duration) (handed int, err error) {
 	if copies == 0 && !resend {
-		// Dropped for good: the receiver starves, and the session
-		// reports who waits for what.
+		// Dropped for good: the receiver waits for it until the run's
+		// lifecycle calls the deadlock.
 		return 0, nil
 	}
 	local := c.isLocal(toPE)
@@ -163,10 +163,10 @@ func (c *controller) transmit(m xmsg, k *msgKey, orig pits.Value, toPE, copies i
 		if c.moot(er) {
 			return
 		}
-		if n, err := c.put(m, k, orig, toPE, copies, resend, false); err == nil {
+		if _, err := c.put(m, k, orig, toPE, copies, resend, false); err == nil {
 			c.plane.FlushRemote() // a burst of its own, outside any slot's sends
 			c.mu.Lock()
-			c.late.sends, c.late.flushes = c.late.sends+int64(n), c.late.flushes+1
+			c.lateFlushes++
 			c.mu.Unlock()
 		} else if !c.moot(er) {
 			// Once moot, the failure is not the run's: the peer may
@@ -178,13 +178,15 @@ func (c *controller) transmit(m xmsg, k *msgKey, orig pits.Value, toPE, copies i
 	return 0, nil
 }
 
-// put makes now the copies transmit decided on.
+// put makes now the copies transmit decided on. The copies it hands the
+// remote plane are counted before the sender leaves the busy count (see
+// controller.report).
 func (c *controller) put(m xmsg, k *msgKey, orig pits.Value, toPE, copies int, resend, local bool) (handed int, err error) {
 	n := copies
 	if resend {
 		n++
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && err == nil; i++ {
 		if i == copies {
 			m.val = orig
 			c.addEvent(trace.Event{Kind: trace.MsgRetry, At: c.stamp(m.at), Task: k.from,
@@ -197,10 +199,18 @@ func (c *controller) put(m xmsg, k *msgKey, orig pits.Value, toPE, copies int, r
 			continue
 		}
 		handed++
-		if err := c.plane.DeliverRemote(RemoteMsg{From: k.from, To: k.to, Var: k.v, FromPE: m.fromPE, ToPE: toPE,
+		if err = c.plane.DeliverRemote(RemoteMsg{From: k.from, To: k.to, Var: k.v, FromPE: m.fromPE, ToPE: toPE,
 			Seq: m.seq, Epoch: m.epoch, At: m.at, Sum: m.sum, Val: m.val}); err != nil {
-			return handed, fmt.Errorf("remote delivery to PE %d: %w", toPE, err)
+			err = fmt.Errorf("remote delivery to PE %d: %w", toPE, err)
 		}
 	}
-	return handed, nil
+	if handed > 0 {
+		c.mu.Lock()
+		c.sends += int64(handed)
+		if m.epoch == c.epoch {
+			c.sent += int64(handed)
+		}
+		c.mu.Unlock()
+	}
+	return handed, err
 }

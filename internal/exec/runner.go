@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -60,27 +61,11 @@ type Runner struct {
 	// WatchdogMin is ignored; it goes with ROADMAP 3(d), once
 	// bench/layers.go:356,492,555 stop setting it.
 	WatchdogMin time.Duration
-	// StallTimeout bounds how long a session hosting a share of the
-	// machine may go without any task completing or message arriving
-	// before it is failed as stalled (0 = 30s, negative = disabled). A
-	// session hosting every processor decides deadlock by counting and
-	// arms no timer.
-	StallTimeout time.Duration
 
 	// Stats, when set, is added each finished run's counts, once (see
 	// Stats): a long-running control plane serving back-to-back runs
 	// points all of them at one and exposes the running totals.
 	Stats *Stats
-}
-
-func (r *Runner) stallTimeout() time.Duration {
-	if r.StallTimeout > 0 {
-		return r.StallTimeout
-	}
-	if r.StallTimeout < 0 {
-		return 0
-	}
-	return 30 * time.Second
 }
 
 // Result is the outcome of a parallel run.
@@ -108,11 +93,13 @@ func (r *Runner) Run(s *sched.Schedule, flat *graph.Flat) (*Result, error) {
 // aborts and the cancellation is reported as its root cause.
 //
 // It is the in-process driver of the run Lifecycle: one member, one
-// Session hosting every processor. Idleness, crashes, barrier states
-// and the final partial arrive on one channel and go through Step; the
-// effects that come back are direct calls on the session. Every failure
-// — a worker's, the lifecycle's, a cancellation — aborts the session
-// and surfaces through its Wait, which words the root cause.
+// Session hosting every processor. Quiet reports, crashes, barrier
+// states and the final partial arrive on one channel and go through
+// Step; the effects that come back are direct calls on the session.
+// Every failure aborts the
+// session; the lifecycle's (a deadlock, say) is the run's error as the
+// lifecycle words it, as across processes, and a worker's or a
+// cancellation surfaces through Wait, which words the root cause.
 func (r *Runner) RunContext(ctx context.Context, s *sched.Schedule, flat *graph.Flat) (*Result, error) {
 	if s == nil || s.Machine == nil {
 		return nil, fmt.Errorf("exec: nil schedule or design")
@@ -140,6 +127,7 @@ func (r *Runner) RunContext(ctx context.Context, s *sched.Schedule, flat *graph.
 	if ctx != nil {
 		cancelled = ctx.Done()
 	}
+	var decided error // the lifecycle's verdict, once the session aborts on it
 	for {
 		var ev Event
 		select {
@@ -150,13 +138,14 @@ func (r *Runner) RunContext(ctx context.Context, s *sched.Schedule, flat *graph.
 		case ev = <-plane.events:
 		}
 		if err, failed := ev.(error); failed {
-			return nil, err
+			return nil, cmp.Or(decided, err)
 		}
 		effects, err := lc.Step(ev, machine.Time(ses.Elapsed().Microseconds()))
 		if err != nil {
 			if _, over := ev.(Returned); over {
 				return nil, err // the session is gone: nothing left to abort or wait for
 			}
+			decided = cmp.Or(decided, err)
 			ses.Abort(err)
 		}
 		for _, ef := range effects {
@@ -175,6 +164,8 @@ func (r *Runner) RunContext(ctx context.Context, s *sched.Schedule, flat *graph.
 				}
 			case Finish:
 				ses.FinishRun()
+			case Probe:
+				ses.Probe()
 			case Done:
 				e.Result.Elapsed = ses.Elapsed()
 				e.Result.Trace.Sort()
@@ -202,7 +193,7 @@ func (p localPlane) DeliverRemote(m RemoteMsg) error {
 	return fmt.Errorf("exec: PE %d is not on this machine", m.ToPE)
 }
 func (p localPlane) FlushRemote()      {}
-func (p localPlane) LocalIdle()        { p.post(Idle{}) }
+func (p localPlane) Quiet(q Quiet)     { p.post(q) }
 func (p localPlane) LocalCrash(pe int) { p.post(Crash{PE: pe}) }
 
 // checkInputs validates the runner's Inputs against the design's

@@ -26,7 +26,6 @@ type Session struct {
 	s         *sched.Schedule
 	flat      *graph.Flat
 	ctrl      *controller
-	workers   []*worker
 	era0      *eraPlan
 	log       []trace.Event // the workers' event logs, one stretch each (see controller.eventLog)
 	start     time.Time
@@ -36,8 +35,8 @@ type Session struct {
 
 // StartSession validates the schedule and launches the hosted workers.
 // hosted flags which processors run in this session; plane carries
-// deliveries to the rest of the machine and hears this session's
-// idleness and crashes.
+// deliveries to the rest of the machine and hears this session's quiet
+// spells and crashes.
 func (r *Runner) StartSession(s *sched.Schedule, flat *graph.Flat, hosted []bool, plane RemotePlane) (*Session, error) {
 	ses, err := r.buildSession(s, flat, hosted, plane)
 	if err != nil {
@@ -76,6 +75,7 @@ func (r *Runner) StartSessionFrom(s *sched.Schedule, flat *graph.Flat, hosted []
 		}
 	}
 	c.era.Store(&era{epoch: plan.Epoch, pause: make(chan struct{}), resume: make(chan struct{})})
+	c.epoch = plan.Epoch
 	ses.launch()
 	return ses, nil
 }
@@ -115,6 +115,7 @@ func (r *Runner) buildSession(s *sched.Schedule, flat *graph.Flat, hosted []bool
 		runner: r, numPE: numPE,
 		hosted: make([]atomic.Bool, numPE), plane: plane,
 		cmds:   make(chan sessCmd),
+		quiet:  make(chan struct{}, 1),
 		done:   make(chan struct{}),
 		finish: make(chan struct{}),
 		events: make(chan wevent, numPE*4+16),
@@ -155,27 +156,22 @@ func (r *Runner) buildSession(s *sched.Schedule, flat *graph.Flat, hosted []bool
 	ctrl.workers = workers
 
 	ses := &Session{
-		runner: r, s: s, flat: flat, ctrl: ctrl, workers: workers, era0: plan, log: log,
+		runner: r, s: s, flat: flat, ctrl: ctrl, era0: plan, log: log,
 		start: start, coordDone: make(chan struct{}),
 	}
 	return ses, nil
 }
 
-// launch spawns the session's coordinator and worker goroutines, and
-// the stall watcher where deadlock cannot be decided by counting (see
-// controller.starved). Era state must be final before launch.
+// launch spawns the session's coordinator and worker goroutines. Era
+// state must be final before launch.
 func (ses *Session) launch() {
 	ctrl := ses.ctrl
-	if st := ses.runner.stallTimeout(); st > 0 && ctrl.numLocal() < ctrl.numPE {
-		ctrl.bg.Add(1)
-		go ctrl.stallWatch(st)
-	}
 	go func() {
 		ctrl.coordinate()
 		close(ses.coordDone)
 	}()
 
-	for _, w := range ses.workers {
+	for _, w := range ses.ctrl.workers {
 		if w == nil {
 			continue
 		}
@@ -190,11 +186,11 @@ func (ses *Session) launch() {
 }
 
 // Deliver injects a message that arrived from another process into the
-// hosting processor's mailbox. Late deliveries after completion are
-// dropped; deliveries after an abort report it. This is the process
-// boundary, the one place a message travels by name: the receiving
-// worker turns the name into its ordinal once, in the message's own era
-// (see admit).
+// hosting processor's mailbox, and counts it with its era (see Report).
+// Late deliveries after completion are dropped; deliveries after an
+// abort report it. This is the process boundary, the one place a
+// message travels by name: the receiving worker turns the name into its
+// ordinal once, in the message's own era (see admit).
 func (ses *Session) Deliver(m RemoteMsg) error {
 	c := ses.ctrl
 	if m.ToPE < 0 || m.ToPE >= c.numPE || !c.isLocal(m.ToPE) {
@@ -202,15 +198,30 @@ func (ses *Session) Deliver(m RemoteMsg) error {
 	}
 	x := xmsg{name: &msgKey{m.From, m.To, m.Var}, val: m.Val, fromPE: m.FromPE,
 		at: m.At, seq: m.Seq, epoch: m.Epoch, sum: m.Sum}
-	if !c.deliver(x, m.ToPE) {
+	c.mu.Lock()
+	ok := c.deliver(x, m.ToPE)
+	if d := m.Epoch - c.epoch; ok && (d == 0 || d == 1) {
+		c.recv[d]++
+	}
+	c.mu.Unlock()
+	if !ok {
 		return fmt.Errorf("exec: session aborted")
+	}
+	if c.busy.Load() == 0 {
+		// Nobody woke for it, so no worker will report the new count.
+		c.quiesce()
 	}
 	return nil
 }
 
-// Progress returns the session's progress counter (completed tasks and
-// accepted messages): the payload of liveness heartbeats.
-func (ses *Session) Progress() uint64 { return ses.ctrl.progress.Load() }
+// Probe asks the session for its report as of now, naming every blocked
+// processor: the run Lifecycle's confirming read before it calls a
+// deadlock. The answer comes through the plane, behind every report the
+// session made before it, and the driver sets its member.
+func (ses *Session) Probe() {
+	ses.ctrl.probes.Add(1)
+	ses.ctrl.quiesce()
+}
 
 // Elapsed is the wall-clock time since the session started.
 func (ses *Session) Elapsed() time.Duration { return time.Since(ses.start) }
@@ -298,7 +309,7 @@ func (ses *Session) Wait() (*Partial, error) {
 	if ses.ctrl.runErr != nil {
 		roots = append(roots, ses.ctrl.runErr)
 	}
-	for _, w := range ses.workers {
+	for _, w := range ses.ctrl.workers {
 		if w == nil || w.err == nil {
 			continue
 		}
@@ -321,10 +332,10 @@ func (ses *Session) Wait() (*Partial, error) {
 	}
 
 	p := &Partial{Outputs: pits.Env{}, Exports: map[string]graph.NodeID{}, Events: ses.ctrl.eventLog(ses.log),
-		RemoteSends: ses.ctrl.late.sends, RemoteFlushes: ses.ctrl.late.flushes}
-	for _, w := range ses.workers {
+		RemoteSends: ses.ctrl.sends, RemoteFlushes: ses.ctrl.lateFlushes}
+	for _, w := range ses.ctrl.workers {
 		if w != nil {
-			p.RemoteSends, p.RemoteFlushes = p.RemoteSends+w.plane.sends, p.RemoteFlushes+w.plane.flushes
+			p.RemoteFlushes += w.flushes
 		}
 		// A crashed worker's results died with it: recovery recomputed
 		// them elsewhere.

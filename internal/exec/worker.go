@@ -25,7 +25,7 @@ type worker struct {
 	ctrl   *controller
 	inbox  *mailbox
 	// awaiting is what a blocked receive is waiting for (nil
-	// otherwise): the raw material of deadlock and stall reports.
+	// otherwise): the raw material of a deadlock report.
 	awaiting atomic.Pointer[awaited]
 
 	// Per-era assignment.
@@ -49,9 +49,10 @@ type worker struct {
 	executed int                       // tasks executed here, across eras (crash counter)
 	seqLocal uint64                    // low bits of this sender's message sequence numbers
 	// flushOwed is set while the current burst of sends has handed the
-	// remote plane a message it has not flushed yet.
+	// remote plane a message it has not flushed yet; flushes counts the
+	// bursts that did.
 	flushOwed bool
-	plane     planeCounts // what this worker handed the remote plane
+	flushes   int64
 }
 
 // arrival is what a worker knows of one inbound message of its era: the
@@ -108,7 +109,7 @@ func (w *worker) run() error {
 			w.dead = true
 			w.ctrl.crashed.Store(true)
 			w.ctrl.retire()
-			w.ctrl.post(wevent{evCrash, w.pe})
+			w.ctrl.post(wevent{pe: w.pe})
 			return nil
 		case wsPaused:
 			if !w.park() {
@@ -116,7 +117,6 @@ func (w *worker) run() error {
 			}
 		case wsFinished:
 			w.ctrl.retire()
-			w.ctrl.post(wevent{evIdle, w.pe})
 			select {
 			case <-w.er.pause:
 				w.ctrl.busy.Add(1) // the next era hands out a new list
@@ -135,7 +135,7 @@ func (w *worker) run() error {
 // park waits at the recovery barrier until the coordinator installs the
 // next era (true) or the run aborts (false).
 func (w *worker) park() bool {
-	w.ctrl.post(wevent{evParked, w.pe})
+	w.ctrl.post(wevent{w.pe, true})
 	select {
 	case <-w.er.resume:
 		return true
@@ -186,7 +186,6 @@ func (w *worker) execute() (wstatus, error) {
 		}
 		w.cursor++
 		w.executed++
-		w.ctrl.progress.Add(1)
 	}
 	return wsFinished, nil
 }
@@ -329,7 +328,6 @@ func (w *worker) send(sp sendPlan, val pits.Value, at machine.Time) error {
 	// Without Retry a corrupted copy fails the run at its receiver.
 	resend := w.ctrl.retry && (copies == 0 || corrupted)
 	handed, err := w.ctrl.transmit(m, k, val, sp.toPE, copies, resend, wallDelay)
-	w.plane.sends += int64(handed)
 	w.flushOwed = w.flushOwed || handed > 0
 	return err
 }
@@ -339,7 +337,7 @@ func (w *worker) send(sp sendPlan, val pits.Value, at machine.Time) error {
 func (w *worker) endBurst() {
 	if w.flushOwed {
 		w.flushOwed = false
-		w.plane.flushes++
+		w.flushes++
 		w.ctrl.plane.FlushRemote()
 	}
 }
@@ -380,15 +378,13 @@ func (w *worker) admit(m xmsg) error {
 			w.prog.in[m.ord].key, m.seq, a.seq)
 	}
 	a.xmsg, a.state = m, stashed
-	w.ctrl.progress.Add(1)
 	return nil
 }
 
 // receive blocks until inbound message ord arrives, admitting (and so
 // stashing) whatever shows up first. The take that finds the inbox empty
-// leaves the session's busy count, so a message that never comes ends as
-// the session's deadlock (or, across processes, stall) report naming
-// this receive.
+// leaves the session's busy count, so a message that never comes leaves
+// the session quiet, and its report names this receive.
 func (w *worker) receive(ord int32) (xmsg, error) {
 	due, a := &w.prog.in[ord], &w.arrived[ord]
 	if a.state != stashed {
@@ -399,7 +395,7 @@ func (w *worker) receive(ord int32) (xmsg, error) {
 		m, ok, last := w.inbox.take()
 		if !ok {
 			if last {
-				w.ctrl.starved()
+				w.ctrl.quiesce()
 			}
 			select {
 			case <-w.inbox.ready:

@@ -69,9 +69,6 @@ type Node struct {
 	succ, pred []Arc
 }
 
-// IsTask reports whether the node is a schedulable primitive task.
-func (n *Node) IsTask() bool { return n.Kind == KindTask }
-
 // Arc is a directed precedence edge labelled with the variable whose
 // data flows from From to To. Words is the message volume in machine
 // words (>= 0; 0 means a pure control dependency).
@@ -325,28 +322,6 @@ func neighborIDs(arcs []Arc, fromSide bool) []NodeID {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Entries returns nodes with no predecessors, in insertion order.
-func (g *Graph) Entries() []*Node {
-	var out []*Node
-	for _, n := range g.nodes {
-		if len(n.pred) == 0 {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// Exits returns nodes with no successors, in insertion order.
-func (g *Graph) Exits() []*Node {
-	var out []*Node
-	for _, n := range g.nodes {
-		if len(n.succ) == 0 {
-			out = append(out, n)
-		}
-	}
 	return out
 }
 

@@ -87,18 +87,6 @@ func TestSuccPredNeighbors(t *testing.T) {
 	}
 }
 
-func TestEntriesExits(t *testing.T) {
-	g := Diamond(1, 1)
-	ent := g.Entries()
-	if len(ent) != 1 || ent[0].ID != "a" {
-		t.Errorf("Entries = %v", ent)
-	}
-	ex := g.Exits()
-	if len(ex) != 1 || ex[0].ID != "d" {
-		t.Errorf("Exits = %v", ex)
-	}
-}
-
 func TestTotals(t *testing.T) {
 	g := Diamond(5, 3)
 	if w := g.TotalWork(); w != 20 {
@@ -146,11 +134,8 @@ func TestTasksFilters(t *testing.T) {
 	if len(ts) != 2 || ts[0].ID != "t1" || ts[1].ID != "t2" {
 		t.Errorf("Tasks = %v", ts)
 	}
-	if !ts[0].IsTask() {
-		t.Error("IsTask false for task")
-	}
-	if g.Node("s1").IsTask() {
-		t.Error("IsTask true for storage")
+	if ts[0].Kind != KindTask || g.Node("s1").Kind != KindStorage {
+		t.Errorf("kinds %v and %v, want a task and a storage cell", ts[0].Kind, g.Node("s1").Kind)
 	}
 }
 

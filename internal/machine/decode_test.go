@@ -2,7 +2,6 @@ package machine
 
 import (
 	"encoding/json"
-	"reflect"
 	"sync"
 	"testing"
 )
@@ -87,14 +86,6 @@ func TestDecodedMachineRoutes(t *testing.T) {
 				}
 				if got := tp.NextHop(p, q); got != next[p][q] {
 					t.Fatalf("%s: NextHop(%d,%d) = %d, want %d", topo, p, q, got, next[p][q])
-				}
-				want := []int{p}
-				for cur := p; cur != q; {
-					cur = next[cur][q]
-					want = append(want, cur)
-				}
-				if got := tp.Route(p, q); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: Route(%d,%d) = %v, want %v", topo, p, q, got, want)
 				}
 				diameter = max(diameter, dist[p][q])
 			}

@@ -305,24 +305,6 @@ func (t *Topology) NextHop(p, q int) int {
 	return t.nextH[p][q]
 }
 
-// Route returns the full shortest path from p to q including both
-// endpoints, or nil if unreachable. It walks the next-hop table afresh
-// on every call and nothing is memoized: it serves tests and the API,
-// not the schedulers (MH flattens its own link-id routes from NextHop).
-func (t *Topology) Route(p, q int) []int {
-	t.buildRoutes()
-	if t.dist[p][q] < 0 {
-		return nil
-	}
-	path := make([]int, 0, t.dist[p][q]+1)
-	path = append(path, p)
-	for cur := p; cur != q; {
-		cur = t.nextH[cur][q]
-		path = append(path, cur)
-	}
-	return path
-}
-
 // Diameter returns the largest pairwise hop count, or -1 if the network
 // is disconnected.
 func (t *Topology) Diameter() int {

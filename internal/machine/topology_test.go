@@ -205,16 +205,22 @@ func TestCustomAndDisconnected(t *testing.T) {
 	if topo.Diameter() != -1 {
 		t.Errorf("Diameter = %d, want -1", topo.Diameter())
 	}
-	if topo.Route(0, 2) != nil {
-		t.Error("Route across components should be nil")
+	if topo.NextHop(0, 2) != -1 {
+		t.Error("NextHop across components should be -1")
 	}
 }
 
+// TestRouteEndpointsAndLength walks NextHop from p to q, the route MH
+// books its links along.
 func TestRouteEndpointsAndLength(t *testing.T) {
 	h, _ := Hypercube(3)
 	for p := 0; p < 8; p++ {
 		for q := 0; q < 8; q++ {
-			route := h.Route(p, q)
+			route := []int{p}
+			for cur := p; cur != q && len(route) <= 8; {
+				cur = h.NextHop(cur, q)
+				route = append(route, cur)
+			}
 			if route[0] != p || route[len(route)-1] != q {
 				t.Fatalf("route %d->%d = %v", p, q, route)
 			}

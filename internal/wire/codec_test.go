@@ -310,14 +310,12 @@ func TestRunOptsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &exec.Runner{VirtualTime: true, Retry: true,
-		StallTimeout: 90000, MaxSteps: 1 << 20, Faults: plan}
+	r := &exec.Runner{VirtualTime: true, Retry: true, MaxSteps: 1 << 20, Faults: plan}
 	got, err := OptsFor(r).Runner()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.VirtualTime != r.VirtualTime || got.Retry != r.Retry ||
-		got.StallTimeout != r.StallTimeout || got.MaxSteps != r.MaxSteps {
+	if got.VirtualTime != r.VirtualTime || got.Retry != r.Retry || got.MaxSteps != r.MaxSteps {
 		t.Errorf("runner knobs did not survive the wire:\n got %+v\nwant %+v", got, r)
 	}
 	if got.Faults == nil || got.Faults.String() != plan.String() {
@@ -327,8 +325,9 @@ func TestRunOptsRoundTrip(t *testing.T) {
 
 // olderCoordinator rewrites the start bundles written on the
 // connections it dials into what a coordinator from before the
-// per-receive watchdog was retired would have sent: the options still
-// carry grace, watchdogMin and noWatchdog.
+// per-receive watchdog and the stall timer were retired would have
+// sent: the options still carry grace, watchdogMin, noWatchdog and
+// stallTimeout.
 type olderCoordinator struct {
 	Transport
 	rewritten *atomic.Int64 // start bundles rewritten
@@ -353,7 +352,7 @@ func (c olderCoordinatorConn) WriteFrame(f Frame) error {
 		if err != nil {
 			return err
 		}
-		js = bytes.Replace(js, []byte(`"opts":{`), []byte(`"opts":{"grace":2.5,"watchdogMin":500,"noWatchdog":true,`), 1)
+		js = bytes.Replace(js, []byte(`"opts":{`), []byte(`"opts":{"grace":2.5,"watchdogMin":500,"noWatchdog":true,"stallTimeout":90000,`), 1)
 		f.Payload = encBlobEnvelope(js, blobs...)
 		c.rewritten.Add(1)
 	}
@@ -361,7 +360,7 @@ func (c olderCoordinatorConn) WriteFrame(f Frame) error {
 }
 
 // TestRetiredOptionsAreIgnoredOnTheWire: a start bundle from an older
-// coordinator, still carrying the retired watchdog options, decodes on
+// coordinator, still carrying the retired watchdog and stall options, decodes on
 // today's worker and the run it starts completes with the
 // single-process outputs.
 func TestRetiredOptionsAreIgnoredOnTheWire(t *testing.T) {
@@ -370,7 +369,7 @@ func TestRetiredOptionsAreIgnoredOnTheWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (RunOpts{VirtualTime: true, StallTimeout: 90000}); bundle.Opts != want {
+	if want := (RunOpts{VirtualTime: true}); bundle.Opts != want {
 		t.Errorf("decoded options %+v, want %+v", bundle.Opts, want)
 	}
 

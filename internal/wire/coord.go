@@ -24,7 +24,7 @@ type Coordinator struct {
 	Transport Transport
 	Addrs     []string
 	// Runner supplies the run options every worker reproduces (faults,
-	// retry, stall timeout, virtual time) and the run inputs.
+	// retry, virtual time) and the run inputs.
 	Runner *exec.Runner
 	// HeartbeatEvery and PeerTimeout are the fleet's (see Fleet).
 	HeartbeatEvery time.Duration
@@ -125,6 +125,7 @@ type coRun struct {
 	// that does not hold it, inputs the run inputs every one carries.
 	ship   *shipment
 	inputs []byte
+	relays int // data frames relayed since the last flush
 }
 
 // newRun prepares one run of s over the placed workers, numbered in
@@ -184,17 +185,12 @@ func (r *coRun) run(ctx context.Context) (*exec.Result, error) {
 
 	hb := time.NewTicker(r.f.heartbeatEvery())
 	defer hb.Stop()
-	handled := 0
 	for {
 		var res *exec.Result
 		var err error
 		select {
 		case <-ctx.Done():
-			for _, p := range r.peers {
-				if !p.gone {
-					r.send(p, TError, encJSON(ErrorNote{Msg: "run cancelled by coordinator"}))
-				}
-			}
+			r.abortPeers("run cancelled by coordinator")
 			return nil, fmt.Errorf("wire: run cancelled: %w", ctx.Err())
 		case <-hb.C:
 			r.flushAll()
@@ -205,16 +201,32 @@ func (r *coRun) run(ctx context.Context) (*exec.Result, error) {
 			} else if p := r.peers[ev.i]; !p.gone { // a departed worker's late traffic is ignored
 				res, err = r.peerEvent(p, ev)
 			}
-			// Flush coalesced relays and owed acks when the inbound queue
-			// drains (and periodically inside long bursts, so a sender's
-			// outbox doesn't wait on a saturated loop).
-			if handled++; len(r.events) == 0 || handled >= 64 {
-				handled = 0
+			// Flush coalesced relays when the inbound queue drains (and
+			// periodically inside long bursts, so a sender's outbox doesn't
+			// wait on a saturated loop). An ack owed alone rides the next
+			// flush, or the heartbeat's, as on mesh links: a member's
+			// quiet reports draw no write of their own.
+			if r.relays > 0 && (len(r.events) == 0 || r.relays >= 64) {
+				r.relays = 0
 				r.flushAll()
 			}
 		}
+		if err != nil {
+			// The workers tear their share down now, not when the
+			// coordinator's silence outlasts their peer timeout.
+			r.abortPeers(err.Error())
+		}
 		if res != nil || err != nil {
 			return res, err
+		}
+	}
+}
+
+// abortPeers tells every worker still in the run that it failed.
+func (r *coRun) abortPeers(msg string) {
+	for _, p := range r.peers {
+		if !p.gone {
+			r.send(p, TError, encJSON(ErrorNote{Msg: msg}))
 		}
 	}
 }
@@ -501,7 +513,7 @@ func (r *coRun) heartbeat() (*exec.Result, error) {
 			continue
 		}
 		if p.link.Conn() != nil {
-			if err := p.link.SendRaw(Frame{Type: THeartbeat, Payload: encU64(0)}); err != nil {
+			if err := p.link.SendRaw(Frame{Type: THeartbeat}); err != nil {
 				r.breakConn(p, err)
 			}
 		}
@@ -546,6 +558,7 @@ func (r *coRun) handleFrame(p *peer, f Frame) (*exec.Result, error) {
 		// A consumer whose worker is gone will be replanned by the
 		// recovery, so its message can drop.
 		if q := r.peers[w]; there {
+			r.relays++
 			if err := q.link.SendData(TData, f.Payload, false); err != nil {
 				// The frame is in q's outbox and replays on reattach.
 				r.breakConn(q, err)
@@ -553,7 +566,12 @@ func (r *coRun) handleFrame(p *peer, f Frame) (*exec.Result, error) {
 		}
 		return nil, nil
 	case TIdle:
-		return r.step(exec.Idle{W: p.i}, nil)
+		q, err := decJSON[exec.Quiet](f.Payload, "idle")
+		if err != nil {
+			return nil, err
+		}
+		q.W = p.i
+		return r.step(q, nil)
 	case TCrash:
 		note, err := decJSON[CrashNote](f.Payload, "crash")
 		if err != nil {
@@ -662,6 +680,8 @@ func (r *coRun) step(ev exec.Event, dialed Conn) (*exec.Result, error) {
 			r.f.Logf("worker %d (%s) joined (epoch %d)", e.W, r.peers[e.W].addr, e.Plan.Epoch)
 		case exec.Finish:
 			r.send(r.peers[e.W], TFinish, nil)
+		case exec.Probe:
+			r.send(r.peers[e.W], TProbe, nil)
 		case exec.Bye:
 			// The goodbye lets the worker (and, through its mesh goodbyes,
 			// its peers) tear down immediately — no timeout anywhere.

@@ -144,10 +144,10 @@ func steerToFinishing(t *testing.T) *finishingRun {
 	}
 	run.w0.readUntil(TStart)
 	run.w1.readUntil(TStart)
-	if err := run.w0.l.Send(TIdle, nil); err != nil {
+	if err := run.w0.l.Send(TIdle, encJSON(exec.Quiet{})); err != nil { // idle in era 0
 		t.Fatal(err)
 	}
-	if err := run.w1.l.Send(TIdle, nil); err != nil {
+	if err := run.w1.l.Send(TIdle, encJSON(exec.Quiet{})); err != nil { // idle in era 0
 		t.Fatal(err)
 	}
 	run.w0.readUntil(TFinish)

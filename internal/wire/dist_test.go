@@ -357,15 +357,14 @@ func TestCoordinatorCalibrate(t *testing.T) {
 	}
 }
 
-// TestDistLostMessageIsReportedAsStall: a worker daemon hosts a share
-// of the machine and cannot tell a lost message from a slow peer, so
-// across processes the progress-based stall detector stays the
-// backstop. A message dropped on a cross-worker edge, with no retry,
-// comes back from Coordinator.Run as the stall report naming the
-// awaited edge — promptly, and leaving no run behind on the daemons.
-// The edge dropped feeds the sink, so the sending worker finishes its
-// share and only the sink's worker has a stall to report.
-func TestDistLostMessageIsReportedAsStall(t *testing.T) {
+// TestDistLostMessageIsReportedAsDeadlock: a message dropped on a
+// cross-worker edge, with no retry and no timer anywhere, comes back
+// from a fleet run as the very error an in-process run of the same case
+// gives — within 100 ms, and leaving no run behind on the daemons. The
+// edge dropped feeds the sink, so the sending worker goes idle and only
+// the sink's worker reports a processor waiting: the run is called from
+// both members' counts.
+func TestDistLostMessageIsReportedAsDeadlock(t *testing.T) {
 	flat, inputs := distDesign(t, 4, 3)
 	sc, err := sched.ETF{}.Schedule(flat.Graph, distMachine(t, "hypercube:2"))
 	if err != nil {
@@ -387,29 +386,120 @@ func TestDistLostMessageIsReportedAsStall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, want := (&exec.Runner{Inputs: inputs, Faults: plan}).Run(sc, flat)
+	line := fmt.Sprintf("PE %d waits for %s from PE %d", lost.ToPE, edge, lost.FromPE)
+	if want == nil || !strings.HasPrefix(want.Error(), "exec: run deadlocked: ") || !strings.Contains(want.Error(), line) {
+		t.Fatalf("in-process run: %v, want a deadlock naming %q", want, line)
+	}
 
 	tr := Inproc()
 	addrs, stop := startWorkers(t, tr, 2)
 	defer stop()
-	co := &Coordinator{
-		Transport: tr, Addrs: addrs,
-		Runner:         &exec.Runner{Inputs: inputs, Faults: plan, StallTimeout: 150 * time.Millisecond},
-		HeartbeatEvery: 50 * time.Millisecond,
-		PeerTimeout:    time.Second,
-	}
+	f := startFleet(t, tr, addrs)
 	start := time.Now()
-	_, err = co.Run(context.Background(), sc, flat)
-	if took := time.Since(start); took > 2*time.Second {
-		t.Errorf("run returned after %v, want within 2s", took)
+	_, err = f.Run(context.Background(), &exec.Runner{Inputs: inputs, Faults: plan}, sc, flat)
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Errorf("run returned after %v, want within 100ms", took)
 	}
-	if err == nil {
-		t.Fatal("run with a lost cross-worker message did not fail")
-	}
-	want := fmt.Sprintf("PE %d waits for %s from PE %d", lost.ToPE, edge, lost.FromPE)
-	if !strings.Contains(err.Error(), "stalled") || !strings.Contains(err.Error(), want) {
-		t.Errorf("error is not a stall report with %q: %v", want, err)
+	if err == nil || err.Error() != want.Error() {
+		t.Errorf("fleet run: %v\nwant the in-process error: %v", err, want)
 	}
 	waitNoWorkerRuns(t, 5*time.Second)
+}
+
+// slowMiddle is a -> s -> b over two processors: a and b on PE 1, s on
+// PE 0, counting n times.
+func slowMiddle(t *testing.T, n int) (*sched.Schedule, *graph.Flat) {
+	t.Helper()
+	g := graph.New("slow-middle")
+	g.MustAddStorage("X", "x")
+	g.MustAddTask("a", "a", 10).Routine = "u = x + 1"
+	g.MustAddTask("s", "s", 10).Routine = fmt.Sprintf("w = u\nrepeat %d do\n  w = w + 1\nend", n)
+	g.MustAddTask("b", "b", 10).Routine = "out = w * 2"
+	g.MustAddStorage("OUT", "out")
+	g.MustConnect("X", "a", "x", 1)
+	g.MustConnect("a", "s", "u", 1)
+	g.MustConnect("s", "b", "w", 1)
+	g.MustConnect("b", "OUT", "out", 1)
+	flat, err := g.Flatten()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := &sched.Schedule{
+		Graph: flat.Graph, Machine: distMachine(t, "full:2"), Algorithm: "hand",
+		Slots: []sched.Slot{
+			{Task: "a", PE: 1, Start: 0, Finish: 11},
+			{Task: "s", PE: 0, Start: 17, Finish: 28},
+			{Task: "b", PE: 1, Start: 34, Finish: 45},
+		},
+		Msgs: []sched.Msg{
+			{Var: "u", From: "a", To: "s", FromPE: 1, ToPE: 0, Words: 1, Send: 11, Recv: 17, Hops: 1},
+			{Var: "w", From: "s", To: "b", FromPE: 0, ToPE: 1, Words: 1, Send: 28, Recv: 34, Hops: 1},
+		},
+	}
+	sc.Finalize()
+	return sc, flat
+}
+
+// spanOf is how long task id ran in tr.
+func spanOf(tr *trace.Trace, id graph.NodeID) time.Duration {
+	var span machine.Time
+	for _, ev := range tr.Events {
+		switch {
+		case ev.Task == id && ev.Kind == trace.TaskStart:
+			span -= ev.At
+		case ev.Task == id && ev.Kind == trace.TaskEnd:
+			span += ev.At
+		}
+	}
+	return time.Duration(span) * time.Microsecond
+}
+
+// TestDistSlowMemberIsNotDeadlocked: the member hosting PE 0 spends at
+// least 2 s in s while the other, its PE 1 waiting on s's result, is
+// quiet; earlier the first was quiet too, waiting on a's. Both members
+// report a processor waiting, but never with as many copies taken in as
+// handed out, so nothing is probed and the run completes with the
+// outputs s computes. No timer decides it either way.
+func TestDistSlowMemberIsNotDeadlocked(t *testing.T) {
+	inputs := pits.Env{"x": pits.Num(4)}
+	const slow = 2 * time.Second
+	// How long s counts depends on the host: count until it takes a
+	// while in process, then ask for enough to last 2 s and a margin.
+	n := 1 << 14
+	for {
+		sc, flat := slowMiddle(t, n)
+		res, err := (&exec.Runner{Inputs: inputs, MaxSteps: 1 << 40}).Run(sc, flat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := spanOf(res.Trace, "s"); d >= 50*time.Millisecond {
+			n = int(float64(n) * float64(slow+slow/4) / float64(d))
+			break
+		}
+		n *= 2
+	}
+	tr := Inproc()
+	addrs, stop := startWorkers(t, tr, 2)
+	defer stop()
+	f := startFleet(t, tr, addrs)
+	for try := 0; ; try++ {
+		sc, flat := slowMiddle(t, n)
+		res, err := f.Run(context.Background(), &exec.Runner{Inputs: inputs, MaxSteps: 1 << 40}, sc, flat)
+		if err != nil {
+			t.Fatalf("a slow member was taken for a deadlock: %v", err)
+		}
+		if want := pits.Num(float64(2 * (4 + 1 + n))); res.Outputs["out"] != want {
+			t.Fatalf("out = %v, want %v", res.Outputs["out"], want)
+		}
+		if d := spanOf(res.Trace, "s"); d >= slow {
+			t.Logf("s ran %v on its member", d)
+			return
+		} else if try == 2 {
+			t.Fatalf("s ran only %v on its member, want at least %v", d, slow)
+		}
+		n *= 2
+	}
 }
 
 // noPeerDials is a transport on which worker-to-worker dials never

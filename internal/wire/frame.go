@@ -26,7 +26,7 @@ const (
 	Magic uint16 = 0xBA46
 	// ProtoVersion is the wire protocol version, checked in the
 	// Hello/Welcome handshake and carried in every frame header.
-	ProtoVersion byte = 2
+	ProtoVersion byte = 3
 	// HeaderLen is the fixed frame header size in bytes.
 	HeaderLen = 24
 	// MaxPayload bounds a frame payload (a corrupted length prefix must
@@ -39,10 +39,12 @@ type Type byte
 
 // Frame types. Hello/Welcome handshake a connection; Start ships the
 // run bundle; Data carries one scheduled message; Ack carries the
-// receiver's cumulative sequenced-frame watermark; Heartbeat carries a
-// liveness beat with the sender's progress counter; Idle/Crash are
-// worker reports; Pause/Parked/Resume drive the distributed recovery
-// barrier; Finish/Result/Bye end a run; Error aborts it; Ping/Pong are
+// receiver's cumulative sequenced-frame watermark; Heartbeat is an
+// empty liveness beat; Idle/Crash are worker reports — Idle carries a
+// session's exec.Report (JSON), sent when it falls quiet and to answer a
+// Probe, which the coordinator sends before it calls a deadlock;
+// Pause/Parked/Resume drive the distributed recovery barrier;
+// Finish/Result/Bye end a run; Error aborts it; Ping/Pong are
 // latency-calibration echoes.
 const (
 	THello Type = iota + 1
@@ -69,52 +71,20 @@ const (
 	// them down immediately on a planned departure.
 	TJoin
 	TDrain
+	TProbe
 )
+
+var typeNames = [...]string{THello: "hello", TWelcome: "welcome", TStart: "start", TData: "data",
+	TAck: "ack", THeartbeat: "heartbeat", TIdle: "idle", TCrash: "crash", TPause: "pause",
+	TParked: "parked", TResume: "resume", TFinish: "finish", TResult: "result", TError: "error",
+	TPing: "ping", TPong: "pong", TBye: "bye", TJoin: "join", TDrain: "drain", TProbe: "probe"}
 
 // String names the frame type.
 func (t Type) String() string {
-	switch t {
-	case THello:
-		return "hello"
-	case TWelcome:
-		return "welcome"
-	case TStart:
-		return "start"
-	case TData:
-		return "data"
-	case TAck:
-		return "ack"
-	case THeartbeat:
-		return "heartbeat"
-	case TIdle:
-		return "idle"
-	case TCrash:
-		return "crash"
-	case TPause:
-		return "pause"
-	case TParked:
-		return "parked"
-	case TResume:
-		return "resume"
-	case TFinish:
-		return "finish"
-	case TResult:
-		return "result"
-	case TError:
-		return "error"
-	case TPing:
-		return "ping"
-	case TPong:
-		return "pong"
-	case TBye:
-		return "bye"
-	case TJoin:
-		return "join"
-	case TDrain:
-		return "drain"
-	default:
-		return fmt.Sprintf("type(%d)", byte(t))
+	if int(t) < len(typeNames) && typeNames[t] != "" {
+		return typeNames[t]
 	}
+	return fmt.Sprintf("type(%d)", byte(t))
 }
 
 // Frame is one protocol message. Wid is the reliable-delivery sequence

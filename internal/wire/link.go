@@ -75,13 +75,6 @@ func (l *Link) attachLocked(c Conn) {
 	l.conn = c
 }
 
-// SetMaxOutbox caps the unacked outbox (0 restores the default).
-func (l *Link) SetMaxOutbox(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.max = n
-}
-
 // Send assigns the next wid, records the frame in the outbox and
 // writes it immediately (flushing anything still coalescing first).
 func (l *Link) Send(t Type, payload []byte) error {
@@ -194,16 +187,22 @@ func (l *Link) Rcvd() uint64 {
 }
 
 // pruneLocked drops the outbox up to the peer's cumulative watermark.
+// An outbox acked whole rewinds to the start of its array, so a link
+// that is acked as fast as it sends appends into room it already has.
 func (l *Link) pruneLocked(wid uint64) {
 	i := 0
 	for i < len(l.outbox) && l.outbox[i].f.Wid <= wid {
 		if l.outbox[i].pooled {
 			putBuf(l.outbox[i].f.Payload)
-			l.outbox[i] = outFrame{}
 		}
+		l.outbox[i] = outFrame{}
 		i++
 	}
-	l.outbox = l.outbox[i:]
+	if i == len(l.outbox) {
+		l.outbox = l.outbox[:0]
+	} else {
+		l.outbox = l.outbox[i:]
+	}
 }
 
 // Detach drops the current connection (after an error), accumulating

@@ -153,7 +153,7 @@ func TestLinkReceive(t *testing.T) {
 // declares the peer lost instead of hoarding frames forever.
 func TestLinkOutboxCap(t *testing.T) {
 	l := NewLink(nil) // detached: frames queue without a reader
-	l.SetMaxOutbox(4)
+	l.max = 4
 	for i := 0; i < 4; i++ {
 		if err := l.Send(TData, []byte{byte(i)}); err != nil {
 			t.Fatalf("send %d under the cap: %v", i, err)
@@ -173,7 +173,7 @@ func TestLinkOutboxCap(t *testing.T) {
 
 	// Acks prune the outbox, so a healthy peer never trips the cap.
 	l2 := NewLink(nil)
-	l2.SetMaxOutbox(4)
+	l2.max = 4
 	for i := 0; i < 32; i++ {
 		if err := l2.Send(TData, []byte{byte(i)}); err != nil {
 			t.Fatalf("acked send %d: %v", i, err)
@@ -191,7 +191,7 @@ func TestLinkConcurrentSendReattach(t *testing.T) {
 	// The overflow cap is TestLinkOutboxCap's subject; here unthrottled
 	// senders can outrun the 50µs acker on a loaded machine, and the
 	// test must die by deadline, not by a spurious overflow.
-	l.SetMaxOutbox(1 << 22)
+	l.max = 1 << 22
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 

@@ -44,7 +44,7 @@ import (
 
 // Frames leave when a burst ends: small data frames buffer per peer
 // until the sender's session flushes its plane (the end of a burst of
-// sends, see exec.RemotePlane), goes idle or reaches a barrier. An ack
+// sends, see exec.RemotePlane), reports itself or reaches a barrier. An ack
 // a link owes rides the next of those flushes, or the heartbeat's — and
 // a receiver that never sends writes it from its reader once ackEvery
 // sequenced frames wait on it, long before the sender's outbox cap.

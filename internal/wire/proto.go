@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/exec"
 	"repro/internal/graph"
@@ -44,22 +43,17 @@ type Welcome struct {
 	Have  bool   `json:"have,omitempty"`
 }
 
-// RunOpts carries the Runner knobs a worker must reproduce. Durations
-// travel in nanoseconds.
+// RunOpts carries the Runner knobs a worker must reproduce.
 type RunOpts struct {
-	VirtualTime  bool   `json:"virtual,omitempty"`
-	FaultSpec    string `json:"faults,omitempty"` // exec.FaultPlan.String() / ParseFaults grammar
-	Retry        bool   `json:"retry,omitempty"`
-	StallTimeout int64  `json:"stallTimeout,omitempty"`
-	MaxSteps     int64  `json:"maxSteps,omitempty"`
+	VirtualTime bool   `json:"virtual,omitempty"`
+	FaultSpec   string `json:"faults,omitempty"` // exec.FaultPlan.String() / ParseFaults grammar
+	Retry       bool   `json:"retry,omitempty"`
+	MaxSteps    int64  `json:"maxSteps,omitempty"`
 }
 
 // Runner builds an exec.Runner from the shipped options.
 func (o RunOpts) Runner() (*exec.Runner, error) {
-	r := &exec.Runner{
-		VirtualTime: o.VirtualTime, Retry: o.Retry,
-		StallTimeout: time.Duration(o.StallTimeout), MaxSteps: o.MaxSteps,
-	}
+	r := &exec.Runner{VirtualTime: o.VirtualTime, Retry: o.Retry, MaxSteps: o.MaxSteps}
 	if o.FaultSpec != "" {
 		p, err := exec.ParseFaults(o.FaultSpec)
 		if err != nil {
@@ -73,10 +67,7 @@ func (o RunOpts) Runner() (*exec.Runner, error) {
 // OptsFor captures a Runner's knobs for shipping. The fault plan
 // travels as its spec string (the ParseFaults grammar round-trips).
 func OptsFor(r *exec.Runner) RunOpts {
-	o := RunOpts{
-		VirtualTime: r.VirtualTime, Retry: r.Retry,
-		StallTimeout: int64(r.StallTimeout), MaxSteps: r.MaxSteps,
-	}
+	o := RunOpts{VirtualTime: r.VirtualTime, Retry: r.Retry, MaxSteps: r.MaxSteps}
 	if r.Faults != nil {
 		o.FaultSpec = r.Faults.String()
 	}
@@ -376,8 +367,8 @@ func decJSON[T any](payload []byte, what string) (T, error) {
 	return v, nil
 }
 
-// Heartbeat payloads carry the sender's progress counter (8 bytes BE);
-// ack payloads carry the cumulative received wid (8 bytes BE).
+// Heartbeats carry no payload; ack payloads carry the cumulative
+// received wid (8 bytes BE).
 
 func encU64(v uint64) []byte { return binary.BigEndian.AppendUint64(nil, v) }
 

@@ -521,7 +521,7 @@ func (d *workerDaemon) frameLoop(run *workerRun) (keep bool, next *inboundConn) 
 			return true, nil
 		case <-hb.C:
 			run.flushData()
-			run.link.SendRaw(Frame{Type: THeartbeat, Payload: encU64(run.progress())})
+			run.link.SendRaw(Frame{Type: THeartbeat})
 			if time.Since(lastHeard) > run.peerTimeout {
 				opt.logf("no coordinator traffic for %v; abandoning run %s", run.peerTimeout, run.id)
 				run.abort("coordinator heartbeat lost", false)
@@ -575,17 +575,15 @@ func (d *workerDaemon) frameLoop(run *workerRun) (keep bool, next *inboundConn) 
 	}
 }
 
-// progress reports the session's progress counter for heartbeats.
-func (r *workerRun) progress() uint64 {
-	if r.ses == nil {
-		return 0
-	}
-	return r.ses.Progress()
-}
-
 // handleFrame processes one accepted frame. done=true ends the
 // connection's run cleanly.
 func (d *workerDaemon) handleFrame(run *workerRun, f Frame) (bool, error) {
+	switch f.Type {
+	case TData, TPause, TResume, TFinish, TProbe:
+		if run.ses == nil {
+			return false, fmt.Errorf("%s frame before start", f.Type)
+		}
+	}
 	switch f.Type {
 	case TStart:
 		if run.ses != nil {
@@ -604,9 +602,6 @@ func (d *workerDaemon) handleFrame(run *workerRun, f Frame) (bool, error) {
 		}
 		return false, d.startRun(run, &bundle)
 	case TData:
-		if run.ses == nil {
-			return false, fmt.Errorf("data frame before start")
-		}
 		m, err := DecodeMsg(f.Payload)
 		if err != nil {
 			return false, err
@@ -614,9 +609,6 @@ func (d *workerDaemon) handleFrame(run *workerRun, f Frame) (bool, error) {
 		putBuf(f.Payload) // DecodeMsg copies everything out
 		return false, run.ses.Deliver(m)
 	case TPause:
-		if run.ses == nil {
-			return false, fmt.Errorf("pause frame before start")
-		}
 		var pn PauseNote
 		if len(f.Payload) > 0 {
 			var err error
@@ -640,9 +632,6 @@ func (d *workerDaemon) handleFrame(run *workerRun, f Frame) (bool, error) {
 		}
 		return false, run.link.Send(TParked, note)
 	case TResume:
-		if run.ses == nil {
-			return false, fmt.Errorf("resume frame before start")
-		}
 		js, blobs, err := decBlobEnvelope(f.Payload)
 		if err != nil {
 			return false, err
@@ -666,10 +655,10 @@ func (d *workerDaemon) handleFrame(run *workerRun, f Frame) (bool, error) {
 		}
 		return false, nil
 	case TFinish:
-		if run.ses == nil {
-			return false, fmt.Errorf("finish frame before start")
-		}
 		run.ses.FinishRun()
+		return false, nil
+	case TProbe:
+		run.ses.Probe()
 		return false, nil
 	case THeartbeat:
 		return false, nil
@@ -809,9 +798,11 @@ func (p workerPlane) DeliverRemote(m exec.RemoteMsg) error {
 // link, and the acks this worker owes its links ride along.
 func (p workerPlane) FlushRemote() { p.run.flushData() }
 
-func (p workerPlane) LocalIdle() {
-	p.run.flushData()
-	p.run.link.Send(TIdle, nil)
+// Quiet reports the session on the coordinator link, in one write with
+// the acks the link owes.
+func (p workerPlane) Quiet(q exec.Quiet) {
+	p.run.link.SendData(TIdle, encJSON(q), false)
+	p.run.link.Flush()
 }
 
 func (p workerPlane) LocalCrash(pe int) { p.run.link.Send(TCrash, encJSON(CrashNote{PE: pe})) }
