@@ -89,6 +89,10 @@ vet:
 	! grep -rn 'note\.Stats' --include='*.go' internal/wire | grep -v _test.go
 # Task work is measured by a trial run: no static estimator beside Measure.
 	! grep -rn 'func Estimate(' --include='*.go' internal/pits
+# A routine runs compiled over numbered slots: no task builds a name-keyed environment in internal/exec.
+	! grep -rn 'make(pits.Env' --include='*.go' internal/exec | grep -v _test.go
+# One interpreter, the compiled op list: the recursive tree walker stays gone from internal/pits.
+	! grep -rn 'func (in \*Interp) eval(' --include='*.go' internal/pits
 # A deadlock is decided once, by counting, in exec.Lifecycle: no stall timer, no knob for it, and no progress counter on the hot path to feed one.
 	! grep -rnE 'stallWatch|StallTimeout|stallTimeout|progress\.Add|quiescent' --include='*.go' internal/exec internal/wire | grep -v _test.go
 # Every fuzz target under internal/ runs in fuzz-smoke.

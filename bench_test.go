@@ -18,6 +18,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -212,29 +213,41 @@ func BenchmarkExtD_Codegen(b *testing.B) {
 }
 
 // BenchmarkTaskFloor measures what the runner spends on one task of the
-// harness design apart from messages: build the task's environment from
-// two producers' results, interpret `v = a + b * 2` on an interpreter
-// the processor reuses, log the start and the end. This is the unit the
-// run workloads pay 501 times a request: 0.3 us and 360 B in five
-// allocations, against 10.5 us and 6.2 KB in ten when each execution
-// seeded its own random generator and cloned its environment.
+// harness design apart from messages: bind two producers' results into
+// the task's numbered variables, run the compiled `v = a + b * 2` on an
+// interpreter the processor reuses, log the start and the end, and keep
+// the variables as the task's result. A processor's slot array is made
+// once per era for all its tasks; here one array serves 16 tasks, the
+// share of a processor in the run-wide workload. This is the unit the
+// run workloads pay 501 times a request: two boxed numbers, the
+// routine's results, and nothing else, against five allocations and
+// 360 B while each task built a name-keyed environment and the
+// interpreter walked the routine's syntax tree.
 func BenchmarkTaskFloor(b *testing.B) {
 	prog := pits.MustParse("v = a + b * 2")
-	local := map[graph.NodeID]pits.Env{"l": {"a": pits.Num(3)}, "r": {"b": pits.Num(4)}}
+	names := prog.Vars()
+	ia, ib := slices.Index(names, "a"), slices.Index(names, "b")
+	local := map[graph.NodeID][]pits.Value{"l": make([]pits.Value, len(names)), "r": make([]pits.Value, len(names))}
+	local["l"][ia], local["r"][ib] = pits.Num(3), pits.Num(4)
 	in := &pits.Interp{}
 	var tr trace.Trace
+	var arena []pits.Value
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		env := make(pits.Env, 2)
-		env["a"], env["b"] = pits.Unalias(local["l"]["a"]), pits.Unalias(local["r"]["b"])
+		if len(arena) < len(names) {
+			arena = make([]pits.Value, 16*len(names))
+		}
+		vars := arena[:len(names):len(names)]
+		arena = arena[len(names):]
+		vars[ia], vars[ib] = pits.Unalias(local["l"][ia]), pits.Unalias(local["r"][ib])
 		tr.Events = append(tr.Events[:0], trace.Event{Kind: trace.TaskStart, Task: "t3_7", PE: 1})
 		in.Seed = int64(i)
-		if err := in.Run(prog, env); err != nil {
+		if err := in.Exec(prog, vars); err != nil {
 			b.Fatal(err)
 		}
 		tr.Add(trace.Event{Kind: trace.TaskEnd, At: machine.Time(in.Ops()), Task: "t3_7", PE: 1})
-		local["t3_7"] = env // a task's results stay on its processor
+		local["t3_7"] = vars // a task's results stay on its processor
 	}
 }
 
@@ -869,10 +882,11 @@ func TestServedPredictionRetention(t *testing.T) {
 // TestRunAllocCeiling guards what one request of the harness's run-wide
 // workload allocates inside exec: the 501 tasks in virtual time on a
 // 32-processor ring, on a schedule that has run before (as a cached one
-// has). It reads about 0.59 MB in 3 100 allocations — the trace, logged
+// has). It reads about 0.46 MB in 1 700 allocations — the trace, logged
 // once by the workers into one array that is also the partial and the
-// result, one small environment per task, and the per-processor
-// fixtures. It read 0.85 MB while the partial copied the workers' logs,
+// result, each processor's slot array, which holds its tasks' numbered
+// variables, and the per-processor fixtures. It read 0.59 MB in 3 100
+// while every task built a name-keyed environment, 0.85 MB while the partial copied the workers' logs,
 // 2.4 MB in 5 800 when every run rebuilt the schedule's expectation
 // tables, grew its logs by doubling and put each message on the heap,
 // and 4.96 MB when every task also seeded a random generator it never
@@ -892,11 +906,11 @@ func TestRunAllocCeiling(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
 	allocs := after.Mallocs - before.Mallocs
-	if mb > 0.75 {
-		t.Errorf("a ring:32 run of the 501-task design allocated %.2f MB, want at most 0.75 MB", mb)
+	if mb > 0.53 {
+		t.Errorf("a ring:32 run of the 501-task design allocated %.2f MB, want at most 0.53 MB", mb)
 	}
-	if allocs > 3700 {
-		t.Errorf("a ring:32 run of the 501-task design made %d allocations, want at most 3700", allocs)
+	if allocs > 1950 {
+		t.Errorf("a ring:32 run of the 501-task design made %d allocations, want at most 1950", allocs)
 	}
 	t.Logf("a ring:32 run of the 501-task design allocated %.2f MB in %d allocations", mb, allocs)
 }

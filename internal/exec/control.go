@@ -267,7 +267,8 @@ func (c *controller) applyAdoptions(ads []Adoption) {
 		if hw == nil || hw.dead {
 			continue
 		}
-		if val, ok := hw.local[a.Task][a.Var]; ok {
+		_, names, _ := layout(hw.sched.Graph, hw.plan.flat, a.Task)
+		if val := varAt(hw.local[a.Task], varOf(names, a.Var)); val != nil {
 			hw.outputs[string(a.Task)+"."+a.Var] = val
 			hw.exports[a.Var] = a.Task
 		}
@@ -375,7 +376,10 @@ func (c *controller) pauseLocal(live *int, checkpoint bool) (*PauseState, bool) 
 	if checkpoint {
 		st.Local = map[graph.NodeID]pits.Env{}
 		for t, pe := range st.Done {
-			st.Local[t] = c.workers[pe].local[t]
+			w := c.workers[pe]
+			_, names, _ := layout(w.sched.Graph, w.plan.flat, t)
+			st.Local[t] = pits.Env{}
+			st.Local[t].Update(names, w.local[t])
 		}
 		// A copy: a drain that cannot complete resumes this session.
 		st.Events = c.eventLog(nil)
@@ -444,7 +448,11 @@ func (c *controller) installPlan(p *ResumePlan, ep *eraPlan) {
 		if hw == nil || hw.dead {
 			continue
 		}
-		hw.local[imp.Task] = imp.Env
+		// Imported results are laid out as if the tasks had run here.
+		_, names, _ := layout(hw.sched.Graph, ep.flat, imp.Task)
+		vals := make([]pits.Value, len(names))
+		imp.Env.Bind(names, vals)
+		hw.local[imp.Task] = vals
 	}
 	for pe, w := range c.workers {
 		if w != nil && !w.dead && !p.Dead[pe] {

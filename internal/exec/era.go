@@ -16,7 +16,8 @@ import (
 // ResumePlan's lists for every recovery era — becomes what workers
 // execute. Everything only the triple determines is settled here, once:
 // each message gets an ordinal on its receiving processor, each slot
-// its program, seed, resolved inputs, sends and output names, each
+// its program, seed, numbered variables, and the variable each input,
+// send and output binds, each
 // processor the number of trace events it will log. A compiled era is
 // read-only, so every run of a cached schedule shares one era 0; only
 // its spare logs change hands (see Session.Release).
@@ -40,26 +41,76 @@ type awaited struct {
 }
 
 // sendPlan is one cross-processor delivery a producer copy must make,
-// named by the message's ordinal on the receiving processor.
+// named by the message's ordinal on the receiving processor; v is the
+// variable it carries, numbered in the producer's layout.
 type sendPlan struct {
-	ord   int32
-	toPE  int
-	words int64
+	ord, v int32
+	toPE   int
+	words  int64
 }
 
-// slotProg is one scheduled task copy with everything resolved.
+// slotProg is one scheduled task copy with everything resolved. Its
+// variables are numbered by the task's layout, and live in its
+// processor's slot array from base on.
 type slotProg struct {
 	sched.Slot
 	prog  *pits.Program
 	seed  int64
-	extIn []string    // external inputs, bound by name from Runner.Inputs
-	preds []graph.Arc // arc inputs (the graph's own slice) ...
-	ins   []int32     // ... each an inbound ordinal, or -1: the producer ran here
+	names []string // the task's layout
+	base  int
+	ins   []input // external inputs, then arc inputs
 	sends []sendPlan
-	// outs are the external outputs a primary copy exports, qual their
-	// qualified "task.var" names.
-	outs, qual []string
+	outs  []output // the external outputs a primary copy exports
 }
+
+// input is one of a slot's inputs, bound to its variable v: an external
+// input (no producer), bound by name from Runner.Inputs; a message, ord
+// its inbound ordinal; or else (ord -1) the result of producer from,
+// which ran here, whose variable pv holds it.
+type input struct {
+	from       graph.NodeID
+	name       string
+	ord, v, pv int32
+}
+
+// output is an external output, its qualified "task.var" name and the
+// variable holding it.
+type output struct {
+	name, qual string
+	v          int32
+}
+
+// layout numbers a task's variables: its routine's own (Program.Vars),
+// then the inputs the routine never names. It is a function of the design
+// alone, so a result kept in a local store, or imported from another
+// worker's checkpoint, is read by the same numbers in every era. A
+// routine-less task is a no-op placeholder: legal in scheduling
+// studies, and at run time it produces nothing.
+func layout(g *graph.Graph, flat *graph.Flat, t graph.NodeID) (*pits.Program, []string, error) {
+	prog := noRoutine
+	if n := g.Node(t); n != nil && n.Routine != "" {
+		var err error
+		if prog, err = pits.Parse(n.Routine); err != nil {
+			return nil, nil, err
+		}
+	}
+	names := slices.Clip(prog.Vars())
+	add := func(v string) {
+		if !slices.Contains(names, v) {
+			names = append(names, v)
+		}
+	}
+	for _, v := range flat.ExternalIn[t] {
+		add(v)
+	}
+	for _, a := range g.PredArcs(t) {
+		add(a.Var)
+	}
+	return prog, names, nil
+}
+
+// varOf numbers v in a layout, or -1: the task never holds it.
+func varOf(names []string, v string) int32 { return int32(slices.Index(names, v)) }
 
 // ordinals maps a processor's inbound messages from name to ordinal: the
 // compiler's own index, and afterwards what admits a delivery that
@@ -69,6 +120,7 @@ type ordinals map[msgKey]int32
 // peProg is one processor's share of an era.
 type peProg struct {
 	slots   []slotProg
+	vars    int       // the length of the slots' slot array
 	in      []awaited // inbound messages, by ordinal
 	ords    ordinals
 	resends []sendPlan // surviving results to re-deliver at era start
@@ -121,6 +173,10 @@ func compileEra(s *sched.Schedule, flat *graph.Flat, slots [][]sched.Slot, msgs 
 		p.pes[pe].ords = ordinals{}
 	}
 	sends := map[taskCopy][]sendPlan{}
+	varIn := func(t graph.NodeID, v string) int32 {
+		_, names, _ := layout(s.Graph, flat, t)
+		return varOf(names, v)
+	}
 	for _, m := range msgs {
 		if m.FromPE == m.ToPE {
 			continue
@@ -133,7 +189,7 @@ func compileEra(s *sched.Schedule, flat *graph.Flat, slots [][]sched.Slot, msgs 
 		if _, dup := to.ords[k]; dup {
 			return nil, fmt.Errorf("exec: schedule records duplicate delivery of %s to PE %d", k, m.ToPE)
 		}
-		sp := sendPlan{ord: int32(len(to.in)), toPE: m.ToPE, words: m.Words}
+		sp := sendPlan{ord: int32(len(to.in)), v: varIn(m.From, m.Var), toPE: m.ToPE, words: m.Words}
 		to.ords[k] = sp.ord
 		to.in = append(to.in, awaited{k, m.FromPE})
 		if _, held := done[m.From]; held {
@@ -148,32 +204,29 @@ func compileEra(s *sched.Schedule, flat *graph.Flat, slots [][]sched.Slot, msgs 
 		pp.slots = make([]slotProg, len(slots[pe]))
 		pp.events = len(pp.resends)
 		for i, sl := range slots[pe] {
-			sp := &pp.slots[i]
-			*sp = slotProg{Slot: sl, prog: noRoutine, seed: taskSeed(sl.Task), extIn: flat.ExternalIn[sl.Task],
-				preds: s.Graph.PredArcs(sl.Task), sends: sends[taskCopy{pe, sl.Task}]}
-			// A routine-less task is a no-op placeholder: legal in
-			// scheduling studies, and at run time it produces nothing.
-			if n := s.Graph.Node(sl.Task); n != nil && n.Routine != "" {
-				var err error
-				if sp.prog, err = pits.Parse(n.Routine); err != nil {
-					return nil, fmt.Errorf("exec: task %s: %w", sl.Task, err)
-				}
+			prog, names, err := layout(s.Graph, flat, sl.Task)
+			if err != nil {
+				return nil, fmt.Errorf("exec: task %s: %w", sl.Task, err)
 			}
+			sp := &pp.slots[i]
+			*sp = slotProg{Slot: sl, prog: prog, seed: taskSeed(sl.Task), names: names, base: pp.vars,
+				sends: sends[taskCopy{pe, sl.Task}]}
+			pp.vars += len(names)
 			pp.events += 2 + len(sp.sends)
-			sp.ins = make([]int32, len(sp.preds))
-			for j, a := range sp.preds {
-				ord, isMsg := pp.ords[msgKey{a.From, sl.Task, a.Var}]
-				if isMsg {
+			for _, v := range flat.ExternalIn[sl.Task] {
+				sp.ins = append(sp.ins, input{name: v, ord: -1, v: varOf(names, v)})
+			}
+			for _, a := range s.Graph.PredArcs(sl.Task) {
+				in := input{a.From, a.Var, -1, varOf(names, a.Var), varIn(a.From, a.Var)}
+				if ord, isMsg := pp.ords[msgKey{a.From, sl.Task, a.Var}]; isMsg {
 					pp.events++
-				} else {
-					ord = -1
+					in.ord = ord
 				}
-				sp.ins[j] = ord
+				sp.ins = append(sp.ins, in)
 			}
 			if !sl.Dup {
-				sp.outs = flat.ExternalOut[sl.Task]
-				for _, v := range sp.outs {
-					sp.qual = append(sp.qual, string(sl.Task)+"."+v)
+				for _, v := range flat.ExternalOut[sl.Task] {
+					sp.outs = append(sp.outs, output{v, string(sl.Task) + "." + v, varOf(names, v)})
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -38,22 +39,16 @@ const (
 	FaultCorrupt
 )
 
+// faultKindNames names the fault kinds, in order, as the -faults spec
+// grammar spells them.
+var faultKindNames = []string{"crash", "drop", "dup", "delay", "corrupt"}
+
 // String names the fault kind.
 func (k FaultKind) String() string {
-	switch k {
-	case FaultCrash:
-		return "crash"
-	case FaultDrop:
-		return "drop"
-	case FaultDup:
-		return "dup"
-	case FaultDelay:
-		return "delay"
-	case FaultCorrupt:
-		return "corrupt"
-	default:
-		return fmt.Sprintf("fault(%d)", int(k))
+	if k >= 0 && int(k) < len(faultKindNames) {
+		return faultKindNames[k]
 	}
+	return fmt.Sprintf("fault(%d)", int(k))
 }
 
 // Fault is one injected fault. Crash faults use PE and Slot; message
@@ -118,19 +113,8 @@ func ParseFaults(spec string) (*FaultPlan, error) {
 		if !ok {
 			return nil, fmt.Errorf("fault %q: want kind:args", part)
 		}
-		var kind FaultKind
-		switch kindStr {
-		case "crash":
-			kind = FaultCrash
-		case "drop":
-			kind = FaultDrop
-		case "dup":
-			kind = FaultDup
-		case "delay":
-			kind = FaultDelay
-		case "corrupt":
-			kind = FaultCorrupt
-		default:
+		kind := FaultKind(slices.Index(faultKindNames, kindStr))
+		if kind < 0 {
 			return nil, fmt.Errorf("fault %q: unknown kind %q", part, kindStr)
 		}
 		if kind == FaultCrash {

@@ -147,7 +147,7 @@ func (r *Runner) buildSession(s *sched.Schedule, flat *graph.Flat, hosted []bool
 			pe: pe, runner: r, sched: s, ctrl: ctrl,
 			inbox: newMailbox(&ctrl.busy), interp: pits.Interp{MaxSteps: r.MaxSteps},
 			outputs: pits.Env{}, exports: map[string]graph.NodeID{},
-			local:  make(map[graph.NodeID]pits.Env, len(plan.pes[pe].slots)),
+			local:  make(map[graph.NodeID][]pits.Value, len(plan.pes[pe].slots)),
 			events: log[off : off : off+plan.pes[pe].events],
 		}
 		off += plan.pes[pe].events

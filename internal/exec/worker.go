@@ -32,8 +32,9 @@ type worker struct {
 	plan    *eraPlan // read-only, and for era 0 shared with other runs
 	prog    *peProg  // this processor's share of it
 	cursor  int
-	resends []sendPlan // surviving results still to re-deliver at era start
-	arrived []arrival  // this era's inbound messages, by ordinal
+	resends []sendPlan   // surviving results still to re-deliver at era start
+	arrived []arrival    // this era's inbound messages, by ordinal
+	vars    []pits.Value // this era's slot array: each slot's variables, from its base on
 	epoch   int64
 	er      *era
 
@@ -44,10 +45,10 @@ type worker struct {
 	err     error
 	dead    bool // crashed by fault injection; results discarded
 
-	clock    machine.Time              // virtual-time clock (VirtualTime mode)
-	local    map[graph.NodeID]pits.Env // outputs of tasks executed here
-	executed int                       // tasks executed here, across eras (crash counter)
-	seqLocal uint64                    // low bits of this sender's message sequence numbers
+	clock    machine.Time                  // virtual-time clock (VirtualTime mode)
+	local    map[graph.NodeID][]pits.Value // results of tasks executed here, numbered by their layouts
+	executed int                           // tasks executed here, across eras (crash counter)
+	seqLocal uint64                        // low bits of this sender's message sequence numbers
 	// flushOwed is set while the current burst of sends has handed the
 	// remote plane a message it has not flushed yet; flushes counts the
 	// bursts that did.
@@ -76,7 +77,17 @@ func (w *worker) assign(p *eraPlan, epoch int64) {
 	w.plan, w.prog, w.cursor, w.epoch = p, &p.pes[w.pe], 0, epoch
 	w.resends = w.prog.resends
 	w.arrived = make([]arrival, len(w.prog.in))
+	w.vars = make([]pits.Value, w.prog.vars)
 	w.events = slices.Grow(w.events, w.prog.events)
+}
+
+// varAt returns a result's variable v: nil if unset, or if the result has
+// no variable v.
+func varAt(vals []pits.Value, v int32) pits.Value {
+	if v < 0 || int(v) >= len(vals) {
+		return nil
+	}
+	return vals[v]
 }
 
 // errPaused marks a receive or slot interrupted by the recovery
@@ -150,12 +161,12 @@ func (w *worker) execute() (wstatus, error) {
 	// this processor's local store.
 	for _, sp := range w.resends {
 		k := w.plan.key(sp)
-		env, ok := w.local[k.from]
+		vals, ok := w.local[k.from]
 		if !ok {
 			return wsError, fmt.Errorf("recovery resend: no local result for task %s", k.from)
 		}
-		val, ok := env[k.v]
-		if !ok {
+		val := varAt(vals, sp.v)
+		if val == nil {
 			return wsError, fmt.Errorf("recovery resend: task %s result lacks %q", k.from, k.v)
 		}
 		if err := w.send(sp, val, w.clock); err != nil {
@@ -195,54 +206,49 @@ func (w *worker) execute() (wstatus, error) {
 // messages, and export external outputs from the primary copy.
 func (w *worker) runSlot(sl *slotProg) error {
 	virtual := w.runner.VirtualTime
-	// The task's environment is built once, every value unaliased on the
-	// way in: a routine may write into its vectors, and they are the
-	// producer's (or the caller's) own.
-	env := make(pits.Env, len(sl.extIn)+len(sl.preds))
-	// External inputs bound by name from the runner's global data
-	// (validated up front by Run; kept as defense in depth).
-	for _, v := range sl.extIn {
-		val, ok := w.runner.Inputs[v]
-		if !ok {
-			return fmt.Errorf("task %s: missing external input %q", sl.Task, v)
-		}
-		env[v] = pits.Unalias(val)
-	}
-	// Arc inputs: from the local store when the producer ran here, else
-	// from a received message. dataReady tracks the latest virtual
-	// message arrival.
+	// The task's variables are its stretch of the slot array, every
+	// input unaliased on the way in: a routine may write into its
+	// vectors, and they are the producer's (or the caller's) own.
+	vars := w.vars[sl.base : sl.base+len(sl.names) : sl.base+len(sl.names)]
+	// External inputs come from the runner's global data (validated up
+	// front by Run; kept as defense in depth). Arc inputs come from the
+	// local store when the producer ran here, else from a received
+	// message; dataReady tracks the latest virtual message arrival.
 	var dataReady machine.Time
-	for i, a := range sl.preds {
-		if ord := sl.ins[i]; ord >= 0 {
-			m, err := w.receive(ord)
+	for _, in := range sl.ins {
+		var val pits.Value
+		switch {
+		case in.from == "":
+			var ok bool
+			if val, ok = w.runner.Inputs[in.name]; !ok {
+				return fmt.Errorf("task %s: missing external input %q", sl.Task, in.name)
+			}
+		case in.ord >= 0:
+			m, err := w.receive(in.ord)
 			if err != nil {
 				if errors.Is(err, errPaused) {
 					return err
 				}
 				return fmt.Errorf("task %s: %w", sl.Task, err)
 			}
-			env[a.Var] = pits.Unalias(m.val)
-			if m.at > dataReady {
-				dataReady = m.at
+			val, dataReady = m.val, max(dataReady, m.at)
+		default:
+			prod, ok := w.local[in.from]
+			if !ok {
+				return fmt.Errorf("task %s: input %q from %s neither local nor scheduled as a message",
+					sl.Task, in.name, in.from)
 			}
-			continue
+			if val = varAt(prod, in.pv); val == nil {
+				return fmt.Errorf("task %s: producer %s did not define %q", sl.Task, in.from, in.name)
+			}
 		}
-		prodEnv, ok := w.local[a.From]
-		if !ok {
-			return fmt.Errorf("task %s: input %q from %s neither local nor scheduled as a message",
-				sl.Task, a.Var, a.From)
-		}
-		val, ok := prodEnv[a.Var]
-		if !ok {
-			return fmt.Errorf("task %s: producer %s did not define %q", sl.Task, a.From, a.Var)
-		}
-		env[a.Var] = pits.Unalias(val)
+		vars[in.v] = pits.Unalias(val)
 	}
 
 	start := w.ctrl.stamp(max(w.clock, dataReady))
 	w.events = append(w.events, trace.Event{Kind: trace.TaskStart, At: start, Task: sl.Task, PE: w.pe, Dup: sl.Dup})
 	w.interp.Seed = sl.seed
-	if err := w.interp.Run(sl.prog, env); err != nil {
+	if err := w.interp.Exec(sl.prog, vars); err != nil {
 		return fmt.Errorf("task %s: %w", sl.Task, err)
 	}
 	finish := w.ctrl.stamp(start + w.sched.Machine.ExecTime(w.interp.Ops(), w.pe))
@@ -253,13 +259,13 @@ func (w *worker) runSlot(sl *slotProg) error {
 	for _, line := range w.interp.Output() {
 		w.printed = append(w.printed, string(sl.Task)+": "+line)
 	}
-	w.local[sl.Task] = env
+	w.local[sl.Task] = vars
 
 	// Deliver scheduled messages from this copy.
 	for _, sp := range sl.sends {
-		k := w.plan.key(sp)
-		val, ok := env[k.v]
-		if !ok {
+		val := varAt(vars, sp.v)
+		if val == nil {
+			k := w.plan.key(sp)
 			return fmt.Errorf("task %s: routine did not produce %q needed by %s", sl.Task, k.v, k.to)
 		}
 		if err := w.send(sp, val, finish); err != nil {
@@ -272,13 +278,13 @@ func (w *worker) runSlot(sl *slotProg) error {
 	// communication surrogates, not result owners). Only the qualified
 	// "task.var" key is written here; Run merges the unqualified names
 	// and rejects collisions between tasks.
-	for i, v := range sl.outs {
-		val, ok := env[v]
-		if !ok {
-			return fmt.Errorf("task %s: routine did not produce external output %q", sl.Task, v)
+	for _, out := range sl.outs {
+		val := varAt(vars, out.v)
+		if val == nil {
+			return fmt.Errorf("task %s: routine did not produce external output %q", sl.Task, out.name)
 		}
-		w.outputs[sl.qual[i]] = val
-		w.exports[v] = sl.Task
+		w.outputs[out.qual] = val
+		w.exports[out.name] = sl.Task
 	}
 	return nil
 }

@@ -9,6 +9,17 @@ type Program struct {
 	// Source is the original text, retained for display in the
 	// calculator panel's program window.
 	Source string
+
+	// The compiled form (compile.go), made once by Parse.
+	code   []instr
+	entry  int // the routine's first instruction, after the formula bodies
+	consts []Value
+	names  []string // variables, by slot
+	fns    []Builtin
+	fnames []string // formula names, by index
+	defs   []formulaDef
+	fails  []RuntimeError
+	nregs  int32
 }
 
 // Stmt is a statement node.

@@ -55,6 +55,61 @@ func unary(name string, cost int64, help string, f func(float64) float64) Builti
 		}}
 }
 
+// binary wraps a function of two numbers.
+func binary(name string, cost int64, help string, f func(line int, x, y float64) (Value, error)) Builtin {
+	return Builtin{Name: name, Arity: 2, Cost: cost, Help: help,
+		fn: func(line int, args []Value) (Value, error) {
+			x, err := num(line, name, 0, args[0])
+			if err != nil {
+				return nil, err
+			}
+			y, err := num(line, name, 1, args[1])
+			if err != nil {
+				return nil, err
+			}
+			return f(line, x, y)
+		}}
+}
+
+// onVec wraps a function of one vector.
+func onVec(name string, cost int64, help string, f func(line int, v Vec) (Value, error)) Builtin {
+	return Builtin{Name: name, Arity: 1, Cost: cost, Help: help,
+		fn: func(line int, args []Value) (Value, error) {
+			v, err := vec(line, name, 0, args[0])
+			if err != nil {
+				return nil, err
+			}
+			return f(line, v)
+		}}
+}
+
+// filled is the builtin making a vector of n copies of x.
+func filled(name, help string, x float64) Builtin {
+	return Builtin{Name: name, Arity: 1, Cost: 2, Help: help,
+		fn: func(line int, args []Value) (Value, error) {
+			n, err := num(line, name, 0, args[0])
+			if err != nil {
+				return nil, err
+			}
+			if n < 0 || n != math.Trunc(n) || n > 1e7 {
+				return nil, rtErr(line, "%s: bad size %v", name, Num(n))
+			}
+			v := make(Vec, int(n))
+			for i := range v {
+				v[i] = x
+			}
+			return v, nil
+		}}
+}
+
+func sum(v Vec) float64 {
+	s := 0.0
+	for _, x := range v {
+		s += x
+	}
+	return s
+}
+
 // builtins is the calculator's function table, built once per process
 // and shared read-only by the checker and every Interp:
 // nothing may write to the returned map. Every entry is stateless
@@ -81,49 +136,22 @@ func buildBuiltins() map[string]Builtin {
 	add(unary("ceil", 1, "round up", math.Ceil))
 	add(unary("round", 1, "round to nearest", math.Round))
 
-	add(Builtin{Name: "atan2", Arity: 2, Cost: 10, Help: "atan2(y, x)",
-		fn: func(line int, args []Value) (Value, error) {
-			y, err := num(line, "atan2", 0, args[0])
-			if err != nil {
-				return nil, err
-			}
-			x, err := num(line, "atan2", 1, args[1])
-			if err != nil {
-				return nil, err
-			}
-			return Num(math.Atan2(y, x)), nil
-		}})
-	add(Builtin{Name: "pow", Arity: 2, Cost: 6, Help: "x raised to y",
-		fn: func(line int, args []Value) (Value, error) {
-			x, err := num(line, "pow", 0, args[0])
-			if err != nil {
-				return nil, err
-			}
-			y, err := num(line, "pow", 1, args[1])
-			if err != nil {
-				return nil, err
-			}
-			r := math.Pow(x, y)
-			if math.IsNaN(r) || math.IsInf(r, 0) {
-				return nil, rtErr(line, "pow(%v, %v) is not a finite number", Num(x), Num(y))
-			}
-			return Num(r), nil
-		}})
-	add(Builtin{Name: "mod", Arity: 2, Cost: 2, Help: "floating remainder",
-		fn: func(line int, args []Value) (Value, error) {
-			x, err := num(line, "mod", 0, args[0])
-			if err != nil {
-				return nil, err
-			}
-			y, err := num(line, "mod", 1, args[1])
-			if err != nil {
-				return nil, err
-			}
-			if y == 0 {
-				return nil, rtErr(line, "mod by zero")
-			}
-			return Num(math.Mod(x, y)), nil
-		}})
+	add(binary("atan2", 10, "atan2(y, x)", func(line int, y, x float64) (Value, error) {
+		return Num(math.Atan2(y, x)), nil
+	}))
+	add(binary("pow", 6, "x raised to y", func(line int, x, y float64) (Value, error) {
+		r := math.Pow(x, y)
+		if math.IsNaN(r) || math.IsInf(r, 0) {
+			return nil, rtErr(line, "pow(%v, %v) is not a finite number", Num(x), Num(y))
+		}
+		return Num(r), nil
+	}))
+	add(binary("mod", 2, "floating remainder", func(line int, x, y float64) (Value, error) {
+		if y == 0 {
+			return nil, rtErr(line, "mod by zero")
+		}
+		return Num(math.Mod(x, y)), nil
+	}))
 
 	minmax := func(name string, better func(a, b float64) bool) Builtin {
 		return Builtin{Name: name, Arity: -1, Cost: 2, Help: name + " of numbers or one vector",
@@ -158,41 +186,18 @@ func buildBuiltins() map[string]Builtin {
 	add(minmax("min", func(a, b float64) bool { return a < b }))
 	add(minmax("max", func(a, b float64) bool { return a > b }))
 
-	add(Builtin{Name: "len", Arity: 1, Cost: 1, Help: "vector length",
-		fn: func(line int, args []Value) (Value, error) {
-			v, err := vec(line, "len", 0, args[0])
-			if err != nil {
-				return nil, err
-			}
-			return Num(len(v)), nil
-		}})
-	add(Builtin{Name: "sum", Arity: 1, Cost: 2, Help: "sum of vector elements",
-		fn: func(line int, args []Value) (Value, error) {
-			v, err := vec(line, "sum", 0, args[0])
-			if err != nil {
-				return nil, err
-			}
-			s := 0.0
-			for _, x := range v {
-				s += x
-			}
-			return Num(s), nil
-		}})
-	add(Builtin{Name: "mean", Arity: 1, Cost: 3, Help: "mean of vector elements",
-		fn: func(line int, args []Value) (Value, error) {
-			v, err := vec(line, "mean", 0, args[0])
-			if err != nil {
-				return nil, err
-			}
-			if len(v) == 0 {
-				return nil, rtErr(line, "mean of empty vector")
-			}
-			s := 0.0
-			for _, x := range v {
-				s += x
-			}
-			return Num(s / float64(len(v))), nil
-		}})
+	add(onVec("len", 1, "vector length", func(line int, v Vec) (Value, error) {
+		return Num(len(v)), nil
+	}))
+	add(onVec("sum", 2, "sum of vector elements", func(line int, v Vec) (Value, error) {
+		return Num(sum(v)), nil
+	}))
+	add(onVec("mean", 3, "mean of vector elements", func(line int, v Vec) (Value, error) {
+		if len(v) == 0 {
+			return nil, rtErr(line, "mean of empty vector")
+		}
+		return Num(sum(v) / float64(len(v))), nil
+	}))
 	add(Builtin{Name: "dot", Arity: 2, Cost: 4, Help: "dot product",
 		fn: func(line int, args []Value) (Value, error) {
 			u, err := vec(line, "dot", 0, args[0])
@@ -212,54 +217,20 @@ func buildBuiltins() map[string]Builtin {
 			}
 			return Num(s), nil
 		}})
-	add(Builtin{Name: "norm", Arity: 1, Cost: 6, Help: "Euclidean norm",
-		fn: func(line int, args []Value) (Value, error) {
-			v, err := vec(line, "norm", 0, args[0])
-			if err != nil {
-				return nil, err
-			}
-			s := 0.0
-			for _, x := range v {
-				s += x * x
-			}
-			return Num(math.Sqrt(s)), nil
-		}})
-	add(Builtin{Name: "zeros", Arity: 1, Cost: 2, Help: "vector of n zeros",
-		fn: func(line int, args []Value) (Value, error) {
-			n, err := num(line, "zeros", 0, args[0])
-			if err != nil {
-				return nil, err
-			}
-			if n < 0 || n != math.Trunc(n) || n > 1e7 {
-				return nil, rtErr(line, "zeros: bad size %v", Num(n))
-			}
-			return make(Vec, int(n)), nil
-		}})
-	add(Builtin{Name: "ones", Arity: 1, Cost: 2, Help: "vector of n ones",
-		fn: func(line int, args []Value) (Value, error) {
-			n, err := num(line, "ones", 0, args[0])
-			if err != nil {
-				return nil, err
-			}
-			if n < 0 || n != math.Trunc(n) || n > 1e7 {
-				return nil, rtErr(line, "ones: bad size %v", Num(n))
-			}
-			v := make(Vec, int(n))
-			for i := range v {
-				v[i] = 1
-			}
-			return v, nil
-		}})
-	add(Builtin{Name: "sort", Arity: 1, Cost: 8, Help: "ascending copy of vector",
-		fn: func(line int, args []Value) (Value, error) {
-			v, err := vec(line, "sort", 0, args[0])
-			if err != nil {
-				return nil, err
-			}
-			out := append(Vec(nil), v...)
-			sort.Float64s(out)
-			return out, nil
-		}})
+	add(onVec("norm", 6, "Euclidean norm", func(line int, v Vec) (Value, error) {
+		s := 0.0
+		for _, x := range v {
+			s += x * x
+		}
+		return Num(math.Sqrt(s)), nil
+	}))
+	add(filled("zeros", "vector of n zeros", 0))
+	add(filled("ones", "vector of n ones", 1))
+	add(onVec("sort", 8, "ascending copy of vector", func(line int, v Vec) (Value, error) {
+		out := append(Vec(nil), v...)
+		sort.Float64s(out)
+		return out, nil
+	}))
 	add(Builtin{Name: "rand", Arity: 0, Cost: 4, Help: "uniform random in [0,1)"})
 	return tbl
 }

@@ -3,7 +3,7 @@ package pits
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Check statically analyses a routine given the set of variables that
@@ -29,33 +29,17 @@ func Check(p *Program, defined []string) error {
 // Writes returns the sorted set of variables the routine assigns — its
 // candidate outputs.
 func Writes(p *Program) []string {
-	seen := map[string]bool{}
-	var walk func([]Stmt)
-	walk = func(stmts []Stmt) {
-		for _, s := range stmts {
-			switch st := s.(type) {
-			case *Assign:
-				seen[st.Name] = true
-			case *If:
-				walk(st.Then)
-				walk(st.Else)
-			case *While:
-				walk(st.Body)
-			case *Repeat:
-				walk(st.Body)
-			case *For:
-				seen[st.Var] = true
-				walk(st.Body)
-			}
+	out := []string{}
+	for _, c := range p.code[p.entry:] {
+		switch {
+		case c.op == opStore || c.op == opStoreIdx:
+			out = append(out, p.names[c.a])
+		case c.op == opForNext && c.c >= 0:
+			out = append(out, p.names[c.c])
 		}
 	}
-	walk(p.Stmts)
-	out := make([]string, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 type checker struct {

@@ -1,6 +1,9 @@
 package pits
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // parser is a recursive-descent parser with Pratt-style expression
 // precedence climbing.
@@ -9,13 +12,14 @@ type parser struct {
 	pos  int
 }
 
-// programs memoizes parsed routines by source text: the one program
-// table behind project validation, rehearsal, code generation and
-// every run session, in this process and in worker daemons alike. A
-// Program is never written after parse returns it, so one *Program may
-// be read from any number of goroutines. A serving process sees the
-// same few hundred routine texts request after request; parsing them
-// once is what makes re-opening an unchanged design cheap. Past the
+// programs memoizes parsed and compiled routines by source text: the
+// one program table behind project validation, rehearsal, code
+// generation and every run session, in this process and in worker
+// daemons alike. A Program, its compiled code included, is never
+// written after parse returns it, so one *Program may be run from any
+// number of goroutines. A serving process sees the same few hundred
+// routine texts request after request; parsing and compiling them once
+// is what makes re-opening an unchanged design cheap. Past the
 // bound the table is dropped wholesale: parses are cheap to redo, and
 // that keeps the bookkeeping at one length check. Errors are not
 // cached.
@@ -63,7 +67,9 @@ func parse(src string) (*Program, error) {
 	if err := rejectNestedFormulas(stmts, false); err != nil {
 		return nil, err
 	}
-	return &Program{Stmts: stmts, Source: src}, nil
+	prog := &Program{Stmts: stmts, Source: src}
+	compile(prog)
+	return prog, nil
 }
 
 // rejectNestedFormulas enforces that formula definitions appear only at
@@ -252,12 +258,8 @@ func (p *parser) ifStmt() (Stmt, error) {
 	return node, nil
 }
 
-func (p *parser) whileStmt() (Stmt, error) {
-	kw := p.next()
-	cond, err := p.expr()
-	if err != nil {
-		return nil, err
-	}
+// doBlock parses a loop's "do ... end".
+func (p *parser) doBlock() ([]Stmt, error) {
 	if _, err := p.expect(TokDo); err != nil {
 		return nil, err
 	}
@@ -265,7 +267,18 @@ func (p *parser) whileStmt() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(TokEnd); err != nil {
+	_, err = p.expect(TokEnd)
+	return body, err
+}
+
+func (p *parser) whileStmt() (Stmt, error) {
+	kw := p.next()
+	cond, err := p.expr()
+	if err != nil {
+		return nil, err
+	}
+	body, err := p.doBlock()
+	if err != nil {
 		return nil, err
 	}
 	return &While{Cond: cond, Body: body, Line: kw.Line}, nil
@@ -277,14 +290,8 @@ func (p *parser) repeatStmt() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(TokDo); err != nil {
-		return nil, err
-	}
-	body, err := p.block(TokEnd)
+	body, err := p.doBlock()
 	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokEnd); err != nil {
 		return nil, err
 	}
 	return &Repeat{Count: count, Body: body, Line: kw.Line}, nil
@@ -318,14 +325,8 @@ func (p *parser) forStmt() (Stmt, error) {
 			return nil, err
 		}
 	}
-	if _, err := p.expect(TokDo); err != nil {
-		return nil, err
-	}
-	body, err := p.block(TokEnd)
+	body, err := p.doBlock()
 	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokEnd); err != nil {
 		return nil, err
 	}
 	return &For{Var: name.Text, From: from, To: to, Step: step, Body: body, Line: kw.Line}, nil
@@ -374,21 +375,31 @@ func (p *parser) formulaStmt() (Stmt, error) {
 
 func (p *parser) printStmt() (Stmt, error) {
 	kw := p.next()
-	var args []Expr
-	if p.cur().Kind != TokNewline && p.cur().Kind != TokEOF {
-		for {
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			args = append(args, e)
-			if p.cur().Kind != TokComma {
-				break
-			}
-			p.next()
-		}
+	args, err := p.exprs(TokNewline, TokEOF)
+	if err != nil {
+		return nil, err
 	}
 	return &Print{Args: args, Line: kw.Line}, nil
+}
+
+// exprs parses a comma-separated list of expressions, which is empty
+// when the next token is one of stops (left for the caller).
+func (p *parser) exprs(stops ...TokKind) ([]Expr, error) {
+	if slices.Contains(stops, p.cur().Kind) {
+		return nil, nil
+	}
+	var list []Expr
+	for {
+		e, err := p.expr()
+		if err != nil {
+			return nil, err
+		}
+		list = append(list, e)
+		if p.cur().Kind != TokComma {
+			return list, nil
+		}
+		p.next()
+	}
 }
 
 // Operator precedence, loosest first.
@@ -498,19 +509,9 @@ func (p *parser) primary() (Expr, error) {
 		p.next()
 		if p.cur().Kind == TokLParen {
 			p.next()
-			var args []Expr
-			if p.cur().Kind != TokRParen {
-				for {
-					a, err := p.expr()
-					if err != nil {
-						return nil, err
-					}
-					args = append(args, a)
-					if p.cur().Kind != TokComma {
-						break
-					}
-					p.next()
-				}
+			args, err := p.exprs(TokRParen)
+			if err != nil {
+				return nil, err
 			}
 			if _, err := p.expect(TokRParen); err != nil {
 				return nil, err
@@ -530,19 +531,9 @@ func (p *parser) primary() (Expr, error) {
 		return e, nil
 	case TokLBracket:
 		p.next()
-		var elems []Expr
-		if p.cur().Kind != TokRBracket {
-			for {
-				e, err := p.expr()
-				if err != nil {
-					return nil, err
-				}
-				elems = append(elems, e)
-				if p.cur().Kind != TokComma {
-					break
-				}
-				p.next()
-			}
+		elems, err := p.exprs(TokRBracket)
+		if err != nil {
+			return nil, err
 		}
 		if _, err := p.expect(TokRBracket); err != nil {
 			return nil, err
@@ -553,29 +544,18 @@ func (p *parser) primary() (Expr, error) {
 	}
 }
 
-// stmtCount returns the total number of statements in the program,
-// recursing into blocks; used by the calculator panel's status line.
-func stmtCount(stmts []Stmt) int {
+// NumStmts reports the number of statements in the program including
+// nested blocks, for the calculator panel's status line: each compiles
+// to one step instruction.
+func (p *Program) NumStmts() int {
 	n := 0
-	for _, s := range stmts {
-		n++
-		switch st := s.(type) {
-		case *If:
-			n += stmtCount(st.Then) + stmtCount(st.Else)
-		case *While:
-			n += stmtCount(st.Body)
-		case *Repeat:
-			n += stmtCount(st.Body)
-		case *For:
-			n += stmtCount(st.Body)
+	for _, c := range p.code[p.entry:] {
+		if c.op == opStep {
+			n++
 		}
 	}
 	return n
 }
-
-// NumStmts reports the number of statements in the program including
-// nested blocks.
-func (p *Program) NumStmts() int { return stmtCount(p.Stmts) }
 
 // String returns the canonical formatted source (see Format).
 func (p *Program) String() string { return Format(p) }

@@ -83,6 +83,24 @@ func (e Env) Clone() Env {
 	return c
 }
 
+// Bind sets vars[i] to the variable names[i] of the environment, nil
+// where it has none: a slot array for Interp.Exec.
+func (e Env) Bind(names []string, vars []Value) {
+	for i, name := range names {
+		vars[i] = e[name]
+	}
+}
+
+// Update writes every set variable of a slot array into the
+// environment, vars[i] under names[i].
+func (e Env) Update(names []string, vars []Value) {
+	for i, v := range vars {
+		if v != nil {
+			e[names[i]] = v
+		}
+	}
+}
+
 // Unalias returns v safe to store under a second name or in a second
 // environment: a vector, the one mutable value, is copied.
 func Unalias(v Value) Value {

@@ -110,10 +110,16 @@ type Frame struct {
 // WriteFrame encodes and writes one frame. It returns the number of
 // bytes written (for wire accounting) and the first error.
 func WriteFrame(w io.Writer, f Frame) (int, error) {
+	var hdr [HeaderLen]byte
+	return writeFrame(w, &hdr, f)
+}
+
+// writeFrame is WriteFrame with the header assembled in hdr: a
+// connection passes its own, so no header escapes to the heap.
+func writeFrame(w io.Writer, hdr *[HeaderLen]byte, f Frame) (int, error) {
 	if len(f.Payload) > MaxPayload {
 		return 0, fmt.Errorf("wire: payload of %d bytes exceeds limit %d", len(f.Payload), MaxPayload)
 	}
-	var hdr [HeaderLen]byte
 	binary.BigEndian.PutUint16(hdr[0:2], Magic)
 	hdr[2] = ProtoVersion
 	hdr[3] = byte(f.Type)
@@ -136,6 +142,11 @@ func WriteFrame(w io.Writer, f Frame) (int, error) {
 // an oversized payload or a checksum mismatch.
 func ReadFrame(r io.Reader) (Frame, int, error) {
 	var hdr [HeaderLen]byte
+	return readFrame(r, &hdr)
+}
+
+// readFrame is ReadFrame with the header read into hdr (see writeFrame).
+func readFrame(r io.Reader, hdr *[HeaderLen]byte) (Frame, int, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Frame{}, 0, err
 	}

@@ -222,6 +222,75 @@ func TestMisroutedFrameRejected(t *testing.T) {
 	waitNoWorkerRuns(t, 5*time.Second)
 }
 
+// TestCoordinatorErrorDropsRun: an error frame from the coordinator is
+// its verdict on the run, not a protocol fault. The daemon drops the run
+// and writes nothing back: no error frame in reply, and no protocol
+// error in its log.
+func TestCoordinatorErrorDropsRun(t *testing.T) {
+	tr := Inproc()
+	var mu sync.Mutex
+	var logged []string
+	d := &workerDaemon{opt: WorkerOptions{transport: tr, Logf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+	}}}
+	ctx, cancel := context.WithCancel(context.Background())
+	ready, down := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(down)
+		d.serve(ctx, "w0", func(string) { close(ready) })
+	}()
+	defer func() {
+		cancel()
+		<-down
+	}()
+	<-ready
+
+	c, err := tr.Dial(ctx, "w0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.WriteFrame(Frame{Type: THello, Payload: encJSON(Hello{Proto: ProtoVersion, Run: "doomed"})}); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := c.ReadFrame(); err != nil || f.Type != TWelcome {
+		t.Fatalf("handshake answered %v, %v; want a welcome", f.Type, err)
+	}
+	if err := c.WriteFrame(Frame{Type: TError, Wid: 1, Payload: encJSON(ErrorNote{Msg: "run abandoned"})}); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		f, err := c.ReadFrame()
+		if err != nil {
+			break // the daemon closed the run's connection
+		}
+		if f.Type == TError {
+			note, _ := decJSON[ErrorNote](f.Payload, "error")
+			t.Fatalf("daemon answered the coordinator's error frame with one of its own: %q", note.Msg)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		d.mu.Lock()
+		n := len(d.runs)
+		d.mu.Unlock()
+		if n == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the daemon kept the run the coordinator aborted")
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, line := range logged {
+		if strings.Contains(line, "protocol error") {
+			t.Errorf("the coordinator's verdict was logged as a protocol error: %s", line)
+		}
+	}
+}
+
 // chokeTransport wraps a Transport with a kill switch: trip() abruptly
 // closes every connection it ever dialed and refuses new dials,
 // simulating a coordinator process dying without a goodbye.

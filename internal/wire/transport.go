@@ -93,11 +93,13 @@ func (t tcpListener) Addr() string { return t.l.Addr().String() }
 func (t tcpListener) Close() error { return t.l.Close() }
 
 type tcpConn struct {
-	c  net.Conn
-	br *bufio.Reader
+	c    net.Conn
+	br   *bufio.Reader
+	rhdr [HeaderLen]byte // the frame header being read: one reader at a time
 
-	wmu sync.Mutex
-	bw  *bufio.Writer
+	wmu  sync.Mutex
+	bw   *bufio.Writer
+	whdr [HeaderLen]byte // the frame header being written, under wmu
 
 	smu     sync.Mutex
 	in, out int64
@@ -118,7 +120,7 @@ func (t *tcpConn) WriteFrame(f Frame) error {
 	defer t.wmu.Unlock()
 	// Sharing bw with WriteFrameBuffered means an immediate write also
 	// flushes anything still coalescing — order is preserved.
-	n, err := WriteFrame(t.bw, f)
+	n, err := writeFrame(t.bw, &t.whdr, f)
 	if err == nil {
 		err = t.bw.Flush()
 	}
@@ -131,7 +133,7 @@ func (t *tcpConn) WriteFrame(f Frame) error {
 func (t *tcpConn) WriteFrameBuffered(f Frame) error {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
-	n, err := WriteFrame(t.bw, f)
+	n, err := writeFrame(t.bw, &t.whdr, f)
 	t.smu.Lock()
 	t.out += int64(n)
 	t.smu.Unlock()
@@ -145,7 +147,7 @@ func (t *tcpConn) Flush() error {
 }
 
 func (t *tcpConn) ReadFrame() (Frame, error) {
-	f, n, err := ReadFrame(t.br)
+	f, n, err := readFrame(t.br, &t.rhdr)
 	t.smu.Lock()
 	t.in += int64(n)
 	t.smu.Unlock()

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -549,6 +550,12 @@ func (d *workerDaemon) frameLoop(run *workerRun) (keep bool, next *inboundConn) 
 				continue // an ack, or a replay overlap already processed
 			}
 			done, err := d.handleFrame(run, f)
+			if errors.Is(err, errCoordAbort) {
+				// The coordinator's verdict ends the run: nothing to answer.
+				opt.logf("run %s: %v", run.id, err)
+				run.abort(err.Error(), false)
+				return false, nil
+			}
 			if err != nil {
 				opt.logf("protocol error on %s frame: %v", f.Type, err)
 				run.link.Send(TError, encJSON(ErrorNote{Msg: err.Error()}))
@@ -574,6 +581,10 @@ func (d *workerDaemon) frameLoop(run *workerRun) (keep bool, next *inboundConn) 
 		}
 	}
 }
+
+// errCoordAbort marks the coordinator's own error frame: its verdict on
+// the run, not a fault of the frame.
+var errCoordAbort = errors.New("coordinator aborted the run")
 
 // handleFrame processes one accepted frame. done=true ends the
 // connection's run cleanly.
@@ -668,7 +679,7 @@ func (d *workerDaemon) handleFrame(run *workerRun, f Frame) (bool, error) {
 		return true, nil
 	case TError:
 		note, _ := decJSON[ErrorNote](f.Payload, "error")
-		return false, fmt.Errorf("coordinator aborted the run: %s", note.Msg)
+		return false, fmt.Errorf("%w: %s", errCoordAbort, note.Msg)
 	default:
 		return false, fmt.Errorf("unexpected %s frame", f.Type)
 	}
