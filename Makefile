@@ -95,6 +95,9 @@ vet:
 	! grep -rn 'func (in \*Interp) eval(' --include='*.go' internal/pits
 # A deadlock is decided once, by counting, in exec.Lifecycle: no stall timer, no knob for it, and no progress counter on the hot path to feed one.
 	! grep -rnE 'stallWatch|StallTimeout|stallTimeout|progress\.Add|quiescent' --include='*.go' internal/exec internal/wire | grep -v _test.go
+# A worker blocks in one place, on its mailbox's wake-up channel: no pause sentinel, and no select on the barrier, the next era or the run's end in internal/exec.
+	! grep -rnE 'errPaused|case <-w\.(er\.pause|er\.resume|ctrl\.done|ctrl\.finish)' --include='*.go' internal/exec | grep -v _test.go
+	test "$$(grep -c '<-' internal/exec/worker.go)" = 1
 # Every fuzz target under internal/ runs in fuzz-smoke.
 	! for f in $$(grep -rhoE '^func Fuzz[A-Za-z0-9_]+' --include='*_test.go' internal | cut -c6-); do sed -n '/^fuzz-smoke:/,/^$$/p' Makefile | grep -q -- "-fuzz $$f " || echo "$$f is not in fuzz-smoke"; done | grep .
 

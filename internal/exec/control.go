@@ -27,14 +27,13 @@ type wevent struct {
 	parked bool
 }
 
-// era is one epoch of execution between recoveries. pause is closed to
-// order every live worker to the barrier; resume is closed once the new
-// plan is installed. Messages stamp their era's epoch so deliveries
-// from before a recovery are recognisably stale.
+// era is one epoch of execution between recoveries. paused is set to
+// order every live worker to the barrier; the era that replaces it
+// releases them. Messages stamp their era's epoch so deliveries from
+// before a recovery are recognisably stale.
 type era struct {
 	epoch  int64
-	pause  chan struct{}
-	resume chan struct{}
+	paused atomic.Bool
 }
 
 // sessCmd is one request from the session API to the coordinator loop:
@@ -62,8 +61,8 @@ type controller struct {
 	plane  RemotePlane
 	cmds   chan sessCmd
 	// busy counts what can still hand a hosted processor a message
-	// without outside help: live hosted workers that are neither blocked
-	// in receive nor through their slot list, plus the deliveries
+	// without outside help: live hosted workers that are neither waiting
+	// for a message nor through their slot list, plus the deliveries
 	// background goroutines still owe. Zero is quiet: whoever takes it
 	// there wakes the coordinator through quiet, which reports the
 	// session (see tell). crashed is up from a hosted processor's death
@@ -116,11 +115,21 @@ const (
 )
 
 func (c *controller) abort() {
-	c.doneOnce.Do(func() { c.ended.Store(endAborted); close(c.done) })
+	c.doneOnce.Do(func() { c.ended.Store(endAborted); close(c.done); c.rouse() })
 }
 
 func (c *controller) complete() {
-	c.finishOnce.Do(func() { c.ended.CompareAndSwap(0, endFinished); close(c.finish) })
+	c.finishOnce.Do(func() { c.ended.CompareAndSwap(0, endFinished); close(c.finish); c.rouse() })
+}
+
+// rouse wakes every hosted worker to read the run's state again, after
+// the barrier formed, the next era began or the run ended.
+func (c *controller) rouse() {
+	for _, w := range c.workers {
+		if w != nil {
+			w.inbox.rouse()
+		}
+	}
 }
 
 // isLocal reports whether processor pe is hosted by this session.
@@ -322,8 +331,8 @@ func (c *controller) coordinate() {
 // process must hand over before departing. Returns false if the
 // session aborted instead.
 func (c *controller) pauseLocal(live *int, checkpoint bool) (*PauseState, bool) {
-	er := c.era.Load()
-	close(er.pause)
+	c.era.Load().paused.Store(true)
+	c.rouse()
 	parked := 0
 	for parked < *live {
 		select {
@@ -340,8 +349,8 @@ func (c *controller) pauseLocal(live *int, checkpoint bool) (*PauseState, bool) 
 			c.plane.LocalCrash(ev.pe)
 		}
 	}
-	// Every live hosted worker is parked: state is safe to read (the
-	// parked receive orders their writes before ours). Each surviving
+	// Every live hosted worker is parked: state is safe to read (its
+	// parked event orders its writes before ours). Each surviving
 	// task result is attributed to its lowest live local holder; the
 	// planner breaks cross-session ties the same way, by
 	// ascending processor.
@@ -474,21 +483,10 @@ func (c *controller) resumeLocal(p *ResumePlan, ep *eraPlan) {
 	}
 	c.epoch, c.sent, c.recv = p.Epoch, 0, [2]int64{ahead}
 	c.mu.Unlock()
-	er := c.era.Load()
-	next := &era{epoch: p.Epoch, pause: make(chan struct{}), resume: make(chan struct{})}
-	c.era.Store(next)
-	close(er.resume)
+	c.era.Store(&era{epoch: p.Epoch})
+	c.rouse()
 }
 
 // moot reports whether a delivery owed since era er no longer matters:
-// er's recovery barrier has formed, or the run has finished.
-func (c *controller) moot(er *era) bool {
-	select {
-	case <-er.pause:
-		return true
-	case <-c.finish:
-		return true
-	default:
-		return false
-	}
-}
+// er's recovery barrier has formed, or the run has ended.
+func (c *controller) moot(er *era) bool { return er.paused.Load() || c.ended.Load() != 0 }

@@ -334,7 +334,7 @@ func TestStarvedGuards(t *testing.T) {
 		{"nothing-blocked", []bool{true, true}, func(c *controller) { c.workers[1].awaiting.Store(nil) }, true, false},
 		{"share-of-machine", []bool{false, true}, func(*controller) {}, true, true},
 		{"crash-awaits-resume", []bool{true, true}, func(c *controller) { c.crashed.Store(true) }, false, false},
-		{"pause-closed", []bool{true, true}, func(c *controller) { close(c.era.Load().pause) }, false, false},
+		{"pause-closed", []bool{true, true}, func(c *controller) { c.era.Load().paused.Store(true) }, false, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

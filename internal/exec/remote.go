@@ -66,8 +66,8 @@ type RemotePlane interface {
 }
 
 // Report is what a session says of itself: whenever it falls quiet —
-// every live processor it hosts is through its slot list or blocked in
-// receive, it owes no delivery, no hosted crash awaits its replan and no
+// every live processor it hosts is through its slot list or waiting
+// for a message, it owes no delivery, no hosted crash awaits its replan and no
 // barrier is forming — and whenever a Probe asks. Sent and Recv count
 // the remote copies of era Epoch it handed its plane and took in; a copy
 // of the next era that arrives before the session resumes into it is

@@ -48,12 +48,13 @@ func checksum(v pits.Value) uint64 {
 
 // mailbox is one hosted processor's inbox: an unbounded FIFO, so a put
 // never blocks whatever retries, duplicates and recoveries pile into it.
-// ready holds at most one wake-up token; a put leaves one for a consumer
-// that found the queue empty, and a stale token costs one empty take.
+// ready holds at most one wake-up token, and the owner's one wait is on
+// it; a put or a rouse leaves one, and a stale token costs the owner one
+// look at its inbox and the run's state.
 //
 // waiting is the owner's blocked flag: set by the take that finds the
 // queue empty (the owner is about to block on ready), cleared by the put
-// that will wake it. It moves only under mu, and the session's busy
+// or rouse that will wake it. It moves only under mu, and the session's busy
 // count (see controller.busy) moves with it, so the count never shows a
 // processor blocked that has a message to read.
 type mailbox struct {
@@ -69,29 +70,27 @@ func newMailbox(busy *atomic.Int64) *mailbox {
 	return &mailbox{ready: make(chan struct{}, 1), busy: busy}
 }
 
-func (b *mailbox) put(m xmsg) {
+func (b *mailbox) put(m xmsg) { b.wake(&m) }
+
+// rouse wakes the owner without a message: the barrier, the next era or
+// the run's end, not a put, ends its wait.
+func (b *mailbox) rouse() { b.wake(nil) }
+
+// wake queues m, if there is one, counts a waiting owner busy again and
+// leaves it a wake-up token.
+func (b *mailbox) wake(m *xmsg) {
 	b.mu.Lock()
-	b.q = append(b.q, m)
-	b.rouseLocked()
+	if m != nil {
+		b.q = append(b.q, *m)
+	}
+	if b.waiting {
+		b.waiting = false
+		b.busy.Add(1)
+	}
 	b.mu.Unlock()
 	select {
 	case b.ready <- struct{}{}:
 	default:
-	}
-}
-
-// rouse counts a waiting owner busy again without a message: the
-// recovery barrier, not a put, ended its wait.
-func (b *mailbox) rouse() {
-	b.mu.Lock()
-	b.rouseLocked()
-	b.mu.Unlock()
-}
-
-func (b *mailbox) rouseLocked() {
-	if b.waiting {
-		b.waiting = false
-		b.busy.Add(1)
 	}
 }
 

@@ -74,7 +74,7 @@ func (r *Runner) StartSessionFrom(s *sched.Schedule, flat *graph.Flat, hosted []
 			w.clock = plan.Clock
 		}
 	}
-	c.era.Store(&era{epoch: plan.Epoch, pause: make(chan struct{}), resume: make(chan struct{})})
+	c.era.Store(&era{epoch: plan.Epoch})
 	c.epoch = plan.Epoch
 	ses.launch()
 	return ses, nil
@@ -127,7 +127,7 @@ func (r *Runner) buildSession(s *sched.Schedule, flat *graph.Flat, hosted []bool
 	}
 	// Every hosted worker starts out busy.
 	ctrl.busy.Store(int64(ctrl.numLocal()))
-	ctrl.era.Store(&era{pause: make(chan struct{}), resume: make(chan struct{})})
+	ctrl.era.Store(&era{})
 
 	// The hosted workers log into consecutive stretches of one array, each
 	// as long as a fault-free pass over its share of the era logs.

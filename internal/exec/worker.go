@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -24,19 +23,25 @@ type worker struct {
 	interp pits.Interp // reused by every slot; reseeded per task
 	ctrl   *controller
 	inbox  *mailbox
-	// awaiting is what a blocked receive is waiting for (nil
-	// otherwise): the raw material of a deadlock report.
+	// awaiting is the message a slot waits for (nil otherwise): the raw
+	// material of a deadlock report. receive stores it before the take
+	// that can leave the busy count, so a quiet session always names it.
 	awaiting atomic.Pointer[awaited]
 
 	// Per-era assignment.
-	plan    *eraPlan // read-only, and for era 0 shared with other runs
-	prog    *peProg  // this processor's share of it
-	cursor  int
-	resends []sendPlan   // surviving results still to re-deliver at era start
-	arrived []arrival    // this era's inbound messages, by ordinal
-	vars    []pits.Value // this era's slot array: each slot's variables, from its base on
-	epoch   int64
-	er      *era
+	plan   *eraPlan // read-only, and for era 0 shared with other runs
+	prog   *peProg  // this processor's share of it
+	cursor int
+	// gathered counts the cursor slot's inputs bound so far, and
+	// dataReady is the latest virtual arrival among them: a slot that
+	// waits for a message is re-entered where it stopped.
+	gathered  int
+	dataReady machine.Time
+	resends   []sendPlan   // surviving results still to re-deliver at era start
+	arrived   []arrival    // this era's inbound messages, by ordinal
+	vars      []pits.Value // this era's slot array: each slot's variables, from its base on
+	epoch     int64
+	er        *era
 
 	events  []trace.Event
 	outputs pits.Env                // qualified "task.var" external outputs
@@ -56,12 +61,15 @@ type worker struct {
 	flushes   int64
 }
 
-// arrival is what a worker knows of one inbound message of its era: the
-// admitted copy — its sequence number is what later copies are judged
-// by — and whether a slot has consumed it yet.
+// arrival is what a worker keeps of one inbound message of its era once
+// a copy is admitted — its sequence number is what later copies are
+// judged by — and whether a slot has consumed it yet.
 type arrival struct {
-	xmsg
-	state uint8 // 0 until admitted, then stashed, then consumed
+	val    pits.Value
+	at     machine.Time // virtual arrival (VirtualTime mode)
+	seq    uint64
+	fromPE int32
+	state  uint8 // 0 until admitted, then stashed, then consumed
 }
 
 const (
@@ -74,7 +82,7 @@ const (
 // the event log grows, once, by what the new era will add (for era 0
 // the room is already there: the worker's stretch of the session's log).
 func (w *worker) assign(p *eraPlan, epoch int64) {
-	w.plan, w.prog, w.cursor, w.epoch = p, &p.pes[w.pe], 0, epoch
+	w.plan, w.prog, w.cursor, w.gathered, w.dataReady, w.epoch = p, &p.pes[w.pe], 0, 0, 0, epoch
 	w.resends = w.prog.resends
 	w.arrived = make([]arrival, len(w.prog.in))
 	w.vars = make([]pits.Value, w.prog.vars)
@@ -90,29 +98,35 @@ func varAt(vals []pits.Value, v int32) pits.Value {
 	return vals[v]
 }
 
-// errPaused marks a receive or slot interrupted by the recovery
-// barrier, not a failure.
-var errPaused = errors.New("paused for recovery")
-
-// wstatus is the outcome of one execute() pass.
+// wstatus is what stopped one step.
 type wstatus int
 
 const (
 	wsFinished wstatus = iota // slot list complete
-	wsPaused                  // recovery barrier reached mid-list
+	wsBlocked                 // a slot waits for a message that has not come
+	wsPaused                  // recovery barrier reached at a slot boundary
 	wsCrashed                 // injected crash fired
 	wsError                   // real failure
 )
 
-// run is the worker goroutine: execute the current assignment, then
-// idle until the run completes or a recovery hands out a new one. The
-// local store is built at session construction (not here) so a session
-// started mid-run can install imported state before the goroutine
-// launches.
+// run is the worker goroutine: step through the current assignment,
+// and wait whenever a step stops short. The wait is the one place a
+// worker blocks, on its mailbox's wake-up channel alone: a put leaves a
+// token, and the barrier, the next era and the run's end rouse every
+// hosted mailbox (see controller.rouse). After each wake-up the worker
+// reads the run's state. A blocked worker steps again on any wake-up;
+// one through its list or parked only in the next era. The barrier
+// parks a worker, and the run's end ends it, a blocked one with its
+// wait as the error. A finished or parked worker takes nothing from its
+// mailbox: the take that found it empty would leave the busy count,
+// which such a worker has already left, or is held in by the barrier.
+// The local store is built at session construction (not here) so a
+// session started mid-run can install imported state before the
+// goroutine launches.
 func (w *worker) run() error {
 	for {
 		w.er = w.ctrl.era.Load()
-		st, err := w.execute()
+		st, ord, err := w.step()
 		switch st {
 		case wsError:
 			return err
@@ -122,55 +136,61 @@ func (w *worker) run() error {
 			w.ctrl.retire()
 			w.ctrl.post(wevent{pe: w.pe})
 			return nil
-		case wsPaused:
-			if !w.park() {
-				return nil
-			}
 		case wsFinished:
 			w.ctrl.retire()
-			select {
-			case <-w.er.pause:
-				w.ctrl.busy.Add(1) // the next era hands out a new list
-				if !w.park() {
-					return nil
+		case wsPaused:
+			w.park()
+		}
+		for again := false; !again; {
+			<-w.inbox.ready
+			switch {
+			case w.ctrl.ended.Load() != 0:
+				if st == wsBlocked {
+					due := &w.prog.in[ord]
+					return fmt.Errorf("task %s: %w while waiting for %s:%s from %s",
+						w.prog.slots[w.cursor].Task, errAborted, due.key.to, due.key.v, due.key.from)
 				}
-			case <-w.ctrl.finish:
 				return nil
-			case <-w.ctrl.done:
-				return nil
+			case st == wsPaused:
+				again = w.ctrl.era.Load() != w.er
+			case w.er.paused.Load():
+				if st == wsFinished {
+					w.ctrl.busy.Add(1) // the next era hands out a new list
+				}
+				st = wsPaused
+				w.park()
+			default:
+				again = st == wsBlocked
 			}
 		}
 	}
 }
 
-// park waits at the recovery barrier until the coordinator installs the
-// next era (true) or the run aborts (false).
-func (w *worker) park() bool {
+// park reports the worker at the recovery barrier, waiting for no
+// message: the coordinator reads its state once every live worker has.
+func (w *worker) park() {
+	w.awaiting.Store(nil)
 	w.ctrl.post(wevent{w.pe, true})
-	select {
-	case <-w.er.resume:
-		return true
-	case <-w.ctrl.done:
-		return false
-	}
 }
 
-// execute runs the worker's current slot list from its cursor.
-func (w *worker) execute() (wstatus, error) {
-	// First re-deliver surviving results the recovery plan routed from
-	// this processor's local store.
+// step runs the worker's slot list from its cursor until a slot needs a
+// message that has not come, and never blocks: the inbox gives only what
+// it already holds. It returns what stopped it, and for wsBlocked the
+// ordinal of the message the slot waits for. The era's re-sends of
+// surviving results go first.
+func (w *worker) step() (wstatus, int32, error) {
 	for _, sp := range w.resends {
 		k := w.plan.key(sp)
 		vals, ok := w.local[k.from]
 		if !ok {
-			return wsError, fmt.Errorf("recovery resend: no local result for task %s", k.from)
+			return wsError, 0, fmt.Errorf("recovery resend: no local result for task %s", k.from)
 		}
 		val := varAt(vals, sp.v)
 		if val == nil {
-			return wsError, fmt.Errorf("recovery resend: task %s result lacks %q", k.from, k.v)
+			return wsError, 0, fmt.Errorf("recovery resend: task %s result lacks %q", k.from, k.v)
 		}
 		if err := w.send(sp, val, w.clock); err != nil {
-			return wsError, err
+			return wsError, 0, err
 		}
 	}
 	// The re-send burst precedes the slot loop: peers waiting on
@@ -179,80 +199,87 @@ func (w *worker) execute() (wstatus, error) {
 	w.resends = nil
 
 	for w.cursor < len(w.prog.slots) {
-		if w.ctrl.faults.crashNow(w.pe, w.executed) {
-			w.events = append(w.events, trace.Event{Kind: trace.FaultInjected, At: w.ctrl.stamp(w.clock),
-				Task: w.prog.slots[w.cursor].Task, PE: w.pe, Peer: w.pe, Note: "crash"})
-			return wsCrashed, nil
-		}
-		select {
-		case <-w.er.pause:
-			return wsPaused, nil
-		default:
-		}
-		if err := w.runSlot(&w.prog.slots[w.cursor]); err != nil {
-			if errors.Is(err, errPaused) {
-				return wsPaused, nil
+		sl := &w.prog.slots[w.cursor]
+		if w.gathered == 0 {
+			if w.ctrl.faults.crashNow(w.pe, w.executed) {
+				w.events = append(w.events, trace.Event{Kind: trace.FaultInjected, At: w.ctrl.stamp(w.clock),
+					Task: sl.Task, PE: w.pe, Peer: w.pe, Note: "crash"})
+				return wsCrashed, 0, nil
 			}
-			return wsError, err
+			if w.er.paused.Load() {
+				return wsPaused, 0, nil
+			}
 		}
-		w.cursor++
+		if ord, err := w.gather(sl); err != nil {
+			return wsError, 0, err
+		} else if ord >= 0 {
+			return wsBlocked, ord, nil
+		}
+		if err := w.runSlot(sl); err != nil {
+			return wsError, 0, err
+		}
+		w.cursor, w.gathered, w.dataReady = w.cursor+1, 0, 0
 		w.executed++
 	}
-	return wsFinished, nil
+	return wsFinished, 0, nil
 }
 
-// runSlot executes one scheduled task copy: gather inputs (local,
-// message or external), interpret the routine, deliver scheduled
-// messages, and export external outputs from the primary copy.
-func (w *worker) runSlot(sl *slotProg) error {
-	virtual := w.runner.VirtualTime
-	// The task's variables are its stretch of the slot array, every
-	// input unaliased on the way in: a routine may write into its
-	// vectors, and they are the producer's (or the caller's) own.
-	vars := w.vars[sl.base : sl.base+len(sl.names) : sl.base+len(sl.names)]
-	// External inputs come from the runner's global data (validated up
-	// front by Run; kept as defense in depth). Arc inputs come from the
-	// local store when the producer ran here, else from a received
-	// message; dataReady tracks the latest virtual message arrival.
-	var dataReady machine.Time
-	for _, in := range sl.ins {
+// gather binds the slot's inputs from where it last stopped, each
+// unaliased on the way in: a routine may write into its vectors, and
+// they are the producer's (or the caller's) own. External inputs come
+// from the runner's global data (validated up front by Run; kept as
+// defense in depth). Arc inputs come from the local store when the
+// producer ran here, else from a received message. It returns the
+// ordinal of the first message that has not come, or -1 once every
+// input is bound.
+func (w *worker) gather(sl *slotProg) (int32, error) {
+	vars := w.vars[sl.base : sl.base+len(sl.names)]
+	for ; w.gathered < len(sl.ins); w.gathered++ {
+		in := &sl.ins[w.gathered]
 		var val pits.Value
 		switch {
 		case in.from == "":
 			var ok bool
 			if val, ok = w.runner.Inputs[in.name]; !ok {
-				return fmt.Errorf("task %s: missing external input %q", sl.Task, in.name)
+				return -1, fmt.Errorf("task %s: missing external input %q", sl.Task, in.name)
 			}
 		case in.ord >= 0:
-			m, err := w.receive(in.ord)
+			a, err := w.receive(in.ord)
 			if err != nil {
-				if errors.Is(err, errPaused) {
-					return err
-				}
-				return fmt.Errorf("task %s: %w", sl.Task, err)
+				return -1, fmt.Errorf("task %s: %w", sl.Task, err)
 			}
-			val, dataReady = m.val, max(dataReady, m.at)
+			if a == nil {
+				return in.ord, nil
+			}
+			val, w.dataReady = a.val, max(w.dataReady, a.at)
 		default:
 			prod, ok := w.local[in.from]
 			if !ok {
-				return fmt.Errorf("task %s: input %q from %s neither local nor scheduled as a message",
+				return -1, fmt.Errorf("task %s: input %q from %s neither local nor scheduled as a message",
 					sl.Task, in.name, in.from)
 			}
 			if val = varAt(prod, in.pv); val == nil {
-				return fmt.Errorf("task %s: producer %s did not define %q", sl.Task, in.from, in.name)
+				return -1, fmt.Errorf("task %s: producer %s did not define %q", sl.Task, in.from, in.name)
 			}
 		}
 		vars[in.v] = pits.Unalias(val)
 	}
+	return -1, nil
+}
 
-	start := w.ctrl.stamp(max(w.clock, dataReady))
+// runSlot executes one scheduled task copy whose inputs are gathered:
+// interpret the routine, deliver scheduled messages, and export external
+// outputs from the primary copy.
+func (w *worker) runSlot(sl *slotProg) error {
+	vars := w.vars[sl.base : sl.base+len(sl.names) : sl.base+len(sl.names)]
+	start := w.ctrl.stamp(max(w.clock, w.dataReady))
 	w.events = append(w.events, trace.Event{Kind: trace.TaskStart, At: start, Task: sl.Task, PE: w.pe, Dup: sl.Dup})
 	w.interp.Seed = sl.seed
 	if err := w.interp.Exec(sl.prog, vars); err != nil {
 		return fmt.Errorf("task %s: %w", sl.Task, err)
 	}
 	finish := w.ctrl.stamp(start + w.sched.Machine.ExecTime(w.interp.Ops(), w.pe))
-	if virtual {
+	if w.runner.VirtualTime {
 		w.clock = finish
 	}
 	w.events = append(w.events, trace.Event{Kind: trace.TaskEnd, At: finish, Task: sl.Task, PE: w.pe, Dup: sl.Dup})
@@ -383,41 +410,34 @@ func (w *worker) admit(m xmsg) error {
 		return fmt.Errorf("duplicate delivery of %s (sequence %d after %d): schedule sends it twice",
 			w.prog.in[m.ord].key, m.seq, a.seq)
 	}
-	a.xmsg, a.state = m, stashed
+	*a = arrival{val: m.val, at: m.at, seq: m.seq, fromPE: int32(m.fromPE), state: stashed}
 	return nil
 }
 
-// receive blocks until inbound message ord arrives, admitting (and so
-// stashing) whatever shows up first. The take that finds the inbox empty
+// receive consumes inbound message ord, admitting (and so stashing)
+// what the inbox holds until it is stashed; nil means the inbox ran dry
+// first, and the worker waits. The take that finds the inbox empty
 // leaves the session's busy count, so a message that never comes leaves
 // the session quiet, and its report names this receive.
-func (w *worker) receive(ord int32) (xmsg, error) {
+func (w *worker) receive(ord int32) (*arrival, error) {
 	due, a := &w.prog.in[ord], &w.arrived[ord]
 	if a.state != stashed {
-		w.awaiting.Store(due) // a pointer into the plan: blocking allocates nothing
-		defer w.awaiting.Store(nil)
-	}
-	for a.state != stashed {
-		m, ok, last := w.inbox.take()
-		if !ok {
-			if last {
-				w.ctrl.quiesce()
+		w.awaiting.Store(due) // a pointer into the plan: waiting allocates nothing
+		for a.state != stashed {
+			m, ok, last := w.inbox.take()
+			if !ok {
+				if last {
+					w.ctrl.quiesce()
+				}
+				return nil, nil
 			}
-			select {
-			case <-w.inbox.ready:
-			case <-w.er.pause:
-				w.inbox.rouse()
-				return xmsg{}, errPaused
-			case <-w.ctrl.done:
-				return xmsg{}, fmt.Errorf("%w while waiting for %s:%s from %s", errAborted, due.key.to, due.key.v, due.key.from)
+			if err := w.admit(m); err != nil {
+				return nil, err
 			}
-			continue
 		}
-		if err := w.admit(m); err != nil {
-			return xmsg{}, err
-		}
+		w.awaiting.Store(nil)
 	}
 	a.state = consumed
-	w.events = append(w.events, trace.Event{Kind: trace.MsgRecv, At: w.ctrl.stamp(a.at), Task: due.key.from, PE: w.pe, Var: due.key.v, Peer: a.fromPE, Seq: a.seq})
-	return a.xmsg, nil
+	w.events = append(w.events, trace.Event{Kind: trace.MsgRecv, At: w.ctrl.stamp(a.at), Task: due.key.from, PE: w.pe, Var: due.key.v, Peer: int(a.fromPE), Seq: a.seq})
+	return a, nil
 }

@@ -93,6 +93,19 @@ func compile(p *Program) {
 	c.inFormula = false
 	p.entry = len(p.code)
 	c.block(p.Stmts)
+	// Appending left slack in every list, and a program is kept as long
+	// as its text is in the program table: keep each at its length.
+	p.code, p.consts, p.names, p.fns = exact(p.code), exact(p.consts), exact(p.names), exact(p.fns)
+	p.fnames, p.defs, p.fails = exact(p.fnames), exact(p.defs), exact(p.fails)
+}
+
+// exact copies s into an array of its own length; slices.Clip would
+// keep the grown one.
+func exact[S ~[]E, E any](s S) S {
+	if len(s) == cap(s) {
+		return s
+	}
+	return append(make(S, 0, len(s)), s...)
 }
 
 func (c *compiler) emit(op opcode, a, b, cc int32, line int) int {

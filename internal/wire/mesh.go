@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/exec"
@@ -73,6 +74,11 @@ type mesh struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
+	// finished is set when the coordinator finishes the run, before this
+	// worker's partial leaves: a link not up by then is never needed, and
+	// a peer may end its share of the run as soon as the last partial
+	// is in.
+	finished atomic.Bool
 
 	// wg tracks the dial loops and connection readers so close can
 	// wait them out: a straggler would outlive the run that owns
@@ -178,12 +184,13 @@ func (m *mesh) peerLocked(j int) *Link {
 // j: lease a parked connection or dial, handshake, attach, read until
 // the connection breaks or the run ends, redial. A handshake rejection
 // means the peer's run has not begun or has ended; retry with backoff
-// until this run ends.
+// until this run ends. Once the run has finished no dial starts, and a
+// rejection is no failure: the peer may rightly have ended its share.
 func (m *mesh) dialLoop(j int, addr string) {
 	backoff := 5 * time.Millisecond
 	const backoffCap = 500 * time.Millisecond
 	lease := true // until a leased connection fails to answer
-	for m.ctx.Err() == nil {
+	for m.ctx.Err() == nil && !m.finished.Load() {
 		var c Conn
 		if lease {
 			c = m.cfg.idle.lease(addr)
@@ -212,6 +219,9 @@ func (m *mesh) dialLoop(j int, addr string) {
 			m.untrack(c)
 			if errors.Is(err, errRefused) {
 				m.cfg.idle.park(addr, c) // a refusal leaves it awaiting a Hello
+				if m.finished.Load() {
+					return
+				}
 			} else {
 				c.Close()
 				if leased {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -205,6 +206,53 @@ func TestMeshLostPeerFallsBack(t *testing.T) {
 	}
 	if peer(2) != nil {
 		t.Error("peer must not resurrect a dead worker")
+	}
+}
+
+// TestMeshDialEndsWithTheRun: a peer may end its share of a run as soon
+// as the last partial is in, and a dial that reaches it then is refused.
+// Once the coordinator has finished the run here, that refusal is no
+// failure and no dial follows it.
+func TestMeshDialEndsWithTheRun(t *testing.T) {
+	tr := Inproc()
+	lis, err := tr.Listen("w0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	var mu sync.Mutex
+	var logged []string
+	idle := &idleConns{}
+	m := newMesh(meshConfig{transport: tr, idle: idle, runID: "r", self: 1,
+		addrs: []string{"w0", "self"}, peerOf: []int{0, 1},
+		logf: func(format string, args ...any) {
+			mu.Lock()
+			logged = append(logged, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		}}, func(exec.RemoteMsg) error { return nil })
+	go func() {
+		c, err := lis.Accept()
+		if err != nil {
+			return
+		}
+		if _, err := c.ReadFrame(); err != nil {
+			return
+		}
+		m.finished.Store(true) // the run finishes while the Hello is on its way
+		c.WriteFrame(Frame{Type: TError, Payload: encJSON(ErrorNote{Msg: "unknown run"})})
+	}()
+	for deadline := time.Now().Add(5 * time.Second); parked(idle) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the refused connection was never parked")
+		}
+	}
+	m.close(false)
+	mu.Lock()
+	defer mu.Unlock()
+	for _, line := range logged {
+		if strings.Contains(line, "failed") {
+			t.Errorf("a finished run logged a refused dial: %s", line)
+		}
 	}
 }
 

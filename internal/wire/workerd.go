@@ -666,6 +666,9 @@ func (d *workerDaemon) handleFrame(run *workerRun, f Frame) (bool, error) {
 		}
 		return false, nil
 	case TFinish:
+		if ms := run.mesh.Load(); ms != nil {
+			ms.finished.Store(true)
+		}
 		run.ses.FinishRun()
 		return false, nil
 	case TProbe:
