@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify bench bench-smoke bench-check bench-e2e serve-smoke chaos churn multisoak conform fuzz-smoke
+.PHONY: build test vet race verify bench bench-smoke bench-check bench-e2e serve-smoke chaos chaos-smoke churn multisoak conform fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -95,6 +95,8 @@ vet:
 	! grep -rn 'func (in \*Interp) eval(' --include='*.go' internal/pits
 # A deadlock is decided once, by counting, in exec.Lifecycle: no stall timer, no knob for it, and no progress counter on the hot path to feed one.
 	! grep -rnE 'stallWatch|StallTimeout|stallTimeout|progress\.Add|quiescent' --include='*.go' internal/exec internal/wire | grep -v _test.go
+# A run's log is paid once per cached schedule: the lifecycle takes the run's log from the schedule's spares and makes none of its own.
+	! grep -n 'make(\[\]trace.Event' internal/exec/lifecycle.go
 # A worker blocks in one place, on its mailbox's wake-up channel: no pause sentinel, and no select on the barrier, the next era or the run's end in internal/exec.
 	! grep -rnE 'errPaused|case <-w\.(er\.pause|er\.resume|ctrl\.done|ctrl\.finish)' --include='*.go' internal/exec | grep -v _test.go
 	test "$$(grep -c '<-' internal/exec/worker.go)" = 1
@@ -132,7 +134,8 @@ bench:
 
 # One-iteration pass over the scheduler scaling benchmarks, MH on a
 # machine it has not seen (ring:32, ring:128, hypercube:7), the request
-# floor (decode + open + fingerprint of the harness body), the task floor
+# floor (decode + open + fingerprint of the harness body), one request
+# of the run-wide and predict-hit workloads through serve's handler, the task floor
 # (one task's environment, interpretation and two trace events) and the
 # runners — virtual time (with the harness's run-wide shape), wall clock,
 # distributed, and through a fleet (the harness's run-fleet shape, with
@@ -141,7 +144,7 @@ bench:
 # statistically meaningful benchmark run. -short keeps the 32k/100k
 # graphs out of the smoke pass.
 bench-smoke:
-	$(GO) test -run=NONE -bench='RequestFloor|TaskFloor|SchedulerScaling|MHCold' -benchtime=1x -benchmem -short .
+	$(GO) test -run=NONE -bench='RequestFloor|TaskFloor|SchedulerScaling|MHCold|ServeRequest' -benchtime=1x -benchmem -short .
 	$(GO) test -run=NONE -bench='RunnerVirtual|RunnerWall|RunnerTCP|FleetRun' -benchtime=1x -benchmem .
 
 # The request-path harness's own tests, including its smoke suite (all
@@ -195,9 +198,17 @@ multisoak:
 # failed; and a lost cross-worker message is the in-process deadlock
 # report within 100 ms, while a member 2 s deep in one routine is never
 # taken for deadlocked.
+# chaos-smoke is the same selection at CI's lower counts.
+CHAOS_EXEC = Fault|Crash|Random|Deadlock|PartialSession|Duplicate|WallClockSummary
+CHAOS_WIRE = DropsDeadWorker|MemberKilled|RestartedDaemon|ParkedLinksEnd|ReuseMeshLinks|ParkedMeshLink|NoParkedMeshLink|ShareAMeshLink|ShareALog|KeepsCause|LostMessageIsReportedAsDeadlock|SlowMemberIsNotDeadlocked
+
 chaos:
-	$(GO) test -race -count=50 -run 'Fault|Crash|Random|Deadlock|PartialSession|Duplicate|WallClockSummary' ./internal/exec/
-	$(GO) test -race -count=10 -run 'DropsDeadWorker|MemberKilled|RestartedDaemon|ParkedLinksEnd|ReuseMeshLinks|ParkedMeshLink|NoParkedMeshLink|ShareAMeshLink|ShareALog|KeepsCause|LostMessageIsReportedAsDeadlock|SlowMemberIsNotDeadlocked' ./internal/wire/
+	$(GO) test -race -count=50 -run '$(CHAOS_EXEC)' ./internal/exec/
+	$(GO) test -race -count=10 -run '$(CHAOS_WIRE)' ./internal/wire/
+
+chaos-smoke:
+	$(GO) test -race -count=5 -run '$(CHAOS_EXEC)' ./internal/exec/
+	$(GO) test -race -count=3 -run '$(CHAOS_WIRE)' ./internal/wire/
 
 # Differential conformance sweep: 25 deterministic seeds, each run
 # through the analytic simulator, the virtual-time runner, and both

@@ -465,7 +465,8 @@ func (c *controller) installPlan(p *ResumePlan, ep *eraPlan) {
 	}
 	for pe, w := range c.workers {
 		if w != nil && !w.dead && !p.Dead[pe] {
-			w.assign(ep, p.Epoch)
+			pp := &ep.pes[pe]
+			w.assign(ep, p.Epoch, make([]arrival, len(pp.in)), make([]pits.Value, pp.vars))
 		}
 	}
 	c.applyAdoptions(p.Adopt)

@@ -20,7 +20,7 @@ import (
 // send and output binds, each
 // processor the number of trace events it will log. A compiled era is
 // read-only, so every run of a cached schedule shares one era 0; only
-// its spare logs change hands (see Session.Release).
+// the spare logs and arrays parked beside it change hands (see spares).
 
 // msgKey identifies a scheduled message: producer task, consumer task,
 // variable. On the in-process message path it is read back from the
@@ -131,25 +131,75 @@ type peProg struct {
 type eraPlan struct {
 	flat *graph.Flat
 	pes  []peProg
-
-	mu    sync.Mutex
-	spare [][]trace.Event // released session logs: no more than ever ran at once
 }
 
-// takeLog returns the event log of a session of this era that logs n
-// events: a released one with the room, resliced so that its capacity
-// is n (controller.eventLog keeps a log only when its workers filled it
-// exactly), or a new one.
-func (p *eraPlan) takeLog(n int) []trace.Event {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i, log := range p.spare {
-		if cap(log) >= n {
-			p.spare = slices.Delete(p.spare, i, i+1)
-			return log[:n:n]
-		}
+// spares is what a schedule keeps for its next runs, parked on it (never
+// in this package: a table here would pin every schedule a server ever
+// ran): its era 0, compiled once a session needs it, and the runs' logs
+// and era-0 arrays handed back (see Session.Release and Result.Release),
+// no more of them than ever ran at once. A fleet's coordinator takes and
+// gives back its logs here too, without compiling the era.
+type spares struct {
+	mu   sync.Mutex
+	era  *eraPlan
+	runs []spareRun
+}
+
+// spareRun is one run's log and, when a session hosted its processors,
+// the slabs its workers carved their era-0 arrivals and variables from.
+type spareRun struct {
+	log     []trace.Event
+	arrived []arrival
+	vars    []pits.Value
+}
+
+// sparesOf returns the schedule's spares, parking them on first use.
+func sparesOf(s *sched.Schedule) *spares {
+	if sp, _ := s.Derived().(*spares); sp != nil {
+		return sp
 	}
-	return make([]trace.Event, n)
+	s.SetDerived(&spares{})
+	return s.Derived().(*spares)
+}
+
+// take returns a run whose log holds n events, resliced so that its
+// capacity is n (controller.eventLog keeps a log only when its workers
+// filled it exactly): a released one with the room, else any released
+// one with a new log in place of its short one, else a new one. So the
+// list never holds more runs than ran at once.
+func (sp *spares) take(n int) spareRun {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	var r spareRun
+	i := slices.IndexFunc(sp.runs, func(r spareRun) bool { return cap(r.log) >= n })
+	if i < 0 {
+		i = len(sp.runs) - 1
+	}
+	if i >= 0 {
+		r = sp.runs[i]
+		sp.runs = slices.Delete(sp.runs, i, i+1)
+	}
+	if cap(r.log) < n {
+		r.log = make([]trace.Event, n)
+	}
+	return spareRun{r.log[:n:n], r.arrived, r.vars}
+}
+
+func (sp *spares) put(r spareRun) {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	sp.runs = append(sp.runs, r)
+}
+
+// zeroed returns n zeroed elements of slab, or n new ones when it is
+// too short.
+func zeroed[T any](slab []T, n int) []T {
+	if cap(slab) < n {
+		return make([]T, n)
+	}
+	slab = slab[:n]
+	clear(slab)
+	return slab
 }
 
 // key names the message a send plan delivers.
@@ -235,20 +285,22 @@ func compileEra(s *sched.Schedule, flat *graph.Flat, slots [][]sched.Slot, msgs 
 }
 
 // era0 returns the schedule's own era. It is compiled at the schedule's
-// first run and parked on the schedule (never in this package: a table
-// here would pin every schedule a server ever ran), so later runs of a
-// cached schedule share it and it is freed with its cache entry.
+// first run and parked with its spares, so later runs of a cached
+// schedule share it and it is freed with its cache entry.
 func era0(s *sched.Schedule, flat *graph.Flat) (*eraPlan, error) {
-	if p, _ := s.Derived().(*eraPlan); p != nil && p.flat == flat {
-		return p, nil
+	sp := sparesOf(s)
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	if sp.era != nil && sp.era.flat == flat {
+		return sp.era, nil
 	}
 	slots := make([][]sched.Slot, s.Machine.NumPE())
 	for pe := range slots {
 		slots[pe] = s.PESlots(pe)
 	}
 	p, err := compileEra(s, flat, slots, s.Msgs, nil)
-	if err == nil {
-		s.SetDerived(p)
+	if err == nil && sp.era == nil {
+		sp.era = p
 	}
 	return p, err
 }

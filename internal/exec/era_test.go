@@ -233,16 +233,17 @@ func TestConcurrentRunsShareOneEra(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	era, _ := s.Derived().(*eraPlan)
-	if era == nil || era.flat != flat {
-		t.Fatalf("the schedule holds %T after its runs, want its compiled era", s.Derived())
+	sp, _ := s.Derived().(*spares)
+	if sp == nil || sp.era == nil || sp.era.flat != flat {
+		t.Fatalf("the schedule holds %T after its runs, want its spares with the compiled era", s.Derived())
 	}
+	era := sp.era
 	for i := 1; i < runs; i++ {
 		if got[i] != got[0] {
 			t.Errorf("run %d differs from run 0:\n%s\nvs\n%s", i, got[i], got[0])
 		}
-		if found[i] != any(era) {
-			t.Errorf("run %d found era %p on the schedule, want %p", i, found[i], era)
+		if found[i] != any(sp) {
+			t.Errorf("run %d found %p on the schedule, want %p", i, found[i], sp)
 		}
 	}
 	if again, err := era0(s, flat); err != nil || again != era {
@@ -304,11 +305,12 @@ func TestEraIsCompiledAgainstItsDesign(t *testing.T) {
 	}
 }
 
-// TestReleasedSessionLogIsReused: a session's event log, released once
-// its partial is read, is the next session's log — the same array, not
-// a new one — and that session's partial is what the fresh session's
-// was. A released log too short for a session stays for one it fits,
-// and a second Release hands nothing back twice.
+// TestReleasedSessionLogIsReused: a session's event log and era-0
+// slabs, released once its partial is read, are the next session's —
+// the same arrays, not new ones — and that session's partial is what
+// the fresh session's was. A released log too short for a session is
+// replaced, not kept beside the new one, and a second Release hands
+// nothing back twice.
 func TestReleasedSessionLogIsReused(t *testing.T) {
 	flat, inputs := layeredCalc(t, 5, 4)
 	s, err := sched.MH{}.Schedule(flat.Graph, testMachine(t, "hypercube:3", params()))
@@ -332,38 +334,133 @@ func TestReleasedSessionLogIsReused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if unsafe.SliceData(p.Events) != unsafe.SliceData(ses.log) {
+		if unsafe.SliceData(p.Events) != unsafe.SliceData(ses.run.log) {
 			t.Fatal("the partial's events are not the session's log")
 		}
 		tr := &trace.Trace{Events: append([]trace.Event(nil), p.Events...)}
 		tr.Sort()
 		return ses, tr.Events
 	}
-	era, err := era0(s, flat)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sp := sparesOf(s)
 	short := make([]trace.Event, 1)
-	era.spare = append(era.spare, short)
+	sp.runs = append(sp.runs, spareRun{log: short})
 
 	first, want := run()
-	log := unsafe.SliceData(first.log)
+	log, vars := unsafe.SliceData(first.run.log), unsafe.SliceData(first.run.vars)
 	if log == unsafe.SliceData(short) {
 		t.Fatal("a session took a released log too short for it")
 	}
 	first.Release()
 	first.Release()
-	if len(era.spare) != 2 {
-		t.Fatalf("%d spare logs after releasing one session twice, want 2", len(era.spare))
+	if len(sp.runs) != 1 || unsafe.SliceData(sp.runs[0].log) != log {
+		t.Fatalf("%d spare logs after releasing one session twice, want its log alone", len(sp.runs))
 	}
 	second, got := run()
-	if unsafe.SliceData(second.log) != log {
-		t.Error("the next session allocated a log instead of taking the released one")
+	if unsafe.SliceData(second.run.log) != log || unsafe.SliceData(second.run.vars) != vars {
+		t.Error("the next session allocated a log or slab instead of taking the released one")
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Error("a session on a released log logged differently from a fresh one")
 	}
-	if len(era.spare) != 1 || unsafe.SliceData(era.spare[0]) != unsafe.SliceData(short) {
-		t.Errorf("spare logs %d, want only the short one left", len(era.spare))
+	if len(sp.runs) != 0 {
+		t.Errorf("%d spare logs while the only released one is in use, want none", len(sp.runs))
+	}
+}
+
+// TestReleasedRunsAfterCrashAbortOrCancel: a run that recovered from a
+// crash logs beyond its session's log, into one from the schedule's
+// spares, and releases that; a run that deadlocks on a dropped message
+// or is cancelled returns no result to release. After each, the next
+// fault-free run of the schedule, on what the spares hold, is the
+// reference run of a schedule that never saw them. However many runs go
+// by, the spares never hold more runs than ran at once.
+func TestReleasedRunsAfterCrashAbortOrCancel(t *testing.T) {
+	flat, inputs := layeredCalc(t, 5, 4)
+	fresh := func() *sched.Schedule {
+		s, err := sched.MH{}.Schedule(flat.Graph, testMachine(t, "hypercube:3", params()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	want := traceOf(t, fresh(), flat, inputs, nil)
+	s := fresh()
+	sp := sparesOf(s)
+	run := func(ctx context.Context, faults *FaultPlan) (*Result, error) {
+		return (&Runner{Inputs: inputs, VirtualTime: true, Faults: faults}).RunContext(ctx, s, flat)
+	}
+	again := func(after string) {
+		t.Helper()
+		res, err := run(context.Background(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Trace.String() + fmt.Sprint(res.Outputs); got != want {
+			t.Errorf("after %s, a fault-free run differs from the reference:\n%s\nvs\n%s", after, got, want)
+		}
+		res.Release()
+		if n := len(sp.runs); n > 1 {
+			t.Errorf("after %s, the spares hold %d runs of one run at a time", after, n)
+		}
+	}
+
+	crash, err := ParseFaults("crash:2@1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := run(context.Background(), crash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(res.Trace.String(), "rescheduled") {
+		t.Fatal("the crash run recovered nothing")
+	}
+	res.Release()
+	res.Release()
+	if len(sp.runs) != 1 || res.Trace.Events != nil {
+		t.Fatalf("a released crash run left %d spare runs and %d events, want 1 and none", len(sp.runs), len(res.Trace.Events))
+	}
+	again("a released crash-recovery run")
+
+	var drop *FaultPlan
+	for _, m := range s.Msgs {
+		if m.FromPE != m.ToPE {
+			drop = &FaultPlan{Faults: []Fault{{Kind: FaultDrop, From: m.From, To: m.To, Var: m.Var, Count: 1}}}
+			break
+		}
+	}
+	if res, err := run(context.Background(), drop); err == nil || !strings.Contains(err.Error(), "deadlocked") || res != nil {
+		t.Fatalf("a run that lost a message returned %v, %v; want no result and the deadlock", res, err)
+	}
+	again("an aborted run")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if res, err := run(ctx, nil); err == nil || res != nil {
+		t.Fatalf("a cancelled run returned %v, %v; want no result and the cancellation", res, err)
+	}
+	again("a cancelled run")
+
+	const concurrent = 4
+	var wg sync.WaitGroup
+	for i := 0; i < concurrent; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if res, err := run(context.Background(), nil); err == nil {
+				res.Release()
+			}
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < 3; i++ {
+		res, err := run(context.Background(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Release()
+		if n := len(sp.runs); n < 1 || n > concurrent {
+			t.Errorf("after %d runs at once and %d alone, the spares hold %d runs, want 1 to %d", concurrent, i+1, n, concurrent)
+		}
 	}
 }

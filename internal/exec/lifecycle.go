@@ -642,21 +642,24 @@ func (l *Lifecycle) checkResults() error {
 	if err != nil {
 		return err
 	}
-	// The trace is a run's largest allocation, so it is made once: a lone
-	// session's log, as Wait handed it over, is taken over when it has
-	// room for the lifecycle's events; otherwise the run's log is made at
-	// its size, with room for the connect and the byte count per member
-	// that a fleet's driver logs after Done, and each partial's events,
-	// encoded ones too, land in it directly.
+	// The trace is a run's largest allocation, so it is made once per
+	// cached schedule: a lone session's log, as Wait handed it over, is
+	// taken over when it has room for the lifecycle's events; otherwise
+	// the run's log is taken from the schedule's spares at its size, with
+	// room for the connect and the byte count per member that a fleet's
+	// driver logs after Done, and each partial's events, encoded ones too,
+	// land in it directly. Result.Release hands it back.
 	n := len(l.extra)
 	for _, p := range parts {
 		n += len(p.Events) + p.NumEvents
 	}
 	tr := &trace.Trace{Label: "run:" + l.s.Algorithm}
+	res := &Result{Outputs: outputs, Printed: printed, Trace: tr, spares: sparesOf(l.s)}
 	if len(parts) == 1 && parts[0].AppendEvents == nil && cap(parts[0].Events) >= n {
 		tr.Events = parts[0].Events
 	} else {
-		tr.Events = make([]trace.Event, 0, n+2*len(l.members))
+		res.run = res.spares.take(n + 2*len(l.members))
+		tr.Events = res.run.log[:0]
 		for _, p := range parts {
 			if tr.Events = append(tr.Events, p.Events...); p.AppendEvents != nil {
 				if tr.Events, err = p.AppendEvents(tr.Events); err != nil {
@@ -675,6 +678,6 @@ func (l *Lifecycle) checkResults() error {
 			l.emit(Bye{m.w})
 		}
 	}
-	l.emit(Done{&Result{Outputs: outputs, Printed: printed, Trace: tr}})
+	l.emit(Done{res})
 	return nil
 }

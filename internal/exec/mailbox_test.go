@@ -140,6 +140,46 @@ func TestMailboxNoLostWakeup(t *testing.T) {
 	}
 }
 
+// TestPutWakesOnlyAWaitingOwner: a put leaves a wake-up token only for
+// an owner whose take found the queue empty, and counts it busy again;
+// a put to an owner that is stepping leaves the message for its next
+// take and no token; a rouse leaves one whatever the owner is doing.
+func TestPutWakesOnlyAWaitingOwner(t *testing.T) {
+	var busy atomic.Int64
+	busy.Store(1)
+	b := newMailbox(&busy)
+	token := func() bool {
+		select {
+		case <-b.ready:
+			return true
+		default:
+			return false
+		}
+	}
+	b.put(xmsg{seq: 1})
+	if token() {
+		t.Error("a put to a stepping owner left a token")
+	}
+	if m, ok, _ := b.take(); !ok || m.seq != 1 {
+		t.Fatalf("take got %+v, %v; want the put's message", m, ok)
+	}
+	if _, ok, last := b.take(); ok || !last || busy.Load() != 0 {
+		t.Fatalf("the empty take: ok %v, last %v, busy %d; want the owner waiting and the count at 0", ok, last, busy.Load())
+	}
+	b.put(xmsg{seq: 2})
+	if !token() || busy.Load() != 1 {
+		t.Errorf("a put to a waiting owner: token missing or busy %d, want 1", busy.Load())
+	}
+	b.put(xmsg{seq: 3})
+	if token() {
+		t.Error("a second put, the owner already woken, left a token")
+	}
+	b.rouse()
+	if !token() || busy.Load() != 1 {
+		t.Errorf("a rouse of a stepping owner: token missing or busy %d, want 1", busy.Load())
+	}
+}
+
 // testPlane is a RemotePlane that swallows remote deliveries and turns
 // the session's reports into channel events a test can wait on: every
 // report and probe answer on quiet (dropped once 16 wait unread), and
@@ -175,6 +215,22 @@ func waitEvent[T any](t *testing.T, ch <-chan T, what string) T {
 	case <-time.After(10 * time.Second):
 		t.Fatalf("timed out waiting for %s", what)
 		panic("unreachable")
+	}
+}
+
+// waitQueued waits for a copy in a mailbox whose owner takes nothing.
+func waitQueued(t *testing.T, b *mailbox, what string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		b.mu.Lock()
+		n := len(b.q) - b.head
+		b.mu.Unlock()
+		if n > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
 	}
 }
 
@@ -251,10 +307,10 @@ func TestDeadMailboxAbsorbsRetransmissions(t *testing.T) {
 	if pe := waitEvent(t, pl.crash, "the injected crash"); pe != 1 {
 		t.Fatalf("PE %d crashed, want PE 1", pe)
 	}
-	// The crashed worker's goroutine is gone, so this test is the only
-	// reader of its wake-up token.
+	// The crashed worker's goroutine is gone, and with it the waiting
+	// owner a put would leave a token for: the copy shows in the queue.
 	dead := ses.ctrl.workers[1].inbox
-	waitEvent(t, dead.ready, "a->b:u in the dead PE's mailbox")
+	waitQueued(t, dead, "a->b:u in the dead PE's mailbox")
 
 	st, err := ses.Pause(false)
 	if err != nil {
@@ -567,10 +623,9 @@ func TestRevivedProcessorIsRemote(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitEvent(t, pl.crash, "the injected crash")
-	// The crashed worker's goroutine is gone, so this test is the only
-	// reader of its wake-up token: once it shows, a has run on PE 0.
+	// Once a->b:u shows in the dead worker's queue, a has run on PE 0.
 	dead := ses.ctrl.workers[1].inbox
-	waitEvent(t, dead.ready, "a->b:u in the dead PE's mailbox")
+	waitQueued(t, dead, "a->b:u in the dead PE's mailbox")
 	st, err := ses.Pause(false)
 	if err != nil {
 		t.Fatal(err)

@@ -49,14 +49,18 @@ func checksum(v pits.Value) uint64 {
 // mailbox is one hosted processor's inbox: an unbounded FIFO, so a put
 // never blocks whatever retries, duplicates and recoveries pile into it.
 // ready holds at most one wake-up token, and the owner's one wait is on
-// it; a put or a rouse leaves one, and a stale token costs the owner one
-// look at its inbox and the run's state.
+// it; a rouse always leaves one, a put only when the owner is waiting
+// for it, and a stale token costs the owner one look at its inbox and
+// the run's state.
 //
 // waiting is the owner's blocked flag: set by the take that finds the
 // queue empty (the owner is about to block on ready), cleared by the put
 // or rouse that will wake it. It moves only under mu, and the session's busy
 // count (see controller.busy) moves with it, so the count never shows a
-// processor blocked that has a message to read.
+// processor blocked that has a message to read. An owner that is not
+// waiting takes a put's message without a token: it is stepping, and
+// its next take finds it, or it waits only for a rouse (finished or at
+// the barrier).
 type mailbox struct {
 	mu      sync.Mutex
 	q       []xmsg
@@ -76,21 +80,24 @@ func (b *mailbox) put(m xmsg) { b.wake(&m) }
 // the run's end, not a put, ends its wait.
 func (b *mailbox) rouse() { b.wake(nil) }
 
-// wake queues m, if there is one, counts a waiting owner busy again and
-// leaves it a wake-up token.
+// wake queues m, if there is one, and counts a waiting owner busy
+// again. It leaves a wake-up token for a waiting owner, and for a rouse.
 func (b *mailbox) wake(m *xmsg) {
 	b.mu.Lock()
 	if m != nil {
 		b.q = append(b.q, *m)
 	}
+	token := m == nil || b.waiting
 	if b.waiting {
 		b.waiting = false
 		b.busy.Add(1)
 	}
 	b.mu.Unlock()
-	select {
-	case b.ready <- struct{}{}:
-	default:
+	if token {
+		select {
+		case b.ready <- struct{}{}:
+		default:
+		}
 	}
 }
 

@@ -81,6 +81,21 @@ type Result struct {
 	Trace *trace.Trace
 	// Elapsed is the wall-clock duration of the whole run.
 	Elapsed time.Duration
+
+	spares *spares  // the schedule's, where Release hands the run back
+	run    spareRun // what goes back beside the log: an in-process run's era-0 slabs
+}
+
+// Release hands the run's log, Trace's events, back to the schedule for
+// its next run, and for an in-process run its processors' era-0 arrays
+// too. Call it once the result is read for the last time: Trace is left
+// empty. A second call does nothing.
+func (r *Result) Release() {
+	if r.spares != nil {
+		r.run.log, r.Trace.Events = r.Trace.Events, nil
+		r.spares.put(r.run)
+		r.spares = nil
+	}
 }
 
 // Run executes the schedule against flat, the flattened design the
@@ -169,6 +184,7 @@ func (r *Runner) RunContext(ctx context.Context, s *sched.Schedule, flat *graph.
 			case Done:
 				e.Result.Elapsed = ses.Elapsed()
 				e.Result.Trace.Sort()
+				e.Result.run.arrived, e.Result.run.vars = ses.run.arrived, ses.run.vars
 				return e.Result, nil
 			}
 		}

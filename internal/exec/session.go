@@ -11,7 +11,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/pits"
 	"repro/internal/sched"
-	"repro/internal/trace"
 )
 
 // Session is one member's share of a running schedule: the worker
@@ -26,8 +25,8 @@ type Session struct {
 	s         *sched.Schedule
 	flat      *graph.Flat
 	ctrl      *controller
-	era0      *eraPlan
-	log       []trace.Event // the workers' event logs, one stretch each (see controller.eventLog)
+	spares    *spares
+	run       spareRun // from spares: the workers' logs, a stretch each (see controller.eventLog), and era-0 slabs
 	start     time.Time
 	wg        sync.WaitGroup
 	coordDone chan struct{}
@@ -130,33 +129,39 @@ func (r *Runner) buildSession(s *sched.Schedule, flat *graph.Flat, hosted []bool
 	ctrl.era.Store(&era{})
 
 	// The hosted workers log into consecutive stretches of one array, each
-	// as long as a fault-free pass over its share of the era logs.
-	logged := 0
+	// as long as a fault-free pass over its share of the era logs, and
+	// keep era 0's arrivals and variables in stretches of two more. All
+	// three come from the schedule's spares, the slabs zeroed.
+	logged, ins, nvars := 0, 0, 0
 	for pe := range plan.pes {
-		if ctrl.isLocal(pe) {
-			logged += plan.pes[pe].events
+		if pp := &plan.pes[pe]; ctrl.isLocal(pe) {
+			logged, ins, nvars = logged+pp.events, ins+len(pp.in), nvars+pp.vars
 		}
 	}
-	log, off := plan.takeLog(logged), 0
+	sp := sparesOf(s)
+	run := sp.take(logged)
+	run.arrived, run.vars = zeroed(run.arrived, ins), zeroed(run.vars, nvars)
+	log, arrived, vars := run.log, run.arrived, run.vars
 	workers := make([]*worker, numPE)
 	for pe := 0; pe < numPE; pe++ {
 		if !ctrl.isLocal(pe) {
 			continue
 		}
+		pp := &plan.pes[pe]
 		workers[pe] = &worker{
 			pe: pe, runner: r, sched: s, ctrl: ctrl,
 			inbox: newMailbox(&ctrl.busy), interp: pits.Interp{MaxSteps: r.MaxSteps},
 			outputs: pits.Env{}, exports: map[string]graph.NodeID{},
-			local:  make(map[graph.NodeID][]pits.Value, len(plan.pes[pe].slots)),
-			events: log[off : off : off+plan.pes[pe].events],
+			local:  make(map[graph.NodeID][]pits.Value, len(pp.slots)),
+			events: log[:0:pp.events],
 		}
-		off += plan.pes[pe].events
-		workers[pe].assign(plan, 0)
+		workers[pe].assign(plan, 0, arrived[:len(pp.in):len(pp.in)], vars[:pp.vars:pp.vars])
+		log, arrived, vars = log[pp.events:], arrived[len(pp.in):], vars[pp.vars:]
 	}
 	ctrl.workers = workers
 
 	ses := &Session{
-		runner: r, s: s, flat: flat, ctrl: ctrl, era0: plan, log: log,
+		runner: r, s: s, flat: flat, ctrl: ctrl, spares: sp, run: run,
 		start: start, coordDone: make(chan struct{}),
 	}
 	return ses, nil
@@ -281,15 +286,15 @@ func (ses *Session) FinishRun() { ses.ctrl.complete() }
 // Abort fails the session with the given root cause.
 func (ses *Session) Abort(err error) { ses.ctrl.fail(err) }
 
-// Release hands the session's event log back to the schedule's era, for
-// the next session of it in this process to log into. Call it after Wait,
+// Release hands the session's event log and era-0 slabs back to the
+// schedule, for its next session in this process. Call it after Wait,
 // once its partial is read for the last time: the partial's events may
-// be that log. A run whose log becomes its Result.Trace never calls it.
+// be that log. A second call does nothing. An in-process run never calls
+// it: the session's slabs go with its Result, which releases them.
 func (ses *Session) Release() {
-	ses.era0.mu.Lock()
-	defer ses.era0.mu.Unlock()
-	if ses.log != nil {
-		ses.era0.spare, ses.log = append(ses.era0.spare, ses.log), nil
+	if ses.spares != nil {
+		ses.spares.put(ses.run)
+		ses.spares = nil
 	}
 }
 
@@ -331,7 +336,7 @@ func (ses *Session) Wait() (*Partial, error) {
 		return nil, errors.Join(cascades...)
 	}
 
-	p := &Partial{Outputs: pits.Env{}, Exports: map[string]graph.NodeID{}, Events: ses.ctrl.eventLog(ses.log),
+	p := &Partial{Outputs: pits.Env{}, Exports: map[string]graph.NodeID{}, Events: ses.ctrl.eventLog(ses.run.log),
 		RemoteSends: ses.ctrl.sends, RemoteFlushes: ses.ctrl.lateFlushes}
 	for _, w := range ses.ctrl.workers {
 		if w != nil {

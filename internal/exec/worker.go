@@ -77,15 +77,14 @@ const (
 	consumed
 )
 
-// assign installs the worker's share of a compiled era. The stash and
-// the duplicate tracking of the era before belong to that era and go;
-// the event log grows, once, by what the new era will add (for era 0
-// the room is already there: the worker's stretch of the session's log).
-func (w *worker) assign(p *eraPlan, epoch int64) {
+// assign installs the worker's share of a compiled era, with its zeroed
+// arrivals and variables. The stash and the duplicate tracking of the
+// era before belong to that era and go; the event log grows, once, by
+// what the new era will add (for era 0 the room is already there: the
+// worker's stretch of the session's log).
+func (w *worker) assign(p *eraPlan, epoch int64, arrived []arrival, vars []pits.Value) {
 	w.plan, w.prog, w.cursor, w.gathered, w.dataReady, w.epoch = p, &p.pes[w.pe], 0, 0, 0, epoch
-	w.resends = w.prog.resends
-	w.arrived = make([]arrival, len(w.prog.in))
-	w.vars = make([]pits.Value, w.prog.vars)
+	w.resends, w.arrived, w.vars = w.prog.resends, arrived, vars
 	w.events = slices.Grow(w.events, w.prog.events)
 }
 

@@ -452,6 +452,62 @@ func TestServeTraceStream(t *testing.T) {
 	}
 }
 
+// TestServeConcurrentRunsReleaseTheirLogs: waves of concurrent
+// run-mode requests of one cached design, plain and streaming the
+// trace, each releasing its run's log to the schedule for the next run
+// once written. Every reply and every stream is the solo request's
+// byte for byte but for the wall-clock elapsed_us; a log handed back
+// while still being written, or to two runs at once, shows as a
+// different stream or, under the race detector, as a data race.
+func TestServeConcurrentRunsReleaseTheirLogs(t *testing.T) {
+	ts := httptest.NewServer(New(Options{DefaultAlg: "etf", Virtual: true, MaxConcurrent: 4, TenantCap: -1}).Handler())
+	defer ts.Close()
+	body, _ := json.Marshal(testProject(t, 10, 1, 3))
+	elapsed := regexp.MustCompile(`"elapsed_us":\d+`)
+	post := func(query string) (string, error) {
+		resp, err := http.Post(ts.URL+"/run"+query, "application/json", bytes.NewReader(body))
+		if err != nil {
+			return "", err
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err == nil && resp.StatusCode != http.StatusOK {
+			err = fmt.Errorf("status %d: %s", resp.StatusCode, b)
+		}
+		return elapsed.ReplaceAllString(string(b), `"elapsed_us":0`), err
+	}
+	queries := []string{"", "?trace=1"}
+	solo := map[string]string{}
+	for _, q := range append(queries, queries...) { // the first pair fills the cache
+		reply, err := post(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo[q] = reply
+	}
+	if !strings.Contains(solo["?trace=1"], `"kind":"task-start"`) {
+		t.Fatalf("the solo stream holds no task start:\n%s", solo["?trace=1"])
+	}
+	const waves, perWave = 4, 8
+	for w := 0; w < waves; w++ {
+		errs := make(chan error, perWave)
+		for i := 0; i < perWave; i++ {
+			go func(q string) {
+				reply, err := post(q)
+				if err == nil && reply != solo[q] {
+					err = fmt.Errorf("reply to %q differs from the solo one:\n%s\nvs\n%s", q, reply, solo[q])
+				}
+				errs <- err
+			}(queries[i%2])
+		}
+		for i := 0; i < perWave; i++ {
+			if err := <-errs; err != nil {
+				t.Errorf("wave %d: %v", w, err)
+			}
+		}
+	}
+}
+
 // TestServeInconsistentTraceIsAFailure: a run whose trace does not pair
 // up into spans answers 500 and counts as failed — it used to answer
 // 200 with "tasks":0.

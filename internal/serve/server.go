@@ -323,6 +323,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	s.writeRun(w, RunResponse{Name: name, Algorithm: alg, Cache: verdict},
 		res, entry.sc.Machine.NumPE(), r.URL.Query().Get("trace") != "")
+	// Written, or refused: either way the log goes back to the schedule
+	// for its next run.
+	res.Release()
 }
 
 // maxBody bounds a request body.
@@ -363,8 +366,9 @@ func decodeBody(w http.ResponseWriter, r *http.Request) (*project.Project, error
 }
 
 // writeRun answers a finished run: resp filled in from res, preceded
-// in trace mode by the event stream. A trace that does not pair up into
-// spans is a failed run, not a reply counting zero tasks.
+// in trace mode by the event stream, in the order Summarize left it
+// sorted in. A trace that does not pair up into spans is a failed run,
+// not a reply counting zero tasks.
 func (s *Server) writeRun(w http.ResponseWriter, resp RunResponse, res *exec.Result, numPE int, stream bool) {
 	st, err := res.Trace.Summarize(numPE)
 	if err != nil {
@@ -385,7 +389,6 @@ func (s *Server) writeRun(w http.ResponseWriter, resp RunResponse, res *exec.Res
 	// event, then the result document.
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
-	res.Trace.Sort()
 	for _, ev := range res.Trace.Events {
 		enc.Encode(traceEvent{Kind: ev.Kind.String(), At: int64(ev.At),
 			Task: string(ev.Task), PE: ev.PE, Var: ev.Var, Peer: ev.Peer, Note: ev.Note})

@@ -46,8 +46,8 @@ func holding(t reflect.Type, path string, types []reflect.Type, seen map[reflect
 	return ""
 }
 
-// spareLogs lists the data pointers of the logs the era of the one
-// schedule daemon d holds keeps for its next sessions.
+// spareLogs lists the data pointers of the logs the one schedule daemon
+// d holds keeps for its next sessions.
 func spareLogs(t *testing.T, d *workerDaemon) []uintptr {
 	t.Helper()
 	held := heldBy(d)
@@ -56,9 +56,9 @@ func spareLogs(t *testing.T, d *workerDaemon) []uintptr {
 	}
 	var ptrs []uintptr
 	for _, h := range held {
-		spare := reflect.ValueOf(h.s.Derived()).Elem().FieldByName("spare")
-		for i := 0; i < spare.Len(); i++ {
-			ptrs = append(ptrs, spare.Index(i).Pointer())
+		runs := reflect.ValueOf(h.s.Derived()).Elem().FieldByName("runs")
+		for i := 0; i < runs.Len(); i++ {
+			ptrs = append(ptrs, runs.Index(i).FieldByName("log").Pointer())
 		}
 	}
 	return ptrs
@@ -67,7 +67,7 @@ func spareLogs(t *testing.T, d *workerDaemon) []uintptr {
 // TestDaemonKeepsNoReleasedPartial: a hosted run's state has no place
 // for a partial — the session's outcome reaches the run loop encoded —
 // and the daemon releases the session's log as soon as it is encoded:
-// after each run, each daemon's era of the schedule keeps one spare log,
+// after each run, each daemon's copy of the schedule keeps one spare log,
 // the same array every time, which the next run took and gave back.
 func TestDaemonKeepsNoReleasedPartial(t *testing.T) {
 	types := []reflect.Type{reflect.TypeOf((*exec.Partial)(nil)), reflect.TypeOf([]trace.Event(nil))}
@@ -98,11 +98,14 @@ func TestDaemonKeepsNoReleasedPartial(t *testing.T) {
 
 // TestConcurrentRunsNeverShareALog: waves of concurrent runs of one
 // schedule on one daemon pair, so that each daemon hosts several sessions
-// of it at once, each on a released log or a new one: every run's
+// of it at once, each on a released log or a new one, and the
+// coordinator merges several runs at once, each into a log its schedule
+// got back from a released result or a new one: every run's
 // virtual-time events are the solo run's. Runs of one schedule log the
-// same events at the same places, so two sessions sharing a log would
-// not show here in the events: they show as a data race, and `make
-// chaos` runs this under the race detector.
+// same events at the same places, so two runs sharing a log would not
+// show here in the events: they show as a data race, and `make chaos`
+// runs this under the race detector. The coordinator keeps no more logs
+// than it merged at once, and compiles no era of the schedule.
 func TestConcurrentRunsNeverShareALog(t *testing.T) {
 	tr := Inproc()
 	startDaemons(t, tr, "w0", "w1")
@@ -114,14 +117,18 @@ func TestConcurrentRunsNeverShareALog(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := runEvents(solo)
+	solo.Release()
 	const waves, perWave = 5, 4
 	for w := 0; w < waves; w++ {
 		errs := make(chan error, perWave)
 		for i := 0; i < perWave; i++ {
 			go func() {
 				res, err := f.Run(ctx, runner, sc, flat)
-				if err == nil && !reflect.DeepEqual(runEvents(res), want) {
-					err = fmt.Errorf("a run logged events other than the solo run's")
+				if err == nil {
+					if !reflect.DeepEqual(runEvents(res), want) {
+						err = fmt.Errorf("a run logged events other than the solo run's")
+					}
+					res.Release()
 				}
 				errs <- err
 			}()
@@ -131,6 +138,13 @@ func TestConcurrentRunsNeverShareALog(t *testing.T) {
 				t.Errorf("wave %d: %v", w, err)
 			}
 		}
+	}
+	spares := reflect.ValueOf(sc.Derived()).Elem()
+	if n := spares.FieldByName("runs").Len(); n < 1 || n > perWave {
+		t.Errorf("the coordinator keeps %d logs after waves of %d runs, want 1 to %d", n, perWave, perWave)
+	}
+	if !spares.FieldByName("era").IsNil() {
+		t.Error("the coordinator compiled an era of the schedule it only merges logs of")
 	}
 }
 
