@@ -100,6 +100,8 @@ vet:
 # A worker blocks in one place, on its mailbox's wake-up channel: no pause sentinel, and no select on the barrier, the next era or the run's end in internal/exec.
 	! grep -rnE 'errPaused|case <-w\.(er\.pause|er\.resume|ctrl\.done|ctrl\.finish)' --include='*.go' internal/exec | grep -v _test.go
 	test "$$(grep -c '<-' internal/exec/worker.go)" = 1
+# A fact is reported once: internal/wire and cmd/banger log through log/slog's default logger, with no Logf knob or logf plumbing beside it.
+	! grep -rnE 'Logf|logf\(' --include='*.go' internal/wire cmd/banger | grep -v _test.go
 # Every fuzz target under internal/ runs in fuzz-smoke.
 	! for f in $$(grep -rhoE '^func Fuzz[A-Za-z0-9_]+' --include='*_test.go' internal | cut -c6-); do sed -n '/^fuzz-smoke:/,/^$$/p' Makefile | grep -q -- "-fuzz $$f " || echo "$$f is not in fuzz-smoke"; done | grep .
 

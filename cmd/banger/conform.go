@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"os/signal"
 	"syscall"
@@ -32,6 +33,10 @@ func cmdConform(args []string) error {
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
+	// The engines' fleets and daemons run in this process with faults
+	// injected on purpose; what they found is the report on stdout, so
+	// their slog records stay below the handler's threshold.
+	logLevel.Set(slog.LevelError + 1)
 
 	if *repro != "" {
 		rep, err := conform.Replay(ctx, *repro)

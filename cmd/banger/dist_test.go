@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"log"
+	"log/slog"
 	"os"
 	goexec "os/exec"
 	"reflect"
@@ -136,7 +138,6 @@ func TestDistProcessLU(t *testing.T) {
 		Runner:         &exec.Runner{Inputs: env.Project.Inputs},
 		HeartbeatEvery: 50 * time.Millisecond,
 		PeerTimeout:    3 * time.Second,
-		Logf:           t.Logf,
 	}
 	dist, err := co.Run(context.Background(), sc, env.Flat)
 	if err != nil {
@@ -221,7 +222,6 @@ func TestDistProcessKillWorker(t *testing.T) {
 		Runner:         &exec.Runner{Inputs: env.Project.Inputs, Faults: plan},
 		HeartbeatEvery: 50 * time.Millisecond,
 		PeerTimeout:    600 * time.Millisecond,
-		Logf:           t.Logf,
 	}
 	dist, err := co.Run(context.Background(), sc, env.Flat)
 	if err != nil {
@@ -428,16 +428,15 @@ func TestDistProcessChurn(t *testing.T) {
 	sort.Strings(addrs)
 	tookJoiner := make(chan struct{})
 	var once sync.Once
+	watchLog(t, func(r slog.Record) {
+		if r.Message == "fleet: worker joined a run in flight" {
+			once.Do(func() { close(tookJoiner) })
+		}
+	})
 	f := &wire.Fleet{
 		Transport: wire.TCP(), Seed: addrs, Control: "127.0.0.1:0",
 		HeartbeatEvery: 50 * time.Millisecond,
 		PeerTimeout:    600 * time.Millisecond,
-		Logf: func(format string, args ...any) {
-			t.Logf(format, args...)
-			if strings.Contains(format, "joined a run in flight") {
-				once.Do(func() { close(tookJoiner) })
-			}
-		},
 	}
 	if err := f.Start(); err != nil {
 		t.Fatal(err)
@@ -515,4 +514,29 @@ func TestDistProcessChurn(t *testing.T) {
 	if lost != 1 {
 		t.Errorf("trace records %d lost peers, want exactly 1 (the kill); join and drain must not look like crashes", lost)
 	}
+}
+
+// watchLog shows every slog record to see for the rest of the test. No
+// test of this package runs in parallel, so the default logger is the
+// test's own; the previous one, and the log package's output it
+// replaced, come back at cleanup.
+func watchLog(t *testing.T, see func(slog.Record)) {
+	old, w, flags := slog.Default(), log.Writer(), log.Flags()
+	slog.SetDefault(slog.New(recordHook(see)))
+	t.Cleanup(func() {
+		slog.SetDefault(old)
+		log.SetOutput(w)
+		log.SetFlags(flags)
+	})
+}
+
+// recordHook is a slog.Handler that hands every record to a function.
+type recordHook func(slog.Record)
+
+func (h recordHook) Enabled(context.Context, slog.Level) bool { return true }
+func (h recordHook) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h recordHook) WithGroup(string) slog.Handler            { return h }
+func (h recordHook) Handle(_ context.Context, r slog.Record) error {
+	h(r)
+	return nil
 }

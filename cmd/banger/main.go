@@ -36,6 +36,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"os/signal"
 	"runtime"
@@ -58,12 +59,19 @@ import (
 	"repro/internal/wire"
 )
 
+// logLevel is the threshold of the one slog handler main installs: a
+// daemon's and a connection's life at Debug, fleet membership changes at
+// Info, faults at Warn (RUNTIME.md "Where to read what happened").
+var logLevel = new(slog.LevelVar)
+
 func main() {
 	if len(os.Args) < 2 {
 		usage()
 		os.Exit(2)
 	}
 	cmd, args := os.Args[1], os.Args[2:]
+	logLevel.Set(slog.LevelDebug)
+	slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: logLevel})).With("cmd", cmd))
 	var err error
 	switch cmd {
 	case "list":
@@ -521,11 +529,16 @@ func cmdRun(args []string) error {
 		// A -dist run is a one-run fleet: its workers are numbered in
 		// sorted address order, and -control is the fleet's listener.
 		f := &wire.Fleet{Transport: wire.TCP(), Seed: addrs, Control: *control, MinWorkers: *minWorkers,
-			HeartbeatEvery: *heartbeat, PeerTimeout: *peerTimeout, Logf: logTo("dist")}
+			HeartbeatEvery: *heartbeat, PeerTimeout: *peerTimeout}
 		if err := f.Start(); err != nil {
 			return err
 		}
 		defer f.Close()
+		if *control != "" {
+			// The bound control address goes to stdout, as serve's does,
+			// so `banger drain` can be pointed at a ":0" port.
+			fmt.Printf("fleet control on %s\n", f.Addr())
+		}
 		res, err = f.Run(ctx, runner, sc, env.Flat)
 	} else {
 		res, err = runner.RunContext(ctx, sc, env.Flat)
@@ -579,11 +592,6 @@ func addrList(s string) []string {
 	return out
 }
 
-// logTo is a logger writing lines tagged prefix to stderr.
-func logTo(prefix string) func(string, ...any) {
-	return func(format string, args ...any) { fmt.Fprintf(os.Stderr, prefix+": "+format+"\n", args...) }
-}
-
 // cmdWorker runs a worker daemon: it hosts a share of the processors
 // for the fleet runs of "banger run -dist" and "banger serve -fleet".
 // The daemon keeps serving runs until interrupted.
@@ -597,11 +605,10 @@ func cmdWorker(args []string) error {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	opts := wire.WorkerOptions{}
-	if !*quiet {
-		opts.Logf = logTo("worker")
+	if *quiet {
+		logLevel.Set(slog.LevelInfo)
 	}
-	return wire.ServeWorker(ctx, wire.TCP(), *listen, opts, func(bound string) {
+	return wire.ServeWorker(ctx, wire.TCP(), *listen, wire.WorkerOptions{}, func(bound string) {
 		// The bound address goes to stdout so scripts (and the
 		// integration tests) can pick up a ":0" port.
 		fmt.Printf("listening on %s\n", bound)
@@ -613,7 +620,7 @@ func cmdWorker(args []string) error {
 			// A tight cadence matters: a run only takes a joiner in
 			// while it has dead processors and live work to hand over,
 			// so a slow loop can miss the window a recovery opens.
-			go wire.AnnounceLoop(ctx, wire.TCP(), *join, bound, 500*time.Millisecond, opts.Logf)
+			go wire.AnnounceLoop(ctx, wire.TCP(), *join, bound, 500*time.Millisecond)
 		}
 	})
 }
@@ -624,7 +631,7 @@ func cmdWorker(args []string) error {
 func cmdDrain(args []string) error {
 	fs := flag.NewFlagSet("drain", flag.ExitOnError)
 	control := fs.String("control", "", "the run's control address (banger run -dist -control ...)")
-	worker := fs.Int("worker", -1, "worker index to drain: the fleet's N-th member in sorted address order (a -dist run's dist: worker N)")
+	worker := fs.Int("worker", -1, "worker index to drain: the fleet's N-th member in sorted address order (the worker=N of a -dist run's log records)")
 	addr := fs.String("addr", "", "worker listen address to drain (alternative to -worker)")
 	timeout := fs.Duration("timeout", 30*time.Second, "give up if the drain has not completed in this long")
 	if err := fs.Parse(args); err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -42,8 +43,6 @@ func cmdServe(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	logf := logTo("serve")
-
 	var fl *wire.Fleet
 	if *fleet != "" || *control != "" {
 		ctl := *control
@@ -53,7 +52,6 @@ func cmdServe(args []string) error {
 		fl = &wire.Fleet{
 			Transport: wire.TCP(), Control: ctl, Seed: addrList(*fleet), MinWorkers: *minWorkers,
 			HeartbeatEvery: *heartbeat, PeerTimeout: *peerTimeout,
-			Logf: logf,
 		}
 		if err := fl.Start(); err != nil {
 			return err
@@ -87,11 +85,11 @@ func cmdServe(args []string) error {
 	}
 	// Graceful shutdown: refuse new submissions, let in-flight runs
 	// finish inside the drain budget, then close the listener.
-	logf("draining in-flight runs (budget %v)", *drainTimeout)
+	slog.Debug("draining in-flight runs", "budget", *drainTimeout)
 	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := s.Drain(dctx); err != nil {
-		logf("%v", err)
+		slog.Warn("drain incomplete", "err", err)
 	}
 	return srv.Shutdown(dctx)
 }

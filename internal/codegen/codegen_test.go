@@ -4,9 +4,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
+	bexec "repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/machine"
 	"repro/internal/pits"
@@ -140,12 +143,15 @@ out = s + k + r`
 	}
 }
 
+// TestGeneratedProgramMatchesInterpreter: the generated binary prints
+// every external output exactly as exec.Runner computes it — on the stats
+// pipeline, whose cross-PE messages cross a mesh machine, and on two
+// tasks that draw from rand(), whose streams are seeded per task as every
+// engine seeds them.
 func TestGeneratedProgramMatchesInterpreter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles a program with the go toolchain")
 	}
-	// The stats pipeline has cross-PE messages on a mesh machine; the
-	// generated binary must agree with the in-process runner's math.
 	p, err := project.StatsPipeline()
 	if err != nil {
 		t.Fatal(err)
@@ -154,17 +160,60 @@ func TestGeneratedProgramMatchesInterpreter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := sched.ETF{}.Schedule(flat.Graph, p.Machine)
+	matchesRunner(t, flat, p.Machine, p.Inputs)
+
+	g := graph.New("draws")
+	for _, w := range []string{"w0", "w1"} {
+		n := g.MustAddTask(graph.NodeID(w), "", 10)
+		n.Routine = w + "_s = 0\nrepeat 5 do\n  " + w + "_s = " + w + "_s + rand()\nend"
+		g.MustAddStorage(graph.NodeID("OUT_"+w), w+"_s")
+		g.MustConnect(graph.NodeID(w), graph.NodeID("OUT_"+w), w+"_s", 1)
+	}
+	if flat, err = g.Flatten(); err != nil {
+		t.Fatal(err)
+	}
+	topo, err := machine.ParseTopology("ring:2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := Generate(sc, flat, p.Inputs)
+	m, err := machine.New("ring:2", topo, machine.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := buildAndRun(t, src)
-	if !strings.Contains(out, "best = ") || !strings.Contains(out, "spread = ") {
-		t.Errorf("outputs missing:\n%s", out)
+	matchesRunner(t, flat, m, nil)
+}
+
+// matchesRunner schedules flat with ETF on m, and compares the
+// generated program's output lines with the runner's outputs.
+func matchesRunner(t *testing.T, flat *graph.Flat, m *machine.Machine, inputs pits.Env) {
+	t.Helper()
+	sc, err := sched.ETF{}.Schedule(flat.Graph, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := (&bexec.Runner{Inputs: inputs}).Run(sc, flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string // one line per external output, as the program prints them
+	for _, vars := range flat.ExternalOut {
+		for _, v := range vars {
+			want = append(want, v+" = "+res.Outputs[v].String())
+		}
+	}
+	sort.Strings(want)
+	src, err := Generate(sc, flat, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buildAndRun(t, src)), "\n")
+	if len(want) == 0 || len(lines) < len(want) {
+		t.Fatalf("%s: want outputs %q, the program printed %q", flat.Graph.Name, want, lines)
+	}
+	got := lines[len(lines)-len(want):] // the outputs close the program's stdout, sorted
+	if !slices.Equal(got, want) {
+		t.Errorf("%s: the generated program printed\n  %s\nthe runner computed\n  %s",
+			flat.Graph.Name, strings.Join(got, "\n  "), strings.Join(want, "\n  "))
 	}
 }
 

@@ -197,8 +197,9 @@ func eq(a, b val) val {
 
 func ne(a, b val) val { return !truth(eq(a, b)) }
 
-var rngMu sync.Mutex
-var rng = rand.New(rand.NewSource(1))
+// taskRand is a task's own rand() stream, seeded as every engine seeds
+// the task (pits.TaskSeed).
+func taskRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 func call(fn string, args ...val) val {
 	n1 := func() float64 { return asNum(args[0]) }
@@ -295,10 +296,6 @@ func call(fn string, args ...val) val {
 		out := append([]float64(nil), asVec(args[0])...)
 		sort.Float64s(out)
 		return out
-	case "rand":
-		rngMu.Lock()
-		defer rngMu.Unlock()
-		return rng.Float64()
 	}
 	panic("unknown function " + strconv.Quote(fn))
 }

@@ -128,7 +128,7 @@ func applyChurn(ctx context.Context, tr wire.Transport, control, joiner string, 
 			return
 		}
 		if op.Op == "join" {
-			go wire.AnnounceLoop(ctx, tr, control, joiner, 10*time.Millisecond, nil)
+			go wire.AnnounceLoop(ctx, tr, control, joiner, 10*time.Millisecond)
 			continue
 		}
 		for attempt := 0; attempt < 40 && ctx.Err() == nil; attempt++ {

@@ -259,7 +259,7 @@ func compileEra(s *sched.Schedule, flat *graph.Flat, slots [][]sched.Slot, msgs 
 				return nil, fmt.Errorf("exec: task %s: %w", sl.Task, err)
 			}
 			sp := &pp.slots[i]
-			*sp = slotProg{Slot: sl, prog: prog, seed: taskSeed(sl.Task), names: names, base: pp.vars,
+			*sp = slotProg{Slot: sl, prog: prog, seed: pits.TaskSeed(string(sl.Task)), names: names, base: pp.vars,
 				sends: sends[taskCopy{pe, sl.Task}]}
 			pp.vars += len(names)
 			pp.events += 2 + len(sp.sends)

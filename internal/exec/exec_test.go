@@ -724,10 +724,10 @@ func TestRunnerRandStreamIsPerTask(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := res.Outputs["x"]; got != pits.Num(0.6347779984446368) {
-		t.Errorf("t3_7 (seed %d) drew %v, want 0.6347779984446368", taskSeed("t3_7"), got)
+		t.Errorf("t3_7 (seed %d) drew %v, want 0.6347779984446368", pits.TaskSeed("t3_7"), got)
 	}
 	fresh := pits.Env{}
-	if err := (&pits.Interp{Seed: taskSeed("next")}).Run(pits.MustParse("y = rand()"), fresh); err != nil {
+	if err := (&pits.Interp{Seed: pits.TaskSeed("next")}).Run(pits.MustParse("y = rand()"), fresh); err != nil {
 		t.Fatal(err)
 	}
 	if res.Outputs["y"] != fresh["y"] {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 	"time"
@@ -237,11 +236,3 @@ func (r *Runner) checkInputs(flat *graph.Flat) error {
 // errAborted marks a worker failure that is a consequence of another
 // worker's abort, not a root cause.
 var errAborted = errors.New("aborted")
-
-// taskSeed derives a deterministic rand() seed from the task name so
-// runs are reproducible regardless of goroutine interleaving.
-func taskSeed(id graph.NodeID) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(id))
-	return int64(h.Sum64() & 0x7fffffffffffffff)
-}

@@ -1,6 +1,7 @@
 package pits
 
 import (
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"slices"
@@ -46,6 +47,15 @@ const maxFormulaDepth = 64
 
 // NewInterp returns an interpreter with default limits and seed 1.
 func NewInterp() *Interp { return &Interp{Seed: 1} }
+
+// TaskSeed is the rand() seed of the task named task, derived from the
+// name alone: every engine and a generated program draw the same
+// stream for a task, whatever runs beside it.
+func TaskSeed(task string) int64 {
+	h := fnv.New64a()
+	h.Write([]byte(task))
+	return int64(h.Sum64() & 0x7fffffffffffffff)
+}
 
 const defaultMaxSteps = 10_000_000
 

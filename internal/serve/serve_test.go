@@ -1019,12 +1019,12 @@ func startFleet(t *testing.T, control string) *wire.Fleet {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wire.ServeWorker(ctx, tr, addr, wire.WorkerOptions{Logf: t.Logf}, func(string) { close(ready) })
+			wire.ServeWorker(ctx, tr, addr, wire.WorkerOptions{}, func(string) { close(ready) })
 		}()
 		<-ready
 		seed = append(seed, addr)
 	}
-	fleet := &wire.Fleet{Transport: tr, Control: control, Seed: seed, Logf: t.Logf}
+	fleet := &wire.Fleet{Transport: tr, Control: control, Seed: seed}
 	if err := fleet.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"time"
 )
 
@@ -108,19 +109,13 @@ func Announce(ctx context.Context, tr Transport, control, addr string) error {
 		Frame{Type: TJoin, Payload: encJSON(JoinNote{Addr: addr})})
 }
 
-// AnnounceLoop re-announces addr to control until ctx ends. Failures
-// are expected steady-state noise — no fleet up yet, one shutting down
-// — so the loop logs only transitions. Announcing while already a
-// member is an idempotent no-op that re-offers the worker to the runs
-// in flight, and a drained worker's next announce is how it re-enters
-// the fleet.
-func AnnounceLoop(ctx context.Context, tr Transport, control, addr string, every time.Duration, logf func(string, ...any)) {
-	if every <= 0 {
-		every = 2 * time.Second
-	}
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
+// AnnounceLoop re-announces addr to control every period until ctx
+// ends. Failures are expected steady-state noise — no fleet up yet, one
+// shutting down — so the loop logs only transitions. Announcing while
+// already a member is an idempotent no-op that re-offers the worker to
+// the runs in flight, and a drained worker's next announce is how it
+// re-enters the fleet.
+func AnnounceLoop(ctx context.Context, tr Transport, control, addr string, every time.Duration) {
 	lastErr := ""
 	for {
 		actx, cancel := context.WithTimeout(ctx, every)
@@ -129,11 +124,11 @@ func AnnounceLoop(ctx context.Context, tr Transport, control, addr string, every
 		switch {
 		case err == nil:
 			if lastErr != "" {
-				logf("announced to %s: accepted", control)
+				slog.Info("announce accepted", "control", control, "addr", addr)
 			}
 			lastErr = ""
 		case err.Error() != lastErr:
-			logf("announcing to %s: %v", control, err)
+			slog.Warn("announce failed", "control", control, "addr", addr, "err", err)
 			lastErr = err.Error()
 		}
 		select {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -32,14 +33,13 @@ type Coordinator struct {
 	// Mesh is ignored: the mesh is always on. The field goes with
 	// ROADMAP 3(d), once bench/layers.go:513 stops setting it.
 	Mesh bool
-	Logf func(format string, args ...any)
 }
 
 // Run executes schedule s distributed over the coordinator's workers
 // and returns a result equivalent to Runner.Run's.
 func (co *Coordinator) Run(ctx context.Context, s *sched.Schedule, flat *graph.Flat) (*exec.Result, error) {
 	f := &Fleet{Transport: co.Transport, Seed: co.Addrs,
-		HeartbeatEvery: co.HeartbeatEvery, PeerTimeout: co.PeerTimeout, Logf: co.Logf}
+		HeartbeatEvery: co.HeartbeatEvery, PeerTimeout: co.PeerTimeout}
 	if err := f.Start(); err != nil {
 		return nil, err
 	}
@@ -254,7 +254,6 @@ func (r *coRun) peerEvent(p *peer, ev coEvent) (*exec.Result, error) {
 		}
 		p.lastHeard = time.Now()
 		r.extra = append(r.extra, trace.Event{Kind: trace.PeerConnected, At: r.now(), Peer: p.i, Note: "reconnect"})
-		r.f.Logf("worker %d (%s) reconnected", p.i, p.addr)
 		r.startReader(p)
 	default:
 		p.lastHeard = time.Now()
@@ -283,7 +282,7 @@ func (r *coRun) breakConn(p *peer, err error) {
 	if p.gone || errors.Is(err, ErrLinkDetached) {
 		return
 	}
-	r.f.Logf("worker %d (%s) write failed (%v); reconnecting", p.i, p.addr, err)
+	slog.Warn("worker write failed; reconnecting", "run", r.id, "worker", p.i, "addr", p.addr, "err", err)
 	p.link.Detach()
 	r.redialPeer(p)
 }
@@ -425,7 +424,7 @@ func (r *coRun) redialPeer(p *peer) {
 	rctx, cancel := context.WithTimeout(r.ctx, r.f.peerTimeout())
 	p.redial = cancel
 	hello := Hello{Proto: ProtoVersion, Run: r.id, Rcvd: p.link.Rcvd(), Digest: r.ship.digest}
-	r.f.Logf("worker %d (%s) connection lost; redialing", p.i, p.addr)
+	slog.Warn("worker connection lost; redialing", "run", r.id, "worker", p.i, "addr", p.addr)
 	go func() {
 		defer cancel()
 		for rctx.Err() == nil {
@@ -518,7 +517,7 @@ func (r *coRun) heartbeat() (*exec.Result, error) {
 			}
 		}
 		if now.Sub(p.lastHeard) > r.f.peerTimeout() {
-			r.f.Logf("worker %d (%s) declared dead: no traffic for %v", p.i, p.addr, r.f.peerTimeout())
+			slog.Warn("worker declared dead", "run", r.id, "worker", p.i, "addr", p.addr, "silent", r.f.peerTimeout())
 			r.dismiss(p)
 			if res, err := r.step(exec.Lost{W: p.i}, nil); res != nil || err != nil {
 				return res, err
@@ -643,7 +642,7 @@ func (r *coRun) step(ev exec.Event, dialed Conn) (*exec.Result, error) {
 	} else if dialed != nil {
 		p := &peer{i: len(r.peers), addr: ev.(exec.JoinDialed).Addr, link: NewLink(dialed), lastHeard: time.Now(), parted: make(chan struct{})}
 		r.peers, r.addrs = append(r.peers, p), append(r.addrs, p.addr)
-		r.f.Logf("worker %d (%s) joining; pausing for expand replan", p.i, p.addr)
+		slog.Debug("worker joining; pausing for expand replan", "run", r.id, "worker", p.i, "addr", p.addr)
 		r.startReader(p)
 	}
 	var resume []byte // one barrier's plan, encoded once for all survivors
@@ -665,7 +664,6 @@ func (r *coRun) step(ev exec.Event, dialed Conn) (*exec.Result, error) {
 				// grew the address list and re-homed revived processors.
 				note.Peers, note.PeerOf = r.addrs, r.lc.PeerOf()
 				resume = encBlobEnvelope(encJSON(note), blobs...)
-				r.f.Logf("barrier: %d slots replanned (epoch %d)", len(e.Plan.Slots), e.Plan.Epoch)
 			}
 			r.send(r.peers[e.W], TResume, resume)
 		case exec.Start:
@@ -677,14 +675,14 @@ func (r *coRun) step(ev exec.Event, dialed Conn) (*exec.Result, error) {
 			if err := r.sendStart(r.peers[e.W], &note); err != nil {
 				return nil, fmt.Errorf("wire: starting joined worker %d: %w", e.W, err)
 			}
-			r.f.Logf("worker %d (%s) joined (epoch %d)", e.W, r.peers[e.W].addr, e.Plan.Epoch)
 		case exec.Finish:
 			r.send(r.peers[e.W], TFinish, nil)
 		case exec.Probe:
 			r.send(r.peers[e.W], TProbe, nil)
 		case exec.Bye:
 			// The goodbye lets the worker (and, through its mesh goodbyes,
-			// its peers) tear down immediately — no timeout anywhere.
+			// its peers) tear down at once; only an unanswered goodbye
+			// waits, for goodbyeWait (ROADMAP 10(a)).
 			r.send(r.peers[e.W], TBye, nil)
 			r.peers[e.W].gone = true
 		case exec.Dial:

@@ -117,7 +117,6 @@ func steerToFinishing(t *testing.T) *finishingRun {
 		// Long silence budget: the tests below must see the state
 		// machine's own reaction, not a heartbeat-loss fallback.
 		PeerTimeout: 60 * time.Second,
-		Logf:        t.Logf,
 	}
 	if err := f.Start(); err != nil {
 		t.Fatal(err)
@@ -333,7 +332,6 @@ func TestCoordWriteFailureRedials(t *testing.T) {
 		// redial path, not from declaring the worker dead.
 		HeartbeatEvery: 20 * time.Millisecond,
 		PeerTimeout:    60 * time.Second,
-		Logf:           t.Logf,
 	}
 	done := make(chan struct{})
 	var dist *exec.Result
@@ -457,7 +455,6 @@ func TestStaleReadErrorKeepsTheNewLink(t *testing.T) {
 		Runner:         &exec.Runner{Inputs: inputs},
 		HeartbeatEvery: 20 * time.Millisecond,
 		PeerTimeout:    60 * time.Second,
-		Logf:           t.Logf,
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"reflect"
 	"strings"
 	"sync"
@@ -84,7 +85,7 @@ func startWorkers(t *testing.T, tr Transport, n int) ([]string, func()) {
 		wg.Add(1)
 		go func(addr string) {
 			defer wg.Done()
-			if err := ServeWorker(ctx, tr, addr, WorkerOptions{Logf: t.Logf}, func(string) { close(ready) }); err != nil {
+			if err := ServeWorker(ctx, tr, addr, WorkerOptions{}, func(string) { close(ready) }); err != nil {
 				t.Errorf("worker %s: %v", addr, err)
 			}
 		}(addrs[i])
@@ -239,6 +240,7 @@ func TestDistCrashRecovery(t *testing.T) {
 // The dying worker also takes its mesh links down, so the survivors
 // must fall back to the coordinator for replayed sends.
 func TestDistWorkerLost(t *testing.T) {
+	logged := captureLog(t, nil)
 	flat, inputs := distDesign(t, 6, 3)
 	m := distMachine(t, "hypercube:2")
 	sc, err := sched.ETF{}.Schedule(flat.Graph, m)
@@ -284,7 +286,7 @@ func TestDistWorkerLost(t *testing.T) {
 	victimDone := make(chan struct{})
 	go func() {
 		defer close(victimDone)
-		ServeWorker(victimCtx, tr, "victim", WorkerOptions{Logf: t.Logf}, func(string) { close(ready) })
+		ServeWorker(victimCtx, tr, "victim", WorkerOptions{}, func(string) { close(ready) })
 	}()
 	select {
 	case <-ready:
@@ -329,6 +331,18 @@ func TestDistWorkerLost(t *testing.T) {
 	}
 	if lost == 0 {
 		t.Error("trace records no lost peer")
+	}
+	// The coordinator's side of the loss is Warn records naming the run
+	// and the worker.
+	warned := 0
+	for _, r := range logged.records() {
+		_, numbered := r.Attrs["worker"]
+		if r.Level == slog.LevelWarn && r.Attrs["run"].String() != "" && numbered && r.Attrs["addr"].String() == "victim" {
+			warned++
+		}
+	}
+	if warned == 0 {
+		t.Errorf("no Warn record names the run and the lost worker: %v", logged.records())
 	}
 }
 

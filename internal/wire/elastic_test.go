@@ -74,7 +74,7 @@ func startNamedWorker(t *testing.T, tr Transport, addr string) func() {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if err := ServeWorker(ctx, tr, addr, WorkerOptions{Logf: t.Logf}, func(string) { close(ready) }); err != nil {
+		if err := ServeWorker(ctx, tr, addr, WorkerOptions{}, func(string) { close(ready) }); err != nil {
 			t.Errorf("worker %s: %v", addr, err)
 		}
 	}()
@@ -91,10 +91,10 @@ func startNamedWorker(t *testing.T, tr Transport, addr string) func() {
 
 // startCtlFleet opens a fleet on tr seeded with addrs, its control
 // listener at "ctl", and registers cleanup.
-func startCtlFleet(t *testing.T, tr Transport, addrs []string, peerTimeout time.Duration, minWorkers int, logf func(string, ...any)) *Fleet {
+func startCtlFleet(t *testing.T, tr Transport, addrs []string, peerTimeout time.Duration, minWorkers int) *Fleet {
 	t.Helper()
 	f := &Fleet{Transport: tr, Control: "ctl", Seed: addrs, MinWorkers: minWorkers,
-		HeartbeatEvery: 50 * time.Millisecond, PeerTimeout: peerTimeout, Logf: logf}
+		HeartbeatEvery: 50 * time.Millisecond, PeerTimeout: peerTimeout}
 	if err := f.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -102,17 +102,17 @@ func startCtlFleet(t *testing.T, tr Transport, addrs []string, peerTimeout time.
 	return f
 }
 
-// joinWatch returns a fleet Logf that logs to t, and a channel that
-// closes at the fleet's first report of a run taking a joiner in.
-func joinWatch(t *testing.T) (func(string, ...any), <-chan struct{}) {
+// joinWatch returns a channel that closes at the fleet's first record
+// of a run taking a joiner in, captured for the rest of the test.
+func joinWatch(t *testing.T) <-chan struct{} {
 	joined := make(chan struct{})
 	var once sync.Once
-	return func(format string, args ...any) {
-		t.Logf(format, args...)
-		if strings.Contains(format, "joined a run in flight") {
+	captureLog(t, func(r logRecord) {
+		if r.Msg == "fleet: worker joined a run in flight" {
 			once.Do(func() { close(joined) })
 		}
-	}, joined
+	})
+	return joined
 }
 
 // announceUntilJoined re-announces addr to the fleet at ctl until a run
@@ -123,7 +123,7 @@ func joinWatch(t *testing.T) (func(string, ...any), <-chan struct{}) {
 func announceUntilJoined(tr Transport, ctl, addr string, joined <-chan struct{}, within time.Duration) error {
 	ctx, cancel := context.WithTimeout(context.Background(), within)
 	defer cancel()
-	go AnnounceLoop(ctx, tr, ctl, addr, 25*time.Millisecond, nil)
+	go AnnounceLoop(ctx, tr, ctl, addr, 25*time.Millisecond)
 	select {
 	case <-joined:
 		return nil
@@ -257,7 +257,7 @@ func TestDistDrain(t *testing.T) {
 	defer stop()
 	// A long silence budget proves the drain never leans on
 	// heartbeat-loss detection or peer-timeout expiry.
-	f := startCtlFleet(t, tr, addrs, 60*time.Second, 0, t.Logf)
+	f := startCtlFleet(t, tr, addrs, 60*time.Second, 0)
 	drained := make(chan error, 1)
 	go func() {
 		time.Sleep(300 * time.Millisecond)
@@ -326,10 +326,10 @@ func TestDistJoinExpand(t *testing.T) {
 	victimCtx, killVictim := context.WithCancel(context.Background())
 	defer killVictim()
 	ready := make(chan struct{})
-	go ServeWorker(victimCtx, tr, "worker-2", WorkerOptions{Logf: t.Logf}, func(string) { close(ready) })
+	go ServeWorker(victimCtx, tr, "worker-2", WorkerOptions{}, func(string) { close(ready) })
 	<-ready
-	logf, joinedRun := joinWatch(t)
-	f := startCtlFleet(t, tr, append(addrs, "worker-2"), 400*time.Millisecond, 0, logf)
+	joinedRun := joinWatch(t)
+	f := startCtlFleet(t, tr, append(addrs, "worker-2"), 400*time.Millisecond, 0)
 	joined := make(chan error, 1)
 	go func() {
 		time.Sleep(200 * time.Millisecond)
@@ -390,10 +390,10 @@ func TestDistElasticChurn(t *testing.T) {
 	victimCtx, killVictim := context.WithCancel(context.Background())
 	defer killVictim()
 	ready := make(chan struct{})
-	go ServeWorker(victimCtx, tr, "worker-2", WorkerOptions{Logf: t.Logf}, func(string) { close(ready) })
+	go ServeWorker(victimCtx, tr, "worker-2", WorkerOptions{}, func(string) { close(ready) })
 	<-ready
-	logf, joinedRun := joinWatch(t)
-	f := startCtlFleet(t, tr, append(addrs, "worker-2"), 400*time.Millisecond, 0, logf)
+	joinedRun := joinWatch(t)
+	f := startCtlFleet(t, tr, append(addrs, "worker-2"), 400*time.Millisecond, 0)
 	churn := make(chan error, 1)
 	go func() {
 		// Kill one worker, join a replacement, then drain one of the
@@ -494,11 +494,11 @@ func TestChurnSoak(t *testing.T) {
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
-				ServeWorker(victimCtx, tr, "worker-2", WorkerOptions{Logf: t.Logf}, func(string) { close(ready) })
+				ServeWorker(victimCtx, tr, "worker-2", WorkerOptions{}, func(string) { close(ready) })
 			}()
 			<-ready
-			logf, joinedRun := joinWatch(t)
-			f := startCtlFleet(t, tr, append(addrs, "worker-2"), 400*time.Millisecond, 0, logf)
+			joinedRun := joinWatch(t)
+			f := startCtlFleet(t, tr, append(addrs, "worker-2"), 400*time.Millisecond, 0)
 			churn := make(chan error, 1)
 			jstops := make(chan func(), 1)
 			go func() {
@@ -604,7 +604,7 @@ func TestDrainRejectsBelowMinimum(t *testing.T) {
 	tr := Inproc()
 	addrs, stop := startWorkers(t, tr, 2)
 	defer stop()
-	f := startCtlFleet(t, tr, addrs, 60*time.Second, 2, t.Logf)
+	f := startCtlFleet(t, tr, addrs, 60*time.Second, 2)
 	checked := make(chan error, 1)
 	go func() {
 		time.Sleep(200 * time.Millisecond)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sort"
 	"sync"
 	"time"
@@ -69,7 +70,6 @@ type Fleet struct {
 	// Mesh is ignored: the mesh is always on. The field goes with
 	// ROADMAP 3(d), once bench/harness.go:169 stops setting it.
 	Mesh bool
-	Logf func(string, ...any)
 
 	mu      sync.Mutex // guards members, load, active, lis, closed
 	members map[string]bool
@@ -89,9 +89,6 @@ type Fleet struct {
 func (f *Fleet) Start() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.Logf == nil {
-		f.Logf = func(string, ...any) {}
-	}
 	switch {
 	case f.Transport == nil:
 		return errors.New("wire: fleet needs a transport")
@@ -116,7 +113,6 @@ func (f *Fleet) Start() error {
 	f.wg.Add(1)
 	go func() {
 		defer f.wg.Done()
-		f.Logf("fleet: control listening on %s", lis.Addr())
 		for {
 			c, err := lis.Accept()
 			if err != nil {
@@ -195,7 +191,7 @@ func (f *Fleet) control(c Conn) {
 			return
 		}
 		if !known {
-			f.Logf("fleet: worker %s joined (%d members)", join.Addr, f.Size())
+			slog.Info("fleet: worker joined", "addr", join.Addr, "members", f.Size())
 		}
 		answerControl(c, nil)
 		// Offer the worker to every run in flight. Most reject it
@@ -205,7 +201,7 @@ func (f *Fleet) control(c Conn) {
 		for _, r := range f.runs() {
 			jctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			if err := r.submitJoin(jctx, join.Addr); err == nil {
-				f.Logf("fleet: worker %s joined a run in flight", join.Addr)
+				slog.Info("fleet: worker joined a run in flight", "run", r.id, "addr", join.Addr)
 			}
 			cancel()
 		}
@@ -244,7 +240,7 @@ func (f *Fleet) drain(worker int, addr string) error {
 		}
 	}
 	f.drop(addr)
-	f.Logf("fleet: worker %s drained (%d members)", addr, f.Size())
+	slog.Info("fleet: worker drained", "addr", addr, "members", f.Size())
 	return nil
 }
 
@@ -338,7 +334,7 @@ func (f *Fleet) connect(ctx context.Context, addr string) (Conn, error) {
 	defer cancel()
 	c, err := f.Transport.Dial(dctx, addr)
 	if err != nil && ctx.Err() == nil {
-		f.Logf("fleet: dropping dead worker %s: %v", addr, err)
+		slog.Warn("fleet: dropping dead worker", "addr", addr, "err", err)
 		f.drop(addr)
 	}
 	return c, err
@@ -430,8 +426,7 @@ func (f *Fleet) Run(ctx context.Context, runner *exec.Runner, sc *sched.Schedule
 		if lost == 0 {
 			return res, err
 		}
-		f.Logf("fleet: run failed (%v); %d of %d workers died, retrying on survivors",
-			err, lost, len(placed))
+		slog.Warn("fleet: run failed; retrying on survivors", "err", err, "lost", lost, "workers", len(placed))
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // members and registers cleanup.
 func startFleet(t *testing.T, tr Transport, seed []string) *Fleet {
 	t.Helper()
-	f := &Fleet{Transport: tr, Control: "fleet-control", Seed: seed, Logf: t.Logf,
+	f := &Fleet{Transport: tr, Control: "fleet-control", Seed: seed,
 		HeartbeatEvery: 50 * time.Millisecond, PeerTimeout: 2 * time.Second}
 	if err := f.Start(); err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestFleetDropsDeadWorker(t *testing.T) {
 	victimDown := make(chan struct{})
 	go func() {
 		defer close(victimDown)
-		ServeWorker(vctx, tr, "victim", WorkerOptions{Logf: t.Logf}, func(string) { close(victimUp) })
+		ServeWorker(vctx, tr, "victim", WorkerOptions{}, func(string) { close(victimUp) })
 	}()
 	<-victimUp
 
@@ -209,7 +209,7 @@ func TestFleetDropsDeadWorker(t *testing.T) {
 	rctx, rcancel := context.WithCancel(context.Background())
 	defer rcancel()
 	revivedUp := make(chan struct{})
-	go ServeWorker(rctx, tr, "victim", WorkerOptions{Logf: t.Logf}, func(string) { close(revivedUp) })
+	go ServeWorker(rctx, tr, "victim", WorkerOptions{}, func(string) { close(revivedUp) })
 	<-revivedUp
 	if err := Announce(ctx, tr, f.Addr(), "victim"); err != nil {
 		t.Fatalf("rejoin announce: %v", err)

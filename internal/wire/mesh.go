@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,7 +60,6 @@ type meshConfig struct {
 	self      int      // this worker's index
 	addrs     []string // worker listen addresses by index
 	peerOf    []int    // pe -> worker index
-	logf      func(format string, args ...any)
 }
 
 // mesh is one worker's set of direct links to its peers.
@@ -82,7 +82,7 @@ type mesh struct {
 
 	// wg tracks the dial loops and connection readers so close can
 	// wait them out: a straggler would outlive the run that owns
-	// deliver and logf (a test's t.Logf, typically).
+	// deliver.
 	wg sync.WaitGroup
 
 	mu sync.Mutex
@@ -229,7 +229,7 @@ func (m *mesh) dialLoop(j int, addr string) {
 					continue
 				}
 			}
-			m.cfg.logf("mesh hello to worker %d (%s) failed: %v", j, addr, err)
+			slog.Warn("mesh hello failed", "run", m.cfg.runID, "worker", j, "addr", addr, "err", err)
 			select {
 			case <-time.After(backoff):
 			case <-m.ctx.Done():
@@ -244,7 +244,11 @@ func (m *mesh) dialLoop(j int, addr string) {
 		if err := m.attach(p, c, w.Rcvd); err != nil {
 			continue
 		}
-		m.cfg.logf("mesh link to worker %d (%s) up", j, addr)
+		// A link comes up once a run, here or in acceptPeer: typed
+		// attributes keep a record below the handler's level free of
+		// allocation.
+		slog.LogAttrs(m.ctx, slog.LevelDebug, "mesh link up", slog.String("run", m.cfg.runID),
+			slog.Int("worker", j), slog.String("addr", addr))
 		if m.read(j, p, c, c.ReadFrame) {
 			m.cfg.idle.park(addr, c)
 		}
@@ -320,7 +324,7 @@ func (m *mesh) acceptPeer(ic inboundConn) *inboundConn {
 		ic.c.Close()
 		return nil
 	}
-	m.cfg.logf("mesh link from worker %d up", j)
+	slog.LogAttrs(m.ctx, slog.LevelDebug, "mesh link up", slog.String("run", m.cfg.runID), slog.Int("worker", j))
 	if m.read(j, p, ic.c, ic.next) {
 		return &ic
 	}
@@ -391,7 +395,7 @@ func (m *mesh) handleFrame(j int, p *Link, f Frame) {
 	case TData:
 		msg, err := DecodeMsg(f.Payload)
 		if err != nil {
-			m.cfg.logf("mesh: bad data frame: %v", err)
+			slog.Warn("mesh: bad data frame", "run", m.cfg.runID, "worker", j, "err", err)
 			return
 		}
 		putBuf(f.Payload) // DecodeMsg copies everything out
@@ -401,12 +405,12 @@ func (m *mesh) handleFrame(j int, p *Link, f Frame) {
 			return // the run ended before its session began
 		}
 		if err := m.deliver(msg); err != nil {
-			m.cfg.logf("mesh: deliver: %v", err)
+			slog.Warn("mesh: deliver failed", "run", m.cfg.runID, "worker", j, "err", err)
 		}
 	case THeartbeat, TPing, TPong:
 		// Liveness is the coordinator's job; ignore.
 	default:
-		m.cfg.logf("mesh: unexpected %s frame", f.Type)
+		slog.Warn("mesh: unexpected frame", "run", m.cfg.runID, "worker", j, "frame", f.Type)
 	}
 }
 
@@ -491,8 +495,7 @@ func (m *mesh) close(bye bool) {
 	}
 	// Every blocking read ends at a goodbye or a closed connection, so
 	// this terminates: wait out the dial loops and readers before the
-	// caller moves on to recycle the run (and, in tests, finish the t that
-	// owns logf).
+	// caller moves on to recycle the run.
 	m.wg.Wait()
 }
 

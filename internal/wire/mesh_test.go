@@ -1,10 +1,9 @@
 package wire
 
 import (
-	"fmt"
+	"log/slog"
 	"reflect"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -68,7 +67,7 @@ func meshPair(t *testing.T, runID string, deliver0 func(exec.RemoteMsg) error) (
 	t.Cleanup(func() { ln.Close() })
 
 	cfg := meshConfig{transport: tr, idle: &idleConns{}, runID: runID,
-		addrs: []string{"w0", "w1"}, peerOf: []int{0, 1}, logf: t.Logf}
+		addrs: []string{"w0", "w1"}, peerOf: []int{0, 1}}
 	cfg0 := cfg
 	cfg0.self = 0
 	m0 = newMesh(cfg0, deliver0)
@@ -178,7 +177,7 @@ func TestMeshAcksWithoutSending(t *testing.T) {
 func TestMeshLostPeerFallsBack(t *testing.T) {
 	tr := Inproc()
 	cfg := meshConfig{transport: tr, idle: &idleConns{}, runID: "r2", self: 1,
-		addrs: []string{"", "w1", ""}, peerOf: []int{0, 1, 2}, logf: t.Logf}
+		addrs: []string{"", "w1", ""}, peerOf: []int{0, 1, 2}}
 	m := newMesh(cfg, func(exec.RemoteMsg) error { return nil })
 	defer m.close(false)
 	peer := func(j int) *Link {
@@ -220,16 +219,10 @@ func TestMeshDialEndsWithTheRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lis.Close()
-	var mu sync.Mutex
-	var logged []string
+	logged := captureLog(t, nil)
 	idle := &idleConns{}
 	m := newMesh(meshConfig{transport: tr, idle: idle, runID: "r", self: 1,
-		addrs: []string{"w0", "self"}, peerOf: []int{0, 1},
-		logf: func(format string, args ...any) {
-			mu.Lock()
-			logged = append(logged, fmt.Sprintf(format, args...))
-			mu.Unlock()
-		}}, func(exec.RemoteMsg) error { return nil })
+		addrs: []string{"w0", "self"}, peerOf: []int{0, 1}}, func(exec.RemoteMsg) error { return nil })
 	go func() {
 		c, err := lis.Accept()
 		if err != nil {
@@ -247,11 +240,9 @@ func TestMeshDialEndsWithTheRun(t *testing.T) {
 		}
 	}
 	m.close(false)
-	mu.Lock()
-	defer mu.Unlock()
-	for _, line := range logged {
-		if strings.Contains(line, "failed") {
-			t.Errorf("a finished run logged a refused dial: %s", line)
+	for _, r := range logged.records() {
+		if r.Level >= slog.LevelWarn && r.Attrs["run"].String() == "r" {
+			t.Errorf("a finished run logged a refused dial: %s: %v", r.Msg, r.err())
 		}
 	}
 }
@@ -263,21 +254,22 @@ func TestMeshHelloRejectionLogsReason(t *testing.T) {
 	tr := Inproc()
 	addrs, stop := startWorkers(t, tr, 1)
 	defer stop()
-	logged := make(chan string, 64)
+	logged := make(chan logRecord, 64)
+	captureLog(t, func(r logRecord) {
+		select {
+		case logged <- r:
+		default:
+		}
+	})
 	m := newMesh(meshConfig{transport: tr, idle: &idleConns{}, runID: "no-such-run", self: 1,
-		addrs: []string{addrs[0], "self"}, peerOf: []int{0, 1},
-		logf: func(format string, args ...any) {
-			select {
-			case logged <- fmt.Sprintf(format, args...):
-			default:
-			}
-		}}, func(exec.RemoteMsg) error { return nil })
+		addrs: []string{addrs[0], "self"}, peerOf: []int{0, 1}}, func(exec.RemoteMsg) error { return nil })
 	defer m.close(false)
 	deadline := time.After(5 * time.Second)
 	for {
 		select {
-		case line := <-logged:
-			if strings.Contains(line, "unknown run") {
+		case r := <-logged:
+			if err := r.err(); r.Level == slog.LevelWarn && r.Attrs["run"].String() == "no-such-run" &&
+				r.Attrs["worker"].String() == "0" && err != nil && strings.Contains(err.Error(), "unknown run") {
 				return
 			}
 		case <-deadline:

@@ -140,7 +140,7 @@ func TestMisroutedFrameRejected(t *testing.T) {
 	go func() {
 		co := &Coordinator{Transport: tr, Addrs: addrs,
 			Runner:         &exec.Runner{Inputs: inputs, Faults: hold},
-			HeartbeatEvery: 50 * time.Millisecond, PeerTimeout: 5 * time.Second, Logf: t.Logf}
+			HeartbeatEvery: 50 * time.Millisecond, PeerTimeout: 5 * time.Second}
 		res, err := co.Run(ctx, sc, flat)
 		resCh <- res
 		errCh <- err
@@ -228,13 +228,8 @@ func TestMisroutedFrameRejected(t *testing.T) {
 // error in its log.
 func TestCoordinatorErrorDropsRun(t *testing.T) {
 	tr := Inproc()
-	var mu sync.Mutex
-	var logged []string
-	d := &workerDaemon{opt: WorkerOptions{transport: tr, Logf: func(format string, args ...any) {
-		mu.Lock()
-		defer mu.Unlock()
-		logged = append(logged, fmt.Sprintf(format, args...))
-	}}}
+	logged := captureLog(t, nil)
+	d := &workerDaemon{opt: WorkerOptions{transport: tr}}
 	ctx, cancel := context.WithCancel(context.Background())
 	ready, down := make(chan struct{}), make(chan struct{})
 	go func() {
@@ -282,11 +277,9 @@ func TestCoordinatorErrorDropsRun(t *testing.T) {
 			t.Fatal("the daemon kept the run the coordinator aborted")
 		}
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	for _, line := range logged {
-		if strings.Contains(line, "protocol error") {
-			t.Errorf("the coordinator's verdict was logged as a protocol error: %s", line)
+	for _, r := range logged.records() {
+		if r.Msg == "protocol error" {
+			t.Errorf("the coordinator's verdict was logged as a protocol error: %v", r.err())
 		}
 	}
 }
@@ -375,7 +368,7 @@ func TestOrphanAbandonPerRun(t *testing.T) {
 	go func() {
 		co := &Coordinator{Transport: choke, Addrs: addrs,
 			Runner:         &exec.Runner{Inputs: inputs, Faults: holdPlan(3000000)},
-			HeartbeatEvery: 50 * time.Millisecond, PeerTimeout: 400 * time.Millisecond, Logf: t.Logf}
+			HeartbeatEvery: 50 * time.Millisecond, PeerTimeout: 400 * time.Millisecond}
 		_, err := co.Run(actx, sc, flat)
 		aErr <- err
 	}()
@@ -394,7 +387,7 @@ func TestOrphanAbandonPerRun(t *testing.T) {
 	go func() {
 		co := &Coordinator{Transport: tr, Addrs: addrs,
 			Runner:         &exec.Runner{Inputs: inputs, Faults: holdPlan(1500000)},
-			HeartbeatEvery: 50 * time.Millisecond, PeerTimeout: 10 * time.Second, Logf: t.Logf}
+			HeartbeatEvery: 50 * time.Millisecond, PeerTimeout: 10 * time.Second}
 		res, err := co.Run(ctx, sc, flat)
 		bRes <- res
 		bErr <- err
@@ -508,11 +501,11 @@ func TestMultiSoak(t *testing.T) {
 			victimDown := make(chan struct{})
 			go func() {
 				defer close(victimDown)
-				ServeWorker(victimCtx, tr, "worker-9-victim", WorkerOptions{Logf: t.Logf}, func(string) { close(ready) })
+				ServeWorker(victimCtx, tr, "worker-9-victim", WorkerOptions{}, func(string) { close(ready) })
 			}()
 			<-ready
 
-			f := &Fleet{Transport: tr, Control: "fleet-control", Logf: t.Logf,
+			f := &Fleet{Transport: tr, Control: "fleet-control",
 				Seed:           append(append([]string{}, addrs...), "worker-9-victim"),
 				HeartbeatEvery: 50 * time.Millisecond, PeerTimeout: 500 * time.Millisecond}
 			if err := f.Start(); err != nil {

@@ -2,7 +2,7 @@ package wire
 
 import (
 	"context"
-	"fmt"
+	"errors"
 	"reflect"
 	"strings"
 	"sync"
@@ -81,7 +81,7 @@ func startDaemons(t *testing.T, tr Transport, names ...string) (ds []*workerDaem
 func startDaemon(t *testing.T, tr Transport, name string) (*workerDaemon, func()) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
-	d := &workerDaemon{opt: WorkerOptions{Logf: t.Logf, transport: tr}}
+	d := &workerDaemon{opt: WorkerOptions{transport: tr}}
 	ready, down := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(down)
@@ -606,7 +606,7 @@ func TestParkedMeshLinkEndsWithItsDaemon(t *testing.T) {
 func TestLostMemberGetsNoParkedMeshLink(t *testing.T) {
 	tr := Inproc()
 	ds, kill := startDaemons(t, tr, "victim", "w1", "w2") // sorted: the victim is worker 0
-	f := &Fleet{Transport: tr, Control: "fleet-control", Seed: []string{"victim", "w1", "w2"}, Logf: t.Logf,
+	f := &Fleet{Transport: tr, Control: "fleet-control", Seed: []string{"victim", "w1", "w2"},
 		HeartbeatEvery: 20 * time.Millisecond, PeerTimeout: 400 * time.Millisecond}
 	if err := f.Start(); err != nil {
 		t.Fatal(err)
@@ -746,7 +746,7 @@ func TestConcurrentRunsNeverShareAMeshLink(t *testing.T) {
 func TestFleetMemberKilledMidRun(t *testing.T) {
 	tr := Inproc()
 	_, kill := startDaemons(t, tr, "w0", "victim")
-	f := &Fleet{Transport: tr, Control: "fleet-control", Seed: []string{"w0", "victim"}, Logf: t.Logf,
+	f := &Fleet{Transport: tr, Control: "fleet-control", Seed: []string{"w0", "victim"},
 		HeartbeatEvery: 20 * time.Millisecond, PeerTimeout: 400 * time.Millisecond}
 	if err := f.Start(); err != nil {
 		t.Fatal(err)
@@ -865,7 +865,7 @@ func TestDaemonStopsListeningBeforeItDropsRuns(t *testing.T) {
 	slow := &slowClose{Transport: tr}
 	startDaemon(t, tr, "w0")
 	_, stop := startDaemon(t, slow, "victim")
-	f := &Fleet{Transport: tr, Control: "fleet-control", Seed: []string{"w0", "victim"}, Logf: t.Logf,
+	f := &Fleet{Transport: tr, Control: "fleet-control", Seed: []string{"w0", "victim"},
 		HeartbeatEvery: 20 * time.Millisecond, PeerTimeout: 400 * time.Millisecond}
 	if err := f.Start(); err != nil {
 		t.Fatal(err)
@@ -919,14 +919,9 @@ func TestDaemonStopsListeningBeforeItDropsRuns(t *testing.T) {
 // and logged, not pinned at zero.
 func TestMeshLinkIsNeverTurnedAway(t *testing.T) {
 	tr := Inproc()
-	var relayed, rejected atomic.Int64
+	var relayed atomic.Int64
 	meshDials := &wireCount{Transport: tr}
-	logf := func(format string, args ...any) {
-		if line := fmt.Sprintf(format, args...); strings.Contains(line, "rejected handshake") {
-			rejected.Add(1)
-			t.Log(line)
-		}
-	}
+	logged := captureLog(t, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	addrs := []string{"w0", "w1"}
@@ -935,7 +930,7 @@ func TestMeshLinkIsNeverTurnedAway(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ServeWorker(ctx, meshDials, a, WorkerOptions{Logf: logf}, func(string) { close(ready) })
+			ServeWorker(ctx, meshDials, a, WorkerOptions{}, func(string) { close(ready) })
 		}()
 		<-ready
 	}
@@ -969,8 +964,15 @@ func TestMeshLinkIsNeverTurnedAway(t *testing.T) {
 		}
 	}
 	waitNoWorkerRuns(t, 5*time.Second)
-	if n := rejected.Load(); n != 0 {
-		t.Errorf("%d mesh handshakes rejected over %d runs, want none", n, runs)
+	rejected := 0
+	for _, r := range logged.records() {
+		if errors.Is(r.err(), errRefused) {
+			rejected++
+			t.Log(r.Msg, r.err())
+		}
+	}
+	if rejected != 0 {
+		t.Errorf("%d mesh handshakes rejected over %d runs, want none", rejected, runs)
 	}
 	if n := meshDials.dialled("w0"); n > 1 {
 		t.Errorf("worker 1 dialled worker 0 %d times over %d sequential runs, want at most once", n, runs)

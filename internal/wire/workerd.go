@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,20 +13,13 @@ import (
 	"repro/internal/graph"
 )
 
-// WorkerOptions configures a worker daemon.
+// WorkerOptions configures a worker daemon. A caller sets nothing in
+// it: the type stays only because the request-path benchmark builds one
+// (bench/harness.go:156).
 type WorkerOptions struct {
-	// Logf receives operational log lines (nil = silent).
-	Logf func(format string, args ...any)
-
 	// transport is the transport the daemon listens on; the mesh dials
 	// peers over the same one. Installed by ServeWorker.
 	transport Transport
-}
-
-func (o WorkerOptions) logf(format string, args ...any) {
-	if o.Logf != nil {
-		o.Logf(format, args...)
-	}
 }
 
 // handshakeTimeout bounds how long an accepted connection may take to
@@ -106,7 +100,7 @@ func (d *workerDaemon) accept(c Conn) {
 			ic = d.route(*ic)
 			continue
 		case <-late:
-			d.opt.logf("peer connected but never said hello; dropping")
+			slog.Warn("peer connected but never said hello; dropping")
 		case <-ic.rerr:
 		case <-d.ctx.Done():
 		}
@@ -255,7 +249,6 @@ func (d *workerDaemon) serve(ctx context.Context, addr string, ready func(boundA
 	if ready != nil {
 		ready(lis.Addr())
 	}
-	d.opt.logf("worker listening on %s", lis.Addr())
 
 	// Shutdown: close the listener (which also unblocks Accept), then
 	// abort every run loop and wait them out, so sessions, meshes and
@@ -387,7 +380,7 @@ func (d *workerDaemon) serveEphemeral(ic inboundConn) {
 			case THeartbeat, TAck:
 				// Keepalive noise on a probe connection; ignore.
 			default:
-				d.opt.logf("unexpected %s frame on a run-less connection; dropping", f.Type)
+				slog.Warn("unexpected frame on a run-less connection; dropping", "frame", f.Type)
 				return
 			}
 		}
@@ -426,7 +419,7 @@ func (d *workerDaemon) runLoop(run *workerRun, first inboundConn) *inboundConn {
 	next := &first
 	for {
 		if next != nil {
-			adoptCoord(*next, run, d.opt)
+			adoptCoord(*next, run)
 			next = nil
 		}
 		if run.reader != nil {
@@ -445,7 +438,7 @@ func (d *workerDaemon) runLoop(run *workerRun, first inboundConn) *inboundConn {
 			run.abort("worker shutting down", false)
 			return nil
 		case <-orphan.C:
-			d.opt.logf("coordinator did not reconnect within %v; abandoning run %s", run.peerTimeout, run.id)
+			slog.Warn("coordinator did not reconnect; abandoning run", "run", run.id, "within", run.peerTimeout)
 			run.abort("coordinator lost", false)
 			return nil
 		case ic := <-run.adopt:
@@ -459,7 +452,7 @@ func (d *workerDaemon) runLoop(run *workerRun, first inboundConn) *inboundConn {
 // connection creates the link; later ones are reconnects (exchange
 // watermarks, replay the outbox). On failure the run's reader stays
 // nil and the orphan timer keeps counting.
-func adoptCoord(ic inboundConn, run *workerRun, opt WorkerOptions) {
+func adoptCoord(ic inboundConn, run *workerRun) {
 	if run.link != nil {
 		// Reconnect to the run in flight. The Welcome must precede the
 		// outbox replay Reattach performs.
@@ -472,7 +465,7 @@ func adoptCoord(ic inboundConn, run *workerRun, opt WorkerOptions) {
 			return
 		}
 		run.reader = &ic
-		opt.logf("coordinator reconnected to run %s", run.id)
+		slog.Debug("coordinator reconnected", "run", run.id)
 		return
 	}
 	if err := ic.c.WriteFrame(Frame{Type: TWelcome, Payload: encJSON(Welcome{Proto: ProtoVersion, Have: run.held != nil})}); err != nil {
@@ -490,7 +483,6 @@ func adoptCoord(ic inboundConn, run *workerRun, opt WorkerOptions) {
 // non-nil conn is a replacement coordinator connection to adopt
 // immediately.
 func (d *workerDaemon) frameLoop(run *workerRun) (keep bool, next *inboundConn) {
-	opt := d.opt
 	rd := run.reader
 	hb := time.NewTicker(run.hbEvery)
 	defer hb.Stop()
@@ -516,7 +508,7 @@ func (d *workerDaemon) frameLoop(run *workerRun) (keep bool, next *inboundConn) 
 				run.abort("connection closed", false)
 				return false, nil
 			}
-			opt.logf("coordinator connection to run %s lost (%v); awaiting reconnect", run.id, err)
+			slog.Warn("coordinator connection lost; awaiting reconnect", "run", run.id, "err", err)
 			run.link.Detach()
 			run.reader = nil
 			return true, nil
@@ -524,7 +516,7 @@ func (d *workerDaemon) frameLoop(run *workerRun) (keep bool, next *inboundConn) 
 			run.flushData()
 			run.link.SendRaw(Frame{Type: THeartbeat})
 			if time.Since(lastHeard) > run.peerTimeout {
-				opt.logf("no coordinator traffic for %v; abandoning run %s", run.peerTimeout, run.id)
+				slog.Warn("no coordinator traffic; abandoning run", "run", run.id, "within", run.peerTimeout)
 				run.abort("coordinator heartbeat lost", false)
 				return false, nil
 			}
@@ -532,7 +524,7 @@ func (d *workerDaemon) frameLoop(run *workerRun) (keep bool, next *inboundConn) 
 			run.ended = true
 			run.flushData()
 			if out.err != nil {
-				opt.logf("run %s failed locally: %v", run.id, out.err)
+				slog.Warn("run failed locally", "run", run.id, "err", out.err)
 				run.link.Send(TError, encJSON(ErrorNote{Msg: out.err.Error()}))
 			} else {
 				run.link.Send(TResult, out.note)
@@ -552,12 +544,12 @@ func (d *workerDaemon) frameLoop(run *workerRun) (keep bool, next *inboundConn) 
 			done, err := d.handleFrame(run, f)
 			if errors.Is(err, errCoordAbort) {
 				// The coordinator's verdict ends the run: nothing to answer.
-				opt.logf("run %s: %v", run.id, err)
+				slog.Warn("run aborted by the coordinator", "run", run.id, "err", err)
 				run.abort(err.Error(), false)
 				return false, nil
 			}
 			if err != nil {
-				opt.logf("protocol error on %s frame: %v", f.Type, err)
+				slog.Warn("protocol error", "run", run.id, "frame", f.Type, "err", err)
 				run.link.Send(TError, encJSON(ErrorNote{Msg: err.Error()}))
 				run.abort(fmt.Sprintf("protocol error: %v", err), false)
 				return false, nil
@@ -721,7 +713,7 @@ func (d *workerDaemon) startRun(run *workerRun, bundle *StartBundle) error {
 	if len(bundle.Peers) > 0 && bundle.Worker < len(bundle.Peers) && d.opt.transport != nil {
 		ms = newMesh(meshConfig{
 			transport: d.opt.transport, idle: &d.idle, runID: bundle.Run, self: bundle.Worker,
-			addrs: bundle.Peers, peerOf: bundle.PeerOf, logf: d.opt.logf,
+			addrs: bundle.Peers, peerOf: bundle.PeerOf,
 		}, nil)
 		run.mesh.Store(ms)
 	}
@@ -771,8 +763,11 @@ func (d *workerDaemon) startRun(run *workerRun, bundle *StartBundle) error {
 			hostedN++
 		}
 	}
-	d.opt.logf("run %s started: hosting %d of %d processors as worker %d/%d",
-		run.id, hostedN, len(bundle.Hosted), bundle.Worker, bundle.Workers)
+	// Typed attributes: a record below the handler's level then costs no
+	// allocation, once a run.
+	slog.LogAttrs(d.ctx, slog.LevelDebug, "run started", slog.String("run", run.id),
+		slog.Int("worker", bundle.Worker), slog.Int("workers", bundle.Workers),
+		slog.Int("hosted", hostedN), slog.Int("processors", len(bundle.Hosted)))
 	return nil
 }
 
